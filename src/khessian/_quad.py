@@ -14,13 +14,15 @@ Two table kinds are provided:
   the sliver below the bottom node is closed with a local power fit.
 
 Both tables extend themselves on demand, so callers never need to guess the
-range of future queries.
+range of future queries.  Evaluation (and, for the decaying table, inversion)
+takes a scalar or an array: a scalar gives a float, an array gives an array of
+the same shape, and the range is extended once per call from the extreme
+arguments.
 """
 
 import math
 
 import numpy as np
-from scipy.optimize import bisect
 
 from .errors import KellerOssermanViolation, KHessianError, ParameterError
 
@@ -29,13 +31,25 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 # hard range cap: 10**+-290 keeps every node representable
 _MAX_EXTENT = 290
 
+# Newton steps per inversion; far above the ~4 taken from the segment
+# interpolant, and above the ~56 midpoint fallbacks that would shrink a
+# segment bracket to rounding level
+_NEWTON_CAP = 100
 
-def segment_integral(fn, a, b):
-    """Fixed 10-point Gauss-Legendre quadrature of ``fn`` over [a, b]."""
+_EPS = np.finfo(float).eps
+
+# relative size below which the analytic tail above the grid is trusted
+_REL_TAIL = 1e-13
+
+
+def panel_integrals(fn, a, b):
+    """Fixed 10-point Gauss-Legendre quadrature of ``fn`` over each [a, b] (broadcast)."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    vals = np.asarray(fn(mid + half * _GL_NODES), dtype=float)
-    return half * float(np.dot(_GL_WEIGHTS, vals))
+    vals = np.asarray(fn(mid[..., None] + half[..., None] * _GL_NODES), dtype=float)
+    return half * (vals @ _GL_WEIGHTS)
 
 
 def vectorized(fn):
@@ -49,7 +63,52 @@ def vectorized(fn):
     return np.vectorize(fn, otypes=[float])
 
 
-class DecayingTailIntegral:
+def _checked(x, ok, name, what):
+    """``x`` as a float array; ParameterError naming the first entry failing ``ok``."""
+    arr = np.asarray(x, dtype=float)
+    good = ok(arr)
+    if not np.all(good):
+        bad = arr[~good].flat[0]
+        raise ParameterError(f"{name}: {what}, got {bad}")
+    return arr
+
+
+def _positive(x, name, what):
+    return _checked(x, lambda a: np.isfinite(a) & (a > 0.0), name,
+                    f"{what} must be positive finite")
+
+
+def scalar_or_array(x, out):
+    """``out`` as a float when the argument ``x`` was a scalar."""
+    return float(out) if np.ndim(x) == 0 else out
+
+
+class _GeometricTable:
+    """Nodes 10**(i/per_decade), i_lo <= i <= i_hi, with per-segment integrals."""
+
+    def _nodes_between(self, i0, i1):
+        return 10.0 ** (np.arange(i0, i1 + 1) / self.per_decade)
+
+    def _segments(self, nodes):
+        return panel_integrals(self.g, nodes[:-1], nodes[1:])
+
+    def _segment_of(self, s):
+        j = np.floor(np.log10(s) * self.per_decade).astype(int) - self.i_lo
+        return np.clip(j, 0, len(self.nodes) - 2)
+
+    def _extend_high(self):
+        """Append one decade of nodes above the top."""
+        if self.i_hi + self.per_decade > _MAX_EXTENT * self.per_decade:
+            raise KHessianError(f"{self.name}: upper range cap exceeded")
+        new_hi = self.i_hi + self.per_decade
+        add = self._nodes_between(self.i_hi, new_hi)
+        self.i_hi = new_hi
+        self.nodes = np.concatenate([self.nodes, add[1:]])
+        self.seg = np.concatenate([self.seg, self._segments(add)])
+        self._refresh()
+
+
+class DecayingTailIntegral(_GeometricTable):
     """Tabulated int_s^inf g with on-demand range extension."""
 
     def __init__(self, integrand, seed=1.0, per_decade=64, tail_hint=None, name="integral"):
@@ -61,58 +120,26 @@ class DecayingTailIntegral:
         e0 = round(math.log10(seed) * self.per_decade)
         self.i_lo = e0 - 2 * self.per_decade
         self.i_hi = e0 + 2 * self.per_decade
-        self._rebuild()
+        self.nodes = self._nodes_between(self.i_lo, self.i_hi)
+        self.seg = self._segments(self.nodes)
+        self._refresh()
         self._check_convergence()
 
     # -- grid management ----------------------------------------------------
-
-    def _node(self, j):
-        return 10.0 ** ((self.i_lo + j) / self.per_decade)
-
-    def _nodes(self):
-        idx = np.arange(self.i_lo, self.i_hi + 1)
-        return 10.0 ** (idx / self.per_decade)
-
-    def _rebuild(self):
-        nodes = self._nodes()
-        seg = np.array(
-            [segment_integral(self.g, nodes[j], nodes[j + 1]) for j in range(len(nodes) - 1)]
-        )
-        self.nodes = nodes
-        self.seg = seg
-        self._refresh()
 
     def _refresh(self):
         # suffix[j] = integral from node j to the top node
         self.suffix = np.concatenate([np.cumsum(self.seg[::-1])[::-1], [0.0]])
         self.tail, self.tail_trusted, self.tail_exponent = self._fit_tail()
 
-    def _extend_high(self):
-        if self.i_hi + self.per_decade > _MAX_EXTENT * self.per_decade:
-            raise KHessianError(f"{self.name}: upper range cap exceeded")
-        old_top = self.nodes[-1]
-        new_hi = self.i_hi + self.per_decade
-        add = 10.0 ** (np.arange(self.i_hi, new_hi + 1) / self.per_decade)
-        seg_add = np.array(
-            [segment_integral(self.g, add[j], add[j + 1]) for j in range(len(add) - 1)]
-        )
-        self.i_hi = new_hi
-        self.nodes = np.concatenate([self.nodes, add[1:]])
-        self.seg = np.concatenate([self.seg, seg_add])
-        self._refresh()
-        return old_top
-
     def _extend_low(self):
         if self.i_lo - self.per_decade < -_MAX_EXTENT * self.per_decade:
             raise KHessianError(f"{self.name}: lower range cap exceeded")
         new_lo = self.i_lo - self.per_decade
-        add = 10.0 ** (np.arange(new_lo, self.i_lo + 1) / self.per_decade)
-        seg_add = np.array(
-            [segment_integral(self.g, add[j], add[j + 1]) for j in range(len(add) - 1)]
-        )
+        add = self._nodes_between(new_lo, self.i_lo)
         self.i_lo = new_lo
         self.nodes = np.concatenate([add[:-1], self.nodes])
-        self.seg = np.concatenate([seg_add, self.seg])
+        self.seg = np.concatenate([self._segments(add), self.seg])
         self._refresh()
 
     # -- tail handling ------------------------------------------------------
@@ -164,28 +191,26 @@ class DecayingTailIntegral:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _segment_of(self, s):
-        j = int(math.floor(math.log10(s) * self.per_decade)) - self.i_lo
-        return min(max(j, 0), len(self.nodes) - 2)
-
-    def value(self, s, rel_tail=1e-13):
-        """int_s^inf g, accurate to ~1e-13 relative."""
-        s = float(s)
-        if not (s > 0.0) or not math.isfinite(s):
-            raise ParameterError(f"{self.name}: argument must be positive finite, got {s}")
-        while s < self.nodes[0] * (1.0 + 1e-12):
-            self._extend_low()
-        while s > self.nodes[-2]:
-            self._extend_high()
+    def _to_top(self, s):
+        """int_s^(top node) g for s inside the grid: one local panel plus a suffix."""
         j = self._segment_of(s)
-        local = segment_integral(self.g, s, self.nodes[j + 1])
-        v = self.suffix[j + 1] + local
-        while not self.tail_trusted and self.tail > rel_tail * (v + self.tail):
+        return self.suffix[j + 1] + panel_integrals(self.g, s, self.nodes[j + 1])
+
+    def value(self, s):
+        """int_s^inf g at each s (scalar or array), accurate to ~1e-13 relative."""
+        arr = _positive(s, self.name, "argument")
+        if arr.size == 0:
+            return arr.copy()
+        flat = arr.ravel()
+        while flat.min() < self.nodes[0] * (1.0 + 1e-12):
+            self._extend_low()
+        while flat.max() > self.nodes[-2]:
             self._extend_high()
-            j = self._segment_of(s)
-            local = segment_integral(self.g, s, self.nodes[j + 1])
-            v = self.suffix[j + 1] + local
-        return v + self.tail
+        v = self._to_top(flat)
+        while not self.tail_trusted and self.tail > _REL_TAIL * (v.min() + self.tail):
+            self._extend_high()
+            v = self._to_top(flat)
+        return scalar_or_array(s, (v + self.tail).reshape(arr.shape))
 
     def node_values(self):
         return self.suffix + self.tail
@@ -201,53 +226,69 @@ class DecayingTailIntegral:
             prev = cur
         return prev
 
-    def invert(self, target, rtol=1e-13):
-        """Solve value(s) = target for s (value is strictly decreasing).
-
-        Bisection within the bracketing grid segment (unconditionally safe;
-        the derivative of the integral blows up at small arguments), then a
-        few guarded Newton corrections inside the bracket so the inverse is
-        a rounding-level-smooth function of the target -- downstream checks
-        difference it numerically.
-        """
-        t = float(target)
-        if not (t > 0.0) or not math.isfinite(t):
-            raise ParameterError(f"{self.name}: inverse argument must be positive, got {t}")
-        # make sure the node values bracket the target
-        while self.node_values()[0] < t:
+    def _bracket(self, t):
+        """Grid segments [lo, hi] with value(lo) > t >= value(hi), one per target."""
+        while self.node_values()[0] < t.max():
             prev = self.node_values()[0]
             self._extend_low()
             if self.node_values()[0] - prev <= 1e-14 * max(prev, 1e-300):
                 raise ParameterError(
-                    f"{self.name}: target {t:.6g} exceeds the supremum "
+                    f"{self.name}: target {t.max():.6g} exceeds the supremum "
                     f"{self.node_values()[0]:.6g} of the integral"
                 )
-        while self.node_values()[-1] > 0.5 * t:
+        while self.node_values()[-1] > 0.5 * t.min():
             self._extend_high()
-        vals = self.node_values()
-        j = int(np.searchsorted(-vals, -t))
-        if j == 0:
-            return self.nodes[0]
-        a, b = self.nodes[j - 1], self.nodes[j]
-        root = float(bisect(lambda s: self.value(s) - t, a, b, xtol=1e-300, rtol=rtol, maxiter=300))
-        for _ in range(3):
-            res = self.value(root) - t
-            if res == 0.0:
+        while True:
+            vals = self.node_values()
+            j = np.maximum(np.searchsorted(-vals, -t), 1)
+            # trust the tail down to half the smallest bracketed value, so no
+            # value() call inside the brackets extends the grid under them
+            if self.tail_trusted or self.tail <= 0.5 * _REL_TAIL * vals[j].min():
+                return self.nodes[j - 1], self.nodes[j], vals[j - 1], vals[j]
+            self._extend_high()
+
+    def invert(self, target):
+        """Solve value(s) = target for s at each target (value is strictly decreasing).
+
+        Each target is bracketed by the grid segment whose node values straddle
+        it, found by ``searchsorted`` over :meth:`node_values`, and started from
+        the linear interpolant inside that segment.  Safeguarded Newton steps
+        follow, with the exact slope value'(s) = -g(s): a step that leaves its
+        bracket, or meets a slope that is not finite and positive, falls back
+        to the bracket midpoint, and each residual's sign shrinks the bracket.
+        A target is done once its step is at most 2 eps s; every step is one
+        :meth:`value` call over the targets still running, at most
+        ``_NEWTON_CAP`` of them.  The root is a rounding-level-smooth function
+        of the target, which downstream checks rely on when they difference it
+        numerically.
+        """
+        t = _positive(target, self.name, "inverse argument")
+        if t.size == 0:
+            return t.copy()
+        tf = t.ravel()
+        lo, hi, va, vb = self._bracket(tf)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            s = lo + (va - tf) / (va - vb) * (hi - lo)
+        s = np.where((s >= lo) & (s <= hi), s, 0.5 * (lo + hi))
+        todo = np.arange(tf.size)
+        for _ in range(_NEWTON_CAP):
+            si, ti = s[todo], tf[todo]
+            res = self.value(si) - ti  # > 0: the root lies above si
+            lo_i = np.where(res > 0.0, si, lo[todo])
+            hi_i = np.where(res < 0.0, si, hi[todo])
+            slope = self.g(si)
+            with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+                nxt = si + np.where(res == 0.0, 0.0, res / slope)
+            newton = np.isfinite(slope) & (slope > 0.0) & (nxt >= lo_i) & (nxt <= hi_i)
+            nxt = np.where(newton, nxt, 0.5 * (lo_i + hi_i))
+            lo[todo], hi[todo], s[todo] = lo_i, hi_i, nxt
+            todo = todo[np.abs(nxt - si) > 2.0 * _EPS * si]
+            if todo.size == 0:
                 break
-            slope = float(self.g(np.array([root]))[0])
-            if slope <= 0.0 or not math.isfinite(slope):
-                break
-            nxt = root + res / slope
-            if not (a <= nxt <= b):
-                break
-            if abs(nxt - root) <= 2.0 * np.finfo(float).eps * root:
-                root = nxt
-                break
-            root = nxt
-        return root
+        return scalar_or_array(target, s.reshape(t.shape))
 
 
-class CumulativeFromZero:
+class CumulativeFromZero(_GeometricTable):
     """Tabulated int_0^t g for integrands integrable at 0."""
 
     def __init__(self, integrand, seed=1.0, per_decade=64, floor_decades=12, name="cumulative"):
@@ -257,11 +298,14 @@ class CumulativeFromZero:
         e0 = round(math.log10(seed) * self.per_decade)
         self.i_lo = e0 - floor_decades * self.per_decade
         self.i_hi = e0 + self.per_decade
-        self._rebuild()
+        self.nodes = self._nodes_between(self.i_lo, self.i_hi)
+        self.seg = self._segments(self.nodes)
+        self._refresh()
+        self.head = self._head()
 
-    def _nodes(self):
-        idx = np.arange(self.i_lo, self.i_hi + 1)
-        return 10.0 ** (idx / self.per_decade)
+    def _refresh(self):
+        # prefix[j] = integral from the bottom node to node j
+        self.prefix = np.concatenate([[0.0], np.cumsum(self.seg)])
 
     def _head(self):
         """Closing integral below the bottom node from a local power fit."""
@@ -277,47 +321,31 @@ class CumulativeFromZero:
             )
         return g0 * s0 / (q + 1.0)
 
-    def _rebuild(self):
-        self.nodes = self._nodes()
-        self.seg = np.array(
-            [
-                segment_integral(self.g, self.nodes[j], self.nodes[j + 1])
-                for j in range(len(self.nodes) - 1)
-            ]
-        )
-        self.prefix = np.concatenate([[0.0], np.cumsum(self.seg)])
-        self.head = self._head()
-
-    def _extend_high(self):
-        if self.i_hi + self.per_decade > _MAX_EXTENT * self.per_decade:
-            raise KHessianError(f"{self.name}: upper range cap exceeded")
-        new_hi = self.i_hi + self.per_decade
-        add = 10.0 ** (np.arange(self.i_hi, new_hi + 1) / self.per_decade)
-        seg_add = np.array(
-            [segment_integral(self.g, add[j], add[j + 1]) for j in range(len(add) - 1)]
-        )
-        self.i_hi = new_hi
-        self.nodes = np.concatenate([self.nodes, add[1:]])
-        self.seg = np.concatenate([self.seg, seg_add])
-        self.prefix = np.concatenate([[0.0], np.cumsum(self.seg)])
-
     def value(self, t):
-        t = float(t)
-        if t == 0.0:
-            return 0.0
-        if not (t > 0.0) or not math.isfinite(t):
-            raise ParameterError(f"{self.name}: argument must be nonnegative finite, got {t}")
-        if t <= self.nodes[0]:
-            # inside the head region: rescale the power-fit closing integral
-            g0 = float(self.g(np.array([self.nodes[0]]))[0])
-            gt = float(self.g(np.array([t]))[0])
-            q = (math.log(g0) - math.log(gt)) / (math.log(self.nodes[0]) - math.log(t)) \
-                if gt > 0.0 and t < self.nodes[0] else 0.0
-            if q <= -1.0 + 1e-9:
-                raise ParameterError(f"{self.name}: integrand not integrable at 0")
-            return gt * t / (q + 1.0)
-        while t > self.nodes[-1]:
+        """int_0^t g at each t >= 0 (scalar or array)."""
+        arr = _checked(t, lambda a: np.isfinite(a) & (a >= 0.0), self.name,
+                       "argument must be nonnegative finite")
+        out = np.zeros(arr.shape)
+        if arr.size == 0:
+            return out
+        while arr.max() > self.nodes[-1]:
             self._extend_high()
-        j = int(math.floor(math.log10(t) * self.per_decade)) - self.i_lo
-        j = min(max(j, 0), len(self.nodes) - 2)
-        return self.head + self.prefix[j] + segment_integral(self.g, self.nodes[j], t)
+        s0 = self.nodes[0]
+        head = (arr > 0.0) & (arr <= s0)
+        if head.any():
+            # inside the head region: rescale the power-fit closing integral
+            th = arr[head]
+            g0 = float(self.g(np.array([s0]))[0])
+            gt = np.asarray(self.g(th), dtype=float)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                q = np.where((gt > 0.0) & (th < s0),
+                             (math.log(g0) - np.log(gt)) / (math.log(s0) - np.log(th)), 0.0)
+            if np.any(q <= -1.0 + 1e-9):
+                raise ParameterError(f"{self.name}: integrand not integrable at 0")
+            out[head] = gt * th / (q + 1.0)
+        body = arr > s0
+        if body.any():
+            tb = arr[body]
+            j = self._segment_of(tb)
+            out[body] = self.head + self.prefix[j] + panel_integrals(self.g, self.nodes[j], tb)
+        return scalar_or_array(t, out)

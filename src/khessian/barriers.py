@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.stats import qmc
 
-from ._quad import vectorized
+from ._quad import scalar_or_array, vectorized
 from .errors import (
     CertificationFailure,
     ConditionViolation,
@@ -156,7 +155,10 @@ def composite_eigs(g1, g2, d, rho):
 
 
 class ProfileBarrier:
-    """phi(xi M(d + shift)) with analytic first and second distance derivatives."""
+    """phi(xi M(d + shift)) with analytic first and second distance derivatives.
+
+    Every method takes a distance or an array of distances.
+    """
 
     def __init__(self, p: ProfileFns, xi, shift, window, label):
         self.p = p
@@ -167,28 +169,34 @@ class ProfileBarrier:
 
     def _d1(self, d):
         lo, hi = self.window
-        if not lo < d < hi:
+        dd = np.asarray(d, dtype=float)
+        inside = (lo < dd) & (dd < hi)
+        if not np.all(inside):
             raise ParameterError(
-                f"{self.label}: distance {d:.6g} outside the validity window ({lo:.6g}, {hi:.6g})"
+                f"{self.label}: distance {dd[~inside].flat[0]:.6g} outside the validity "
+                f"window ({lo:.6g}, {hi:.6g})"
             )
-        return d + self.shift
+        return dd + self.shift
+
+    def jet(self, d):
+        """(value, first, second) distance derivatives from one phi inversion."""
+        d1 = self._d1(d)
+        p, xi = self.p, self.xi
+        m = np.asarray(p.m(d1), dtype=float)
+        val, g1, g2 = p.phi_jet(xi * np.asarray(p.M(d1), dtype=float))
+        deriv1 = xi * m * g1
+        deriv2 = xi * np.asarray(p.m_prime(d1), dtype=float) * g1 + xi**2 * m**2 * g2
+        return val, scalar_or_array(d, deriv1), scalar_or_array(d, deriv2)
 
     def value(self, d):
-        t = self.xi * float(self.p.M(self._d1(d)))
-        return self.p.phi(t)
+        d1 = self._d1(d)
+        return self.p.phi(self.xi * np.asarray(self.p.M(d1), dtype=float))
 
     def deriv1(self, d):
-        d1 = self._d1(d)
-        t = self.xi * float(self.p.M(d1))
-        return self.xi * float(self.p.m(d1)) * self.p.phi_prime(t)
+        return self.jet(d)[1]
 
     def deriv2(self, d):
-        d1 = self._d1(d)
-        t = self.xi * float(self.p.M(d1))
-        return (
-            self.xi * float(self.p.m_prime(d1)) * self.p.phi_prime(t)
-            + self.xi**2 * float(self.p.m(d1)) ** 2 * self.p.phi_second(t)
-        )
+        return self.jet(d)[2]
 
 
 def build_barriers(p: ProfileFns, geom: CollarGeometry, bp: BarrierParams):
@@ -207,14 +215,19 @@ def build_barriers(p: ProfileFns, geom: CollarGeometry, bp: BarrierParams):
 def collar_ratios(p: ProfileFns, xi, d):
     """The two collar quantities controlling admissibility and the margins.
 
-    Returns (A, B) with A -> 0 and B -> 1 - (1 - C_m)/C_f as d -> 0+.
+    Returns (A, B) with A -> 0 and B -> 1 - (1 - C_m)/C_f as d -> 0+; d may
+    be a distance or an array of distances.
     """
-    t = xi * float(p.M(d))
+    M = np.asarray(p.M(d), dtype=float)
+    m = np.asarray(p.m(d), dtype=float)
+    t = xi * M
     s = p.phi(t)
-    P = float(((p.k + 1.0) * p.F(s)) ** (p.k / (p.k + 1.0))) / (t * float(p.f(s)))
-    A = (float(p.M(d)) / float(p.m(d))) * P
-    B = 1.0 - (float(p.M(d)) * float(p.m_prime(d)) / float(p.m(d)) ** 2) * P
-    return A, B
+    P = ((p.k + 1.0) * np.asarray(p.F(s), dtype=float)) ** (p.k / (p.k + 1.0)) / (
+        t * np.asarray(p.f(s), dtype=float)
+    )
+    A = (M / m) * P
+    B = 1.0 - (M * np.asarray(p.m_prime(d), dtype=float) / m**2) * P
+    return scalar_or_array(d, A), scalar_or_array(d, B)
 
 
 @dataclass
@@ -263,6 +276,8 @@ def collar_samples(bp: BarrierParams, kind, nsamples=200, seed=0):
         lo, hi = top * 1e-3, top * 0.98
     else:
         raise ParameterError(f"unknown sample kind {kind!r}")
+    from scipy.stats import qmc  # deferred: scipy.stats dominates the package import time
+
     u = qmc.Halton(d=2, scramble=True, seed=seed).random(nsamples)
     d = lo * (hi / lo) ** u[:, 0]
     return np.column_stack([d, u[:, 1]])
@@ -273,38 +288,40 @@ def _verify(kind, barrier, p, geom, bp, f, bweight, samples, tol_scale=1e-9):
     m = vectorized(bweight.m)
     kp1 = p.k + 1
     base = bweight.b_lower if kind == "super" else bweight.b_upper
+    samples = np.asarray(samples, dtype=float).reshape(-1, 2)
+    ds = samples[:, 0]
+    uval, g1, g2 = barrier.jet(ds)
+    scale = base * np.asarray(m(ds), dtype=float) ** kp1 * np.asarray(fv(uval), dtype=float)
+    d_shift = ds - bp.sigma_shift if kind == "super" else ds + bp.sigma_shift
+    xi = bp.xi_eps_lower if kind == "super" else bp.xi_eps_upper
+    ratio_A, ratio_B = collar_ratios(p, xi, d_shift)
     worst = math.inf
     sup_tilt = 0.0
     rows = []
     ok = True
-    for d, param in np.asarray(samples, dtype=float):
+    for i, (d, param) in enumerate(samples):
         rho = geom.rho(param)
-        lam = composite_eigs(barrier.deriv1(d), barrier.deriv2(d), d, rho)
+        lam = composite_eigs(g1[i], g2[i], d, rho)
         sig = sigma_all(lam, p.k)[1:]
         admissible = bool(np.all(sig > 0.0))
         tilt = rho / (1.0 - d * rho)
         sup_tilt = max(sup_tilt, float(sigma_all(tilt, p.k)[p.k]))
-        uval = barrier.value(d)
-        bx = base * float(m(d)) ** kp1
-        scale = bx * float(fv(uval))
         sk = float(sig[p.k - 1])
-        margin = (scale - sk) if kind == "super" else (sk - scale)
-        passed = admissible and margin >= -tol_scale * scale
+        sc = float(scale[i])
+        margin = (sc - sk) if kind == "super" else (sk - sc)
+        passed = admissible and margin >= -tol_scale * sc
         ok = ok and passed
-        worst = min(worst, margin / scale if scale > 0 else margin)
-        d_shift = d - bp.sigma_shift if kind == "super" else d + bp.sigma_shift
-        xi = bp.xi_eps_lower if kind == "super" else bp.xi_eps_upper
-        A, B = collar_ratios(p, xi, d_shift)
+        worst = min(worst, margin / sc if sc > 0 else margin)
         rows.append(
             {
                 "d": float(d),
                 "param": float(param),
                 "margin": float(margin),
-                "scale": float(scale),
+                "scale": sc,
                 "sigma_j": [float(s) for s in sig],
                 "admissible": admissible,
-                "ratio_A": A,
-                "ratio_B": B,
+                "ratio_A": float(ratio_A[i]),
+                "ratio_B": float(ratio_B[i]),
             }
         )
     return MarginReport(
@@ -380,33 +397,38 @@ def certify_upper_barrier_global(p: ProfileFns, w_sol: RadialSolution, f: Nonlin
         r_samples = np.linspace(0.02, 0.98, 97) * R
     fv = vectorized(f.f)
     bv = vectorized(b)
+    r_all = np.asarray(r_samples, dtype=float)
+    w_all = np.asarray(w_sol.value(r_all), dtype=float)
+    w1_all = np.asarray(w_sol.deriv1(r_all), dtype=float)
+    w2_all = np.asarray(w_sol.deriv2(r_all), dtype=float)
+    b_all = np.asarray(bv(r_all), dtype=float)
     worst_overall = -math.inf
     last_rows = None
     ff_decay = check_limit_Ff(p.profile)
     for eps in eps_ladder:
-        ok = True
+        t = -eps * w_all
+        # radii up to the first with t <= 0, where phi(-eps w) is undefined
+        nonpos = np.flatnonzero(t <= 0.0)
+        ok = nonpos.size == 0
+        n_ok = len(t) if ok else int(nonpos[0])
+        r, w1, w2, t = r_all[:n_ok], w1_all[:n_ok], w2_all[:n_ok], t[:n_ok]
+        u, g1, g2 = p.phi_jet(t)
+        h1 = -eps * w1 * g1
+        h2 = -eps * w2 * g1 + eps**2 * w1**2 * g2
+        lhs = sk_radial(h1, h2, r, n, k)
+        rhs = b_all[:n_ok] * np.asarray(fv(u), dtype=float)
         worst = math.inf
         rows = []
-        for r in r_samples:
-            wv = float(w_sol.value(r))
-            w1 = float(w_sol.deriv1(r))
-            w2 = float(w_sol.deriv2(r))
-            t = -eps * wv
-            if t <= 0.0:
-                ok = False
-                break
-            h1 = -eps * w1 * p.phi_prime(t)
-            h2 = -eps * w2 * p.phi_prime(t) + eps**2 * w1**2 * p.phi_second(t)
-            lam = np.concatenate([[h2], np.full(n - 1, h1 / r)])
+        for i in range(n_ok):
+            lam = np.concatenate([[h2[i]], np.full(n - 1, h1[i] / r[i])])
             sig = sigma_all(lam, k)[1:]
             admissible = bool(np.all(sig > 0.0))
-            lhs = sk_radial(h1, h2, r, n, k)
-            rhs = float(bv(r)) * float(fv(p.phi(t)))
-            margin = rhs - lhs
-            worst = min(worst, margin / rhs if rhs > 0 else margin)
-            if not admissible or margin < -tol_scale * rhs:
+            margin = float(rhs[i] - lhs[i])
+            rhs_i = float(rhs[i])
+            worst = min(worst, margin / rhs_i if rhs_i > 0 else margin)
+            if not admissible or margin < -tol_scale * rhs_i:
                 ok = False
-            rows.append({"r": float(r), "margin": float(margin), "rhs": float(rhs),
+            rows.append({"r": float(r[i]), "margin": margin, "rhs": rhs_i,
                          "admissible": admissible})
         if ok:
             report = {

@@ -71,10 +71,19 @@ def _offdiag_matrix(cof, nbr):
 
 
 def _source_b(grid: Field2D, bweight: Weight, b_override):
+    """Source b at the interior nodes; ParameterError unless finite and >= 0 (b2)."""
     if b_override is not None:
-        return np.asarray(b_override(grid.node_x, grid.node_y), dtype=float)
-    m = vectorized(bweight.m)
-    return bweight.b_lower * np.asarray(m(grid.node_d), dtype=float) ** (_K_ORDER + 1)
+        b = np.asarray(b_override(grid.node_x, grid.node_y), dtype=float)
+    else:
+        m = vectorized(bweight.m)
+        b = bweight.b_lower * np.asarray(m(grid.node_d), dtype=float) ** (_K_ORDER + 1)
+    bad = ~(np.isfinite(b) & (b >= 0.0))
+    if bad.any():
+        raise ParameterError(
+            f"(b2) source b must be finite and nonnegative, got {b[bad].flat[0]} "
+            f"at node {int(np.flatnonzero(bad)[0])}"
+        )
+    return b
 
 
 def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol,
@@ -238,7 +247,7 @@ def asymptotics_report_2d(fld: Field2D, p: ProfileFns, xi, bin_edges=None,
                 f"empty collar bin [{lo:.3g}, {hi:.3g})",
                 rows=np.array(rows) if rows else np.empty((0, 6)),
             )
-        pred = np.array([predicted_profile(p, xi, dd) for dd in d[sel]])
+        pred = predicted_profile(p, xi, d[sel])
         ratio = u[sel] / pred
         rows.append((lo, hi, int(sel.sum()), float(ratio.min()),
                      float(np.median(ratio)), float(ratio.max())))

@@ -13,19 +13,24 @@ For a nonlinearity f of order k the kit provides
 
 ``Phi`` is always evaluated by quadrature (tail-substituted geometric
 tables), even when a closed form exists, so that closed forms remain
-available as independent oracles.  ``phi`` is inverted by bracketing and
-bisection: the derivative of Phi blows up at small arguments, which makes
-Newton refinement unsafe there, and inverted values are memoised anyway.
+available as independent oracles.  ``phi`` inverts the table by safeguarded
+Newton: each target is bracketed by a grid segment and started from the
+segment's linear interpolant, Newton steps use the exact slope
+Phi' = -1/H, and a step that leaves the bracket falls back to its midpoint
+(the slope blows up at small arguments, where plain Newton would be unsafe).
+
+``Phi``, ``phi`` and its derivatives, ``psi``, ``predicted_profile`` and
+``profile_table`` take scalars or arrays: a scalar gives a float, an array an
+array of the same shape, and a whole array costs one vectorised inversion.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from ._quad import CumulativeFromZero, DecayingTailIntegral, vectorized
+from ._quad import CumulativeFromZero, DecayingTailIntegral, scalar_or_array, vectorized
 from .errors import (
     ConditionViolation,
     KellerOssermanViolation,
@@ -74,8 +79,7 @@ class Profile:
         if nl.F_closed(1.0) is not None:
             self._F = nl.F_closed
         else:
-            table = CumulativeFromZero(self._f, name="F")
-            self._F = vectorized(lambda s: table.value(s))
+            self._F = CumulativeFromZero(self._f, name="F").value
 
         kp1 = self.k + 1.0
 
@@ -95,7 +99,6 @@ class Profile:
             inv_H, per_decade=per_decade, tail_hint=tail_hint, name="profile integral"
         )
         self.ko_ok = True
-        self._phi_cache = functools.lru_cache(maxsize=1 << 16)(self._phi_uncached)
 
     # -- basic functions ----------------------------------------------------
 
@@ -127,21 +130,27 @@ class Profile:
         """Supremum of Phi (the largest admissible argument of phi)."""
         return self._ko.sup_value()
 
-    def _phi_uncached(self, t):
-        return self._ko.invert(t, rtol=1e-13)
-
     def phi(self, t):
-        t = float(t)
-        if not (t > 0.0) or not math.isfinite(t):
-            raise ParameterError(f"phi argument must be positive finite, got {t}")
-        return self._phi_cache(t)
+        """Inverse of Phi at each t > 0 (scalar or array)."""
+        return self._ko.invert(t)
+
+    def phi_jet(self, t):
+        """(phi, phi', phi'') at each t from one inversion.
+
+        phi' = -H(phi) and phi'' = ((k+1) F(phi))**((1-k)/(k+1)) f(phi).
+        """
+        s = self.phi(t)
+        kp1 = self.k + 1.0
+        F = kp1 * np.asarray(self._F(s), dtype=float)
+        d1 = -(F ** (1.0 / kp1))
+        d2 = F ** ((1.0 - self.k) / kp1) * np.asarray(self._f(s), dtype=float)
+        return s, scalar_or_array(t, d1), scalar_or_array(t, d2)
 
     def phi_prime(self, t):
-        return -float(self.H(self.phi(t)))
+        return self.phi_jet(t)[1]
 
     def phi_second(self, t):
-        s = self.phi(t)
-        return float(((self.k + 1.0) * self._F(s)) ** ((1.0 - self.k) / (self.k + 1.0)) * self._f(s))
+        return self.phi_jet(t)[2]
 
 
 def build_profile(nl, k, per_decade=64):
@@ -180,18 +189,18 @@ def compute_Cf(p: Profile, s0=1.0, max_terms=40, osc_tol=1e-3):
     """Limit constant of H'(s) Phi(s) along s = s0 * 2**i, Aitken-accelerated."""
     if not p.ko_ok:
         raise ParameterError("profile integral not finite; C_f undefined")
-    seq = []
-    for i in range(max_terms):
-        s = s0 * 2.0**i
-        with np.errstate(over="ignore", invalid="ignore"):
-            hp = float(p.H_prime(s))
-            if not math.isfinite(hp):
-                break
-            v = hp * p.Phi(s)
-        if not math.isfinite(v):
-            break
-        seq.append(v)
-    return _detect_limit(seq, osc_tol, "C_f probe sequence")
+    s = s0 * 2.0 ** np.arange(max_terms)
+    with np.errstate(over="ignore", invalid="ignore"):
+        hp = np.asarray(p.H_prime(s), dtype=float)
+        s = s[: _finite_prefix(hp)]  # Phi only where H' is finite
+        v = hp[: s.size] * p.Phi(s)
+    return _detect_limit(v[: _finite_prefix(v)].tolist(), osc_tol, "C_f probe sequence")
+
+
+def _finite_prefix(x):
+    """Length of the leading run of finite entries of x."""
+    bad = np.flatnonzero(~np.isfinite(x))
+    return int(bad[0]) if bad.size else len(x)
 
 
 def build_weight(w: Weight, per_decade=64, osc_tol=1e-7):
@@ -205,8 +214,7 @@ def build_weight(w: Weight, per_decade=64, osc_tol=1e-7):
     if w.M_closed(1.0) is not None:
         M = w.M_closed
     else:
-        table = CumulativeFromZero(vectorized(w.m), seed=min(1.0, w.delta0 / 4), name="M")
-        M = vectorized(lambda t: table.value(t))
+        M = CumulativeFromZero(vectorized(w.m), seed=min(1.0, w.delta0 / 4), name="M").value
 
     g = lambda t: float(M(t)) / float(w.m(t))
     t0 = min(0.25, w.delta0 / 8.0)
@@ -234,40 +242,46 @@ class PsiPair:
         f = vectorized(nl.f)
 
         def integrand(s):
-            with np.errstate(over="ignore"):
+            with np.errstate(over="ignore", divide="ignore"):
                 v = np.asarray(f(s), dtype=float)
-            return np.where(np.isfinite(v), v, np.inf) ** (-1.0 / k)
+                return np.where(np.isfinite(v), v, np.inf) ** (-1.0 / k)
 
         tail_hint = nl.gamma / k if nl.kind == "power" else None
         self._table = DecayingTailIntegral(
             integrand, per_decade=per_decade, tail_hint=tail_hint, name="subsolution integral"
         )
         self._f = f
-        self._psi_cache = functools.lru_cache(maxsize=1 << 14)(self._table.invert)
         self._self_check()
 
     def Psi(self, s):
         return self._table.value(s)
 
+    def psi_domain_sup(self):
+        """Supremum of Psi (the largest admissible argument of psi)."""
+        return self._table.sup_value()
+
     def psi(self, t):
-        t = float(t)
-        if not (t > 0.0) or not math.isfinite(t):
-            raise ParameterError(f"psi argument must be positive finite, got {t}")
-        return self._psi_cache(t)
+        """Inverse of Psi at each t > 0 (scalar or array)."""
+        return self._table.invert(t)
 
     def psi_prime(self, t):
-        return -float(self._f(self.psi(t))) ** (1.0 / self.k)
+        return scalar_or_array(t, -np.asarray(self._f(self.psi(t)), dtype=float) ** (1.0 / self.k))
 
     def _self_check(self, rel=1e-6):
-        # psi'(s) = -f(psi(s))**(1/k), checked by central differences
-        for t in (0.02, 0.07, 0.2, 0.7, 2.0):
-            h = 1e-6 * t
-            fd = (self.psi(t + h) - self.psi(t - h)) / (2.0 * h)
-            an = self.psi_prime(t)
-            if abs(fd - an) > rel * max(abs(an), 1e-300) * 50:
-                raise KHessianError(
-                    f"subsolution inverse self-check failed at t={t}: fd={fd}, analytic={an}"
-                )
+        # psi'(s) = -f(psi(s))**(1/k), checked by central differences at the
+        # probes below half the supremum of Psi (1/(2a) for f = exp(a s), k = 1)
+        ts = np.array([0.02, 0.07, 0.2, 0.7, 2.0])
+        ts = ts[ts < 0.5 * self.psi_domain_sup()]
+        h = 1e-6 * ts
+        fd = (self.psi(ts + h) - self.psi(ts - h)) / (2.0 * h)
+        an = self.psi_prime(ts)
+        bad = np.abs(fd - an) > rel * np.maximum(np.abs(an), 1e-300) * 50
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise KHessianError(
+                f"subsolution inverse self-check failed at t={ts[i]}: "
+                f"fd={fd[i]}, analytic={an[i]}"
+            )
 
 
 def build_psi(nl, k, per_decade=64):
@@ -312,6 +326,9 @@ class ProfileFns:
 
     def phi_second(self, t):
         return self.profile.phi_second(t)
+
+    def phi_jet(self, t):
+        return self.profile.phi_jet(t)
 
     def Psi(self, s):
         self._need_psi()
@@ -440,25 +457,24 @@ def check_limit_Ff(p: Profile, i_lo=5, i_hi=30):
 
 
 def predicted_profile(p: ProfileFns, xi, d):
-    """Predicted boundary profile phi(xi * M(d)) at distance d."""
-    if not (0.0 < d < p.weight.delta0):
+    """Predicted boundary profile phi(xi * M(d)) at each distance d (scalar or array)."""
+    dd = np.asarray(d, dtype=float)
+    inside = (dd > 0.0) & (dd < p.weight.delta0)
+    if not np.all(inside):
         raise ParameterError(
-            f"distance d={d} outside the weight validity window (0, {p.weight.delta0})"
+            f"distance d={dd[~inside].flat[0]} outside the weight validity window "
+            f"(0, {p.weight.delta0})"
         )
-    return p.phi(xi * float(p.M(d)))
+    return p.phi(xi * np.asarray(p.M(d), dtype=float))
 
 
 def profile_table(p: ProfileFns, xi, ts):
     """Rows (t, phi, phi_prime, M, predicted) for export."""
-    rows = []
-    for t in np.asarray(ts, dtype=float):
-        rows.append(
-            (
-                float(t),
-                p.phi(t),
-                p.phi_prime(t),
-                float(p.M(t)),
-                predicted_profile(p, xi, t) if t < p.weight.delta0 else math.nan,
-            )
-        )
-    return rows
+    ts = np.asarray(ts, dtype=float).ravel()
+    phi, dphi, _ = p.phi_jet(ts)
+    M = np.asarray(p.M(ts), dtype=float)
+    pred = np.full(ts.shape, math.nan)
+    near = ts < p.weight.delta0
+    if near.any():
+        pred[near] = predicted_profile(p, xi, ts[near])
+    return [tuple(float(v) for v in row) for row in zip(ts, phi, dphi, M, pred)]

@@ -19,7 +19,7 @@ from scipy.interpolate import PchipInterpolator
 from scipy.linalg import solve_banded
 from scipy.optimize import bisect, brentq
 
-from ._quad import _GL_NODES, _GL_WEIGHTS, vectorized
+from ._quad import panel_integrals, scalar_or_array, vectorized
 from .errors import IntegrationFailure, ParameterError, ReportTruncated, SolveFailure
 from .nonlinearity import Nonlinearity, Weight
 from .profiles import ProfileFns, predicted_profile
@@ -90,24 +90,14 @@ class _CumulativeUniform:
         self.R = float(R)
         self.nodes = np.linspace(0.0, self.R, n_seg + 1)
         self.h = self.nodes[1] - self.nodes[0]
-        mids = 0.5 * (self.nodes[:-1] + self.nodes[1:])
-        pts = mids[:, None] + 0.5 * self.h * _GL_NODES[None, :]
-        seg = 0.5 * self.h * np.asarray(fn(pts), float) @ _GL_WEIGHTS
+        seg = panel_integrals(fn, self.nodes[:-1], self.nodes[1:])
         self.prefix = np.concatenate([[0.0], np.cumsum(seg)])
 
     def value(self, r):
         arr = np.asarray(r, dtype=float)
-        flat = np.atleast_1d(arr).ravel()
-        idx = np.clip((flat / self.h).astype(int), 0, len(self.nodes) - 2)
-        lo = self.nodes[idx]
-        mid = 0.5 * (lo + flat)
-        half = 0.5 * (flat - lo)
-        pts = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-        local = half * (np.asarray(self.fn(pts), float) @ _GL_WEIGHTS)
-        out = self.prefix[idx] + local
-        if arr.ndim == 0:
-            return float(out[0])
-        return out.reshape(arr.shape)
+        idx = np.clip((arr / self.h).astype(int), 0, len(self.nodes) - 2)
+        out = self.prefix[idx] + panel_integrals(self.fn, self.nodes[idx], arr)
+        return scalar_or_array(r, out)
 
 
 def solve_torsion(prob: RadialProblem, n_seg=2048):
@@ -388,10 +378,6 @@ def shoot_blowup_radius(prob: RadialProblem, target=None, tol=1e-9, coarse_tol=1
     return float(u0), integrate_blowup_ivp(prob, float(u0), tol)
 
 
-def _slope_power(x, kpow, floor):
-    return x * np.abs(x) ** (kpow - 1.0) if kpow > 1 else x
-
-
 def solve_exhaustion_bvp(prob: RadialProblem, j_schedule, grid_h, tol, max_newton=100):
     """Monotone boundary-data exhaustion: solve with u(R) = j for each j.
 
@@ -545,12 +531,10 @@ def asymptotics_report(sol: RadialSolution, p: ProfileFns, xi, d_values=None,
     # interpolate u on log-distance; samples are monotone in d
     order = np.argsort(d_samp[good])
     interp = PchipInterpolator(np.log(d_samp[good][order]), sol.u[good][order])
-    rows = []
-    for d in ladder[usable]:
-        u = float(interp(math.log(d)))
-        pred = predicted_profile(p, xi, d)
-        rows.append((d, u, pred, u / pred))
-    rows = np.array(rows) if rows else np.empty((0, 4))
+    d = ladder[usable]
+    u = interp(np.log(d))
+    pred = predicted_profile(p, xi, d)
+    rows = np.column_stack([d, u, pred, u / pred])
     if not np.all(usable):
         raise ReportTruncated(
             f"solution resolves distances only in [{d_min_avail:.3g}, {d_max_avail:.3g}]",
@@ -570,7 +554,7 @@ class RadialSubsolution:
 
     def __call__(self, r):
         w = np.atleast_1d(np.asarray(self._w.value(r), float))
-        out = np.array([self._psi(max(-x, 1e-300)) for x in w])
+        out = self._psi(np.maximum(-w, 1e-300))
         return out if out.size > 1 else float(out[0])
 
     def sublevel_radius(self, j):

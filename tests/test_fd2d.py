@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from khessian.errors import ReportTruncated, SolveFailure
+from khessian.errors import ParameterError, ReportTruncated, SolveFailure
 from khessian.fd2d import asymptotics_report_2d, exhaust, solve_dirichlet
 from khessian.grid2d import Disk, Ellipse, build_grid
 from khessian.nonlinearity import Nonlinearity, Weight
@@ -105,19 +105,40 @@ class TestExhaust:
 class TestSolveFailure:
     def test_singular_jacobian_raises_solve_failure(self):
         # one interior node (the centre) with four unit arms: diag = -4, and
-        # b f'(u) = -4 cancels it, so the 1x1 Jacobian is exactly singular
+        # b f'(u) = 4 * (-1) cancels it, so the 1x1 Jacobian is exactly
+        # singular; the derivative callable is deliberately not f's own
         grid = build_grid(Disk(1.0), 1.0)
         assert grid.n_interior == 1
-        linear = Nonlinearity.custom(lambda s: np.asarray(s, float),
-                                     lambda s: np.ones_like(np.asarray(s, float)))
-        minus_four = lambda x, y: np.full_like(np.asarray(x, float), -4.0)
+        bad_slope = Nonlinearity.custom(lambda s: np.asarray(s, float),
+                                        lambda s: np.full_like(np.asarray(s, float), -1.0))
+        four = lambda x, y: np.full_like(np.asarray(x, float), 4.0)
         with pytest.raises(SolveFailure, match="factorization") as info:
-            solve_dirichlet(grid, linear, W1, 0.1, tol=1e-9, b_override=minus_four)
+            solve_dirichlet(grid, bad_slope, W1, 0.1, tol=1e-9, b_override=four)
         assert len(info.value.residuals) == 1 and info.value.residuals[0] > 1e-9
         # exhaust keeps its partial-results contract on the same failure
         with pytest.raises(SolveFailure) as info:
-            exhaust(grid, linear, W1, [0.1, 0.2], tol=1e-9, b_override=minus_four)
+            exhaust(grid, bad_slope, W1, [0.1, 0.2], tol=1e-9, b_override=four)
         assert info.value.partial == []
+
+
+class TestSourceValidation:
+    LINEAR = Nonlinearity.custom(lambda s: np.asarray(s, float),
+                                 lambda s: np.ones_like(np.asarray(s, float)))
+
+    @pytest.mark.parametrize("value", [-4.0, math.nan, math.inf])
+    def test_bad_override_rejected(self, value):
+        # one node, f(u) = u, g = 1: with b = -4 the scaled norm 1 + b f(u) is
+        # negative, and the solve used to report convergence after 0 steps
+        grid = build_grid(Disk(1.0), 1.0)
+        source = lambda x, y: np.full_like(np.asarray(x, float), value)
+        with pytest.raises(ParameterError, match="(b2)"):
+            solve_dirichlet(grid, self.LINEAR, W1, 1.0, tol=1e-9, b_override=source)
+
+    def test_zero_source_allowed(self):
+        grid = build_grid(Disk(1.0), 1.0)
+        zero = lambda x, y: np.zeros_like(np.asarray(x, float))
+        fld = solve_dirichlet(grid, self.LINEAR, W1, 1.0, tol=1e-9, b_override=zero)
+        assert fld.interior_values()[0] == pytest.approx(1.0, rel=1e-12)
 
 
 class TestReport2D:

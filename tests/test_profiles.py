@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from khessian.errors import (
     ConditionViolation,
@@ -11,6 +12,7 @@ from khessian.errors import (
 )
 from khessian.nonlinearity import Nonlinearity, Weight
 from khessian.profiles import (
+    PsiPair,
     assemble_profile,
     build_profile,
     build_psi,
@@ -338,3 +340,87 @@ class TestAssembled:
         assert dphi < 0
         assert M == pytest.approx(1.0)
         assert pred == pytest.approx(phi)
+
+
+# f = s**3 + s has no closed-form F, so its profile runs on the cumulative table
+CUSTOM = Nonlinearity.custom(
+    lambda s: np.asarray(s, float) ** 3 + np.asarray(s, float),
+    lambda s: 3.0 * np.asarray(s, float) ** 2 + 1.0,
+    tail_exponent_hint=3.0,
+)
+ARRAY_CASES = [
+    (Nonlinearity.power(5), 2),
+    (Nonlinearity.exponential(2), 1),
+    (Nonlinearity.power(7), 3),
+    (CUSTOM, 1),
+]
+CASE_IDS = ["power5-k2", "exp2-k1", "power7-k3", "custom-k1"]
+
+
+def _targets(sup, num=40):
+    """t from 1e-8 to 0.99 sup; an infinite supremum (Phi diverging at 0) is
+    capped at 1e30, 38 decades above the bottom."""
+    top = 0.99 * sup if math.isfinite(sup) else 1e30
+    return np.geomspace(1e-8, top, num)
+
+
+def _brentq_inverse(fn, t):
+    """Root of the scalar, decreasing fn(s) = t: bracket by doubling from 1, then brentq."""
+    lo = hi = 1.0
+    while fn(lo) <= t:
+        lo *= 0.5
+    while fn(hi) > t:
+        hi *= 2.0
+    return brentq(lambda s: fn(s) - t, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=500)
+
+
+class TestArrayInverse:
+    @pytest.mark.parametrize("nl,k", ARRAY_CASES, ids=CASE_IDS)
+    def test_phi_matches_brentq(self, nl, k):
+        p = build_profile(nl, k)
+        ts = _targets(p.phi_domain_sup())
+        got = p.phi(ts)
+        ref = np.array([_brentq_inverse(p.Phi, t) for t in ts])
+        assert np.max(np.abs(got - ref) / ref) <= 1e-13
+
+    @pytest.mark.parametrize("nl,k", ARRAY_CASES, ids=CASE_IDS)
+    def test_psi_matches_brentq(self, nl, k):
+        pair = PsiPair(nl, k)
+        ts = _targets(pair.psi_domain_sup())
+        got = pair.psi(ts)
+        ref = np.array([_brentq_inverse(pair.Psi, t) for t in ts])
+        assert np.max(np.abs(got - ref) / ref) <= 1e-13
+
+    @pytest.mark.parametrize("nl,k", ARRAY_CASES, ids=CASE_IDS)
+    def test_round_trip(self, nl, k):
+        p = build_profile(nl, k)
+        ts = _targets(p.phi_domain_sup(), num=400)
+        assert np.max(np.abs(p.Phi(p.phi(ts)) - ts) / ts) <= 1e-13
+
+    def test_shape_contract(self):
+        p = build_profile(Nonlinearity.power(5), 2)
+        ts = np.array([[0.1, 0.2, 0.5], [1.0, 2.0, 5.0]])
+        for fn in (p.phi, p.phi_prime, p.phi_second, p.Phi):
+            assert type(fn(0.5)) is float
+            assert type(fn(np.float64(0.5))) is float
+            out = fn(ts)
+            assert isinstance(out, np.ndarray) and out.shape == ts.shape
+            assert np.array_equal(out.ravel(), fn(ts.ravel()))
+        assert p.phi(np.empty(0)).shape == (0,)
+        pw = assemble_profile(Nonlinearity.power(3), Weight.constant(1.0), 1)
+        assert type(predicted_profile(pw, 1.0, 0.1)) is float
+        assert predicted_profile(pw, 1.0, ts * 0.01).shape == ts.shape
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_input_raises(self, bad):
+        p = build_profile(Nonlinearity.power(5), 2)
+        pair = PsiPair(Nonlinearity.power(5), 2)
+        ts = np.array([0.1, 0.5, bad, 2.0])
+        with pytest.raises(ParameterError):
+            p.phi(ts)
+        with pytest.raises(ParameterError):
+            p.phi(bad)
+        with pytest.raises(ParameterError):
+            pair.psi(ts)
+        with pytest.raises(ParameterError):
+            p.Phi(ts)
