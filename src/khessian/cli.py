@@ -271,8 +271,6 @@ def cmd_check_barrier(cfg, outdir, base, quiet):
     w = _parse_weight(cfg.get("weight", str, "constant:1"), cfg)
     _validate_orders(n, k, nl)
     eps = cfg.get("eps", float, 0.1)
-    if not 0.0 < eps < w.b_lower / 2.0:
-        raise ParameterError(f"(3.3) barrier slack must satisfy 0 < eps < b_lower/2, got {eps}")
     p = _bundle(cfg, nl, w, k)
     geom = _geometry(cfg, n, k)
     seed = cfg.get("seed", int, 0)

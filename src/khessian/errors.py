@@ -50,11 +50,16 @@ class IntegrationFailure(KHessianError):
 
 
 class SolveFailure(KHessianError):
-    """A nonlinear solve did not converge; carries the residual history."""
+    """A nonlinear solve did not converge; carries the residual history.
 
-    def __init__(self, message, residuals=None):
+    ``partial`` holds the results completed before the failure, e.g. the
+    finished levels of an exhaustion sweep.
+    """
+
+    def __init__(self, message, residuals=None, partial=None):
         super().__init__(message)
         self.residuals = list(residuals) if residuals is not None else []
+        self.partial = list(partial) if partial is not None else []
 
 
 class GeometryError(KHessianError):

@@ -6,9 +6,7 @@ directly with SuperLU.  The odd orders k >= 2 are handled radially
 elsewhere; a genuine 2d wide-stencil scheme for them is out of scope.
 
 Determinism: node ordering and the fill-reducing column ordering are
-fixed, so identical inputs give bit-identical fields on one machine.  The
-residual is applied through ``kernels.apply_operator``, so the compiled
-and numpy backends agree to rounding, not bit for bit.
+fixed, so identical inputs give bit-identical fields on one machine.
 """
 
 import math
@@ -17,7 +15,6 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from . import kernels
 from ._quad import vectorized
 from .errors import ParameterError, ReportTruncated, SolveFailure
 from .grid2d import Field2D
@@ -43,10 +40,11 @@ def _boundary_values(grid: Field2D, g):
 
 
 def assemble_operator(grid: Field2D, g):
-    """Shortley-Weller Laplacian: (cof, nbr-safe, diag, const, gvals).
+    """Shortley-Weller Laplacian: (A, const, gvals).
 
-    const carries the known boundary contributions, so A u + const
-    approximates Delta u on the interior unknowns.
+    A is the stencil on the interior unknowns as one CSC matrix, diagonal
+    included and cut arms dropped; const carries the known boundary
+    contributions, so A u + const approximates Delta u.
     """
     aE, aW, aN, aS = (grid.arm[:, t] * grid.h for t in range(4))
     cof = np.empty((grid.n_interior, 4))
@@ -58,16 +56,13 @@ def assemble_operator(grid: Field2D, g):
     gvals = _boundary_values(grid, g)
     cut = ~np.isnan(gvals)
     const = np.where(cut, cof * np.nan_to_num(gvals), 0.0).sum(axis=1)
-    cof = np.where(cut, 0.0, cof)  # cut arms feed const, not unknowns
-    return cof, grid.nbr, diag, const, gvals
-
-
-def _offdiag_matrix(cof, nbr):
-    """The neighbour couplings of the stencil as a CSC matrix (cut arms dropped)."""
-    m = cof.shape[0]
-    live = cof != 0.0
-    rows = np.broadcast_to(np.arange(m)[:, None], cof.shape)[live]
-    return sp.csc_matrix((cof[live], (rows, nbr[live])), shape=(m, m))
+    live = ~cut  # cut arms feed const, not unknowns
+    m = grid.n_interior
+    rows = np.broadcast_to(np.arange(m)[:, None], live.shape)[live]
+    # neighbours first, then the diagonal: smaller temporaries than one triplet
+    # list, which lowers the peak memory of the factorizations that follow
+    A = sp.csc_matrix((cof[live], (rows, grid.nbr[live])), shape=(m, m)) + sp.diags(diag)
+    return A, const, gvals
 
 
 def _source_b(grid: Field2D, bweight: Weight, b_override):
@@ -100,8 +95,8 @@ def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol,
     """
     if tol <= 0:
         raise ParameterError(f"tolerance must be positive, got {tol}")
-    cof, nbr, diag, const, gvals = assemble_operator(grid, g)
-    offdiag = _offdiag_matrix(cof, nbr)
+    A, const, gvals = assemble_operator(grid, g)
+    abs_diag = np.abs(A.diagonal())
     b = _source_b(grid, bweight, b_override)
     f_raw = vectorized(f.f)
     fp_raw = vectorized(f.f_prime)
@@ -113,19 +108,16 @@ def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol,
     else:
         u = np.full(grid.n_interior, float(np.nanmean(gvals)))
 
-    out = np.empty_like(u)
-
     eps = np.finfo(float).eps
 
     def residual(uv):
-        kernels.apply_operator(uv, nbr, cof, diag, out)
-        return out + const - b * fv(uv)
+        return A @ uv + const - b * fv(uv)
 
     def scaled_norm(res_vec, uv):
         return float(np.max(np.abs(res_vec) / (1.0 + b * fv(uv))))
 
     def at_floor(res_vec, uv):
-        floor = 64.0 * eps * (np.abs(diag) * np.abs(uv) + np.abs(const) + b * fv(uv))
+        floor = 64.0 * eps * (abs_diag * np.abs(uv) + np.abs(const) + b * fv(uv))
         return bool(np.all(np.abs(res_vec) <= floor))
 
     res = residual(u)
@@ -134,7 +126,7 @@ def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol,
     for _ in range(max_newton):
         if norm <= tol or at_floor(res, u):
             break
-        jac = (offdiag + sp.diags(diag - b * fpv(u))).tocsc()
+        jac = (A - sp.diags(b * fpv(u))).tocsc()
         try:
             delta = splu(jac, permc_spec="MMD_AT_PLUS_A").solve(-res)
         except RuntimeError as exc:  # SuperLU: singular or out of memory
@@ -166,7 +158,6 @@ def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol,
             "tol": tol,
             "newton_iters": len(history) - 1,
             "residual_history": history,
-            "kernel_backend": kernels.backend_name(),
         },
     )
 

@@ -164,11 +164,11 @@ class Field2D:
     """Grid geometry plus one scalar field on the interior nodes.
 
     ``mask``: 0 exterior, 1 interior, 2 boundary-adjacent interior.
+    ``nbr``: the neighbour's unknown number per direction (E, W, N, S), 0 on
+    cut arms, which the solver drops when it builds its matrix.
     ``arm``: fractional arm length per direction (1 for uncut arms);
     ``arm_xy`` holds the boundary intersection for cut arms (NaN otherwise).
-    Unknowns are numbered row-major over (iy, ix); ``red_ids``/``black_ids``
-    split them by lattice parity.  They serve only the two-color sweeps of
-    ``kernels``; the 2d solver factors its Jacobian directly.
+    Unknowns are numbered row-major over (iy, ix).
     """
 
     domain: object
@@ -184,8 +184,6 @@ class Field2D:
     nbr: np.ndarray
     arm: np.ndarray
     arm_xy: np.ndarray
-    red_ids: np.ndarray
-    black_ids: np.ndarray
     meta: dict = field(default_factory=dict)
 
     @property
@@ -235,7 +233,7 @@ def build_grid(domain, h):
     index[node_iy, node_ix] = np.arange(len(node_ix), dtype=np.int32)
 
     m = len(node_ix)
-    nbr = np.zeros((m, 4), dtype=np.int32)
+    nbr = np.zeros((m, 4), dtype=np.int32)  # stays 0 on cut arms
     arm = np.ones((m, 4))
     arm_xy = np.full((m, 4, 2), np.nan)
     mask = inside.astype(np.int8)
@@ -251,7 +249,6 @@ def build_grid(domain, h):
             theta = domain.arm_fraction(x0, y0, dx, dy, h)
             arm[i, t] = theta
             arm_xy[i, t] = (x0 + theta * h * dx, y0 + theta * h * dy)
-            nbr[i, t] = 0  # safe index; the solver zeros its coefficient
             mask[node_iy[i], node_ix[i]] = 2
 
     dist = np.full((ny, nx), np.nan)
@@ -259,16 +256,11 @@ def build_grid(domain, h):
         domain.distance(xs[node_ix], ys[node_iy]), dtype=float
     )
 
-    parity = (ix[node_ix] + iy[node_iy]) % 2
-    ids = np.arange(m, dtype=np.int32)
-    red_ids = ids[parity == 0]
-    black_ids = ids[parity == 1]
-
     values = np.full((ny, nx), np.nan)
     values[node_iy, node_ix] = 0.0
     return Field2D(
         domain=domain, h=h, xs=xs, ys=ys, mask=mask, dist=dist, values=values,
         index=index, node_ix=node_ix.astype(np.int32), node_iy=node_iy.astype(np.int32),
-        nbr=nbr, arm=arm, arm_xy=arm_xy, red_ids=red_ids, black_ids=black_ids,
+        nbr=nbr, arm=arm, arm_xy=arm_xy,
         meta={"h": h, "domain": domain.describe()},
     )

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from khessian.errors import ParameterError, ReportTruncated, SolveFailure
-from khessian.fd2d import asymptotics_report_2d, exhaust, solve_dirichlet
+from khessian.fd2d import asymptotics_report_2d, assemble_operator, exhaust, solve_dirichlet
 from khessian.grid2d import Disk, Ellipse, build_grid
 from khessian.nonlinearity import Nonlinearity, Weight
 from khessian.profiles import assemble_profile
@@ -19,6 +20,50 @@ W1 = Weight.constant(1.0)
 def liouville_g(x, y):
     r2 = np.asarray(x, float) ** 2 + np.asarray(y, float) ** 2
     return np.log(2.0 / (1.0 - r2))
+
+
+class TestOperatorMatrix:
+    def test_matvec_matches_stencil(self):
+        # the Shortley-Weller formula written out node by node
+        grid = build_grid(Disk(1.0), 1.0 / 12.0)
+        g = lambda x, y: 1.0 + np.asarray(x, float) - 2.0 * np.asarray(y, float)
+        A, const, gvals = assemble_operator(grid, g)
+        x = np.cos(np.arange(grid.n_interior, dtype=float))
+        cut = ~np.isnan(grid.arm_xy[:, :, 0])
+        assert cut.any() and np.array_equal(cut, ~np.isnan(gvals))
+        Ax = A @ x
+        for i in range(grid.n_interior):
+            aE, aW, aN, aS = grid.arm[i] * grid.h
+            cof = (2.0 / (aE * (aE + aW)), 2.0 / (aW * (aE + aW)),
+                   2.0 / (aN * (aN + aS)), 2.0 / (aS * (aN + aS)))
+            terms = [-(2.0 / (aE * aW) + 2.0 / (aN * aS)) * x[i]]
+            terms += [cof[t] * x[grid.nbr[i, t]] for t in range(4) if not cut[i, t]]
+            known = sum(cof[t] * g(*grid.arm_xy[i, t]) for t in range(4) if cut[i, t])
+            assert abs(Ax[i] - sum(terms)) <= 1e-14 * sum(abs(v) for v in terms)
+            assert const[i] == pytest.approx(known, rel=1e-13)
+        # five entries on a node with no cut arm, fewer where arms are cut
+        assert A.nnz == grid.n_interior + int((~cut).sum())
+
+    def test_direct_solve_matches_dense(self):
+        grid = build_grid(Disk(1.0), 0.25)
+        A, _, _ = assemble_operator(grid, 0.0)
+        rhs = np.sin(1.0 + np.arange(grid.n_interior, dtype=float))
+        ref = np.linalg.solve(A.toarray(), rhs)
+        assert np.allclose(splu(A).solve(rhs), ref, rtol=1e-10, atol=1e-12)
+
+    def test_one_node_grid(self):
+        # the centre alone, four unit arms all cut: A is the 1x1 diagonal
+        grid = build_grid(Disk(1.0), 1.0)
+        A, const, _ = assemble_operator(grid, 3.0)
+        assert A.shape == (1, 1) and A.nnz == 1
+        assert A.toarray()[0, 0] == -4.0
+        assert const[0] == pytest.approx(12.0)
+
+    @pytest.mark.parametrize("h", [1.0 / 32.0, 1.0 / 64.0])
+    def test_liouville_newton_count(self, h):
+        grid = build_grid(Disk(0.9), h)
+        fld = solve_dirichlet(grid, Nonlinearity.exponential(2), W1, liouville_g, tol=1e-9)
+        assert fld.meta["newton_iters"] == 7
 
 
 class TestPoisson:
@@ -119,6 +164,11 @@ class TestSolveFailure:
         with pytest.raises(SolveFailure) as info:
             exhaust(grid, bad_slope, W1, [0.1, 0.2], tol=1e-9, b_override=four)
         assert info.value.partial == []
+
+    def test_partial_field(self):
+        assert SolveFailure("no").partial == []
+        levels = ["level 1", "level 2"]
+        assert SolveFailure("no", partial=levels).partial == levels
 
 
 class TestSourceValidation:
