@@ -65,6 +65,26 @@ class Nonlinearity:
             return np.exp(self.rate * np.asarray(s, float))
         return self.fn(s)
 
+    def float_f(self):
+        """f as a function of one Python float, for scalar inner loops.
+
+        The built-in kinds use ``math``: an overflow raises OverflowError and
+        a negative argument under a fractional power raises ValueError, where
+        ``f`` would return inf or nan with a numpy warning.
+        """
+        if self.kind == "power":
+            gamma = self.gamma
+            return lambda s: math.pow(s, gamma)
+        if self.kind == "exponential":
+            rate = self.rate
+            return lambda s: math.exp(rate * s)
+
+        def f(s):
+            with np.errstate(over="ignore", invalid="ignore"):
+                return float(self.fn(s))
+
+        return f
+
     def f_prime(self, s):
         if self.kind == "power":
             return self.gamma * np.asarray(s, float) ** (self.gamma - 1.0)
@@ -152,7 +172,9 @@ class Weight:
 
     def m(self, t):
         if self.kind == "constant":
-            return np.full_like(np.asarray(t, float), self.const) if np.ndim(t) else self.const
+            if isinstance(t, float) or not np.ndim(t):
+                return self.const
+            return np.full_like(np.asarray(t, float), self.const)
         if self.kind == "power":
             return np.asarray(t, float) ** self.alpha
         return self.m_fn(t)

@@ -62,6 +62,8 @@ class RadialProblem:
         m = vectorized(weight.m)
 
         def b(r):
+            if isinstance(r, float):  # the IVP's right-hand side: stay in floats
+                return base * float(weight.m(max(R - r, 1e-300))) ** (k + 1.0)
             d = np.clip(R - np.asarray(r, float), 1e-300, None)
             return base * np.asarray(m(d), float) ** (k + 1.0)
 
@@ -149,47 +151,76 @@ def solve_torsion(prob: RadialProblem, n_seg=2048):
     )
 
 
-# Cash-Karp 5(4) embedded pair
-_CK_C = np.array([0.0, 1 / 5, 3 / 10, 3 / 5, 1.0, 7 / 8])
-_CK_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([3 / 10, -9 / 10, 6 / 5]),
-    np.array([-11 / 54, 5 / 2, -70 / 27, 35 / 27]),
-    np.array([1631 / 55296, 175 / 512, 575 / 13824, 44275 / 110592, 253 / 4096]),
-]
-_CK_B5 = np.array([37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771])
-_CK_B4 = np.array([2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4])
-_CK_E = _CK_B5 - _CK_B4
+# Cash-Karp 5(4) embedded pair (Cash & Karp, ACM TOMS 16 (1990) 201)
+_C2, _C3, _C4, _C5, _C6 = 1 / 5, 3 / 10, 3 / 5, 1.0, 7 / 8
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 3 / 10, -9 / 10, 6 / 5
+_A51, _A52, _A53, _A54 = -11 / 54, 5 / 2, -70 / 27, 35 / 27
+_A61, _A62, _A63, _A64, _A65 = 1631 / 55296, 175 / 512, 575 / 13824, 44275 / 110592, 253 / 4096
+_B1, _B3, _B4, _B6 = 37 / 378, 250 / 621, 125 / 594, 512 / 1771  # fifth order; b2 = b5 = 0
+_E1 = _B1 - 2825 / 27648  # fifth minus embedded fourth order; e2 = 0
+_E3 = _B3 - 18575 / 48384
+_E4 = _B4 - 13525 / 55296
+_E5 = -277 / 14336
+_E6 = _B6 - 1 / 4
 
 
 def _ck_step(rhs, r, y, h):
-    ks = np.empty((6, 2))
-    ks[0] = rhs(r, y)
-    for i in range(1, 6):
-        ks[i] = rhs(r + _CK_C[i] * h, y + h * (_CK_A[i] @ ks[:i]))
-    y5 = y + h * (_CK_B5 @ ks)
-    err = h * (_CK_E @ ks)
+    """One Cash-Karp step of the 2-component state ``y = (u, v)`` in floats.
+
+    Returns the fifth-order state and the embedded error estimate, both as
+    tuples.
+    """
+    u, v = y
+    p1, q1 = rhs(r, y)
+    p2, q2 = rhs(r + _C2 * h, (u + h * (_A21 * p1), v + h * (_A21 * q1)))
+    p3, q3 = rhs(r + _C3 * h, (u + h * (_A31 * p1 + _A32 * p2),
+                               v + h * (_A31 * q1 + _A32 * q2)))
+    p4, q4 = rhs(r + _C4 * h, (u + h * (_A41 * p1 + _A42 * p2 + _A43 * p3),
+                               v + h * (_A41 * q1 + _A42 * q2 + _A43 * q3)))
+    p5, q5 = rhs(r + _C5 * h, (u + h * (_A51 * p1 + _A52 * p2 + _A53 * p3 + _A54 * p4),
+                               v + h * (_A51 * q1 + _A52 * q2 + _A53 * q3 + _A54 * q4)))
+    p6, q6 = rhs(r + _C6 * h,
+                 (u + h * (_A61 * p1 + _A62 * p2 + _A63 * p3 + _A64 * p4 + _A65 * p5),
+                  v + h * (_A61 * q1 + _A62 * q2 + _A63 * q3 + _A64 * q4 + _A65 * q5)))
+    y5 = (u + h * (_B1 * p1 + _B3 * p3 + _B4 * p4 + _B6 * p6),
+          v + h * (_B1 * q1 + _B3 * q3 + _B4 * q4 + _B6 * q6))
+    err = (h * (_E1 * p1 + _E3 * p3 + _E4 * p4 + _E5 * p5 + _E6 * p6),
+           h * (_E1 * q1 + _E3 * q3 + _E4 * q4 + _E5 * q5 + _E6 * q6))
     return y5, err
 
 
 def _make_rhs(prob: RadialProblem):
+    """(u, v) -> (v, u'') for the radial ODE, in floats.
+
+    A float overflow gives u'' = inf, a negative base under a fractional
+    power gives nan and a zero denominator gives the signed inf or nan that
+    numpy would, so a stage that leaves the reals shows as a non-finite
+    value and its step is rejected.
+    """
     n, k = prob.n, prob.k
     c_hi = math.comb(n - 1, k)
     c_lo = math.comb(n - 1, k - 1)
-    f = prob.f.f
+    f = prob.f.float_f()
     b = prob.b
 
     def rhs(r, y):
         u, v = y
         t = v / r
-        with np.errstate(over="ignore", invalid="ignore"):
-            fu = float(f(u))
-            num = float(b(r)) * fu - c_hi * t**k
-            den = c_lo * t ** (k - 1)
-            upp = num / den
-        return np.array([v, upp])
+        try:
+            num = float(b(r)) * f(u) - c_hi * t**k
+        except OverflowError:
+            return v, math.inf
+        except ValueError:
+            return v, math.nan
+        den = c_lo * t ** (k - 1)
+        try:
+            return v, num / den
+        except ZeroDivisionError:
+            if num == 0.0 or num != num:
+                return v, math.nan
+            return v, math.copysign(math.inf, num) * math.copysign(1.0, den)
 
     return rhs
 
@@ -217,10 +248,13 @@ def integrate_blowup_ivp(prob: RadialProblem, u0, tol, u_cap=1e12, v_cap=1e12, m
     """Integrate outward from the centre until the solution blows up.
 
     Adaptive Cash-Karp 5(4) with per-step error <= tol (mixed absolute /
-    relative).  Terminates on u or u' crossing the cap, or when the step
-    size stalls at rounding level near the singularity; Rstar combines the
-    termination radius, a Richardson-extrapolated crossing location from the
-    last two step halvings, and the local blow-up model remainder.
+    relative).  The two-component state (u, u') is stepped in plain Python
+    floats: a stage that overflows or leaves f's domain gives a non-finite
+    value, and its step is rejected with a quartered step size.  Terminates
+    on u or u' crossing the cap, or when the step size stalls at rounding
+    level near the singularity; Rstar combines the termination radius, a
+    Richardson-extrapolated crossing location from the last two step
+    halvings, and the local blow-up model remainder.
     """
     if u0 <= 0.0:
         raise ParameterError(f"initial value must be positive, got {u0}")
@@ -230,14 +264,17 @@ def integrate_blowup_ivp(prob: RadialProblem, u0, tol, u_cap=1e12, v_cap=1e12, m
     rhs = _make_rhs(prob)
 
     b0 = float(prob.b(1e-12 * R))
-    f0 = float(prob.f.f(u0))
+    try:
+        f0 = prob.f.float_f()(float(u0))
+    except OverflowError:
+        f0 = math.inf
     c0 = (b0 * f0 / math.comb(n, k)) ** (1.0 / k)
-    r = 1e-8 * R
-    y = np.array([u0 + 0.5 * c0 * r * r, c0 * r])
+    r = 1e-8 * float(R)
+    y = (float(u0) + 0.5 * c0 * r * r, c0 * r)
 
     rs, us, vs = [r], [y[0]], [y[1]]
     h = r
-    eps = np.finfo(float).eps
+    eps = math.ulp(1.0)
     steps = rejected = 0
     termination = None
 
@@ -255,6 +292,8 @@ def integrate_blowup_ivp(prob: RadialProblem, u0, tol, u_cap=1e12, v_cap=1e12, m
             y_hi = None
             for _ in range(80):
                 mid = 0.5 * (lo + hi)
+                if mid == lo or mid == hi:
+                    break  # every further halving repeats an earlier evaluation
                 val, ymid = overshoot(mid, halve)
                 if val >= 0.0:
                     hi, y_hi = mid, ymid
@@ -278,14 +317,12 @@ def integrate_blowup_ivp(prob: RadialProblem, u0, tol, u_cap=1e12, v_cap=1e12, m
             Rstar = r + (rem if 0.0 < rem < r else 0.0)
             termination = "stall"
             break
-        with np.errstate(over="ignore", invalid="ignore"):
-            y_new, err = _ck_step(rhs, r, y, h)
-        scale = tol * (1.0 + np.abs(y))
-        if not np.all(np.isfinite(y_new)) or not np.all(np.isfinite(err)):
+        y_new, err = _ck_step(rhs, r, y, h)
+        if not all(map(math.isfinite, y_new + err)):
             h *= 0.25
             rejected += 1
             continue
-        enorm = float(np.max(np.abs(err) / scale))
+        enorm = max(abs(err[0]) / (tol * (1.0 + abs(y[0]))), abs(err[1]) / (tol * (1.0 + abs(y[1]))))
         if enorm > 1.0:
             h *= max(0.2, 0.9 * enorm**-0.2)
             rejected += 1
@@ -378,6 +415,23 @@ def shoot_blowup_radius(prob: RadialProblem, target=None, tol=1e-9, coarse_tol=1
     return float(u0), integrate_blowup_ivp(prob, float(u0), tol)
 
 
+def _exhaustion_banded(alpha, dflux, centre, reaction):
+    """Tridiagonal Newton Jacobian of the exhaustion scheme in solve_banded form.
+
+    Row 0 couples the centre node to its neighbour with ``centre``; row
+    i >= 1 is the flux difference ``alpha[i-1] (flux[i] - flux[i-1])``
+    differentiated through ``dflux``.  ``reaction`` is b f'(U) per node.
+    """
+    N = reaction.size
+    ab = np.zeros((3, N))
+    ab[1, 0] = -centre - reaction[0]
+    ab[0, 1] = centre
+    ab[1, 1:] = -alpha * (dflux[1:] + dflux[:-1]) - reaction[1:]
+    ab[2, :-1] = alpha * dflux[:-1]
+    ab[0, 2:] = alpha[:-1] * dflux[1:-1]
+    return ab
+
+
 def solve_exhaustion_bvp(prob: RadialProblem, j_schedule, grid_h, tol, max_newton=100):
     """Monotone boundary-data exhaustion: solve with u(R) = j for each j.
 
@@ -417,18 +471,9 @@ def solve_exhaustion_bvp(prob: RadialProblem, j_schedule, grid_h, tol, max_newto
     def jacobian_banded(U, g):
         sp = np.maximum(k * np.abs(g) ** (k - 1), k * (1e-9 * max(1.0, abs(js[-1])) / R) ** (k - 1))
         dflux = rmid_pow * sp / h
-        ab = np.zeros((3, N))
         s0 = max(k * abs(2.0 * g[0] / h) ** (k - 1),
                  k * (1e-9 * max(1.0, abs(js[-1])) / h) ** (k - 1))
-        ab[1, 0] = -c_full * s0 * 2.0 / (h * h) - b_nodes[0] * fpv(U[0])
-        if N > 1:
-            ab[0, 1] = c_full * s0 * 2.0 / (h * h)
-        for i in range(1, N):
-            ab[1, i] = -alpha[i - 1] * (dflux[i] + dflux[i - 1]) - b_nodes[i] * fpv(U[i])
-            ab[2, i - 1] = alpha[i - 1] * dflux[i - 1]
-            if i + 1 < N:
-                ab[0, i + 1] = alpha[i - 1] * dflux[i]
-        return ab
+        return _exhaustion_banded(alpha, dflux, c_full * s0 * 2.0 / (h * h), b_nodes * fpv(U))
 
     def scaled_norm(res, U):
         return float(np.max(np.abs(res) / (1.0 + np.abs(b_nodes * fv(U)))))

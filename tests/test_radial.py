@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,9 @@ from khessian.nonlinearity import Nonlinearity, Weight
 from khessian.profiles import assemble_profile
 from khessian.radial import (
     RadialProblem,
+    _ck_step,
+    _exhaustion_banded,
+    _make_rhs,
     asymptotics_report,
     build_radial_subsolution,
     integrate_blowup_ivp,
@@ -129,6 +133,88 @@ class TestManufacturedIVP:
             integrate_blowup_ivp(prob, 1.0, tol=-1e-8)
 
 
+class TestCashKarpStep:
+    # Butcher tableau of the Cash-Karp 5(4) pair (Cash & Karp, ACM TOMS 16 (1990) 201)
+    C = np.array([0.0, 1 / 5, 3 / 10, 3 / 5, 1.0, 7 / 8])
+    A = np.array([
+        [0.0, 0.0, 0.0, 0.0, 0.0],
+        [1 / 5, 0.0, 0.0, 0.0, 0.0],
+        [3 / 40, 9 / 40, 0.0, 0.0, 0.0],
+        [3 / 10, -9 / 10, 6 / 5, 0.0, 0.0],
+        [-11 / 54, 5 / 2, -70 / 27, 35 / 27, 0.0],
+        [1631 / 55296, 175 / 512, 575 / 13824, 44275 / 110592, 253 / 4096],
+    ])
+    B5 = np.array([37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771])
+    B4 = np.array([2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4])
+
+    def reference_step(self, rhs, r, y, h):
+        y = np.asarray(y, float)
+        ks = np.zeros((6, 2))
+        for i in range(6):
+            ks[i] = rhs(r + self.C[i] * h, y + h * (self.A[i, :i] @ ks[:i]))
+        return y + h * (self.B5 @ ks), h * ((self.B5 - self.B4) @ ks), ks
+
+    @pytest.mark.parametrize("r, y, h", [
+        (0.05, (5.0, 0.8), 0.02),
+        (0.4, (7.5, 40.0), 1e-3),
+        (0.6, (3.0e3, 2.0e6), 1e-6),
+    ])
+    def test_matches_butcher_tableau(self, r, y, h):
+        prob = RadialProblem(n=3, k=2, R=1.0, f=Nonlinearity.power(5), b=B_ONE)
+        rhs = _make_rhs(prob)
+        y5, err = _ck_step(rhs, r, y, h)
+        y5_ref, err_ref, ks = self.reference_step(rhs, r, y, h)
+        assert isinstance(y5, tuple) and isinstance(err, tuple)
+        np.testing.assert_allclose(y5, y5_ref, rtol=1e-14, atol=0.0)
+        # err cancels terms of size h |k|: its rounding is relative to them
+        assert np.all(np.abs(np.subtract(err, err_ref)) <= 1e-14 * h * np.abs(ks).max(axis=0))
+
+
+class TestIVPWork:
+    # step and rejection counts and blow-up radii of the adaptive integration
+    @pytest.mark.parametrize("n, k, f, u0, tol, steps, rejected, Rstar", [
+        (3, 2, Nonlinearity.power(5), 5.0, 1e-8, 276, 0, 0.6230010771781634),
+        (2, 1, Nonlinearity.exponential(2), math.log(2.0), 1e-10, 618, 0, 0.9999999999279815),
+        (4, 3, Nonlinearity.power(7), 3.0, 1e-9, 614, 0, 0.9390988758541435),
+    ])
+    def test_pinned_counts(self, n, k, f, u0, tol, steps, rejected, Rstar):
+        prob = RadialProblem(n=n, k=k, R=1.0, f=f, b=B_ONE)
+        sol = integrate_blowup_ivp(prob, u0, tol)
+        assert sol.meta["termination"] == "cap"
+        assert (sol.meta["steps"], sol.meta["rejected"]) == (steps, rejected)
+        assert sol.Rstar == pytest.approx(Rstar, rel=1e-13, abs=0.0)
+
+    def test_overflow_rejects_without_warnings(self):
+        # f(u0) = 1e350 overflows: every step is rejected until the step size stalls
+        prob = RadialProblem(n=3, k=2, R=1.0, f=Nonlinearity.power(5), b=B_ONE)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = integrate_blowup_ivp(prob, 1e70, 1e-8)
+        assert sol.meta["termination"] == "stall"
+        assert sol.meta["steps"] == 25
+
+    @pytest.mark.parametrize("nl", [
+        Nonlinearity.power(5), Nonlinearity.power(2.5), Nonlinearity.exponential(2),
+        Nonlinearity.custom(lambda s: s**3 + s, lambda s: 3.0 * s**2 + 1.0),
+    ])
+    def test_float_f_matches_array_f(self, nl):
+        ss = np.array([1e-3, 0.7, 5.0, 40.0])
+        vals = [nl.float_f()(float(s)) for s in ss]
+        assert all(type(v) is float for v in vals)
+        np.testing.assert_allclose(vals, nl.f(ss), rtol=1e-15, atol=0.0)
+        if nl.kind != "custom":
+            with pytest.raises(OverflowError):
+                nl.float_f()(1e300)
+
+    @pytest.mark.parametrize("weight", [Weight.constant(2.0), Weight.power(1.5)])
+    def test_from_weight_scalar_matches_array(self, weight):
+        prob = RadialProblem.from_weight(3, 2, 1.0, Nonlinearity.power(5), weight, base=1.5)
+        rs = np.array([0.0, 1e-12, 0.3, 0.999, 1.0, 1.01])
+        scalar = [prob.b(float(r)) for r in rs]
+        assert all(type(v) is float for v in scalar)
+        np.testing.assert_allclose(scalar, prob.b(rs), rtol=1e-15, atol=0.0)
+
+
 class TestShooting:
     def test_shoot_to_unit_ball(self):
         prob = RadialProblem(n=3, k=2, R=1.0, f=Nonlinearity.power(5), b=B_ONE)
@@ -167,6 +253,33 @@ class TestExhaustionBVP:
         d1 = abs(sols[1].u[mid] - sols[0].u[mid])
         d2 = abs(sols[2].u[mid] - sols[1].u[mid])
         assert d2 < d1
+
+    @pytest.mark.parametrize("N", [8, 200])
+    def test_banded_jacobian_matches_loop(self, N):
+        # the tridiagonal assembly against the node-by-node loop it replaced
+        n, k, R = 3, 2, 1.0
+        f = Nonlinearity.power(5)
+        h = R / N
+        r = np.linspace(0.0, R, N + 1)
+        rmid = 0.5 * (r[:-1] + r[1:])
+        alpha = math.comb(n - 1, k - 1) / (k * h * r[1:N] ** (n - 1))
+        U = 2.0 + 3.0 * (r[:N] / R) ** 2 + 0.1 * np.sin(7.0 * r[:N])
+        g = np.diff(np.concatenate([U, [6.0]])) / h
+        dflux = rmid ** (n - k) * k * np.abs(g) ** (k - 1) / h
+        b_nodes = 1.0 + r[:N] ** 2
+        centre = math.comb(n, k) * k * abs(2.0 * g[0] / h) ** (k - 1) * 2.0 / (h * h)
+
+        ref = np.zeros((3, N))
+        ref[1, 0] = -centre - b_nodes[0] * f.f_prime(U[0])
+        ref[0, 1] = centre
+        for i in range(1, N):
+            ref[1, i] = -alpha[i - 1] * (dflux[i] + dflux[i - 1]) - b_nodes[i] * f.f_prime(U[i])
+            ref[2, i - 1] = alpha[i - 1] * dflux[i - 1]
+            if i + 1 < N:
+                ref[0, i + 1] = alpha[i - 1] * dflux[i]
+
+        ab = _exhaustion_banded(alpha, dflux, centre, b_nodes * f.f_prime(U))
+        np.testing.assert_allclose(ab, ref, rtol=1e-15, atol=0.0)
 
     def test_bad_schedule(self):
         prob = RadialProblem(n=2, k=1, R=1.0, f=Nonlinearity.power(3), b=B_ONE)
