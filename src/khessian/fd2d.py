@@ -1,8 +1,13 @@
 """2d finite-difference solver for the Laplacian case (order k = 1).
 
 Damped Newton on the Shortley-Weller 5-point discretisation of
-Delta u = b(d(x)) f(u); each Newton step solves its sparse Jacobian
-directly with SuperLU.  The odd orders k >= 2 are handled radially
+Delta u = b(d(x)) f(u).  Without a given start, Newton starts from the
+paper's boundary profile phi(xi M(d) + Phi(j)), the blow-up shape shifted
+to equal the mean boundary value j on the boundary; where that profile is
+not defined it starts from the constant j.  Each Newton step first tries
+one GMRES cycle preconditioned by the last SuperLU factorization, and
+factors the current Jacobian only when that cycle fails, so most steps
+reuse a stale factorization.  The odd orders k >= 2 are handled radially
 elsewhere; a genuine 2d wide-stencil scheme for them is out of scope.
 
 Determinism: node ordering and the fill-reducing column ordering are
@@ -13,13 +18,19 @@ import math
 from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 from ._quad import vectorized
-from .errors import ParameterError, ReportTruncated, SolveFailure
+from .errors import (
+    ConditionViolation,
+    KellerOssermanViolation,
+    ParameterError,
+    ReportTruncated,
+    SolveFailure,
+)
 from .grid2d import Field2D
 from .nonlinearity import Nonlinearity, Weight
-from .profiles import ProfileFns, predicted_profile
+from .profiles import ProfileFns, assemble_profile, predicted_profile, xi_bounds
 
 __all__ = ["assemble_operator", "solve_dirichlet", "exhaust", "Report2D", "asymptotics_report_2d"]
 
@@ -81,17 +92,57 @@ def _source_b(grid: Field2D, bweight: Weight, b_override):
     return b
 
 
+def _boundary_profile(grid: Field2D, f: Nonlinearity, bweight: Weight):
+    """j -> phi(xi M(d) + Phi(j)) at the interior nodes, or None without a profile.
+
+    This is the blow-up profile shifted to equal j on the boundary.  For
+    k = 1 the curvature factor is 1, so xi comes from xi_bounds with unit
+    curvature bounds; on a convex domain with a constant weight it is a
+    subsolution of the continuous problem.  The discrete solution can lie
+    below it at nodes closer to the boundary than h, where the grid does
+    not resolve the boundary layer (about e^-j wide).  None when f fails
+    the Keller-Osserman condition or the weight the constant gap (1.5);
+    the returned callable gives None for j <= 0 and where xi M(d) + Phi(j)
+    exceeds the range of Phi.
+    """
+    try:
+        p = assemble_profile(f, bweight, _K_ORDER)
+        xi = xi_bounds(bweight, 1.0, 1.0, p.C_f, p.C_m, _K_ORDER)[0]
+    except (KellerOssermanViolation, ConditionViolation):
+        return None
+    # symmetric domains repeat distances: invert phi once per distinct value
+    t, node_t = np.unique(xi * np.asarray(p.M(grid.node_d), dtype=float),
+                          return_inverse=True)
+
+    def start(j):
+        if not j > 0.0:
+            return None
+        try:
+            return np.asarray(p.phi(t + p.Phi(j)), dtype=float)[node_t]
+        except ParameterError:  # beyond the supremum of Phi
+            return None
+
+    return start
+
+
 def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol,
                     b_override=None, u0=None, max_newton=100):
     """Solve Delta u = b f(u) with Dirichlet data g; returns a new Field2D.
 
-    Damped Newton to residual max-norm <= tol; each step factors the
-    Jacobian A - diag(b f'(u)) with SuperLU (minimum-degree ordering on
-    A^T + A) and solves for the update.  A failed factorization raises
-    SolveFailure with the residual history so far.  Residuals are measured
-    against the per-node source scale 1 + b f(u): with exponential sources
-    the raw residual sits at eps * b f(u) near the boundary, so an unscaled
-    max-norm target below that rounding floor would never be reached.
+    Damped Newton to residual max-norm <= tol.  Without u0 the start is the
+    boundary profile phi(xi M(d) + Phi(j)) with j the mean boundary value,
+    or the constant j when b_override is given, the profile does not exist
+    or j <= 0.  Each step first tries one restarted GMRES cycle (restart
+    20, relative tolerance 1e-2) on the Jacobian A - diag(b f'(u)),
+    preconditioned by the last SuperLU factorization; when there is none,
+    or the cycle fails, the current Jacobian is factored (minimum-degree
+    ordering on A^T + A) and solved directly.  A failed factorization
+    raises SolveFailure with the residual history so far.  Residuals are
+    measured against the per-node source scale 1 + b f(u): with
+    exponential sources the raw residual sits at eps * b f(u) near the
+    boundary, so an unscaled max-norm target below that rounding floor
+    would never be reached.  meta records newton_iters, factorizations and
+    start ("profile", "constant" or "given").
     """
     if tol <= 0:
         raise ParameterError(f"tolerance must be positive, got {tol}")
@@ -104,9 +155,14 @@ def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol,
     fpv = lambda u: np.asarray(fp_raw(np.maximum(u, 1e-12)), float)
 
     if u0 is not None:
-        u = np.array(u0, dtype=float, copy=True)
+        u, start = np.array(u0, dtype=float, copy=True), "given"
     else:
-        u = np.full(grid.n_interior, float(np.nanmean(gvals)))
+        j = float(np.nanmean(gvals))
+        profile = None if b_override is not None else _boundary_profile(grid, f, bweight)
+        u = None if profile is None else profile(j)
+        start = "constant" if u is None else "profile"
+        if u is None:
+            u = np.full(grid.n_interior, j)
 
     eps = np.finfo(float).eps
 
@@ -123,15 +179,29 @@ def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol,
     res = residual(u)
     norm = scaled_norm(res, u)
     history = [norm]
+    precond = None  # LinearOperator over the last factorization's solve
+    factorizations = 0
     for _ in range(max_newton):
         if norm <= tol or at_floor(res, u):
             break
         jac = (A - sp.diags(b * fpv(u))).tocsc()
-        try:
-            delta = splu(jac, permc_spec="MMD_AT_PLUS_A").solve(-res)
-        except RuntimeError as exc:  # SuperLU: singular or out of memory
-            raise SolveFailure(f"Jacobian factorization failed: {exc}",
-                               residuals=history) from exc
+        delta = None
+        if precond is not None:
+            delta, info = gmres(jac, -res, M=precond, rtol=1e-2, restart=20, maxiter=1)
+            if info != 0 or not np.all(np.isfinite(delta)):
+                delta = None
+        if delta is None:
+            precond = None  # free the stale factors before the new ones are built
+            try:
+                lu = splu(jac, permc_spec="MMD_AT_PLUS_A")
+            except RuntimeError as exc:  # SuperLU: singular or out of memory
+                raise SolveFailure(f"Jacobian factorization failed: {exc}",
+                                   residuals=history) from exc
+            factorizations += 1
+            delta = lu.solve(-res)
+            precond = LinearOperator(jac.shape, matvec=lu.solve, dtype=float)
+            del lu
+        del jac  # before the line search allocates: lowers the peak while factors are kept
         step = 1.0
         while step >= 2.0**-30:
             u_try = u + step * delta
@@ -157,6 +227,8 @@ def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol,
             **grid.meta,
             "tol": tol,
             "newton_iters": len(history) - 1,
+            "factorizations": factorizations,
+            "start": start,
             "residual_history": history,
         },
     )
@@ -166,29 +238,43 @@ def exhaust(grid: Field2D, f: Nonlinearity, bweight: Weight, j_schedule, tol,
             b_override=None, **solve_kw):
     """Increasing boundary-data sweep with continuation; returns (limit, diagnostics).
 
-    Diagnostics track per-step increment bounds and the interior Cauchy
-    ratio on the core region d >= 0.2 * diam.
+    Each level starts from the boundary profile for its j, raised to the
+    previous level where that is higher (both are subsolutions of the
+    level's continuous problem), or from the previous level alone when
+    there is no profile.
+    Diagnostics track per-step increment bounds, the interior Cauchy ratio
+    on the core region d >= 0.2 * diam, and per-level Newton steps and
+    factorizations.
     """
     js = [float(j) for j in j_schedule]
     if len(js) < 1 or any(b_ <= a for a, b_ in zip(js, js[1:])):
         raise ParameterError("boundary-data schedule must be strictly increasing")
     diam = 2.0 * max(grid.domain.half_extents)
     core = grid.node_d >= 0.2 * diam
+    profile = None if b_override is not None else _boundary_profile(grid, f, bweight)
     fields = []
     u_prev = None
     diags = {"j": [], "increment_min": [], "increment_max": [], "core_increment": [],
-             "cauchy_ratio": [], "center_value": []}
+             "cauchy_ratio": [], "center_value": [], "newton_iters": [],
+             "factorizations": []}
     center = int(np.argmax(grid.node_d))
     for j in js:
+        u0 = None if profile is None else profile(j)
+        if u0 is None:
+            u0 = u_prev
+        elif u_prev is not None:
+            u0 = np.maximum(u_prev, u0)
         try:
             fld = solve_dirichlet(grid, f, bweight, j, tol, b_override=b_override,
-                                  u0=u_prev, **solve_kw)
+                                  u0=u0, **solve_kw)
         except SolveFailure as exc:
             exc.partial = fields  # completed levels so far
             raise
         u = fld.interior_values()
         diags["j"].append(j)
         diags["center_value"].append(float(u[center]))
+        diags["newton_iters"].append(fld.meta["newton_iters"])
+        diags["factorizations"].append(fld.meta["factorizations"])
         if u_prev is not None:
             inc = u - u_prev
             diags["increment_min"].append(float(inc.min()))

@@ -4,8 +4,8 @@ Nodes live on the lattice x = i*h, y = j*h (the origin is always a lattice
 point).  Boundary-adjacent nodes store fractional arm lengths to the exact
 boundary intersection in each cut direction, which is what the
 Shortley-Weller stencil of the solver consumes.  Per-node distances to the
-boundary are closed-form for the disk and Newton nearest-point for the
-ellipse.
+boundary are closed-form for the disk and a nearest-point Newton, run over
+all nodes at once, for the ellipse.
 """
 
 import math
@@ -49,8 +49,8 @@ class Disk:
         a = h * h * (dx * dx + dy * dy)
         b = 2.0 * h * (x * dx + y * dy)
         c = x * x + y * y - self.R**2
-        theta = (-b + math.sqrt(b * b - 4.0 * a * c)) / (2.0 * a)
-        return min(max(theta, 1e-12), 1.0)
+        theta = (-b + np.sqrt(b * b - 4.0 * a * c)) / (2.0 * a)
+        return np.minimum(np.maximum(theta, 1e-12), 1.0)
 
     def describe(self):
         return {"kind": "disk", "R": self.R}
@@ -83,65 +83,49 @@ class Ellipse:
         qa = h * h * (dx * dx / a2 + dy * dy / b2)
         qb = 2.0 * h * (x * dx / a2 + y * dy / b2)
         qc = x * x / a2 + y * y / b2 - 1.0
-        theta = (-qb + math.sqrt(qb * qb - 4.0 * qa * qc)) / (2.0 * qa)
-        return min(max(theta, 1e-12), 1.0)
-
-    def nearest_parameter(self, x, y, tol=1e-12):
-        """Boundary parameter t of the nearest point (a cos t, b sin t).
-
-        Newton on the stationarity condition with four guarded starts;
-        quadrant symmetry reduces to x, y >= 0.
-        """
-        xs, ys = abs(float(x)), abs(float(y))
-        A, B = self.a, self.b
-
-        def dprime(t):
-            return A * xs * math.sin(t) - B * ys * math.cos(t) \
-                - (A * A - B * B) * math.sin(t) * math.cos(t)
-
-        def dsecond(t):
-            return A * xs * math.cos(t) + B * ys * math.sin(t) \
-                - (A * A - B * B) * math.cos(2.0 * t)
-
-        def dist(t):
-            return math.hypot(xs - A * math.cos(t), ys - B * math.sin(t))
-
-        starts = [math.atan2(A * ys, B * xs), 0.25 * math.pi, 0.05, 0.5 * math.pi - 0.05]
-        best = None
-        for t0 in starts:
-            t = min(max(t0, 0.0), 0.5 * math.pi)
-            ok = False
-            for _ in range(100):
-                g, gp = dprime(t), dsecond(t)
-                if gp == 0.0:
-                    break
-                t_new = min(max(t - g / gp, 0.0), 0.5 * math.pi)
-                if abs(t_new - t) <= tol * max(1.0, abs(t)):
-                    t, ok = t_new, True
-                    break
-                t = t_new
-            for cand in ([t] if ok else []) + [0.0, 0.5 * math.pi]:
-                d = dist(cand)
-                if best is None or d < best[0]:
-                    best = (d, cand)
-        t = best[1]
-        # map back to the original quadrant
-        if float(x) < 0:
-            t = math.pi - t
-        if float(y) < 0:
-            t = -t
-        return t
+        theta = (-qb + np.sqrt(qb * qb - 4.0 * qa * qc)) / (2.0 * qa)
+        return np.minimum(np.maximum(theta, 1e-12), 1.0)
 
     def distance(self, x, y):
-        flat_x = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
-        flat_y = np.atleast_1d(np.asarray(y, dtype=float)).ravel()
-        out = np.empty_like(flat_x)
-        for i, (xi, yi) in enumerate(zip(flat_x, flat_y)):
-            t = self.nearest_parameter(xi, yi)
-            out[i] = math.hypot(xi - self.a * math.cos(t), yi - self.b * math.sin(t))
+        """Distance to the nearest boundary point (a cos t, b sin t), elementwise.
+
+        Quadrant symmetry reduces to x, y >= 0 and t in [0, pi/2].  Newton on
+        the stationarity condition runs over all points at once from each of
+        four guarded starts; the distance is the smallest over the converged
+        parameters and the endpoints t = 0 and t = pi/2.
+        """
+        xs = np.abs(np.asarray(x, dtype=float)).ravel()
+        ys = np.abs(np.asarray(y, dtype=float)).ravel()
+        A, B = self.a, self.b
+        c2 = A * A - B * B
+        half = 0.5 * math.pi
+
+        def dist(t):
+            return np.hypot(xs - A * np.cos(t), ys - B * np.sin(t))
+
+        best = np.minimum(dist(np.zeros_like(xs)), dist(np.full_like(xs, half)))
+        for t0 in (np.arctan2(A * ys, B * xs), 0.25 * math.pi, 0.05, half - 0.05):
+            t = np.clip(np.broadcast_to(t0, xs.shape), 0.0, half)
+            ok = np.zeros(xs.shape, dtype=bool)
+            run = np.arange(xs.size)
+            for _ in range(100):
+                tr, xr, yr = t[run], xs[run], ys[run]
+                sin, cos = np.sin(tr), np.cos(tr)
+                g = A * xr * sin - B * yr * cos - c2 * sin * cos
+                gp = A * xr * cos + B * yr * sin - c2 * np.cos(2.0 * tr)
+                live = gp != 0.0  # a zero slope ends that start unconverged
+                run, tr, g, gp = run[live], tr[live], g[live], gp[live]
+                t_new = np.clip(tr - g / gp, 0.0, half)
+                t[run] = t_new
+                done = np.abs(t_new - tr) <= 1e-12 * np.maximum(1.0, np.abs(tr))
+                ok[run[done]] = True
+                run = run[~done]
+                if run.size == 0:
+                    break
+            best = np.where(ok, np.minimum(best, dist(t)), best)
         if np.ndim(x) == 0:
-            return float(out[0])
-        return out.reshape(np.shape(x))
+            return float(best[0])
+        return best.reshape(np.shape(x))
 
     def describe(self):
         return {"kind": "ellipse", "a": self.a, "b": self.b}
@@ -243,13 +227,13 @@ def build_grid(domain, h):
         jy = node_iy + dy
         in_nbr = inside[jy, jx]
         nbr[in_nbr, t] = index[jy[in_nbr], jx[in_nbr]]
-        cut = np.nonzero(~in_nbr)[0]
-        for i in cut:
-            x0, y0 = xs[node_ix[i]], ys[node_iy[i]]
-            theta = domain.arm_fraction(x0, y0, dx, dy, h)
-            arm[i, t] = theta
-            arm_xy[i, t] = (x0 + theta * h * dx, y0 + theta * h * dy)
-            mask[node_iy[i], node_ix[i]] = 2
+        cut = ~in_nbr
+        x0, y0 = xs[node_ix[cut]], ys[node_iy[cut]]
+        theta = domain.arm_fraction(x0, y0, dx, dy, h)
+        arm[cut, t] = theta
+        arm_xy[cut, t, 0] = x0 + theta * h * dx
+        arm_xy[cut, t, 1] = y0 + theta * h * dy
+        mask[node_iy[cut], node_ix[cut]] = 2
 
     dist = np.full((ny, nx), np.nan)
     dist[node_iy, node_ix] = np.asarray(

@@ -176,6 +176,8 @@ class Weight:
                 return self.const
             return np.full_like(np.asarray(t, float), self.const)
         if self.kind == "power":
+            if isinstance(t, float) and t >= 0.0:
+                return t**self.alpha
             return np.asarray(t, float) ** self.alpha
         return self.m_fn(t)
 

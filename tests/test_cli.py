@@ -133,6 +133,16 @@ class TestFdCommand:
         cols, rows = read_rows(out / "fd-exhaust.csv")
         assert cols == ["x", "y", "d", "u"]
 
+    def test_shipped_config_byte_identical_reruns(self, tmp_path):
+        cfg = str(Path(__file__).resolve().parent.parent / "configs" / "fd_disk_exhaust.cfg")
+        outs = [tmp_path / sub for sub in ("a", "b")]
+        for out in outs:
+            assert main(["--config", cfg, "--out", str(out), "--quiet"]) == 0
+        meta = json.loads((outs[0] / "fd_disk.json").read_text())
+        assert meta["monotone_ok"] is True and meta["start"] == "given"
+        for fname in ("fd_disk.csv", "fd_disk.json"):
+            assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
 
 class TestBarrierCommand:
     def test_check_barrier_pass(self, tmp_path, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import splu
 
+from khessian import fd2d
 from khessian.errors import ParameterError, ReportTruncated, SolveFailure
 from khessian.fd2d import asymptotics_report_2d, assemble_operator, exhaust, solve_dirichlet
 from khessian.grid2d import Disk, Ellipse, build_grid
@@ -61,9 +62,91 @@ class TestOperatorMatrix:
 
     @pytest.mark.parametrize("h", [1.0 / 32.0, 1.0 / 64.0])
     def test_liouville_newton_count(self, h):
+        # the constant start nanmean(g), passed explicitly
+        grid = build_grid(Disk(0.9), h)
+        fld = solve_dirichlet(grid, Nonlinearity.exponential(2), W1, liouville_g, tol=1e-9,
+                              u0=constant_start(grid, liouville_g))
+        assert fld.meta["newton_iters"] == 7
+        assert fld.meta["start"] == "given"
+
+
+def constant_start(grid, g):
+    return np.full(grid.n_interior, np.nanmean(assemble_operator(grid, g)[2]))
+
+
+class TestNewtonStart:
+    @pytest.mark.parametrize("h", [1.0 / 32.0, 1.0 / 64.0])
+    def test_liouville_profile_start_counts(self, h):
         grid = build_grid(Disk(0.9), h)
         fld = solve_dirichlet(grid, Nonlinearity.exponential(2), W1, liouville_g, tol=1e-9)
+        assert fld.meta["start"] == "profile"
+        assert fld.meta["newton_iters"] == 5
+        assert fld.meta["factorizations"] == 2
+
+    def test_exhaust_counts(self):
+        grid = build_grid(Disk(1.0), 1.0 / 64.0)
+        _, diags = exhaust(grid, Nonlinearity.exponential(2), W1, [4.0, 6.0, 8.0, 10.0],
+                           tol=1e-8)
+        assert diags["newton_iters"] == [4, 4, 5, 6]
+        assert diags["factorizations"] == [2, 3, 3, 2]
+
+    @pytest.mark.parametrize("domain, h", [(Disk(1.0), 1.0 / 64.0), (Ellipse(1.2, 1.0), 1.0 / 48.0)])
+    def test_profile_start_is_subsolution(self, domain, h):
+        # phi(d + Phi(j)) is a k = 1 subsolution on a convex domain.  Discretely it
+        # stays below the solution wherever the stencil resolves it: at every node
+        # while the boundary layer, about e^-j wide, is resolved, and at nodes
+        # with d >= h for larger j
+        grid = build_grid(domain, h)
+        f = Nonlinearity.exponential(2)
+        start = fd2d._boundary_profile(grid, f, W1)
+        for j in (2.0, 3.0, 6.0, 12.0):
+            u = solve_dirichlet(grid, f, W1, j, tol=1e-9).interior_values()
+            below = start(j) <= u + 1e-9
+            assert below.all() if j <= 3.0 else below[grid.node_d >= h].all()
+
+    def test_constant_source_falls_back(self):
+        # f = 1 fails Keller-Osserman: no profile, the constant start as before
+        grid = build_grid(Disk(1.0), 1.0 / 32.0)
+        fld = solve_dirichlet(grid, CONST_ONE, W1, 0.0, tol=1e-10)
+        assert fld.meta["start"] == "constant"
+        assert fld.meta["newton_iters"] == fld.meta["factorizations"] == 1
+        ref = solve_dirichlet(grid, CONST_ONE, W1, 0.0, tol=1e-10,
+                              u0=constant_start(grid, 0.0))
+        assert np.array_equal(fld.interior_values(), ref.interior_values())
+
+    def test_override_falls_back(self):
+        grid = build_grid(Disk(0.9), 1.0 / 32.0)
+        one = lambda x, y: np.ones_like(np.asarray(x, float))
+        f = Nonlinearity.exponential(2)
+        fld = solve_dirichlet(grid, f, W1, liouville_g, tol=1e-9, b_override=one)
+        assert fld.meta["start"] == "constant"
         assert fld.meta["newton_iters"] == 7
+        ref = solve_dirichlet(grid, f, W1, liouville_g, tol=1e-9,
+                              u0=constant_start(grid, liouville_g))
+        assert np.array_equal(fld.interior_values(), ref.interior_values())
+
+    def test_nonpositive_boundary_value_falls_back(self):
+        grid = build_grid(Disk(1.0), 1.0 / 16.0)
+        fld = solve_dirichlet(grid, Nonlinearity.exponential(2), W1, -1.0, tol=1e-9)
+        assert fld.meta["start"] == "constant"
+
+    @pytest.mark.parametrize("outcome", ["info", "nan"])
+    def test_failed_gmres_refactors(self, monkeypatch, outcome):
+        grid = build_grid(Disk(0.9), 1.0 / 32.0)
+        f = Nonlinearity.exponential(2)
+        ref = solve_dirichlet(grid, f, W1, liouville_g, tol=1e-9)
+        assert ref.meta["factorizations"] < ref.meta["newton_iters"]
+
+        def failing(A, b, **kw):
+            if outcome == "info":
+                return np.zeros_like(b), 1
+            return np.full_like(b, np.nan), 0
+
+        monkeypatch.setattr(fd2d, "gmres", failing)
+        fld = solve_dirichlet(grid, f, W1, liouville_g, tol=1e-9)
+        assert fld.meta["factorizations"] == fld.meta["newton_iters"]
+        assert fld.meta["residual_history"][-1] <= 1e-9
+        assert np.max(np.abs(fld.interior_values() - ref.interior_values())) <= 1e-9
 
 
 class TestPoisson:

@@ -1,0 +1,101 @@
+"""Whole-grid geometry against per-node scalar references."""
+
+import math
+
+import numpy as np
+import pytest
+
+from khessian.grid2d import _DIRS, Disk, Ellipse, build_grid
+
+
+def scalar_arm(domain, x, y, dx, dy, h):
+    """Arm fraction of one node, one Python float at a time."""
+    if isinstance(domain, Disk):
+        qa = h * h * (dx * dx + dy * dy)
+        qb = 2.0 * h * (x * dx + y * dy)
+        qc = x * x + y * y - domain.R**2
+    else:
+        a2, b2 = domain.a**2, domain.b**2
+        qa = h * h * (dx * dx / a2 + dy * dy / b2)
+        qb = 2.0 * h * (x * dx / a2 + y * dy / b2)
+        qc = x * x / a2 + y * y / b2 - 1.0
+    theta = (-qb + math.sqrt(qb * qb - 4.0 * qa * qc)) / (2.0 * qa)
+    return min(max(theta, 1e-12), 1.0)
+
+
+def scalar_distance(ell, x, y, tol=1e-12):
+    """Nearest-point distance of one node: Newton from four guarded starts."""
+    xs, ys = abs(x), abs(y)
+    A, B = ell.a, ell.b
+
+    def dprime(t):
+        return A * xs * math.sin(t) - B * ys * math.cos(t) \
+            - (A * A - B * B) * math.sin(t) * math.cos(t)
+
+    def dsecond(t):
+        return A * xs * math.cos(t) + B * ys * math.sin(t) - (A * A - B * B) * math.cos(2.0 * t)
+
+    def dist(t):
+        return math.hypot(xs - A * math.cos(t), ys - B * math.sin(t))
+
+    best = min(dist(0.0), dist(0.5 * math.pi))
+    for t0 in (math.atan2(A * ys, B * xs), 0.25 * math.pi, 0.05, 0.5 * math.pi - 0.05):
+        t = min(max(t0, 0.0), 0.5 * math.pi)
+        for _ in range(100):
+            g, gp = dprime(t), dsecond(t)
+            if gp == 0.0:
+                break
+            t_new = min(max(t - g / gp, 0.0), 0.5 * math.pi)
+            if abs(t_new - t) <= tol * max(1.0, abs(t)):
+                best = min(best, dist(t_new))
+                break
+            t = t_new
+    return best
+
+
+@pytest.mark.parametrize("ell, h", [(Ellipse(1.2, 1.0), 1.0 / 48.0), (Ellipse(2.0, 1.0), 1.0 / 24.0)])
+def test_ellipse_distance_matches_per_node_newton(ell, h):
+    grid = build_grid(ell, h)
+    ref = np.array([scalar_distance(ell, float(x), float(y))
+                    for x, y in zip(grid.node_x, grid.node_y)])
+    # same iteration; numpy's sin and cos may round differently from math's
+    assert np.max(np.abs(grid.node_d - ref)) <= 4.0 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("domain, h", [(Disk(0.9), 1.0 / 64.0), (Ellipse(1.2, 1.0), 1.0 / 96.0)])
+def test_arms_match_per_node_loop(domain, h):
+    grid = build_grid(domain, h)
+    arm = np.ones_like(grid.arm)
+    arm_xy = np.full_like(grid.arm_xy, np.nan)
+    inside = grid.mask > 0
+    for t, (dx, dy) in enumerate(_DIRS):
+        for i in range(grid.n_interior):
+            ix, iy = grid.node_ix[i], grid.node_iy[i]
+            if inside[iy + dy, ix + dx]:
+                continue
+            x0, y0 = grid.xs[ix], grid.ys[iy]
+            theta = scalar_arm(domain, x0, y0, dx, dy, h)
+            arm[i, t] = theta
+            arm_xy[i, t] = (x0 + theta * h * dx, y0 + theta * h * dy)
+    assert np.array_equal(grid.arm, arm)
+    assert np.array_equal(grid.arm_xy, arm_xy, equal_nan=True)
+
+
+def test_ellipse_distance_array_matches_scan():
+    ell = Ellipse(2.0, 1.0)
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-1.9, 1.9, 60)
+    y = rng.uniform(-0.95, 0.95, 60)
+    keep = ell.inside(x, y)
+    x, y = x[keep].reshape(-1, 1), y[keep].reshape(-1, 1)
+    d = ell.distance(x, y)
+    assert d.shape == x.shape
+    # two-level scan of the boundary parameter: coarse, then around the minimiser
+    step = 2.0 * math.pi / 20000
+    ts = np.arange(20000) * step
+    t_best = ts[np.argmin(np.hypot(2.0 * np.cos(ts) - x, np.sin(ts) - y), axis=1)]
+    fine = t_best[:, None] + np.linspace(-2.0 * step, 2.0 * step, 20001)
+    scan = np.min(np.hypot(2.0 * np.cos(fine) - x, np.sin(fine) - y), axis=1, keepdims=True)
+    assert np.max(np.abs(d - scan)) <= 1e-12
+    # the scalar call gives the same value as the array call
+    assert all(ell.distance(float(a), float(b)) == v for a, b, v in zip(x[:, 0], y[:, 0], d[:, 0]))

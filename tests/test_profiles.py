@@ -192,6 +192,16 @@ class TestWeights:
             target = 1.0 - cm
             assert abs(q(1e-5) - target) <= abs(q(1e-3) - target) + 1e-9
 
+    @pytest.mark.parametrize("alpha", [1.0, 2.0])
+    def test_power_float_path_matches_array(self, alpha):
+        # the IVP evaluates m on one Python float per stage: no array round trip
+        w = Weight.power(alpha)
+        ts = np.geomspace(1e-300, 1e3, 2001)
+        scalar = np.array([w.m(float(t)) for t in ts])
+        assert all(type(w.m(float(t))) is float for t in ts[:5])
+        ulps = np.abs(scalar - w.m(ts)) / np.spacing(w.m(ts))
+        assert ulps.max() <= 2.0
+
     def test_monotone_M(self):
         M, _ = build_weight(Weight.power(1.5))
         ts = np.logspace(-4, 0, 20)
