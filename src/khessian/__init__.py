@@ -12,7 +12,6 @@ from .barriers import (
     verify_subsolution,
     verify_supersolution,
 )
-from .fd2d import asymptotics_report_2d, exhaust, solve_dirichlet
 from .grid2d import Disk, Ellipse, build_grid
 from .nonlinearity import Nonlinearity, Weight
 from .profiles import (
@@ -49,3 +48,14 @@ from .symfunc import (
 )
 
 __version__ = "0.1.0"
+
+# the 2-d solver loads scipy.sparse, so its module is imported on first use
+_FD2D = ("asymptotics_report_2d", "exhaust", "solve_dirichlet")
+
+
+def __getattr__(name):
+    if name in _FD2D:
+        from . import fd2d
+
+        return getattr(fd2d, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -8,6 +8,10 @@ samples.  The collar width is found by automated halving (the analysis only
 asserts existence of a small enough width).  A second, global certificate
 checks phi(-eps w) against the torsion solution w on the whole ball for a
 dyadic ladder of eps.
+
+The quasi-random samples are Owen-scrambled Halton points generated here in
+numpy, and the symmetric functions of all samples are evaluated in one
+batched call, so certification loads no scipy module.
 """
 
 import json
@@ -39,6 +43,7 @@ __all__ = [
     "build_barriers",
     "collar_ratios",
     "MarginReport",
+    "scrambled_halton",
     "collar_samples",
     "verify_supersolution",
     "verify_subsolution",
@@ -145,13 +150,22 @@ def composite_eigs(g1, g2, d, rho):
     """Hessian spectrum of g(distance) in principal coordinates.
 
     Normal eigenvalue g''; tangential eigenvalues -g' rho_i / (1 - d rho_i).
-    Valid inside the focal region 1 - d rho_i > 0.
+    Valid inside the focal region 1 - d rho_i > 0.  With arrays of S samples
+    (g1, g2 and d of length S, rho of shape (S, n-1) or (n-1,)) it returns
+    one spectrum per row.
     """
     rho = np.asarray(rho, dtype=float)
-    den = 1.0 - d * rho
+    d = np.asarray(d, dtype=float)
+    den = 1.0 - d[..., None] * rho
     if np.any(den <= 0.0):
-        raise GeometryError(f"focal radius exceeded at d={d}: 1 - d*rho = {den.min():.3g}")
-    return np.concatenate([[g2], -g1 * rho / den])
+        rows = np.atleast_2d(den)
+        i = int(np.flatnonzero(np.any(rows <= 0.0, axis=1))[0])
+        raise GeometryError(
+            f"focal radius exceeded at d={np.ravel(d)[i]}: 1 - d*rho = {rows[i].min():.3g}"
+        )
+    g1 = np.asarray(g1, dtype=float)[..., None]
+    g2 = np.asarray(g2, dtype=float)[..., None]
+    return np.concatenate([g2, -g1 * rho / den], axis=-1)
 
 
 class ProfileBarrier:
@@ -262,13 +276,38 @@ class MarginReport:
         )
 
 
-def collar_samples(bp: BarrierParams, kind, nsamples=200, seed=0):
-    """Quasi-random (distance, boundary-param) pairs in the barrier window.
+def scrambled_halton(n, seed=0):
+    """First n points of the Owen-scrambled Halton sequence in [0, 1)^2.
 
-    Distances are log-uniform (the inequalities are hardest near the inner
-    edge); the boundary parameter is uniform.  Deterministic for a fixed
-    seed.
+    Bases 2 and 3.  Each base gets one random permutation of its digits
+    0..b-1 per digit position, for ceil(54 / log2 b) - 1 positions (enough
+    to reach double precision), all drawn in turn from one
+    ``np.random.default_rng(seed)``; point i is the sum over positions j of
+    perm_j(digit j of i) b^-(j+1).  Owen, arXiv:1706.02808 (2017).  The draw
+    order and the floating-point sums follow scipy.stats.qmc.Halton(d=2,
+    scramble=True, seed=seed), whose points these are, bit for bit.
     """
+    rng = np.random.default_rng(seed)
+    index = np.arange(n, dtype=np.int64)
+    cols = []
+    for base in (2, 3):
+        count = math.ceil(54 / math.log2(base)) - 1
+        perms = np.repeat(np.arange(base)[None], count, axis=0)
+        for perm in perms:
+            rng.shuffle(perm)
+        q = index.copy()
+        col = np.zeros(n)
+        scale = 1.0 / base
+        for perm in perms:
+            col += perm[q % base] * scale
+            q //= base
+            scale /= base
+        cols.append(col)
+    return np.column_stack(cols)
+
+
+def _to_collar(bp: BarrierParams, kind, unit):
+    """Map unit-square points to (distance, boundary-param) pairs in the window."""
     if kind == "super":
         lo, hi = bp.sigma_shift * 1.02, 2.0 * bp.delta_eps * 0.98
     elif kind == "sub":
@@ -276,11 +315,18 @@ def collar_samples(bp: BarrierParams, kind, nsamples=200, seed=0):
         lo, hi = top * 1e-3, top * 0.98
     else:
         raise ParameterError(f"unknown sample kind {kind!r}")
-    from scipy.stats import qmc  # deferred: scipy.stats dominates the package import time
+    d = lo * (hi / lo) ** unit[:, 0]
+    return np.column_stack([d, unit[:, 1]])
 
-    u = qmc.Halton(d=2, scramble=True, seed=seed).random(nsamples)
-    d = lo * (hi / lo) ** u[:, 0]
-    return np.column_stack([d, u[:, 1]])
+
+def collar_samples(bp: BarrierParams, kind, nsamples=200, seed=0):
+    """Quasi-random (distance, boundary-param) pairs in the barrier window.
+
+    Distances are log-uniform (the inequalities are hardest near the inner
+    edge); the boundary parameter is uniform.  Deterministic for a fixed
+    seed.
+    """
+    return _to_collar(bp, kind, scrambled_halton(nsamples, seed))
 
 
 def _verify(kind, barrier, p, geom, bp, f, bweight, samples, tol_scale=1e-9):
@@ -295,17 +341,17 @@ def _verify(kind, barrier, p, geom, bp, f, bweight, samples, tol_scale=1e-9):
     d_shift = ds - bp.sigma_shift if kind == "super" else ds + bp.sigma_shift
     xi = bp.xi_eps_lower if kind == "super" else bp.xi_eps_upper
     ratio_A, ratio_B = collar_ratios(p, xi, d_shift)
+    rho = np.array([geom.rho(param) for param in samples[:, 1]])
+    sigs = sigma_all(composite_eigs(g1, g2, ds, rho), p.k)[:, 1:]
+    tilt_k = sigma_all(rho / (1.0 - ds[:, None] * rho), p.k)[:, p.k]
     worst = math.inf
     sup_tilt = 0.0
     rows = []
     ok = True
     for i, (d, param) in enumerate(samples):
-        rho = geom.rho(param)
-        lam = composite_eigs(g1[i], g2[i], d, rho)
-        sig = sigma_all(lam, p.k)[1:]
+        sig = sigs[i]
         admissible = bool(np.all(sig > 0.0))
-        tilt = rho / (1.0 - d * rho)
-        sup_tilt = max(sup_tilt, float(sigma_all(tilt, p.k)[p.k]))
+        sup_tilt = max(sup_tilt, float(tilt_k[i]))
         sk = float(sig[p.k - 1])
         sc = float(scale[i])
         margin = (sc - sk) if kind == "super" else (sk - sc)
@@ -352,20 +398,22 @@ def certify_barriers(p: ProfileFns, geom: CollarGeometry, f: Nonlinearity, bweig
     """Find a collar width for which both barrier inequalities certify.
 
     Halves the width from 0.2 * focal radius until both the supersolution
-    and subsolution reports pass on fresh quasi-random samples; the analysis
-    guarantees success for small enough widths, so exhaustion of the ladder
-    signals a genuine violation (or an infeasible parameter set).
+    and subsolution reports pass on quasi-random samples (one set of Halton
+    points, mapped into each width's windows); the analysis guarantees
+    success for small enough widths, so exhaustion of the ladder signals a
+    genuine violation (or an infeasible parameter set).
     """
     delta = 0.2 * geom.focal_radius if delta0 is None else float(delta0)
+    unit = scrambled_halton(nsamples, seed)  # the same points at every width
     worst = None
     for _ in range(max_halvings):
         bp = make_barrier_params(p, geom, eps, delta, sigma_frac * delta)
         upper, lower = build_barriers(p, geom, bp)
         rep_s = verify_supersolution(
-            upper, p, geom, bp, f, bweight, collar_samples(bp, "super", nsamples, seed)
+            upper, p, geom, bp, f, bweight, _to_collar(bp, "super", unit)
         )
         rep_l = verify_subsolution(
-            lower, p, geom, bp, f, bweight, collar_samples(bp, "sub", nsamples, seed)
+            lower, p, geom, bp, f, bweight, _to_collar(bp, "sub", unit)
         )
         if rep_s.passed and rep_l.passed:
             return bp, rep_s, rep_l
@@ -417,12 +465,12 @@ def certify_upper_barrier_global(p: ProfileFns, w_sol: RadialSolution, f: Nonlin
         h2 = -eps * w2 * g1 + eps**2 * w1**2 * g2
         lhs = sk_radial(h1, h2, r, n, k)
         rhs = b_all[:n_ok] * np.asarray(fv(u), dtype=float)
+        lam = np.column_stack([h2, np.repeat((h1 / r)[:, None], n - 1, axis=1)])
+        sigs = sigma_all(lam, k)[:, 1:]
         worst = math.inf
         rows = []
         for i in range(n_ok):
-            lam = np.concatenate([[h2[i]], np.full(n - 1, h1[i] / r[i])])
-            sig = sigma_all(lam, k)[1:]
-            admissible = bool(np.all(sig > 0.0))
+            admissible = bool(np.all(sigs[i] > 0.0))
             margin = float(rhs[i] - lhs[i])
             rhs_i = float(rhs[i])
             worst = min(worst, margin / rhs_i if rhs_i > 0 else margin)

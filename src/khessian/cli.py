@@ -29,7 +29,6 @@ from .barriers import (
     ellipse_geometry,
 )
 from .errors import ConditionViolation, KellerOssermanViolation, ParameterError
-from .fd2d import exhaust
 from .grid2d import build_grid, parse_domain
 from .nonlinearity import Nonlinearity, Weight
 from .profiles import assemble_profile, profile_table, xi_bounds
@@ -243,6 +242,8 @@ def cmd_radial_exhaust(cfg, outdir, base, quiet):
 
 
 def cmd_fd_exhaust(cfg, outdir, base, quiet):
+    from .fd2d import exhaust  # loads scipy.sparse, which no other command needs
+
     nl = _parse_nonlinearity(cfg.get("f", str, required=True))
     w = _parse_weight(cfg.get("weight", str, "constant:1"), cfg)
     _validate_orders(2, 1, nl)

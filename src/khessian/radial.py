@@ -7,7 +7,9 @@ boundary value scheme, the sublevel subsolution built from the torsion
 solution, and boundary-asymptotics reports.
 
 Every solve is single-threaded and deterministic; distinct solves share no
-mutable state.
+mutable state.  The root finders (Brent, bisection) and the Hermite
+interpolant of the reports are written out here in plain floats and numpy;
+only the exhaustion scheme loads scipy, for its banded solve.
 """
 
 import math
@@ -15,9 +17,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.linalg import solve_banded
-from scipy.optimize import bisect, brentq
 
 from ._quad import panel_integrals, scalar_or_array, vectorized
 from .errors import IntegrationFailure, ParameterError, ReportTruncated, SolveFailure
@@ -382,6 +381,77 @@ def integrate_blowup_ivp(prob: RadialProblem, u0, tol, u_cap=1e12, v_cap=1e12, m
     )
 
 
+def _brent_root(f, xa, xb, fa, fb, xtol, rtol, maxiter):
+    """Root of f bracketed by [xa, xb], by Brent's method, given fa = f(xa) and fb = f(xb).
+
+    The iteration of scipy.optimize.brentq, step for step and in the same
+    floating-point order (Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 4), so it returns the same root; the end-point
+    values come from the caller instead of being computed again.
+    """
+    xpre, xcur, fpre, fcur = xa, xb, fa, fb
+    xblk = fblk = spre = scur = 0.0
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise SolveFailure(f"root not bracketed: f({xa:.6g}) and f({xb:.6g}) share a sign")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # keep the better end point in xcur
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise SolveFailure(f"Brent root finding did not converge in {maxiter} iterations")
+
+
+def _bisect_root(f, xa, xb, xtol, maxiter):
+    """Root of f bracketed by [xa, xb] by bisection: the loop of scipy.optimize.bisect.
+
+    The relative tolerance is scipy's default, 4 eps.
+    """
+    rtol = 4 * np.finfo(float).eps
+    fa, fb = f(xa), f(xb)
+    if fa * fb > 0:
+        raise SolveFailure(f"root not bracketed: f({xa:.6g}) and f({xb:.6g}) share a sign")
+    if fa == 0:
+        return xa
+    if fb == 0:
+        return xb
+    dm = xb - xa
+    for _ in range(maxiter):
+        dm *= 0.5
+        xm = xa + dm
+        fm = f(xm)
+        if fm * fa >= 0:
+            xa = xm
+        if fm == 0 or abs(dm) < xtol + rtol * abs(xm):
+            return xm
+    raise SolveFailure(f"bisection did not converge in {maxiter} iterations")
+
+
 def shoot_blowup_radius(prob: RadialProblem, target=None, tol=1e-9, coarse_tol=1e-8,
                         u0_init=1.0, max_expand=60):
     """Find u0 such that the blow-up radius equals ``target`` (default prob.R).
@@ -411,7 +481,8 @@ def shoot_blowup_radius(prob: RadialProblem, target=None, tol=1e-9, coarse_tol=1
         ghi = gap(hi)
     else:
         raise SolveFailure("could not bracket the target blow-up radius from above")
-    u0 = brentq(gap, lo, hi, xtol=1e-13 * max(1.0, lo), rtol=8.9e-16, maxiter=200)
+    u0 = _brent_root(gap, lo, hi, glo, ghi, xtol=1e-13 * max(1.0, lo), rtol=8.9e-16,
+                     maxiter=200)
     return float(u0), integrate_blowup_ivp(prob, float(u0), tol)
 
 
@@ -440,6 +511,8 @@ def solve_exhaustion_bvp(prob: RadialProblem, j_schedule, grid_h, tol, max_newto
     j (the previous solution seeds the next solve).  The odd flux extension
     x |x|^(k-1) keeps Newton well defined when an iterate loses monotonicity.
     """
+    from scipy.linalg import solve_banded  # the only scipy use on the radial paths
+
     js = [float(j) for j in j_schedule]
     if any(b <= a for a, b in zip(js, js[1:])):
         raise ParameterError("boundary-data schedule must be strictly increasing")
@@ -542,9 +615,26 @@ class AsymptoticsReport:
         return self.rows[:, 3]
 
 
+def _hermite(x, y, dy, xq):
+    """Piecewise cubic Hermite interpolant of values y and slopes dy at increasing x."""
+    i = np.clip(np.searchsorted(x, xq) - 1, 0, x.size - 2)
+    h = x[i + 1] - x[i]
+    t = (xq - x[i]) / h
+    t2 = t * t
+    t3 = t2 * t
+    return ((2.0 * t3 - 3.0 * t2 + 1.0) * y[i] + (t3 - 2.0 * t2 + t) * h * dy[i]
+            + (3.0 * t2 - 2.0 * t3) * y[i + 1] + (t3 - t2) * h * dy[i + 1])
+
+
 def asymptotics_report(sol: RadialSolution, p: ProfileFns, xi, d_values=None,
                        d_hi=None, decades=2.0, per_decade=8):
     """Compare u against phi(xi M(d)) on a geometric ladder of distances.
+
+    u at a distance d is the cubic Hermite interpolant of the solution's own
+    (r, u, u') samples in the variable log d, with slopes du/dlog d = -d u'.
+    Near the blow-up u is close to linear (exponential f) or exponential
+    (power f) in log d, so this is far more accurate than interpolating in
+    r at the solver's step sizes.
 
     Default ladder: from d_hi = 0.1 Rstar down the requested number of
     decades.  Raises ReportTruncated (carrying the resolved rows) when the
@@ -573,11 +663,10 @@ def asymptotics_report(sol: RadialSolution, p: ProfileFns, xi, d_values=None,
         ladder = top * 10.0 ** (-np.arange(npts) / per_decade)
 
     usable = (ladder >= d_min_avail) & (ladder <= d_max_avail)
-    # interpolate u on log-distance; samples are monotone in d
-    order = np.argsort(d_samp[good])
-    interp = PchipInterpolator(np.log(d_samp[good][order]), sol.u[good][order])
     d = ladder[usable]
-    u = interp(np.log(d))
+    order = np.argsort(d_samp[good])  # samples are monotone in d
+    ds = d_samp[good][order]
+    u = _hermite(np.log(ds), sol.u[good][order], -ds * sol.u1[good][order], np.log(d))
     pred = predicted_profile(p, xi, d)
     rows = np.column_stack([d, u, pred, u / pred])
     if not np.all(usable):
@@ -608,8 +697,8 @@ class RadialSubsolution:
         w0 = float(self._w.value(0.0))
         if target <= w0:
             raise ParameterError(f"sublevel {j} is below the centre value {self(0.0):.6g}")
-        return float(bisect(lambda r: float(self._w.value(r)) - target,
-                            0.0, self._w.meta["R"], xtol=1e-14, maxiter=200))
+        return float(_bisect_root(lambda r: float(self._w.value(r)) - target,
+                                  0.0, self._w.meta["R"], xtol=1e-14, maxiter=200))
 
     @property
     def torsion(self):

@@ -1,8 +1,9 @@
 """Elementary-symmetric-function algebra on Hessian eigenvalue spectra.
 
 Spectra are plain 1d float arrays (length n >= 2 for Hessians, but the
-algebra itself works for any length).  All functions are pure; none mutate
-their inputs, so concurrent use is safe.
+algebra itself works for any length); ``sigma_all`` also takes a 2d array of
+spectra, one per row.  All functions are pure; none mutate their inputs, so
+concurrent use is safe.
 """
 
 import math
@@ -25,9 +26,12 @@ __all__ = [
 ]
 
 
-def _as_spectrum(values):
-    lam = np.asarray(values, dtype=float).ravel()
-    if lam.size == 0:
+def _as_spectrum(values, rows=False):
+    """Validated float spectrum; with ``rows``, a 2d input stays one spectrum per row."""
+    lam = np.asarray(values, dtype=float)
+    if not (rows and lam.ndim == 2):
+        lam = lam.ravel()
+    if lam.shape[-1] == 0:
         raise ParameterError("empty eigenvalue spectrum")
     if not np.all(np.isfinite(lam)):
         raise ParameterError("eigenvalue spectrum contains non-finite entries")
@@ -38,21 +42,25 @@ def sigma_all(values, jmax=None):
     """All elementary symmetric functions sigma_0..sigma_jmax of ``values``.
 
     Uses the coefficient recurrence of prod(1 + lam_i t): O(n*jmax) work and
-    stable for mixed-sign spectra, unlike subset enumeration.
+    stable for mixed-sign spectra, unlike subset enumeration.  A 2d
+    ``values`` holds one spectrum per row and gives one row of sigmas per
+    spectrum; the recurrence runs column by column over all rows at once, so
+    each row is bit-identical to the call on that spectrum alone.
     """
-    lam = _as_spectrum(values)
-    n = lam.size
+    lam = _as_spectrum(values, rows=True)
+    spectra = lam if lam.ndim == 2 else lam[None, :]
+    n = spectra.shape[1]
     if jmax is None:
         jmax = n
     top = min(jmax, n)
-    e = np.zeros(top + 1)
-    e[0] = 1.0
-    for x in lam:
+    e = np.zeros((spectra.shape[0], top + 1))
+    e[:, 0] = 1.0
+    for x in spectra.T:
         # rhs is materialised before the assignment, so the overlap is safe
-        e[1:] = e[1:] + x * e[:-1]
+        e[:, 1:] = e[:, 1:] + x[:, None] * e[:, :-1]
     if jmax > n:
-        e = np.concatenate([e, np.zeros(jmax - n)])
-    return e
+        e = np.concatenate([e, np.zeros((e.shape[0], jmax - n))], axis=1)
+    return e if lam.ndim == 2 else e[0]
 
 
 def sigma(j, values):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import qmc
 
 from khessian.barriers import (
     ball_geometry,
@@ -14,6 +15,7 @@ from khessian.barriers import (
     composite_eigs,
     ellipse_geometry,
     make_barrier_params,
+    scrambled_halton,
     verify_subsolution,
     verify_supersolution,
 )
@@ -39,6 +41,26 @@ class TestCompositeEigs:
     def test_focal_violation(self):
         with pytest.raises(GeometryError):
             composite_eigs(-1.0, 2.0, 1.5, np.ones(2))
+
+    def test_batched_rows_match_single_calls(self):
+        rng = np.random.default_rng(5)
+        g1, g2 = rng.normal(size=30), rng.normal(size=30)
+        d = rng.uniform(0.0, 0.4, size=30)
+        rho = rng.uniform(0.1, 2.0, size=(30, 3))
+        lam = composite_eigs(g1, g2, d, rho)
+        assert lam.shape == (30, 4)
+        for i in range(30):
+            assert np.array_equal(lam[i], composite_eigs(g1[i], g2[i], d[i], rho[i]))
+        # one curvature vector shared by every sample (the ball)
+        shared = composite_eigs(g1, g2, d, rho[0])
+        for i in range(30):
+            assert np.array_equal(shared[i], composite_eigs(g1[i], g2[i], d[i], rho[0]))
+
+    def test_batched_focal_violation_names_first_bad_sample(self):
+        d = np.array([0.1, 0.85, 0.9])
+        with pytest.raises(GeometryError, match="d=0.85"):
+            composite_eigs(np.ones(3), np.ones(3), d, np.full((3, 2), 1.25))
+
 
     def test_matches_expansion_identity(self):
         # sigma_j of the composite spectrum equals the profile-expansion
@@ -71,6 +93,24 @@ class TestCompositeEigs:
                     + A * float(sigma_all(tilt, j)[j])
                 )
                 assert sig[j - 1] == pytest.approx(pref * bracket, rel=1e-8)
+
+
+class TestHalton:
+    @pytest.mark.parametrize("seed", [0, 7, 123])
+    @pytest.mark.parametrize("n", [40, 200])
+    def test_matches_scipy_qmc_bit_for_bit(self, seed, n):
+        ref = qmc.Halton(d=2, scramble=True, seed=seed).random(n)
+        assert np.array_equal(scrambled_halton(n, seed), ref)
+
+    def test_collar_samples_use_the_points(self):
+        p = assemble_profile(Nonlinearity.power(5), W1, 2)
+        bp = make_barrier_params(p, ball_geometry(3, 2, 1.0), eps=0.1, delta_eps=0.05)
+        unit = scrambled_halton(64, 3)
+        for kind in ("super", "sub"):
+            pts = collar_samples(bp, kind, 64, seed=3)
+            assert np.array_equal(pts[:, 1], unit[:, 1])
+            lo, hi = pts[:, 0].min(), pts[:, 0].max()
+            assert 0.0 < lo < hi < 2.0 * bp.delta_eps
 
 
 class TestBarrierParams:

@@ -3,14 +3,19 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import bisect, brentq
 
-from khessian.errors import ParameterError, ReportTruncated
+from khessian import radial
+from khessian.errors import ParameterError, ReportTruncated, SolveFailure
 from khessian.nonlinearity import Nonlinearity, Weight
 from khessian.profiles import assemble_profile
 from khessian.radial import (
     RadialProblem,
+    RadialSolution,
+    _brent_root,
     _ck_step,
     _exhaustion_banded,
+    _hermite,
     _make_rhs,
     asymptotics_report,
     build_radial_subsolution,
@@ -221,6 +226,81 @@ class TestShooting:
         u0, sol = shoot_blowup_radius(prob, tol=1e-9)
         assert sol.Rstar == pytest.approx(1.0, abs=1e-7)
         assert u0 > 0
+
+
+class TestRootFinderPorts:
+    # the constant-weight verify-asymptotics cases of the benchmark
+    @pytest.mark.parametrize("n, k, nl", [
+        (3, 2, Nonlinearity.power(5)),
+        (2, 1, Nonlinearity.exponential(2)),
+        (4, 3, Nonlinearity.power(7)),
+    ])
+    def test_shot_u0_matches_scipy_brentq(self, monkeypatch, n, k, nl):
+        prob = RadialProblem.from_weight(n, k, 1.0, nl, Weight.constant(1.0))
+        ivp = radial.integrate_blowup_ivp
+        calls = []
+        monkeypatch.setattr(radial, "integrate_blowup_ivp",
+                            lambda *a, **kw: calls.append(1) or ivp(*a, **kw))
+        u0, sol = shoot_blowup_radius(prob, tol=1e-9)
+        port_calls = len(calls)
+        calls.clear()
+        # scipy's brentq evaluates both bracket ends again
+        monkeypatch.setattr(radial, "_brent_root",
+                            lambda f, xa, xb, fa, fb, **kw: brentq(f, xa, xb, **kw))
+        u0_ref, sol_ref = shoot_blowup_radius(prob, tol=1e-9)
+        assert abs(u0 - u0_ref) <= 1e-13 * abs(u0_ref)
+        assert sol.Rstar == pytest.approx(sol_ref.Rstar, rel=1e-12, abs=0.0)
+        assert len(calls) - port_calls == 2
+
+    @pytest.mark.parametrize("fn, a, b", [
+        (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),
+        (lambda x: math.cos(x) - x, 0.0, 1.0),
+        (lambda x: math.exp(x) - 10.0, -1.0, 5.0),
+        (lambda x: (x - 0.3) ** 3, -2.0, 1.0),
+        (lambda x: math.atan(50.0 * (x - 0.123)), -1.0, 4.0),
+    ])
+    @pytest.mark.parametrize("xtol", [1e-300, 1e-12, 1e-4])
+    def test_brent_matches_scipy_on_closed_forms(self, fn, a, b, xtol):
+        root = _brent_root(fn, a, b, fn(a), fn(b), xtol=xtol, rtol=8.9e-16, maxiter=200)
+        assert root == brentq(fn, a, b, xtol=xtol, rtol=8.9e-16, maxiter=200)
+
+    def test_brent_rejects_unbracketed(self):
+        with pytest.raises(SolveFailure):
+            _brent_root(lambda x: x * x + 1.0, -1.0, 1.0, 2.0, 2.0, 1e-12, 8.9e-16, 50)
+
+    def test_sublevel_radius_matches_scipy_bisect(self):
+        prob = RadialProblem(n=3, k=2, R=1.0, f=Nonlinearity.power(5), b=B_ONE)
+        p = assemble_profile(Nonlinearity.power(5), Weight.constant(1.0), 2, with_psi=True)
+        sub = build_radial_subsolution(prob, p)
+        w = sub.torsion
+        for j in (2.0, 10.0, 1e3):
+            target = -float(p.Psi(j))
+            ref = bisect(lambda r: float(w.value(r)) - target, 0.0, 1.0, xtol=1e-14, maxiter=200)
+            assert sub.sublevel_radius(j) == ref
+
+
+class TestHermite:
+    def test_reproduces_a_cubic(self):
+        rng = np.random.default_rng(3)
+        x = np.sort(rng.uniform(0.0, 1.0, 40))
+        c = np.array([0.7, -2.0, 3.5, 1.25])
+        y = c[0] + c[1] * x + c[2] * x**2 + c[3] * x**3
+        dy = c[1] + 2.0 * c[2] * x + 3.0 * c[3] * x**2
+        xq = np.concatenate([rng.uniform(x[0], x[-1], 500), x])
+        exact = c[0] + c[1] * xq + c[2] * xq**2 + c[3] * xq**3
+        assert np.max(np.abs(_hermite(x, y, dy, xq) - exact)) <= 1e-14
+
+    def test_report_interpolates_exact_liouville_samples(self):
+        # u = log(2/(1 - r^2)) and its slope on the shot's own radii, blow-up at 1:
+        # what remains is interpolation error (Pchip in log d gives 4e-9 here)
+        prob = RadialProblem(n=2, k=1, R=1.0, f=Nonlinearity.exponential(2), b=B_ONE)
+        r = integrate_blowup_ivp(prob, math.log(2.0), 1e-9).r
+        r = r[r < 1.0 - 1e-13]
+        sol = RadialSolution(r=r, u=liouville(r), u1=2.0 * r / (1.0 - r**2), Rstar=1.0)
+        p = assemble_profile(Nonlinearity.exponential(2), Weight.constant(1.0), 1)
+        rep = asymptotics_report(sol, p, xi=1.0, d_values=np.geomspace(1e-4, 1e-2, 17))
+        exact = liouville(1.0 - rep.d)
+        assert np.max(np.abs(rep.rows[:, 1] - exact) / exact) <= 1e-9
 
 
 class TestExhaustionBVP:

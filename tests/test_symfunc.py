@@ -64,6 +64,32 @@ class TestSigma:
             assert np.all(np.abs(rec - e) <= 1e-10 * scale)
 
 
+class TestSigmaAllBatched:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_rows_match_single_calls_bit_for_bit(self, n):
+        rng = np.random.default_rng(100 + n)
+        lam = rng.normal(0.0, 2.0, size=(25, n))
+        for jmax in (None, 0, 1, n, n + 2):
+            batched = sigma_all(lam, jmax)
+            width = (n if jmax is None else jmax) + 1
+            assert batched.shape == (25, width)
+            for i in range(25):
+                assert np.array_equal(batched[i], sigma_all(lam[i], jmax))
+
+    def test_one_spectrum_keeps_its_shape(self):
+        assert sigma_all([1.0, 2.0, 3.0]).shape == (4,)
+        assert sigma_all(np.ones((1, 3))).shape == (1, 4)
+
+    def test_no_samples(self):
+        assert sigma_all(np.empty((0, 3)), 2).shape == (0, 3)
+
+    def test_rejects_bad_batches(self):
+        with pytest.raises(ParameterError):
+            sigma_all(np.array([[1.0, 2.0], [np.nan, 0.0]]))
+        with pytest.raises(ParameterError):
+            sigma_all(np.empty((4, 0)))
+
+
 class TestConeMembership:
     def test_pinned_cases(self):
         r = cone_membership([3, -1], 1)
