@@ -4,14 +4,16 @@ Damped Newton on the Shortley-Weller 5-point discretisation of
 Delta u = b(d(x)) f(u).  Without a given start, Newton starts from the
 paper's boundary profile phi(xi M(d) + Phi(j)), the blow-up shape shifted
 to equal the mean boundary value j on the boundary; where that profile is
-not defined it starts from the constant j.  Each Newton step first tries
-one GMRES cycle preconditioned by the last SuperLU factorization, and
-factors the current Jacobian only when that cycle fails, so most steps
-reuse a stale factorization.  The odd orders k >= 2 are handled radially
+not defined it starts from the constant j.  Each Newton step solves its
+Jacobian by GMRES, right-preconditioned by one geometric multigrid V-cycle
+(Galerkin coarse operators on the even sublattices, damped Jacobi
+smoothing); only the coarsest level, at most a few thousand unknowns, is
+factored by SuperLU.  The odd orders k >= 2 are handled radially
 elsewhere; a genuine 2d wide-stencil scheme for them is out of scope.
 
-Determinism: node ordering and the fill-reducing column ordering are
-fixed, so identical inputs give bit-identical fields on one machine.
+Determinism: node ordering, the multigrid levels and the coarse
+fill-reducing ordering are fixed, so identical inputs give bit-identical
+fields on one machine.
 """
 
 import math
@@ -35,6 +37,13 @@ from .profiles import ProfileFns, assemble_profile, predicted_profile, xi_bounds
 __all__ = ["assemble_operator", "solve_dirichlet", "exhaust", "Report2D", "asymptotics_report_2d"]
 
 _K_ORDER = 1  # this module is the k = 1 lane
+_COARSE_MAX = 3000  # unknowns on the coarsest multigrid level, the one SuperLU factors
+_OMEGA = 0.7  # damped Jacobi weight
+_SWEEPS = 2  # Jacobi sweeps before and after each coarse correction
+_FORCING = 1e-6  # GMRES relative tolerance of a Newton step
+_RTOL_FLOOR = 1e-11  # GMRES stalls near 1e-12 relative on these grids: stay above
+_RESTART = 20  # GMRES restart length
+_MAX_CYCLES = 5  # GMRES restart cycles before a step fails
 
 
 def _boundary_values(grid: Field2D, g):
@@ -70,8 +79,6 @@ def assemble_operator(grid: Field2D, g):
     live = ~cut  # cut arms feed const, not unknowns
     m = grid.n_interior
     rows = np.broadcast_to(np.arange(m)[:, None], live.shape)[live]
-    # neighbours first, then the diagonal: smaller temporaries than one triplet
-    # list, which lowers the peak memory of the factorizations that follow
     A = sp.csc_matrix((cof[live], (rows, grid.nbr[live])), shape=(m, m)) + sp.diags(diag)
     return A, const, gvals
 
@@ -125,6 +132,98 @@ def _boundary_profile(grid: Field2D, f: Nonlinearity, bweight: Weight):
     return start
 
 
+def _prolongation(lx, ly):
+    """Bilinear prolongation from the even sublattice of the nodes at lattice (lx, ly).
+
+    Returns (P, cx, cy): P maps values on the nodes whose two lattice
+    coordinates are both even, at coarse lattice (cx, cy) = (lx, ly) / 2, to
+    all nodes.  A fine node takes the mean of the coarse nodes at
+    floor(l / 2) and ceil(l / 2) in each direction, so an even node gets an
+    identity row; a coarse neighbour that does not exist contributes zero,
+    which makes the correction vanish on the boundary.
+    """
+    even = (lx % 2 == 0) & (ly % 2 == 0)
+    cx, cy = lx[even] // 2, ly[even] // 2
+    x0, y0 = lx.min() // 2, ly.min() // 2
+    lookup = np.full(((ly.max() + 1) // 2 - y0 + 1, (lx.max() + 1) // 2 - x0 + 1), -1)
+    lookup[cy - y0, cx - x0] = np.arange(cx.size)
+    rows, cols = [], []
+    for sx in (0, 1):
+        for sy in (0, 1):  # weight 1/4 each; repeated corners add up
+            c = lookup[(ly + sy) // 2 - y0, (lx + sx) // 2 - x0]
+            rows.append(np.flatnonzero(c >= 0))
+            cols.append(c[c >= 0])
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    P = sp.csr_matrix((np.full(rows.size, 0.25), (rows, cols)), shape=(lx.size, cx.size))
+    return P, cx, cy
+
+
+def _prolongations(grid: Field2D):
+    """Prolongations [P_1, P_2, ...], fine to coarse, down to <= _COARSE_MAX unknowns."""
+    lx = np.rint(grid.node_x / grid.h).astype(np.int64)
+    ly = np.rint(grid.node_y / grid.h).astype(np.int64)
+    out = []
+    while lx.size > _COARSE_MAX:
+        P, lx, ly = _prolongation(lx, ly)
+        out.append(P)
+    return out
+
+
+def _galerkin_levels(jac, prolongations):
+    """Fine-to-coarse levels (J, omega / diag J, P, P^T) and the coarsest operator R J P."""
+    levels = []
+    for P in prolongations:
+        R = P.T.tocsr()
+        levels.append((jac, _OMEGA / jac.diagonal(), P, R))
+        jac = (R @ jac @ P).tocsr()
+    return levels, jac.tocsc()
+
+
+def _vcycle(levels, coarse_lu, r):
+    """One V-cycle for J x = r from x = 0.
+
+    Damped Jacobi (_SWEEPS sweeps before and after) on every level of
+    ``levels``, the SuperLU solve ``coarse_lu`` on the coarsest; a fixed
+    linear map of r, so it serves as a Krylov preconditioner.
+    """
+    if not levels:
+        return coarse_lu.solve(r)
+    (J, wdinv, P, R), coarser = levels[0], levels[1:]
+    x = wdinv * r
+    for _ in range(_SWEEPS - 1):
+        x += wdinv * (r - J @ x)
+    x += P @ _vcycle(coarser, coarse_lu, R @ (r - J @ x))
+    for _ in range(_SWEEPS):
+        x += wdinv * (r - J @ x)
+    return x
+
+
+def _newton_direction(jac, prolongations, rhs, rtol):
+    """Solve jac x = rhs by GMRES, right-preconditioned by one V-cycle M.
+
+    GMRES runs on J M y = rhs, so its stopping test sees the true residual,
+    and x = M y.  Returns (x, GMRES iterations).  Raises SolveFailure when
+    the coarsest factorization fails, GMRES stops short of rtol or x is not
+    finite.
+    """
+    levels, coarse = _galerkin_levels(jac, prolongations)
+    try:
+        coarse_lu = splu(coarse, permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as exc:  # SuperLU: singular or out of memory
+        raise SolveFailure(f"coarsest-level Jacobian factorization failed: {exc}") from exc
+    precond = lambda r: _vcycle(levels, coarse_lu, r)
+    jm = LinearOperator(jac.shape, matvec=lambda y: jac @ precond(y), dtype=float)
+    resids = []
+    y, info = gmres(jm, rhs, rtol=rtol, restart=_RESTART, maxiter=_MAX_CYCLES,
+                    callback=resids.append, callback_type="pr_norm")
+    x = precond(y)
+    if info != 0:
+        raise SolveFailure(f"GMRES missed rtol {rtol:.1e} in {len(resids)} iterations")
+    if not np.all(np.isfinite(x)):
+        raise SolveFailure("GMRES gave a non-finite Newton step")
+    return x, len(resids)
+
+
 def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol,
                     b_override=None, u0=None, max_newton=100):
     """Solve Delta u = b f(u) with Dirichlet data g; returns a new Field2D.
@@ -132,21 +231,25 @@ def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol,
     Damped Newton to residual max-norm <= tol.  Without u0 the start is the
     boundary profile phi(xi M(d) + Phi(j)) with j the mean boundary value,
     or the constant j when b_override is given, the profile does not exist
-    or j <= 0.  Each step first tries one restarted GMRES cycle (restart
-    20, relative tolerance 1e-2) on the Jacobian A - diag(b f'(u)),
-    preconditioned by the last SuperLU factorization; when there is none,
-    or the cycle fails, the current Jacobian is factored (minimum-degree
-    ordering on A^T + A) and solved directly.  A failed factorization
+    or j <= 0.  Each step solves the Jacobian A - diag(b f'(u)) by GMRES,
+    right-preconditioned by one geometric multigrid V-cycle: the levels are
+    the nodes with even lattice coordinates, repeated down to at most
+    _COARSE_MAX unknowns, with bilinear prolongation P, restriction P^T,
+    Galerkin coarse operators and damped Jacobi smoothing; only the
+    coarsest level is factored by SuperLU (the whole Jacobian on small
+    grids).  A failed factorization, a GMRES failure or a non-finite step
     raises SolveFailure with the residual history so far.  Residuals are
     measured against the per-node source scale 1 + b f(u): with
     exponential sources the raw residual sits at eps * b f(u) near the
     boundary, so an unscaled max-norm target below that rounding floor
-    would never be reached.  meta records newton_iters, factorizations and
-    start ("profile", "constant" or "given").
+    would never be reached.  meta records newton_iters, factorizations
+    (coarsest-level LUs, one per step), krylov_iters and start ("profile",
+    "constant" or "given").
     """
     if tol <= 0:
         raise ParameterError(f"tolerance must be positive, got {tol}")
     A, const, gvals = assemble_operator(grid, g)
+    A = A.tocsr()  # rows for the residual, the smoother and the Galerkin products
     abs_diag = np.abs(A.diagonal())
     b = _source_b(grid, bweight, b_override)
     f_raw = vectorized(f.f)
@@ -176,32 +279,29 @@ def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol,
         floor = 64.0 * eps * (abs_diag * np.abs(uv) + np.abs(const) + b * fv(uv))
         return bool(np.all(np.abs(res_vec) <= floor))
 
+    prolongations = _prolongations(grid)
     res = residual(u)
     norm = scaled_norm(res, u)
     history = [norm]
-    precond = None  # LinearOperator over the last factorization's solve
-    factorizations = 0
+    factorizations = krylov_iters = 0
     for _ in range(max_newton):
         if norm <= tol or at_floor(res, u):
             break
-        jac = (A - sp.diags(b * fpv(u))).tocsc()
-        delta = None
-        if precond is not None:
-            delta, info = gmres(jac, -res, M=precond, rtol=1e-2, restart=20, maxiter=1)
-            if info != 0 or not np.all(np.isfinite(delta)):
-                delta = None
-        if delta is None:
-            precond = None  # free the stale factors before the new ones are built
-            try:
-                lu = splu(jac, permc_spec="MMD_AT_PLUS_A")
-            except RuntimeError as exc:  # SuperLU: singular or out of memory
-                raise SolveFailure(f"Jacobian factorization failed: {exc}",
-                                   residuals=history) from exc
-            factorizations += 1
-            delta = lu.solve(-res)
-            precond = LinearOperator(jac.shape, matvec=lu.solve, dtype=float)
-            del lu
-        del jac  # before the line search allocates: lowers the peak while factors are kept
+        bfp = b * fpv(u)
+        rtol = _FORCING
+        if np.array_equal(bfp, b * fpv(u + 1.0)):
+            # f is affine here, so the Newton model is exact: solve the step far
+            # enough to finish, as a linear problem should in one step
+            rtol = min(_FORCING, max(0.1 * tol / norm, _RTOL_FLOOR))
+        jac = (A - sp.diags(bfp)).tocsr()
+        try:
+            delta, its = _newton_direction(jac, prolongations, -res, rtol)
+        except SolveFailure as exc:
+            exc.residuals = list(history)
+            raise
+        del jac
+        factorizations += 1  # one coarsest-level LU per step
+        krylov_iters += its
         step = 1.0
         while step >= 2.0**-30:
             u_try = u + step * delta
@@ -228,6 +328,7 @@ def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol,
             "tol": tol,
             "newton_iters": len(history) - 1,
             "factorizations": factorizations,
+            "krylov_iters": krylov_iters,
             "start": start,
             "residual_history": history,
         },
@@ -243,8 +344,9 @@ def exhaust(grid: Field2D, f: Nonlinearity, bweight: Weight, j_schedule, tol,
     level's continuous problem), or from the previous level alone when
     there is no profile.
     Diagnostics track per-step increment bounds, the interior Cauchy ratio
-    on the core region d >= 0.2 * diam, and per-level Newton steps and
-    factorizations.
+    on the core region d >= 0.2 * diam, and per level the Newton steps,
+    coarsest-level factorizations and GMRES iterations.  A SolveFailure
+    carries the levels finished before it in ``partial``.
     """
     js = [float(j) for j in j_schedule]
     if len(js) < 1 or any(b_ <= a for a, b_ in zip(js, js[1:])):
@@ -256,7 +358,7 @@ def exhaust(grid: Field2D, f: Nonlinearity, bweight: Weight, j_schedule, tol,
     u_prev = None
     diags = {"j": [], "increment_min": [], "increment_max": [], "core_increment": [],
              "cauchy_ratio": [], "center_value": [], "newton_iters": [],
-             "factorizations": []}
+             "factorizations": [], "krylov_iters": []}
     center = int(np.argmax(grid.node_d))
     for j in js:
         u0 = None if profile is None else profile(j)
@@ -275,6 +377,7 @@ def exhaust(grid: Field2D, f: Nonlinearity, bweight: Weight, j_schedule, tol,
         diags["center_value"].append(float(u[center]))
         diags["newton_iters"].append(fld.meta["newton_iters"])
         diags["factorizations"].append(fld.meta["factorizations"])
+        diags["krylov_iters"].append(fld.meta["krylov_iters"])
         if u_prev is not None:
             inc = u - u_prev
             diags["increment_min"].append(float(inc.min()))

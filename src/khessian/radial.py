@@ -59,9 +59,13 @@ class RadialProblem:
         """Compose b(r) = base * m(R - r)**(k+1) from a boundary weight."""
         base = weight.b_lower if base is None else float(base)
         m = vectorized(weight.m)
+        # a constant weight gives one number, computed here rather than per IVP stage
+        b_const = base * float(weight.const) ** (k + 1.0) if weight.kind == "constant" else None
 
         def b(r):
             if isinstance(r, float):  # the IVP's right-hand side: stay in floats
+                if b_const is not None:
+                    return b_const
                 return base * float(weight.m(max(R - r, 1e-300))) ** (k + 1.0)
             d = np.clip(R - np.asarray(r, float), 1e-300, None)
             return base * np.asarray(m(d), float) ** (k + 1.0)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import qmc
 
+from khessian import barriers
 from khessian.barriers import (
     ball_geometry,
     build_barriers,
@@ -209,6 +210,42 @@ class TestVerification:
         assert bp.delta_eps > 1e-6
         for rep in (rep_s, rep_l):
             assert all(s["admissible"] for s in rep.samples)
+
+    @pytest.mark.parametrize("nl, k, n, weight, seed", [
+        (Nonlinearity.exponential(2), 1, 2, W1, 0),
+        (Nonlinearity.power(5), 2, 3, W1, 7),
+        (Nonlinearity.power(5), 2, 3, Weight.power(1.0), 123),
+    ])
+    def test_prefix_screen_keeps_the_result(self, monkeypatch, nl, k, n, weight, seed):
+        # the result of checking every sample at every width, written out here
+        p = assemble_profile(nl, weight, k)
+        geom = ball_geometry(n, k, 1.0)
+        delta = 0.2 * geom.focal_radius
+        while True:
+            bp = make_barrier_params(p, geom, 0.1, delta, 0.1 * delta)
+            upper, lower = build_barriers(p, geom, bp)
+            want_s = verify_supersolution(upper, p, geom, bp, nl, weight,
+                                          collar_samples(bp, "super", 200, seed))
+            want_l = verify_subsolution(lower, p, geom, bp, nl, weight,
+                                        collar_samples(bp, "sub", 200, seed))
+            if want_s.passed and want_l.passed:
+                break
+            delta *= 0.5
+        assert delta < 0.2 * geom.focal_radius  # the first width fails here
+        checked = []
+
+        def counting(real):
+            def verify(*args):
+                checked.append(len(args[6]))
+                return real(*args)
+            return verify
+
+        for name in ("verify_supersolution", "verify_subsolution"):
+            monkeypatch.setattr(barriers, name, counting(getattr(barriers, name)))
+        got = certify_barriers(p, geom, nl, weight, eps=0.1, seed=seed)
+        assert got == (bp, want_s, want_l)
+        # a failing width costs one 25-point screen of the supersolution
+        assert checked[0] == 25 and sum(checked) < 2 * 200 * 2
 
     def test_oversized_collar_shrinks_not_fails(self):
         # a too-large initial width may fail its report; the search shrinks

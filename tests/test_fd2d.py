@@ -80,15 +80,15 @@ class TestNewtonStart:
         grid = build_grid(Disk(0.9), h)
         fld = solve_dirichlet(grid, Nonlinearity.exponential(2), W1, liouville_g, tol=1e-9)
         assert fld.meta["start"] == "profile"
-        assert fld.meta["newton_iters"] == 5
-        assert fld.meta["factorizations"] == 2
+        assert fld.meta["newton_iters"] == 4
+        assert fld.meta["factorizations"] == 4  # one coarsest-level LU per step
 
     def test_exhaust_counts(self):
         grid = build_grid(Disk(1.0), 1.0 / 64.0)
         _, diags = exhaust(grid, Nonlinearity.exponential(2), W1, [4.0, 6.0, 8.0, 10.0],
                            tol=1e-8)
         assert diags["newton_iters"] == [4, 4, 5, 6]
-        assert diags["factorizations"] == [2, 3, 3, 2]
+        assert diags["factorizations"] == [4, 4, 5, 6]
 
     @pytest.mark.parametrize("domain, h", [(Disk(1.0), 1.0 / 64.0), (Ellipse(1.2, 1.0), 1.0 / 48.0)])
     def test_profile_start_is_subsolution(self, domain, h):
@@ -131,11 +131,10 @@ class TestNewtonStart:
         assert fld.meta["start"] == "constant"
 
     @pytest.mark.parametrize("outcome", ["info", "nan"])
-    def test_failed_gmres_refactors(self, monkeypatch, outcome):
+    def test_failed_gmres_raises(self, monkeypatch, outcome):
         grid = build_grid(Disk(0.9), 1.0 / 32.0)
         f = Nonlinearity.exponential(2)
-        ref = solve_dirichlet(grid, f, W1, liouville_g, tol=1e-9)
-        assert ref.meta["factorizations"] < ref.meta["newton_iters"]
+        real, calls = fd2d.gmres, []
 
         def failing(A, b, **kw):
             if outcome == "info":
@@ -143,10 +142,21 @@ class TestNewtonStart:
             return np.full_like(b, np.nan), 0
 
         monkeypatch.setattr(fd2d, "gmres", failing)
-        fld = solve_dirichlet(grid, f, W1, liouville_g, tol=1e-9)
-        assert fld.meta["factorizations"] == fld.meta["newton_iters"]
-        assert fld.meta["residual_history"][-1] <= 1e-9
-        assert np.max(np.abs(fld.interior_values() - ref.interior_values())) <= 1e-9
+        with pytest.raises(SolveFailure, match="GMRES") as info:
+            solve_dirichlet(grid, f, W1, liouville_g, tol=1e-9)
+        assert len(info.value.residuals) == 1 and info.value.residuals[0] > 1e-9
+        # exhaust attaches the levels it finished: here the first level takes
+        # four steps, and the fifth GMRES call, in the second level, fails
+        def second_fails(A, b, **kw):
+            calls.append(1)
+            return real(A, b, **kw) if len(calls) <= 4 else failing(A, b)
+
+        monkeypatch.setattr(fd2d, "gmres", second_fails)
+        small = build_grid(Disk(1.0), 1.0 / 8.0)
+        with pytest.raises(SolveFailure) as info:
+            exhaust(small, f, W1, [2.0, 3.0], tol=1e-9)
+        assert len(info.value.partial) == 1
+        assert info.value.partial[0].meta["newton_iters"] == 4
 
 
 class TestPoisson:

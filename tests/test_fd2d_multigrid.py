@@ -1,0 +1,177 @@
+"""The multigrid layer of the 2d solver: levels, V-cycle and the Newton-Krylov solve."""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
+
+from khessian import fd2d
+from khessian.fd2d import assemble_operator, solve_dirichlet
+from khessian.grid2d import Disk, Ellipse, build_grid
+from khessian.nonlinearity import Nonlinearity, Weight
+
+W1 = Weight.constant(1.0)
+EXP2 = Nonlinearity.exponential(2)
+
+
+def liouville_g(x, y):
+    r2 = np.asarray(x, float) ** 2 + np.asarray(y, float) ** 2
+    return np.log(2.0 / (1.0 - r2))
+
+
+def lattice(grid):
+    return (np.rint(grid.node_x / grid.h).astype(np.int64),
+            np.rint(grid.node_y / grid.h).astype(np.int64))
+
+
+def jacobian(grid, g, u):
+    """A - diag(b f'(u)) for f = e^{2u}, b = 1, written out here."""
+    A = assemble_operator(grid, g)[0]
+    return (A - sp.diags(2.0 * np.exp(2.0 * u))).tocsr()
+
+
+class TestLevels:
+    def test_prolongation_weights(self):
+        grid = build_grid(Ellipse(1.2, 1.0), 1.0 / 24.0)
+        lx, ly = lattice(grid)
+        P, cx, cy = fd2d._prolongation(lx, ly)
+        coarse = {(x, y): c for c, (x, y) in enumerate(zip(cx.tolist(), cy.tolist()))}
+        assert len(coarse) == int(((lx % 2 == 0) & (ly % 2 == 0)).sum())
+        P = P.toarray()
+        for i, (x, y) in enumerate(zip(lx.tolist(), ly.tolist())):
+            # bilinear weights from the even neighbours; absent ones are dropped
+            want = np.zeros(P.shape[1])
+            xs = [(x // 2, 1.0)] if x % 2 == 0 else [((x - 1) // 2, 0.5), ((x + 1) // 2, 0.5)]
+            ys = [(y // 2, 1.0)] if y % 2 == 0 else [((y - 1) // 2, 0.5), ((y + 1) // 2, 0.5)]
+            for ex, wx in xs:
+                for ey, wy in ys:
+                    if (ex, ey) in coarse:
+                        want[coarse[ex, ey]] += wx * wy
+            assert np.array_equal(P[i], want)
+            if x % 2 == 0 and y % 2 == 0:  # an identity row
+                assert np.count_nonzero(P[i]) == 1 and P[i, coarse[x // 2, y // 2]] == 1.0
+
+    def test_hierarchy_depth(self):
+        # coarsen until a level has at most _COARSE_MAX unknowns
+        for h, depth in ((1.0 / 8.0, 0), (1.0 / 64.0, 2), (1.0 / 128.0, 3)):
+            grid = build_grid(Disk(1.0), h)
+            prolongations = fd2d._prolongations(grid)
+            assert len(prolongations) == depth
+            sizes = [grid.n_interior] + [P.shape[1] for P in prolongations]
+            assert all(n > fd2d._COARSE_MAX for n in sizes[:-1])
+            assert sizes[-1] <= fd2d._COARSE_MAX
+
+    def test_coarse_operators_are_galerkin(self):
+        grid = build_grid(Disk(1.0), 1.0 / 64.0)
+        u = fd2d._boundary_profile(grid, EXP2, W1)(4.0)
+        J = jacobian(grid, 4.0, u)
+        prolongations = fd2d._prolongations(grid)
+        levels, coarse = fd2d._galerkin_levels(J, prolongations)
+        assert len(levels) == 2
+        ops = [lv[0] for lv in levels] + [coarse]
+        rng = np.random.default_rng(1)
+        for fine, P, op in zip(ops, prolongations, ops[1:]):
+            v = rng.standard_normal(P.shape[1])
+            want = P.T @ (fine @ (P @ v))
+            assert np.max(np.abs(op @ v - want)) <= 1e-12 * np.max(np.abs(want))
+        # each level smooths with omega over its own diagonal, and restricts by P^T
+        for (op, wdinv, P, R), fine in zip(levels, ops):
+            assert op is fine
+            assert np.array_equal(wdinv, fd2d._OMEGA / fine.diagonal())
+            assert (R != P.T).nnz == 0
+
+
+class TestVCycle:
+    @pytest.mark.parametrize("domain, h, g", [(Disk(0.9), 1.0 / 64.0, liouville_g),
+                                              (Ellipse(1.2, 1.0), 1.0 / 48.0, 12.0)])
+    def test_stationary_contraction(self, domain, h, g):
+        # x <- x + M (rhs - J x) with one V-cycle as M, at the Jacobian of the solution
+        grid = build_grid(domain, h)
+        u = solve_dirichlet(grid, EXP2, W1, g, tol=1e-9).interior_values()
+        J = jacobian(grid, g, u)
+        levels, coarse = fd2d._galerkin_levels(J, fd2d._prolongations(grid))
+        assert levels
+        lu = splu(coarse)
+        rhs = np.random.default_rng(0).standard_normal(grid.n_interior)
+        x = np.zeros_like(rhs)
+        norms = [np.linalg.norm(rhs)]
+        for _ in range(10):
+            x += fd2d._vcycle(levels, lu, rhs - J @ x)
+            norms.append(np.linalg.norm(rhs - J @ x))
+        assert max(b / a for a, b in zip(norms, norms[1:])) <= 0.5
+
+
+def reference_newton(grid, g, u, tol):
+    """Damped Newton with a direct SuperLU solve of every step: the reference for GMRES."""
+    A, const, _ = assemble_operator(grid, g)
+
+    def scaled(v):
+        return np.max(np.abs(A @ v + const - np.exp(2.0 * v)) / (1.0 + np.exp(2.0 * v)))
+
+    for _ in range(50):
+        norm = scaled(u)
+        if norm <= tol:
+            return u
+        step = splu(jacobian(grid, g, u).tocsc()).solve(-(A @ u + const - np.exp(2.0 * u)))
+        t = 1.0
+        while not scaled(u + t * step) < norm:
+            t *= 0.5
+            assert t >= 2.0**-30, "reference Newton stalled"
+        u = u + t * step
+    raise AssertionError("reference Newton did not converge")
+
+
+class TestNewtonKrylov:
+    @pytest.mark.parametrize("domain, g", [(Ellipse(2.0, 0.5), 3.0), (Disk(0.9), liouville_g)])
+    def test_matches_direct_newton(self, domain, g):
+        grid = build_grid(domain, 1.0 / 64.0)
+        assert fd2d._prolongations(grid)
+        fld = solve_dirichlet(grid, EXP2, W1, g, tol=1e-10)
+        assert fld.meta["start"] == "profile"
+        u0 = fd2d._boundary_profile(grid, EXP2, W1)(float(np.nanmean(
+            assemble_operator(grid, g)[2])))
+        ref = reference_newton(grid, g, u0, tol=1e-11)
+        assert np.max(np.abs(fld.interior_values() - ref)) <= 1e-9
+
+    @pytest.mark.parametrize("h", [1.0 / 64.0, 1.0 / 128.0])
+    @pytest.mark.parametrize("f, g, f0, f1", [
+        (Nonlinearity.custom(lambda s: np.ones_like(np.asarray(s, float)),
+                             lambda s: np.zeros_like(np.asarray(s, float))), 0.0, 1.0, 0.0),
+        (Nonlinearity.power(1.0), 1.0, 0.0, 1.0),
+    ], ids=["const-one", "linear"])
+    def test_linear_problem_takes_one_step(self, f, g, f0, f1, h):
+        # f = f0 + f1 u makes the Newton model exact: GMRES solves the one step to
+        # finish, and the field is the direct solve of (A - f1 I) u = f0 - const
+        grid = build_grid(Disk(1.0), h)
+        assert len(fd2d._prolongations(grid)) >= 2
+        fld = solve_dirichlet(grid, f, W1, g, tol=1e-10)
+        assert fld.meta["newton_iters"] == 1
+        A, const, _ = assemble_operator(grid, g)
+        ref = splu((A - f1 * sp.identity(grid.n_interior)).tocsc()).solve(f0 - const)
+        assert np.max(np.abs(fld.interior_values() - ref)) <= 1e-10
+
+    def test_zero_levels_one_gmres_iteration(self):
+        # the coarsest level is the whole grid: M is the exact inverse of J
+        grid = build_grid(Disk(1.0), 1.0 / 8.0)
+        fld = solve_dirichlet(grid, EXP2, W1, 2.0, tol=1e-10)
+        assert fld.meta["newton_iters"] >= 2
+        assert fld.meta["krylov_iters"] == fld.meta["newton_iters"]
+        u = fld.interior_values()
+        J = jacobian(grid, 2.0, u)
+        rhs = np.sin(np.arange(grid.n_interior, dtype=float))
+        x, iters = fd2d._newton_direction(J, [], rhs, 1e-6)
+        assert iters == 1
+        assert np.linalg.norm(J @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+    def test_fine_jacobian_never_factored(self, monkeypatch):
+        grid = build_grid(Disk(0.9), 1.0 / 64.0)
+        sizes = []
+
+        def recording_splu(M, **kw):
+            sizes.append(M.shape[0])
+            return splu(M, **kw)
+
+        monkeypatch.setattr(fd2d, "splu", recording_splu)
+        fld = solve_dirichlet(grid, EXP2, W1, liouville_g, tol=1e-9)
+        assert len(sizes) == fld.meta["factorizations"] == fld.meta["newton_iters"]
+        assert max(sizes) <= fd2d._COARSE_MAX < grid.n_interior

@@ -219,6 +219,27 @@ class TestIVPWork:
         assert all(type(v) is float for v in scalar)
         np.testing.assert_allclose(scalar, prob.b(rs), rtol=1e-15, atol=0.0)
 
+    @pytest.mark.parametrize("weight, base", [(Weight.constant(1.0), None),
+                                              (Weight.constant(2.0, b_lower=0.7), 1.5)])
+    def test_constant_weight_fast_path_bit_identical(self, weight, base):
+        # b(r) folded into one number once gives the same IVP, bit for bit, as a
+        # b that evaluates the weight at every right-hand-side call
+        nl = Nonlinearity.power(5)
+        prob = RadialProblem.from_weight(3, 2, 1.0, nl, weight, base=base)
+        scale = weight.b_lower if base is None else base
+        calls = []
+
+        def b_each_call(r):
+            calls.append(1)
+            return scale * float(weight.m(max(1.0 - r, 1e-300))) ** 3.0
+
+        slow = RadialProblem(n=3, k=2, R=1.0, f=nl, b=b_each_call)
+        fast, ref = (integrate_blowup_ivp(p, 5.0, 1e-8) for p in (prob, slow))
+        assert len(calls) > 1000
+        assert fast.meta["steps"] == ref.meta["steps"]
+        assert fast.Rstar == ref.Rstar
+        assert np.array_equal(fast.r, ref.r) and np.array_equal(fast.u, ref.u)
+
 
 class TestShooting:
     def test_shoot_to_unit_ball(self):
