@@ -5,11 +5,14 @@ Delta u = b(d(x)) f(u).  Without a given start, Newton starts from the
 paper's boundary profile phi(xi M(d) + Phi(j)), the blow-up shape shifted
 to equal the mean boundary value j on the boundary; where that profile is
 not defined it starts from the constant j.  Each Newton step solves its
-Jacobian by GMRES, right-preconditioned by one geometric multigrid V-cycle
-(Galerkin coarse operators on the even sublattices, damped Jacobi
-smoothing); only the coarsest level, at most a few thousand unknowns, is
-factored by SuperLU.  The odd orders k >= 2 are handled radially
-elsewhere; a genuine 2d wide-stencil scheme for them is out of scope.
+Jacobian by GMRES, right-preconditioned by one geometric multigrid V-cycle:
+the coarse levels are the same Shortley-Weller operator on the grids of
+spacing 2h, 4h, ..., whose nodes are the even sublattices of the finer
+ones, smoothed by red-black Gauss-Seidel; only the coarsest level, at most
+a few thousand unknowns, is factored by SuperLU.  The operators and levels
+are built once per grid, and a Newton step changes only their diagonals.
+The odd orders k >= 2 are handled radially elsewhere; a genuine 2d
+wide-stencil scheme for them is out of scope.
 
 Determinism: node ordering, the multigrid levels and the coarse
 fill-reducing ordering are fixed, so identical inputs give bit-identical
@@ -17,6 +20,8 @@ fields on one machine.
 """
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
@@ -30,7 +35,7 @@ from .errors import (
     ReportTruncated,
     SolveFailure,
 )
-from .grid2d import Field2D
+from .grid2d import Field2D, build_grid
 from .nonlinearity import Nonlinearity, Weight
 from .profiles import ProfileFns, assemble_profile, predicted_profile, xi_bounds
 
@@ -38,8 +43,6 @@ __all__ = ["assemble_operator", "solve_dirichlet", "exhaust", "Report2D", "asymp
 
 _K_ORDER = 1  # this module is the k = 1 lane
 _COARSE_MAX = 3000  # unknowns on the coarsest multigrid level, the one SuperLU factors
-_OMEGA = 0.7  # damped Jacobi weight
-_SWEEPS = 2  # Jacobi sweeps before and after each coarse correction
 _FORCING = 1e-6  # GMRES relative tolerance of a Newton step
 _RTOL_FLOOR = 1e-11  # GMRES stalls near 1e-12 relative on these grids: stay above
 _RESTART = 20  # GMRES restart length
@@ -59,12 +62,12 @@ def _boundary_values(grid: Field2D, g):
     return out
 
 
-def assemble_operator(grid: Field2D, g):
-    """Shortley-Weller Laplacian: (A, const, gvals).
+def _stencil(grid: Field2D):
+    """(A, cof): the Shortley-Weller matrix of grid (CSR) and its per-arm coefficients.
 
-    A is the stencil on the interior unknowns as one CSC matrix, diagonal
-    included and cut arms dropped; const carries the known boundary
-    contributions, so A u + const approximates Delta u.
+    A acts on the interior unknowns, diagonal included and cut arms dropped;
+    cof[:, t] is the weight of the arm in direction t (E, W, N, S), which
+    multiplies the boundary value on a cut arm.
     """
     aE, aW, aN, aS = (grid.arm[:, t] * grid.h for t in range(4))
     cof = np.empty((grid.n_interior, 4))
@@ -73,14 +76,29 @@ def assemble_operator(grid: Field2D, g):
     cof[:, 2] = 2.0 / (aN * (aN + aS))
     cof[:, 3] = 2.0 / (aS * (aN + aS))
     diag = -(2.0 / (aE * aW) + 2.0 / (aN * aS))
-    gvals = _boundary_values(grid, g)
-    cut = ~np.isnan(gvals)
-    const = np.where(cut, cof * np.nan_to_num(gvals), 0.0).sum(axis=1)
-    live = ~cut  # cut arms feed const, not unknowns
+    live = np.isnan(grid.arm_xy[:, :, 0])  # cut arms feed const, not unknowns
     m = grid.n_interior
     rows = np.broadcast_to(np.arange(m)[:, None], live.shape)[live]
-    A = sp.csc_matrix((cof[live], (rows, grid.nbr[live])), shape=(m, m)) + sp.diags(diag)
-    return A, const, gvals
+    A = sp.csr_matrix((cof[live], (rows, grid.nbr[live])), shape=(m, m))
+    return A + sp.diags(diag, format="csr"), cof
+
+
+def _boundary_terms(grid: Field2D, cof, g):
+    """(const, gvals): the known boundary contributions to each row, and g on the cut arms."""
+    gvals = _boundary_values(grid, g)
+    const = np.where(np.isnan(gvals), 0.0, cof * np.nan_to_num(gvals)).sum(axis=1)
+    return const, gvals
+
+
+def assemble_operator(grid: Field2D, g):
+    """Shortley-Weller Laplacian: (A, const, gvals).
+
+    A is the stencil on the interior unknowns as one CSR matrix, diagonal
+    included and cut arms dropped; const carries the known boundary
+    contributions, so A u + const approximates Delta u.
+    """
+    A, cof = _stencil(grid)
+    return (A, *_boundary_terms(grid, cof, g))
 
 
 def _source_b(grid: Field2D, bweight: Weight, b_override):
@@ -158,63 +176,154 @@ def _prolongation(lx, ly):
     return P, cx, cy
 
 
-def _prolongations(grid: Field2D):
-    """Prolongations [P_1, P_2, ...], fine to coarse, down to <= _COARSE_MAX unknowns."""
-    lx = np.rint(grid.node_x / grid.h).astype(np.int64)
-    ly = np.rint(grid.node_y / grid.h).astype(np.int64)
-    out = []
+def _lattice(grid: Field2D):
+    """Integer lattice coordinates (lx, ly) of the interior nodes: x = lx h, y = ly h."""
+    return (np.rint(grid.node_x / grid.h).astype(np.int64),
+            np.rint(grid.node_y / grid.h).astype(np.int64))
+
+
+def _colour_order(lx, ly):
+    """(order, n_red): red nodes (lx + ly even), then black, each in row-major order.
+
+    Each smoothed level keeps its vectors in this order, so a colour is a
+    slice; the coarsest level, which is only factored, keeps the row-major
+    order (n_red = 0).
+    """
+    if lx.size <= _COARSE_MAX:
+        return np.arange(lx.size), 0
+    odd = (lx + ly) % 2 == 1
+    return np.concatenate([np.flatnonzero(~odd), np.flatnonzero(odd)]), int(odd.size - odd.sum())
+
+
+@dataclass(frozen=True)
+class _Level:
+    """One smoothed multigrid level: its Shortley-Weller operator split by colour.
+
+    Vectors on the level hold its n_red red nodes first, then the black
+    ones (_colour_order); the 5-point stencil couples each colour only to
+    the other off the diagonal.  ``fine_red`` and ``fine_black`` locate the
+    nodes among the finest grid's, where b f'(u) is injected from; P is
+    the bilinear prolongation from the next coarser level, in both levels'
+    orders.
+    """
+
+    n_red: int
+    fine_red: np.ndarray
+    fine_black: np.ndarray
+    diag_red: np.ndarray
+    diag_black: np.ndarray
+    A_rb: sp.csr_matrix  # red rows, black columns
+    A_br: sp.csr_matrix  # black rows, red columns
+    P: sp.csr_matrix
+
+
+@dataclass(frozen=True)
+class _Multigrid:
+    """Levels of one grid, fine to coarse, and the coarsest operator, fixed per grid.
+
+    Level l is the grid build_grid(domain, 2^l h): its nodes are the fine
+    nodes whose lattice coordinates are divisible by 2^l, in the same
+    row-major order, since (2^l i) h and i (2^l h) round alike.  Only the
+    Jacobian diagonal b f'(u) changes from one Newton step to the next.
+    """
+
+    levels: list
+    order: np.ndarray  # the finest level's colour order
+    coarse: sp.csc_matrix  # Shortley-Weller operator of the coarsest level
+    coarse_fine: np.ndarray  # the coarsest nodes among the finest grid's
+
+
+def _multigrid(grid: Field2D, A):
+    """The hierarchy of grid, with fine operator A, down to <= _COARSE_MAX unknowns."""
+    lx, ly = _lattice(grid)
+    fine = np.arange(grid.n_interior)
+    order, n_red = _colour_order(lx, ly)
+    top, levels, h = order, [], grid.h
     while lx.size > _COARSE_MAX:
-        P, lx, ly = _prolongation(lx, ly)
-        out.append(P)
-    return out
+        P, cx, cy = _prolongation(lx, ly)
+        h *= 2.0
+        coarse = build_grid(grid.domain, h)
+        assert all(map(np.array_equal, _lattice(coarse), (cx, cy))), "not the even sublattice"
+        c_order, c_red = _colour_order(cx, cy)
+        red, black = order[:n_red], order[n_red:]
+        diag = A.diagonal()
+        levels.append(_Level(n_red=n_red, fine_red=fine[red], fine_black=fine[black],
+                             diag_red=diag[red], diag_black=diag[black],
+                             A_rb=A[red][:, black], A_br=A[black][:, red],
+                             P=P[order][:, c_order]))
+        fine = fine[(lx % 2 == 0) & (ly % 2 == 0)]
+        A = _stencil(coarse)[0]
+        lx, ly, order, n_red = cx, cy, c_order, c_red
+    return _Multigrid(levels=levels, order=top, coarse=A.tocsc(), coarse_fine=fine)
 
 
-def _galerkin_levels(jac, prolongations):
-    """Fine-to-coarse levels (J, omega / diag J, P, P^T) and the coarsest operator R J P."""
-    levels = []
-    for P in prolongations:
-        R = P.T.tocsr()
-        levels.append((jac, _OMEGA / jac.diagonal(), P, R))
-        jac = (R @ jac @ P).tocsr()
-    return levels, jac.tocsc()
+def _smoothers(mg: _Multigrid, bfp):
+    """Per level, 1 / diagonal of A_l - diag(b f'(u)) on the red and on the black nodes."""
+    return [(1.0 / (lv.diag_red - bfp[lv.fine_red]), 1.0 / (lv.diag_black - bfp[lv.fine_black]))
+            for lv in mg.levels]
 
 
-def _vcycle(levels, coarse_lu, r):
-    """One V-cycle for J x = r from x = 0.
+def _vcycle(levels, inverses, coarse_lu, r):
+    """One V-cycle for J x = r from x = 0, r and x in the colour order of the top level.
 
-    Damped Jacobi (_SWEEPS sweeps before and after) on every level of
-    ``levels``, the SuperLU solve ``coarse_lu`` on the coarsest; a fixed
-    linear map of r, so it serves as a Krylov preconditioner.
+    One red-black Gauss-Seidel sweep before and one after the coarse
+    correction on every level of ``levels`` (``inverses`` holds the
+    inverted diagonals), restriction 0.25 P^T, and the SuperLU solve
+    ``coarse_lu`` on the coarsest; a fixed linear map of r, so it serves
+    as a Krylov preconditioner.
     """
     if not levels:
         return coarse_lu.solve(r)
-    (J, wdinv, P, R), coarser = levels[0], levels[1:]
-    x = wdinv * r
-    for _ in range(_SWEEPS - 1):
-        x += wdinv * (r - J @ x)
-    x += P @ _vcycle(coarser, coarse_lu, R @ (r - J @ x))
-    for _ in range(_SWEEPS):
-        x += wdinv * (r - J @ x)
+    lv, (dr, db) = levels[0], inverses[0]
+    k = lv.n_red
+    x = np.empty_like(r)
+    x[:k] = r[:k] * dr
+    x[k:] = (r[k:] - lv.A_br @ x[:k]) * db
+    res = np.zeros_like(r)  # the sweep leaves no black residual
+    res[:k] = -(lv.A_rb @ x[k:])
+    x += lv.P @ _vcycle(levels[1:], inverses[1:], coarse_lu, 0.25 * (lv.P.T @ res))
+    x[:k] = (r[:k] - lv.A_rb @ x[k:]) * dr
+    x[k:] = (r[k:] - lv.A_br @ x[:k]) * db
     return x
 
 
-def _newton_direction(jac, prolongations, rhs, rtol):
-    """Solve jac x = rhs by GMRES, right-preconditioned by one V-cycle M.
+def _preconditioner(mg: _Multigrid, bfp):
+    """One V-cycle for A - diag(bfp) as a function of the residual.
 
-    GMRES runs on J M y = rhs, so its stopping test sees the true residual,
-    and x = M y.  Returns (x, GMRES iterations).  Raises SolveFailure when
-    the coarsest factorization fails, GMRES stops short of rtol or x is not
-    finite.
+    Factors the coarsest level by SuperLU; raises SolveFailure when that fails.
     """
-    levels, coarse = _galerkin_levels(jac, prolongations)
+    coarse = mg.coarse - sp.diags(bfp[mg.coarse_fine], format="csc")
     try:
         coarse_lu = splu(coarse, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:  # SuperLU: singular or out of memory
         raise SolveFailure(f"coarsest-level Jacobian factorization failed: {exc}") from exc
-    precond = lambda r: _vcycle(levels, coarse_lu, r)
-    jm = LinearOperator(jac.shape, matvec=lambda y: jac @ precond(y), dtype=float)
+    inverses = _smoothers(mg, bfp)
+
+    def precond(r):
+        x = np.empty_like(r)
+        x[mg.order] = _vcycle(mg.levels, inverses, coarse_lu, r[mg.order])
+        return x
+
+    return precond
+
+
+def _newton_direction(A, bfp, mg: _Multigrid, rhs, rtol):
+    """Solve (A - diag(bfp)) x = rhs by GMRES, right-preconditioned by one V-cycle M.
+
+    GMRES runs on J M y = rhs, with J applied as A x - bfp x and never
+    assembled, so its stopping test sees the true residual, and x = M y.
+    Returns (x, GMRES iterations).  Raises SolveFailure when the coarsest
+    factorization fails, GMRES stops short of rtol or x is not finite.
+    """
+    precond = _preconditioner(mg, bfp)
+
+    def matvec(y):
+        x = precond(y)
+        return A @ x - bfp * x
+
     resids = []
-    y, info = gmres(jm, rhs, rtol=rtol, restart=_RESTART, maxiter=_MAX_CYCLES,
+    y, info = gmres(LinearOperator(A.shape, matvec=matvec, dtype=float), rhs, rtol=rtol,
+                    restart=_RESTART, maxiter=_MAX_CYCLES,
                     callback=resids.append, callback_type="pr_norm")
     x = precond(y)
     if info != 0:
@@ -222,6 +331,31 @@ def _newton_direction(jac, prolongations, rhs, rtol):
     if not np.all(np.isfinite(x)):
         raise SolveFailure("GMRES gave a non-finite Newton step")
     return x, len(resids)
+
+
+_SHARED = ContextVar("fd2d_shared", default=(None, None))  # (grid, operators) of an exhaust
+
+
+def _operators(grid: Field2D):
+    """(A, cof, multigrid) of grid, which depend on neither f, b nor g.
+
+    Within _shared_operators(grid), the set built there.
+    """
+    shared_grid, operators = _SHARED.get()
+    if shared_grid is grid:
+        return operators
+    A, cof = _stencil(grid)
+    return A, cof, _multigrid(grid, A)
+
+
+@contextmanager
+def _shared_operators(grid: Field2D):
+    """Let every solve on grid inside the block share one set of operators."""
+    token = _SHARED.set((grid, _operators(grid)))
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
 
 
 def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol,
@@ -232,12 +366,16 @@ def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol,
     boundary profile phi(xi M(d) + Phi(j)) with j the mean boundary value,
     or the constant j when b_override is given, the profile does not exist
     or j <= 0.  Each step solves the Jacobian A - diag(b f'(u)) by GMRES,
-    right-preconditioned by one geometric multigrid V-cycle: the levels are
-    the nodes with even lattice coordinates, repeated down to at most
-    _COARSE_MAX unknowns, with bilinear prolongation P, restriction P^T,
-    Galerkin coarse operators and damped Jacobi smoothing; only the
-    coarsest level is factored by SuperLU (the whole Jacobian on small
-    grids).  A failed factorization, a GMRES failure or a non-finite step
+    applying it as A x - b f'(u) x without assembling it, right-preconditioned
+    by one geometric multigrid V-cycle: level l is the Shortley-Weller
+    operator of build_grid(domain, 2^l h), whose nodes are the fine nodes
+    with lattice coordinates divisible by 2^l, minus b f'(u) injected there,
+    down to at most _COARSE_MAX unknowns; bilinear prolongation P,
+    full-weighting restriction P^T / 4, and one red-black Gauss-Seidel
+    sweep before and after each coarse correction.  Only the coarsest level
+    is factored by SuperLU (the whole Jacobian on small grids).  The
+    operators and levels are built once per call, or once per exhaust.
+    A failed factorization, a GMRES failure or a non-finite step
     raises SolveFailure with the residual history so far.  Residuals are
     measured against the per-node source scale 1 + b f(u): with
     exponential sources the raw residual sits at eps * b f(u) near the
@@ -248,8 +386,8 @@ def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol,
     """
     if tol <= 0:
         raise ParameterError(f"tolerance must be positive, got {tol}")
-    A, const, gvals = assemble_operator(grid, g)
-    A = A.tocsr()  # rows for the residual, the smoother and the Galerkin products
+    A, cof, mg = _operators(grid)
+    const, gvals = _boundary_terms(grid, cof, g)
     abs_diag = np.abs(A.diagonal())
     b = _source_b(grid, bweight, b_override)
     f_raw = vectorized(f.f)
@@ -279,7 +417,6 @@ def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol,
         floor = 64.0 * eps * (abs_diag * np.abs(uv) + np.abs(const) + b * fv(uv))
         return bool(np.all(np.abs(res_vec) <= floor))
 
-    prolongations = _prolongations(grid)
     res = residual(u)
     norm = scaled_norm(res, u)
     history = [norm]
@@ -293,13 +430,11 @@ def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol,
             # f is affine here, so the Newton model is exact: solve the step far
             # enough to finish, as a linear problem should in one step
             rtol = min(_FORCING, max(0.1 * tol / norm, _RTOL_FLOOR))
-        jac = (A - sp.diags(bfp)).tocsr()
         try:
-            delta, its = _newton_direction(jac, prolongations, -res, rtol)
+            delta, its = _newton_direction(A, bfp, mg, -res, rtol)
         except SolveFailure as exc:
             exc.residuals = list(history)
             raise
-        del jac
         factorizations += 1  # one coarsest-level LU per step
         krylov_iters += its
         step = 1.0
@@ -342,7 +477,8 @@ def exhaust(grid: Field2D, f: Nonlinearity, bweight: Weight, j_schedule, tol,
     Each level starts from the boundary profile for its j, raised to the
     previous level where that is higher (both are subsolutions of the
     level's continuous problem), or from the previous level alone when
-    there is no profile.
+    there is no profile.  Every j shares one Shortley-Weller operator and
+    one multigrid hierarchy, built here once for the grid.
     Diagnostics track per-step increment bounds, the interior Cauchy ratio
     on the core region d >= 0.2 * diam, and per level the Newton steps,
     coarsest-level factorizations and GMRES iterations.  A SolveFailure
@@ -360,35 +496,37 @@ def exhaust(grid: Field2D, f: Nonlinearity, bweight: Weight, j_schedule, tol,
              "cauchy_ratio": [], "center_value": [], "newton_iters": [],
              "factorizations": [], "krylov_iters": []}
     center = int(np.argmax(grid.node_d))
-    for j in js:
-        u0 = None if profile is None else profile(j)
-        if u0 is None:
-            u0 = u_prev
-        elif u_prev is not None:
-            u0 = np.maximum(u_prev, u0)
-        try:
-            fld = solve_dirichlet(grid, f, bweight, j, tol, b_override=b_override,
-                                  u0=u0, **solve_kw)
-        except SolveFailure as exc:
-            exc.partial = fields  # completed levels so far
-            raise
-        u = fld.interior_values()
-        diags["j"].append(j)
-        diags["center_value"].append(float(u[center]))
-        diags["newton_iters"].append(fld.meta["newton_iters"])
-        diags["factorizations"].append(fld.meta["factorizations"])
-        diags["krylov_iters"].append(fld.meta["krylov_iters"])
-        if u_prev is not None:
-            inc = u - u_prev
-            diags["increment_min"].append(float(inc.min()))
-            diags["increment_max"].append(float(inc.max()))
-            diags["core_increment"].append(float(np.max(np.abs(inc[core]))) if core.any() else math.nan)
-            if len(diags["core_increment"]) >= 2 and diags["core_increment"][-2] > 0:
-                diags["cauchy_ratio"].append(
-                    diags["core_increment"][-1] / diags["core_increment"][-2]
-                )
-        fields.append(fld)
-        u_prev = u
+    with _shared_operators(grid):  # one operator and level set for every j
+        for j in js:
+            u0 = None if profile is None else profile(j)
+            if u0 is None:
+                u0 = u_prev
+            elif u_prev is not None:
+                u0 = np.maximum(u_prev, u0)
+            try:
+                fld = solve_dirichlet(grid, f, bweight, j, tol, b_override=b_override,
+                                      u0=u0, **solve_kw)
+            except SolveFailure as exc:
+                exc.partial = fields  # completed levels so far
+                raise
+            u = fld.interior_values()
+            diags["j"].append(j)
+            diags["center_value"].append(float(u[center]))
+            diags["newton_iters"].append(fld.meta["newton_iters"])
+            diags["factorizations"].append(fld.meta["factorizations"])
+            diags["krylov_iters"].append(fld.meta["krylov_iters"])
+            if u_prev is not None:
+                inc = u - u_prev
+                diags["increment_min"].append(float(inc.min()))
+                diags["increment_max"].append(float(inc.max()))
+                diags["core_increment"].append(
+                    float(np.max(np.abs(inc[core]))) if core.any() else math.nan)
+                if len(diags["core_increment"]) >= 2 and diags["core_increment"][-2] > 0:
+                    diags["cauchy_ratio"].append(
+                        diags["core_increment"][-1] / diags["core_increment"][-2]
+                    )
+            fields.append(fld)
+            u_prev = u
     limit = fields[-1]
     diags["prev_values"] = fields[-2].interior_values() if len(fields) > 1 else None
     return limit, diags

@@ -50,7 +50,7 @@ class TestOperatorMatrix:
         A, _, _ = assemble_operator(grid, 0.0)
         rhs = np.sin(1.0 + np.arange(grid.n_interior, dtype=float))
         ref = np.linalg.solve(A.toarray(), rhs)
-        assert np.allclose(splu(A).solve(rhs), ref, rtol=1e-10, atol=1e-12)
+        assert np.allclose(splu(A.tocsc()).solve(rhs), ref, rtol=1e-10, atol=1e-12)
 
     def test_one_node_grid(self):
         # the centre alone, four unit arms all cut: A is the 1x1 diagonal

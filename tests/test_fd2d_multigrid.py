@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from khessian import fd2d
-from khessian.fd2d import assemble_operator, solve_dirichlet
+from khessian.fd2d import assemble_operator, exhaust, solve_dirichlet
 from khessian.grid2d import Disk, Ellipse, build_grid
 from khessian.nonlinearity import Nonlinearity, Weight
 
@@ -55,30 +55,62 @@ class TestLevels:
         # coarsen until a level has at most _COARSE_MAX unknowns
         for h, depth in ((1.0 / 8.0, 0), (1.0 / 64.0, 2), (1.0 / 128.0, 3)):
             grid = build_grid(Disk(1.0), h)
-            prolongations = fd2d._prolongations(grid)
-            assert len(prolongations) == depth
-            sizes = [grid.n_interior] + [P.shape[1] for P in prolongations]
+            mg = fd2d._multigrid(grid, assemble_operator(grid, 0.0)[0])
+            assert len(mg.levels) == depth
+            sizes = [grid.n_interior] + [lv.P.shape[1] for lv in mg.levels]
             assert all(n > fd2d._COARSE_MAX for n in sizes[:-1])
-            assert sizes[-1] <= fd2d._COARSE_MAX
+            assert sizes[-1] == mg.coarse.shape[0] <= fd2d._COARSE_MAX
 
-    def test_coarse_operators_are_galerkin(self):
-        grid = build_grid(Disk(1.0), 1.0 / 64.0)
+    @pytest.mark.parametrize("domain, h", [
+        (Disk(0.9), 1.0 / 256.0), (Ellipse(1.2, 1.0), 1.0 / 96.0),
+        (Ellipse(2.0, 0.5), 1.0 / 64.0), (Disk(6.0), 0.1),  # 0.1: not a power of two
+    ])
+    def test_coarse_nodes_are_even_sublattice(self, domain, h):
+        # the grid at 2^l h has exactly the fine nodes whose lattice coordinates
+        # 2^l divides, in the same row-major order, and the hierarchy injects there
+        grid = build_grid(domain, h)
+        lx, ly = lattice(grid)
+        mg = fd2d._multigrid(grid, assemble_operator(grid, 0.0)[0])
+        assert mg.levels
+        injected = [np.concatenate([lv.fine_red, lv.fine_black]) for lv in mg.levels[1:]]
+        injected.append(mg.coarse_fine)
+        for level, fine in enumerate(injected, start=1):
+            s = 2**level
+            sel = np.flatnonzero((lx % s == 0) & (ly % s == 0))
+            cx, cy = lattice(build_grid(domain, s * h))
+            assert np.array_equal(cx, lx[sel] // s) and np.array_equal(cy, ly[sel] // s)
+            assert np.array_equal(np.sort(fine), sel)
+            if level == len(mg.levels):
+                assert np.array_equal(fine, sel)  # the coarsest keeps row-major order
+
+    def test_coarse_operators_are_rediscretised(self):
+        # level l applies assemble_operator(build_grid(domain, 2^l h)) - diag(b f'(u)),
+        # with b f'(u) injected from the fine nodes; the coarsest is factored as such
+        domain, h = Disk(1.0), 1.0 / 64.0
+        grid = build_grid(domain, h)
+        lx, ly = lattice(grid)
         u = fd2d._boundary_profile(grid, EXP2, W1)(4.0)
-        J = jacobian(grid, 4.0, u)
-        prolongations = fd2d._prolongations(grid)
-        levels, coarse = fd2d._galerkin_levels(J, prolongations)
-        assert len(levels) == 2
-        ops = [lv[0] for lv in levels] + [coarse]
+        bfp = 2.0 * np.exp(2.0 * u)
+        mg = fd2d._multigrid(grid, assemble_operator(grid, 4.0)[0])
+        assert len(mg.levels) == 2
         rng = np.random.default_rng(1)
-        for fine, P, op in zip(ops, prolongations, ops[1:]):
-            v = rng.standard_normal(P.shape[1])
-            want = P.T @ (fine @ (P @ v))
-            assert np.max(np.abs(op @ v - want)) <= 1e-12 * np.max(np.abs(want))
-        # each level smooths with omega over its own diagonal, and restricts by P^T
-        for (op, wdinv, P, R), fine in zip(levels, ops):
-            assert op is fine
-            assert np.array_equal(wdinv, fd2d._OMEGA / fine.diagonal())
-            assert (R != P.T).nnz == 0
+        for level, (lv, (dr, db)) in enumerate(zip(mg.levels, fd2d._smoothers(mg, bfp))):
+            s = 2**level
+            coarse = build_grid(domain, s * h)
+            sel = np.flatnonzero((lx % s == 0) & (ly % s == 0))
+            want_op = assemble_operator(coarse, 0.0)[0] - sp.diags(bfp[sel])
+            order, k = fd2d._colour_order(*lattice(coarse))
+            assert k == lv.n_red and np.array_equal(sel[order], np.concatenate(
+                [lv.fine_red, lv.fine_black]))
+            v = rng.standard_normal(coarse.n_interior)
+            want = (want_op @ v)[order]
+            vr, vb = v[order[:k]], v[order[k:]]
+            got = np.concatenate([vr / dr + lv.A_rb @ vb, vb / db + lv.A_br @ vr])
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        coarse = build_grid(domain, 4.0 * h)
+        sel = np.flatnonzero((lx % 4 == 0) & (ly % 4 == 0))
+        assert np.array_equal(mg.coarse_fine, sel)
+        assert (mg.coarse != assemble_operator(coarse, 0.0)[0]).nnz == 0
 
 
 class TestVCycle:
@@ -89,16 +121,18 @@ class TestVCycle:
         grid = build_grid(domain, h)
         u = solve_dirichlet(grid, EXP2, W1, g, tol=1e-9).interior_values()
         J = jacobian(grid, g, u)
-        levels, coarse = fd2d._galerkin_levels(J, fd2d._prolongations(grid))
-        assert levels
-        lu = splu(coarse)
+        mg = fd2d._multigrid(grid, assemble_operator(grid, g)[0])
+        assert mg.levels
+        precond = fd2d._preconditioner(mg, 2.0 * np.exp(2.0 * u))
         rhs = np.random.default_rng(0).standard_normal(grid.n_interior)
         x = np.zeros_like(rhs)
         norms = [np.linalg.norm(rhs)]
         for _ in range(10):
-            x += fd2d._vcycle(levels, lu, rhs - J @ x)
+            x += precond(rhs - J @ x)
             norms.append(np.linalg.norm(rhs - J @ x))
-        assert max(b / a for a, b in zip(norms, norms[1:])) <= 0.5
+        worst = max(b / a for a, b in zip(norms, norms[1:]))
+        assert worst <= 0.5
+        assert worst <= 0.2  # red-black Gauss-Seidel on rediscretised levels
 
 
 def reference_newton(grid, g, u, tol):
@@ -125,7 +159,7 @@ class TestNewtonKrylov:
     @pytest.mark.parametrize("domain, g", [(Ellipse(2.0, 0.5), 3.0), (Disk(0.9), liouville_g)])
     def test_matches_direct_newton(self, domain, g):
         grid = build_grid(domain, 1.0 / 64.0)
-        assert fd2d._prolongations(grid)
+        assert fd2d._multigrid(grid, assemble_operator(grid, g)[0]).levels
         fld = solve_dirichlet(grid, EXP2, W1, g, tol=1e-10)
         assert fld.meta["start"] == "profile"
         u0 = fd2d._boundary_profile(grid, EXP2, W1)(float(np.nanmean(
@@ -143,7 +177,7 @@ class TestNewtonKrylov:
         # f = f0 + f1 u makes the Newton model exact: GMRES solves the one step to
         # finish, and the field is the direct solve of (A - f1 I) u = f0 - const
         grid = build_grid(Disk(1.0), h)
-        assert len(fd2d._prolongations(grid)) >= 2
+        assert len(fd2d._multigrid(grid, assemble_operator(grid, g)[0]).levels) >= 2
         fld = solve_dirichlet(grid, f, W1, g, tol=1e-10)
         assert fld.meta["newton_iters"] == 1
         A, const, _ = assemble_operator(grid, g)
@@ -157,10 +191,13 @@ class TestNewtonKrylov:
         assert fld.meta["newton_iters"] >= 2
         assert fld.meta["krylov_iters"] == fld.meta["newton_iters"]
         u = fld.interior_values()
-        J = jacobian(grid, 2.0, u)
+        A = assemble_operator(grid, 2.0)[0]
+        mg = fd2d._multigrid(grid, A)
+        assert not mg.levels
         rhs = np.sin(np.arange(grid.n_interior, dtype=float))
-        x, iters = fd2d._newton_direction(J, [], rhs, 1e-6)
+        x, iters = fd2d._newton_direction(A, 2.0 * np.exp(2.0 * u), mg, rhs, 1e-6)
         assert iters == 1
+        J = jacobian(grid, 2.0, u)
         assert np.linalg.norm(J @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
     def test_fine_jacobian_never_factored(self, monkeypatch):
@@ -175,3 +212,17 @@ class TestNewtonKrylov:
         fld = solve_dirichlet(grid, EXP2, W1, liouville_g, tol=1e-9)
         assert len(sizes) == fld.meta["factorizations"] == fld.meta["newton_iters"]
         assert max(sizes) <= fd2d._COARSE_MAX < grid.n_interior
+
+    def test_exhaust_builds_levels_once(self, monkeypatch):
+        # the coarse lattices are built once per grid, not once per boundary value
+        grid = build_grid(Disk(1.0), 1.0 / 64.0)
+        spacings = []
+
+        def recording_build_grid(domain, h):
+            spacings.append(h)
+            return build_grid(domain, h)
+
+        monkeypatch.setattr(fd2d, "build_grid", recording_build_grid)
+        _, diags = exhaust(grid, EXP2, W1, [2.0, 3.0, 4.0], tol=1e-9)
+        assert len(diags["j"]) == 3 and min(diags["newton_iters"]) >= 1
+        assert spacings == [2.0 * grid.h, 4.0 * grid.h]

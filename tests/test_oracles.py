@@ -14,11 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from khessian.fd2d import exhaust
+from khessian.grid2d import Disk, build_grid
 from khessian.nonlinearity import Nonlinearity, Weight
 from khessian.profiles import assemble_profile
 from khessian.symfunc import sigma_all
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+SOLVES = settings(PROPERTY, max_examples=25)  # each example is a few 2d Newton solves
 
 # (spec, order k): the benchmark's three profiles
 CASES = [("power:5", 2), ("power:7", 3), ("exp:2", 1)]
@@ -115,3 +118,14 @@ def test_sigma_all_matches_subset_enumeration(args):
             # the recurrence's rounding is bounded by the sum of |products|
             scale = math.fsum(math.prod(c) for c in itertools.combinations(np.abs(lam), j))
             assert abs(sig[j] - subset_sigma(lam, j)) <= 1e-13 * scale
+
+
+@SOLVES
+@given(st.sampled_from([16, 24, 32]),
+       st.lists(st.floats(1.0, 8.0), min_size=2, max_size=4, unique=True).map(sorted))
+def test_exhaustion_is_monotone_in_j(inv_h, js):
+    # Delta u = e^{2u} on the unit disk: raising the boundary value j never lowers u
+    _, diags = exhaust(build_grid(Disk(1.0), 1.0 / inv_h), Nonlinearity.exponential(2),
+                       Weight.constant(1.0), js, tol=1e-9)
+    assert diags["j"] == js
+    assert min(diags["increment_min"]) >= -1e-8
