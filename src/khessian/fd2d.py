@@ -5,12 +5,14 @@ Delta u = b(d(x)) f(u).  Without a given start, Newton starts from the
 paper's boundary profile phi(xi M(d) + Phi(j)), the blow-up shape shifted
 to equal the mean boundary value j on the boundary; where that profile is
 not defined it starts from the constant j.  Each Newton step solves its
-Jacobian by GMRES, right-preconditioned by one geometric multigrid V-cycle:
-the coarse levels are the same Shortley-Weller operator on the grids of
-spacing 2h, 4h, ..., whose nodes are the even sublattices of the finer
-ones, smoothed by red-black Gauss-Seidel; only the coarsest level, at most
-a few thousand unknowns, is factored by SuperLU.  The operators and levels
-are built once per grid, and a Newton step changes only their diagonals.
+Jacobian by Newton-multigrid defect correction, one geometric multigrid
+V-cycle per iteration on the true residual: the coarse levels are the same
+Shortley-Weller operator on the grids of spacing 2h, 4h, ..., whose nodes
+are the even sublattices of the finer ones, shifted by the Galerkin
+diagonal of b f'(u) and smoothed by red-black Gauss-Seidel; only the
+coarsest level, at most a thousand unknowns, is factored by SuperLU.  The
+operators and levels are built once per grid, and a Newton step changes
+only their diagonals.
 The odd orders k >= 2 are handled radially elsewhere; a genuine 2d
 wide-stencil scheme for them is out of scope.
 
@@ -25,7 +27,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, gmres, splu
+from scipy.sparse.linalg import splu
 
 from ._quad import vectorized
 from .errors import (
@@ -42,11 +44,12 @@ from .profiles import ProfileFns, assemble_profile, predicted_profile, xi_bounds
 __all__ = ["assemble_operator", "solve_dirichlet", "exhaust", "Report2D", "asymptotics_report_2d"]
 
 _K_ORDER = 1  # this module is the k = 1 lane
-_COARSE_MAX = 3000  # unknowns on the coarsest multigrid level, the one SuperLU factors
-_FORCING = 1e-6  # GMRES relative tolerance of a Newton step
-_RTOL_FLOOR = 1e-11  # GMRES stalls near 1e-12 relative on these grids: stay above
-_RESTART = 20  # GMRES restart length
-_MAX_CYCLES = 5  # GMRES restart cycles before a step fails
+_COARSE_MAX = 1000  # unknowns on the coarsest multigrid level, the one SuperLU factors
+_FORCING = 1e-6  # relative residual a Newton step is solved to
+# V-cycle iteration stalls at 1e-15 to 7e-13 relative on these grids (smooth right-hand
+# sides at h = 1/256 the highest): stay above
+_RTOL_FLOOR = 1e-11
+_MAX_CYCLES = 100  # V-cycles before a Newton step fails
 
 
 def _boundary_values(grid: Field2D, g):
@@ -201,20 +204,21 @@ class _Level:
 
     Vectors on the level hold its n_red red nodes first, then the black
     ones (_colour_order); the 5-point stencil couples each colour only to
-    the other off the diagonal.  ``fine_red`` and ``fine_black`` locate the
-    nodes among the finest grid's, where b f'(u) is injected from; P is
-    the bilinear prolongation from the next coarser level, in both levels'
-    orders.
+    the other off the diagonal.  P is the bilinear prolongation from the
+    next coarser level, in both levels' orders; ``restrict`` is
+    0.25 P^T on the red rows only, and ``shift`` maps a diagonal shift s
+    to the next coarser level: (P o P)^T s / (P o P)^T 1, the diagonal of
+    P^T diag(s) P over that of P^T P.
     """
 
     n_red: int
-    fine_red: np.ndarray
-    fine_black: np.ndarray
     diag_red: np.ndarray
     diag_black: np.ndarray
     A_rb: sp.csr_matrix  # red rows, black columns
     A_br: sp.csr_matrix  # black rows, red columns
     P: sp.csr_matrix
+    restrict: sp.csr_matrix  # 0.25 P[:n_red]^T
+    shift: sp.csr_matrix  # (P o P)^T, rows scaled to sum to 1
 
 
 @dataclass(frozen=True)
@@ -229,14 +233,12 @@ class _Multigrid:
 
     levels: list
     order: np.ndarray  # the finest level's colour order
-    coarse: sp.csc_matrix  # Shortley-Weller operator of the coarsest level
-    coarse_fine: np.ndarray  # the coarsest nodes among the finest grid's
+    coarse: sp.csc_matrix  # Shortley-Weller operator of the coarsest level, row-major
 
 
 def _multigrid(grid: Field2D, A):
     """The hierarchy of grid, with fine operator A, down to <= _COARSE_MAX unknowns."""
     lx, ly = _lattice(grid)
-    fine = np.arange(grid.n_interior)
     order, n_red = _colour_order(lx, ly)
     top, levels, h = order, [], grid.h
     while lx.size > _COARSE_MAX:
@@ -247,20 +249,29 @@ def _multigrid(grid: Field2D, A):
         c_order, c_red = _colour_order(cx, cy)
         red, black = order[:n_red], order[n_red:]
         diag = A.diagonal()
-        levels.append(_Level(n_red=n_red, fine_red=fine[red], fine_black=fine[black],
-                             diag_red=diag[red], diag_black=diag[black],
-                             A_rb=A[red][:, black], A_br=A[black][:, red],
-                             P=P[order][:, c_order]))
-        fine = fine[(lx % 2 == 0) & (ly % 2 == 0)]
+        P = P[order][:, c_order]
+        P2 = P.multiply(P).T.tocsr()
+        levels.append(_Level(n_red=n_red, diag_red=diag[red], diag_black=diag[black],
+                             A_rb=A[red][:, black], A_br=A[black][:, red], P=P,
+                             restrict=(0.25 * P[:n_red].T).tocsr(),
+                             shift=sp.diags(1.0 / np.asarray(P2.sum(axis=1)).ravel()) @ P2))
         A = _stencil(coarse)[0]
         lx, ly, order, n_red = cx, cy, c_order, c_red
-    return _Multigrid(levels=levels, order=top, coarse=A.tocsc(), coarse_fine=fine)
+    return _Multigrid(levels=levels, order=top, coarse=A.tocsc())
 
 
-def _smoothers(mg: _Multigrid, bfp):
-    """Per level, 1 / diagonal of A_l - diag(b f'(u)) on the red and on the black nodes."""
-    return [(1.0 / (lv.diag_red - bfp[lv.fine_red]), 1.0 / (lv.diag_black - bfp[lv.fine_black]))
-            for lv in mg.levels]
+def _shifts(mg: _Multigrid, bfp):
+    """b f'(u) on every level, finest first: bfp in its colour order, then each shifted down."""
+    shifts = [bfp[mg.order]]
+    for lv in mg.levels:
+        shifts.append(lv.shift @ shifts[-1])
+    return shifts
+
+
+def _smoothers(mg: _Multigrid, shifts):
+    """Per level, 1 / diagonal of A_l - diag(s_l) on the red and on the black nodes."""
+    return [(1.0 / (lv.diag_red - s[:lv.n_red]), 1.0 / (lv.diag_black - s[lv.n_red:]))
+            for lv, s in zip(mg.levels, shifts)]
 
 
 def _vcycle(levels, inverses, coarse_lu, r):
@@ -269,8 +280,10 @@ def _vcycle(levels, inverses, coarse_lu, r):
     One red-black Gauss-Seidel sweep before and one after the coarse
     correction on every level of ``levels`` (``inverses`` holds the
     inverted diagonals), restriction 0.25 P^T, and the SuperLU solve
-    ``coarse_lu`` on the coarsest; a fixed linear map of r, so it serves
-    as a Krylov preconditioner.
+    ``coarse_lu`` on the coarsest.  After the pre-sweep the black residual
+    is zero, so only the red one, -A_rb x_b, is restricted.  A fixed
+    linear map M of r: the approximate inverse of the defect correction in
+    _newton_direction, exact when there are no levels.
     """
     if not levels:
         return coarse_lu.solve(r)
@@ -279,9 +292,7 @@ def _vcycle(levels, inverses, coarse_lu, r):
     x = np.empty_like(r)
     x[:k] = r[:k] * dr
     x[k:] = (r[k:] - lv.A_br @ x[:k]) * db
-    res = np.zeros_like(r)  # the sweep leaves no black residual
-    res[:k] = -(lv.A_rb @ x[k:])
-    x += lv.P @ _vcycle(levels[1:], inverses[1:], coarse_lu, 0.25 * (lv.P.T @ res))
+    x += lv.P @ _vcycle(levels[1:], inverses[1:], coarse_lu, -(lv.restrict @ (lv.A_rb @ x[k:])))
     x[:k] = (r[:k] - lv.A_rb @ x[k:]) * dr
     x[k:] = (r[k:] - lv.A_br @ x[:k]) * db
     return x
@@ -290,14 +301,16 @@ def _vcycle(levels, inverses, coarse_lu, r):
 def _preconditioner(mg: _Multigrid, bfp):
     """One V-cycle for A - diag(bfp) as a function of the residual.
 
-    Factors the coarsest level by SuperLU; raises SolveFailure when that fails.
+    Factors the coarsest level, shifted by its Galerkin-diagonal b f'(u),
+    by SuperLU; raises SolveFailure when that fails.
     """
-    coarse = mg.coarse - sp.diags(bfp[mg.coarse_fine], format="csc")
+    shifts = _shifts(mg, bfp)
+    coarse = mg.coarse - sp.diags(shifts[-1], format="csc")
     try:
         coarse_lu = splu(coarse, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:  # SuperLU: singular or out of memory
         raise SolveFailure(f"coarsest-level Jacobian factorization failed: {exc}") from exc
-    inverses = _smoothers(mg, bfp)
+    inverses = _smoothers(mg, shifts)
 
     def precond(r):
         x = np.empty_like(r)
@@ -308,29 +321,27 @@ def _preconditioner(mg: _Multigrid, bfp):
 
 
 def _newton_direction(A, bfp, mg: _Multigrid, rhs, rtol):
-    """Solve (A - diag(bfp)) x = rhs by GMRES, right-preconditioned by one V-cycle M.
+    """Solve (A - diag(bfp)) x = rhs by defect correction, one V-cycle M per iteration.
 
-    GMRES runs on J M y = rhs, with J applied as A x - bfp x and never
-    assembled, so its stopping test sees the true residual, and x = M y.
-    Returns (x, GMRES iterations).  Raises SolveFailure when the coarsest
-    factorization fails, GMRES stops short of rtol or x is not finite.
+    From x = 0, x += M r with r = rhs - (A x - bfp x), the true residual,
+    until ||r||_2 <= rtol ||rhs||_2; the Jacobian is never assembled.
+    Returns (x, cycles).  Raises SolveFailure when the coarsest
+    factorization fails, a residual is not finite or _MAX_CYCLES cycles
+    miss rtol.
     """
     precond = _preconditioner(mg, bfp)
-
-    def matvec(y):
-        x = precond(y)
-        return A @ x - bfp * x
-
-    resids = []
-    y, info = gmres(LinearOperator(A.shape, matvec=matvec, dtype=float), rhs, rtol=rtol,
-                    restart=_RESTART, maxiter=_MAX_CYCLES,
-                    callback=resids.append, callback_type="pr_norm")
-    x = precond(y)
-    if info != 0:
-        raise SolveFailure(f"GMRES missed rtol {rtol:.1e} in {len(resids)} iterations")
-    if not np.all(np.isfinite(x)):
-        raise SolveFailure("GMRES gave a non-finite Newton step")
-    return x, len(resids)
+    scale = np.linalg.norm(rhs)
+    x, r = np.zeros_like(rhs), rhs
+    for cycles in range(1, _MAX_CYCLES + 1):
+        x += precond(r)
+        r = rhs - (A @ x - bfp * x)
+        norm = np.linalg.norm(r)
+        if not math.isfinite(norm):
+            raise SolveFailure(f"V-cycle iteration gave a non-finite residual in cycle {cycles}")
+        if norm <= rtol * scale:
+            return x, cycles
+    raise SolveFailure(f"V-cycle iteration missed rtol {rtol:.1e} in {_MAX_CYCLES} cycles "
+                       f"(relative residual {norm / scale:.2e})")
 
 
 _SHARED = ContextVar("fd2d_shared", default=(None, None))  # (grid, operators) of an exhaust
@@ -365,24 +376,25 @@ def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol,
     Damped Newton to residual max-norm <= tol.  Without u0 the start is the
     boundary profile phi(xi M(d) + Phi(j)) with j the mean boundary value,
     or the constant j when b_override is given, the profile does not exist
-    or j <= 0.  Each step solves the Jacobian A - diag(b f'(u)) by GMRES,
-    applying it as A x - b f'(u) x without assembling it, right-preconditioned
-    by one geometric multigrid V-cycle: level l is the Shortley-Weller
+    or j <= 0.  Each step solves the Jacobian A - diag(b f'(u)), never
+    assembled, by defect correction with one geometric multigrid V-cycle
+    per iteration (_newton_direction): level l is the Shortley-Weller
     operator of build_grid(domain, 2^l h), whose nodes are the fine nodes
-    with lattice coordinates divisible by 2^l, minus b f'(u) injected there,
-    down to at most _COARSE_MAX unknowns; bilinear prolongation P,
-    full-weighting restriction P^T / 4, and one red-black Gauss-Seidel
+    with lattice coordinates divisible by 2^l, minus the Galerkin diagonal
+    of b f'(u), down to at most _COARSE_MAX unknowns; bilinear prolongation
+    P, full-weighting restriction P^T / 4, and one red-black Gauss-Seidel
     sweep before and after each coarse correction.  Only the coarsest level
-    is factored by SuperLU (the whole Jacobian on small grids).  The
-    operators and levels are built once per call, or once per exhaust.
-    A failed factorization, a GMRES failure or a non-finite step
-    raises SolveFailure with the residual history so far.  Residuals are
+    is factored by SuperLU (the whole Jacobian on small grids, where one
+    cycle solves the step).  The operators and levels are built once per
+    call, or once per exhaust.  A failed factorization, a non-finite cycle
+    residual or _MAX_CYCLES cycles short of the step's tolerance raise
+    SolveFailure with the Newton residual history so far.  Residuals are
     measured against the per-node source scale 1 + b f(u): with
     exponential sources the raw residual sits at eps * b f(u) near the
     boundary, so an unscaled max-norm target below that rounding floor
     would never be reached.  meta records newton_iters, factorizations
-    (coarsest-level LUs, one per step), krylov_iters and start ("profile",
-    "constant" or "given").
+    (coarsest-level LUs, one per step), cycles (V-cycles over all steps)
+    and start ("profile", "constant" or "given").
     """
     if tol <= 0:
         raise ParameterError(f"tolerance must be positive, got {tol}")
@@ -420,7 +432,7 @@ def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol,
     res = residual(u)
     norm = scaled_norm(res, u)
     history = [norm]
-    factorizations = krylov_iters = 0
+    factorizations = cycles = 0
     for _ in range(max_newton):
         if norm <= tol or at_floor(res, u):
             break
@@ -431,12 +443,12 @@ def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol,
             # enough to finish, as a linear problem should in one step
             rtol = min(_FORCING, max(0.1 * tol / norm, _RTOL_FLOOR))
         try:
-            delta, its = _newton_direction(A, bfp, mg, -res, rtol)
+            delta, step_cycles = _newton_direction(A, bfp, mg, -res, rtol)
         except SolveFailure as exc:
             exc.residuals = list(history)
             raise
         factorizations += 1  # one coarsest-level LU per step
-        krylov_iters += its
+        cycles += step_cycles
         step = 1.0
         while step >= 2.0**-30:
             u_try = u + step * delta
@@ -463,7 +475,7 @@ def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol,
             "tol": tol,
             "newton_iters": len(history) - 1,
             "factorizations": factorizations,
-            "krylov_iters": krylov_iters,
+            "cycles": cycles,
             "start": start,
             "residual_history": history,
         },
@@ -481,7 +493,7 @@ def exhaust(grid: Field2D, f: Nonlinearity, bweight: Weight, j_schedule, tol,
     one multigrid hierarchy, built here once for the grid.
     Diagnostics track per-step increment bounds, the interior Cauchy ratio
     on the core region d >= 0.2 * diam, and per level the Newton steps,
-    coarsest-level factorizations and GMRES iterations.  A SolveFailure
+    coarsest-level factorizations and V-cycles.  A SolveFailure
     carries the levels finished before it in ``partial``.
     """
     js = [float(j) for j in j_schedule]
@@ -494,7 +506,7 @@ def exhaust(grid: Field2D, f: Nonlinearity, bweight: Weight, j_schedule, tol,
     u_prev = None
     diags = {"j": [], "increment_min": [], "increment_max": [], "core_increment": [],
              "cauchy_ratio": [], "center_value": [], "newton_iters": [],
-             "factorizations": [], "krylov_iters": []}
+             "factorizations": [], "cycles": []}
     center = int(np.argmax(grid.node_d))
     with _shared_operators(grid):  # one operator and level set for every j
         for j in js:
@@ -514,7 +526,7 @@ def exhaust(grid: Field2D, f: Nonlinearity, bweight: Weight, j_schedule, tol,
             diags["center_value"].append(float(u[center]))
             diags["newton_iters"].append(fld.meta["newton_iters"])
             diags["factorizations"].append(fld.meta["factorizations"])
-            diags["krylov_iters"].append(fld.meta["krylov_iters"])
+            diags["cycles"].append(fld.meta["cycles"])
             if u_prev is not None:
                 inc = u - u_prev
                 diags["increment_min"].append(float(inc.min()))

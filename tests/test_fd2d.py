@@ -130,31 +130,33 @@ class TestNewtonStart:
         fld = solve_dirichlet(grid, Nonlinearity.exponential(2), W1, -1.0, tol=1e-9)
         assert fld.meta["start"] == "constant"
 
-    @pytest.mark.parametrize("outcome", ["info", "nan"])
-    def test_failed_gmres_raises(self, monkeypatch, outcome):
+    @pytest.mark.parametrize("outcome", ["cap", "nan"])
+    def test_failed_vcycle_raises(self, monkeypatch, outcome):
         grid = build_grid(Disk(0.9), 1.0 / 32.0)
         f = Nonlinearity.exponential(2)
-        real, calls = fd2d.gmres, []
+        real, calls = fd2d._vcycle, []
 
-        def failing(A, b, **kw):
-            if outcome == "info":
-                return np.zeros_like(b), 1
-            return np.full_like(b, np.nan), 0
+        def failing(levels, inverses, coarse_lu, r):
+            # zeros never reduce the residual, so the cycle cap is reached
+            return np.zeros_like(r) if outcome == "cap" else np.full_like(r, np.nan)
 
-        monkeypatch.setattr(fd2d, "gmres", failing)
-        with pytest.raises(SolveFailure, match="GMRES") as info:
+        monkeypatch.setattr(fd2d, "_vcycle", failing)
+        match = "missed rtol" if outcome == "cap" else "non-finite"
+        with pytest.raises(SolveFailure, match=match) as info:
             solve_dirichlet(grid, f, W1, liouville_g, tol=1e-9)
         assert len(info.value.residuals) == 1 and info.value.residuals[0] > 1e-9
-        # exhaust attaches the levels it finished: here the first level takes
-        # four steps, and the fifth GMRES call, in the second level, fails
-        def second_fails(A, b, **kw):
+        # exhaust attaches the levels it finished: here the grid has no smoothed
+        # levels, so each Newton step takes one exact cycle; the first level takes
+        # four steps, and from the fifth cycle on, in the second level, cycles fail
+        def second_fails(*args):
             calls.append(1)
-            return real(A, b, **kw) if len(calls) <= 4 else failing(A, b)
+            return real(*args) if len(calls) <= 4 else failing(*args)
 
-        monkeypatch.setattr(fd2d, "gmres", second_fails)
+        monkeypatch.setattr(fd2d, "_vcycle", second_fails)
         small = build_grid(Disk(1.0), 1.0 / 8.0)
-        with pytest.raises(SolveFailure) as info:
+        with pytest.raises(SolveFailure, match=match) as info:
             exhaust(small, f, W1, [2.0, 3.0], tol=1e-9)
+        assert len(calls) == 4 + (fd2d._MAX_CYCLES if outcome == "cap" else 1)
         assert len(info.value.partial) == 1
         assert info.value.partial[0].meta["newton_iters"] == 4
 

@@ -1,4 +1,4 @@
-"""The multigrid layer of the 2d solver: levels, V-cycle and the Newton-Krylov solve."""
+"""The multigrid layer of the 2d solver: levels, V-cycle and the Newton-multigrid solve."""
 
 import numpy as np
 import pytest
@@ -67,50 +67,55 @@ class TestLevels:
     ])
     def test_coarse_nodes_are_even_sublattice(self, domain, h):
         # the grid at 2^l h has exactly the fine nodes whose lattice coordinates
-        # 2^l divides, in the same row-major order, and the hierarchy injects there
+        # 2^l divides, in the same row-major order, and the identity rows of each
+        # prolongation put every coarse node on the fine node it coincides with
         grid = build_grid(domain, h)
         lx, ly = lattice(grid)
         mg = fd2d._multigrid(grid, assemble_operator(grid, 0.0)[0])
         assert mg.levels
-        injected = [np.concatenate([lv.fine_red, lv.fine_black]) for lv in mg.levels[1:]]
-        injected.append(mg.coarse_fine)
-        for level, fine in enumerate(injected, start=1):
+        fine = mg.order  # the finest nodes, in the top level's order
+        for level, lv in enumerate(mg.levels, start=1):
+            rows, cols = (lv.P == 1.0).nonzero()
+            assert np.array_equal(np.sort(cols), np.arange(lv.P.shape[1]))
+            nodes = np.empty(lv.P.shape[1], dtype=np.int64)
+            nodes[cols] = fine[rows]
             s = 2**level
             sel = np.flatnonzero((lx % s == 0) & (ly % s == 0))
             cx, cy = lattice(build_grid(domain, s * h))
             assert np.array_equal(cx, lx[sel] // s) and np.array_equal(cy, ly[sel] // s)
-            assert np.array_equal(np.sort(fine), sel)
-            if level == len(mg.levels):
-                assert np.array_equal(fine, sel)  # the coarsest keeps row-major order
+            assert np.array_equal(np.sort(nodes), sel)
+            fine = nodes
+        assert np.array_equal(fine, sel)  # the coarsest keeps row-major order
+        assert mg.coarse.shape[0] == sel.size
 
     def test_coarse_operators_are_rediscretised(self):
-        # level l applies assemble_operator(build_grid(domain, 2^l h)) - diag(b f'(u)),
-        # with b f'(u) injected from the fine nodes; the coarsest is factored as such
+        # level l applies assemble_operator(build_grid(domain, 2^l h)) - diag(s_l): s_0 is
+        # b f'(u), and s_{l+1} the diagonal of the Galerkin product P^T diag(s_l) P over
+        # that of P^T P; the coarsest is factored as such
         domain, h = Disk(1.0), 1.0 / 64.0
         grid = build_grid(domain, h)
-        lx, ly = lattice(grid)
         u = fd2d._boundary_profile(grid, EXP2, W1)(4.0)
         bfp = 2.0 * np.exp(2.0 * u)
         mg = fd2d._multigrid(grid, assemble_operator(grid, 4.0)[0])
         assert len(mg.levels) == 2
+        shifts = fd2d._shifts(mg, bfp)
         rng = np.random.default_rng(1)
-        for level, (lv, (dr, db)) in enumerate(zip(mg.levels, fd2d._smoothers(mg, bfp))):
-            s = 2**level
-            coarse = build_grid(domain, s * h)
-            sel = np.flatnonzero((lx % s == 0) & (ly % s == 0))
-            want_op = assemble_operator(coarse, 0.0)[0] - sp.diags(bfp[sel])
+        s = bfp
+        for level, (lv, (dr, db)) in enumerate(zip(mg.levels, fd2d._smoothers(mg, shifts))):
+            coarse = build_grid(domain, 2**level * h)
+            want_op = assemble_operator(coarse, 0.0)[0] - sp.diags(s)
             order, k = fd2d._colour_order(*lattice(coarse))
-            assert k == lv.n_red and np.array_equal(sel[order], np.concatenate(
-                [lv.fine_red, lv.fine_black]))
+            assert k == lv.n_red
             v = rng.standard_normal(coarse.n_interior)
             want = (want_op @ v)[order]
             vr, vb = v[order[:k]], v[order[k:]]
             got = np.concatenate([vr / dr + lv.A_rb @ vb, vb / db + lv.A_br @ vr])
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            P = fd2d._prolongation(*lattice(coarse))[0]
+            s = (P.T @ sp.diags(s) @ P).diagonal() / (P.T @ P).diagonal()
         coarse = build_grid(domain, 4.0 * h)
-        sel = np.flatnonzero((lx % 4 == 0) & (ly % 4 == 0))
-        assert np.array_equal(mg.coarse_fine, sel)
         assert (mg.coarse != assemble_operator(coarse, 0.0)[0]).nnz == 0
+        assert np.max(np.abs(shifts[-1] - s)) <= 1e-12 * np.max(s)
 
 
 class TestVCycle:
@@ -134,9 +139,29 @@ class TestVCycle:
         assert worst <= 0.5
         assert worst <= 0.2  # red-black Gauss-Seidel on rediscretised levels
 
+    @pytest.mark.parametrize("domain, h", [(Disk(1.0), 1.0 / 64.0), (Disk(1.0), 1.0 / 128.0),
+                                           (Ellipse(2.0, 0.5), 1.0 / 64.0)])
+    @pytest.mark.parametrize("pattern", ["stripes", "checkerboard"])
+    def test_rough_shifts(self, domain, h, pattern):
+        # b f'(u) = scale on odd lattice columns (stripes) or on odd-parity nodes
+        # (checkerboard), 0 elsewhere: injection would give every coarse node 0,
+        # the Galerkin diagonal gives each its weighted share
+        grid = build_grid(domain, h)
+        A = assemble_operator(grid, 0.0)[0]
+        mg = fd2d._multigrid(grid, A)
+        assert mg.levels
+        lx, ly = lattice(grid)
+        odd = (lx % 2 == 1) if pattern == "stripes" else ((lx + ly) % 2 == 1)
+        rhs = np.random.default_rng(5).standard_normal(grid.n_interior)
+        for scale in (1e2, 1e4, 1e6, 1e8):
+            bfp = np.where(odd, scale, 0.0)
+            x, cycles = fd2d._newton_direction(A, bfp, mg, rhs, 1e-6)
+            assert cycles <= 25
+            assert np.linalg.norm(A @ x - bfp * x - rhs) <= 1e-6 * np.linalg.norm(rhs)
+
 
 def reference_newton(grid, g, u, tol):
-    """Damped Newton with a direct SuperLU solve of every step: the reference for GMRES."""
+    """Damped Newton with a direct SuperLU solve of every step: the reference for V-cycles."""
     A, const, _ = assemble_operator(grid, g)
 
     def scaled(v):
@@ -174,7 +199,7 @@ class TestNewtonKrylov:
         (Nonlinearity.power(1.0), 1.0, 0.0, 1.0),
     ], ids=["const-one", "linear"])
     def test_linear_problem_takes_one_step(self, f, g, f0, f1, h):
-        # f = f0 + f1 u makes the Newton model exact: GMRES solves the one step to
+        # f = f0 + f1 u makes the Newton model exact: V-cycles solve the one step to
         # finish, and the field is the direct solve of (A - f1 I) u = f0 - const
         grid = build_grid(Disk(1.0), h)
         assert len(fd2d._multigrid(grid, assemble_operator(grid, g)[0]).levels) >= 2
@@ -184,19 +209,19 @@ class TestNewtonKrylov:
         ref = splu((A - f1 * sp.identity(grid.n_interior)).tocsc()).solve(f0 - const)
         assert np.max(np.abs(fld.interior_values() - ref)) <= 1e-10
 
-    def test_zero_levels_one_gmres_iteration(self):
+    def test_zero_levels_one_cycle(self):
         # the coarsest level is the whole grid: M is the exact inverse of J
         grid = build_grid(Disk(1.0), 1.0 / 8.0)
         fld = solve_dirichlet(grid, EXP2, W1, 2.0, tol=1e-10)
         assert fld.meta["newton_iters"] >= 2
-        assert fld.meta["krylov_iters"] == fld.meta["newton_iters"]
+        assert fld.meta["cycles"] == fld.meta["newton_iters"]
         u = fld.interior_values()
         A = assemble_operator(grid, 2.0)[0]
         mg = fd2d._multigrid(grid, A)
         assert not mg.levels
         rhs = np.sin(np.arange(grid.n_interior, dtype=float))
-        x, iters = fd2d._newton_direction(A, 2.0 * np.exp(2.0 * u), mg, rhs, 1e-6)
-        assert iters == 1
+        x, cycles = fd2d._newton_direction(A, 2.0 * np.exp(2.0 * u), mg, rhs, 1e-6)
+        assert cycles == 1
         J = jacobian(grid, 2.0, u)
         assert np.linalg.norm(J @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
 

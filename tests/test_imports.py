@@ -1,7 +1,7 @@
 """Import boundary: the radial and barrier commands run on numpy alone.
 
-scipy is loaded only by the 2-d solver (``khessian.fd2d``, sparse LU and
-GMRES) and by the radial exhaustion scheme (a banded solve).  Each check
+scipy is loaded only by the 2-d solver (``khessian.fd2d``, sparse matrices
+and the coarsest-level LU) and by the radial exhaustion scheme (a banded solve).  Each check
 runs in a fresh interpreter, since this test process has scipy loaded.
 """
 
