@@ -37,7 +37,7 @@ from .errors import (
     ReportTruncated,
     SolveFailure,
 )
-from .grid2d import Field2D, build_grid
+from .grid2d import _DIRS, Field2D
 from .nonlinearity import Nonlinearity, Weight
 from .profiles import ProfileFns, assemble_profile, predicted_profile, xi_bounds
 
@@ -65,6 +65,36 @@ def _boundary_values(grid: Field2D, g):
     return out
 
 
+def _csr(vals, cols, n_cols, offset=0):
+    """CSR matrix whose row i holds vals[i, t] at column cols[i, t] - offset, in t order.
+
+    Entries with cols[i, t] < 0 are left out.  A 1-d vals gives every entry
+    of row i the value vals[i].  Rows are counted by adding the columns of
+    the mask, which is cheaper than count_nonzero(axis=1).
+    """
+    keep = cols >= 0
+    counts = keep[:, 0].astype(np.int32)
+    for t in range(1, keep.shape[1]):
+        counts += keep[:, t]
+    indptr = np.zeros(keep.shape[0] + 1, dtype=np.int32)
+    np.cumsum(counts, out=indptr[1:])
+    data = np.repeat(vals, counts) if vals.ndim == 1 else vals[keep]
+    return sp.csr_matrix((data, cols[keep] - offset, indptr), shape=(keep.shape[0], n_cols))
+
+
+# columns of the stencil tables: each row is stored S, W, diagonal, E, N (increasing column
+# in row-major and in colour order); _ARMS picks grid2d's arm directions E, W, N, S
+_OFF_DIAG, _ARMS = [0, 1, 3, 4], [3, 1, 4, 0]
+
+
+def _weights(arm, h):
+    """Shortley-Weller weights of nodes with arm fractions arm (E, W, N, S): an (m, 5) table."""
+    aE, aW, aN, aS = (arm[:, t] * h for t in range(4))
+    return np.column_stack([2.0 / (aS * (aN + aS)), 2.0 / (aW * (aE + aW)),
+                            -(2.0 / (aE * aW) + 2.0 / (aN * aS)),
+                            2.0 / (aE * (aE + aW)), 2.0 / (aN * (aN + aS))])
+
+
 def _stencil(grid: Field2D):
     """(A, cof): the Shortley-Weller matrix of grid (CSR) and its per-arm coefficients.
 
@@ -72,18 +102,12 @@ def _stencil(grid: Field2D):
     cof[:, t] is the weight of the arm in direction t (E, W, N, S), which
     multiplies the boundary value on a cut arm.
     """
-    aE, aW, aN, aS = (grid.arm[:, t] * grid.h for t in range(4))
-    cof = np.empty((grid.n_interior, 4))
-    cof[:, 0] = 2.0 / (aE * (aE + aW))
-    cof[:, 1] = 2.0 / (aW * (aE + aW))
-    cof[:, 2] = 2.0 / (aN * (aN + aS))
-    cof[:, 3] = 2.0 / (aS * (aN + aS))
-    diag = -(2.0 / (aE * aW) + 2.0 / (aN * aS))
-    live = np.isnan(grid.arm_xy[:, :, 0])  # cut arms feed const, not unknowns
+    vals = _weights(grid.arm, grid.h)
+    nbr = np.where(np.isnan(grid.arm_xy[:, :, 0]), grid.nbr, -1)  # -1 on cut arms
     m = grid.n_interior
-    rows = np.broadcast_to(np.arange(m)[:, None], live.shape)[live]
-    A = sp.csr_matrix((cof[live], (rows, grid.nbr[live])), shape=(m, m))
-    return A + sp.diags(diag, format="csr"), cof
+    cols = np.column_stack([nbr[:, 3], nbr[:, 1], np.arange(m, dtype=np.int32),
+                            nbr[:, 0], nbr[:, 2]])
+    return _csr(vals, cols, m), vals[:, _ARMS]
 
 
 def _boundary_terms(grid: Field2D, cof, g):
@@ -153,36 +177,68 @@ def _boundary_profile(grid: Field2D, f: Nonlinearity, bweight: Weight):
     return start
 
 
+def _table(lx, ly, order, box):
+    """(table, flat): node order[i] numbered i on the lattice box (x0, y0, x1, y1).
+
+    table is the box flattened row-major, -1 where there is no node;
+    flat[j] is the place of node j, so table[flat + dy * width + dx] numbers
+    the lattice point (dx, dy) away from each node, or gives -1.
+    """
+    x0, y0, x1, y1 = box
+    flat = (ly - y0) * (x1 - x0 + 1) + (lx - x0)
+    table = np.full((y1 - y0 + 1) * (x1 - x0 + 1), -1, dtype=np.int32)
+    table[flat[order]] = np.arange(order.size, dtype=np.int32)
+    return table, flat
+
+
+def _neighbours(table, at, box):
+    """Numbers of the nodes S, W, self, E, N of the nodes at places ``at`` of table (-1: none)."""
+    width = box[2] - box[0] + 1
+    cols = np.empty((at.size, 5), dtype=np.int32)
+    for t, step in enumerate((-width, -1, 0, 1, width)):
+        cols[:, t] = table.take(at + step)
+    return cols
+
+
+def _bilinear(fx, fy, table, box, n):
+    """Bilinear prolongation rows of fine lattice nodes (fx, fy) from the n nodes of table.
+
+    table numbers the coarse nodes on the coarse box (_table), whose first
+    place holds no node.  Row i holds the distinct coarse nodes at floor and
+    ceil of (fx, fy) / 2, stored SW, SE, NW, NE, each with weight 1 per even
+    coordinate and 1/2 per odd one; an absent coarse node contributes zero.
+    """
+    width = box[2] - box[0] + 1
+    at = ((fy >> 1) - box[1]) * width + ((fx >> 1) - box[0])
+    ox, oy = fx & 1, fy & 1
+    cols = np.empty((fx.size, 4), dtype=np.int32)
+    cols[:, 0] = table.take(at)
+    cols[:, 1] = table.take((at + 1) * ox)  # place 0 where the coordinate is even
+    cols[:, 2] = table.take((at + width) * oy)
+    cols[:, 3] = table.take((at + width + 1) * (ox & oy))
+    return _csr(np.where(ox, 0.5, 1.0) * np.where(oy, 0.5, 1.0), cols, n)
+
+
 def _prolongation(lx, ly):
     """Bilinear prolongation from the even sublattice of the nodes at lattice (lx, ly).
 
     Returns (P, cx, cy): P maps values on the nodes whose two lattice
     coordinates are both even, at coarse lattice (cx, cy) = (lx, ly) / 2, to
-    all nodes.  A fine node takes the mean of the coarse nodes at
-    floor(l / 2) and ceil(l / 2) in each direction, so an even node gets an
+    all nodes, both in row-major order (_bilinear).  An even node gets an
     identity row; a coarse neighbour that does not exist contributes zero,
     which makes the correction vanish on the boundary.
     """
-    even = (lx % 2 == 0) & (ly % 2 == 0)
-    cx, cy = lx[even] // 2, ly[even] // 2
-    x0, y0 = lx.min() // 2, ly.min() // 2
-    lookup = np.full(((ly.max() + 1) // 2 - y0 + 1, (lx.max() + 1) // 2 - x0 + 1), -1)
-    lookup[cy - y0, cx - x0] = np.arange(cx.size)
-    rows, cols = [], []
-    for sx in (0, 1):
-        for sy in (0, 1):  # weight 1/4 each; repeated corners add up
-            c = lookup[(ly + sy) // 2 - y0, (lx + sx) // 2 - x0]
-            rows.append(np.flatnonzero(c >= 0))
-            cols.append(c[c >= 0])
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    P = sp.csr_matrix((np.full(rows.size, 0.25), (rows, cols)), shape=(lx.size, cx.size))
-    return P, cx, cy
+    even = ((lx | ly) & 1) == 0
+    cx, cy = lx[even] >> 1, ly[even] >> 1
+    box = ((lx.min() - 1) >> 1, (ly.min() - 1) >> 1, (lx.max() + 1) >> 1, (ly.max() + 1) >> 1)
+    table = _table(cx, cy, np.arange(cx.size), box)[0]
+    return _bilinear(lx, ly, table, box, cx.size), cx, cy
 
 
 def _lattice(grid: Field2D):
     """Integer lattice coordinates (lx, ly) of the interior nodes: x = lx h, y = ly h."""
-    return (np.rint(grid.node_x / grid.h).astype(np.int64),
-            np.rint(grid.node_y / grid.h).astype(np.int64))
+    return (grid.node_ix + round(grid.xs[0] / grid.h),
+            grid.node_iy + round(grid.ys[0] / grid.h))
 
 
 def _colour_order(lx, ly):
@@ -194,8 +250,14 @@ def _colour_order(lx, ly):
     """
     if lx.size <= _COARSE_MAX:
         return np.arange(lx.size), 0
-    odd = (lx + ly) % 2 == 1
+    odd = ((lx + ly) & 1) == 1
     return np.concatenate([np.flatnonzero(~odd), np.flatnonzero(odd)]), int(odd.size - odd.sum())
+
+
+# the fine nodes of a coarse node's 3 x 3 full-weighting stencil in decreasing colour
+# order (black N, E, W, S, then red NE, NW, centre, SE, SW): lattice offset, P weight
+_AROUND = ((0, 1), (1, 0), (-1, 0), (0, -1), (1, 1), (-1, 1), (0, 0), (1, -1), (-1, -1))
+_P_WEIGHT = np.array([0.5] * 4 + [0.25, 0.25, 1.0, 0.25, 0.25])
 
 
 @dataclass(frozen=True)
@@ -208,7 +270,8 @@ class _Level:
     next coarser level, in both levels' orders; ``restrict`` is
     0.25 P^T on the red rows only, and ``shift`` maps a diagonal shift s
     to the next coarser level: (P o P)^T s / (P o P)^T 1, the diagonal of
-    P^T diag(s) P over that of P^T P.
+    P^T diag(s) P over that of P^T P.  Both are the full-weighting stencil
+    seen from each coarse node.
     """
 
     n_red: int
@@ -225,10 +288,11 @@ class _Level:
 class _Multigrid:
     """Levels of one grid, fine to coarse, and the coarsest operator, fixed per grid.
 
-    Level l is the grid build_grid(domain, 2^l h): its nodes are the fine
-    nodes whose lattice coordinates are divisible by 2^l, in the same
-    row-major order, since (2^l i) h and i (2^l h) round alike.  Only the
-    Jacobian diagonal b f'(u) changes from one Newton step to the next.
+    Level l holds the fine nodes whose lattice coordinates are divisible by
+    2^l, with spacing 2^l h: the grid build_grid(domain, 2^l h) would have
+    the same nodes in the same row-major order, since (2^l i) h and
+    i (2^l h) round alike, and the same arms.  Only the Jacobian diagonal
+    b f'(u) changes from one Newton step to the next.
     """
 
     levels: list
@@ -237,27 +301,55 @@ class _Multigrid:
 
 
 def _multigrid(grid: Field2D, A):
-    """The hierarchy of grid, with fine operator A, down to <= _COARSE_MAX unknowns."""
+    """The hierarchy of grid, with fine operator A, down to <= _COARSE_MAX unknowns.
+
+    Every level is sliced from the fine lattice: its nodes are the even
+    sublattice of the level above, halved, and its neighbours, colour
+    blocks, prolongation, restriction and shift map are read as CSR off
+    lattice tables (_table), with rows in each level's colour order.  The
+    finest weights are A's entries; a coarse level computes its own from its
+    arms, with arm fractions only where an arm of the level leaves the
+    domain.  No coarse grid, distance or sparse product is formed.
+    """
     lx, ly = _lattice(grid)
+    box = (lx.min() - 1, ly.min() - 1, lx.max() + 1, ly.max() + 1)  # one node of margin
     order, n_red = _colour_order(lx, ly)
-    top, levels, h = order, [], grid.h
+    table, flat = _table(lx, ly, order, box)
+    cols = _neighbours(table, flat[order], box)
+    vals, at = np.empty(cols.shape), A.indptr[order]
+    for t in range(5):  # A's rows hold the listed entries in this order
+        vals[:, t] = A.data.take(at, mode="clip")  # junk where none, which _csr drops
+        at += cols[:, t] >= 0
+    h, levels, top = grid.h, [], order
     while lx.size > _COARSE_MAX:
-        P, cx, cy = _prolongation(lx, ly)
-        h *= 2.0
-        coarse = build_grid(grid.domain, h)
-        assert all(map(np.array_equal, _lattice(coarse), (cx, cy))), "not the even sublattice"
+        k, width = n_red, box[2] - box[0] + 1
+        even = np.flatnonzero(((lx | ly) & 1) == 0)
+        cx, cy = lx[even] >> 1, ly[even] >> 1
+        c_box = (box[0] >> 1, box[1] >> 1, -(-box[2] >> 1), -(-box[3] >> 1))
         c_order, c_red = _colour_order(cx, cy)
-        red, black = order[:n_red], order[n_red:]
-        diag = A.diagonal()
-        P = P[order][:, c_order]
-        P2 = P.multiply(P).T.tocsr()
-        levels.append(_Level(n_red=n_red, diag_red=diag[red], diag_black=diag[black],
-                             A_rb=A[red][:, black], A_br=A[black][:, red], P=P,
-                             restrict=(0.25 * P[:n_red].T).tocsr(),
-                             shift=sp.diags(1.0 / np.asarray(P2.sum(axis=1)).ravel()) @ P2))
-        A = _stencil(coarse)[0]
-        lx, ly, order, n_red = cx, cy, c_order, c_red
-    return _Multigrid(levels=levels, order=top, coarse=A.tocsc())
+        c_table, c_flat = _table(cx, cy, c_order, c_box)
+        # the 3 x 3 fine neighbourhood of each coarse node, in the coarse colour order
+        near = table[flat[even[c_order], None] + [dy * width + dx for dx, dy in _AROUND]]
+        weight = np.where(near >= 0, _P_WEIGHT, 0.0) ** 2
+        weight *= (1.0 / weight.sum(axis=1))[:, None]  # exact sums of multiples of 1/16
+        levels.append(_Level(
+            n_red=k, diag_red=vals[:k, 2].copy(), diag_black=vals[k:, 2].copy(),
+            A_rb=_csr(vals[:k, _OFF_DIAG], cols[:k, _OFF_DIAG], lx.size - k, k),
+            A_br=_csr(vals[k:, _OFF_DIAG], cols[k:, _OFF_DIAG], k),
+            P=_bilinear(lx[order], ly[order], c_table, c_box, cx.size),
+            restrict=_csr(np.broadcast_to(0.25 * _P_WEIGHT[8:3:-1], (cx.size, 5)),
+                          near[:, 8:3:-1], k),
+            shift=_csr(weight, near, lx.size)))
+        lx, ly, box, order, n_red, table, flat = cx, cy, c_box, c_order, c_red, c_table, c_flat
+        h *= 2.0
+        cols = _neighbours(table, flat[order], box)
+        x, y = lx[order] * h, ly[order] * h
+        arm = np.ones((lx.size, 4))
+        for t, (dx, dy) in enumerate(_DIRS):
+            cut = np.flatnonzero(cols[:, _ARMS[t]] < 0)
+            arm[cut, t] = grid.domain.arm_fraction(x[cut], y[cut], dx, dy, h)
+        vals = _weights(arm, h)
+    return _Multigrid(levels=levels, order=top, coarse=_csr(vals, cols, lx.size).tocsc())
 
 
 def _shifts(mg: _Multigrid, bfp):
@@ -298,48 +390,76 @@ def _vcycle(levels, inverses, coarse_lu, r):
     return x
 
 
-def _preconditioner(mg: _Multigrid, bfp):
-    """One V-cycle for A - diag(bfp) as a function of the residual.
+def _cycle(mg: _Multigrid, shifts):
+    """One V-cycle for A - diag(shifts[0]) as a function of a residual in the finest colour order.
 
     Factors the coarsest level, shifted by its Galerkin-diagonal b f'(u),
     by SuperLU; raises SolveFailure when that fails.
     """
-    shifts = _shifts(mg, bfp)
     coarse = mg.coarse - sp.diags(shifts[-1], format="csc")
     try:
         coarse_lu = splu(coarse, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:  # SuperLU: singular or out of memory
         raise SolveFailure(f"coarsest-level Jacobian factorization failed: {exc}") from exc
     inverses = _smoothers(mg, shifts)
+    return lambda r: _vcycle(mg.levels, inverses, coarse_lu, r)
+
+
+def _preconditioner(mg: _Multigrid, bfp):
+    """One V-cycle for A - diag(bfp) as a function of the residual, both row-major (_cycle)."""
+    cycle = _cycle(mg, _shifts(mg, bfp))
 
     def precond(r):
         x = np.empty_like(r)
-        x[mg.order] = _vcycle(mg.levels, inverses, coarse_lu, r[mg.order])
+        x[mg.order] = cycle(r[mg.order])
         return x
 
     return precond
+
+
+def _norm(v):
+    """||v||_2 without BLAS, whose threaded dot can stall for milliseconds on a busy host."""
+    return math.sqrt(np.einsum("i,i->", v, v))
 
 
 def _newton_direction(A, bfp, mg: _Multigrid, rhs, rtol):
     """Solve (A - diag(bfp)) x = rhs by defect correction, one V-cycle M per iteration.
 
     From x = 0, x += M r with r = rhs - (A x - bfp x), the true residual,
-    until ||r||_2 <= rtol ||rhs||_2; the Jacobian is never assembled.
+    until ||r||_2 <= rtol ||rhs||_2; the Jacobian is never assembled.  The
+    iteration runs in the finest colour order, rhs and bfp permuted once and
+    r taken from the finest colour blocks; rhs and x are row-major.
     Returns (x, cycles).  Raises SolveFailure when the coarsest
     factorization fails, a residual is not finite or _MAX_CYCLES cycles
     miss rtol.
     """
-    precond = _preconditioner(mg, bfp)
-    scale = np.linalg.norm(rhs)
-    x, r = np.zeros_like(rhs), rhs
+    shifts = _shifts(mg, bfp)
+    cycle = _cycle(mg, shifts)
+    b, s = rhs[mg.order], shifts[0]
+    if mg.levels:
+        lv = mg.levels[0]
+        k = lv.n_red
+
+        def residual(x):
+            r = s * x
+            r[:k] -= lv.diag_red * x[:k] + lv.A_rb @ x[k:]
+            r[k:] -= lv.diag_black * x[k:] + lv.A_br @ x[:k]
+            r += b
+            return r
+    else:  # the grid is the coarsest level, in row-major order
+        residual = lambda x: b - (A @ x - s * x)
+    scale = _norm(rhs)
+    x, r = np.zeros_like(b), b
     for cycles in range(1, _MAX_CYCLES + 1):
-        x += precond(r)
-        r = rhs - (A @ x - bfp * x)
-        norm = np.linalg.norm(r)
+        x += cycle(r)
+        r = residual(x)
+        norm = _norm(r)
         if not math.isfinite(norm):
             raise SolveFailure(f"V-cycle iteration gave a non-finite residual in cycle {cycles}")
         if norm <= rtol * scale:
-            return x, cycles
+            out = np.empty_like(x)
+            out[mg.order] = x
+            return out, cycles
     raise SolveFailure(f"V-cycle iteration missed rtol {rtol:.1e} in {_MAX_CYCLES} cycles "
                        f"(relative residual {norm / scale:.2e})")
 
@@ -419,22 +539,19 @@ def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol,
 
     eps = np.finfo(float).eps
 
-    def residual(uv):
-        return A @ uv + const - b * fv(uv)
+    def evaluate(uv):
+        """(residual, scaled max-norm, whether it is round-off) at uv; f is evaluated once."""
+        bf = b * fv(uv)
+        res_vec = A @ uv + const - bf
+        floor = 64.0 * eps * (abs_diag * np.abs(uv) + np.abs(const) + bf)
+        return (res_vec, float(np.max(np.abs(res_vec) / (1.0 + bf))),
+                bool(np.all(np.abs(res_vec) <= floor)))
 
-    def scaled_norm(res_vec, uv):
-        return float(np.max(np.abs(res_vec) / (1.0 + b * fv(uv))))
-
-    def at_floor(res_vec, uv):
-        floor = 64.0 * eps * (abs_diag * np.abs(uv) + np.abs(const) + b * fv(uv))
-        return bool(np.all(np.abs(res_vec) <= floor))
-
-    res = residual(u)
-    norm = scaled_norm(res, u)
+    res, norm, at_floor = evaluate(u)
     history = [norm]
     factorizations = cycles = 0
     for _ in range(max_newton):
-        if norm <= tol or at_floor(res, u):
+        if norm <= tol or at_floor:
             break
         bfp = b * fpv(u)
         rtol = _FORCING
@@ -452,18 +569,18 @@ def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol,
         step = 1.0
         while step >= 2.0**-30:
             u_try = u + step * delta
-            res_try = residual(u_try)
-            norm_try = scaled_norm(res_try, u_try)
+            res_try, norm_try, floor_try = evaluate(u_try)
             if math.isfinite(norm_try) and norm_try < norm:
                 break
             step *= 0.5
         else:
-            if at_floor(res, u):
+            if at_floor:
                 break  # residual is pure round-off; nothing left to gain
             raise SolveFailure(
                 f"Newton damping floor reached (residual {norm:.3g})", residuals=history
             )
-        u, res, norm = u_try, res_try, norm_try
+        u, res, norm, at_floor = u_try, res_try, norm_try, floor_try
+        del delta  # not held through the next step's solve
         history.append(norm)
     else:
         raise SolveFailure(f"Newton did not converge in {max_newton} steps", residuals=history)

@@ -21,7 +21,6 @@ __all__ = [
     "sigma_partial",
     "radial_eigenvalues",
     "sk_radial",
-    "sk_radial_divergence",
     "symmetric_eigenvalues",
 ]
 
@@ -136,26 +135,13 @@ def sk_radial(u1, u2, r, n, k):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def sk_radial_divergence(u1_fn, r, h, n, k):
-    """Divergence-form evaluation of the radial operator, for cross-checks.
+def symmetric_eigenvalues(A, tol=None):
+    """Eigenvalues of a small symmetric matrix, sorted descending.
 
-    Differentiates the flux r^(n-k) (u')^k by central differences with step
-    ``h`` and rescales by C(n-1,k-1) / (k r^(n-1)).  O(h) agreement with
-    :func:`sk_radial` on smooth inputs; test scaffolding, not a solver path.
-    """
-    if np.any(np.asarray(r) <= 0.0):
-        raise ParameterError("radius must be positive")
-    flux = lambda s: s ** (n - k) * u1_fn(s) ** k
-    dflux = (flux(r + h) - flux(r - h)) / (2.0 * h)
-    return math.comb(n - 1, k - 1) * dflux / (k * r ** (n - 1))
-
-
-def symmetric_eigenvalues(A, tol=1e-12, max_sweeps=60):
-    """Eigenvalues of a small symmetric matrix by cyclic Jacobi rotations.
-
-    Capped at size 8 (all internal uses are n <= 4 Hessians).  Returns the
-    spectrum sorted descending; the off-diagonal Frobenius norm is <= tol at
-    return.  Asymmetry beyond 1e-12 relative is rejected.
+    Capped at size 8 (all internal uses are n <= 4 Hessians).  Asymmetry
+    beyond 1e-12 relative is rejected; the symmetric part goes to LAPACK
+    (``np.linalg.eigvalsh``), accurate to rounding, so ``tol`` is accepted
+    and ignored.
     """
     a = np.array(A, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -166,30 +152,4 @@ def symmetric_eigenvalues(A, tol=1e-12, max_sweeps=60):
     scale = max(1.0, float(np.abs(a).max()))
     if np.abs(a - a.T).max() > 1e-12 * scale:
         raise ParameterError("matrix is not symmetric within 1e-12 relative")
-    a = 0.5 * (a + a.T)
-    if n == 1:
-        return np.array([a[0, 0]])
-
-    def offnorm(m):
-        o = m - np.diag(np.diag(m))
-        return float(np.sqrt((o * o).sum()))
-
-    for _ in range(max_sweeps):
-        if offnorm(a) <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rot = np.eye(n)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-                a = 0.5 * (a + a.T)
-    return np.sort(np.diag(a))[::-1]
+    return np.linalg.eigvalsh(0.5 * (a + a.T))[::-1]

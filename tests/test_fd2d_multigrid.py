@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from khessian import fd2d
+from khessian import fd2d, grid2d
 from khessian.fd2d import assemble_operator, exhaust, solve_dirichlet
 from khessian.grid2d import Disk, Ellipse, build_grid
 from khessian.nonlinearity import Nonlinearity, Weight
@@ -87,6 +87,53 @@ class TestLevels:
             fine = nodes
         assert np.array_equal(fine, sel)  # the coarsest keeps row-major order
         assert mg.coarse.shape[0] == sel.size
+
+    @pytest.mark.parametrize("domain, h", [
+        (Disk(0.9), 1.0 / 256.0), (Ellipse(1.2, 1.0), 1.0 / 96.0),
+        (Ellipse(2.0, 0.5), 1.0 / 64.0), (Disk(6.0), 0.1),
+    ])
+    def test_sliced_levels_match_rebuilt_grids(self, domain, h, monkeypatch):
+        # oracle: every level sliced from the fine lattice equals the one built from
+        # build_grid(domain, 2^l h) and the sparse constructions written out here: the
+        # colour blocks of its operator, P as _prolongation permuted to both colour orders,
+        # 0.25 P^T on the red rows and (P o P)^T with rows scaled to sum to 1
+        points = []
+        distance = type(domain).distance
+
+        def counting_distance(self, x, y):
+            points.append(np.size(x))
+            return distance(self, x, y)
+
+        monkeypatch.setattr(type(domain), "distance", counting_distance)
+        grid = build_grid(domain, h)
+        mg = fd2d._operators(grid)[2]
+        assert sum(points) == grid.n_interior  # the fine nodes only
+        monkeypatch.undo()
+        assert mg.levels
+
+        def close(got, want):
+            want = sp.csr_matrix(want)
+            scale = max(abs(want).max(), 1.0)
+            return abs(sp.csr_matrix(got) - want).max() <= 1e-14 * scale
+
+        for level, lv in enumerate(mg.levels):
+            coarse = build_grid(domain, 2**level * h)
+            order, k = fd2d._colour_order(*lattice(coarse))
+            op = assemble_operator(coarse, 0.0)[0][order][:, order]
+            want_diag = op.diagonal()
+            assert k == lv.n_red
+            assert np.max(np.abs(np.concatenate([lv.diag_red, lv.diag_black]) - want_diag)) \
+                <= 1e-14 * np.max(np.abs(want_diag))
+            assert close(lv.A_rb, op[:k, k:]) and close(lv.A_br, op[k:, :k])
+            assert close(op[:k, :k], sp.diags(want_diag[:k]))  # no red-red coupling
+            P, cx, cy = fd2d._prolongation(*lattice(coarse))
+            c_order = fd2d._colour_order(cx, cy)[0]
+            P = P[order][:, c_order].tocsr()
+            P2 = P.multiply(P).T.tocsr()
+            assert close(lv.P, P) and close(lv.restrict, 0.25 * P[:k].T)
+            assert close(lv.shift, sp.diags(1.0 / np.asarray(P2.sum(axis=1)).ravel()) @ P2)
+        coarse = build_grid(domain, 2 ** len(mg.levels) * h)
+        assert close(mg.coarse, assemble_operator(coarse, 0.0)[0])
 
     def test_coarse_operators_are_rediscretised(self):
         # level l applies assemble_operator(build_grid(domain, 2^l h)) - diag(s_l): s_0 is
@@ -239,15 +286,24 @@ class TestNewtonKrylov:
         assert max(sizes) <= fd2d._COARSE_MAX < grid.n_interior
 
     def test_exhaust_builds_levels_once(self, monkeypatch):
-        # the coarse lattices are built once per grid, not once per boundary value
+        # the hierarchy is built once per grid, not once per boundary value, and it is
+        # sliced from the fine lattice: no grid is built while solving
         grid = build_grid(Disk(1.0), 1.0 / 64.0)
-        spacings = []
+        built = []
+        multigrid = fd2d._multigrid
 
-        def recording_build_grid(domain, h):
-            spacings.append(h)
-            return build_grid(domain, h)
+        def recording_multigrid(g, A):
+            built.append(g)
+            return multigrid(g, A)
 
-        monkeypatch.setattr(fd2d, "build_grid", recording_build_grid)
+        def no_build_grid(domain, h):
+            raise AssertionError(f"build_grid called with h = {h}")
+
+        monkeypatch.setattr(fd2d, "_multigrid", recording_multigrid)
+        monkeypatch.setattr(fd2d, "build_grid", no_build_grid, raising=False)
+        monkeypatch.setattr(grid2d, "build_grid", no_build_grid)
         _, diags = exhaust(grid, EXP2, W1, [2.0, 3.0, 4.0], tol=1e-9)
         assert len(diags["j"]) == 3 and min(diags["newton_iters"]) >= 1
-        assert spacings == [2.0 * grid.h, 4.0 * grid.h]
+        assert len(built) == 1 and built[0] is grid
+        solve_dirichlet(grid, EXP2, W1, 2.0, tol=1e-9)
+        assert len(built) == 2 and built[1] is grid

@@ -12,9 +12,20 @@ from khessian.symfunc import (
     sigma_all,
     sigma_partial,
     sk_radial,
-    sk_radial_divergence,
     symmetric_eigenvalues,
 )
+
+
+def sk_radial_divergence(u1_fn, r, h, n, k):
+    """Divergence-form evaluation of the radial operator, for cross-checks.
+
+    Differentiates the flux r^(n-k) (u')^k by central differences with step
+    ``h`` and rescales by C(n-1,k-1) / (k r^(n-1)).  O(h) agreement with
+    :func:`sk_radial` on smooth inputs.
+    """
+    flux = lambda s: s ** (n - k) * u1_fn(s) ** k
+    dflux = (flux(r + h) - flux(r - h)) / (2.0 * h)
+    return math.comb(n - 1, k - 1) * dflux / (k * r ** (n - 1))
 
 
 def sigma_bruteforce(j, lam):
