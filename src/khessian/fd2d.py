@@ -1,24 +1,18 @@
 """2d finite-difference solver for the Laplacian case (order k = 1).
 
 Damped Newton on the Shortley-Weller 5-point discretisation of
-Delta u = b(d(x)) f(u).  Without a given start, Newton starts from the
-paper's boundary profile phi(xi M(d) + Phi(j)), the blow-up shape shifted
-to equal the mean boundary value j on the boundary; where that profile is
-not defined it starts from the constant j.  Each Newton step solves its
-Jacobian by Newton-multigrid defect correction, one geometric multigrid
-V-cycle per iteration on the true residual: the coarse levels are the same
-Shortley-Weller operator on the grids of spacing 2h, 4h, ..., whose nodes
-are the even sublattices of the finer ones, shifted by the Galerkin
+Delta u = b(d(x)) f(u), started from the paper's boundary profile
+phi(xi M(d) + Phi(j)) shifted to equal the mean boundary value j on the
+boundary, or from the constant j where that profile is not defined.  Each
+Newton step is solved by multigrid defect correction in the red-black
+order of the fine nodes.  Level l holds the fine nodes whose lattice
+coordinates 2^l divides, with the stencil of spacing 2^l h; it is sliced
+from the fine lattice, no coarse grid built, shifted by the Galerkin
 diagonal of b f'(u) and smoothed by red-black Gauss-Seidel; only the
 coarsest level, at most a thousand unknowns, is factored by SuperLU.  The
-operators and levels are built once per grid, and a Newton step changes
-only their diagonals.
-The odd orders k >= 2 are handled radially elsewhere; a genuine 2d
-wide-stencil scheme for them is out of scope.
-
-Determinism: node ordering, the multigrid levels and the coarse
-fill-reducing ordering are fixed, so identical inputs give bit-identical
-fields on one machine.
+odd orders k >= 2 are handled radially elsewhere.  Node ordering, levels
+and the coarse fill-reducing ordering are fixed, so identical inputs give
+bit-identical fields on one machine.
 """
 
 import math
@@ -30,13 +24,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from ._quad import vectorized
-from .errors import (
-    ConditionViolation,
-    KellerOssermanViolation,
-    ParameterError,
-    ReportTruncated,
-    SolveFailure,
-)
+from .errors import (ConditionViolation, KellerOssermanViolation, ParameterError,
+                     ReportTruncated, SolveFailure)
 from .grid2d import _DIRS, Field2D
 from .nonlinearity import Nonlinearity, Weight
 from .profiles import ProfileFns, assemble_profile, predicted_profile, xi_bounds
@@ -52,43 +41,28 @@ _RTOL_FLOOR = 1e-11
 _MAX_CYCLES = 100  # V-cycles before a Newton step fails
 
 
-def _boundary_values(grid: Field2D, g):
-    """Dirichlet data at every cut-arm intersection; NaN on uncut arms."""
-    out = np.full((grid.n_interior, 4), np.nan)
-    cut = ~np.isnan(grid.arm_xy[:, :, 0])
-    if callable(g):
-        gx = grid.arm_xy[:, :, 0][cut]
-        gy = grid.arm_xy[:, :, 1][cut]
-        out[cut] = np.asarray(g(gx, gy), dtype=float)
-    else:
-        out[cut] = float(g)
-    return out
-
-
 def _csr(vals, cols, n_cols, offset=0):
-    """CSR matrix whose row i holds vals[i, t] at column cols[i, t] - offset, in t order.
+    """CSR matrix whose row i holds vals[i, t] (vals[i] if 1-d) at column cols[i, t] - offset.
 
-    Entries with cols[i, t] < 0 are left out.  A 1-d vals gives every entry
-    of row i the value vals[i].  Rows are counted by adding the columns of
-    the mask, which is cheaper than count_nonzero(axis=1).
+    Entries are stored in t order; those with cols[i, t] < 0 are left out.
     """
     keep = cols >= 0
     counts = keep[:, 0].astype(np.int32)
-    for t in range(1, keep.shape[1]):
+    for t in range(1, keep.shape[1]):  # cheaper than count_nonzero(axis=1)
         counts += keep[:, t]
-    indptr = np.zeros(keep.shape[0] + 1, dtype=np.int32)
+    indptr = np.zeros(len(cols) + 1, dtype=np.int32)
     np.cumsum(counts, out=indptr[1:])
     data = np.repeat(vals, counts) if vals.ndim == 1 else vals[keep]
-    return sp.csr_matrix((data, cols[keep] - offset, indptr), shape=(keep.shape[0], n_cols))
+    return sp.csr_matrix((data, cols[keep] - offset, indptr), shape=(len(cols), n_cols))
 
 
-# columns of the stencil tables: each row is stored S, W, diagonal, E, N (increasing column
-# in row-major and in colour order); _ARMS picks grid2d's arm directions E, W, N, S
+# a stencil table row lists S, W, diagonal, E, N: increasing columns in row-major and in
+# colour order; _ARMS picks grid2d's arm directions E, W, N, S out of it
 _OFF_DIAG, _ARMS = [0, 1, 3, 4], [3, 1, 4, 0]
 
 
 def _weights(arm, h):
-    """Shortley-Weller weights of nodes with arm fractions arm (E, W, N, S): an (m, 5) table."""
+    """Shortley-Weller stencil table of nodes with arm fractions arm (E, W, N, S)."""
     aE, aW, aN, aS = (arm[:, t] * h for t in range(4))
     return np.column_stack([2.0 / (aS * (aN + aS)), 2.0 / (aW * (aE + aW)),
                             -(2.0 / (aE * aW) + 2.0 / (aN * aS)),
@@ -102,17 +76,20 @@ def _stencil(grid: Field2D):
     cof[:, t] is the weight of the arm in direction t (E, W, N, S), which
     multiplies the boundary value on a cut arm.
     """
-    vals = _weights(grid.arm, grid.h)
+    vals, m = _weights(grid.arm, grid.h), grid.n_interior
     nbr = np.where(np.isnan(grid.arm_xy[:, :, 0]), grid.nbr, -1)  # -1 on cut arms
-    m = grid.n_interior
-    cols = np.column_stack([nbr[:, 3], nbr[:, 1], np.arange(m, dtype=np.int32),
-                            nbr[:, 0], nbr[:, 2]])
+    cols = np.insert(nbr[:, [3, 1, 0, 2]], 2, np.arange(m, dtype=np.int32), axis=1)
     return _csr(vals, cols, m), vals[:, _ARMS]
 
 
 def _boundary_terms(grid: Field2D, cof, g):
-    """(const, gvals): the known boundary contributions to each row, and g on the cut arms."""
-    gvals = _boundary_values(grid, g)
+    """(const, gvals): each row's known boundary contribution, and g on the arms (NaN if uncut)."""
+    cut = ~np.isnan(grid.arm_xy[:, :, 0])
+    gvals = np.full(cut.shape, np.nan)
+    if callable(g):
+        gvals[cut] = np.asarray(g(grid.arm_xy[:, :, 0][cut], grid.arm_xy[:, :, 1][cut]), float)
+    else:
+        gvals[cut] = float(g)
     const = np.where(np.isnan(gvals), 0.0, cof * np.nan_to_num(gvals)).sum(axis=1)
     return const, gvals
 
@@ -178,75 +155,58 @@ def _boundary_profile(grid: Field2D, f: Nonlinearity, bweight: Weight):
 
 
 def _table(lx, ly, order, box):
-    """(table, flat): node order[i] numbered i on the lattice box (x0, y0, x1, y1).
+    """(table, flat, cols) of the nodes at lattice (lx, ly) on the box (x0, y0, x1, y1).
 
-    table is the box flattened row-major, -1 where there is no node;
-    flat[j] is the place of node j, so table[flat + dy * width + dx] numbers
-    the lattice point (dx, dy) away from each node, or gives -1.
+    table is the box flattened row-major, holding i at node order[i] and -1
+    off the nodes; flat[j] is node j's place in it; cols[i] numbers the
+    nodes S, W, self, E, N of node order[i] (-1: none).
     """
     x0, y0, x1, y1 = box
-    flat = (ly - y0) * (x1 - x0 + 1) + (lx - x0)
-    table = np.full((y1 - y0 + 1) * (x1 - x0 + 1), -1, dtype=np.int32)
+    width = x1 - x0 + 1
+    flat = (ly - y0) * width + (lx - x0)
+    table = np.full((y1 - y0 + 1) * width, -1, dtype=np.int32)
     table[flat[order]] = np.arange(order.size, dtype=np.int32)
-    return table, flat
-
-
-def _neighbours(table, at, box):
-    """Numbers of the nodes S, W, self, E, N of the nodes at places ``at`` of table (-1: none)."""
-    width = box[2] - box[0] + 1
-    cols = np.empty((at.size, 5), dtype=np.int32)
+    cols = np.empty((order.size, 5), dtype=np.int32)
     for t, step in enumerate((-width, -1, 0, 1, width)):
-        cols[:, t] = table.take(at + step)
-    return cols
+        cols[:, t] = table.take(flat[order] + step)
+    return table, flat, cols
 
 
 def _bilinear(fx, fy, table, box, n):
-    """Bilinear prolongation rows of fine lattice nodes (fx, fy) from the n nodes of table.
+    """Prolongation rows of the fine nodes at lattice (fx, fy) from the n nodes of table.
 
-    table numbers the coarse nodes on the coarse box (_table), whose first
-    place holds no node.  Row i holds the distinct coarse nodes at floor and
-    ceil of (fx, fy) / 2, stored SW, SE, NW, NE, each with weight 1 per even
-    coordinate and 1/2 per odd one; an absent coarse node contributes zero.
+    table numbers the coarse nodes on the coarse box.  Row i holds the
+    distinct coarse nodes at floor and ceil of (fx, fy) / 2, stored SW, SE,
+    NW, NE, weighted 1/2 per odd coordinate; absent ones are dropped, and so
+    is a repeated corner, looked up at place 0 of table, which is margin.
     """
     width = box[2] - box[0] + 1
     at = ((fy >> 1) - box[1]) * width + ((fx >> 1) - box[0])
     ox, oy = fx & 1, fy & 1
-    cols = np.empty((fx.size, 4), dtype=np.int32)
-    cols[:, 0] = table.take(at)
-    cols[:, 1] = table.take((at + 1) * ox)  # place 0 where the coordinate is even
-    cols[:, 2] = table.take((at + width) * oy)
-    cols[:, 3] = table.take((at + width + 1) * (ox & oy))
+    corners = (at, (at + 1) * ox, (at + width) * oy, (at + width + 1) * (ox & oy))
+    cols = np.column_stack([table.take(c) for c in corners])
     return _csr(np.where(ox, 0.5, 1.0) * np.where(oy, 0.5, 1.0), cols, n)
 
 
 def _prolongation(lx, ly):
-    """Bilinear prolongation from the even sublattice of the nodes at lattice (lx, ly).
+    """(P, cx, cy): bilinear prolongation from the even sublattice of the nodes at (lx, ly).
 
-    Returns (P, cx, cy): P maps values on the nodes whose two lattice
-    coordinates are both even, at coarse lattice (cx, cy) = (lx, ly) / 2, to
-    all nodes, both in row-major order (_bilinear).  An even node gets an
-    identity row; a coarse neighbour that does not exist contributes zero,
-    which makes the correction vanish on the boundary.
+    P maps values on the nodes whose lattice coordinates are both even, at
+    coarse lattice (cx, cy) = (lx, ly) / 2, to all nodes, both row-major
+    (_bilinear): an identity row on an even node, and zero from an absent
+    coarse neighbour, so that the correction vanishes on the boundary.
     """
     even = ((lx | ly) & 1) == 0
     cx, cy = lx[even] >> 1, ly[even] >> 1
-    box = ((lx.min() - 1) >> 1, (ly.min() - 1) >> 1, (lx.max() + 1) >> 1, (ly.max() + 1) >> 1)
-    table = _table(cx, cy, np.arange(cx.size), box)[0]
-    return _bilinear(lx, ly, table, box, cx.size), cx, cy
-
-
-def _lattice(grid: Field2D):
-    """Integer lattice coordinates (lx, ly) of the interior nodes: x = lx h, y = ly h."""
-    return (grid.node_ix + round(grid.xs[0] / grid.h),
-            grid.node_iy + round(grid.ys[0] / grid.h))
+    x0, y0, x1, y1 = lx.min() - 1, ly.min() - 1, lx.max() + 1, ly.max() + 1
+    box = (x0 >> 1, y0 >> 1, -(-x1 >> 1), -(-y1 >> 1))  # as in _multigrid
+    return _bilinear(lx, ly, _table(cx, cy, np.arange(cx.size), box)[0], box, cx.size), cx, cy
 
 
 def _colour_order(lx, ly):
     """(order, n_red): red nodes (lx + ly even), then black, each in row-major order.
 
-    Each smoothed level keeps its vectors in this order, so a colour is a
-    slice; the coarsest level, which is only factored, keeps the row-major
-    order (n_red = 0).
+    The coarsest level, which is only factored, keeps row-major order (n_red = 0).
     """
     if lx.size <= _COARSE_MAX:
         return np.arange(lx.size), 0
@@ -254,8 +214,8 @@ def _colour_order(lx, ly):
     return np.concatenate([np.flatnonzero(~odd), np.flatnonzero(odd)]), int(odd.size - odd.sum())
 
 
-# the fine nodes of a coarse node's 3 x 3 full-weighting stencil in decreasing colour
-# order (black N, E, W, S, then red NE, NW, centre, SE, SW): lattice offset, P weight
+# a coarse node's 3 x 3 fine neighbourhood in decreasing colour order (black N, E, W,
+# S, then red NE, NW, centre, SE, SW) and the full-weighting weights, P's entries
 _AROUND = ((0, 1), (1, 0), (-1, 0), (0, -1), (1, 1), (-1, 1), (0, 0), (1, -1), (-1, -1))
 _P_WEIGHT = np.array([0.5] * 4 + [0.25, 0.25, 1.0, 0.25, 0.25])
 
@@ -264,14 +224,10 @@ _P_WEIGHT = np.array([0.5] * 4 + [0.25, 0.25, 1.0, 0.25, 0.25])
 class _Level:
     """One smoothed multigrid level: its Shortley-Weller operator split by colour.
 
-    Vectors on the level hold its n_red red nodes first, then the black
-    ones (_colour_order); the 5-point stencil couples each colour only to
-    the other off the diagonal.  P is the bilinear prolongation from the
-    next coarser level, in both levels' orders; ``restrict`` is
-    0.25 P^T on the red rows only, and ``shift`` maps a diagonal shift s
-    to the next coarser level: (P o P)^T s / (P o P)^T 1, the diagonal of
-    P^T diag(s) P over that of P^T P.  Both are the full-weighting stencil
-    seen from each coarse node.
+    Vectors hold the n_red red nodes, then the black ones (_colour_order).
+    P is the bilinear prolongation from the next coarser level, in both
+    levels' orders; ``shift`` maps a diagonal shift s down to it as the
+    diagonal of P^T diag(s) P over that of P^T P.
     """
 
     n_red: int
@@ -288,11 +244,9 @@ class _Level:
 class _Multigrid:
     """Levels of one grid, fine to coarse, and the coarsest operator, fixed per grid.
 
-    Level l holds the fine nodes whose lattice coordinates are divisible by
-    2^l, with spacing 2^l h: the grid build_grid(domain, 2^l h) would have
-    the same nodes in the same row-major order, since (2^l i) h and
-    i (2^l h) round alike, and the same arms.  Only the Jacobian diagonal
-    b f'(u) changes from one Newton step to the next.
+    Level l holds the fine nodes whose lattice coordinates 2^l divides, as
+    build_grid(domain, 2^l h) would, since (2^l i) h and i (2^l h) round
+    alike.  Only the diagonal b f'(u) changes from one Newton step to the next.
     """
 
     levels: list
@@ -303,23 +257,22 @@ class _Multigrid:
 def _multigrid(grid: Field2D, A):
     """The hierarchy of grid, with fine operator A, down to <= _COARSE_MAX unknowns.
 
-    Every level is sliced from the fine lattice: its nodes are the even
-    sublattice of the level above, halved, and its neighbours, colour
-    blocks, prolongation, restriction and shift map are read as CSR off
-    lattice tables (_table), with rows in each level's colour order.  The
-    finest weights are A's entries; a coarse level computes its own from its
-    arms, with arm fractions only where an arm of the level leaves the
-    domain.  No coarse grid, distance or sparse product is formed.
+    Each level is the even sublattice of the one above, halved, sliced from
+    the fine lattice: its colour blocks, P, restriction and shift map are
+    read off lattice tables (_table) as CSR, rows in colour order.  The
+    finest weights are A's entries; a coarse level's come from its arms, cut
+    only where an arm of the level leaves the domain.  No coarse grid,
+    distance or sparse product is formed.
     """
-    lx, ly = _lattice(grid)
+    lx, ly = grid.node_ix + round(grid.xs[0] / grid.h), grid.node_iy + round(grid.ys[0] / grid.h)
     box = (lx.min() - 1, ly.min() - 1, lx.max() + 1, ly.max() + 1)  # one node of margin
     order, n_red = _colour_order(lx, ly)
-    table, flat = _table(lx, ly, order, box)
-    cols = _neighbours(table, flat[order], box)
-    vals, at = np.empty(cols.shape), A.indptr[order]
-    for t in range(5):  # A's rows hold the listed entries in this order
-        vals[:, t] = A.data.take(at, mode="clip")  # junk where none, which _csr drops
-        at += cols[:, t] >= 0
+    table, flat, cols = _table(lx, ly, order, box)
+    at = np.empty(cols.shape, dtype=np.int32)  # A stores each row's listed entries in order
+    at[:, 0] = A.indptr[order]
+    for t in range(1, 5):
+        np.add(at[:, t - 1], cols[:, t - 1] >= 0, out=at[:, t])
+    vals = A.data.take(at, mode="clip")  # junk where there is no entry, which _csr drops
     h, levels, top = grid.h, [], order
     while lx.size > _COARSE_MAX:
         k, width = n_red, box[2] - box[0] + 1
@@ -327,9 +280,9 @@ def _multigrid(grid: Field2D, A):
         cx, cy = lx[even] >> 1, ly[even] >> 1
         c_box = (box[0] >> 1, box[1] >> 1, -(-box[2] >> 1), -(-box[3] >> 1))
         c_order, c_red = _colour_order(cx, cy)
-        c_table, c_flat = _table(cx, cy, c_order, c_box)
-        # the 3 x 3 fine neighbourhood of each coarse node, in the coarse colour order
-        near = table[flat[even[c_order], None] + [dy * width + dx for dx, dy in _AROUND]]
+        c_table, c_flat, c_cols = _table(cx, cy, c_order, c_box)
+        steps = np.array([dy * width + dx for dx, dy in _AROUND], dtype=np.int32)
+        near = table.take(flat[even[c_order], None] + steps)  # coarse rows, colour order
         weight = np.where(near >= 0, _P_WEIGHT, 0.0) ** 2
         weight *= (1.0 / weight.sum(axis=1))[:, None]  # exact sums of multiples of 1/16
         levels.append(_Level(
@@ -340,11 +293,10 @@ def _multigrid(grid: Field2D, A):
             restrict=_csr(np.broadcast_to(0.25 * _P_WEIGHT[8:3:-1], (cx.size, 5)),
                           near[:, 8:3:-1], k),
             shift=_csr(weight, near, lx.size)))
-        lx, ly, box, order, n_red, table, flat = cx, cy, c_box, c_order, c_red, c_table, c_flat
+        lx, ly, box, order, n_red, table, flat, cols = (
+            cx, cy, c_box, c_order, c_red, c_table, c_flat, c_cols)
         h *= 2.0
-        cols = _neighbours(table, flat[order], box)
-        x, y = lx[order] * h, ly[order] * h
-        arm = np.ones((lx.size, 4))
+        x, y, arm = lx[order] * h, ly[order] * h, np.ones((lx.size, 4))
         for t, (dx, dy) in enumerate(_DIRS):
             cut = np.flatnonzero(cols[:, _ARMS[t]] < 0)
             arm[cut, t] = grid.domain.arm_fraction(x[cut], y[cut], dx, dy, h)
@@ -369,13 +321,11 @@ def _smoothers(mg: _Multigrid, shifts):
 def _vcycle(levels, inverses, coarse_lu, r):
     """One V-cycle for J x = r from x = 0, r and x in the colour order of the top level.
 
-    One red-black Gauss-Seidel sweep before and one after the coarse
-    correction on every level of ``levels`` (``inverses`` holds the
-    inverted diagonals), restriction 0.25 P^T, and the SuperLU solve
-    ``coarse_lu`` on the coarsest.  After the pre-sweep the black residual
-    is zero, so only the red one, -A_rb x_b, is restricted.  A fixed
-    linear map M of r: the approximate inverse of the defect correction in
-    _newton_direction, exact when there are no levels.
+    One red-black Gauss-Seidel sweep (``inverses``: inverted diagonals)
+    before and after the coarse correction on every level, and the SuperLU
+    solve ``coarse_lu`` on the coarsest.  After the pre-sweep the black
+    residual is zero, so only the red one, -A_rb x_b, is restricted.  A
+    fixed linear map of r, exact when there are no levels.
     """
     if not levels:
         return coarse_lu.solve(r)
@@ -391,10 +341,9 @@ def _vcycle(levels, inverses, coarse_lu, r):
 
 
 def _cycle(mg: _Multigrid, shifts):
-    """One V-cycle for A - diag(shifts[0]) as a function of a residual in the finest colour order.
+    """One V-cycle for A - diag(shifts[0]) as a function of a residual in colour order.
 
-    Factors the coarsest level, shifted by its Galerkin-diagonal b f'(u),
-    by SuperLU; raises SolveFailure when that fails.
+    Factors the shifted coarsest level by SuperLU; SolveFailure if that fails.
     """
     coarse = mg.coarse - sp.diags(shifts[-1], format="csc")
     try:
@@ -405,61 +354,54 @@ def _cycle(mg: _Multigrid, shifts):
     return lambda r: _vcycle(mg.levels, inverses, coarse_lu, r)
 
 
+def _row_major(mg: _Multigrid, x):
+    """x, given in the finest colour order, in row-major order."""
+    out = np.empty_like(x)
+    out[mg.order] = x
+    return out
+
+
 def _preconditioner(mg: _Multigrid, bfp):
-    """One V-cycle for A - diag(bfp) as a function of the residual, both row-major (_cycle)."""
+    """One V-cycle for A - diag(bfp) as a function of the residual, both row-major."""
     cycle = _cycle(mg, _shifts(mg, bfp))
-
-    def precond(r):
-        x = np.empty_like(r)
-        x[mg.order] = cycle(r[mg.order])
-        return x
-
-    return precond
-
-
-def _norm(v):
-    """||v||_2 without BLAS, whose threaded dot can stall for milliseconds on a busy host."""
-    return math.sqrt(np.einsum("i,i->", v, v))
+    return lambda r: _row_major(mg, cycle(r[mg.order]))
 
 
 def _newton_direction(A, bfp, mg: _Multigrid, rhs, rtol):
     """Solve (A - diag(bfp)) x = rhs by defect correction, one V-cycle M per iteration.
 
     From x = 0, x += M r with r = rhs - (A x - bfp x), the true residual,
-    until ||r||_2 <= rtol ||rhs||_2; the Jacobian is never assembled.  The
-    iteration runs in the finest colour order, rhs and bfp permuted once and
-    r taken from the finest colour blocks; rhs and x are row-major.
-    Returns (x, cycles).  Raises SolveFailure when the coarsest
-    factorization fails, a residual is not finite or _MAX_CYCLES cycles
-    miss rtol.
+    until ||r||_2 <= rtol ||rhs||_2; the Jacobian is never assembled.  rhs
+    and x are row-major; the iteration runs in the finest colour order and
+    takes r from the finest colour blocks.  Returns (x, cycles).  Raises
+    SolveFailure when the coarsest factorization fails, a residual is not
+    finite or _MAX_CYCLES cycles miss rtol.
     """
     shifts = _shifts(mg, bfp)
-    cycle = _cycle(mg, shifts)
-    b, s = rhs[mg.order], shifts[0]
-    if mg.levels:
-        lv = mg.levels[0]
-        k = lv.n_red
+    cycle, b, s = _cycle(mg, shifts), rhs[mg.order], shifts[0]
+    lv = mg.levels[0] if mg.levels else None
 
-        def residual(x):
-            r = s * x
-            r[:k] -= lv.diag_red * x[:k] + lv.A_rb @ x[k:]
-            r[k:] -= lv.diag_black * x[k:] + lv.A_br @ x[:k]
-            r += b
-            return r
-    else:  # the grid is the coarsest level, in row-major order
-        residual = lambda x: b - (A @ x - s * x)
-    scale = _norm(rhs)
+    def residual(x):
+        if lv is None:  # the grid is the coarsest level, in row-major order
+            return b - (A @ x - s * x)
+        k, r = lv.n_red, s * x
+        r[:k] -= lv.diag_red * x[:k] + lv.A_rb @ x[k:]
+        r[k:] -= lv.diag_black * x[k:] + lv.A_br @ x[:k]
+        r += b
+        return r
+
+    # 2-norms by einsum: BLAS's threaded dot can stall for milliseconds on a busy host
+    norm2 = lambda v: math.sqrt(np.einsum("i,i->", v, v))
+    scale = norm2(rhs)
     x, r = np.zeros_like(b), b
     for cycles in range(1, _MAX_CYCLES + 1):
         x += cycle(r)
         r = residual(x)
-        norm = _norm(r)
+        norm = norm2(r)
         if not math.isfinite(norm):
             raise SolveFailure(f"V-cycle iteration gave a non-finite residual in cycle {cycles}")
         if norm <= rtol * scale:
-            out = np.empty_like(x)
-            out[mg.order] = x
-            return out, cycles
+            return _row_major(mg, x), cycles
     raise SolveFailure(f"V-cycle iteration missed rtol {rtol:.1e} in {_MAX_CYCLES} cycles "
                        f"(relative residual {norm / scale:.2e})")
 
@@ -496,20 +438,13 @@ def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol,
     Damped Newton to residual max-norm <= tol.  Without u0 the start is the
     boundary profile phi(xi M(d) + Phi(j)) with j the mean boundary value,
     or the constant j when b_override is given, the profile does not exist
-    or j <= 0.  Each step solves the Jacobian A - diag(b f'(u)), never
-    assembled, by defect correction with one geometric multigrid V-cycle
-    per iteration (_newton_direction): level l is the Shortley-Weller
-    operator of build_grid(domain, 2^l h), whose nodes are the fine nodes
-    with lattice coordinates divisible by 2^l, minus the Galerkin diagonal
-    of b f'(u), down to at most _COARSE_MAX unknowns; bilinear prolongation
-    P, full-weighting restriction P^T / 4, and one red-black Gauss-Seidel
-    sweep before and after each coarse correction.  Only the coarsest level
-    is factored by SuperLU (the whole Jacobian on small grids, where one
-    cycle solves the step).  The operators and levels are built once per
-    call, or once per exhaust.  A failed factorization, a non-finite cycle
-    residual or _MAX_CYCLES cycles short of the step's tolerance raise
-    SolveFailure with the Newton residual history so far.  Residuals are
-    measured against the per-node source scale 1 + b f(u): with
+    or j <= 0.  Each step solves the Jacobian A - diag(b f'(u)) by multigrid
+    defect correction (_newton_direction) on levels sliced from the fine
+    lattice (_multigrid), built once per call or once per exhaust; f(u) is
+    evaluated once per trial point.  A failed coarsest factorization, a
+    non-finite cycle residual or _MAX_CYCLES cycles short of the step's
+    tolerance raise SolveFailure with the Newton residual history so far.
+    Residuals are measured against the per-node source scale 1 + b f(u): with
     exponential sources the raw residual sits at eps * b f(u) near the
     boundary, so an unscaled max-norm target below that rounding floor
     would never be reached.  meta records newton_iters, factorizations
@@ -537,13 +472,11 @@ def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol,
         if u is None:
             u = np.full(grid.n_interior, j)
 
-    eps = np.finfo(float).eps
-
     def evaluate(uv):
         """(residual, scaled max-norm, whether it is round-off) at uv; f is evaluated once."""
         bf = b * fv(uv)
         res_vec = A @ uv + const - bf
-        floor = 64.0 * eps * (abs_diag * np.abs(uv) + np.abs(const) + bf)
+        floor = 64.0 * np.finfo(float).eps * (abs_diag * np.abs(uv) + np.abs(const) + bf)
         return (res_vec, float(np.max(np.abs(res_vec) / (1.0 + bf))),
                 bool(np.all(np.abs(res_vec) <= floor)))
 
@@ -576,27 +509,18 @@ def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol,
         else:
             if at_floor:
                 break  # residual is pure round-off; nothing left to gain
-            raise SolveFailure(
-                f"Newton damping floor reached (residual {norm:.3g})", residuals=history
-            )
+            raise SolveFailure(f"Newton damping floor reached (residual {norm:.3g})",
+                               residuals=history)
         u, res, norm, at_floor = u_try, res_try, norm_try, floor_try
         del delta  # not held through the next step's solve
         history.append(norm)
     else:
         raise SolveFailure(f"Newton did not converge in {max_newton} steps", residuals=history)
 
-    return grid.with_values(
-        u,
-        meta={
-            **grid.meta,
-            "tol": tol,
-            "newton_iters": len(history) - 1,
-            "factorizations": factorizations,
-            "cycles": cycles,
-            "start": start,
-            "residual_history": history,
-        },
-    )
+    return grid.with_values(u, meta={
+        **grid.meta, "tol": tol, "newton_iters": len(history) - 1,
+        "factorizations": factorizations, "cycles": cycles, "start": start,
+        "residual_history": history})
 
 
 def exhaust(grid: Field2D, f: Nonlinearity, bweight: Weight, j_schedule, tol,
@@ -619,8 +543,7 @@ def exhaust(grid: Field2D, f: Nonlinearity, bweight: Weight, j_schedule, tol,
     diam = 2.0 * max(grid.domain.half_extents)
     core = grid.node_d >= 0.2 * diam
     profile = None if b_override is not None else _boundary_profile(grid, f, bweight)
-    fields = []
-    u_prev = None
+    fields, u_prev = [], None
     diags = {"j": [], "increment_min": [], "increment_max": [], "core_increment": [],
              "cauchy_ratio": [], "center_value": [], "newton_iters": [],
              "factorizations": [], "cycles": []}
