@@ -56,17 +56,25 @@ def _csr(vals, cols, n_cols, offset=0):
     return sp.csr_matrix((data, cols[keep] - offset, indptr), shape=(len(cols), n_cols))
 
 
-# a stencil table row lists S, W, diagonal, E, N: increasing columns in row-major and in
-# colour order; _ARMS picks grid2d's arm directions E, W, N, S out of it
-_OFF_DIAG, _ARMS = [0, 1, 3, 4], [3, 1, 4, 0]
+# stencil tables list a node's neighbours S, W, E, N, in increasing column order in
+# row-major and in colour numbering, and a matrix row stores them S, W, diagonal, E, N;
+# _ARMS picks grid2d's arm directions E, W, N, S out of a table
+_ARMS = [2, 1, 3, 0]
 
 
 def _weights(arm, h):
-    """Shortley-Weller stencil table of nodes with arm fractions arm (E, W, N, S)."""
+    """(off, diag): Shortley-Weller weights, S, W, E, N, of nodes with arm fractions arm."""
     aE, aW, aN, aS = (arm[:, t] * h for t in range(4))
-    return np.column_stack([2.0 / (aS * (aN + aS)), 2.0 / (aW * (aE + aW)),
-                            -(2.0 / (aE * aW) + 2.0 / (aN * aS)),
-                            2.0 / (aE * (aE + aW)), 2.0 / (aN * (aN + aS))])
+    return (np.column_stack([2.0 / (aS * (aN + aS)), 2.0 / (aW * (aE + aW)),
+                             2.0 / (aE * (aE + aW)), 2.0 / (aN * (aN + aS))]),
+            -(2.0 / (aE * aW) + 2.0 / (aN * aS)))
+
+
+def _operator(off, diag, cols):
+    """The matrix of the stencil tables (off, diag) with neighbour numbers cols (-1: none)."""
+    n = len(diag)
+    return _csr(np.insert(off, 2, diag, axis=1),
+                np.insert(cols, 2, np.arange(n, dtype=np.int32), axis=1), n)
 
 
 def _stencil(grid: Field2D):
@@ -76,10 +84,9 @@ def _stencil(grid: Field2D):
     cof[:, t] is the weight of the arm in direction t (E, W, N, S), which
     multiplies the boundary value on a cut arm.
     """
-    vals, m = _weights(grid.arm, grid.h), grid.n_interior
+    off, diag = _weights(grid.arm, grid.h)
     nbr = np.where(np.isnan(grid.arm_xy[:, :, 0]), grid.nbr, -1)  # -1 on cut arms
-    cols = np.insert(nbr[:, [3, 1, 0, 2]], 2, np.arange(m, dtype=np.int32), axis=1)
-    return _csr(vals, cols, m), vals[:, _ARMS]
+    return _operator(off, diag, nbr[:, [3, 1, 0, 2]]), off[:, _ARMS]
 
 
 def _boundary_terms(grid: Field2D, cof, g):
@@ -157,17 +164,16 @@ def _boundary_profile(grid: Field2D, f: Nonlinearity, bweight: Weight):
 def _table(lx, ly, order, box):
     """(table, flat, cols) of the nodes at lattice (lx, ly) on the box (x0, y0, x1, y1).
 
-    table is the box flattened row-major, holding i at node order[i] and -1
-    off the nodes; flat[j] is node j's place in it; cols[i] numbers the
-    nodes S, W, self, E, N of node order[i] (-1: none).
+    table, the box flattened row-major, holds i at node order[i] and -1 elsewhere; flat[j]
+    is node j's place in it; cols[i] numbers node order[i]'s neighbours S, W, E, N.
     """
     x0, y0, x1, y1 = box
     width = x1 - x0 + 1
     flat = (ly - y0) * width + (lx - x0)
     table = np.full((y1 - y0 + 1) * width, -1, dtype=np.int32)
     table[flat[order]] = np.arange(order.size, dtype=np.int32)
-    cols = np.empty((order.size, 5), dtype=np.int32)
-    for t, step in enumerate((-width, -1, 0, 1, width)):
+    cols = np.empty((order.size, 4), dtype=np.int32)
+    for t, step in enumerate((-width, -1, 1, width)):
         cols[:, t] = table.take(flat[order] + step)
     return table, flat, cols
 
@@ -175,10 +181,9 @@ def _table(lx, ly, order, box):
 def _bilinear(fx, fy, table, box, n):
     """Prolongation rows of the fine nodes at lattice (fx, fy) from the n nodes of table.
 
-    table numbers the coarse nodes on the coarse box.  Row i holds the
-    distinct coarse nodes at floor and ceil of (fx, fy) / 2, stored SW, SE,
-    NW, NE, weighted 1/2 per odd coordinate; absent ones are dropped, and so
-    is a repeated corner, looked up at place 0 of table, which is margin.
+    Row i holds the distinct coarse nodes at floor and ceil of (fx, fy) / 2, stored SW, SE,
+    NW, NE, weighted 1/2 per odd coordinate; a repeated corner reads place 0 of the table,
+    which is margin, so it is dropped like an absent node.
     """
     width = box[2] - box[0] + 1
     at = ((fy >> 1) - box[1]) * width + ((fx >> 1) - box[0])
@@ -191,10 +196,8 @@ def _bilinear(fx, fy, table, box, n):
 def _prolongation(lx, ly):
     """(P, cx, cy): bilinear prolongation from the even sublattice of the nodes at (lx, ly).
 
-    P maps values on the nodes whose lattice coordinates are both even, at
-    coarse lattice (cx, cy) = (lx, ly) / 2, to all nodes, both row-major
-    (_bilinear): an identity row on an even node, and zero from an absent
-    coarse neighbour, so that the correction vanishes on the boundary.
+    P maps the nodes with even coordinates, at coarse lattice (cx, cy) = (lx, ly) / 2, to all
+    nodes, both row-major (_bilinear); an absent coarse node gives zero, as on the boundary.
     """
     even = ((lx | ly) & 1) == 0
     cx, cy = lx[even] >> 1, ly[even] >> 1
@@ -257,22 +260,22 @@ class _Multigrid:
 def _multigrid(grid: Field2D, A):
     """The hierarchy of grid, with fine operator A, down to <= _COARSE_MAX unknowns.
 
-    Each level is the even sublattice of the one above, halved, sliced from
-    the fine lattice: its colour blocks, P, restriction and shift map are
-    read off lattice tables (_table) as CSR, rows in colour order.  The
-    finest weights are A's entries; a coarse level's come from its arms, cut
-    only where an arm of the level leaves the domain.  No coarse grid,
-    distance or sparse product is formed.
+    Each level is the even sublattice of the one above, halved: its colour blocks, P,
+    restriction and shift map are read off lattice tables (_table) as CSR, rows in colour
+    order.  The finest weights are A's entries, a coarse level's come from its arms, cut
+    only where they leave the domain; no coarse grid, distance or sparse product is formed.
     """
     lx, ly = grid.node_ix + round(grid.xs[0] / grid.h), grid.node_iy + round(grid.ys[0] / grid.h)
     box = (lx.min() - 1, ly.min() - 1, lx.max() + 1, ly.max() + 1)  # one node of margin
     order, n_red = _colour_order(lx, ly)
     table, flat, cols = _table(lx, ly, order, box)
-    at = np.empty(cols.shape, dtype=np.int32)  # A stores each row's listed entries in order
+    at = np.empty(cols.shape, dtype=np.int32)  # where A's rows store S, W, (diag,) E, N
     at[:, 0] = A.indptr[order]
-    for t in range(1, 5):
-        np.add(at[:, t - 1], cols[:, t - 1] >= 0, out=at[:, t])
-    vals = A.data.take(at, mode="clip")  # junk where there is no entry, which _csr drops
+    at[:, 1] = at[:, 0] + (cols[:, 0] >= 0)
+    at[:, 2] = at[:, 1] + (cols[:, 1] >= 0) + 1
+    at[:, 3] = at[:, 2] + (cols[:, 2] >= 0)
+    off, diag = A.data.take(at, mode="clip"), A.data[at[:, 2] - 1]  # junk where none
+    del at  # freed before the levels are built
     h, levels, top = grid.h, [], order
     while lx.size > _COARSE_MAX:
         k, width = n_red, box[2] - box[0] + 1
@@ -286,9 +289,8 @@ def _multigrid(grid: Field2D, A):
         weight = np.where(near >= 0, _P_WEIGHT, 0.0) ** 2
         weight *= (1.0 / weight.sum(axis=1))[:, None]  # exact sums of multiples of 1/16
         levels.append(_Level(
-            n_red=k, diag_red=vals[:k, 2].copy(), diag_black=vals[k:, 2].copy(),
-            A_rb=_csr(vals[:k, _OFF_DIAG], cols[:k, _OFF_DIAG], lx.size - k, k),
-            A_br=_csr(vals[k:, _OFF_DIAG], cols[k:, _OFF_DIAG], k),
+            n_red=k, diag_red=diag[:k], diag_black=diag[k:],
+            A_rb=_csr(off[:k], cols[:k], lx.size - k, k), A_br=_csr(off[k:], cols[k:], k),
             P=_bilinear(lx[order], ly[order], c_table, c_box, cx.size),
             restrict=_csr(np.broadcast_to(0.25 * _P_WEIGHT[8:3:-1], (cx.size, 5)),
                           near[:, 8:3:-1], k),
@@ -300,8 +302,8 @@ def _multigrid(grid: Field2D, A):
         for t, (dx, dy) in enumerate(_DIRS):
             cut = np.flatnonzero(cols[:, _ARMS[t]] < 0)
             arm[cut, t] = grid.domain.arm_fraction(x[cut], y[cut], dx, dy, h)
-        vals = _weights(arm, h)
-    return _Multigrid(levels=levels, order=top, coarse=_csr(vals, cols, lx.size).tocsc())
+        off, diag = _weights(arm, h)
+    return _Multigrid(levels=levels, order=top, coarse=_operator(off, diag, cols).tocsc())
 
 
 def _shifts(mg: _Multigrid, bfp):
@@ -370,12 +372,10 @@ def _preconditioner(mg: _Multigrid, bfp):
 def _newton_direction(A, bfp, mg: _Multigrid, rhs, rtol):
     """Solve (A - diag(bfp)) x = rhs by defect correction, one V-cycle M per iteration.
 
-    From x = 0, x += M r with r = rhs - (A x - bfp x), the true residual,
-    until ||r||_2 <= rtol ||rhs||_2; the Jacobian is never assembled.  rhs
-    and x are row-major; the iteration runs in the finest colour order and
-    takes r from the finest colour blocks.  Returns (x, cycles).  Raises
-    SolveFailure when the coarsest factorization fails, a residual is not
-    finite or _MAX_CYCLES cycles miss rtol.
+    From x = 0, x += M r with r = rhs - (A x - bfp x), the true residual, until
+    ||r||_2 <= rtol ||rhs||_2.  rhs and x are row-major; the iteration runs in the finest
+    colour order, r from its colour blocks.  Returns (x, cycles).  Raises SolveFailure when
+    the coarsest factorization fails, a residual is not finite or _MAX_CYCLES cycles miss rtol.
     """
     shifts = _shifts(mg, bfp)
     cycle, b, s = _cycle(mg, shifts), rhs[mg.order], shifts[0]
