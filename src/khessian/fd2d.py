@@ -91,13 +91,11 @@ def _stencil(grid: Field2D):
 
 def _boundary_terms(grid: Field2D, cof, g):
     """(const, gvals): each row's known boundary contribution, and g on the arms (NaN if uncut)."""
-    cut = ~np.isnan(grid.arm_xy[:, :, 0])
-    gvals = np.full(cut.shape, np.nan)
-    if callable(g):
-        gvals[cut] = np.asarray(g(grid.arm_xy[:, :, 0][cut], grid.arm_xy[:, :, 1][cut]), float)
-    else:
-        gvals[cut] = float(g)
-    const = np.where(np.isnan(gvals), 0.0, cof * np.nan_to_num(gvals)).sum(axis=1)
+    cut = np.nonzero(~np.isnan(grid.arm_xy[:, :, 0]))  # (node, arm) pairs, row-major
+    gvals = np.full(cof.shape, np.nan)
+    gvals[cut] = np.asarray(g(*grid.arm_xy[cut].T), float) if callable(g) else float(g)
+    const = np.zeros(len(cof))
+    np.add.at(const, cut[0], cof[cut] * np.nan_to_num(gvals[cut]))  # in arm order, as a row sum
     return const, gvals
 
 

@@ -222,12 +222,11 @@ def build_grid(domain, h):
     arm_xy = np.full((m, 4, 2), np.nan)
     mask = inside.astype(np.int8)
 
+    at = node_iy * nx + node_ix  # flat places: each neighbour is one take away
     for t, (dx, dy) in enumerate(_DIRS):
-        jx = node_ix + dx
-        jy = node_iy + dy
-        in_nbr = inside[jy, jx]
-        nbr[in_nbr, t] = index[jy[in_nbr], jx[in_nbr]]
-        cut = ~in_nbr
+        j = index.take(at + (dy * nx + dx))
+        nbr[:, t] = np.maximum(j, 0)
+        cut = np.flatnonzero(j < 0)
         x0, y0 = xs[node_ix[cut]], ys[node_iy[cut]]
         theta = domain.arm_fraction(x0, y0, dx, dy, h)
         arm[cut, t] = theta
