@@ -138,10 +138,9 @@ def sk_radial(u1, u2, r, n, k):
 def symmetric_eigenvalues(A, tol=None):
     """Eigenvalues of a small symmetric matrix, sorted descending.
 
-    Capped at size 8 (all internal uses are n <= 4 Hessians).  Asymmetry
-    beyond 1e-12 relative is rejected; the symmetric part goes to LAPACK
-    (``np.linalg.eigvalsh``), accurate to rounding, so ``tol`` is accepted
-    and ignored.
+    Capped at size 8.  Asymmetry beyond 1e-12 relative is rejected; the
+    symmetric part goes to LAPACK (``np.linalg.eigvalsh``), accurate to
+    rounding, so ``tol`` is accepted and ignored.
     """
     a = np.array(A, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
