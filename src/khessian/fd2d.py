@@ -52,8 +52,9 @@ def _csr(vals, cols, n_cols, offset=0):
         counts += keep[:, t]
     indptr = np.zeros(len(cols) + 1, dtype=np.int32)
     np.cumsum(counts, out=indptr[1:])
-    data = np.repeat(vals, counts) if vals.ndim == 1 else vals[keep]
-    return sp.csr_matrix((data, cols[keep] - offset, indptr), shape=(len(cols), n_cols))
+    data, indices = (np.repeat(vals, counts) if vals.ndim == 1 else vals[keep]), cols[keep]
+    indices -= offset
+    return sp.csr_matrix((data, indices, indptr), shape=(len(cols), n_cols))
 
 
 # stencil tables list a node's neighbours S, W, E, N, in increasing column order in
@@ -78,24 +79,25 @@ def _operator(off, diag, cols):
 
 
 def _stencil(grid: Field2D):
-    """(A, cof): the Shortley-Weller matrix of grid (CSR) and its per-arm coefficients.
+    """(A, off): the Shortley-Weller matrix of grid (CSR) and its off-diagonal weights.
 
     A acts on the interior unknowns, diagonal included and cut arms dropped;
-    cof[:, t] is the weight of the arm in direction t (E, W, N, S), which
+    off[:, t] is the weight of the arm to neighbour S, W, E, N, which
     multiplies the boundary value on a cut arm.
     """
     off, diag = _weights(grid.arm, grid.h)
     nbr = np.where(np.isnan(grid.arm_xy[:, :, 0]), grid.nbr, -1)  # -1 on cut arms
-    return _operator(off, diag, nbr[:, [3, 1, 0, 2]]), off[:, _ARMS]
+    return _operator(off, diag, nbr[:, [3, 1, 0, 2]]), off
 
 
-def _boundary_terms(grid: Field2D, cof, g):
+def _boundary_terms(grid: Field2D, off, g):
     """(const, gvals): each row's known boundary contribution, and g on the arms (NaN if uncut)."""
     cut = np.nonzero(~np.isnan(grid.arm_xy[:, :, 0]))  # (node, arm) pairs, row-major
-    gvals = np.full(cof.shape, np.nan)
+    gvals = np.full(off.shape, np.nan)
     gvals[cut] = np.asarray(g(*grid.arm_xy[cut].T), float) if callable(g) else float(g)
-    const = np.zeros(len(cof))
-    np.add.at(const, cut[0], cof[cut] * np.nan_to_num(gvals[cut]))  # in arm order, as a row sum
+    const = np.zeros(len(off))
+    weight = off[cut[0], np.take(_ARMS, cut[1])]
+    np.add.at(const, cut[0], weight * np.nan_to_num(gvals[cut]))  # in arm order, as a row sum
     return const, gvals
 
 
@@ -106,8 +108,8 @@ def assemble_operator(grid: Field2D, g):
     included and cut arms dropped; const carries the known boundary
     contributions, so A u + const approximates Delta u.
     """
-    A, cof = _stencil(grid)
-    return (A, *_boundary_terms(grid, cof, g))
+    A, off = _stencil(grid)
+    return (A, *_boundary_terms(grid, off, g))
 
 
 def _source_b(grid: Field2D, bweight: Weight, b_override):
@@ -408,15 +410,15 @@ _SHARED = ContextVar("fd2d_shared", default=(None, None))  # (grid, operators) o
 
 
 def _operators(grid: Field2D):
-    """(A, cof, multigrid) of grid, which depend on neither f, b nor g.
+    """(A, off, multigrid) of grid, which depend on neither f, b nor g.
 
     Within _shared_operators(grid), the set built there.
     """
     shared_grid, operators = _SHARED.get()
     if shared_grid is grid:
         return operators
-    A, cof = _stencil(grid)
-    return A, cof, _multigrid(grid, A)
+    A, off = _stencil(grid)
+    return A, off, _multigrid(grid, A)
 
 
 @contextmanager
@@ -451,8 +453,8 @@ def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol,
     """
     if tol <= 0:
         raise ParameterError(f"tolerance must be positive, got {tol}")
-    A, cof, mg = _operators(grid)
-    const, gvals = _boundary_terms(grid, cof, g)
+    A, off, mg = _operators(grid)
+    const, gvals = _boundary_terms(grid, off, g)
     abs_diag = np.abs(A.diagonal())
     b = _source_b(grid, bweight, b_override)
     f_raw = vectorized(f.f)
