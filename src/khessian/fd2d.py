@@ -93,9 +93,9 @@ def _stencil(grid: Field2D):
 def _boundary_terms(grid: Field2D, off, g):
     """(const, gvals): each row's known boundary contribution, and g on the arms (NaN if uncut)."""
     cut = np.nonzero(~np.isnan(grid.arm_xy[:, :, 0]))  # (node, arm) pairs, row-major
-    gvals = np.full(off.shape, np.nan)
+    gvals = np.full(grid.arm.shape, np.nan)  # arms E, W, N, S
     gvals[cut] = np.asarray(g(*grid.arm_xy[cut].T), float) if callable(g) else float(g)
-    const = np.zeros(len(off))
+    const = np.zeros(grid.n_interior)
     weight = off[cut[0], np.take(_ARMS, cut[1])]
     np.add.at(const, cut[0], weight * np.nan_to_num(gvals[cut]))  # in arm order, as a row sum
     return const, gvals
