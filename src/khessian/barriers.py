@@ -258,22 +258,22 @@ class MarginReport:
     samples: list = field(default_factory=list)
     extras: dict = field(default_factory=dict)
 
+    def as_dict(self):
+        """The report as a dict of plain Python values (the samples list is shared)."""
+        return {
+            "kind": self.kind,
+            "eps": self.eps,
+            "delta_eps": self.delta_eps,
+            "sigma_shift": self.sigma_shift,
+            "passed": self.passed,
+            "worst_margin": self.worst_margin,
+            "sup_sigma_k_tilted": self.sup_sigma_k_tilted,
+            "extras": self.extras,
+            "samples": self.samples,
+        }
+
     def to_json(self, indent=None):
-        return json.dumps(
-            {
-                "kind": self.kind,
-                "eps": self.eps,
-                "delta_eps": self.delta_eps,
-                "sigma_shift": self.sigma_shift,
-                "passed": self.passed,
-                "worst_margin": self.worst_margin,
-                "sup_sigma_k_tilted": self.sup_sigma_k_tilted,
-                "extras": self.extras,
-                "samples": self.samples,
-            },
-            indent=indent,
-            sort_keys=True,
-        )
+        return json.dumps(self.as_dict(), indent=indent, sort_keys=True)
 
 
 def scrambled_halton(n, seed=0):
@@ -344,38 +344,28 @@ def _verify(kind, barrier, p, geom, bp, f, bweight, samples, tol_scale=1e-9):
     rho = np.array([geom.rho(param) for param in samples[:, 1]])
     sigs = sigma_all(composite_eigs(g1, g2, ds, rho), p.k)[:, 1:]
     tilt_k = sigma_all(rho / (1.0 - ds[:, None] * rho), p.k)[:, p.k]
-    worst = math.inf
-    sup_tilt = 0.0
-    rows = []
-    ok = True
-    for i, (d, param) in enumerate(samples):
-        sig = sigs[i]
-        admissible = bool(np.all(sig > 0.0))
-        sup_tilt = max(sup_tilt, float(tilt_k[i]))
-        sk = float(sig[p.k - 1])
-        sc = float(scale[i])
-        margin = (sc - sk) if kind == "super" else (sk - sc)
-        passed = admissible and margin >= -tol_scale * sc
-        ok = ok and passed
-        worst = min(worst, margin / sc if sc > 0 else margin)
-        rows.append(
-            {
-                "d": float(d),
-                "param": float(param),
-                "margin": float(margin),
-                "scale": sc,
-                "sigma_j": [float(s) for s in sig],
-                "admissible": admissible,
-                "ratio_A": float(ratio_A[i]),
-                "ratio_B": float(ratio_B[i]),
-            }
-        )
+    sk = sigs[:, p.k - 1]
+    margin = scale - sk if kind == "super" else sk - scale
+    admissible = np.all(sigs > 0.0, axis=1)
+    passed = admissible & (margin >= -tol_scale * scale)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.where(scale > 0.0, margin / scale, margin)
+    # fmin / fmax skip nan: a sample whose values left the reals sets neither extreme
+    worst = float(np.fmin.reduce(rel, initial=math.inf))
+    sup_tilt = float(np.fmax.reduce(tilt_k, initial=0.0))
+    cols = (samples[:, 0], samples[:, 1], margin, scale, sigs, admissible,
+            np.asarray(ratio_A, dtype=float), np.asarray(ratio_B, dtype=float))
+    rows = [
+        {"d": d, "param": param, "margin": mg, "scale": sc, "sigma_j": sig,
+         "admissible": adm, "ratio_A": a, "ratio_B": b}
+        for d, param, mg, sc, sig, adm, a, b in zip(*(c.tolist() for c in cols))
+    ]
     return MarginReport(
         kind=kind,
         eps=bp.eps,
         delta_eps=bp.delta_eps,
         sigma_shift=bp.sigma_shift,
-        passed=ok,
+        passed=bool(np.all(passed)),
         worst_margin=worst,
         sup_sigma_k_tilted=sup_tilt,
         samples=rows,

@@ -12,7 +12,6 @@ failure with a message naming the violated condition label.
 """
 
 import argparse
-import json
 import math
 import sys
 import time
@@ -281,8 +280,8 @@ def cmd_check_barrier(cfg, outdir, base, quiet):
         "geometry": geom.label,
         "delta_eps": bp.delta_eps,
         "eps": bp.eps,
-        "supersolution": json.loads(rep_s.to_json()),
-        "subsolution": json.loads(rep_l.to_json()),
+        "supersolution": rep_s.as_dict(),
+        "subsolution": rep_l.as_dict(),
     }
     passed = rep_s.passed and rep_l.passed
     if cfg.get("global_check", str, "false").lower() in ("true", "1", "yes"):

@@ -7,9 +7,10 @@ boundary value scheme, the sublevel subsolution built from the torsion
 solution, and boundary-asymptotics reports.
 
 Every solve is single-threaded and deterministic; distinct solves share no
-mutable state.  The root finders (Brent, bisection) and the Hermite
-interpolant of the reports are written out here in plain floats and numpy;
-only the exhaustion scheme loads scipy, for its banded solve.
+mutable state.  The root finders (Brent, bisection, and the Illinois search
+for the IVP's cap crossing) and the Hermite interpolant of the reports are
+written out here in plain floats and numpy; only the exhaustion scheme loads
+scipy, for its banded solve.
 """
 
 import math
@@ -169,14 +170,15 @@ _E5 = -277 / 14336
 _E6 = _B6 - 1 / 4
 
 
-def _ck_step(rhs, r, y, h):
+def _ck_step(rhs, r, y, h, k1=None):
     """One Cash-Karp step of the 2-component state ``y = (u, v)`` in floats.
 
-    Returns the fifth-order state and the embedded error estimate, both as
-    tuples.
+    ``k1``, if given, is ``rhs(r, y)``, the first stage, already known to
+    the caller.  Returns the fifth-order state and the embedded error
+    estimate, both as tuples.
     """
     u, v = y
-    p1, q1 = rhs(r, y)
+    p1, q1 = rhs(r, y) if k1 is None else k1
     p2, q2 = rhs(r + _C2 * h, (u + h * (_A21 * p1), v + h * (_A21 * q1)))
     p3, q3 = rhs(r + _C3 * h, (u + h * (_A31 * p1 + _A32 * p2),
                                v + h * (_A31 * q1 + _A32 * q2)))
@@ -228,9 +230,13 @@ def _make_rhs(prob: RadialProblem):
     return rhs
 
 
-def _admissible(upp, t, n, k):
-    for j in range(1, k + 1):
-        if math.comb(n - 1, j) * t**j + math.comb(n - 1, j - 1) * upp * t ** (j - 1) <= 0.0:
+def _admissible(upp, t, combs):
+    """sigma_j of the radial Hessian (upp, t, ..., t) > 0 for j = 1..k.
+
+    ``combs`` holds (j, C(n-1, j), C(n-1, j-1)) for j = 1..k.
+    """
+    for j, c_hi, c_lo in combs:
+        if c_hi * t**j + c_lo * upp * t ** (j - 1) <= 0.0:
             return False
     return True
 
@@ -253,11 +259,20 @@ def integrate_blowup_ivp(prob: RadialProblem, u0, tol, u_cap=1e12, v_cap=1e12, m
     Adaptive Cash-Karp 5(4) with per-step error <= tol (mixed absolute /
     relative).  The two-component state (u, u') is stepped in plain Python
     floats: a stage that overflows or leaves f's domain gives a non-finite
-    value, and its step is rejected with a quartered step size.  Terminates
-    on u or u' crossing the cap, or when the step size stalls at rounding
-    level near the singularity; Rstar combines the termination radius, a
-    Richardson-extrapolated crossing location from the last two step
-    halvings, and the local blow-up model remainder.
+    value, and its step is rejected with a quartered step size.  The
+    right-hand side at each accepted state, evaluated there for the
+    admissibility check, is also the first stage of every step taken from
+    that state (the next step, its retries after a rejection, and the trial
+    steps of the crossing search).
+
+    Terminates on u or u' crossing the cap, or when the step size stalls at
+    rounding level near the singularity.  The cap crossing inside the last
+    step is found twice, with one full step and with two half steps from the
+    last accepted state, each by Illinois regula falsi on the step fraction
+    (Dowell & Jarratt, BIT 11 (1971) 168) that keeps the bracket, takes the
+    midpoint when the interpolate leaves it and stops at adjacent floats.
+    Rstar combines the Richardson-extrapolated crossing location of the two
+    and the local blow-up model remainder.
     """
     if u0 <= 0.0:
         raise ParameterError(f"initial value must be positive, got {u0}")
@@ -265,6 +280,7 @@ def integrate_blowup_ivp(prob: RadialProblem, u0, tol, u_cap=1e12, v_cap=1e12, m
         raise ParameterError(f"tolerance must be positive, got {tol}")
     n, k, R = prob.n, prob.k, prob.R
     rhs = _make_rhs(prob)
+    combs = [(j, math.comb(n - 1, j), math.comb(n - 1, j - 1)) for j in range(1, k + 1)]
 
     b0 = float(prob.b(1e-12 * R))
     try:
@@ -274,6 +290,7 @@ def integrate_blowup_ivp(prob: RadialProblem, u0, tol, u_cap=1e12, v_cap=1e12, m
     c0 = (b0 * f0 / math.comb(n, k)) ** (1.0 / k)
     r = 1e-8 * float(R)
     y = (float(u0) + 0.5 * c0 * r * r, c0 * r)
+    k1 = rhs(r, y)  # first stage of every step from (r, y)
 
     rs, us, vs = [r], [y[0]], [y[1]]
     h = r
@@ -281,46 +298,60 @@ def integrate_blowup_ivp(prob: RadialProblem, u0, tol, u_cap=1e12, v_cap=1e12, m
     steps = rejected = 0
     termination = None
 
-    def locate_crossing(r0, y0, h_acc):
-        def overshoot(theta, halve):
+    def locate_crossing(r0, y0, k0, h_acc, y_full):
+        """Cap crossing inside the step h_acc from (r0, y0), whose full step gave y_full."""
+        def overshoot(yy):
+            return max(yy[0] / u_cap, yy[1] / v_cap) - 1.0
+
+        def trial(theta, halve):
             if halve:
-                ym, _ = _ck_step(rhs, r0, y0, 0.5 * theta * h_acc)
+                ym, _ = _ck_step(rhs, r0, y0, 0.5 * theta * h_acc, k0)
                 yy, _ = _ck_step(rhs, r0 + 0.5 * theta * h_acc, ym, 0.5 * theta * h_acc)
             else:
-                yy, _ = _ck_step(rhs, r0, y0, theta * h_acc)
-            return max(yy[0] / u_cap, yy[1] / v_cap) - 1.0, yy
+                yy, _ = _ck_step(rhs, r0, y0, theta * h_acc, k0)
+            return yy
 
-        def solve(halve):
+        def solve(halve, y_hi):
+            # smallest fraction theta whose trial step overshoots: g(lo) < 0 <= g(hi)
             lo, hi = 0.0, 1.0
-            y_hi = None
-            for _ in range(80):
+            g_lo, g_hi = overshoot(y0), overshoot(y_hi)
+            if not g_hi >= 0.0:
+                return r0 + h_acc, y_hi  # no crossing inside the step
+            kept = 0  # +1 after hi moved, -1 after lo moved
+            while True:
                 mid = 0.5 * (lo + hi)
                 if mid == lo or mid == hi:
-                    break  # every further halving repeats an earlier evaluation
-                val, ymid = overshoot(mid, halve)
-                if val >= 0.0:
-                    hi, y_hi = mid, ymid
+                    break  # lo and hi are adjacent floats
+                theta = hi - g_hi * (hi - lo) / (g_hi - g_lo)
+                if not lo < theta < hi:
+                    theta = mid
+                yy = trial(theta, halve)
+                g = overshoot(yy)
+                if g >= 0.0:
+                    hi, g_hi, y_hi = theta, g, yy
+                    if kept > 0:
+                        g_lo *= 0.5  # Illinois: lo kept twice in a row
+                    kept = 1
                 else:
-                    lo = mid
-            if y_hi is None:
-                _, y_hi = overshoot(1.0, halve)
-                hi = 1.0
+                    lo, g_lo = theta, g
+                    if kept < 0:
+                        g_hi *= 0.5
+                    kept = -1
             return r0 + hi * h_acc, y_hi
 
-        rc0, _ = solve(False)
-        rc1, yc1 = solve(True)
+        rc0, _ = solve(False, y_full)
+        rc1, yc1 = solve(True, trial(1.0, True))
         r_star = rc1 + (rc1 - rc0) / 31.0
         return r_star, yc1
 
     while steps < max_steps:
         steps += 1
         if h < 32.0 * eps * r:
-            upp = rhs(r, y)[1]
-            rem = _blowup_remainder(y[0], y[1], upp)
+            rem = _blowup_remainder(y[0], y[1], k1[1])
             Rstar = r + (rem if 0.0 < rem < r else 0.0)
             termination = "stall"
             break
-        y_new, err = _ck_step(rhs, r, y, h)
+        y_new, err = _ck_step(rhs, r, y, h, k1)
         if not all(map(math.isfinite, y_new + err)):
             h *= 0.25
             rejected += 1
@@ -332,9 +363,10 @@ def integrate_blowup_ivp(prob: RadialProblem, u0, tol, u_cap=1e12, v_cap=1e12, m
             continue
         # accepted; admissibility of the new state
         r_new = r + h
-        upp_new = rhs(r_new, y_new)[1]
+        k_new = rhs(r_new, y_new)
+        upp_new = k_new[1]
         t_new = y_new[1] / r_new
-        if not (t_new > 0.0) or not math.isfinite(upp_new) or not _admissible(upp_new, t_new, n, k):
+        if not (t_new > 0.0) or not math.isfinite(upp_new) or not _admissible(upp_new, t_new, combs):
             sol = RadialSolution(
                 r=np.array(rs), u=np.array(us), u1=np.array(vs), Rstar=None,
                 meta={"termination": "admissibility", "steps": steps},
@@ -343,7 +375,7 @@ def integrate_blowup_ivp(prob: RadialProblem, u0, tol, u_cap=1e12, v_cap=1e12, m
                 f"admissibility lost at r={r_new:.6g} (u={y_new[0]:.6g})", solution=sol
             )
         if y_new[0] > u_cap or y_new[1] > v_cap:
-            r_cross, y_cross = locate_crossing(r, y, h)
+            r_cross, y_cross = locate_crossing(r, y, k1, h, y_new)
             upp = rhs(r_cross, y_cross)[1]
             rem = _blowup_remainder(y_cross[0], y_cross[1], upp)
             Rstar = r_cross + (rem if 0.0 < rem < r_cross else 0.0)
@@ -352,7 +384,7 @@ def integrate_blowup_ivp(prob: RadialProblem, u0, tol, u_cap=1e12, v_cap=1e12, m
             vs.append(y_cross[1])
             termination = "cap"
             break
-        r, y = r_new, y_new
+        r, y, k1 = r_new, y_new, k_new
         rs.append(r)
         us.append(y[0])
         vs.append(y[1])
@@ -691,9 +723,8 @@ class RadialSubsolution:
         self._Psi = p.Psi
 
     def __call__(self, r):
-        w = np.atleast_1d(np.asarray(self._w.value(r), float))
-        out = self._psi(np.maximum(-w, 1e-300))
-        return out if out.size > 1 else float(out[0])
+        w = np.asarray(self._w.value(r), float)
+        return scalar_or_array(r, self._psi(np.maximum(-w, 1e-300)))
 
     def sublevel_radius(self, j):
         """Radius r_j with value j: the radial realisation of the sublevel set."""

@@ -4,9 +4,17 @@ Floats are rendered with repr (shortest round-trip), JSON keys are sorted,
 and nothing time-dependent enters the report bodies, so identical inputs
 produce byte-identical files.  Run metadata with timestamps goes to a
 separate ``*.runinfo.json`` sidecar.
+
+``write_json`` renders its object in one recursive pass, numpy scalars and
+arrays included, to exactly the text of ``json.dumps(obj, indent=2,
+sort_keys=True)`` (numpy values taken as the Python values they hold): an
+indent makes ``json.dumps`` fall back to its pure-Python encoder, which is
+slower than writing the same text here.
 """
 
 import json
+import math
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -36,24 +44,61 @@ def write_csv(path, columns, rows):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
+def _float_text(x):
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _encode(obj, out, indent):
+    """Append the JSON text of obj to the list out; indent is a newline plus obj's indent."""
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(_float_text(float(obj)))
+    elif isinstance(obj, (bool, np.bool_)):
+        out.append("true" if obj else "false")
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(int.__repr__(int(obj)))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            if not isinstance(key, str):
+                key = json.dumps(key)  # json's own text for an int, float, bool or None key
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _encode(value, out, inner)
+            sep = "," + inner
+        out.append(indent + "}")
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        if len(obj) == 0:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[" + inner
+        for value in obj.tolist() if isinstance(obj, np.ndarray) else obj:
+            out.append(sep)
+            _encode(value, out, inner)
+            sep = "," + inner
+        out.append(indent + "]")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def write_json(path, obj):
-    Path(path).write_text(json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n")
+    out = []
+    _encode(obj, out, "\n")
+    out.append("\n")
+    Path(path).write_text("".join(out))
 
 
 def profile_files(base, p, xi, rows):

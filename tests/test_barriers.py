@@ -247,6 +247,30 @@ class TestVerification:
         # a failing width costs one 25-point screen of the supersolution
         assert checked[0] == 25 and sum(checked) < 2 * 200 * 2
 
+    @pytest.mark.parametrize("kind", ["super", "sub"])
+    @pytest.mark.parametrize("width", [0.2, 0.0125])  # the supersolution fails at 0.2
+    def test_summary_matches_a_loop_over_the_rows(self, kind, width):
+        # the report's rows and reductions against the same checks made one sample at a time
+        nl = Nonlinearity.power(5)
+        p = assemble_profile(nl, W1, 2)
+        geom = ball_geometry(3, 2, 1.0)
+        bp = make_barrier_params(p, geom, 0.1, width, 0.1 * width)
+        upper, lower = build_barriers(p, geom, bp)
+        verify = verify_supersolution if kind == "super" else verify_subsolution
+        rep = verify(upper if kind == "super" else lower, p, geom, bp, nl, W1,
+                     collar_samples(bp, kind, 60, seed=3))
+        worst, sup_tilt, ok = math.inf, 0.0, True
+        for s in rep.samples:
+            sk, sc = s["sigma_j"][p.k - 1], s["scale"]
+            assert s["margin"] == (sc - sk if kind == "super" else sk - sc)
+            assert s["admissible"] == all(v > 0.0 for v in s["sigma_j"])
+            ok = ok and s["admissible"] and s["margin"] >= -1e-9 * sc
+            worst = min(worst, s["margin"] / sc if sc > 0 else s["margin"])
+            rho = geom.rho(s["param"])
+            sup_tilt = max(sup_tilt, float(sigma_all(rho / (1.0 - s["d"] * rho), p.k)[p.k]))
+        assert (rep.passed, rep.worst_margin, rep.sup_sigma_k_tilted) == (ok, worst, sup_tilt)
+        assert rep.passed == (width < 0.1 or kind == "sub")
+
     def test_oversized_collar_shrinks_not_fails(self):
         # a too-large initial width may fail its report; the search shrinks
         p = assemble_profile(Nonlinearity.power(5), W1, 2)
@@ -290,6 +314,7 @@ class TestVerification:
         blob = json.loads(rep_s.to_json())
         assert blob["passed"] is True
         assert len(blob["samples"]) == 200
+        assert blob == rep_s.as_dict()
 
 
 class TestGlobalUpperBarrier:

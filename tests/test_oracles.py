@@ -20,7 +20,7 @@ from khessian.nonlinearity import Nonlinearity, Weight
 from khessian.profiles import assemble_profile
 from khessian.symfunc import sigma_all
 
-PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+PROPERTY = settings(settings.get_profile("khessian"), max_examples=150)  # see conftest.py
 SOLVES = settings(PROPERTY, max_examples=25)  # each example is a few 2d Newton solves
 
 # (spec, order k): the benchmark's three profiles

@@ -183,11 +183,17 @@ class TestIVPWork:
         (4, 3, Nonlinearity.power(7), 3.0, 1e-9, 614, 0, 0.9390988758541435),
     ])
     def test_pinned_counts(self, n, k, f, u0, tol, steps, rejected, Rstar):
-        prob = RadialProblem(n=n, k=k, R=1.0, f=f, b=B_ONE)
+        calls = []
+        prob = RadialProblem(n=n, k=k, R=1.0, f=f, b=lambda r: calls.append(1) or B_ONE(r))
         sol = integrate_blowup_ivp(prob, u0, tol)
         assert sol.meta["termination"] == "cap"
         assert (sol.meta["steps"], sol.meta["rejected"]) == (steps, rejected)
+        assert len(calls) == self.B_CALLS[n, k]
         assert sol.Rstar == pytest.approx(Rstar, rel=1e-13, abs=0.0)
+
+    # b evaluations of those integrations: each accepted state's right-hand side is
+    # the next step's first stage, and the cap crossing is found by Illinois regula falsi
+    B_CALLS = {(3, 2): 1896, (2, 1): 3994, (4, 3): 3874}
 
     def test_overflow_rejects_without_warnings(self):
         # f(u0) = 1e350 overflows: every step is rejected until the step size stalls
@@ -247,6 +253,17 @@ class TestShooting:
         u0, sol = shoot_blowup_radius(prob, tol=1e-9)
         assert sol.Rstar == pytest.approx(1.0, abs=1e-7)
         assert u0 > 0
+
+    # the constant-weight verify-asymptotics cases of the benchmark, bit for bit
+    @pytest.mark.parametrize("n, k, nl, u0, Rstar", [
+        (3, 2, Nonlinearity.power(5), 2.6604497942870005, 0.999999999213772),
+        (2, 1, Nonlinearity.exponential(2), 0.6931471762449922, 1.0000000037493049),
+        (4, 3, Nonlinearity.power(7), 2.7301608579200742, 0.9999999997089148),
+    ])
+    def test_pinned_shots(self, n, k, nl, u0, Rstar):
+        prob = RadialProblem.from_weight(n, k, 1.0, nl, Weight.constant(1.0))
+        got, sol = shoot_blowup_radius(prob, tol=1e-9)
+        assert (got, sol.Rstar) == (u0, Rstar)
 
 
 class TestRootFinderPorts:
@@ -406,6 +423,16 @@ class TestSubsolution:
         vals = np.asarray(sub(rs))
         assert np.all(np.diff(vals) > 0.0)
         assert sub(0.999999) > 1e2
+
+    def test_scalar_and_array_arguments(self):
+        # a scalar gives a float, an array keeps its shape, even with one entry
+        prob = RadialProblem(n=2, k=1, R=1.0, f=Nonlinearity.power(3), b=B_ONE)
+        p = assemble_profile(Nonlinearity.power(3), Weight.constant(1.0), 1, with_psi=True)
+        sub = build_radial_subsolution(prob, p)
+        one = sub(np.array([0.3]))
+        assert isinstance(one, np.ndarray) and one.shape == (1,)
+        assert type(sub(0.3)) is float and one[0] == sub(0.3)
+        assert sub(np.array([0.3, 0.6])).shape == (2,)
 
     def test_sublevel_radius(self):
         prob = RadialProblem(n=2, k=1, R=1.0, f=Nonlinearity.power(3), b=B_ONE)

@@ -1,0 +1,68 @@
+"""The JSON report writer against the standard library's encoder."""
+
+import json
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from khessian import cli, reports
+
+# each strategy draws (value as written, the same value in plain Python types)
+_same = lambda v: (v, v)
+FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+TEXT = st.text(st.characters(exclude_categories=()), max_size=8)  # surrogates included
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), FLOATS, TEXT,
+    st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, math.inf, -math.inf, math.nan,
+                     "\x00\x1f\x7fé \U0001f600"]),
+).map(_same)
+NUMPY = st.one_of(
+    FLOATS.map(lambda v: (np.float64(v), v)),
+    st.floats(width=32).map(lambda v: (np.float32(v), float(np.float32(v)))),
+    st.integers(-2**63, 2**63 - 1).map(lambda v: (np.int64(v), v)),
+    st.booleans().map(lambda v: (np.bool_(v), v)),
+    hnp.arrays(st.sampled_from([np.float64, np.int32, np.bool_]),
+               hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=3))
+    .map(lambda a: (a, a.tolist())),
+)
+
+
+def _containers(children):
+    pairs = st.lists(children, max_size=4)
+    return st.one_of(
+        pairs.map(lambda items: ([a for a, _ in items], [b for _, b in items])),
+        pairs.map(lambda items: (tuple(a for a, _ in items), tuple(b for _, b in items))),
+        st.dictionaries(TEXT, children, max_size=4).map(
+            lambda d: ({k: a for k, (a, _) in d.items()}, {k: b for k, (_, b) in d.items()})),
+    )
+
+
+OBJECTS = st.recursive(st.one_of(SCALARS, NUMPY), _containers, max_leaves=24)
+
+
+def _stdlib(obj):
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+@settings(max_examples=400)
+@given(OBJECTS)
+def test_write_json_matches_stdlib(tmp_path_factory, pair):
+    obj, plain = pair
+    path = tmp_path_factory.getbasetemp() / "body.json"
+    reports.write_json(path, obj)
+    assert path.read_text() == _stdlib(plain)
+
+
+def test_check_barrier_body_matches_stdlib(tmp_path):
+    (tmp_path / "cb.cfg").write_text(
+        "command = check-barrier\nn = 3\nk = 2\nf = power:5\nweight = constant:1\n"
+        "samples = 16\nglobal_check = true\nout = cb\n")
+    assert cli.main(["--config", str(tmp_path / "cb.cfg"), "--out", str(tmp_path),
+                     "--quiet"]) == 0
+    text = (tmp_path / "cb.json").read_text()
+    body = json.loads(text)
+    assert len(body["supersolution"]["samples"]) == 16
+    assert text == _stdlib(body)
