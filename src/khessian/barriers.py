@@ -464,18 +464,16 @@ def certify_upper_barrier_global(p: ProfileFns, w_sol: RadialSolution, f: Nonlin
         lhs = sk_radial(h1, h2, r, n, k)
         rhs = b_all[:n_ok] * np.asarray(fv(u), dtype=float)
         lam = np.column_stack([h2, np.repeat((h1 / r)[:, None], n - 1, axis=1)])
-        sigs = sigma_all(lam, k)[:, 1:]
-        worst = math.inf
-        rows = []
-        for i in range(n_ok):
-            admissible = bool(np.all(sigs[i] > 0.0))
-            margin = float(rhs[i] - lhs[i])
-            rhs_i = float(rhs[i])
-            worst = min(worst, margin / rhs_i if rhs_i > 0 else margin)
-            if not admissible or margin < -tol_scale * rhs_i:
-                ok = False
-            rows.append({"r": float(r[i]), "margin": margin, "rhs": rhs_i,
-                         "admissible": admissible})
+        admissible = np.all(sigma_all(lam, k)[:, 1:] > 0.0, axis=1)
+        margin = rhs - lhs
+        ok = ok and bool(np.all(admissible & ~(margin < -tol_scale * rhs)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rel = np.where(rhs > 0.0, margin / rhs, margin)
+        # fmin skips nan: a radius whose values left the reals does not set the worst
+        worst = float(np.fmin.reduce(rel, initial=math.inf))
+        rows = [{"r": r_i, "margin": mg, "rhs": rhs_i, "admissible": adm}
+                for r_i, mg, rhs_i, adm in zip(r.tolist(), margin.tolist(), rhs.tolist(),
+                                               admissible.tolist())]
         if ok:
             report = {
                 "eps": eps,

@@ -8,7 +8,8 @@ bodies are byte-identical across reruns, timestamps live in a
 
 Exit codes: 0 success (and all checks passed), 1 computational failure
 (diagnostic written to ``error.json``), 2 config/parameter validation
-failure with a message naming the violated condition label.
+failure with a message naming the violated condition label, or a config key
+the command never read, with the closest key it did.
 """
 
 import argparse
@@ -51,11 +52,11 @@ COMMANDS = (
 
 
 class Config:
-    """Flat key-value config with typed accessors."""
+    """Flat key-value config with typed accessors that record every key looked up."""
 
     def __init__(self, pairs):
         self.pairs = dict(pairs)
-        self.used = set()
+        self.looked_up = set()
 
     @staticmethod
     def parse(text):
@@ -70,15 +71,12 @@ class Config:
             pairs[key.strip()] = value.strip()
         return Config(pairs)
 
-    def has(self, key):
-        return key in self.pairs
-
     def get(self, key, cast=str, default=None, required=False):
+        self.looked_up.add(key)
         if key not in self.pairs:
             if required:
                 raise ParameterError(f"config key {key!r} is required for this command")
             return default
-        self.used.add(key)
         raw = self.pairs[key]
         try:
             return cast(raw)
@@ -90,6 +88,20 @@ class Config:
         if raw is None:
             return default
         return [float(v) for v in raw.split(",") if v.strip()]
+
+    def check_all_read(self, command):
+        """ParameterError naming a key command never looked up, and the closest one it did.
+
+        ``seed`` is exempt: ``--seed`` sets it for every command.
+        """
+        unread = sorted(set(self.pairs) - self.looked_up - {"seed"})
+        if unread:
+            import difflib  # only on this error path: the import is not paid by every run
+
+            key = unread[0]
+            closest = difflib.get_close_matches(key, sorted(self.looked_up), n=1, cutoff=0.0)
+            raise ParameterError(f"unknown config key {key!r} for command {command!r}"
+                                 + (f" (closest valid key: {closest[0]!r})" if closest else ""))
 
 
 def _parse_nonlinearity(spec):
@@ -173,7 +185,7 @@ def _resolve_xi(cfg, p, geom):
     return lo
 
 
-def cmd_profile(cfg, outdir, base, quiet):
+def cmd_profile(cfg, outdir, base, quiet, runinfo):
     k = cfg.get("k", int, required=True)
     nl = _parse_nonlinearity(cfg.get("f", str, required=True))
     w = _parse_weight(cfg.get("weight", str, "constant:1"), cfg)
@@ -201,7 +213,7 @@ def _radial_problem(cfg):
     return RadialProblem.from_weight(n, k, R, nl, w), nl, w
 
 
-def cmd_radial_ivp(cfg, outdir, base, quiet):
+def cmd_radial_ivp(cfg, outdir, base, quiet, runinfo):
     prob, nl, w = _radial_problem(cfg)
     u0 = cfg.get("u0", float, required=True)
     tol = cfg.get("tol", float, 1e-9)
@@ -212,7 +224,7 @@ def cmd_radial_ivp(cfg, outdir, base, quiet):
     return 0
 
 
-def cmd_radial_exhaust(cfg, outdir, base, quiet):
+def cmd_radial_exhaust(cfg, outdir, base, quiet, runinfo):
     prob, nl, w = _radial_problem(cfg)
     js = cfg.floats("j_schedule", required=True)
     h = cfg.get("h", float, 1.0 / 256.0)
@@ -240,7 +252,7 @@ def cmd_radial_exhaust(cfg, outdir, base, quiet):
     return 0
 
 
-def cmd_fd_exhaust(cfg, outdir, base, quiet):
+def cmd_fd_exhaust(cfg, outdir, base, quiet, runinfo):
     from .fd2d import exhaust  # loads scipy.sparse, which no other command needs
 
     nl = _parse_nonlinearity(cfg.get("f", str, required=True))
@@ -258,13 +270,14 @@ def cmd_fd_exhaust(cfg, outdir, base, quiet):
         "cauchy_ratio": diags["cauchy_ratio"],
         "monotone_ok": bool(all(v >= -1e-8 for v in diags["increment_min"])),
     })
+    runinfo["levels"] = {key: diags[key] for key in ("j", "newton_iters", "cycles")}
     if not quiet:
         print(f"fd-exhaust: nodes={grid.n_interior} monotone_ok="
               f"{all(v >= -1e-8 for v in diags['increment_min'])}")
     return 0
 
 
-def cmd_check_barrier(cfg, outdir, base, quiet):
+def cmd_check_barrier(cfg, outdir, base, quiet, runinfo):
     n = cfg.get("n", int, required=True)
     k = cfg.get("k", int, required=True)
     nl = _parse_nonlinearity(cfg.get("f", str, required=True))
@@ -298,7 +311,7 @@ def cmd_check_barrier(cfg, outdir, base, quiet):
     return 0 if passed else 1
 
 
-def cmd_verify_asymptotics(cfg, outdir, base, quiet):
+def cmd_verify_asymptotics(cfg, outdir, base, quiet, runinfo):
     prob, nl, w = _radial_problem(cfg)
     p = _bundle(cfg, nl, w, prob.k)
     geom = _geometry(cfg, prob.n, prob.k)
@@ -344,11 +357,15 @@ def run(cfg: Config, outdir: Path, seed=None, quiet=False):
         cfg.pairs["seed"] = str(seed)
     outdir.mkdir(parents=True, exist_ok=True)
     base = cfg.get("out", str, command)
-    status = _DISPATCH[command](cfg, outdir, base, quiet)
+    runinfo = {}  # entries a command adds to the sidecar, never to its report body
+    status = _DISPATCH[command](cfg, outdir, base, quiet, runinfo)
+    # a command's reads can depend on other keys, so unread keys are known only now
+    cfg.check_all_read(command)
     reports.write_json(outdir / f"{base}.runinfo.json", {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "command": command,
         "version": __version__,
+        **runinfo,
     })
     return status
 

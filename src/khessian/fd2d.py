@@ -5,7 +5,10 @@ Delta u = b(d(x)) f(u), started from the paper's boundary profile
 phi(xi M(d) + Phi(j)) shifted to equal the mean boundary value j on the
 boundary, or from the constant j where that profile is not defined.  Each
 Newton step is solved by multigrid defect correction in the red-black
-order of the fine nodes.  Level l holds the fine nodes whose lattice
+order of the fine nodes, only as far as the Newton residual needs
+(inexact Newton, Dembo, Eisenstat & Steihaug 1982): the forcing tolerance
+is proportional to the residual, tightened to 1e-6 when a loose direction
+fails to descend.  Level l holds the fine nodes whose lattice
 coordinates 2^l divides, with the stencil of spacing 2^l h; it is sliced
 from the fine lattice, no coarse grid built, shifted by the Galerkin
 diagonal of b f'(u) and smoothed by red-black Gauss-Seidel; only the
@@ -34,7 +37,10 @@ __all__ = ["assemble_operator", "solve_dirichlet", "exhaust", "Report2D", "asymp
 
 _K_ORDER = 1  # this module is the k = 1 lane
 _COARSE_MAX = 1000  # unknowns on the coarsest multigrid level, the one SuperLU factors
-_FORCING = 1e-6  # relative residual a Newton step is solved to
+_FORCING = 1e-6  # tightest relative residual a Newton step is solved to
+# c: a step is solved to c times the larger of the scaled Newton residual r and 10 tol / r,
+# between _FORCING and 0.1; c = 0 solves every step to _FORCING
+_FORCING_SLOPE = 0.01
 # V-cycle iteration stalls at 1e-15 to 7e-13 relative on these grids (smooth right-hand
 # sides at h = 1/256 the highest): stay above
 _RTOL_FLOOR = 1e-11
@@ -342,16 +348,17 @@ def _vcycle(levels, inverses, coarse_lu, r):
     return x
 
 
-def _cycle(mg: _Multigrid, shifts):
-    """One V-cycle for A - diag(shifts[0]) as a function of a residual in colour order.
-
-    Factors the shifted coarsest level by SuperLU; SolveFailure if that fails.
-    """
+def _coarse_lu(mg: _Multigrid, shifts):
+    """SuperLU factor of the coarsest level shifted by shifts[-1]; SolveFailure if it fails."""
     coarse = mg.coarse - sp.diags(shifts[-1], format="csc")
     try:
-        coarse_lu = splu(coarse, permc_spec="MMD_AT_PLUS_A")
+        return splu(coarse, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:  # SuperLU: singular or out of memory
         raise SolveFailure(f"coarsest-level Jacobian factorization failed: {exc}") from exc
+
+
+def _cycle(mg: _Multigrid, shifts, coarse_lu):
+    """One V-cycle for A - diag(shifts[0]) as a function of a residual in colour order."""
     inverses = _smoothers(mg, shifts)
     return lambda r: _vcycle(mg.levels, inverses, coarse_lu, r)
 
@@ -365,45 +372,75 @@ def _row_major(mg: _Multigrid, x):
 
 def _preconditioner(mg: _Multigrid, bfp):
     """One V-cycle for A - diag(bfp) as a function of the residual, both row-major."""
-    cycle = _cycle(mg, _shifts(mg, bfp))
+    shifts = _shifts(mg, bfp)
+    cycle = _cycle(mg, shifts, _coarse_lu(mg, shifts))
     return lambda r: _row_major(mg, cycle(r[mg.order]))
 
 
-def _newton_direction(A, bfp, mg: _Multigrid, rhs, rtol):
-    """Solve (A - diag(bfp)) x = rhs by defect correction, one V-cycle M per iteration.
+def _defect_correction(A, bfp, mg: _Multigrid, rhs):
+    """Defect correction for (A - diag(bfp)) x = rhs, one V-cycle M per iteration.
 
-    From x = 0, x += M r with r = rhs - (A x - bfp x), the true residual, until
-    ||r||_2 <= rtol ||rhs||_2.  rhs and x are row-major; the iteration runs in the finest
-    colour order, r from its colour blocks.  Returns (x, cycles).  Raises SolveFailure when
-    the coarsest factorization fails, a residual is not finite or _MAX_CYCLES cycles miss rtol.
+    Returns solve(rtol) -> (x, cycles).  From x = 0, or from the x the last call returned,
+    x += M r with r = rhs - (A x - bfp x), the true residual, until ||r||_2 <= rtol ||rhs||_2,
+    at least one cycle in all; cycles counts every cycle so far.  rhs and x are row-major;
+    the iteration runs in the finest colour order, r from its colour blocks.  Every call
+    uses the coarsest LU of the first; between calls only that LU and the returned x are
+    kept, the smoothers and r are rebuilt, so a caller holding the solve holds no extra
+    fine-grid array.  Raises SolveFailure when the factorization fails, a residual is not
+    finite or _MAX_CYCLES cycles in all miss rtol.
     """
-    shifts = _shifts(mg, bfp)
-    cycle, b, s = _cycle(mg, shifts), rhs[mg.order], shifts[0]
-    lv = mg.levels[0] if mg.levels else None
+    coarse_lu = last = None  # last: the (x, cycles) returned
 
-    def residual(x):
-        if lv is None:  # the grid is the coarsest level, in row-major order
-            return b - (A @ x - s * x)
-        k, r = lv.n_red, s * x
-        r[:k] -= lv.diag_red * x[:k] + lv.A_rb @ x[k:]
-        r[k:] -= lv.diag_black * x[k:] + lv.A_br @ x[:k]
-        r += b
-        return r
+    def solve(rtol):
+        nonlocal coarse_lu, last
+        shifts = _shifts(mg, bfp)
+        if coarse_lu is None:
+            coarse_lu = _coarse_lu(mg, shifts)
+        cycle, b, s = _cycle(mg, shifts, coarse_lu), rhs[mg.order], shifts[0]
+        lv = mg.levels[0] if mg.levels else None
+        del shifts  # only shifts[0] is used from here on
 
-    # 2-norms by einsum: BLAS's threaded dot can stall for milliseconds on a busy host
-    norm2 = lambda v: math.sqrt(np.einsum("i,i->", v, v))
-    scale = norm2(rhs)
-    x, r = np.zeros_like(b), b
-    for cycles in range(1, _MAX_CYCLES + 1):
-        x += cycle(r)
-        r = residual(x)
-        norm = norm2(r)
-        if not math.isfinite(norm):
-            raise SolveFailure(f"V-cycle iteration gave a non-finite residual in cycle {cycles}")
-        if norm <= rtol * scale:
-            return _row_major(mg, x), cycles
-    raise SolveFailure(f"V-cycle iteration missed rtol {rtol:.1e} in {_MAX_CYCLES} cycles "
-                       f"(relative residual {norm / scale:.2e})")
+        def residual(x):
+            if lv is None:  # the grid is the coarsest level, in row-major order
+                return b - (A @ x - s * x)
+            k, r = lv.n_red, s * x
+            r[:k] -= lv.diag_red * x[:k] + lv.A_rb @ x[k:]
+            r[k:] -= lv.diag_black * x[k:] + lv.A_br @ x[:k]
+            r += b
+            return r
+
+        # 2-norms by einsum: BLAS's threaded dot can stall for milliseconds on a busy host
+        norm2 = lambda v: math.sqrt(np.einsum("i,i->", v, v))
+        scale = norm2(rhs)
+        if last is None:
+            x, r, cycles = np.zeros_like(b), b, 0
+        else:  # the same iterate as at the end of the last call, bit for bit
+            x, cycles = last[0][mg.order], last[1]
+            r = residual(x)
+            norm = norm2(r)
+        while cycles == 0 or norm > rtol * scale:
+            if cycles == _MAX_CYCLES:
+                raise SolveFailure(f"V-cycle iteration missed rtol {rtol:.1e} in {_MAX_CYCLES} "
+                                   f"cycles (relative residual {norm / scale:.2e})")
+            x += cycle(r)
+            r = residual(x)
+            norm = norm2(r)
+            cycles += 1
+            if not math.isfinite(norm):
+                raise SolveFailure(
+                    f"V-cycle iteration gave a non-finite residual in cycle {cycles}")
+        last = (_row_major(mg, x), cycles)
+        return last
+
+    return solve
+
+
+def _newton_direction(A, bfp, mg: _Multigrid, rhs, rtol):
+    """Solve (A - diag(bfp)) x = rhs to relative residual rtol: (x, cycles).
+
+    One call of _defect_correction's solve; SolveFailure as there.
+    """
+    return _defect_correction(A, bfp, mg, rhs)(rtol)
 
 
 _SHARED = ContextVar("fd2d_shared", default=(None, None))  # (grid, operators) of an exhaust
@@ -439,11 +476,19 @@ def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol,
     boundary profile phi(xi M(d) + Phi(j)) with j the mean boundary value,
     or the constant j when b_override is given, the profile does not exist
     or j <= 0.  Each step solves the Jacobian A - diag(b f'(u)) by multigrid
-    defect correction (_newton_direction) on levels sliced from the fine
+    defect correction (_defect_correction) on levels sliced from the fine
     lattice (_multigrid), built once per call or once per exhaust; f(u) is
-    evaluated once per trial point.  A failed coarsest factorization, a
-    non-finite cycle residual or _MAX_CYCLES cycles short of the step's
-    tolerance raise SolveFailure with the Newton residual history so far.
+    evaluated once per trial point.  At scaled residual r the step is solved
+    to relative residual min(0.1, max(_FORCING, c r, 10 c tol / r)), c =
+    _FORCING_SLOPE (inexact Newton: the forcing term is O(r), which keeps
+    quadratic convergence); where f is affine, to min(_FORCING, max(0.1 tol
+    / r, _RTOL_FLOOR)) instead.  A loose direction need not lower the
+    max-norm residual: when its full step does not, the same iteration, with
+    the same coarsest LU, continues to _FORCING and the line search restarts
+    at the full step, and later steps are solved to _FORCING until a full
+    step is taken.  A failed coarsest factorization, a non-finite cycle
+    residual or _MAX_CYCLES cycles short of the step's tolerance raise
+    SolveFailure with the Newton residual history so far.
     Residuals are measured against the per-node source scale 1 + b f(u): with
     exponential sources the raw residual sits at eps * b f(u) near the
     boundary, so an unscaled max-norm target below that rounding floor
@@ -483,20 +528,28 @@ def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol,
     res, norm, at_floor = evaluate(u)
     history = [norm]
     factorizations = cycles = 0
+    tight = False  # a loose step was refined and no full step has been taken since
     for _ in range(max_newton):
         if norm <= tol or at_floor:
             break
         bfp = b * fpv(u)
-        rtol = _FORCING
         if np.array_equal(bfp, b * fpv(u + 1.0)):
             # f is affine here, so the Newton model is exact: solve the step far
             # enough to finish, as a linear problem should in one step
             rtol = min(_FORCING, max(0.1 * tol / norm, _RTOL_FLOOR))
+        elif tight:
+            rtol = _FORCING
+        else:  # inexact Newton: the forcing term falls with the residual
+            rtol = min(0.1, max(_FORCING, _FORCING_SLOPE * max(norm, 10.0 * tol / norm)))
         try:
-            delta, step_cycles = _newton_direction(A, bfp, mg, -res, rtol)
+            solve = _defect_correction(A, bfp, mg, -res)
+            del res  # solve holds -res in its place
+            delta, step_cycles = solve(rtol)
         except SolveFailure as exc:
             exc.residuals = list(history)
             raise
+        if rtol <= _FORCING:
+            solve = None  # nothing to refine: not held through the line search
         factorizations += 1  # one coarsest-level LU per step
         cycles += step_cycles
         step = 1.0
@@ -505,14 +558,26 @@ def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol,
             res_try, norm_try, floor_try = evaluate(u_try)
             if math.isfinite(norm_try) and norm_try < norm:
                 break
+            if solve is not None:
+                # a loose direction need not descend: continue its iteration, on the
+                # same coarsest LU, to _FORCING and search again from the full step
+                try:
+                    delta, total = solve(_FORCING)
+                except SolveFailure as exc:
+                    exc.residuals = list(history)
+                    raise
+                cycles += total - step_cycles
+                solve, tight = None, True
+                continue
             step *= 0.5
         else:
             if at_floor:
                 break  # residual is pure round-off; nothing left to gain
             raise SolveFailure(f"Newton damping floor reached (residual {norm:.3g})",
                                residuals=history)
+        tight = tight and step < 1.0
         u, res, norm, at_floor = u_try, res_try, norm_try, floor_try
-        del delta  # not held through the next step's solve
+        del delta, solve, res_try  # not held through the next step's solve
         history.append(norm)
     else:
         raise SolveFailure(f"Newton did not converge in {max_newton} steps", residuals=history)

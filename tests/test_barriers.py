@@ -20,7 +20,8 @@ from khessian.barriers import (
     verify_subsolution,
     verify_supersolution,
 )
-from khessian.errors import ConditionViolation, GeometryError, ParameterError
+from khessian.errors import (CertificationFailure, ConditionViolation, GeometryError,
+                             ParameterError)
 from khessian.nonlinearity import Nonlinearity, Weight
 from khessian.profiles import assemble_profile, xi_bounds
 from khessian.radial import RadialProblem, solve_torsion
@@ -330,6 +331,32 @@ class TestGlobalUpperBarrier:
         # decay probe ~ s**(-(gamma-k)/(k+1)) at s = 2**30
         expected = (2.0**30) ** (-(gamma - k) / (k + 1.0))
         assert report["Ff_decay_probe"] < 10.0 * expected
+
+    def test_report_matches_per_radius_loop(self):
+        # worst and the pass decision, recomputed here radius by radius from the rows;
+        # eps = 4 fails everywhere, so its rows and worst margin reach the exception
+        nl = Nonlinearity.power(5)
+        prob = RadialProblem(n=3, k=2, R=1.0, f=nl, b=B_ONE)
+        w, p = solve_torsion(prob), assemble_profile(nl, W1, 2)
+
+        def loop(rows):
+            worst, ok = math.inf, True
+            for row in rows:
+                assert type(row["r"]) is type(row["margin"]) is type(row["rhs"]) is float
+                assert type(row["admissible"]) is bool
+                rhs = row["rhs"]
+                worst = min(worst, row["margin"] / rhs if rhs > 0 else row["margin"])
+                ok = ok and row["admissible"] and not row["margin"] < -1e-9 * rhs
+            return worst, ok
+
+        eps, report = certify_upper_barrier_global(p, w, nl, B_ONE, eps_ladder=[4.0, 2.0, 1.0])
+        assert eps == 1.0 and len(report["samples"]) == 97
+        assert loop(report["samples"]) == (report["worst_relative_margin"], True)
+        with pytest.raises(CertificationFailure) as info:
+            certify_upper_barrier_global(p, w, nl, B_ONE, eps_ladder=[2.0, 4.0])
+        worst, ok = loop(info.value.report)
+        assert not ok and len(info.value.report) == 97
+        assert worst < info.value.worst_margin < 0.0  # eps = 2 was the better of the two
 
     def test_eps_one_recorded_even_if_it_fails(self):
         # the largest ladder value may or may not certify; the search must

@@ -133,6 +133,26 @@ class TestFdCommand:
         cols, rows = read_rows(out / "fd-exhaust.csv")
         assert cols == ["x", "y", "d", "u"]
 
+    def test_runinfo_holds_per_level_counts(self, tmp_path):
+        cfg = write_cfg(tmp_path, "fd.cfg", """
+            command = fd-exhaust
+            f = exp:2
+            weight = constant:1
+            domain = disk:1.0
+            h = 0.03125
+            j_schedule = 3,4,5
+            tol = 1e-8
+        """)
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "--quiet"]) == 0
+        levels = json.loads((out / "fd-exhaust.runinfo.json").read_text())["levels"]
+        assert levels["j"] == [3.0, 4.0, 5.0]
+        assert len(levels["newton_iters"]) == len(levels["cycles"]) == 3
+        assert all(c >= n >= 1 for n, c in zip(levels["newton_iters"], levels["cycles"]))
+        body = json.loads((out / "fd-exhaust.json").read_text())
+        assert "levels" not in body and body["newton_iters"] == levels["newton_iters"][-1]
+        assert body["cycles"] == levels["cycles"][-1]
+
     def test_shipped_config_byte_identical_reruns(self, tmp_path):
         cfg = str(Path(__file__).resolve().parent.parent / "configs" / "fd_disk_exhaust.cfg")
         outs = [tmp_path / sub for sub in ("a", "b")]
@@ -201,6 +221,31 @@ class TestValidation:
     def test_unknown_command_exits_2(self, tmp_path):
         cfg = write_cfg(tmp_path, "bad.cfg", "command = florble")
         assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 2
+
+    def test_unread_key_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "bad.cfg", """
+            command = profile
+            k = 1
+            n = 2
+            f = power:3
+            sampels = 5
+        """)
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "'sampels'" in err and "'profile'" in err and "closest valid key" in err
+        assert not (out / "profile.runinfo.json").exists()
+
+    def test_unread_key_names_closest_key(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "bad.cfg", "command = profile\nk = 1\nf = power:3\nt_mxa = 5")
+        assert main(["--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        assert "closest valid key: 't_max'" in capsys.readouterr().err
+
+    def test_seed_key_is_always_accepted(self, tmp_path):
+        cfg = write_cfg(tmp_path, "p.cfg", "command = profile\nk = 1\nf = power:3\nseed = 4")
+        assert main(["--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 0
+        assert main(["--config", cfg, "--out", str(tmp_path / "out"), "--quiet",
+                     "--seed", "5"]) == 0
 
     def test_missing_required_key_exits_2(self, tmp_path):
         cfg = write_cfg(tmp_path, "bad.cfg", "command = radial-ivp\nn = 2\nk = 1")

@@ -307,3 +307,94 @@ class TestNewtonKrylov:
         assert len(built) == 1 and built[0] is grid
         solve_dirichlet(grid, EXP2, W1, 2.0, tol=1e-9)
         assert len(built) == 2 and built[1] is grid
+
+
+def recording_forcing(monkeypatch, distort=None):
+    """Record, per Newton step, the rtol of every solve call on its defect correction.
+
+    distort(rtol, x, step), step counting from 1, replaces each returned direction x.
+    """
+    steps = []
+    defect_correction = fd2d._defect_correction
+
+    def recording(A, bfp, mg, rhs):
+        solve, calls = defect_correction(A, bfp, mg, rhs), []
+        steps.append(calls)
+
+        def recorded(rtol):
+            calls.append(rtol)
+            x, cycles = solve(rtol)
+            return (x if distort is None else distort(rtol, x, len(steps))), cycles
+
+        return recorded
+
+    monkeypatch.setattr(fd2d, "_defect_correction", recording)
+    return steps
+
+
+class TestInexactNewton:
+    def test_profile_start_cycles(self):
+        # the forcing term follows the residual: 14 V-cycles where a fixed 1e-6 takes 24
+        grid = build_grid(Disk(0.9), 1.0 / 64.0)
+        fld = solve_dirichlet(grid, EXP2, W1, liouville_g, tol=1e-9)
+        assert fld.meta["start"] == "profile"
+        assert fld.meta["newton_iters"] == fld.meta["factorizations"] == 4
+        assert fld.meta["cycles"] == 14
+
+    def test_forcing_rule(self, monkeypatch):
+        steps = recording_forcing(monkeypatch)
+        tol = 1e-9
+        fld = solve_dirichlet(build_grid(Disk(0.9), 1.0 / 64.0), EXP2, W1, liouville_g, tol=tol)
+        history = fld.meta["residual_history"]
+        assert len(steps) == len(history) - 1 == 4
+        for calls, r in zip(steps, history):
+            # every full step descends here, so no step is refined
+            want = min(0.1, max(fd2d._FORCING, 0.01 * r, 0.1 * tol / r))
+            assert calls == [pytest.approx(want, rel=1e-15)]
+        assert steps[0] == [0.1] and steps[-1][0] > fd2d._FORCING
+
+    @pytest.mark.parametrize("domain, g, bound", [(Disk(0.9), liouville_g, 1e-12),
+                                                  (Ellipse(1.2, 1.0), 9.0, 1e-10)])
+    def test_fixed_forcing_gives_the_same_field(self, monkeypatch, domain, g, bound):
+        grid = build_grid(domain, 1.0 / 64.0)
+        loose = solve_dirichlet(grid, EXP2, W1, g, tol=1e-9)
+        steps = recording_forcing(monkeypatch)
+        monkeypatch.setattr(fd2d, "_FORCING_SLOPE", 0.0)
+        tight = solve_dirichlet(grid, EXP2, W1, g, tol=1e-9)
+        assert steps and all(calls == [fd2d._FORCING] for calls in steps)
+        assert tight.meta["cycles"] > loose.meta["cycles"]
+        u, v = loose.interior_values(), tight.interior_values()
+        assert np.max(np.abs(u - v) / np.abs(v)) <= bound
+
+    def test_loose_direction_is_refined(self, monkeypatch):
+        # with c = 10 the first step from the constant start is solved to 0.1, and its
+        # full step raises the max-norm residual: the safeguard refines it to _FORCING
+        # with the same coarsest LU (without it this solve stops at the damping floor)
+        grid = build_grid(Disk(0.9), 1.0 / 32.0)
+        u0 = np.full(grid.n_interior, float(np.nanmean(assemble_operator(grid, liouville_g)[2])))
+        ref = solve_dirichlet(grid, EXP2, W1, liouville_g, tol=1e-9, u0=u0)
+        monkeypatch.setattr(fd2d, "_FORCING_SLOPE", 10.0)
+        steps = recording_forcing(monkeypatch)
+        fld = solve_dirichlet(grid, EXP2, W1, liouville_g, tol=1e-9, u0=u0)
+        assert fld.meta["residual_history"][-1] <= 1e-9
+        assert fld.meta["factorizations"] == fld.meta["newton_iters"] == len(steps)
+        assert steps[0] == [0.1, fd2d._FORCING]
+        assert np.max(np.abs(fld.interior_values() - ref.interior_values())) <= 1e-9
+
+    def test_stays_tight_until_a_full_step(self, monkeypatch):
+        # every loose direction is made zero, so its full step is rejected and refined;
+        # directions solved to _FORCING in the first two steps overshoot threefold.  The
+        # first full step still lowers the residual, the second is damped: the third
+        # step starts at _FORCING, and after its full step the rule loosens again
+        def distort(rtol, x, step):
+            return 0.0 * x if rtol > fd2d._FORCING else 3.0 * x if step <= 2 else x
+
+        steps = recording_forcing(monkeypatch, distort)
+        fld = solve_dirichlet(build_grid(Disk(0.9), 1.0 / 64.0), EXP2, W1, liouville_g, tol=1e-9)
+        assert fld.meta["residual_history"][-1] <= 1e-9
+        assert fld.meta["factorizations"] == fld.meta["newton_iters"] == len(steps)
+        F = fd2d._FORCING
+        assert steps[0] == [0.1, F] and steps[1][1:] == [F] and steps[2] == [F]
+        assert steps[1][0] > F
+        assert len(steps) > 3
+        assert all(len(calls) == 2 and calls[0] > F == calls[1] for calls in steps[3:])
