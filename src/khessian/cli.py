@@ -322,6 +322,7 @@ def cmd_verify_asymptotics(cfg, outdir, base, quiet, runinfo):
     band = cfg.floats("ratio_band", default=[0.9, 1.1])
     per_decade = cfg.get("per_decade", int, 8)
     u0, sol = shoot_blowup_radius(prob, tol=tol)
+    runinfo["shot"] = sol.meta["shot"]
     npts = max(2, int(round(math.log10(d_hi / d_lo) * per_decade)) + 1)
     ladder = np.geomspace(d_lo, d_hi, npts)
     rep = asymptotics_report(sol, p, xi, d_values=ladder)

@@ -39,13 +39,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RadialProblem:
-    """S_k(D^2 u) = b(|x|) f(u) on the ball of radius R in R^n."""
+    """S_k(D^2 u) = b(|x|) f(u) on the ball of radius R in R^n.
+
+    ``b_const``, when given, is the value of ``b`` at every r; the IVP's
+    right-hand side then takes it without calling ``b``.
+    """
 
     n: int
     k: int
     R: float
     f: Nonlinearity
     b: Callable
+    b_const: Optional[float] = None
 
     def __post_init__(self):
         if self.n < 2:
@@ -65,13 +70,11 @@ class RadialProblem:
 
         def b(r):
             if isinstance(r, float):  # the IVP's right-hand side: stay in floats
-                if b_const is not None:
-                    return b_const
                 return base * float(weight.m(max(R - r, 1e-300))) ** (k + 1.0)
             d = np.clip(R - np.asarray(r, float), 1e-300, None)
             return base * np.asarray(m(d), float) ** (k + 1.0)
 
-        return RadialProblem(n=n, k=k, R=R, f=f, b=b)
+        return RadialProblem(n=n, k=k, R=R, f=f, b=b, b_const=b_const)
 
 
 @dataclass
@@ -208,13 +211,13 @@ def _make_rhs(prob: RadialProblem):
     c_hi = math.comb(n - 1, k)
     c_lo = math.comb(n - 1, k - 1)
     f = prob.f.float_f()
-    b = prob.b
+    b, b_const = prob.b, prob.b_const
 
     def rhs(r, y):
         u, v = y
         t = v / r
         try:
-            num = float(b(r)) * f(u) - c_hi * t**k
+            num = (float(b(r)) if b_const is None else b_const) * f(u) - c_hi * t**k
         except OverflowError:
             return v, math.inf
         except ValueError:
@@ -492,14 +495,30 @@ def shoot_blowup_radius(prob: RadialProblem, target=None, tol=1e-9, coarse_tol=1
                         u0_init=1.0, max_expand=60):
     """Find u0 such that the blow-up radius equals ``target`` (default prob.R).
 
-    The blow-up radius is strictly decreasing in u0 (comparison principle),
-    so a bracket expansion plus Brent root finding converges quickly.
-    Returns (u0, solution-at-tol).
+    The blow-up radius R*(u0) is strictly decreasing in u0 (comparison
+    principle).  The bracket is expanded by factors of 4 from ``u0_init``,
+    then Brent's method finds the root of log(R*(u0) / target) in x = u0 for
+    exponential f and in x = log u0 for every other kind.  With a constant
+    weight the equation's scaling makes log R* exactly affine in that x:
+    u0 + (2k/a) log R* is invariant for f = e^(a u), and u0 R*^(2k/(gamma-k))
+    for f = u^gamma, so the secant steps land on the root at once.  Returns
+    (u0, solution-at-tol); the solution's meta["shot"] counts the shot's
+    IVPs, with their total steps and rejections.
     """
     target = prob.R if target is None else float(target)
+    exponential = prob.f.kind == "exponential"
+    to_u0, to_x = (float, float) if exponential else (math.exp, math.log)
+    shot = {"ivps": 0, "steps": 0, "rejected": 0}
+
+    def ivp(u0, ivp_tol):
+        sol = integrate_blowup_ivp(prob, u0, ivp_tol)
+        shot["ivps"] += 1
+        shot["steps"] += sol.meta["steps"]
+        shot["rejected"] += sol.meta["rejected"]
+        return sol
 
     def gap(u0):
-        return integrate_blowup_ivp(prob, u0, coarse_tol).Rstar - target
+        return math.log(ivp(u0, coarse_tol).Rstar / target)
 
     lo = hi = float(u0_init)
     glo = ghi = gap(lo)
@@ -517,9 +536,13 @@ def shoot_blowup_radius(prob: RadialProblem, target=None, tol=1e-9, coarse_tol=1
         ghi = gap(hi)
     else:
         raise SolveFailure("could not bracket the target blow-up radius from above")
-    u0 = _brent_root(gap, lo, hi, glo, ghi, xtol=1e-13 * max(1.0, lo), rtol=8.9e-16,
-                     maxiter=200)
-    return float(u0), integrate_blowup_ivp(prob, float(u0), tol)
+    xtol = 1e-13 * max(1.0, lo) if exponential else 1e-13
+    x = _brent_root(lambda x: gap(to_u0(x)), to_x(lo), to_x(hi), glo, ghi, xtol=xtol,
+                    rtol=8.9e-16, maxiter=200)
+    u0 = to_u0(x)
+    sol = ivp(u0, tol)
+    sol.meta["shot"] = shot
+    return u0, sol
 
 
 def _exhaustion_banded(alpha, dflux, centre, reaction):

@@ -114,6 +114,25 @@ class TestRadialCommands:
         assert meta["passed"] is True
         assert meta["xi"] == pytest.approx(0.5 ** (1.0 / 3.0), rel=1e-6)
 
+    def test_verify_asymptotics_runinfo_holds_the_shot(self, tmp_path):
+        cfg = write_cfg(tmp_path, "va.cfg", """
+            command = verify-asymptotics
+            n = 2
+            k = 1
+            R = 1.0
+            f = exp:2
+            weight = constant:1
+            tol = 1e-9
+        """)
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "--quiet"]) == 0
+        shot = json.loads((out / "verify-asymptotics.runinfo.json").read_text())["shot"]
+        assert set(shot) == {"ivps", "steps", "rejected"}
+        assert 2 <= shot["ivps"] <= 6
+        assert shot["steps"] > shot["rejected"] >= 0
+        body = (out / "verify-asymptotics.json").read_text()
+        assert "shot" not in json.loads(body) and "ivps" not in body
+
 
 class TestFdCommand:
     def test_fd_exhaust(self, tmp_path):

@@ -1,8 +1,9 @@
-"""Independent oracles: 50-digit mpmath profiles and hypothesis properties.
+"""Independent oracles: 50-digit mpmath profiles, scaling laws and hypothesis properties.
 
 The mpmath values come from the definitions alone (F, H, the improper
 integral Phi and the limit C_f = lim H'(s) Phi(s)), with none of the
-library's tables, tail substitutions or closed forms.
+library's tables, tail substitutions or closed forms.  The scaling laws
+of the radial shot follow from the equation's symmetries alone.
 """
 
 import itertools
@@ -18,6 +19,7 @@ from khessian.fd2d import exhaust
 from khessian.grid2d import Disk, build_grid
 from khessian.nonlinearity import Nonlinearity, Weight
 from khessian.profiles import assemble_profile
+from khessian.radial import RadialProblem, shoot_blowup_radius
 from khessian.symfunc import sigma_all
 
 PROPERTY = settings(settings.get_profile("khessian"), max_examples=150)  # see conftest.py
@@ -99,6 +101,29 @@ def test_phi_is_monotone(spec, k):
         assert np.all(np.diff(vals) <= 0.0)  # phi inverts the decreasing Phi
 
     check()
+
+
+@pytest.mark.parametrize("n, k, spec, radii", [
+    (3, 2, "power:5", (0.5, 1.0, 2.0)),
+    (4, 3, "power:7", (0.5, 1.0, 2.0)),
+    (2, 1, "exp:2", (0.25, 0.5, 1.0)),
+    (3, 2, "exp:2", (0.25, 0.5, 1.0)),
+])
+def test_shot_obeys_the_scaling_law(n, k, spec, radii):
+    # with b = 1, u(x) -> l^(2k/(g-k)) u(l x) maps solutions of S_k(D^2 u) = u^g to
+    # solutions, and u(x) -> u(l x) + (2k/a) log l those of S_k(D^2 u) = e^(a u);
+    # either way the blow-up radius becomes R/l, so these are the same at every R
+    kind, par = spec.split(":")
+    nl = Nonlinearity.power(float(par)) if kind == "power" else Nonlinearity.exponential(float(par))
+    invariants = []
+    for R in radii:
+        u0, sol = shoot_blowup_radius(RadialProblem.from_weight(n, k, R, nl, Weight.constant(1.0)))
+        assert sol.Rstar == pytest.approx(R, rel=1e-7)
+        if kind == "power":
+            invariants.append(u0 * R ** (2.0 * k / (float(par) - k)))
+        else:
+            invariants.append(u0 + (2.0 * k / float(par)) * math.log(R))
+    assert max(invariants) - min(invariants) <= 1e-7 * abs(invariants[1])
 
 
 def subset_sigma(lam, j):

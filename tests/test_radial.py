@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -246,6 +247,16 @@ class TestIVPWork:
         assert fast.Rstar == ref.Rstar
         assert np.array_equal(fast.r, ref.r) and np.array_equal(fast.u, ref.u)
 
+    def test_constant_weight_rhs_makes_no_b_call(self):
+        prob = RadialProblem.from_weight(3, 2, 1.0, Nonlinearity.power(5),
+                                         Weight.constant(2.0, b_lower=0.7), base=1.5)
+        assert prob.b_const == 1.5 * 2.0**3
+        calls = []
+        counted = dataclasses.replace(prob, b=lambda r: calls.append(1) or prob.b(r))
+        sol = integrate_blowup_ivp(counted, 5.0, 1e-8)
+        assert len(calls) == 1  # b(0) of the start-up series; the right-hand side takes b_const
+        assert sol.Rstar == integrate_blowup_ivp(prob, 5.0, 1e-8).Rstar
+
 
 class TestShooting:
     def test_shoot_to_unit_ball(self):
@@ -254,7 +265,9 @@ class TestShooting:
         assert sol.Rstar == pytest.approx(1.0, abs=1e-7)
         assert u0 > 0
 
-    # the constant-weight verify-asymptotics cases of the benchmark, bit for bit
+    # the constant-weight verify-asymptotics cases of the benchmark: the parameters
+    # are the shots of Brent on the raw gap in u0, SHOTS the shots in the scaling
+    # coordinate (u0 for exponential f, log u0 for power f), bit for bit
     @pytest.mark.parametrize("n, k, nl, u0, Rstar", [
         (3, 2, Nonlinearity.power(5), 2.6604497942870005, 0.999999999213772),
         (2, 1, Nonlinearity.exponential(2), 0.6931471762449922, 1.0000000037493049),
@@ -263,7 +276,32 @@ class TestShooting:
     def test_pinned_shots(self, n, k, nl, u0, Rstar):
         prob = RadialProblem.from_weight(n, k, 1.0, nl, Weight.constant(1.0))
         got, sol = shoot_blowup_radius(prob, tol=1e-9)
-        assert (got, sol.Rstar) == (u0, Rstar)
+        assert (got, sol.Rstar) == self.SHOTS[n, k]
+        assert abs(got - u0) <= 1e-13 * u0
+        assert sol.Rstar == pytest.approx(Rstar, rel=1e-12, abs=0.0)
+
+    SHOTS = {(3, 2): (2.660449794287001, 0.9999999992137736),
+             (2, 1): (0.6931471762450053, 1.000000003749293),
+             (4, 3): (2.730160857920078, 0.9999999997089144)}
+
+    @pytest.mark.parametrize("n, k, nl", [
+        (3, 2, Nonlinearity.power(5)),
+        (2, 1, Nonlinearity.exponential(2)),
+        (4, 3, Nonlinearity.power(7)),
+    ])
+    def test_ivps_per_shot(self, monkeypatch, n, k, nl):
+        # log R* is affine in the shooting coordinate, so the secant steps land at
+        # once; Brent on the raw gap in u0 took 11, 9 and 11 IVPs here
+        prob = RadialProblem.from_weight(n, k, 1.0, nl, Weight.constant(1.0))
+        ivp = radial.integrate_blowup_ivp
+        sols = []
+        monkeypatch.setattr(radial, "integrate_blowup_ivp",
+                            lambda *a, **kw: sols.append(ivp(*a, **kw)) or sols[-1])
+        _, sol = shoot_blowup_radius(prob, tol=1e-9)
+        assert len(sols) <= 6
+        assert sol.meta["shot"] == {"ivps": len(sols),
+                                    "steps": sum(s.meta["steps"] for s in sols),
+                                    "rejected": sum(s.meta["rejected"] for s in sols)}
 
 
 class TestRootFinderPorts:
