@@ -24,12 +24,11 @@ import numpy as np
 from ._quad import scalar_or_array, vectorized
 from .errors import (
     CertificationFailure,
-    ConditionViolation,
     GeometryError,
     ParameterError,
 )
 from .nonlinearity import Nonlinearity, Weight
-from .profiles import ProfileFns, check_limit_Ff
+from .profiles import ProfileFns, check_limit_Ff, condition15_gap
 from .radial import RadialSolution
 from .symfunc import sigma_all, sk_radial
 
@@ -124,11 +123,7 @@ def make_barrier_params(p: ProfileFns, geom: CollarGeometry, eps, delta_eps, sig
         raise ParameterError(
             f"(3.3) barrier slack must satisfy 0 < eps < b_lower/2, got eps={eps}"
         )
-    gap = 1.0 - (1.0 - p.C_m) / p.C_f
-    if gap <= 0.0:
-        raise ConditionViolation(
-            f"(1.5) constant gap violated: C_f={p.C_f:.6g}, C_m={p.C_m:.6g}", label="(1.5)"
-        )
+    gap = condition15_gap(p.C_f, p.C_m)
     if delta_eps <= 0.0:
         raise ParameterError(f"collar width must be positive, got {delta_eps}")
     sigma_shift = 0.1 * delta_eps if sigma_shift is None else float(sigma_shift)

@@ -9,10 +9,11 @@ bodies are byte-identical across reruns, timestamps live in a
 Exit codes: 0 success (and all checks passed), 1 computational failure
 (diagnostic written to ``error.json``), 2 config/parameter validation
 failure with a message naming the violated condition label, or a config key
-the command never read, with the closest key it did.
+the command never read, with the closest key it did when one is close.
 """
 
 import argparse
+import dataclasses
 import math
 import sys
 import time
@@ -31,7 +32,7 @@ from .barriers import (
 from .errors import ConditionViolation, KellerOssermanViolation, ParameterError
 from .grid2d import build_grid, parse_domain
 from .nonlinearity import Nonlinearity, Weight
-from .profiles import assemble_profile, profile_table, xi_bounds
+from .profiles import assemble_profile, condition15_gap, profile_table, xi_bounds
 from .radial import (
     RadialProblem,
     asymptotics_report,
@@ -90,7 +91,7 @@ class Config:
         return [float(v) for v in raw.split(",") if v.strip()]
 
     def check_all_read(self, command):
-        """ParameterError naming a key command never looked up, and the closest one it did.
+        """ParameterError naming a key command never looked up, and a close one it did.
 
         ``seed`` is exempt: ``--seed`` sets it for every command.
         """
@@ -99,7 +100,7 @@ class Config:
             import difflib  # only on this error path: the import is not paid by every run
 
             key = unread[0]
-            closest = difflib.get_close_matches(key, sorted(self.looked_up), n=1, cutoff=0.0)
+            closest = difflib.get_close_matches(key, sorted(self.looked_up), n=1)
             raise ParameterError(f"unknown config key {key!r} for command {command!r}"
                                  + (f" (closest valid key: {closest[0]!r})" if closest else ""))
 
@@ -144,19 +145,10 @@ def _validate_orders(n, k, nl):
 def _bundle(cfg, nl, w, k):
     """Assemble the profile bundle, honouring explicit constant overrides."""
     p = assemble_profile(nl, w, k)
-    cf = cfg.get("cf", float, None)
-    cm = cfg.get("cm", float, None)
-    if cf is not None:
-        p.C_f = cf
-    if cm is not None:
-        p.C_m = cm
-    p.condition15_ok = bool(p.C_f > 1.0 - p.C_m)
-    if not p.condition15_ok:
-        raise ConditionViolation(
-            f"(1.5) constant gap violated: C_f={p.C_f:.6g} <= 1 - C_m={1.0 - p.C_m:.6g}",
-            label="(1.5)",
-        )
-    return p
+    C_f = cfg.get("cf", float, p.C_f)
+    C_m = cfg.get("cm", float, p.C_m)
+    condition15_gap(C_f, C_m)
+    return dataclasses.replace(p, C_f=C_f, C_m=C_m, condition15_ok=True)
 
 
 def _default_t_grid(cfg):

@@ -3,7 +3,8 @@ limit constants that control boundary asymptotics.
 
 For a nonlinearity f of order k the kit provides
 
-* ``F(s)``   cumulative integral of f from 0 (exact for built-in kinds),
+* ``F(s)``   cumulative integral of f from 0 (exact for built-in kinds,
+  else the tail table of the reflected integrand f(1/u)/u^2 at u = 1/s),
 * ``H(s)``   ((k+1) F(s))**(1/(k+1)),
 * ``Phi(s)`` int_s^inf dtau/H(tau)  (finite iff the blow-up condition holds),
 * ``phi(t)`` the inverse of Phi -- the universal boundary blow-up shape,
@@ -11,8 +12,8 @@ For a nonlinearity f of order k the kit provides
 * ``C_f``    lim H'(s) Phi(s), and for a weight m: M = int m and
   ``C_m``     lim (M/m)'(t) as t -> 0+.
 
-``Phi`` is always evaluated by quadrature (tail-substituted geometric
-tables), even when a closed form exists, so that closed forms remain
+``Phi`` is always evaluated by quadrature (a geometric table with an
+analytic tail above its top node), even when a closed form exists, so that closed forms remain
 available as independent oracles.  ``phi`` inverts the table by safeguarded
 Newton: each target is bracketed by a grid segment and started from the
 segment's linear interpolant, Newton steps use the exact slope
@@ -30,7 +31,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._quad import CumulativeFromZero, DecayingTailIntegral, scalar_or_array, vectorized
+from ._quad import DecayingTailIntegral, cumulative_from_zero, scalar_or_array, vectorized
 from .errors import (
     ConditionViolation,
     KellerOssermanViolation,
@@ -48,6 +49,7 @@ __all__ = [
     "build_weight",
     "build_psi",
     "assemble_profile",
+    "condition15_gap",
     "xi_bounds",
     "PowerAsymptote",
     "power_law_asymptote",
@@ -79,7 +81,7 @@ class Profile:
         if nl.F_closed(1.0) is not None:
             self._F = nl.F_closed
         else:
-            self._F = CumulativeFromZero(self._f, name="F").value
+            self._F = cumulative_from_zero(self._f, name="F")
 
         kp1 = self.k + 1.0
 
@@ -214,7 +216,7 @@ def build_weight(w: Weight, per_decade=64, osc_tol=1e-7):
     if w.M_closed(1.0) is not None:
         M = w.M_closed
     else:
-        M = CumulativeFromZero(vectorized(w.m), seed=min(1.0, w.delta0 / 4), name="M").value
+        M = cumulative_from_zero(vectorized(w.m), seed=min(1.0, w.delta0 / 4), name="M")
 
     g = lambda t: float(M(t)) / float(w.m(t))
     t0 = min(0.25, w.delta0 / 8.0)
@@ -365,6 +367,11 @@ def assemble_profile(nl, w, k, with_psi=False):
     prof = build_profile(nl, k)
     C_f = compute_Cf(prof)
     M, C_m = build_weight(w)
+    try:
+        condition15_gap(C_f, C_m)
+        condition15_ok = True
+    except ConditionViolation:
+        condition15_ok = False
     bundle = ProfileFns(
         k=int(k),
         nonlinearity=nl,
@@ -374,23 +381,34 @@ def assemble_profile(nl, w, k, with_psi=False):
         C_f=C_f,
         C_m=C_m,
         ko_ok=prof.ko_ok,
-        condition15_ok=bool(C_f > 1.0 - C_m),
+        condition15_ok=condition15_ok,
     )
     if with_psi:
         bundle._need_psi()
     return bundle
 
 
+def condition15_gap(C_f, C_m):
+    """The constant gap 1 - (1 - C_m)/C_f of condition (1.5).
+
+    Raises ConditionViolation (label ``"(1.5)"``) unless C_f > 0 and the gap
+    is positive, that is C_f > 1 - C_m.
+    """
+    gap = 1.0 - (1.0 - C_m) / C_f if C_f > 0.0 else math.nan
+    if not gap > 0.0:
+        raise ConditionViolation(
+            f"(1.5) constant gap violated: need C_f > max(0, 1 - C_m), "
+            f"got C_f={C_f:.6g}, 1 - C_m={1.0 - C_m:.6g}",
+            label="(1.5)",
+        )
+    return gap
+
+
 def xi_bounds(w: Weight, L0, l0, C_f, C_m, k):
     """Asymptotic amplitude bounds from the weight constants and curvature extremes."""
     if not (0.0 < l0 <= L0):
         raise ParameterError(f"need 0 < l0 <= L0, got l0={l0}, L0={L0}")
-    gap = 1.0 - (1.0 - C_m) / C_f
-    if gap <= 0.0:
-        raise ConditionViolation(
-            f"(1.5) constant gap violated: C_f={C_f:.6g} <= 1 - C_m={1.0 - C_m:.6g}",
-            label="(1.5)",
-        )
+    gap = condition15_gap(C_f, C_m)
     xi_lower = (w.b_lower / (L0 * gap)) ** (1.0 / (k + 1.0))
     xi_upper = (w.b_upper / (l0 * gap)) ** (1.0 / (k + 1.0))
     return xi_lower, xi_upper

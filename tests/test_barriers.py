@@ -125,12 +125,13 @@ class TestBarrierParams:
             make_barrier_params(p, geom, eps=0.1, delta_eps=0.05, sigma_shift=0.06)
 
     def test_gap_violation_label(self):
-        # force the degenerate constant pair via a doctored bundle
+        # force the degenerate constant pairs via a doctored bundle
         p = assemble_profile(Nonlinearity.exponential(2), W1, 1)
-        p.C_f, p.C_m = 1.0, 0.0
-        with pytest.raises(ConditionViolation) as ei:
-            make_barrier_params(p, ball_geometry(2, 1, 1.0), eps=0.1, delta_eps=0.05)
-        assert ei.value.label == "(1.5)"
+        for C_f, C_m in ((1.0, 0.0), (-1.0, 0.5)):
+            p.C_f, p.C_m = C_f, C_m
+            with pytest.raises(ConditionViolation) as ei:
+                make_barrier_params(p, ball_geometry(2, 1, 1.0), eps=0.1, delta_eps=0.05)
+            assert ei.value.label == "(1.5)"
 
     def test_xi_eps_first_order_in_eps(self):
         p = assemble_profile(Nonlinearity.power(5), W1, 2)

@@ -201,17 +201,18 @@ class TestBarrierCommand:
         assert blob["supersolution"]["passed"] and blob["subsolution"]["passed"]
 
     def test_gap_violation_exits_2(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, "bad.cfg", """
-            command = check-barrier
-            n = 2
-            k = 1
-            f = exp:2
-            weight = constant:1
-            cf = 1.0
-            cm = 0.0
-        """)
-        assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 2
-        assert "(1.5)" in capsys.readouterr().err
+        for cf, cm in ((1.0, 0.0), (-1.0, 0.5)):
+            cfg = write_cfg(tmp_path, "bad.cfg", f"""
+                command = check-barrier
+                n = 2
+                k = 1
+                f = exp:2
+                weight = constant:1
+                cf = {cf}
+                cm = {cm}
+            """)
+            assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 2
+            assert "(1.5)" in capsys.readouterr().err
 
 
 class TestValidation:
@@ -252,7 +253,8 @@ class TestValidation:
         out = tmp_path / "out"
         assert main(["--config", cfg, "--out", str(out), "--quiet"]) == 2
         err = capsys.readouterr().err
-        assert "'sampels'" in err and "'profile'" in err and "closest valid key" in err
+        # no config key of the profile command is close to 'sampels'
+        assert "'sampels'" in err and "'profile'" in err and "closest valid key" not in err
         assert not (out / "profile.runinfo.json").exists()
 
     def test_unread_key_names_closest_key(self, tmp_path, capsys):

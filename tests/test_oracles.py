@@ -15,15 +15,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from khessian._quad import cumulative_from_zero
+from khessian.errors import ParameterError
 from khessian.fd2d import exhaust
 from khessian.grid2d import Disk, build_grid
 from khessian.nonlinearity import Nonlinearity, Weight
-from khessian.profiles import assemble_profile
+from khessian.profiles import assemble_profile, build_profile, build_weight
 from khessian.radial import RadialProblem, shoot_blowup_radius
 from khessian.symfunc import sigma_all
 
 PROPERTY = settings(settings.get_profile("khessian"), max_examples=150)  # see conftest.py
 SOLVES = settings(PROPERTY, max_examples=25)  # each example is a few 2d Newton solves
+BATCHES = settings(PROPERTY, max_examples=50)  # each example is up to 26 inversions
 
 # (spec, order k): the benchmark's three profiles
 CASES = [("power:5", 2), ("power:7", 3), ("exp:2", 1)]
@@ -84,6 +87,94 @@ def test_C_f_to_50_digits(case):
     p, oracle = case
     s = mp.mpf(40)
     assert abs(p.C_f / (oracle.H_prime(s) * oracle.Phi(s)) - 1) <= 1e-12
+
+
+# f = s^3 + s, k = 1: a custom kind, so F comes from the reflected cumulative
+# table and the tail of Phi is fitted, with no closed form in the library
+class CubicOracle(Oracle):
+    def __init__(self):
+        self.k = mp.mpf(1)
+
+    def f(self, s):
+        return s**3 + s
+
+    def F(self, s):
+        return s**4 / 4 + s**2 / 2
+
+
+def test_custom_kind_to_50_digits():
+    cubic = Nonlinearity.custom(lambda s: np.asarray(s, float) ** 3 + np.asarray(s, float),
+                                lambda s: 3.0 * np.asarray(s, float) ** 2 + 1.0)
+    p, oracle = build_profile(cubic, 1), CubicOracle()
+    with mp.workdps(50):
+        for s in ("1e-30", "0.01", "1", "20", "1e5"):
+            assert abs(p.F(float(s)) / oracle.F(mp.mpf(s)) - 1) <= 1e-15
+            assert abs(p.Phi(float(s)) / oracle.Phi(mp.mpf(s)) - 1) <= 1e-13
+        for t in (1e-3, 0.05, 0.5, 3.0):
+            s = mp.mpf(p.phi(t))
+            assert abs((oracle.Phi(s) - t) * oracle.H(s) / s) <= 1e-13
+
+
+def _weight_M(m, dm):
+    return build_weight(Weight.custom(m, dm, delta0=1.0))[0]
+
+
+# name -> (t -> int_0^t at 50 digits, the table): F as a custom f builds it,
+# M as a custom weight does
+CUMULATIVE = {
+    "s": (lambda t: t**2 / 2, lambda: cumulative_from_zero(lambda s: s)),
+    "s^3+s": (lambda t: t**4 / 4 + t**2 / 2, lambda: cumulative_from_zero(lambda s: s**3 + s)),
+    "s^5": (lambda t: t**6 / 6, lambda: cumulative_from_zero(lambda s: s**5)),
+    "exp(2s)": (lambda t: mp.expm1(2 * t) / 2,
+                lambda: cumulative_from_zero(lambda s: np.exp(2.0 * s))),
+    "m=t": (lambda t: t**2 / 2, lambda: _weight_M(lambda t: t, lambda t: np.ones_like(t))),
+    "m=sqrt(t)": (lambda t: 2 * t**1.5 / 3,
+                  lambda: _weight_M(np.sqrt, lambda t: 0.5 / np.sqrt(t))),
+}
+
+
+@pytest.mark.parametrize("name", CUMULATIVE)
+def test_cumulative_table_matches_closed_form(name):
+    exact, table = CUMULATIVE[name]
+
+    def rel_err(t, got):
+        with mp.workdps(50):
+            return float(abs(got / exact(mp.mpf(t)) - 1))
+
+    ts = np.geomspace(1e-40, 1e2, 400)
+    together = table()(ts)  # one table over the whole range
+    assert max(rel_err(t, v) for t, v in zip(ts, together)) <= 1e-13
+    # each point alone on a fresh table: the tail fit, not the range, closes the head
+    assert max(rel_err(t, table()(t)) for t in ts[::19]) <= 1e-13
+
+
+def test_cumulative_table_boundary_arguments():
+    F = cumulative_from_zero(lambda s: s**-0.5)
+    assert F(0.0) == 0.0
+    assert F(np.array([0.0, 1.0])) == pytest.approx([0.0, 2.0], rel=1e-15)
+    assert F(1e-200) == pytest.approx(2e-100, rel=1e-13)  # g(s) s s keeps s^2 from underflowing
+    for bad in (-1.0, math.inf, math.nan):
+        with pytest.raises(ParameterError, match="argument must be nonnegative finite"):
+            F(bad)
+
+
+@pytest.mark.parametrize("spec, k", CASES)
+def test_phi_is_independent_of_its_batch(spec, k):
+    # a batched Gauss-Legendre sum must round each row as it would alone; the
+    # batch comes first, so the single calls find the table already extended
+    kind, par = spec.split(":")
+    nl = Nonlinearity.power(float(par)) if kind == "power" else Nonlinearity.exponential(float(par))
+    shared = build_profile(nl, k)
+    top = 0.999 * shared.Phi(1e-6)
+
+    @BATCHES
+    @given(st.lists(st.floats(1e-4, min(top, 50.0)), min_size=2, max_size=12))
+    def check(ts):
+        for p in (build_profile(nl, k), shared):
+            together = p.phi(np.asarray(ts))
+            assert [p.phi(t) for t in ts] == together.tolist()
+
+    check()
 
 
 @pytest.mark.parametrize("spec, k", CASES)

@@ -242,9 +242,11 @@ class TestXiBounds:
         assert lo2 == pytest.approx(math.sqrt(4.0 / 3.0), rel=1e-12)
 
     def test_gap_violation(self):
-        with pytest.raises(ConditionViolation) as ei:
-            xi_bounds(Weight.constant(1.0), L0=1.0, l0=1.0, C_f=1.0, C_m=0.0, k=1)
-        assert ei.value.label == "(1.5)"
+        # (-1, 0.5): the gap 1 - (1 - C_m)/C_f = 1.5 is positive, but C_f is not
+        for C_f, C_m in ((1.0, 0.0), (-1.0, 0.5)):
+            with pytest.raises(ConditionViolation) as ei:
+                xi_bounds(Weight.constant(1.0), L0=1.0, l0=1.0, C_f=C_f, C_m=C_m, k=1)
+            assert ei.value.label == "(1.5)"
 
     def test_ordering(self):
         w = Weight.constant(1.0, b_lower=0.5, b_upper=2.0)
