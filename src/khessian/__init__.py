@@ -18,7 +18,6 @@ from .profiles import (
     ProfileFns,
     assemble_profile,
     build_profile,
-    build_psi,
     build_weight,
     check_limit_Ff,
     compute_Cf,

@@ -36,6 +36,7 @@ _MAX_EXTENT = 290
 _NEWTON_CAP = 100
 
 _EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny  # the smallest normal float
 
 # relative size below which the analytic tail above the grid is trusted
 _REL_TAIL = 1e-13
@@ -298,7 +299,8 @@ def cumulative_from_zero(g, seed=1.0, per_decade=128, name="cumulative"):
 
     The integral is the tail table of the reflected integrand g(1/u)/u^2,
     seeded at 1/seed and read at u = 1/t.  Positive t is covered from about
-    1e-290 to 1e290; a smaller t hits the table's range cap (KHessianError).
+    1e-290 to 1e290; a smaller t, subnormal ones included, hits the table's
+    range cap (KHessianError).
     A panel spans a fixed ratio of t, so an integrand growing like exp(a t)
     loses accuracy as a t grows: at 128 nodes per decade int_0^t exp(2s)
     stays within 1e-13 relative up to t = 100 (64 nodes give 1.1e-13 there).
@@ -317,7 +319,9 @@ def cumulative_from_zero(g, seed=1.0, per_decade=128, name="cumulative"):
         out = np.zeros(arr.shape)
         pos = arr > 0.0
         if pos.any():
-            out[pos] = table.value(1.0 / arr[pos])
+            # a subnormal t, whose 1/t overflows, is read at the smallest normal float:
+            # far below the range cap, so it gets the range-cap error as t = 1e-291 does
+            out[pos] = table.value(1.0 / np.maximum(arr[pos], _TINY))
         return scalar_or_array(t, out)
 
     return value

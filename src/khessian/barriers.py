@@ -27,6 +27,7 @@ from .errors import (
     GeometryError,
     ParameterError,
 )
+from .grid2d import Ellipse
 from .nonlinearity import Nonlinearity, Weight
 from .profiles import ProfileFns, check_limit_Ff, condition15_gap
 from .radial import RadialSolution
@@ -85,8 +86,7 @@ def ball_geometry(n, k, R=1.0):
 
 def ellipse_geometry(a, b, k=1):
     """2d ellipse boundary: one principal curvature kappa(t)."""
-    if not (a >= b > 0):
-        raise ParameterError(f"ellipse needs a >= b > 0, got a={a}, b={b}")
+    Ellipse(a, b)  # the domain's own check: ParameterError unless a >= b > 0
     if k not in (1, 2):
         raise ParameterError(f"planar geometry supports k in {{1, 2}}, got {k}")
 

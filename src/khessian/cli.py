@@ -132,23 +132,13 @@ def _parse_weight(spec, cfg):
     raise ParameterError(f"(b2) unknown weight kind {kind!r} (use constant:C or power:A)")
 
 
-def _validate_orders(n, k, nl):
-    if not 1 <= k <= n:
-        raise ParameterError(f"order k={k} must satisfy 1 <= k <= n={n}")
-    if nl.kind == "power" and nl.gamma <= k:
-        raise KellerOssermanViolation(
-            f"(f2) power exponent gamma={nl.gamma} must exceed k={k}",
-            tail_exponent=(nl.gamma + 1.0) / (k + 1.0),
-        )
-
-
 def _bundle(cfg, nl, w, k):
     """Assemble the profile bundle, honouring explicit constant overrides."""
     p = assemble_profile(nl, w, k)
     C_f = cfg.get("cf", float, p.C_f)
     C_m = cfg.get("cm", float, p.C_m)
     condition15_gap(C_f, C_m)
-    return dataclasses.replace(p, C_f=C_f, C_m=C_m, condition15_ok=True)
+    return dataclasses.replace(p, C_f=C_f, C_m=C_m)
 
 
 def _default_t_grid(cfg):
@@ -181,9 +171,8 @@ def cmd_profile(cfg, outdir, base, quiet, runinfo):
     k = cfg.get("k", int, required=True)
     nl = _parse_nonlinearity(cfg.get("f", str, required=True))
     w = _parse_weight(cfg.get("weight", str, "constant:1"), cfg)
-    _validate_orders(cfg.get("n", int, max(2, k)), k, nl)
+    geom = _geometry(cfg, cfg.get("n", int, max(2, k)), k)  # checks k before any profile is built
     p = _bundle(cfg, nl, w, k)
-    geom = _geometry(cfg, cfg.get("n", int, max(2, k)), k)
     xi = _resolve_xi(cfg, p, geom)
     ts = cfg.floats("t_grid") or _default_t_grid(cfg)
     sup = p.profile.phi_domain_sup()
@@ -201,8 +190,9 @@ def _radial_problem(cfg):
     R = cfg.get("R", float, 1.0)
     nl = _parse_nonlinearity(cfg.get("f", str, required=True))
     w = _parse_weight(cfg.get("weight", str, "constant:1"), cfg)
-    _validate_orders(n, k, nl)
-    return RadialProblem.from_weight(n, k, R, nl, w), nl, w
+    prob = RadialProblem.from_weight(n, k, R, nl, w)
+    nl.check_f2(k)
+    return prob, nl, w
 
 
 def cmd_radial_ivp(cfg, outdir, base, quiet, runinfo):
@@ -249,7 +239,7 @@ def cmd_fd_exhaust(cfg, outdir, base, quiet, runinfo):
 
     nl = _parse_nonlinearity(cfg.get("f", str, required=True))
     w = _parse_weight(cfg.get("weight", str, "constant:1"), cfg)
-    _validate_orders(2, 1, nl)
+    nl.check_f2(1)  # the 2-d solver is the k = 1 case
     dom = parse_domain(cfg.get("domain", str, required=True))
     h = cfg.get("h", float, 1.0 / 64.0)
     tol = cfg.get("tol", float, 1e-8)
@@ -274,10 +264,9 @@ def cmd_check_barrier(cfg, outdir, base, quiet, runinfo):
     k = cfg.get("k", int, required=True)
     nl = _parse_nonlinearity(cfg.get("f", str, required=True))
     w = _parse_weight(cfg.get("weight", str, "constant:1"), cfg)
-    _validate_orders(n, k, nl)
     eps = cfg.get("eps", float, 0.1)
+    geom = _geometry(cfg, n, k)  # checks k before any profile is built
     p = _bundle(cfg, nl, w, k)
-    geom = _geometry(cfg, n, k)
     seed = cfg.get("seed", int, 0)
     nsamples = cfg.get("samples", int, 200)
     bp, rep_s, rep_l = certify_barriers(p, geom, nl, w, eps=eps, nsamples=nsamples, seed=seed)

@@ -199,19 +199,6 @@ def _bilinear(fx, fy, table, box, n):
     return _csr(np.where(ox, 0.5, 1.0) * np.where(oy, 0.5, 1.0), cols, n)
 
 
-def _prolongation(lx, ly):
-    """(P, cx, cy): bilinear prolongation from the even sublattice of the nodes at (lx, ly).
-
-    P maps the nodes with even coordinates, at coarse lattice (cx, cy) = (lx, ly) / 2, to all
-    nodes, both row-major (_bilinear); an absent coarse node gives zero, as on the boundary.
-    """
-    even = ((lx | ly) & 1) == 0
-    cx, cy = lx[even] >> 1, ly[even] >> 1
-    x0, y0, x1, y1 = lx.min() - 1, ly.min() - 1, lx.max() + 1, ly.max() + 1
-    box = (x0 >> 1, y0 >> 1, -(-x1 >> 1), -(-y1 >> 1))  # as in _multigrid
-    return _bilinear(lx, ly, _table(cx, cy, np.arange(cx.size), box)[0], box, cx.size), cx, cy
-
-
 def _colour_order(lx, ly):
     """(order, n_red): red nodes (lx + ly even), then black, each in row-major order.
 
@@ -370,13 +357,6 @@ def _row_major(mg: _Multigrid, x):
     return out
 
 
-def _preconditioner(mg: _Multigrid, bfp):
-    """One V-cycle for A - diag(bfp) as a function of the residual, both row-major."""
-    shifts = _shifts(mg, bfp)
-    cycle = _cycle(mg, shifts, _coarse_lu(mg, shifts))
-    return lambda r: _row_major(mg, cycle(r[mg.order]))
-
-
 def _defect_correction(A, bfp, mg: _Multigrid, rhs):
     """Defect correction for (A - diag(bfp)) x = rhs, one V-cycle M per iteration.
 
@@ -433,14 +413,6 @@ def _defect_correction(A, bfp, mg: _Multigrid, rhs):
         return last
 
     return solve
-
-
-def _newton_direction(A, bfp, mg: _Multigrid, rhs, rtol):
-    """Solve (A - diag(bfp)) x = rhs to relative residual rtol: (x, cycles).
-
-    One call of _defect_correction's solve; SolveFailure as there.
-    """
-    return _defect_correction(A, bfp, mg, rhs)(rtol)
 
 
 _SHARED = ContextVar("fd2d_shared", default=(None, None))  # (grid, operators) of an exhaust

@@ -11,7 +11,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import KellerOssermanViolation, ParameterError
 
 __all__ = ["Nonlinearity", "Weight"]
 
@@ -113,6 +113,19 @@ class Nonlinearity:
             raise ParameterError("(f1) nonlinearity must be positive on (0, inf)")
         if np.any(np.diff(vals) < -1e-12 * np.abs(vals[:-1])):
             raise ParameterError("(f1) nonlinearity must be nondecreasing")
+
+    def check_f2(self, k):
+        """Condition (f2) for order k where it has a closed form: power kinds need gamma > k.
+
+        Raises KellerOssermanViolation carrying the exact tail exponent of 1/H.
+        Other kinds are left to the tail fit of the profile integral.
+        """
+        if self.kind == "power" and self.gamma <= k:
+            raise KellerOssermanViolation(
+                f"(f2) power nonlinearity with gamma={self.gamma} <= k={k}: "
+                "the profile integral diverges",
+                tail_exponent=(self.gamma + 1.0) / (k + 1.0),
+            )
 
     def describe(self):
         if self.kind == "power":

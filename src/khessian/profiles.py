@@ -8,7 +8,8 @@ For a nonlinearity f of order k the kit provides
 * ``H(s)``   ((k+1) F(s))**(1/(k+1)),
 * ``Phi(s)`` int_s^inf dtau/H(tau)  (finite iff the blow-up condition holds),
 * ``phi(t)`` the inverse of Phi -- the universal boundary blow-up shape,
-* ``Psi/psi`` the analogous pair built from f**(-1/k),
+* ``PsiPair`` the analogous pair Psi/psi built from f**(-1/k), for the
+  sublevel subsolution psi(-w) (built on its own, not part of the bundle),
 * ``C_f``    lim H'(s) Phi(s), and for a weight m: M = int m and
   ``C_m``     lim (M/m)'(t) as t -> 0+.
 
@@ -20,25 +21,19 @@ segment's linear interpolant, Newton steps use the exact slope
 Phi' = -1/H, and a step that leaves the bracket falls back to its midpoint
 (the slope blows up at small arguments, where plain Newton would be unsafe).
 
-``Phi``, ``phi`` and its derivatives, ``psi``, ``predicted_profile`` and
-``profile_table`` take scalars or arrays: a scalar gives a float, an array an
-array of the same shape, and a whole array costs one vectorised inversion.
+``Phi``, ``phi`` and its derivatives, ``PsiPair.psi``, ``predicted_profile``
+and ``profile_table`` take scalars or arrays: a scalar gives a float, an array
+an array of the same shape, and a whole array costs one vectorised inversion.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from ._quad import DecayingTailIntegral, cumulative_from_zero, scalar_or_array, vectorized
-from .errors import (
-    ConditionViolation,
-    KellerOssermanViolation,
-    KHessianError,
-    LimitNotDetected,
-    ParameterError,
-)
+from .errors import ConditionViolation, KHessianError, LimitNotDetected, ParameterError
 from .nonlinearity import Nonlinearity, Weight
 
 __all__ = [
@@ -47,7 +42,7 @@ __all__ = [
     "build_profile",
     "compute_Cf",
     "build_weight",
-    "build_psi",
+    "PsiPair",
     "assemble_profile",
     "condition15_gap",
     "xi_bounds",
@@ -68,13 +63,7 @@ class Profile:
         self.k = int(k)
         self.nl = nl
         nl.check_f1()
-        if nl.kind == "power" and nl.gamma <= self.k:
-            # exact tail exponent of 1/H for the power kind
-            raise KellerOssermanViolation(
-                f"(f2) power nonlinearity with gamma={nl.gamma} <= k={self.k}: "
-                "the profile integral diverges",
-                tail_exponent=(nl.gamma + 1.0) / (self.k + 1.0),
-            )
+        nl.check_f2(self.k)
 
         self._f = vectorized(nl.f)
         self._fp = vectorized(nl.f_prime)
@@ -100,7 +89,6 @@ class Profile:
         self._ko = DecayingTailIntegral(
             inv_H, per_decade=per_decade, tail_hint=tail_hint, name="profile integral"
         )
-        self.ko_ok = True
 
     # -- basic functions ----------------------------------------------------
 
@@ -189,8 +177,6 @@ def _detect_limit(seq, osc_tol, what):
 
 def compute_Cf(p: Profile, s0=1.0, max_terms=40, osc_tol=1e-3):
     """Limit constant of H'(s) Phi(s) along s = s0 * 2**i, Aitken-accelerated."""
-    if not p.ko_ok:
-        raise ParameterError("profile integral not finite; C_f undefined")
     s = s0 * 2.0 ** np.arange(max_terms)
     with np.errstate(over="ignore", invalid="ignore"):
         hp = np.asarray(p.H_prime(s), dtype=float)
@@ -286,15 +272,12 @@ class PsiPair:
             )
 
 
-def build_psi(nl, k, per_decade=64):
-    """Build (Psi, psi); raises KellerOssermanViolation if the tail diverges."""
-    pair = PsiPair(nl, k, per_decade=per_decade)
-    return pair.Psi, pair.psi
-
-
-@dataclass
+@dataclass(frozen=True)
 class ProfileFns:
-    """Assembled profile/weight bundle used by the solvers and checkers."""
+    """Assembled profile/weight bundle used by the solvers and checkers.
+
+    Frozen: a bundle with other constants is made with ``dataclasses.replace``.
+    """
 
     k: int
     nonlinearity: Nonlinearity
@@ -303,9 +286,6 @@ class ProfileFns:
     M: Callable
     C_f: float
     C_m: float
-    ko_ok: bool
-    condition15_ok: bool
-    psi_pair: Optional[PsiPair] = None
 
     # callables forwarded from the backing profile
     def f(self, s):
@@ -332,60 +312,35 @@ class ProfileFns:
     def phi_jet(self, t):
         return self.profile.phi_jet(t)
 
-    def Psi(self, s):
-        self._need_psi()
-        return self.psi_pair.Psi(s)
-
-    def psi(self, t):
-        self._need_psi()
-        return self.psi_pair.psi(t)
-
     def m(self, t):
         return self.weight.m(t)
 
     def m_prime(self, t):
         return self.weight.m_prime(t)
 
-    def _need_psi(self):
-        if self.psi_pair is None:
-            self.psi_pair = PsiPair(self.nonlinearity, self.k)
-
     def header(self):
+        try:
+            condition15_gap(self.C_f, self.C_m)
+            gap_ok = True
+        except ConditionViolation:
+            gap_ok = False
         return {
             "k": self.k,
             "nonlinearity": self.nonlinearity.describe(),
             "weight": self.weight.describe(),
             "C_f": self.C_f,
             "C_m": self.C_m,
-            "ko_ok": self.ko_ok,
-            "condition15_ok": self.condition15_ok,
+            "ko_ok": True,  # a Profile exists only once its integral has converged
+            "condition15_ok": gap_ok,
         }
 
 
-def assemble_profile(nl, w, k, with_psi=False):
+def assemble_profile(nl, w, k):
     """Build the full ProfileFns bundle for a nonlinearity/weight/order triple."""
     prof = build_profile(nl, k)
     C_f = compute_Cf(prof)
     M, C_m = build_weight(w)
-    try:
-        condition15_gap(C_f, C_m)
-        condition15_ok = True
-    except ConditionViolation:
-        condition15_ok = False
-    bundle = ProfileFns(
-        k=int(k),
-        nonlinearity=nl,
-        weight=w,
-        profile=prof,
-        M=M,
-        C_f=C_f,
-        C_m=C_m,
-        ko_ok=prof.ko_ok,
-        condition15_ok=condition15_ok,
-    )
-    if with_psi:
-        bundle._need_psi()
-    return bundle
+    return ProfileFns(k=int(k), nonlinearity=nl, weight=w, profile=prof, M=M, C_f=C_f, C_m=C_m)
 
 
 def condition15_gap(C_f, C_m):

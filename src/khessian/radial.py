@@ -3,8 +3,9 @@
 Contains the torsion-type auxiliary solve (right side b, zero boundary
 data), forward integration of the blow-up initial value problem with
 singularity detection, the monotone boundary-data exhaustion as a two-point
-boundary value scheme, the sublevel subsolution built from the torsion
-solution, and boundary-asymptotics reports.
+boundary value scheme, the sublevel subsolution psi(-w) built from the
+torsion solution w and a ``profiles.PsiPair`` of the same (f, k), and
+boundary-asymptotics reports.
 
 Every solve is single-threaded and deterministic; distinct solves share no
 mutable state.  The root finders (Brent, bisection, and the Illinois search
@@ -22,7 +23,7 @@ import numpy as np
 from ._quad import panel_integrals, scalar_or_array, vectorized
 from .errors import IntegrationFailure, ParameterError, ReportTruncated, SolveFailure
 from .nonlinearity import Nonlinearity, Weight
-from .profiles import ProfileFns, predicted_profile
+from .profiles import ProfileFns, PsiPair, predicted_profile
 
 __all__ = [
     "RadialProblem",
@@ -737,13 +738,12 @@ def asymptotics_report(sol: RadialSolution, p: ProfileFns, xi, d_values=None,
 
 
 class RadialSubsolution:
-    """Sublevel subsolution psi(-w) built from the torsion solution."""
+    """Sublevel subsolution psi(-w) from the torsion solution w and the inverse pair psi."""
 
-    def __init__(self, torsion: RadialSolution, p: ProfileFns):
-        p._need_psi()
+    def __init__(self, torsion: RadialSolution, pair: PsiPair):
         self._w = torsion
-        self._psi = p.psi
-        self._Psi = p.Psi
+        self._psi = pair.psi
+        self._Psi = pair.Psi
 
     def __call__(self, r):
         w = np.asarray(self._w.value(r), float)
@@ -763,6 +763,6 @@ class RadialSubsolution:
         return self._w
 
 
-def build_radial_subsolution(prob: RadialProblem, p: ProfileFns):
-    """psi(-w) with w the torsion solution of the same problem."""
-    return RadialSubsolution(solve_torsion(prob), p)
+def build_radial_subsolution(prob: RadialProblem):
+    """psi(-w) with w the torsion solution and psi the inverse pair of the same problem."""
+    return RadialSubsolution(solve_torsion(prob), PsiPair(prob.f, prob.k))

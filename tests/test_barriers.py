@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -125,12 +126,12 @@ class TestBarrierParams:
             make_barrier_params(p, geom, eps=0.1, delta_eps=0.05, sigma_shift=0.06)
 
     def test_gap_violation_label(self):
-        # force the degenerate constant pairs via a doctored bundle
+        # force the degenerate constant pairs via a doctored copy of the bundle
         p = assemble_profile(Nonlinearity.exponential(2), W1, 1)
         for C_f, C_m in ((1.0, 0.0), (-1.0, 0.5)):
-            p.C_f, p.C_m = C_f, C_m
+            bad = dataclasses.replace(p, C_f=C_f, C_m=C_m)
             with pytest.raises(ConditionViolation) as ei:
-                make_barrier_params(p, ball_geometry(2, 1, 1.0), eps=0.1, delta_eps=0.05)
+                make_barrier_params(bad, ball_geometry(2, 1, 1.0), eps=0.1, delta_eps=0.05)
             assert ei.value.label == "(1.5)"
 
     def test_xi_eps_first_order_in_eps(self):
@@ -382,3 +383,8 @@ class TestEllipseGeometry:
     def test_k1_sigma0(self):
         geom = ellipse_geometry(1.2, 1.0, k=1)
         assert geom.l0 == geom.L0 == 1.0
+
+    def test_semi_axes_checked_as_for_the_domain(self):
+        for a, b in ((1.0, 1.2), (1.0, 0.0)):
+            with pytest.raises(ParameterError, match="ellipse needs a >= b > 0"):
+                ellipse_geometry(a, b)

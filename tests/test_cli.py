@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from khessian import cli
 from khessian.cli import main
 
 
@@ -283,3 +284,72 @@ class TestValidation:
         """)
         assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert "(3.3)" in capsys.readouterr().err
+
+
+PROFILE = "command = profile\nk = 1\nf = power:3\n"
+IVP = "command = radial-ivp\nn = 2\nk = 1\nf = exp:2\nu0 = 0.7\n"
+EXHAUST = "command = radial-exhaust\nn = 2\nk = 1\nf = exp:2\n"
+FD = "command = fd-exhaust\nf = exp:2\nh = 0.125\n"
+BARRIER = "command = check-barrier\nn = 2\nk = 1\nf = exp:2\n"
+F2 = "(f2) power nonlinearity with gamma=2.0 <= k=2: the profile integral diverges"
+
+# (config text, a fragment of the message) for every validation path of the CLI
+VALIDATION = {
+    "config-line": ("command = profile\nk 1\n", "config line 2: expected 'key = value'"),
+    "unparsable-value": ("command = profile\nk = two\nf = power:3\n",
+                         "config key 'k': cannot parse 'two'"),
+    "missing-key": ("command = radial-ivp\nn = 2\nk = 1\n",
+                    "config key 'f' is required for this command"),
+    "unknown-command": ("command = florble\n", "unknown command 'florble'"),
+    "f1-kind": ("command = profile\nk = 1\nf = cubic:3\n",
+                "(f1) unknown nonlinearity kind 'cubic'"),
+    "b2-kind": (PROFILE + "weight = log:1\n", "(b2) unknown weight kind 'log'"),
+    "b2-bounds": (PROFILE + "b_lower = 2\nb_upper = 1\n", "(b2) b_upper must be >= b_lower"),
+    "k-above-n-profile": ("command = profile\nn = 2\nk = 3\nf = power:5\n",
+                          "order k=3 out of range 1..2"),
+    "k-above-n-radial-ivp": ("command = radial-ivp\nn = 2\nk = 3\nf = power:5\nu0 = 1\n",
+                             "order k=3 out of range 1..2"),
+    "f2-radial-ivp": ("command = radial-ivp\nn = 3\nk = 2\nf = power:2\nu0 = 1\n", F2),
+    "f2-radial-exhaust": ("command = radial-exhaust\nn = 3\nk = 2\nf = power:2\n"
+                          "j_schedule = 2,4\n", F2),
+    "f2-fd-exhaust": ("command = fd-exhaust\nf = power:1\ndomain = disk:1\nj_schedule = 2,4\n",
+                      "(f2) power nonlinearity with gamma=1.0 <= k=1: "
+                      "the profile integral diverges"),
+    "domain-kind": (FD + "domain = square:1\nj_schedule = 2,4\n", "unknown domain kind 'square'"),
+    "ellipse-a-below-b": (FD + "domain = ellipse:1,1.2\nj_schedule = 2,4\n",
+                          "ellipse needs a >= b > 0, got a=1.0, b=1.2"),
+    "j-decreasing-radial-exhaust": (EXHAUST + "j_schedule = 4,2\n",
+                                    "boundary-data schedule must be strictly increasing"),
+    "j-decreasing-fd-exhaust": (FD + "domain = disk:1\nj_schedule = 4,2\n",
+                                "boundary-data schedule must be strictly increasing"),
+    "h-zero": ("command = fd-exhaust\nf = exp:2\ndomain = disk:1\nh = 0\nj_schedule = 2,4\n",
+               "grid spacing must be positive, got 0.0"),
+    "tol-negative": (IVP + "tol = -1\n", "tolerance must be positive, got -1.0"),
+    "u0-negative": ("command = radial-ivp\nn = 2\nk = 1\nf = exp:2\nu0 = -1\n",
+                    "initial value must be positive, got -1.0"),
+    "gap-1.5": (PROFILE + "cf = 1\ncm = 0\n", "(1.5) constant gap violated"),
+    "slack-3.3": (BARRIER + "eps = 0.7\n", "(3.3) barrier slack must satisfy"),
+    "ellipse-k3": ("command = profile\nn = 3\nk = 3\nf = power:5\ndomain = ellipse:1.2,1\n",
+                   "planar geometry supports k in {1, 2}, got 3"),
+}
+
+
+@pytest.mark.parametrize("case", VALIDATION)
+def test_validation_exits_2_with_its_message(case, tmp_path, capsys):
+    text, fragment = VALIDATION[case]
+    out = tmp_path / "out"
+    assert main(["--config", write_cfg(tmp_path, "bad.cfg", text), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and fragment in err
+    assert not (out / "error.json").exists()
+
+
+@pytest.mark.parametrize("command", ["profile", "check-barrier"])
+def test_k_above_n_fails_before_any_profile(command, tmp_path, monkeypatch):
+    def no_profile(*args):
+        raise AssertionError("a profile was built")
+
+    monkeypatch.setattr(cli, "assemble_profile", no_profile)
+    text = f"command = {command}\nn = 2\nk = 3\nf = power:5\n"
+    assert main(["--config", write_cfg(tmp_path, "bad.cfg", text), "--out",
+                 str(tmp_path / "out")]) == 2

@@ -30,11 +30,42 @@ def jacobian(grid, g, u):
     return (A - sp.diags(2.0 * np.exp(2.0 * u))).tocsr()
 
 
+# reference helpers made of the solver's own parts, which the solver does not call in this
+# form: it slices P level by level from the fine lattice and iterates in colour order
+
+
+def prolongation(lx, ly):
+    """(P, cx, cy): bilinear prolongation from the even sublattice of the nodes at (lx, ly).
+
+    P maps the nodes with even coordinates, at coarse lattice (cx, cy) = (lx, ly) / 2, to all
+    nodes, both row-major; an absent coarse node gives zero, as on the boundary.
+    """
+    even = ((lx | ly) & 1) == 0
+    cx, cy = lx[even] >> 1, ly[even] >> 1
+    x0, y0, x1, y1 = lx.min() - 1, ly.min() - 1, lx.max() + 1, ly.max() + 1
+    box = (x0 >> 1, y0 >> 1, -(-x1 >> 1), -(-y1 >> 1))  # as in fd2d._multigrid
+    table = fd2d._table(cx, cy, np.arange(cx.size), box)[0]
+    return fd2d._bilinear(lx, ly, table, box, cx.size), cx, cy
+
+
+def preconditioner(mg, bfp):
+    """One V-cycle for A - diag(bfp) as a function of the residual, both row-major."""
+    shifts = fd2d._shifts(mg, bfp)
+    cycle = fd2d._cycle(mg, shifts, fd2d._coarse_lu(mg, shifts))
+    return lambda r: fd2d._row_major(mg, cycle(r[mg.order]))
+
+
+def newton_direction(A, bfp, mg, rhs, rtol):
+    """(x, cycles) solving (A - diag(bfp)) x = rhs to relative residual rtol, as one Newton
+    step does: one call of fd2d._defect_correction's solve."""
+    return fd2d._defect_correction(A, bfp, mg, rhs)(rtol)
+
+
 class TestLevels:
     def test_prolongation_weights(self):
         grid = build_grid(Ellipse(1.2, 1.0), 1.0 / 24.0)
         lx, ly = lattice(grid)
-        P, cx, cy = fd2d._prolongation(lx, ly)
+        P, cx, cy = prolongation(lx, ly)
         coarse = {(x, y): c for c, (x, y) in enumerate(zip(cx.tolist(), cy.tolist()))}
         assert len(coarse) == int(((lx % 2 == 0) & (ly % 2 == 0)).sum())
         P = P.toarray()
@@ -95,7 +126,7 @@ class TestLevels:
     def test_sliced_levels_match_rebuilt_grids(self, domain, h, monkeypatch):
         # oracle: every level sliced from the fine lattice equals the one built from
         # build_grid(domain, 2^l h) and the sparse constructions written out here: the
-        # colour blocks of its operator, P as _prolongation permuted to both colour orders,
+        # colour blocks of its operator, P as prolongation() permuted to both colour orders,
         # 0.25 P^T on the red rows and (P o P)^T with rows scaled to sum to 1
         points = []
         distance = type(domain).distance
@@ -126,7 +157,7 @@ class TestLevels:
                 <= 1e-14 * np.max(np.abs(want_diag))
             assert close(lv.A_rb, op[:k, k:]) and close(lv.A_br, op[k:, :k])
             assert close(op[:k, :k], sp.diags(want_diag[:k]))  # no red-red coupling
-            P, cx, cy = fd2d._prolongation(*lattice(coarse))
+            P, cx, cy = prolongation(*lattice(coarse))
             c_order = fd2d._colour_order(cx, cy)[0]
             P = P[order][:, c_order].tocsr()
             P2 = P.multiply(P).T.tocsr()
@@ -158,7 +189,7 @@ class TestLevels:
             vr, vb = v[order[:k]], v[order[k:]]
             got = np.concatenate([vr / dr + lv.A_rb @ vb, vb / db + lv.A_br @ vr])
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-            P = fd2d._prolongation(*lattice(coarse))[0]
+            P = prolongation(*lattice(coarse))[0]
             s = (P.T @ sp.diags(s) @ P).diagonal() / (P.T @ P).diagonal()
         coarse = build_grid(domain, 4.0 * h)
         assert (mg.coarse != assemble_operator(coarse, 0.0)[0]).nnz == 0
@@ -175,7 +206,7 @@ class TestVCycle:
         J = jacobian(grid, g, u)
         mg = fd2d._multigrid(grid, assemble_operator(grid, g)[0])
         assert mg.levels
-        precond = fd2d._preconditioner(mg, 2.0 * np.exp(2.0 * u))
+        precond = preconditioner(mg, 2.0 * np.exp(2.0 * u))
         rhs = np.random.default_rng(0).standard_normal(grid.n_interior)
         x = np.zeros_like(rhs)
         norms = [np.linalg.norm(rhs)]
@@ -202,7 +233,7 @@ class TestVCycle:
         rhs = np.random.default_rng(5).standard_normal(grid.n_interior)
         for scale in (1e2, 1e4, 1e6, 1e8):
             bfp = np.where(odd, scale, 0.0)
-            x, cycles = fd2d._newton_direction(A, bfp, mg, rhs, 1e-6)
+            x, cycles = newton_direction(A, bfp, mg, rhs, 1e-6)
             assert cycles <= 25
             assert np.linalg.norm(A @ x - bfp * x - rhs) <= 1e-6 * np.linalg.norm(rhs)
 
@@ -267,7 +298,7 @@ class TestNewtonKrylov:
         mg = fd2d._multigrid(grid, A)
         assert not mg.levels
         rhs = np.sin(np.arange(grid.n_interior, dtype=float))
-        x, cycles = fd2d._newton_direction(A, 2.0 * np.exp(2.0 * u), mg, rhs, 1e-6)
+        x, cycles = newton_direction(A, 2.0 * np.exp(2.0 * u), mg, rhs, 1e-6)
         assert cycles == 1
         J = jacobian(grid, 2.0, u)
         assert np.linalg.norm(J @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from khessian._quad import cumulative_from_zero
-from khessian.errors import ParameterError
+from khessian.errors import KHessianError, ParameterError
 from khessian.fd2d import exhaust
 from khessian.grid2d import Disk, build_grid
 from khessian.nonlinearity import Nonlinearity, Weight
@@ -156,6 +156,15 @@ def test_cumulative_table_boundary_arguments():
     for bad in (-1.0, math.inf, math.nan):
         with pytest.raises(ParameterError, match="argument must be nonnegative finite"):
             F(bad)
+
+
+@pytest.mark.parametrize("t", [1e-291, 2e-308, 5e-310, 5e-324])
+def test_cumulative_table_range_cap_covers_subnormal_arguments(t):
+    # a subnormal t, whose 1/t overflows, gets the range-cap error of t = 1e-291
+    F = cumulative_from_zero(lambda s: s)
+    for arg in (t, np.array([1.0, t])):
+        with pytest.raises(KHessianError, match="upper range cap exceeded"):
+            F(arg)
 
 
 @pytest.mark.parametrize("spec, k", CASES)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +16,6 @@ from khessian.profiles import (
     PsiPair,
     assemble_profile,
     build_profile,
-    build_psi,
     build_weight,
     check_limit_Ff,
     compute_Cf,
@@ -99,6 +99,7 @@ class TestProfileIntegral:
         with pytest.raises(KellerOssermanViolation) as ei:
             build_profile(Nonlinearity.power(1), 1)
         assert ei.value.tail_exponent is not None and ei.value.tail_exponent <= 1.0 + 1e-9
+        assert str(ei.value).startswith("(f2) ")
         # custom nonlinearity with the same divergence, detected by fitting
         slow = Nonlinearity.custom(lambda s: np.asarray(s, float),
                                    lambda s: np.ones_like(np.asarray(s, float)))
@@ -220,16 +221,16 @@ class TestWeights:
 
 class TestPsi:
     def test_power_closed_forms(self):
-        Psi, psi = build_psi(Nonlinearity.power(3), 1)
-        assert Psi(2.0) == pytest.approx(1.0 / 8.0, rel=1e-10)
-        assert psi(0.5) == pytest.approx(1.0, rel=1e-9)
-        Psi2, psi2 = build_psi(Nonlinearity.power(5), 2)
-        assert Psi2(1.0) == pytest.approx(2.0 / 3.0, rel=1e-10)
-        assert psi2(2.0 / 3.0) == pytest.approx(1.0, rel=1e-9)
+        pair = PsiPair(Nonlinearity.power(3), 1)
+        assert pair.Psi(2.0) == pytest.approx(1.0 / 8.0, rel=1e-10)
+        assert pair.psi(0.5) == pytest.approx(1.0, rel=1e-9)
+        pair2 = PsiPair(Nonlinearity.power(5), 2)
+        assert pair2.Psi(1.0) == pytest.approx(2.0 / 3.0, rel=1e-10)
+        assert pair2.psi(2.0 / 3.0) == pytest.approx(1.0, rel=1e-9)
 
     def test_degenerate_power_raises(self):
         with pytest.raises(KellerOssermanViolation):
-            build_psi(Nonlinearity.power(1), 1)
+            PsiPair(Nonlinearity.power(1), 1)
 
 
 class TestXiBounds:
@@ -328,7 +329,18 @@ class TestAssembled:
             p = assemble_profile(nl, w, k)
             assert p.C_f >= 1.0 - 1e-3
             assert -1e-9 <= p.C_m <= 1.0 + 1e-9
-            assert p.ko_ok
+
+    def test_bundle_is_frozen(self):
+        p = assemble_profile(Nonlinearity.exponential(2), Weight.constant(1.0), 1)
+        assert [f.name for f in dataclasses.fields(p)] == [
+            "k", "nonlinearity", "weight", "profile", "M", "C_f", "C_m"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.C_f = 1.0
+        assert p.header()["ko_ok"] is True and p.header()["condition15_ok"] is True
+        # the header derives (1.5) from the bundle's own constants
+        bad = dataclasses.replace(p, C_f=1.0, C_m=0.0)
+        assert bad.header()["condition15_ok"] is False
+        assert bad.profile is p.profile and p.C_f != 1.0  # p itself is unchanged
 
     def test_predicted_profile_values(self):
         p = assemble_profile(Nonlinearity.power(3), Weight.constant(1.0), 1)

@@ -9,10 +9,11 @@ from scipy.optimize import bisect, brentq
 from khessian import radial
 from khessian.errors import ParameterError, ReportTruncated, SolveFailure
 from khessian.nonlinearity import Nonlinearity, Weight
-from khessian.profiles import assemble_profile
+from khessian.profiles import PsiPair, assemble_profile
 from khessian.radial import (
     RadialProblem,
     RadialSolution,
+    RadialSubsolution,
     _brent_root,
     _ck_step,
     _exhaustion_banded,
@@ -346,11 +347,11 @@ class TestRootFinderPorts:
 
     def test_sublevel_radius_matches_scipy_bisect(self):
         prob = RadialProblem(n=3, k=2, R=1.0, f=Nonlinearity.power(5), b=B_ONE)
-        p = assemble_profile(Nonlinearity.power(5), Weight.constant(1.0), 2, with_psi=True)
-        sub = build_radial_subsolution(prob, p)
+        pair = PsiPair(Nonlinearity.power(5), 2)
+        sub = RadialSubsolution(solve_torsion(prob), pair)
         w = sub.torsion
         for j in (2.0, 10.0, 1e3):
-            target = -float(p.Psi(j))
+            target = -float(pair.Psi(j))
             ref = bisect(lambda r: float(w.value(r)) - target, 0.0, 1.0, xtol=1e-14, maxiter=200)
             assert sub.sublevel_radius(j) == ref
 
@@ -446,8 +447,7 @@ class TestExhaustionBVP:
 class TestSubsolution:
     def test_closed_form_composition(self):
         prob = RadialProblem(n=2, k=1, R=1.0, f=Nonlinearity.power(3), b=B_ONE)
-        p = assemble_profile(Nonlinearity.power(3), Weight.constant(1.0), 1, with_psi=True)
-        sub = build_radial_subsolution(prob, p)
+        sub = build_radial_subsolution(prob)
         # psi((1-r^2)/4) = sqrt(2) (1-r^2)^{-1/2}
         assert sub(0.0) == pytest.approx(math.sqrt(2.0), rel=1e-8)
         for r in (0.3, 0.6, 0.9):
@@ -455,8 +455,7 @@ class TestSubsolution:
 
     def test_monotone_and_blowup(self):
         prob = RadialProblem(n=2, k=1, R=1.0, f=Nonlinearity.power(3), b=B_ONE)
-        p = assemble_profile(Nonlinearity.power(3), Weight.constant(1.0), 1, with_psi=True)
-        sub = build_radial_subsolution(prob, p)
+        sub = build_radial_subsolution(prob)
         rs = np.linspace(0.0, 0.999, 40)
         vals = np.asarray(sub(rs))
         assert np.all(np.diff(vals) > 0.0)
@@ -465,8 +464,7 @@ class TestSubsolution:
     def test_scalar_and_array_arguments(self):
         # a scalar gives a float, an array keeps its shape, even with one entry
         prob = RadialProblem(n=2, k=1, R=1.0, f=Nonlinearity.power(3), b=B_ONE)
-        p = assemble_profile(Nonlinearity.power(3), Weight.constant(1.0), 1, with_psi=True)
-        sub = build_radial_subsolution(prob, p)
+        sub = build_radial_subsolution(prob)
         one = sub(np.array([0.3]))
         assert isinstance(one, np.ndarray) and one.shape == (1,)
         assert type(sub(0.3)) is float and one[0] == sub(0.3)
@@ -474,8 +472,7 @@ class TestSubsolution:
 
     def test_sublevel_radius(self):
         prob = RadialProblem(n=2, k=1, R=1.0, f=Nonlinearity.power(3), b=B_ONE)
-        p = assemble_profile(Nonlinearity.power(3), Weight.constant(1.0), 1, with_psi=True)
-        sub = build_radial_subsolution(prob, p)
+        sub = build_radial_subsolution(prob)
         rj = sub.sublevel_radius(10.0)
         assert sub(rj) == pytest.approx(10.0, rel=1e-6)
         with pytest.raises(ParameterError):
@@ -484,8 +481,7 @@ class TestSubsolution:
     def test_subsolution_inequality(self):
         # S_k(D^2 psi(-w)) >= b f(psi(-w)), derivatives by central differences
         prob = RadialProblem(n=2, k=1, R=1.0, f=Nonlinearity.power(3), b=B_ONE)
-        p = assemble_profile(Nonlinearity.power(3), Weight.constant(1.0), 1, with_psi=True)
-        sub = build_radial_subsolution(prob, p)
+        sub = build_radial_subsolution(prob)
         for r in np.linspace(0.05, 0.95, 100):
             h = 1e-5 * r
             v = float(sub(r))
