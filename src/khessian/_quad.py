@@ -27,6 +27,21 @@ from .errors import KellerOssermanViolation, KHessianError, ParameterError
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 
+
+def _partial_integration_matrix(x, w):
+    """Q[i, j] = int_{-1}^{x_i} l_j for the Lagrange basis l_j of the Gauss nodes x.
+
+    Gauss quadrature is exact for l_j P_m, so l_j has Legendre coefficients
+    (m + 1/2) P_m(x_j) w_j and Q needs no matrix inverse.
+    """
+    leg = np.polynomial.legendre
+    coef = (np.arange(len(x)) + 0.5)[:, None] * leg.legvander(x, len(x) - 1).T * w
+    return leg.legvander(x, len(x)) @ leg.legint(coef, lbnd=-1, axis=0)
+
+
+# spectral integration on one panel (Greengard, SIAM J. Numer. Anal. 28 (1991) 1071)
+_GL_PARTIAL = _partial_integration_matrix(_GL_NODES, _GL_WEIGHTS)
+
 # hard range cap: 10**+-290 keeps every node representable
 _MAX_EXTENT = 290
 
@@ -47,15 +62,29 @@ _REL_TAIL = 1e-13
 _EXACT_POWER = 1e-12
 
 
-def panel_integrals(fn, a, b):
-    """Fixed 10-point Gauss-Legendre quadrature of ``fn`` over each [a, b] (broadcast)."""
+def panel_points(a, b):
+    """The 10 Gauss-Legendre nodes of each panel [a, b] (broadcast), and its half-width."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    vals = np.asarray(fn(mid[..., None] + half[..., None] * _GL_NODES), dtype=float)
+    return (0.5 * (a + b))[..., None] + half[..., None] * _GL_NODES, half
+
+
+def panel_sums(vals, half):
+    """Gauss-Legendre sums of integrand values taken at :func:`panel_points`."""
     # einsum, not a BLAS matvec: a row's sum must not depend on the batch size
     return half * np.einsum("...j,j->...", vals, _GL_WEIGHTS)
+
+
+def panel_partials(vals, half):
+    """int_a^x at each Gauss node x of its panel [a, b], from the values at :func:`panel_points`."""
+    return half[..., None] * np.einsum("...j,ij->...i", vals, _GL_PARTIAL)
+
+
+def panel_integrals(fn, a, b):
+    """Fixed 10-point Gauss-Legendre quadrature of ``fn`` over each [a, b] (broadcast)."""
+    pts, half = panel_points(a, b)
+    return panel_sums(np.asarray(fn(pts), dtype=float), half)
 
 
 def vectorized(fn):

@@ -221,16 +221,18 @@ def build_barriers(p: ProfileFns, geom: CollarGeometry, bp: BarrierParams):
     return upper, lower
 
 
-def collar_ratios(p: ProfileFns, xi, d):
+def collar_ratios(p: ProfileFns, xi, d, phi_value=None):
     """The two collar quantities controlling admissibility and the margins.
 
     Returns (A, B) with A -> 0 and B -> 1 - (1 - C_m)/C_f as d -> 0+; d may
-    be a distance or an array of distances.
+    be a distance or an array of distances.  ``phi_value``, when given, is
+    phi(xi M(d)), which a caller that has already inverted phi there passes
+    in to save the second inversion; the result is the same.
     """
     M = np.asarray(p.M(d), dtype=float)
     m = np.asarray(p.m(d), dtype=float)
     t = xi * M
-    s = p.phi(t)
+    s = p.phi(t) if phi_value is None else phi_value
     P = ((p.k + 1.0) * np.asarray(p.F(s), dtype=float)) ** (p.k / (p.k + 1.0)) / (
         t * np.asarray(p.f(s), dtype=float)
     )
@@ -333,9 +335,9 @@ def _verify(kind, barrier, p, geom, bp, f, bweight, samples, tol_scale=1e-9):
     ds = samples[:, 0]
     uval, g1, g2 = barrier.jet(ds)
     scale = base * np.asarray(m(ds), dtype=float) ** kp1 * np.asarray(fv(uval), dtype=float)
-    d_shift = ds - bp.sigma_shift if kind == "super" else ds + bp.sigma_shift
-    xi = bp.xi_eps_lower if kind == "super" else bp.xi_eps_upper
-    ratio_A, ratio_B = collar_ratios(p, xi, d_shift)
+    # the barrier's own shift and xi: the jet's uval is phi(xi M(d_shift))
+    d_shift = ds + barrier.shift
+    ratio_A, ratio_B = collar_ratios(p, barrier.xi, d_shift, uval)
     rho = np.array([geom.rho(param) for param in samples[:, 1]])
     sigs = sigma_all(composite_eigs(g1, g2, ds, rho), p.k)[:, 1:]
     tilt_k = sigma_all(rho / (1.0 - ds[:, None] * rho), p.k)[:, p.k]

@@ -154,7 +154,10 @@ def _geometry(cfg, n, k):
     dom = cfg.get("domain", str, None)
     if dom is not None and dom.startswith("ellipse"):
         d = parse_domain(dom)
-        return ellipse_geometry(d.a, d.b, k=k)
+        geom = ellipse_geometry(d.a, d.b, k=k)  # its k message comes first
+        if n != 2:
+            raise ParameterError(f"an ellipse domain is planar: n must be 2, got n={n}")
+        return geom
     R = cfg.get("R", float, 1.0)
     return ball_geometry(n, k, R)
 

@@ -1,11 +1,12 @@
 """Radial solvers for the k-Hessian blow-up equation on balls.
 
 Contains the torsion-type auxiliary solve (right side b, zero boundary
-data), forward integration of the blow-up initial value problem with
-singularity detection, the monotone boundary-data exhaustion as a two-point
-boundary value scheme, the sublevel subsolution psi(-w) built from the
-torsion solution w and a ``profiles.PsiPair`` of the same (f, k), and
-boundary-asymptotics reports.
+data: two cumulative Gauss tables on one set of panels, with b evaluated
+once per Gauss node), forward integration of the blow-up initial value
+problem with singularity detection, the monotone boundary-data exhaustion as
+a two-point boundary value scheme, the sublevel subsolution psi(-w) built
+from the torsion solution w and a ``profiles.PsiPair`` of the same (f, k),
+and boundary-asymptotics reports.
 
 Every solve is single-threaded and deterministic; distinct solves share no
 mutable state.  The root finders (Brent, bisection, and the Illinois search
@@ -20,7 +21,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._quad import panel_integrals, scalar_or_array, vectorized
+from ._quad import (
+    panel_integrals,
+    panel_partials,
+    panel_points,
+    panel_sums,
+    scalar_or_array,
+    vectorized,
+)
 from .errors import IntegrationFailure, ParameterError, ReportTruncated, SolveFailure
 from .nonlinearity import Nonlinearity, Weight
 from .profiles import ProfileFns, PsiPair, predicted_profile
@@ -93,15 +101,20 @@ class RadialSolution:
 
 
 class _CumulativeUniform:
-    """int_0^r fn on a uniform grid with per-segment Gauss-Legendre panels."""
+    """int_0^r fn on a uniform grid with per-segment Gauss-Legendre panels.
 
-    def __init__(self, fn, R, n_seg=2048):
+    The table keeps fn's values at every panel's Gauss nodes (``points``), so
+    ``at_points`` gives int_0^x fn at each of those nodes without another
+    evaluation of fn.  ``vals``, when given, are fn's values at ``points``.
+    """
+
+    def __init__(self, fn, R, n_seg=2048, vals=None):
         self.fn = fn
-        self.R = float(R)
-        self.nodes = np.linspace(0.0, self.R, n_seg + 1)
+        self.nodes = np.linspace(0.0, float(R), n_seg + 1)
         self.h = self.nodes[1] - self.nodes[0]
-        seg = panel_integrals(fn, self.nodes[:-1], self.nodes[1:])
-        self.prefix = np.concatenate([[0.0], np.cumsum(seg)])
+        self.points, self.half = panel_points(self.nodes[:-1], self.nodes[1:])
+        self.vals = np.asarray(fn(self.points) if vals is None else vals, dtype=float)
+        self.prefix = np.concatenate([[0.0], np.cumsum(panel_sums(self.vals, self.half))])
 
     def value(self, r):
         arr = np.asarray(r, dtype=float)
@@ -109,28 +122,40 @@ class _CumulativeUniform:
         out = self.prefix[idx] + panel_integrals(self.fn, self.nodes[idx], arr)
         return scalar_or_array(r, out)
 
+    def at_points(self):
+        """int_0^x fn at every node x of ``points``: the prefix plus a partial panel."""
+        return self.prefix[:-1, None] + panel_partials(self.vals, self.half)
+
 
 def solve_torsion(prob: RadialProblem, n_seg=2048):
     """Solve S_k(D^2 w) = b with w = 0 on the boundary, radially.
 
     Uses the exact divergence-form reduction
-    r^(n-k) (w')^k = (k / C(n-1,k-1)) int_0^r s^(n-1) b(s) ds,
-    so the only numerics are two nested cumulative quadratures.  Returns a
-    RadialSolution with attached analytic-grade callables for w, w', w''.
+    r^(n-k) (w')^k = (k / C(n-1,k-1)) G(r),  G(r) = int_0^r s^(n-1) b(s) ds,
+    so the only numerics are two cumulative quadratures on the same uniform
+    panels.  The moment table evaluates b once per Gauss node; G at those
+    nodes, and so the w' that the outer table integrates, comes from the
+    panel values by spectral integration.  The 513 samples of w and w' are
+    read off the table nodes.  Returns a RadialSolution with attached
+    analytic-grade callables for w, w', w'' at any r, which take G and w
+    from one more Gauss panel each.
     """
     n, k, R = prob.n, prob.k, prob.R
     c = math.comb(n - 1, k - 1)
     bfn = vectorized(prob.b)
     moment = _CumulativeUniform(lambda s: np.asarray(s, float) ** (n - 1) * np.asarray(bfn(s), float), R, n_seg)
 
-    def wp(r):
+    def slope(r, G):
+        """w' at r from the moment G(r)."""
         r = np.asarray(r, dtype=float)
-        G = (k / c) * np.asarray(moment.value(r), float)
+        G = (k / c) * np.asarray(G, float)
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(r > 0.0, G ** (1.0 / k) * r ** ((k - n) / k), 0.0)
-        return out
+            return np.where(r > 0.0, G ** (1.0 / k) * r ** ((k - n) / k), 0.0)
 
-    accum = _CumulativeUniform(wp, R, n_seg)
+    def wp(r):
+        return slope(r, moment.value(r))
+
+    accum = _CumulativeUniform(wp, R, n_seg, vals=slope(moment.points, moment.at_points()))
     WR = float(accum.value(R))
 
     def w(r):
@@ -147,10 +172,15 @@ def solve_torsion(prob: RadialProblem, n_seg=2048):
         return np.where(r > 0.0, out, np.nan)
 
     rs = np.linspace(0.0, R, 513)
+    stride = n_seg // 512
+    if n_seg % 512 == 0 and np.array_equal(accum.nodes[::stride], rs):
+        u, u1 = accum.prefix[::stride] - WR, slope(rs, moment.prefix[::stride])
+    else:
+        u, u1 = np.asarray(w(rs), float), np.asarray(wp(rs), float)
     return RadialSolution(
         r=rs,
-        u=np.asarray(w(rs), float),
-        u1=np.asarray(wp(rs), float),
+        u=u,
+        u1=u1,
         Rstar=R,
         meta={"kind": "torsion", "n": n, "k": k, "R": R},
         value=lambda r: w(r),
@@ -573,6 +603,8 @@ def solve_exhaustion_bvp(prob: RadialProblem, j_schedule, grid_h, tol, max_newto
     """
     from scipy.linalg import solve_banded  # the only scipy use on the radial paths
 
+    if not (math.isfinite(grid_h) and grid_h > 0.0):
+        raise ParameterError(f"grid spacing must be positive and finite, got {grid_h}")
     js = [float(j) for j in j_schedule]
     if any(b <= a for a, b in zip(js, js[1:])):
         raise ParameterError("boundary-data schedule must be strictly increasing")

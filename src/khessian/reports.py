@@ -9,11 +9,12 @@ separate ``*.runinfo.json`` sidecar.
 arrays included, to exactly the text of ``json.dumps(obj, indent=2,
 sort_keys=True)`` (numpy values taken as the Python values they hold): an
 indent makes ``json.dumps`` fall back to its pure-Python encoder, which is
-slower than writing the same text here.
+slower than writing the same text here.  Plain scalars are looked up by
+exact type, so a dict writes its scalar values without a recursive call,
+and a list of plain floats, such as a sample's spectrum, is one join.
 """
 
 import json
-import math
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -44,41 +45,64 @@ def write_csv(path, columns, rows):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+_NONFINITE_TEXT = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def _float_text(x):
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
+    text = float.__repr__(x)
+    return _NONFINITE_TEXT.get(text, text)
+
+
+# text of the plain scalars, looked up by exact type: a subclass (numpy's
+# float64 among them) takes the general path of _encode
+_SCALAR_TEXT = {
+    float: _float_text,
+    bool: lambda x: "true" if x else "false",
+    int: int.__repr__,
+    str: encode_basestring_ascii,
+    type(None): lambda x: "null",
+}
+
+
+def _encode_dict(obj, out, indent):
+    if not obj:
+        out.append("{}")
+        return
+    inner = indent + "  "
+    sep = "{" + inner
+    for key, value in sorted(obj.items()):
+        if not isinstance(key, str):
+            key = json.dumps(key)  # json's own text for an int, float, bool or None key
+        head = sep + encode_basestring_ascii(key) + ": "
+        text = _SCALAR_TEXT.get(type(value))
+        if text is None:
+            out.append(head)
+            _encode(value, out, inner)
+        else:
+            out.append(head + text(value))
+        sep = "," + inner
+    out.append(indent + "}")
 
 
 def _encode(obj, out, indent):
     """Append the JSON text of obj to the list out; indent is a newline plus obj's indent."""
-    if isinstance(obj, str):
+    kind = type(obj)
+    text = _SCALAR_TEXT.get(kind)
+    if text is not None:
+        out.append(text(obj))
+    elif isinstance(obj, dict):
+        _encode_dict(obj, out, indent)
+    elif kind is list and obj and all(type(x) is float for x in obj):
+        inner = indent + "  "
+        out.append("[" + inner + ("," + inner).join(map(_float_text, obj)) + indent + "]")
+    elif isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
     elif isinstance(obj, (float, np.floating)):
         out.append(_float_text(float(obj)))
     elif isinstance(obj, (bool, np.bool_)):
         out.append("true" if obj else "false")
-    elif obj is None:
-        out.append("null")
     elif isinstance(obj, (int, np.integer)):
         out.append(int.__repr__(int(obj)))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        inner = indent + "  "
-        sep = "{" + inner
-        for key, value in sorted(obj.items()):
-            if not isinstance(key, str):
-                key = json.dumps(key)  # json's own text for an int, float, bool or None key
-            out.append(sep + encode_basestring_ascii(key) + ": ")
-            _encode(value, out, inner)
-            sep = "," + inner
-        out.append(indent + "}")
     elif isinstance(obj, (list, tuple, np.ndarray)):
         if len(obj) == 0:
             out.append("[]")

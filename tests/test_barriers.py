@@ -195,6 +195,45 @@ class TestCollarRatios:
             assert abs(A5) <= abs(A3) + 1e-12
             assert abs(B5 - target_B) <= abs(B3 - target_B) + 1e-9
 
+    @pytest.mark.parametrize("nl, w, k, n", [
+        (Nonlinearity.power(5), W1, 2, 3),
+        (Nonlinearity.exponential(2), Weight.power(1.0), 1, 2),
+    ])
+    def test_given_phi_value_is_bit_identical(self, nl, w, k, n):
+        # the jet's phi at the barrier's own distances is the phi that collar_ratios inverts
+        p = assemble_profile(nl, w, k)
+        geom = ball_geometry(n, k, 1.0)
+        bp = make_barrier_params(p, geom, 0.1, 0.05)
+        for barrier, kind in zip(build_barriers(p, geom, bp), ("super", "sub")):
+            ds = collar_samples(bp, kind, 64, seed=2)[:, 0]
+            d_shift = ds + barrier.shift
+            uval = barrier.jet(ds)[0]
+            want = collar_ratios(p, barrier.xi, d_shift)
+            got = collar_ratios(p, barrier.xi, d_shift, uval)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            # a scalar distance keeps its scalar results
+            got = collar_ratios(p, barrier.xi, float(d_shift[0]), float(uval[0]))
+            assert got == collar_ratios(p, barrier.xi, float(d_shift[0]))
+
+    @pytest.mark.parametrize("kind", ["super", "sub"])
+    def test_one_phi_inversion_per_verify(self, monkeypatch, kind):
+        p = assemble_profile(Nonlinearity.power(5), W1, 2)
+        geom = ball_geometry(3, 2, 1.0)
+        bp = make_barrier_params(p, geom, 0.1, 0.05)
+        upper, lower = build_barriers(p, geom, bp)
+        calls = []
+        real = type(p.profile).phi
+
+        def counting(self, t):
+            calls.append(np.size(t))
+            return real(self, t)
+
+        monkeypatch.setattr(type(p.profile), "phi", counting)
+        verify = verify_supersolution if kind == "super" else verify_subsolution
+        verify(upper if kind == "super" else lower, p, geom, bp, Nonlinearity.power(5), W1,
+               collar_samples(bp, kind, 40, seed=1))
+        assert calls == [40]
+
 
 class TestVerification:
     @pytest.mark.parametrize(

@@ -331,6 +331,14 @@ VALIDATION = {
     "slack-3.3": (BARRIER + "eps = 0.7\n", "(3.3) barrier slack must satisfy"),
     "ellipse-k3": ("command = profile\nn = 3\nk = 3\nf = power:5\ndomain = ellipse:1.2,1\n",
                    "planar geometry supports k in {1, 2}, got 3"),
+    "ellipse-n5": ("command = check-barrier\nn = 5\nk = 2\nf = power:5\n"
+                   "domain = ellipse:1.2,1\n", "an ellipse domain is planar: n must be 2, got n=5"),
+    "h-zero-radial-exhaust": (EXHAUST + "h = 0\nj_schedule = 2,4\n",
+                              "grid spacing must be positive and finite, got 0.0"),
+    "h-negative-radial-exhaust": (EXHAUST + "h = -0.01\nj_schedule = 2,4\n",
+                                  "grid spacing must be positive and finite, got -0.01"),
+    "h-nan-radial-exhaust": (EXHAUST + "h = nan\nj_schedule = 2,4\n",
+                             "grid spacing must be positive and finite, got nan"),
 }
 
 

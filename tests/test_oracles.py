@@ -22,7 +22,7 @@ from khessian.grid2d import Disk, build_grid
 from khessian.nonlinearity import Nonlinearity, Weight
 from khessian.profiles import assemble_profile, build_profile, build_weight
 from khessian.radial import RadialProblem, shoot_blowup_radius
-from khessian.symfunc import sigma_all
+from khessian.symfunc import cone_membership, sigma_all
 
 PROPERTY = settings(settings.get_profile("khessian"), max_examples=150)  # see conftest.py
 SOLVES = settings(PROPERTY, max_examples=25)  # each example is a few 2d Newton solves
@@ -243,6 +243,17 @@ def test_sigma_all_matches_subset_enumeration(args):
             # the recurrence's rounding is bounded by the sum of |products|
             scale = math.fsum(math.prod(c) for c in itertools.combinations(np.abs(lam), j))
             assert abs(sig[j] - subset_sigma(lam, j)) <= 1e-13 * scale
+
+
+@PROPERTY
+@given(st.integers(2, 7).flatmap(lambda n: st.lists(
+    st.floats(-1e3, 1e3) | st.floats(0.0, 10.0), min_size=n, max_size=n)))
+def test_cones_nest(lam):
+    # Gamma_k lies in Gamma_j for j < k: admissible at an order is admissible below it
+    admissible = [cone_membership(lam, k).admissible for k in range(1, len(lam) + 1)]
+    for k in range(2, len(lam) + 1):
+        if admissible[k - 1]:
+            assert all(admissible[: k - 1])
 
 
 @SOLVES

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import bisect, brentq
 
-from khessian import radial
+from khessian import _quad, radial
 from khessian.errors import ParameterError, ReportTruncated, SolveFailure
 from khessian.nonlinearity import Nonlinearity, Weight
 from khessian.profiles import PsiPair, assemble_profile
@@ -67,6 +67,39 @@ class TestTorsion:
         for r in (0.2, 0.5, 0.9):
             val = sk_radial(float(sol.deriv1(r)), float(sol.deriv2(r)), r, 3, 2)
             assert val == pytest.approx(1.0 + r * r, rel=1e-9)
+
+
+class TestTorsionTable:
+    def test_partial_integration_matrix_is_exact(self):
+        # Q integrates every polynomial of degree <= 9 from -1 to each Gauss node
+        x = _quad._GL_NODES
+        for d in range(10):
+            want = (x ** (d + 1) - (-1.0) ** (d + 1)) / (d + 1)
+            assert np.max(np.abs(_quad._GL_PARTIAL @ x**d - want)) <= 1e-15
+
+    @pytest.mark.parametrize("n_seg", [512, 2048])
+    def test_b_evaluations_stay_linear_in_the_panels(self, n_seg):
+        count = [0]
+
+        def b(r):
+            count[0] += np.size(r)
+            return 1.0 + np.asarray(r, float) ** 2
+
+        solve_torsion(RadialProblem(n=3, k=2, R=1.0, f=Nonlinearity.power(5), b=b), n_seg)
+        assert 10 * n_seg <= count[0] <= 2 * 10 * n_seg + 10_000
+
+    @pytest.mark.parametrize("n_seg", [2048, 1536, 1000])
+    @pytest.mark.parametrize("n, k, weight", [(2, 1, None), (3, 2, 1.0), (4, 3, None)])
+    def test_samples_equal_the_callables(self, n_seg, n, k, weight):
+        # read off the table nodes (2048, 1536) or from the callables (1000, the fallback)
+        f = Nonlinearity.power(7)
+        prob = (RadialProblem(n=n, k=k, R=1.0, f=f, b=B_ONE) if weight is None
+                else RadialProblem.from_weight(n, k, 1.0, f, Weight.power(weight)))
+        sol = solve_torsion(prob, n_seg)
+        assert np.array_equal(sol.r, np.linspace(0.0, 1.0, 513))
+        assert np.max(np.abs(sol.u - sol.value(sol.r))) <= 1e-15
+        assert np.max(np.abs(sol.u1 - sol.deriv1(sol.r))) <= 1e-15
+        assert sol.u1[0] == 0.0 and abs(sol.u[-1]) <= 1e-15
 
 
 class TestManufacturedIVP:

@@ -4,6 +4,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -66,3 +67,25 @@ def test_check_barrier_body_matches_stdlib(tmp_path):
     body = json.loads(text)
     assert len(body["supersolution"]["samples"]) == 16
     assert text == _stdlib(body)
+
+
+class _Text(str):
+    pass
+
+
+class _Real(float):
+    def __repr__(self):
+        return "real"
+
+
+@pytest.mark.parametrize("obj", [
+    {_Text("b"): 1.0, "a": [_Real(0.5), 2.0]},  # a str subclass key is quoted once
+    {1: True, 2.5: None, False: [1.0, True, 3]},  # json's own text for non-str keys
+    [[0.1, -0.0, math.inf, -math.inf, math.nan, 5e-324]],  # one join of a float list
+    {"row": {"x": 1.0, "flag": False, "n": 7, "s": _Text("t"), "v": np.float64(2.0)}},
+])
+def test_write_json_subclasses_and_keys_match_stdlib(tmp_path, obj):
+    # exact-type fast paths against subclasses, which must take the general path
+    path = tmp_path / "body.json"
+    reports.write_json(path, obj)
+    assert path.read_text() == _stdlib(obj)
