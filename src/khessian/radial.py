@@ -2,11 +2,12 @@
 
 Contains the torsion-type auxiliary solve (right side b, zero boundary
 data: two cumulative Gauss tables on one set of panels, with b evaluated
-once per Gauss node), forward integration of the blow-up initial value
-problem with singularity detection, the monotone boundary-data exhaustion as
-a two-point boundary value scheme, the sublevel subsolution psi(-w) built
-from the torsion solution w and a ``profiles.PsiPair`` of the same (f, k),
-and boundary-asymptotics reports.
+once per Gauss node and again only on a few leading panels), forward
+integration of the blow-up initial value problem with singularity
+detection, the monotone boundary-data exhaustion as a two-point boundary
+value scheme, the sublevel subsolution psi(-w) built from the torsion
+solution w and a ``profiles.PsiPair`` of the same (f, k), and
+boundary-asymptotics reports.
 
 Every solve is single-threaded and deterministic; distinct solves share no
 mutable state.  The root finders (Brent, bisection, and the Illinois search
@@ -100,12 +101,18 @@ class RadialSolution:
     deriv2: Optional[Callable] = None
 
 
+# relative agreement of the spectral and the fresh Gauss partial panels at
+# which ``_CumulativeUniform.at_points`` stops taking fresh panels; rounding
+# alone keeps the two within about 4e-15 up to n = 30
+_PARTIAL_AGREE = 1e-14
+
+
 class _CumulativeUniform:
     """int_0^r fn on a uniform grid with per-segment Gauss-Legendre panels.
 
     The table keeps fn's values at every panel's Gauss nodes (``points``), so
-    ``at_points`` gives int_0^x fn at each of those nodes without another
-    evaluation of fn.  ``vals``, when given, are fn's values at ``points``.
+    ``at_points`` gives int_0^x fn at each of those nodes from one pass of
+    fn.  ``vals``, when given, are fn's values at ``points``.
     """
 
     def __init__(self, fn, R, n_seg=2048, vals=None):
@@ -123,8 +130,23 @@ class _CumulativeUniform:
         return scalar_or_array(r, out)
 
     def at_points(self):
-        """int_0^x fn at every node x of ``points``: the prefix plus a partial panel."""
-        return self.prefix[:-1, None] + panel_partials(self.vals, self.half)
+        """int_0^x fn at every node x of ``points``.
+
+        Each is the prefix plus the partial panel from the panel's values,
+        which is exact for polynomials of degree <= 9.  Near 0 the integral
+        can be far smaller than that partial's error (s^(n-1) b(s) vanishes
+        to order n - 1 there), so the leading panels take the partial from a
+        fresh Gauss panel on [left node, x], as ``value`` does, up to and
+        including the first panel where the two agree to ``_PARTIAL_AGREE``.
+        """
+        out = self.prefix[:-1, None] + panel_partials(self.vals, self.half)
+        for i in range(len(out)):
+            fresh = self.value(self.points[i])
+            agree = np.all(np.abs(out[i] - fresh) < _PARTIAL_AGREE * np.abs(fresh))
+            out[i] = fresh
+            if agree:
+                break
+        return out
 
 
 def solve_torsion(prob: RadialProblem, n_seg=2048):
@@ -135,10 +157,13 @@ def solve_torsion(prob: RadialProblem, n_seg=2048):
     so the only numerics are two cumulative quadratures on the same uniform
     panels.  The moment table evaluates b once per Gauss node; G at those
     nodes, and so the w' that the outer table integrates, comes from the
-    panel values by spectral integration.  The 513 samples of w and w' are
-    read off the table nodes.  Returns a RadialSolution with attached
-    analytic-grade callables for w, w', w'' at any r, which take G and w
-    from one more Gauss panel each.
+    panel values by spectral integration, except on the leading panels
+    where G is still small against that integration's error (see
+    ``_CumulativeUniform.at_points``).  When n_seg is a multiple of 512 the
+    513 samples of w and w' are read off every (n_seg / 512)-th table node;
+    otherwise they are taken at linspace(0, R, 513) by the callables.
+    Returns a RadialSolution with attached analytic-grade callables for w,
+    w', w'' at any r, which take G and w from one more Gauss panel each.
     """
     n, k, R = prob.n, prob.k, prob.R
     c = math.comb(n - 1, k - 1)
@@ -171,11 +196,12 @@ def solve_torsion(prob: RadialProblem, n_seg=2048):
         out = t1 + t2
         return np.where(r > 0.0, out, np.nan)
 
-    rs = np.linspace(0.0, R, 513)
-    stride = n_seg // 512
-    if n_seg % 512 == 0 and np.array_equal(accum.nodes[::stride], rs):
+    if n_seg % 512 == 0:  # bitwise linspace(0, R, 513) when n_seg is 512 * 2^j
+        stride = n_seg // 512
+        rs = accum.nodes[::stride]
         u, u1 = accum.prefix[::stride] - WR, slope(rs, moment.prefix[::stride])
     else:
+        rs = np.linspace(0.0, R, 513)
         u, u1 = np.asarray(w(rs), float), np.asarray(wp(rs), float)
     return RadialSolution(
         r=rs,

@@ -77,8 +77,10 @@ class TestTorsionTable:
             want = (x ** (d + 1) - (-1.0) ** (d + 1)) / (d + 1)
             assert np.max(np.abs(_quad._GL_PARTIAL @ x**d - want)) <= 1e-15
 
-    @pytest.mark.parametrize("n_seg", [512, 2048])
-    def test_b_evaluations_stay_linear_in_the_panels(self, n_seg):
+    @pytest.mark.parametrize("n_seg, table", [(512, True), (1536, True), (2048, True), (1000, False)])
+    def test_b_evaluations_stay_linear_in_the_panels(self, n_seg, table):
+        # multiples of 512 read the samples off the table; 1000 takes the
+        # per-sample panels, about 56,000 more evaluations of b
         count = [0]
 
         def b(r):
@@ -86,20 +88,55 @@ class TestTorsionTable:
             return 1.0 + np.asarray(r, float) ** 2
 
         solve_torsion(RadialProblem(n=3, k=2, R=1.0, f=Nonlinearity.power(5), b=b), n_seg)
-        assert 10 * n_seg <= count[0] <= 2 * 10 * n_seg + 10_000
+        assert 10 * n_seg <= count[0]
+        assert (count[0] <= 2 * 10 * n_seg + 10_000) == table
 
     @pytest.mark.parametrize("n_seg", [2048, 1536, 1000])
     @pytest.mark.parametrize("n, k, weight", [(2, 1, None), (3, 2, 1.0), (4, 3, None)])
     def test_samples_equal_the_callables(self, n_seg, n, k, weight):
-        # read off the table nodes (2048, 1536) or from the callables (1000, the fallback)
         f = Nonlinearity.power(7)
         prob = (RadialProblem(n=n, k=k, R=1.0, f=f, b=B_ONE) if weight is None
                 else RadialProblem.from_weight(n, k, 1.0, f, Weight.power(weight)))
         sol = solve_torsion(prob, n_seg)
-        assert np.array_equal(sol.r, np.linspace(0.0, 1.0, 513))
+        assert np.max(np.abs(sol.r - np.linspace(0.0, 1.0, 513))) <= 2.3e-16
         assert np.max(np.abs(sol.u - sol.value(sol.r))) <= 1e-15
         assert np.max(np.abs(sol.u1 - sol.deriv1(sol.r))) <= 1e-15
         assert sol.u1[0] == 0.0 and abs(sol.u[-1]) <= 1e-15
+
+    @pytest.mark.parametrize("R", [1.0, 0.7, 3.3])
+    @pytest.mark.parametrize("n_seg", [512, 2048])
+    def test_sample_radii_are_the_uniform_grid(self, n_seg, R):
+        # every (n_seg / 512)-th node of a power-of-two table is bitwise the 513-point grid
+        prob = RadialProblem(n=2, k=1, R=R, f=Nonlinearity.power(3), b=B_ONE)
+        assert np.array_equal(solve_torsion(prob, n_seg).r, np.linspace(0.0, R, 513))
+
+    @pytest.mark.parametrize("n, weight", [(9, 1.0), (10, None), (12, None), (20, None), (30, None)])
+    def test_moment_at_nodes_matches_fresh_panels(self, n, weight):
+        # s^(n-1) b(s) is tiny near 0 against the spectral partial's error:
+        # the moment at every Gauss node stays within 1e-14 of a fresh panel
+        prob = (RadialProblem(n=n, k=2, R=1.0, f=Nonlinearity.power(7), b=B_ONE) if weight is None
+                else RadialProblem.from_weight(n, 2, 1.0, Nonlinearity.power(7), Weight.power(weight)))
+        moment = radial._CumulativeUniform(lambda s: s ** (n - 1) * prob.b(s), 1.0)
+        got, want = moment.at_points(), moment.value(moment.points)
+        assert np.all(want > 0.0)
+        assert np.max(np.abs(got - want) / want) <= 1e-14
+
+    @pytest.mark.parametrize("n, k", [(10, 1), (12, 2), (20, 3)])
+    def test_high_dimension_closed_form(self, n, k):
+        # b = 1: w = (r^2 - R^2) / (2 C(n, k)^(1/k))
+        sol = solve_torsion(RadialProblem(n=n, k=k, R=1.0, f=Nonlinearity.power(7), b=B_ONE))
+        exact = (sol.r**2 - 1.0) / (2.0 * math.comb(n, k) ** (1.0 / k))
+        assert np.max(np.abs(sol.u - exact)) <= 1e-15
+        assert np.max(np.abs(sol.u1 - sol.r / math.comb(n, k) ** (1.0 / k))) <= 1e-15
+
+    def test_power_weight_in_nine_dimensions(self):
+        # b = (R - r)^3, n = 9: the spectral moment at the first Gauss node
+        # alone would be negative and every later sample nan
+        prob = RadialProblem.from_weight(9, 2, 1.0, Nonlinearity.power(5), Weight.power(1.0))
+        sol = solve_torsion(prob)
+        assert np.all(np.isfinite(sol.u)) and np.all(np.isfinite(sol.u1))
+        assert np.all(np.diff(sol.u) > 0.0) and abs(sol.u[-1]) <= 1e-15
+        assert np.max(np.abs(sol.u - sol.value(sol.r))) <= 1e-15
 
 
 class TestManufacturedIVP:
