@@ -199,8 +199,8 @@ class Field2D:
 
 def build_grid(domain, h):
     """Uniform lattice grid with Shortley-Weller arms and distance field."""
-    if h <= 0:
-        raise ParameterError(f"grid spacing must be positive, got {h}")
+    if not (math.isfinite(h) and h > 0.0):
+        raise ParameterError(f"grid spacing must be positive and finite, got {h}")
     hx, hy = domain.half_extents
     ix = np.arange(-(math.ceil(hx / h) + 1), math.ceil(hx / h) + 2)
     iy = np.arange(-(math.ceil(hy / h) + 1), math.ceil(hy / h) + 2)

@@ -313,7 +313,12 @@ def _blowup_remainder(u, v, upp):
     return u * v / den
 
 
-def integrate_blowup_ivp(prob: RadialProblem, u0, tol, u_cap=1e12, v_cap=1e12, max_steps=3_000_000):
+# default cap on u and u' at which the blow-up IVP stops and locates the crossing
+IVP_CAP = 1e12
+
+
+def integrate_blowup_ivp(prob: RadialProblem, u0, tol, u_cap=IVP_CAP, v_cap=IVP_CAP,
+                         max_steps=3_000_000):
     """Integrate outward from the centre until the solution blows up.
 
     Adaptive Cash-Karp 5(4) with per-step error <= tol (mixed absolute /
@@ -332,10 +337,14 @@ def integrate_blowup_ivp(prob: RadialProblem, u0, tol, u_cap=1e12, v_cap=1e12, m
     (Dowell & Jarratt, BIT 11 (1971) 168) that keeps the bracket, takes the
     midpoint when the interpolate leaves it and stops at adjacent floats.
     Rstar combines the Richardson-extrapolated crossing location of the two
-    and the local blow-up model remainder.
+    and the local blow-up model remainder.  The start state (u0, 0) must lie
+    below both caps.
     """
     if u0 <= 0.0:
         raise ParameterError(f"initial value must be positive, got {u0}")
+    if not (u0 < u_cap and v_cap > 0.0):
+        raise ParameterError(f"start state (u0, u') = ({u0}, 0) must lie below the blow-up caps "
+                             f"u_cap={u_cap:g}, v_cap={v_cap:g}")
     if tol <= 0.0:
         raise ParameterError(f"tolerance must be positive, got {tol}")
     n, k, R = prob.n, prob.k, prob.R
@@ -548,24 +557,52 @@ def _bisect_root(f, xa, xb, xtol, maxiter):
     raise SolveFailure(f"bisection did not converge in {maxiter} iterations")
 
 
+def _scaling_u0(prob: RadialProblem):
+    """(u0, l) -> the centre value of the solution from u0 rescaled by l, or None.
+
+    With b constant, u(x) -> u(l x) + (2k/a) log l maps solutions of
+    S_k(D^2 u) = b e^(a u) to solutions, and u(x) -> l^(2k/(gamma-k)) u(l x)
+    those of S_k(D^2 u) = b u^gamma; either way the blow-up radius R*
+    becomes R* / l.  None when b is not constant or f has no such law.
+    """
+    if prob.b_const is None:
+        return None
+    k, f = prob.k, prob.f
+    if f.kind == "exponential":
+        c = 2.0 * k / f.rate
+        return lambda u0, l: u0 + c * math.log(l)
+    if f.kind == "power" and f.gamma > k:
+        c = 2.0 * k / (f.gamma - k)
+        return lambda u0, l: u0 * l**c
+    return None
+
+
 def shoot_blowup_radius(prob: RadialProblem, target=None, tol=1e-9, coarse_tol=1e-8,
                         u0_init=1.0, max_expand=60):
     """Find u0 such that the blow-up radius equals ``target`` (default prob.R).
 
-    The blow-up radius R*(u0) is strictly decreasing in u0 (comparison
-    principle).  The bracket is expanded by factors of 4 from ``u0_init``,
-    then Brent's method finds the root of log(R*(u0) / target) in x = u0 for
-    exponential f and in x = log u0 for every other kind.  With a constant
-    weight the equation's scaling makes log R* exactly affine in that x:
-    u0 + (2k/a) log R* is invariant for f = e^(a u), and u0 R*^(2k/(gamma-k))
-    for f = u^gamma, so the secant steps land on the root at once.  Returns
-    (u0, solution-at-tol); the solution's meta["shot"] counts the shot's
-    IVPs, with their total steps and rejections.
+    With a constant weight and f = e^(a u) or u^gamma (gamma > k) the
+    equation's scaling gives u0 in closed form: u0 + (2k/a) log R*, or
+    u0 R*^(2k/(gamma-k)), is the same for every solution.  The shot then
+    integrates at ``tol`` from ``u0_init``, predicts u0 from its R*, and
+    integrates at ``tol`` again from that u0; it returns this second
+    solution when its |log(R* / target)| <= tol (path "scaling").
+
+    Otherwise (path "bracket"), R*(u0) being strictly decreasing in u0
+    (comparison principle), the bracket is expanded by factors of 4 from
+    ``u0_init`` at ``coarse_tol``, with every u0 below ``IVP_CAP``, then
+    Brent's method finds the root of log(R*(u0) / target) in x = u0 for
+    exponential f and in x = log u0 for every other kind, and one final IVP
+    at ``tol`` is made from that root.
+
+    Returns (u0, solution-at-tol); the solution's meta["shot"] holds the
+    path and counts every IVP of the shot, with their total steps and
+    rejections.  Raises SolveFailure, with the solution in ``partial``, when
+    its R* misses the target by more than 1e-6 relative.
     """
     target = prob.R if target is None else float(target)
-    exponential = prob.f.kind == "exponential"
-    to_u0, to_x = (float, float) if exponential else (math.exp, math.log)
-    shot = {"ivps": 0, "steps": 0, "rejected": 0}
+    u0_init = float(u0_init)
+    shot = {"path": "scaling", "ivps": 0, "steps": 0, "rejected": 0}
 
     def ivp(u0, ivp_tol):
         sol = integrate_blowup_ivp(prob, u0, ivp_tol)
@@ -574,10 +611,32 @@ def shoot_blowup_radius(prob: RadialProblem, target=None, tol=1e-9, coarse_tol=1
         shot["rejected"] += sol.meta["rejected"]
         return sol
 
+    def done(u0, sol):
+        sol.meta["shot"] = shot
+        if abs(sol.Rstar / target - 1.0) > 1e-6:
+            raise SolveFailure(f"shot missed the target blow-up radius: R*={sol.Rstar:.9g} "
+                               f"for target {target:.9g} at u0={u0:.9g}", partial=[sol])
+        return u0, sol
+
+    rescale = _scaling_u0(prob)
+    if rescale is not None:
+        try:
+            u0 = rescale(u0_init, ivp(u0_init, tol).Rstar / target)
+        except OverflowError:
+            u0 = math.inf
+        if 0.0 < u0 < IVP_CAP:
+            sol = ivp(u0, tol)
+            if abs(math.log(sol.Rstar / target)) <= tol:
+                return done(u0, sol)
+
+    shot["path"] = "bracket"
+    exponential = prob.f.kind == "exponential"
+    to_u0, to_x = (float, float) if exponential else (math.exp, math.log)
+
     def gap(u0):
         return math.log(ivp(u0, coarse_tol).Rstar / target)
 
-    lo = hi = float(u0_init)
+    lo = hi = u0_init
     glo = ghi = gap(lo)
     for _ in range(max_expand):
         if glo > 0.0:
@@ -587,19 +646,17 @@ def shoot_blowup_radius(prob: RadialProblem, target=None, tol=1e-9, coarse_tol=1
     else:
         raise SolveFailure("could not bracket the target blow-up radius from below")
     for _ in range(max_expand):
-        if ghi < 0.0:
+        if ghi < 0.0 or not 4.0 * hi < IVP_CAP:
             break
         hi *= 4.0
         ghi = gap(hi)
-    else:
+    if not ghi < 0.0:
         raise SolveFailure("could not bracket the target blow-up radius from above")
     xtol = 1e-13 * max(1.0, lo) if exponential else 1e-13
     x = _brent_root(lambda x: gap(to_u0(x)), to_x(lo), to_x(hi), glo, ghi, xtol=xtol,
                     rtol=8.9e-16, maxiter=200)
     u0 = to_u0(x)
-    sol = ivp(u0, tol)
-    sol.meta["shot"] = shot
-    return u0, sol
+    return done(u0, ivp(u0, tol))
 
 
 def _exhaustion_banded(alpha, dflux, centre, reaction):

@@ -128,11 +128,28 @@ class TestRadialCommands:
         out = tmp_path / "out"
         assert main(["--config", cfg, "--out", str(out), "--quiet"]) == 0
         shot = json.loads((out / "verify-asymptotics.runinfo.json").read_text())["shot"]
-        assert set(shot) == {"ivps", "steps", "rejected"}
-        assert 2 <= shot["ivps"] <= 6
+        assert set(shot) == {"path", "ivps", "steps", "rejected"}
+        assert shot["path"] == "scaling" and shot["ivps"] == 2
         assert shot["steps"] > shot["rejected"] >= 0
         body = (out / "verify-asymptotics.json").read_text()
         assert "shot" not in json.loads(body) and "ivps" not in body
+
+
+    def test_verify_asymptotics_unbracketed_shot_exits_1(self, tmp_path):
+        # for power:2.05 at k = 2, R*(u0) > 1 for every u0 below the IVP's cap
+        cfg = write_cfg(tmp_path, "va.cfg", """
+            command = verify-asymptotics
+            n = 3
+            k = 2
+            R = 1.0
+            f = power:2.05
+            weight = constant:1
+        """)
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "--quiet"]) == 1
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "SolveFailure"
+        assert err["message"] == "could not bracket the target blow-up radius from above"
 
 
 class TestFdCommand:
@@ -323,10 +340,16 @@ VALIDATION = {
     "j-decreasing-fd-exhaust": (FD + "domain = disk:1\nj_schedule = 4,2\n",
                                 "boundary-data schedule must be strictly increasing"),
     "h-zero": ("command = fd-exhaust\nf = exp:2\ndomain = disk:1\nh = 0\nj_schedule = 2,4\n",
-               "grid spacing must be positive, got 0.0"),
+               "grid spacing must be positive and finite, got 0.0"),
+    "h-nan": ("command = fd-exhaust\nf = exp:2\ndomain = disk:1\nh = nan\nj_schedule = 2,4\n",
+              "grid spacing must be positive and finite, got nan"),
+    "h-inf": ("command = fd-exhaust\nf = exp:2\ndomain = disk:1\nh = inf\nj_schedule = 2,4\n",
+              "grid spacing must be positive and finite, got inf"),
     "tol-negative": (IVP + "tol = -1\n", "tolerance must be positive, got -1.0"),
     "u0-negative": ("command = radial-ivp\nn = 2\nk = 1\nf = exp:2\nu0 = -1\n",
                     "initial value must be positive, got -1.0"),
+    "u0-above-cap": ("command = radial-ivp\nn = 3\nk = 2\nf = power:5\nu0 = 1e13\n",
+                     "must lie below the blow-up caps u_cap=1e+12"),
     "gap-1.5": (PROFILE + "cf = 1\ncm = 0\n", "(1.5) constant gap violated"),
     "slack-3.3": (BARRIER + "eps = 0.7\n", "(3.3) barrier slack must satisfy"),
     "ellipse-k3": ("command = profile\nn = 3\nk = 3\nf = power:5\ndomain = ellipse:1.2,1\n",

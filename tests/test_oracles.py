@@ -6,6 +6,7 @@ library's tables, tail substitutions or closed forms.  The scaling laws
 of the radial shot follow from the equation's symmetries alone.
 """
 
+import dataclasses
 import itertools
 import math
 
@@ -212,12 +213,15 @@ def test_phi_is_monotone(spec, k):
 def test_shot_obeys_the_scaling_law(n, k, spec, radii):
     # with b = 1, u(x) -> l^(2k/(g-k)) u(l x) maps solutions of S_k(D^2 u) = u^g to
     # solutions, and u(x) -> u(l x) + (2k/a) log l those of S_k(D^2 u) = e^(a u);
-    # either way the blow-up radius becomes R/l, so these are the same at every R
+    # either way the blow-up radius becomes R/l, so these are the same at every R;
+    # b is a plain callable, so the shot brackets and does not use the law itself
     kind, par = spec.split(":")
     nl = Nonlinearity.power(float(par)) if kind == "power" else Nonlinearity.exponential(float(par))
     invariants = []
     for R in radii:
-        u0, sol = shoot_blowup_radius(RadialProblem.from_weight(n, k, R, nl, Weight.constant(1.0)))
+        prob = RadialProblem.from_weight(n, k, R, nl, Weight.constant(1.0))
+        u0, sol = shoot_blowup_radius(dataclasses.replace(prob, b_const=None))
+        assert sol.meta["shot"]["path"] == "bracket"
         assert sol.Rstar == pytest.approx(R, rel=1e-7)
         if kind == "power":
             invariants.append(u0 * R ** (2.0 * k / (float(par) - k)))

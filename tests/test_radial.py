@@ -209,6 +209,15 @@ class TestManufacturedIVP:
         with pytest.raises(ParameterError):
             integrate_blowup_ivp(prob, 1.0, tol=-1e-8)
 
+    @pytest.mark.parametrize("u0, caps", [(radial.IVP_CAP, {}), (1e13, {}),
+                                          (2.0, {"u_cap": 2.0}), (1.0, {"v_cap": 0.0})])
+    def test_start_at_or_above_a_cap_rejected(self, u0, caps):
+        # a start past the cap has no crossing to locate: power:2.05 from u0 = 1e12
+        # used to divide by zero in the crossing search
+        prob = RadialProblem(n=3, k=2, R=1.0, f=Nonlinearity.power(2.05), b=B_ONE)
+        with pytest.raises(ParameterError, match="must lie below the blow-up caps"):
+            integrate_blowup_ivp(prob, u0, 1e-9, **caps)
+
 
 class TestCashKarpStep:
     # Butcher tableau of the Cash-Karp 5(4) pair (Cash & Karp, ACM TOMS 16 (1990) 201)
@@ -269,10 +278,11 @@ class TestIVPWork:
 
     def test_overflow_rejects_without_warnings(self):
         # f(u0) = 1e350 overflows: every step is rejected until the step size stalls
+        # (caps above u0, which the default cap is not)
         prob = RadialProblem(n=3, k=2, R=1.0, f=Nonlinearity.power(5), b=B_ONE)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sol = integrate_blowup_ivp(prob, 1e70, 1e-8)
+            sol = integrate_blowup_ivp(prob, 1e70, 1e-8, u_cap=1e300, v_cap=1e300)
         assert sol.meta["termination"] == "stall"
         assert sol.meta["steps"] == 25
 
@@ -329,6 +339,11 @@ class TestIVPWork:
         assert sol.Rstar == integrate_blowup_ivp(prob, 5.0, 1e-8).Rstar
 
 
+def bracketed(prob):
+    """The same problem with b a plain callable: its shot takes the bracket path."""
+    return dataclasses.replace(prob, b_const=None)
+
+
 class TestShooting:
     def test_shoot_to_unit_ball(self):
         prob = RadialProblem(n=3, k=2, R=1.0, f=Nonlinearity.power(5), b=B_ONE)
@@ -337,8 +352,9 @@ class TestShooting:
         assert u0 > 0
 
     # the constant-weight verify-asymptotics cases of the benchmark: the parameters
-    # are the shots of Brent on the raw gap in u0, SHOTS the shots in the scaling
-    # coordinate (u0 for exponential f, log u0 for power f), bit for bit
+    # are the shots of Brent on the raw gap in u0, BRACKET_SHOTS the bracketed shots
+    # in the scaling coordinate (u0 for exponential f, log u0 for power f), SHOTS
+    # the shots by the scaling law, bit for bit
     @pytest.mark.parametrize("n, k, nl, u0, Rstar", [
         (3, 2, Nonlinearity.power(5), 2.6604497942870005, 0.999999999213772),
         (2, 1, Nonlinearity.exponential(2), 0.6931471762449922, 1.0000000037493049),
@@ -348,12 +364,30 @@ class TestShooting:
         prob = RadialProblem.from_weight(n, k, 1.0, nl, Weight.constant(1.0))
         got, sol = shoot_blowup_radius(prob, tol=1e-9)
         assert (got, sol.Rstar) == self.SHOTS[n, k]
+        got, sol = shoot_blowup_radius(bracketed(prob), tol=1e-9)
+        assert (got, sol.Rstar) == self.BRACKET_SHOTS[n, k]
         assert abs(got - u0) <= 1e-13 * u0
         assert sol.Rstar == pytest.approx(Rstar, rel=1e-12, abs=0.0)
 
-    SHOTS = {(3, 2): (2.660449794287001, 0.9999999992137736),
-             (2, 1): (0.6931471762450053, 1.000000003749293),
-             (4, 3): (2.730160857920078, 0.9999999997089144)}
+    SHOTS = {(3, 2): (2.6604497912819443, 1.0000000000609213),
+             (2, 1): (0.6931471800972899, 0.9999999998970095),
+             (4, 3): (2.7301608566193836, 1.0000000000265246)}
+    BRACKET_SHOTS = {(3, 2): (2.660449794287001, 0.9999999992137736),
+                     (2, 1): (0.6931471762450053, 1.000000003749293),
+                     (4, 3): (2.730160857920078, 0.9999999997089144)}
+
+    @staticmethod
+    def counted_shot(monkeypatch, prob):
+        """The shot of prob, and every solution of the IVPs it made."""
+        ivp = radial.integrate_blowup_ivp
+        sols = []
+        monkeypatch.setattr(radial, "integrate_blowup_ivp",
+                            lambda *a, **kw: sols.append(ivp(*a, **kw)) or sols[-1])
+        u0, sol = shoot_blowup_radius(prob, tol=1e-9)
+        assert {k: v for k, v in sol.meta["shot"].items() if k != "path"} == {
+            "ivps": len(sols), "steps": sum(s.meta["steps"] for s in sols),
+            "rejected": sum(s.meta["rejected"] for s in sols)}
+        return u0, sol, sols
 
     @pytest.mark.parametrize("n, k, nl", [
         (3, 2, Nonlinearity.power(5)),
@@ -361,29 +395,97 @@ class TestShooting:
         (4, 3, Nonlinearity.power(7)),
     ])
     def test_ivps_per_shot(self, monkeypatch, n, k, nl):
-        # log R* is affine in the shooting coordinate, so the secant steps land at
+        # the scaling law puts the second IVP on the target within tol; on the bracket
+        # path log R* is affine in the shooting coordinate, so the secant steps land at
         # once; Brent on the raw gap in u0 took 11, 9 and 11 IVPs here
         prob = RadialProblem.from_weight(n, k, 1.0, nl, Weight.constant(1.0))
+        _, sol, sols = self.counted_shot(monkeypatch, prob)
+        assert sol.meta["shot"]["path"] == "scaling" and len(sols) == 2
+        assert sol is sols[-1] and abs(math.log(sol.Rstar)) <= 1e-9
+        _, sol, sols = self.counted_shot(monkeypatch, bracketed(prob))
+        assert sol.meta["shot"]["path"] == "bracket" and len(sols) <= 6
+
+    @pytest.mark.parametrize("R", [0.25, 0.5, 1.0, 1.9])
+    def test_liouville_shot_is_log_2_over_R(self, R):
+        # u = log(2R / (R^2 - r^2)) solves u'' + u'/r = e^(2u) and blows up at R
+        prob = RadialProblem.from_weight(2, 1, R, Nonlinearity.exponential(2), Weight.constant(1.0))
+        u0, sol = shoot_blowup_radius(prob, tol=1e-9)
+        assert sol.meta["shot"]["path"] == "scaling"
+        assert abs(u0 - math.log(2.0 / R)) <= 1e-9
+
+    @pytest.mark.parametrize("n, k, nl, R", [
+        (3, 2, Nonlinearity.power(5), 1.0),
+        (2, 1, Nonlinearity.exponential(2), 1.0),
+        (4, 3, Nonlinearity.power(7), 1.0),
+        (3, 2, Nonlinearity.exponential(1), 0.3),
+        (4, 1, Nonlinearity.power(3), 2.5),
+    ])
+    def test_scaling_shot_matches_bracketed_shot(self, n, k, nl, R):
+        prob = RadialProblem.from_weight(n, k, R, nl, Weight.constant(1.0))
+        u0, sol = shoot_blowup_radius(prob, tol=1e-9)
+        u0_ref, _ = shoot_blowup_radius(bracketed(prob), tol=1e-9)
+        assert sol.meta["shot"]["path"] == "scaling"
+        assert abs(u0 - u0_ref) <= 1e-8 * u0_ref
+
+    def test_unverified_prediction_falls_back_to_the_bracket(self, monkeypatch):
+        # u0 = R*0^4 here, and the first IVP's R*0 = 5.04 is not exact: the prediction
+        # blows up at 1 - 5.2e-6; the bracketed shot that follows is the one of b as a
+        # plain callable, bit for bit
+        prob = RadialProblem.from_weight(5, 2, 1.0, Nonlinearity.power(3), Weight.constant(1.0))
+        u0, sol, _ = self.counted_shot(monkeypatch, prob)
+        ref, ref_sol = shoot_blowup_radius(bracketed(prob), tol=1e-9)
+        assert sol.meta["shot"]["path"] == "bracket"
+        assert (u0, sol.Rstar) == (ref, ref_sol.Rstar) == (643.447787733826, 0.9999999993938108)
+        assert sol.meta["shot"]["ivps"] == ref_sol.meta["shot"]["ivps"] + 2
+
+    def test_negative_prediction_falls_back_to_the_bracket(self, monkeypatch):
+        # for exp:2 every u0 > 0 blows up inside r = 2: the prediction is below 0, so
+        # no second IVP is made, and the bracket cannot be closed from below
+        prob = RadialProblem.from_weight(2, 1, 2.5, Nonlinearity.exponential(2), Weight.constant(1.0))
         ivp = radial.integrate_blowup_ivp
-        sols = []
+        calls = []
         monkeypatch.setattr(radial, "integrate_blowup_ivp",
-                            lambda *a, **kw: sols.append(ivp(*a, **kw)) or sols[-1])
-        _, sol = shoot_blowup_radius(prob, tol=1e-9)
-        assert len(sols) <= 6
-        assert sol.meta["shot"] == {"ivps": len(sols),
-                                    "steps": sum(s.meta["steps"] for s in sols),
-                                    "rejected": sum(s.meta["rejected"] for s in sols)}
+                            lambda *a, **kw: calls.append(1) or ivp(*a, **kw))
+        ivps = []
+        for p in (prob, bracketed(prob)):
+            calls.clear()
+            with pytest.raises(SolveFailure, match="could not bracket the target blow-up "
+                                                   "radius from below"):
+                shoot_blowup_radius(p, tol=1e-9)
+            ivps.append(len(calls))
+        assert ivps[0] == ivps[1] + 1
+
+    def test_expansion_stays_below_the_cap(self, monkeypatch):
+        # for power:2.05 at k = 2, R*(u0) > 1 for every u0 below the cap
+        prob = RadialProblem.from_weight(3, 2, 1.0, Nonlinearity.power(2.05), Weight.constant(1.0))
+        ivp = radial.integrate_blowup_ivp
+        starts = []
+        monkeypatch.setattr(radial, "integrate_blowup_ivp",
+                            lambda p, u0, *a, **kw: starts.append(u0) or ivp(p, u0, *a, **kw))
+        with pytest.raises(SolveFailure, match="could not bracket the target blow-up "
+                                               "radius from above"):
+            shoot_blowup_radius(prob, tol=1e-9)
+        assert max(starts) == 4.0**19 < radial.IVP_CAP <= 4.0**20
+
+    def test_shot_that_misses_the_target_fails(self):
+        # R*(u0) jumps over the target between u0 = 4.5e10 (1.056) and 4.6e10 (0.525),
+        # starts within a factor 25 of the cap; Brent closes in on the jump
+        prob = RadialProblem.from_weight(6, 4, 1.0, Nonlinearity.power(4.5), Weight.constant(1.0))
+        with pytest.raises(SolveFailure, match="shot missed the target blow-up radius") as exc:
+            shoot_blowup_radius(prob, tol=1e-9)
+        (sol,) = exc.value.partial
+        assert abs(sol.Rstar - 1.0) > 1e-6 and sol.meta["shot"]["path"] == "bracket"
 
 
 class TestRootFinderPorts:
-    # the constant-weight verify-asymptotics cases of the benchmark
+    # the constant-weight verify-asymptotics cases of the benchmark, on the bracket path
     @pytest.mark.parametrize("n, k, nl", [
         (3, 2, Nonlinearity.power(5)),
         (2, 1, Nonlinearity.exponential(2)),
         (4, 3, Nonlinearity.power(7)),
     ])
     def test_shot_u0_matches_scipy_brentq(self, monkeypatch, n, k, nl):
-        prob = RadialProblem.from_weight(n, k, 1.0, nl, Weight.constant(1.0))
+        prob = bracketed(RadialProblem.from_weight(n, k, 1.0, nl, Weight.constant(1.0)))
         ivp = radial.integrate_blowup_ivp
         calls = []
         monkeypatch.setattr(radial, "integrate_blowup_ivp",
