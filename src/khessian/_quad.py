@@ -61,6 +61,10 @@ _REL_TAIL = 1e-13
 # 2e-16 |log g|) stays under 1.5e-13 while the integrand is above 1e-300
 _EXACT_POWER = 1e-12
 
+_EXTRA_DECADES = 8  # decades added above a table whose tail exponent stays <= 1.01
+_SUP_DECADES, _SUP_REL = 40, 1e-9  # sup_value: decades added below, relative change to stop
+_CUMULATIVE_PER_DECADE = 128  # nodes per decade of cumulative_from_zero's tables
+
 
 def panel_points(a, b):
     """The 10 Gauss-Legendre nodes of each panel [a, b] (broadcast), and its half-width."""
@@ -211,11 +215,11 @@ class DecayingTailIntegral:
             return math.inf, False, p
         return gS * S / (p - 1.0), exact_power, p
 
-    def _check_convergence(self, max_extra_decades=8):
+    def _check_convergence(self):
         """Raise if the tail exponent stays <= 1 as the grid is pushed up."""
         tries = 0
         while not self.tail_trusted and self.tail_exponent <= 1.01:
-            if tries >= max_extra_decades:
+            if tries >= _EXTRA_DECADES:
                 raise KellerOssermanViolation(
                     f"{self.name} diverges: fitted tail exponent "
                     f"{self.tail_exponent:.6g} after extension",
@@ -250,13 +254,13 @@ class DecayingTailIntegral:
     def node_values(self):
         return self.suffix + self.tail
 
-    def sup_value(self, rel=1e-9, max_decades=40):
+    def sup_value(self):
         """Limit of the integral as s -> 0+ (may be finite or +inf-like large)."""
         prev = self.node_values()[0]
-        for _ in range(max_decades):
+        for _ in range(_SUP_DECADES):
             self._extend_low()
             cur = self.node_values()[0]
-            if cur - prev <= rel * max(cur, 1e-300):
+            if cur - prev <= _SUP_REL * max(cur, 1e-300):
                 return cur
             prev = cur
         return prev
@@ -323,7 +327,7 @@ class DecayingTailIntegral:
         return scalar_or_array(target, s.reshape(t.shape))
 
 
-def cumulative_from_zero(g, seed=1.0, per_decade=128, name="cumulative"):
+def cumulative_from_zero(g, seed=1.0, name="cumulative"):
     """t -> int_0^t g at each t >= 0 (scalar or array), for g integrable at 0.
 
     The integral is the tail table of the reflected integrand g(1/u)/u^2,
@@ -340,7 +344,7 @@ def cumulative_from_zero(g, seed=1.0, per_decade=128, name="cumulative"):
             # g(s) before s * s, which underflows below s = 1e-154
             return (np.asarray(g(s), dtype=float) * s) * s
 
-    table = DecayingTailIntegral(reflected, seed=1.0 / seed, per_decade=per_decade, name=name)
+    table = DecayingTailIntegral(reflected, 1.0 / seed, _CUMULATIVE_PER_DECADE, name=name)
 
     def value(t):
         arr = _checked(t, lambda a: np.isfinite(a) & (a >= 0.0), name,

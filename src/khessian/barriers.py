@@ -51,6 +51,12 @@ __all__ = [
     "certify_upper_barrier_global",
 ]
 
+_TOL_SCALE = 1e-9  # slack, in units of the right-hand side, within which an inequality holds
+_WIDTH0_FRAC, _MAX_HALVINGS = 0.2, 24  # first collar width / focal radius; widths tried
+_SHIFT_FRAC = 0.1  # barrier shift / collar width
+_EPS_LADDER = tuple(2.0**-i for i in range(21))  # the global barrier's eps, tried in order
+_GLOBAL_RADII = np.linspace(0.02, 0.98, 97)  # the global barrier's sample radii / R
+
 
 @dataclass(frozen=True)
 class CollarGeometry:
@@ -117,7 +123,7 @@ class BarrierParams:
     xi_eps_upper: float
 
 
-def make_barrier_params(p: ProfileFns, geom: CollarGeometry, eps, delta_eps, sigma_shift=None):
+def make_barrier_params(p: ProfileFns, geom: CollarGeometry, eps, delta_eps, sigma_shift):
     w = p.weight
     if not 0.0 < eps < w.b_lower / 2.0:
         raise ParameterError(
@@ -126,7 +132,7 @@ def make_barrier_params(p: ProfileFns, geom: CollarGeometry, eps, delta_eps, sig
     gap = condition15_gap(p.C_f, p.C_m)
     if delta_eps <= 0.0:
         raise ParameterError(f"collar width must be positive, got {delta_eps}")
-    sigma_shift = 0.1 * delta_eps if sigma_shift is None else float(sigma_shift)
+    sigma_shift = float(sigma_shift)
     if not 0.0 < sigma_shift < delta_eps:
         raise ParameterError(
             f"shift must lie in (0, delta_eps), got {sigma_shift} vs {delta_eps}"
@@ -326,7 +332,7 @@ def collar_samples(bp: BarrierParams, kind, nsamples=200, seed=0):
     return _to_collar(bp, kind, scrambled_halton(nsamples, seed))
 
 
-def _verify(kind, barrier, p, geom, bp, f, bweight, samples, tol_scale=1e-9):
+def _verify(kind, barrier, p, geom, bp, f, bweight, samples):
     fv = vectorized(f.f)
     m = vectorized(bweight.m)
     kp1 = p.k + 1
@@ -344,7 +350,7 @@ def _verify(kind, barrier, p, geom, bp, f, bweight, samples, tol_scale=1e-9):
     sk = sigs[:, p.k - 1]
     margin = scale - sk if kind == "super" else sk - scale
     admissible = np.all(sigs > 0.0, axis=1)
-    passed = admissible & (margin >= -tol_scale * scale)
+    passed = admissible & (margin >= -_TOL_SCALE * scale)
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = np.where(scale > 0.0, margin / scale, margin)
     # fmin / fmax skip nan: a sample whose values left the reals sets neither extreme
@@ -380,26 +386,27 @@ def verify_subsolution(u_lower, p, geom, bp, f, bweight, samples):
 
 
 def certify_barriers(p: ProfileFns, geom: CollarGeometry, f: Nonlinearity, bweight: Weight,
-                     eps=0.1, delta0=None, nsamples=200, seed=0, max_halvings=24,
-                     sigma_frac=0.1):
+                     eps=0.1, nsamples=200, seed=0):
     """Find a collar width for which both barrier inequalities certify.
 
-    Halves the width from 0.2 * focal radius until both the supersolution
-    and subsolution reports pass on quasi-random samples (one set of Halton
-    points, mapped into each width's windows); the analysis guarantees
-    success for small enough widths, so exhaustion of the ladder signals a
-    genuine violation (or an infeasible parameter set).  Each width is first
+    Halves the width from ``_WIDTH0_FRAC`` times the focal radius, at most
+    ``_MAX_HALVINGS`` times, with the shift ``_SHIFT_FRAC`` times the width,
+    until both the supersolution and subsolution reports pass on
+    quasi-random samples (one set of Halton points, mapped into each
+    width's windows); the analysis guarantees success for small enough
+    widths, so exhaustion of the ladder signals a genuine violation (or an
+    infeasible parameter set).  Each width is first
     screened on the first eighth of the points: every sample is checked on
     its own, so a failing prefix means a failing full set, and the width is
     halved without checking the rest.  The worst margin of a failure is
     that of the last width's checked points.
     """
-    delta = 0.2 * geom.focal_radius if delta0 is None else float(delta0)
+    delta = _WIDTH0_FRAC * geom.focal_radius
     unit = scrambled_halton(nsamples, seed)  # the same points at every width
     screen = unit[: max(1, nsamples // 8)]
     worst = None
-    for _ in range(max_halvings):
-        bp = make_barrier_params(p, geom, eps, delta, sigma_frac * delta)
+    for _ in range(_MAX_HALVINGS):
+        bp = make_barrier_params(p, geom, eps, delta, _SHIFT_FRAC * delta)
         upper, lower = build_barriers(p, geom, bp)
         for pts in (screen, unit):
             rep_s = verify_supersolution(
@@ -415,32 +422,28 @@ def certify_barriers(p: ProfileFns, geom: CollarGeometry, f: Nonlinearity, bweig
         worst = min(rep.worst_margin for rep in (rep_s, rep_l) if rep is not None)
         delta *= 0.5
     raise CertificationFailure(
-        f"no collar width certified after {max_halvings} halvings "
+        f"no collar width certified after {_MAX_HALVINGS} halvings "
         f"(worst relative margin {worst:.3g})",
         worst_margin=worst,
     )
 
 
 def certify_upper_barrier_global(p: ProfileFns, w_sol: RadialSolution, f: Nonlinearity,
-                                 b: Callable, eps_ladder=None, r_samples=None,
-                                 tol_scale=1e-9):
-    """Certify phi(-eps w) as a global upper barrier for some ladder eps.
+                                 b: Callable):
+    """Certify phi(-eps w) as a global upper barrier for some eps of ``_EPS_LADDER``.
 
     Descends the dyadic eps ladder until S_k(D^2 phi(-eps w)) <= b f(...)
-    holds at every sample radius (with cone admissibility); returns the
-    largest working eps and its report.  Also records the decay diagnostic
-    of F**(k/(k+1))/f that drives the smallness of the barrier multiplier.
+    holds at every radius of ``_GLOBAL_RADII`` times R (with cone
+    admissibility); returns the largest working eps and its report.  Also
+    records the decay diagnostic of F**(k/(k+1))/f that drives the
+    smallness of the barrier multiplier.
     """
     n, k, R = w_sol.meta["n"], w_sol.meta["k"], w_sol.meta["R"]
     if w_sol.value is None or w_sol.deriv1 is None or w_sol.deriv2 is None:
         raise ParameterError("torsion solution must carry value/deriv callables")
-    if eps_ladder is None:
-        eps_ladder = [2.0**-i for i in range(21)]
-    if r_samples is None:
-        r_samples = np.linspace(0.02, 0.98, 97) * R
     fv = vectorized(f.f)
     bv = vectorized(b)
-    r_all = np.asarray(r_samples, dtype=float)
+    r_all = _GLOBAL_RADII * R
     w_all = np.asarray(w_sol.value(r_all), dtype=float)
     w1_all = np.asarray(w_sol.deriv1(r_all), dtype=float)
     w2_all = np.asarray(w_sol.deriv2(r_all), dtype=float)
@@ -448,7 +451,7 @@ def certify_upper_barrier_global(p: ProfileFns, w_sol: RadialSolution, f: Nonlin
     worst_overall = -math.inf
     last_rows = None
     ff_decay = check_limit_Ff(p.profile)
-    for eps in eps_ladder:
+    for eps in _EPS_LADDER:
         t = -eps * w_all
         # radii up to the first with t <= 0, where phi(-eps w) is undefined
         nonpos = np.flatnonzero(t <= 0.0)
@@ -463,7 +466,7 @@ def certify_upper_barrier_global(p: ProfileFns, w_sol: RadialSolution, f: Nonlin
         lam = np.column_stack([h2, np.repeat((h1 / r)[:, None], n - 1, axis=1)])
         admissible = np.all(sigma_all(lam, k)[:, 1:] > 0.0, axis=1)
         margin = rhs - lhs
-        ok = ok and bool(np.all(admissible & ~(margin < -tol_scale * rhs)))
+        ok = ok and bool(np.all(admissible & ~(margin < -_TOL_SCALE * rhs)))
         with np.errstate(divide="ignore", invalid="ignore"):
             rel = np.where(rhs > 0.0, margin / rhs, margin)
         # fmin skips nan: a radius whose values left the reals does not set the worst

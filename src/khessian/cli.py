@@ -42,16 +42,6 @@ from .radial import (
     solve_torsion,
 )
 
-COMMANDS = (
-    "profile",
-    "radial-ivp",
-    "radial-exhaust",
-    "fd-exhaust",
-    "check-barrier",
-    "verify-asymptotics",
-)
-
-
 class Config:
     """Flat key-value config with typed accessors that record every key looked up."""
 
@@ -332,6 +322,7 @@ _DISPATCH = {
     "check-barrier": cmd_check_barrier,
     "verify-asymptotics": cmd_verify_asymptotics,
 }
+COMMANDS = tuple(_DISPATCH)
 
 
 def run(cfg: Config, outdir: Path, seed=None, quiet=False):
@@ -375,11 +366,14 @@ def main(argv=None):
         return 2
     except Exception as exc:  # computational failure: diagnose, never crash
         outdir.mkdir(parents=True, exist_ok=True)
-        reports.write_json(outdir / "error.json", {
+        diagnostic = {
             "error": type(exc).__name__,
             "message": str(exc),
             "traceback": traceback.format_exc(),
-        })
+        }
+        if getattr(exc, "shot", None) is not None:  # a failed shot's path and IVP counts
+            diagnostic["shot"] = exc.shot
+        reports.write_json(outdir / "error.json", diagnostic)
         print(f"computation failed: {exc} (diagnostics in {outdir / 'error.json'})",
               file=sys.stderr)
         return 1

@@ -53,13 +53,15 @@ class SolveFailure(KHessianError):
     """A nonlinear solve did not converge; carries the residual history.
 
     ``partial`` holds the results completed before the failure, e.g. the
-    finished levels of an exhaustion sweep.
+    finished levels of an exhaustion sweep; ``shot``, for a failed shot, its
+    path and IVP counts.
     """
 
-    def __init__(self, message, residuals=None, partial=None):
+    def __init__(self, message, residuals=None, partial=None, shot=None):
         super().__init__(message)
         self.residuals = list(residuals) if residuals is not None else []
         self.partial = list(partial) if partial is not None else []
+        self.shot = shot
 
 
 class GeometryError(KHessianError):

@@ -45,6 +45,7 @@ _FORCING_SLOPE = 0.01
 # sides at h = 1/256 the highest): stay above
 _RTOL_FLOOR = 1e-11
 _MAX_CYCLES = 100  # V-cycles before a Newton step fails
+_MAX_NEWTON = 100  # Newton steps before a solve fails
 
 
 def _csr(vals, cols, n_cols, offset=0):
@@ -118,13 +119,10 @@ def assemble_operator(grid: Field2D, g):
     return (A, *_boundary_terms(grid, off, g))
 
 
-def _source_b(grid: Field2D, bweight: Weight, b_override):
-    """Source b at the interior nodes; ParameterError unless finite and >= 0 (b2)."""
-    if b_override is not None:
-        b = np.asarray(b_override(grid.node_x, grid.node_y), dtype=float)
-    else:
-        m = vectorized(bweight.m)
-        b = bweight.b_lower * np.asarray(m(grid.node_d), dtype=float) ** (_K_ORDER + 1)
+def _source_b(grid: Field2D, bweight: Weight):
+    """Source b_lower m(d)^2 at the interior nodes; ParameterError unless finite and >= 0 (b2)."""
+    m = vectorized(bweight.m)
+    b = bweight.b_lower * np.asarray(m(grid.node_d), dtype=float) ** (_K_ORDER + 1)
     bad = ~(np.isfinite(b) & (b >= 0.0))
     if bad.any():
         raise ParameterError(
@@ -137,7 +135,8 @@ def _source_b(grid: Field2D, bweight: Weight, b_override):
 def _boundary_profile(grid: Field2D, f: Nonlinearity, bweight: Weight):
     """j -> phi(xi M(d) + Phi(j)) at the interior nodes, or None without a profile.
 
-    This is the blow-up profile shifted to equal j on the boundary.  For
+    This is the blow-up profile shifted to equal j on the boundary, the
+    Newton start of solve_dirichlet and of every exhaust level.  For
     k = 1 the curvature factor is 1, so xi comes from xi_bounds with unit
     curvature bounds; on a convex domain with a constant weight it is a
     subsolution of the continuous problem.  The discrete solution can lie
@@ -440,21 +439,21 @@ def _shared_operators(grid: Field2D):
         _SHARED.reset(token)
 
 
-def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol,
-                    b_override=None, u0=None, max_newton=100):
+def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol, u0=None):
     """Solve Delta u = b f(u) with Dirichlet data g; returns a new Field2D.
 
-    Damped Newton to residual max-norm <= tol.  Without u0 the start is the
-    boundary profile phi(xi M(d) + Phi(j)) with j the mean boundary value,
-    or the constant j when b_override is given, the profile does not exist
-    or j <= 0.  Each step solves the Jacobian A - diag(b f'(u)) by multigrid
-    defect correction (_defect_correction) on levels sliced from the fine
-    lattice (_multigrid), built once per call or once per exhaust; f(u) is
-    evaluated once per trial point.  At scaled residual r the step is solved
-    to relative residual min(0.1, max(_FORCING, c r, 10 c tol / r)), c =
-    _FORCING_SLOPE (inexact Newton: the forcing term is O(r), which keeps
-    quadratic convergence); where f is affine, to min(_FORCING, max(0.1 tol
-    / r, _RTOL_FLOOR)) instead.  A loose direction need not lower the
+    The source is b = b_lower m(d)^2 from the weight (_source_b).  Damped
+    Newton to residual max-norm <= tol, in at most _MAX_NEWTON steps.
+    Without u0 the start is the boundary profile phi(xi M(d) + Phi(j)) with
+    j the mean boundary value (_boundary_profile), or the constant j when
+    the profile does not exist or j <= 0.  Each step solves the Jacobian
+    A - diag(b f'(u)) by multigrid defect correction (_defect_correction) on
+    levels sliced from the fine lattice (_multigrid), built once per call or
+    once per exhaust; f(u) is evaluated once per trial point.  At scaled
+    residual r the step is solved to relative residual min(0.1, max(_FORCING,
+    c r, 10 c tol / r)), c = _FORCING_SLOPE (inexact Newton: the forcing
+    term is O(r), which keeps quadratic convergence); where f is affine, to
+    min(_FORCING, max(0.1 tol / r, _RTOL_FLOOR)) instead.  A loose direction need not lower the
     max-norm residual: when its full step does not, the same iteration, with
     the same coarsest LU, continues to _FORCING and the line search restarts
     at the full step, and later steps are solved to _FORCING until a full
@@ -473,7 +472,7 @@ def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol,
     A, off, mg = _operators(grid)
     const, gvals = _boundary_terms(grid, off, g)
     abs_diag = np.abs(A.diagonal())
-    b = _source_b(grid, bweight, b_override)
+    b = _source_b(grid, bweight)
     f_raw = vectorized(f.f)
     fp_raw = vectorized(f.f_prime)
     fv = lambda u: np.asarray(f_raw(np.maximum(u, 1e-12)), float)
@@ -483,7 +482,7 @@ def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol,
         u, start = np.array(u0, dtype=float, copy=True), "given"
     else:
         j = float(np.nanmean(gvals))
-        profile = None if b_override is not None else _boundary_profile(grid, f, bweight)
+        profile = _boundary_profile(grid, f, bweight)
         u = None if profile is None else profile(j)
         start = "constant" if u is None else "profile"
         if u is None:
@@ -501,7 +500,7 @@ def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol,
     history = [norm]
     factorizations = cycles = 0
     tight = False  # a loose step was refined and no full step has been taken since
-    for _ in range(max_newton):
+    for _ in range(_MAX_NEWTON):
         if norm <= tol or at_floor:
             break
         bfp = b * fpv(u)
@@ -552,7 +551,7 @@ def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol,
         del delta, solve, res_try  # not held through the next step's solve
         history.append(norm)
     else:
-        raise SolveFailure(f"Newton did not converge in {max_newton} steps", residuals=history)
+        raise SolveFailure(f"Newton did not converge in {_MAX_NEWTON} steps", residuals=history)
 
     return grid.with_values(u, meta={
         **grid.meta, "tol": tol, "newton_iters": len(history) - 1,
@@ -560,8 +559,7 @@ def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol,
         "residual_history": history})
 
 
-def exhaust(grid: Field2D, f: Nonlinearity, bweight: Weight, j_schedule, tol,
-            b_override=None, **solve_kw):
+def exhaust(grid: Field2D, f: Nonlinearity, bweight: Weight, j_schedule, tol):
     """Increasing boundary-data sweep with continuation; returns (limit, diagnostics).
 
     Each level starts from the boundary profile for its j, raised to the
@@ -579,7 +577,7 @@ def exhaust(grid: Field2D, f: Nonlinearity, bweight: Weight, j_schedule, tol,
         raise ParameterError("boundary-data schedule must be strictly increasing")
     diam = 2.0 * max(grid.domain.half_extents)
     core = grid.node_d >= 0.2 * diam
-    profile = None if b_override is not None else _boundary_profile(grid, f, bweight)
+    profile = _boundary_profile(grid, f, bweight)
     fields, u_prev = [], None
     diags = {"j": [], "increment_min": [], "increment_max": [], "core_increment": [],
              "cauchy_ratio": [], "center_value": [], "newton_iters": [],
@@ -593,8 +591,7 @@ def exhaust(grid: Field2D, f: Nonlinearity, bweight: Weight, j_schedule, tol,
             elif u_prev is not None:
                 u0 = np.maximum(u_prev, u0)
             try:
-                fld = solve_dirichlet(grid, f, bweight, j, tol, b_override=b_override,
-                                      u0=u0, **solve_kw)
+                fld = solve_dirichlet(grid, f, bweight, j, tol, u0=u0)
             except SolveFailure as exc:
                 exc.partial = fields  # completed levels so far
                 raise
@@ -630,19 +627,15 @@ class Report2D:
     meta: dict = field(default_factory=dict)
 
 
-def asymptotics_report_2d(fld: Field2D, p: ProfileFns, xi, bin_edges=None,
-                          n_bins=6, d_max=None, prev_values=None):
-    """Per-bin min/median/max of u / phi(xi M(d)) over boundary-collar nodes.
+def asymptotics_report_2d(fld: Field2D, p: ProfileFns, xi, bin_edges, prev_values=None):
+    """Per-bin min/median/max of u / phi(xi M(d)) over the nodes in each [lo, hi) of bin_edges.
 
     When the previous exhaustion iterate is supplied, bins where the median
     ratio still moves by more than 1% are flagged as truncation-dominated.
+    Raises ReportTruncated, with the rows so far, at the first empty bin.
     """
     d = fld.node_d
     u = fld.interior_values()
-    if bin_edges is None:
-        top = 0.2 * fld.domain.char_radius if d_max is None else float(d_max)
-        lo = max(float(d.min()), 1e-6 * top)
-        bin_edges = np.geomspace(lo * 1.0001, top, n_bins + 1)
     bin_edges = np.asarray(bin_edges, dtype=float)
 
     rows = []

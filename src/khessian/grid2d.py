@@ -34,10 +34,6 @@ class Disk:
     def half_extents(self):
         return self.R, self.R
 
-    @property
-    def char_radius(self):
-        return self.R
-
     def inside(self, x, y):
         return np.asarray(x) ** 2 + np.asarray(y) ** 2 < self.R**2
 
@@ -70,10 +66,6 @@ class Ellipse:
     @property
     def half_extents(self):
         return self.a, self.b
-
-    @property
-    def char_radius(self):
-        return self.b
 
     def inside(self, x, y):
         return (np.asarray(x) / self.a) ** 2 + (np.asarray(y) / self.b) ** 2 < 1.0

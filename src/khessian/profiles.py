@@ -53,11 +53,16 @@ __all__ = [
     "profile_table",
 ]
 
+# C_f: probes H'(s) Phi(s) at s = 2**i, i < _CF_TERMS, whose last three Aitken values
+# must agree to _CF_OSC_TOL relative; C_m: the probes stop once theirs agree to _CM_OSC_TOL
+_CF_TERMS, _CF_OSC_TOL = 40, 1e-3
+_CM_OSC_TOL = 1e-7
+
 
 class Profile:
     """Weight-independent profile machinery for one (f, k) pair."""
 
-    def __init__(self, nl: Nonlinearity, k: int, per_decade: int = 64):
+    def __init__(self, nl: Nonlinearity, k: int):
         if int(k) < 1:
             raise ParameterError(f"order k must be >= 1, got {k}")
         self.k = int(k)
@@ -86,9 +91,7 @@ class Profile:
             tail_hint = (nl.gamma + 1.0) / kp1
         elif nl.kind == "custom" and nl.tail_exponent_hint is not None:
             tail_hint = (nl.tail_exponent_hint + 1.0) / kp1
-        self._ko = DecayingTailIntegral(
-            inv_H, per_decade=per_decade, tail_hint=tail_hint, name="profile integral"
-        )
+        self._ko = DecayingTailIntegral(inv_H, tail_hint=tail_hint, name="profile integral")
 
     # -- basic functions ----------------------------------------------------
 
@@ -143,9 +146,9 @@ class Profile:
         return self.phi_jet(t)[2]
 
 
-def build_profile(nl, k, per_decade=64):
+def build_profile(nl, k):
     """Construct the weight-independent profile machinery."""
-    return Profile(nl, k, per_decade=per_decade)
+    return Profile(nl, k)
 
 
 def _aitken(seq):
@@ -175,14 +178,14 @@ def _detect_limit(seq, osc_tol, what):
     return tail[-1]
 
 
-def compute_Cf(p: Profile, s0=1.0, max_terms=40, osc_tol=1e-3):
-    """Limit constant of H'(s) Phi(s) along s = s0 * 2**i, Aitken-accelerated."""
-    s = s0 * 2.0 ** np.arange(max_terms)
+def compute_Cf(p: Profile):
+    """Limit constant of H'(s) Phi(s) along s = 2**i, Aitken-accelerated."""
+    s = 2.0 ** np.arange(_CF_TERMS)
     with np.errstate(over="ignore", invalid="ignore"):
         hp = np.asarray(p.H_prime(s), dtype=float)
         s = s[: _finite_prefix(hp)]  # Phi only where H' is finite
         v = hp[: s.size] * p.Phi(s)
-    return _detect_limit(v[: _finite_prefix(v)].tolist(), osc_tol, "C_f probe sequence")
+    return _detect_limit(v[: _finite_prefix(v)].tolist(), _CF_OSC_TOL, "C_f probe sequence")
 
 
 def _finite_prefix(x):
@@ -191,7 +194,7 @@ def _finite_prefix(x):
     return int(bad[0]) if bad.size else len(x)
 
 
-def build_weight(w: Weight, per_decade=64, osc_tol=1e-7):
+def build_weight(w: Weight):
     """Cumulative weight M and the limit constant C_m of (M/m)' at 0+.
 
     M uses the closed form for built-in kinds and a quadrature table for
@@ -217,7 +220,7 @@ def build_weight(w: Weight, per_decade=64, osc_tol=1e-7):
         if len(seq) >= 6:
             acc = _aitken(seq)
             tail = acc[-3:]
-            if max(tail) - min(tail) <= osc_tol * max(abs(tail[-1]), 1e-300):
+            if max(tail) - min(tail) <= _CM_OSC_TOL * max(abs(tail[-1]), 1e-300):
                 return M, float(tail[-1])
     return M, float(_detect_limit(seq, 1e-4, "C_m probe sequence"))
 
@@ -225,7 +228,7 @@ def build_weight(w: Weight, per_decade=64, osc_tol=1e-7):
 class PsiPair:
     """Inverse pair built from f**(-1/k): Psi and its inverse psi."""
 
-    def __init__(self, nl: Nonlinearity, k: int, per_decade: int = 64):
+    def __init__(self, nl: Nonlinearity, k: int):
         self.k = int(k)
         f = vectorized(nl.f)
 
@@ -235,9 +238,8 @@ class PsiPair:
                 return np.where(np.isfinite(v), v, np.inf) ** (-1.0 / k)
 
         tail_hint = nl.gamma / k if nl.kind == "power" else None
-        self._table = DecayingTailIntegral(
-            integrand, per_decade=per_decade, tail_hint=tail_hint, name="subsolution integral"
-        )
+        self._table = DecayingTailIntegral(integrand, tail_hint=tail_hint,
+                                           name="subsolution integral")
         self._f = f
         self._self_check()
 
@@ -412,15 +414,15 @@ def power_law_asymptote(k, gamma, l0, L0, alpha=None):
     )
 
 
-def check_limit_Ff(p: Profile, i_lo=5, i_hi=30):
-    """Probe F(s)**(k/(k+1))/f(s) on s = 2**i and return the last finite value.
+def check_limit_Ff(p: Profile):
+    """Probe F(s)**(k/(k+1))/f(s) on s = 2**i, i = 5..30, and return the last finite value.
 
     The ratio must tend to 0 for the blow-up machinery to work; the returned
     value is the estimate at the largest finite probe (a sanity diagnostic,
     not a certified bound).
     """
     last = math.inf
-    for i in range(i_lo, i_hi + 1):
+    for i in range(5, 31):
         with np.errstate(over="ignore", invalid="ignore"):
             r = float(p.Ff_ratio(2.0**i))
         if not math.isfinite(r):

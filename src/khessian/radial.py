@@ -71,9 +71,9 @@ class RadialProblem:
             raise ParameterError(f"ball radius must be positive, got {self.R}")
 
     @staticmethod
-    def from_weight(n, k, R, f, weight: Weight, base=None):
-        """Compose b(r) = base * m(R - r)**(k+1) from a boundary weight."""
-        base = weight.b_lower if base is None else float(base)
+    def from_weight(n, k, R, f, weight: Weight):
+        """Compose b(r) = b_lower * m(R - r)**(k+1) from a boundary weight."""
+        base = weight.b_lower
         m = vectorized(weight.m)
         # a constant weight gives one number, computed here rather than per IVP stage
         b_const = base * float(weight.const) ** (k + 1.0) if weight.kind == "constant" else None
@@ -106,18 +106,23 @@ class RadialSolution:
 # alone keeps the two within about 4e-15 up to n = 30
 _PARTIAL_AGREE = 1e-14
 
+# uniform panels of the torsion tables on [0, R]; 512 times a power of two, so
+# that every (_TORSION_PANELS / 512)-th node is bitwise linspace(0, R, 513), the
+# radii of the 513 torsion samples
+_TORSION_PANELS = 2048
+
 
 class _CumulativeUniform:
-    """int_0^r fn on a uniform grid with per-segment Gauss-Legendre panels.
+    """int_0^r fn on ``_TORSION_PANELS`` uniform Gauss-Legendre panels of [0, R].
 
     The table keeps fn's values at every panel's Gauss nodes (``points``), so
     ``at_points`` gives int_0^x fn at each of those nodes from one pass of
     fn.  ``vals``, when given, are fn's values at ``points``.
     """
 
-    def __init__(self, fn, R, n_seg=2048, vals=None):
+    def __init__(self, fn, R, vals=None):
         self.fn = fn
-        self.nodes = np.linspace(0.0, float(R), n_seg + 1)
+        self.nodes = np.linspace(0.0, float(R), _TORSION_PANELS + 1)
         self.h = self.nodes[1] - self.nodes[0]
         self.points, self.half = panel_points(self.nodes[:-1], self.nodes[1:])
         self.vals = np.asarray(fn(self.points) if vals is None else vals, dtype=float)
@@ -149,7 +154,7 @@ class _CumulativeUniform:
         return out
 
 
-def solve_torsion(prob: RadialProblem, n_seg=2048):
+def solve_torsion(prob: RadialProblem):
     """Solve S_k(D^2 w) = b with w = 0 on the boundary, radially.
 
     Uses the exact divergence-form reduction
@@ -159,16 +164,16 @@ def solve_torsion(prob: RadialProblem, n_seg=2048):
     nodes, and so the w' that the outer table integrates, comes from the
     panel values by spectral integration, except on the leading panels
     where G is still small against that integration's error (see
-    ``_CumulativeUniform.at_points``).  When n_seg is a multiple of 512 the
-    513 samples of w and w' are read off every (n_seg / 512)-th table node;
-    otherwise they are taken at linspace(0, R, 513) by the callables.
+    ``_CumulativeUniform.at_points``).  The 513 samples of w and w' at
+    linspace(0, R, 513) are read off every (_TORSION_PANELS / 512)-th table
+    node.
     Returns a RadialSolution with attached analytic-grade callables for w,
     w', w'' at any r, which take G and w from one more Gauss panel each.
     """
     n, k, R = prob.n, prob.k, prob.R
     c = math.comb(n - 1, k - 1)
     bfn = vectorized(prob.b)
-    moment = _CumulativeUniform(lambda s: np.asarray(s, float) ** (n - 1) * np.asarray(bfn(s), float), R, n_seg)
+    moment = _CumulativeUniform(lambda s: np.asarray(s, float) ** (n - 1) * np.asarray(bfn(s), float), R)
 
     def slope(r, G):
         """w' at r from the moment G(r)."""
@@ -180,7 +185,7 @@ def solve_torsion(prob: RadialProblem, n_seg=2048):
     def wp(r):
         return slope(r, moment.value(r))
 
-    accum = _CumulativeUniform(wp, R, n_seg, vals=slope(moment.points, moment.at_points()))
+    accum = _CumulativeUniform(wp, R, vals=slope(moment.points, moment.at_points()))
     WR = float(accum.value(R))
 
     def w(r):
@@ -196,17 +201,12 @@ def solve_torsion(prob: RadialProblem, n_seg=2048):
         out = t1 + t2
         return np.where(r > 0.0, out, np.nan)
 
-    if n_seg % 512 == 0:  # bitwise linspace(0, R, 513) when n_seg is 512 * 2^j
-        stride = n_seg // 512
-        rs = accum.nodes[::stride]
-        u, u1 = accum.prefix[::stride] - WR, slope(rs, moment.prefix[::stride])
-    else:
-        rs = np.linspace(0.0, R, 513)
-        u, u1 = np.asarray(w(rs), float), np.asarray(wp(rs), float)
+    stride = _TORSION_PANELS // 512
+    rs = accum.nodes[::stride]
     return RadialSolution(
         r=rs,
-        u=u,
-        u1=u1,
+        u=accum.prefix[::stride] - WR,
+        u1=slope(rs, moment.prefix[::stride]),
         Rstar=R,
         meta={"kind": "torsion", "n": n, "k": k, "R": R},
         value=lambda r: w(r),
@@ -315,10 +315,12 @@ def _blowup_remainder(u, v, upp):
 
 # default cap on u and u' at which the blow-up IVP stops and locates the crossing
 IVP_CAP = 1e12
+_MAX_STEPS = 3_000_000  # steps before an IVP that has neither crossed a cap nor stalled fails
+# the shot's first u0, the tolerance of its bracket IVPs and its most factors of 4 either way
+_U0_INIT, _COARSE_TOL, _MAX_EXPAND = 1.0, 1e-8, 60
 
 
-def integrate_blowup_ivp(prob: RadialProblem, u0, tol, u_cap=IVP_CAP, v_cap=IVP_CAP,
-                         max_steps=3_000_000):
+def integrate_blowup_ivp(prob: RadialProblem, u0, tol, u_cap=IVP_CAP, v_cap=IVP_CAP):
     """Integrate outward from the centre until the solution blows up.
 
     Adaptive Cash-Karp 5(4) with per-step error <= tol (mixed absolute /
@@ -338,13 +340,17 @@ def integrate_blowup_ivp(prob: RadialProblem, u0, tol, u_cap=IVP_CAP, v_cap=IVP_
     midpoint when the interpolate leaves it and stops at adjacent floats.
     Rstar combines the Richardson-extrapolated crossing location of the two
     and the local blow-up model remainder.  The start state (u0, 0) must lie
-    below both caps.
+    below both caps, and so must the series state at r = 1e-8 R from which
+    the integration starts, when it is finite (ParameterError otherwise).
     """
+    def check_below_caps(r, u, v):
+        if not (u < u_cap and v < v_cap):
+            raise ParameterError(f"start state (u, u') = ({u:.6g}, {v:.6g}) at r={r:g} must lie "
+                                 f"below the blow-up caps u_cap={u_cap:g}, v_cap={v_cap:g}")
+
     if u0 <= 0.0:
         raise ParameterError(f"initial value must be positive, got {u0}")
-    if not (u0 < u_cap and v_cap > 0.0):
-        raise ParameterError(f"start state (u0, u') = ({u0}, 0) must lie below the blow-up caps "
-                             f"u_cap={u_cap:g}, v_cap={v_cap:g}")
+    check_below_caps(0.0, u0, 0.0)
     if tol <= 0.0:
         raise ParameterError(f"tolerance must be positive, got {tol}")
     n, k, R = prob.n, prob.k, prob.R
@@ -359,6 +365,8 @@ def integrate_blowup_ivp(prob: RadialProblem, u0, tol, u_cap=IVP_CAP, v_cap=IVP_
     c0 = (b0 * f0 / math.comb(n, k)) ** (1.0 / k)
     r = 1e-8 * float(R)
     y = (float(u0) + 0.5 * c0 * r * r, c0 * r)
+    if all(map(math.isfinite, y)):  # an overflowing f(u0) is left to the step rejections
+        check_below_caps(r, *y)
     k1 = rhs(r, y)  # first stage of every step from (r, y)
 
     rs, us, vs = [r], [y[0]], [y[1]]
@@ -413,7 +421,7 @@ def integrate_blowup_ivp(prob: RadialProblem, u0, tol, u_cap=IVP_CAP, v_cap=IVP_
         r_star = rc1 + (rc1 - rc0) / 31.0
         return r_star, yc1
 
-    while steps < max_steps:
+    while steps < _MAX_STEPS:
         steps += 1
         if h < 32.0 * eps * r:
             rem = _blowup_remainder(y[0], y[1], k1[1])
@@ -460,7 +468,7 @@ def integrate_blowup_ivp(prob: RadialProblem, u0, tol, u_cap=IVP_CAP, v_cap=IVP_
         h *= min(5.0, max(0.2, 0.9 * (enorm + 1e-16) ** -0.2))
     else:
         raise IntegrationFailure(
-            f"no blow-up detected in {max_steps} steps",
+            f"no blow-up detected in {_MAX_STEPS} steps",
             solution=RadialSolution(
                 r=np.array(rs), u=np.array(us), u1=np.array(vs), Rstar=None,
                 meta={"termination": "max_steps", "steps": steps},
@@ -577,31 +585,30 @@ def _scaling_u0(prob: RadialProblem):
     return None
 
 
-def shoot_blowup_radius(prob: RadialProblem, target=None, tol=1e-9, coarse_tol=1e-8,
-                        u0_init=1.0, max_expand=60):
-    """Find u0 such that the blow-up radius equals ``target`` (default prob.R).
+def shoot_blowup_radius(prob: RadialProblem, tol=1e-9):
+    """Find u0 such that the blow-up radius equals prob.R.
 
     With a constant weight and f = e^(a u) or u^gamma (gamma > k) the
     equation's scaling gives u0 in closed form: u0 + (2k/a) log R*, or
     u0 R*^(2k/(gamma-k)), is the same for every solution.  The shot then
-    integrates at ``tol`` from ``u0_init``, predicts u0 from its R*, and
+    integrates at ``tol`` from ``_U0_INIT``, predicts u0 from its R*, and
     integrates at ``tol`` again from that u0; it returns this second
-    solution when its |log(R* / target)| <= tol (path "scaling").
+    solution when its |log(R* / R)| <= tol (path "scaling").
 
     Otherwise (path "bracket"), R*(u0) being strictly decreasing in u0
     (comparison principle), the bracket is expanded by factors of 4 from
-    ``u0_init`` at ``coarse_tol``, with every u0 below ``IVP_CAP``, then
-    Brent's method finds the root of log(R*(u0) / target) in x = u0 for
-    exponential f and in x = log u0 for every other kind, and one final IVP
-    at ``tol`` is made from that root.
+    ``_U0_INIT`` at ``_COARSE_TOL``, with every u0 below ``IVP_CAP`` and
+    every series start below the caps, then Brent's method finds the root of
+    log(R*(u0) / R) in x = u0 for exponential f and in x = log u0 for every
+    other kind, and one final IVP at ``tol`` is made from that root.
 
     Returns (u0, solution-at-tol); the solution's meta["shot"] holds the
     path and counts every IVP of the shot, with their total steps and
-    rejections.  Raises SolveFailure, with the solution in ``partial``, when
-    its R* misses the target by more than 1e-6 relative.
+    rejections.  Raises SolveFailure, carrying those counts in ``shot``,
+    when the bracket cannot be closed, or, with the solution in
+    ``partial``, when its R* misses R by more than 1e-6 relative.
     """
-    target = prob.R if target is None else float(target)
-    u0_init = float(u0_init)
+    target = prob.R
     shot = {"path": "scaling", "ivps": 0, "steps": 0, "rejected": 0}
 
     def ivp(u0, ivp_tol):
@@ -615,13 +622,13 @@ def shoot_blowup_radius(prob: RadialProblem, target=None, tol=1e-9, coarse_tol=1
         sol.meta["shot"] = shot
         if abs(sol.Rstar / target - 1.0) > 1e-6:
             raise SolveFailure(f"shot missed the target blow-up radius: R*={sol.Rstar:.9g} "
-                               f"for target {target:.9g} at u0={u0:.9g}", partial=[sol])
+                               f"for target {target:.9g} at u0={u0:.9g}", partial=[sol], shot=shot)
         return u0, sol
 
     rescale = _scaling_u0(prob)
     if rescale is not None:
         try:
-            u0 = rescale(u0_init, ivp(u0_init, tol).Rstar / target)
+            u0 = rescale(_U0_INIT, ivp(_U0_INIT, tol).Rstar / target)
         except OverflowError:
             u0 = math.inf
         if 0.0 < u0 < IVP_CAP:
@@ -634,24 +641,27 @@ def shoot_blowup_radius(prob: RadialProblem, target=None, tol=1e-9, coarse_tol=1
     to_u0, to_x = (float, float) if exponential else (math.exp, math.log)
 
     def gap(u0):
-        return math.log(ivp(u0, coarse_tol).Rstar / target)
+        return math.log(ivp(u0, _COARSE_TOL).Rstar / target)
 
-    lo = hi = u0_init
+    lo = hi = _U0_INIT
     glo = ghi = gap(lo)
-    for _ in range(max_expand):
+    for _ in range(_MAX_EXPAND):
         if glo > 0.0:
             break
         lo /= 4.0
         glo = gap(lo)
     else:
-        raise SolveFailure("could not bracket the target blow-up radius from below")
-    for _ in range(max_expand):
+        raise SolveFailure("could not bracket the target blow-up radius from below", shot=shot)
+    for _ in range(_MAX_EXPAND):
         if ghi < 0.0 or not 4.0 * hi < IVP_CAP:
             break
+        try:
+            ghi = gap(4.0 * hi)
+        except ParameterError:  # the series start from 4 hi already lies past a cap
+            break
         hi *= 4.0
-        ghi = gap(hi)
     if not ghi < 0.0:
-        raise SolveFailure("could not bracket the target blow-up radius from above")
+        raise SolveFailure("could not bracket the target blow-up radius from above", shot=shot)
     xtol = 1e-13 * max(1.0, lo) if exponential else 1e-13
     x = _brent_root(lambda x: gap(to_u0(x)), to_x(lo), to_x(hi), glo, ghi, xtol=xtol,
                     rtol=8.9e-16, maxiter=200)
@@ -676,7 +686,10 @@ def _exhaustion_banded(alpha, dflux, centre, reaction):
     return ab
 
 
-def solve_exhaustion_bvp(prob: RadialProblem, j_schedule, grid_h, tol, max_newton=100):
+_MAX_NEWTON = 100  # Newton steps per boundary value before the exhaustion scheme fails
+
+
+def solve_exhaustion_bvp(prob: RadialProblem, j_schedule, grid_h, tol):
     """Monotone boundary-data exhaustion: solve with u(R) = j for each j.
 
     Conservative flux discretisation of the radial divergence form on a
@@ -738,7 +751,7 @@ def solve_exhaustion_bvp(prob: RadialProblem, j_schedule, grid_h, tol, max_newto
         res, g = residual(U, j)
         norm = scaled_norm(res, U)
         history = [norm]
-        for it in range(max_newton):
+        for it in range(_MAX_NEWTON):
             if norm <= tol:
                 break
             ab = jacobian_banded(U, g)
@@ -760,7 +773,7 @@ def solve_exhaustion_bvp(prob: RadialProblem, j_schedule, grid_h, tol, max_newto
             history.append(norm)
         else:
             raise SolveFailure(
-                f"Newton did not converge in {max_newton} steps at j={j}", residuals=history
+                f"Newton did not converge in {_MAX_NEWTON} steps at j={j}", residuals=history
             )
         full = np.concatenate([U, [j]])
         u1 = np.gradient(full, r)
@@ -801,9 +814,8 @@ def _hermite(x, y, dy, xq):
             + (3.0 * t2 - 2.0 * t3) * y[i + 1] + (t3 - t2) * h * dy[i + 1])
 
 
-def asymptotics_report(sol: RadialSolution, p: ProfileFns, xi, d_values=None,
-                       d_hi=None, decades=2.0, per_decade=8):
-    """Compare u against phi(xi M(d)) on a geometric ladder of distances.
+def asymptotics_report(sol: RadialSolution, p: ProfileFns, xi, d_values):
+    """Compare u against phi(xi M(d)) at the distances ``d_values`` from the blow-up.
 
     u at a distance d is the cubic Hermite interpolant of the solution's own
     (r, u, u') samples in the variable log d, with slopes du/dlog d = -d u'.
@@ -811,9 +823,9 @@ def asymptotics_report(sol: RadialSolution, p: ProfileFns, xi, d_values=None,
     (power f) in log d, so this is far more accurate than interpolating in
     r at the solver's step sizes.
 
-    Default ladder: from d_hi = 0.1 Rstar down the requested number of
-    decades.  Raises ReportTruncated (carrying the resolved rows) when the
-    solution samples do not reach the requested distances.
+    Rows run from the largest distance down.  Raises ReportTruncated
+    (carrying the resolved rows) when a distance lies outside (0, Rstar) or
+    the solution samples do not reach it.
     """
     if sol.Rstar is None:
         raise ParameterError("solution carries no blow-up radius")
@@ -825,17 +837,9 @@ def asymptotics_report(sol: RadialSolution, p: ProfileFns, xi, d_values=None,
     d_min_avail = float(d_samp[good].min())
     d_max_avail = float(d_samp[good].max())
 
-    explicit = d_values is not None
-    if explicit:
-        ladder = np.sort(np.asarray(d_values, dtype=float))[::-1]
-        if np.any(ladder <= 0.0) or np.any(ladder >= Rstar):
-            raise ReportTruncated(
-                "requested distances outside (0, Rstar)", rows=np.empty((0, 4))
-            )
-    else:
-        top = 0.1 * Rstar if d_hi is None else float(d_hi)
-        npts = int(round(decades * per_decade)) + 1
-        ladder = top * 10.0 ** (-np.arange(npts) / per_decade)
+    ladder = np.sort(np.asarray(d_values, dtype=float))[::-1]
+    if np.any(ladder <= 0.0) or np.any(ladder >= Rstar):
+        raise ReportTruncated("requested distances outside (0, Rstar)", rows=np.empty((0, 4)))
 
     usable = (ladder >= d_min_avail) & (ladder <= d_max_avail)
     d = ladder[usable]

@@ -70,7 +70,7 @@ class TestCompositeEigs:
         # prefactor times [B sigma_{j-1}(tilted) + A sigma_j(tilted)]
         p = assemble_profile(Nonlinearity.power(5), W1, 2)
         geom = ball_geometry(3, 2, 1.0)
-        bp = make_barrier_params(p, geom, eps=0.1, delta_eps=0.05)
+        bp = make_barrier_params(p, geom, eps=0.1, delta_eps=0.05, sigma_shift=0.1 * 0.05)
         upper, _ = build_barriers(p, geom, bp)
         xi = bp.xi_eps_lower
         rng = np.random.default_rng(17)
@@ -107,7 +107,8 @@ class TestHalton:
 
     def test_collar_samples_use_the_points(self):
         p = assemble_profile(Nonlinearity.power(5), W1, 2)
-        bp = make_barrier_params(p, ball_geometry(3, 2, 1.0), eps=0.1, delta_eps=0.05)
+        bp = make_barrier_params(p, ball_geometry(3, 2, 1.0), eps=0.1, delta_eps=0.05,
+                                 sigma_shift=0.1 * 0.05)
         unit = scrambled_halton(64, 3)
         for kind in ("super", "sub"):
             pts = collar_samples(bp, kind, 64, seed=3)
@@ -121,7 +122,7 @@ class TestBarrierParams:
         p = assemble_profile(Nonlinearity.power(5), W1, 2)
         geom = ball_geometry(3, 2, 1.0)
         with pytest.raises(ParameterError):
-            make_barrier_params(p, geom, eps=0.6, delta_eps=0.05)
+            make_barrier_params(p, geom, eps=0.6, delta_eps=0.05, sigma_shift=0.1 * 0.05)
         with pytest.raises(ParameterError):
             make_barrier_params(p, geom, eps=0.1, delta_eps=0.05, sigma_shift=0.06)
 
@@ -131,7 +132,8 @@ class TestBarrierParams:
         for C_f, C_m in ((1.0, 0.0), (-1.0, 0.5)):
             bad = dataclasses.replace(p, C_f=C_f, C_m=C_m)
             with pytest.raises(ConditionViolation) as ei:
-                make_barrier_params(bad, ball_geometry(2, 1, 1.0), eps=0.1, delta_eps=0.05)
+                make_barrier_params(bad, ball_geometry(2, 1, 1.0), eps=0.1, delta_eps=0.05,
+                                    sigma_shift=0.1 * 0.05)
             assert ei.value.label == "(1.5)"
 
     def test_xi_eps_first_order_in_eps(self):
@@ -140,7 +142,7 @@ class TestBarrierParams:
         lo, hi = xi_bounds(p.weight, geom.L0, geom.l0, p.C_f, p.C_m, p.k)
         errs_lo, errs_hi = [], []
         for eps in (0.1, 0.01, 0.001):
-            bp = make_barrier_params(p, geom, eps=eps, delta_eps=0.05)
+            bp = make_barrier_params(p, geom, eps=eps, delta_eps=0.05, sigma_shift=0.1 * 0.05)
             errs_lo.append(abs(bp.xi_eps_lower - lo))
             errs_hi.append(abs(bp.xi_eps_upper - hi))
         for errs in (errs_lo, errs_hi):
@@ -203,7 +205,7 @@ class TestCollarRatios:
         # the jet's phi at the barrier's own distances is the phi that collar_ratios inverts
         p = assemble_profile(nl, w, k)
         geom = ball_geometry(n, k, 1.0)
-        bp = make_barrier_params(p, geom, 0.1, 0.05)
+        bp = make_barrier_params(p, geom, 0.1, 0.05, 0.1 * 0.05)
         for barrier, kind in zip(build_barriers(p, geom, bp), ("super", "sub")):
             ds = collar_samples(bp, kind, 64, seed=2)[:, 0]
             d_shift = ds + barrier.shift
@@ -219,7 +221,7 @@ class TestCollarRatios:
     def test_one_phi_inversion_per_verify(self, monkeypatch, kind):
         p = assemble_profile(Nonlinearity.power(5), W1, 2)
         geom = ball_geometry(3, 2, 1.0)
-        bp = make_barrier_params(p, geom, 0.1, 0.05)
+        bp = make_barrier_params(p, geom, 0.1, 0.05, 0.1 * 0.05)
         upper, lower = build_barriers(p, geom, bp)
         calls = []
         real = type(p.profile).phi
@@ -313,12 +315,12 @@ class TestVerification:
         assert (rep.passed, rep.worst_margin, rep.sup_sigma_k_tilted) == (ok, worst, sup_tilt)
         assert rep.passed == (width < 0.1 or kind == "sub")
 
-    def test_oversized_collar_shrinks_not_fails(self):
-        # a too-large initial width may fail its report; the search shrinks
+    def test_oversized_collar_shrinks_not_fails(self, monkeypatch):
+        # a too-large initial width (0.5 here) may fail its report; the search shrinks
+        monkeypatch.setattr(barriers, "_WIDTH0_FRAC", 0.5)
         p = assemble_profile(Nonlinearity.power(5), W1, 2)
         geom = ball_geometry(3, 2, 1.0)
-        bp, rep_s, rep_l = certify_barriers(p, geom, Nonlinearity.power(5), W1,
-                                            eps=0.1, delta0=0.5)
+        bp, rep_s, rep_l = certify_barriers(p, geom, Nonlinearity.power(5), W1, eps=0.1)
         assert rep_s.passed and rep_l.passed
 
     def test_curvature_scaling_raises_amplitude(self):
@@ -343,7 +345,7 @@ class TestVerification:
     def test_sample_outside_collar_rejected(self):
         p = assemble_profile(Nonlinearity.power(5), W1, 2)
         geom = ball_geometry(3, 2, 1.0)
-        bp = make_barrier_params(p, geom, eps=0.1, delta_eps=0.02)
+        bp = make_barrier_params(p, geom, eps=0.1, delta_eps=0.02, sigma_shift=0.1 * 0.02)
         upper, _ = build_barriers(p, geom, bp)
         with pytest.raises(ParameterError):
             verify_supersolution(upper, p, geom, bp, Nonlinearity.power(5), W1,
@@ -373,7 +375,7 @@ class TestGlobalUpperBarrier:
         expected = (2.0**30) ** (-(gamma - k) / (k + 1.0))
         assert report["Ff_decay_probe"] < 10.0 * expected
 
-    def test_report_matches_per_radius_loop(self):
+    def test_report_matches_per_radius_loop(self, monkeypatch):
         # worst and the pass decision, recomputed here radius by radius from the rows;
         # eps = 4 fails everywhere, so its rows and worst margin reach the exception
         nl = Nonlinearity.power(5)
@@ -390,11 +392,13 @@ class TestGlobalUpperBarrier:
                 ok = ok and row["admissible"] and not row["margin"] < -1e-9 * rhs
             return worst, ok
 
-        eps, report = certify_upper_barrier_global(p, w, nl, B_ONE, eps_ladder=[4.0, 2.0, 1.0])
+        monkeypatch.setattr(barriers, "_EPS_LADDER", (4.0, 2.0, 1.0))
+        eps, report = certify_upper_barrier_global(p, w, nl, B_ONE)
         assert eps == 1.0 and len(report["samples"]) == 97
         assert loop(report["samples"]) == (report["worst_relative_margin"], True)
+        monkeypatch.setattr(barriers, "_EPS_LADDER", (2.0, 4.0))
         with pytest.raises(CertificationFailure) as info:
-            certify_upper_barrier_global(p, w, nl, B_ONE, eps_ladder=[2.0, 4.0])
+            certify_upper_barrier_global(p, w, nl, B_ONE)
         worst, ok = loop(info.value.report)
         assert not ok and len(info.value.report) == 97
         assert worst < info.value.worst_margin < 0.0  # eps = 2 was the better of the two

@@ -150,6 +150,7 @@ class TestRadialCommands:
         err = json.loads((out / "error.json").read_text())
         assert err["error"] == "SolveFailure"
         assert err["message"] == "could not bracket the target blow-up radius from above"
+        assert err["shot"]["path"] == "bracket" and err["shot"]["ivps"] >= 1
 
 
 class TestFdCommand:
@@ -350,6 +351,10 @@ VALIDATION = {
                     "initial value must be positive, got -1.0"),
     "u0-above-cap": ("command = radial-ivp\nn = 3\nk = 2\nf = power:5\nu0 = 1e13\n",
                      "must lie below the blow-up caps u_cap=1e+12"),
+    # u0 is below the caps, but u' of the series start at r = 1e-8 R is 1.8e19
+    "series-start-above-cap": ("command = radial-ivp\nn = 3\nk = 2\nf = power:5\nu0 = 1e11\n",
+                               "start state (u, u') = (1.91287e+11, 1.82574e+19) at r=1e-08 "
+                               "must lie below the blow-up caps"),
     "gap-1.5": (PROFILE + "cf = 1\ncm = 0\n", "(1.5) constant gap violated"),
     "slack-3.3": (BARRIER + "eps = 0.7\n", "(3.3) barrier slack must satisfy"),
     "ellipse-k3": ("command = profile\nn = 3\nk = 3\nf = power:5\ndomain = ellipse:1.2,1\n",

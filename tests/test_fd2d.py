@@ -114,17 +114,6 @@ class TestNewtonStart:
                               u0=constant_start(grid, 0.0))
         assert np.array_equal(fld.interior_values(), ref.interior_values())
 
-    def test_override_falls_back(self):
-        grid = build_grid(Disk(0.9), 1.0 / 32.0)
-        one = lambda x, y: np.ones_like(np.asarray(x, float))
-        f = Nonlinearity.exponential(2)
-        fld = solve_dirichlet(grid, f, W1, liouville_g, tol=1e-9, b_override=one)
-        assert fld.meta["start"] == "constant"
-        assert fld.meta["newton_iters"] == 7
-        ref = solve_dirichlet(grid, f, W1, liouville_g, tol=1e-9,
-                              u0=constant_start(grid, liouville_g))
-        assert np.array_equal(fld.interior_values(), ref.interior_values())
-
     def test_nonpositive_boundary_value_falls_back(self):
         grid = build_grid(Disk(1.0), 1.0 / 16.0)
         fld = solve_dirichlet(grid, Nonlinearity.exponential(2), W1, -1.0, tol=1e-9)
@@ -251,13 +240,13 @@ class TestSolveFailure:
         assert grid.n_interior == 1
         bad_slope = Nonlinearity.custom(lambda s: np.asarray(s, float),
                                         lambda s: np.full_like(np.asarray(s, float), -1.0))
-        four = lambda x, y: np.full_like(np.asarray(x, float), 4.0)
+        four = Weight.constant(2.0)  # b = m^2 = 4; f(u) = u has no profile: the constant start
         with pytest.raises(SolveFailure, match="factorization") as info:
-            solve_dirichlet(grid, bad_slope, W1, 0.1, tol=1e-9, b_override=four)
+            solve_dirichlet(grid, bad_slope, four, 0.1, tol=1e-9)
         assert len(info.value.residuals) == 1 and info.value.residuals[0] > 1e-9
         # exhaust keeps its partial-results contract on the same failure
         with pytest.raises(SolveFailure) as info:
-            exhaust(grid, bad_slope, W1, [0.1, 0.2], tol=1e-9, b_override=four)
+            exhaust(grid, bad_slope, four, [0.1, 0.2], tol=1e-9)
         assert info.value.partial == []
 
     def test_partial_field(self):
@@ -270,19 +259,30 @@ class TestSourceValidation:
     LINEAR = Nonlinearity.custom(lambda s: np.asarray(s, float),
                                  lambda s: np.ones_like(np.asarray(s, float)))
 
+    @staticmethod
+    def weight_of(value):
+        """A custom weight with m = value everywhere, so that b = m^2."""
+        full = lambda t: np.full_like(np.asarray(t, float), value)
+        return Weight.custom(full, lambda t: np.zeros_like(np.asarray(t, float)), math.inf)
+
     @pytest.mark.parametrize("value", [-4.0, math.nan, math.inf])
     def test_bad_override_rejected(self, value):
-        # one node, f(u) = u, g = 1: with b = -4 the scaled norm 1 + b f(u) is
-        # negative, and the solve used to report convergence after 0 steps
+        # one node, f(u) = u, g = 1, source b = value: with b = -4 the scaled norm
+        # 1 + b f(u) is negative, and the solve used to report convergence after 0
+        # steps.  m = nan or inf gives b = value; b = -4 needs b_lower = -4, which
+        # the weight's own (b2) check refuses, so that weight is doctored past it
         grid = build_grid(Disk(1.0), 1.0)
-        source = lambda x, y: np.full_like(np.asarray(x, float), value)
-        with pytest.raises(ParameterError, match="(b2)"):
-            solve_dirichlet(grid, self.LINEAR, W1, 1.0, tol=1e-9, b_override=source)
+        if value < 0.0:
+            weight = Weight.constant(1.0)
+            object.__setattr__(weight, "b_lower", value)
+        else:
+            weight = self.weight_of(value)
+        with pytest.raises(ParameterError, match="source b must be finite and nonnegative"):
+            solve_dirichlet(grid, self.LINEAR, weight, 1.0, tol=1e-9)
 
     def test_zero_source_allowed(self):
         grid = build_grid(Disk(1.0), 1.0)
-        zero = lambda x, y: np.zeros_like(np.asarray(x, float))
-        fld = solve_dirichlet(grid, self.LINEAR, W1, 1.0, tol=1e-9, b_override=zero)
+        fld = solve_dirichlet(grid, self.LINEAR, self.weight_of(0.0), 1.0, tol=1e-9)
         assert fld.interior_values()[0] == pytest.approx(1.0, rel=1e-12)
 
 
