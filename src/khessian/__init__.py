@@ -29,7 +29,6 @@ from .radial import (
     RadialProblem,
     RadialSolution,
     asymptotics_report,
-    build_radial_subsolution,
     integrate_blowup_ivp,
     shoot_blowup_radius,
     solve_exhaustion_bvp,

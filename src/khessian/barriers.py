@@ -275,8 +275,8 @@ class MarginReport:
             "samples": self.samples,
         }
 
-    def to_json(self, indent=None):
-        return json.dumps(self.as_dict(), indent=indent, sort_keys=True)
+    def to_json(self):
+        return json.dumps(self.as_dict(), sort_keys=True)
 
 
 def scrambled_halton(n, seed=0):

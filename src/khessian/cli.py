@@ -13,7 +13,6 @@ the command never read, with the closest key it did when one is close.
 """
 
 import argparse
-import dataclasses
 import math
 import sys
 import time
@@ -32,7 +31,7 @@ from .barriers import (
 from .errors import ConditionViolation, KellerOssermanViolation, ParameterError
 from .grid2d import build_grid, parse_domain
 from .nonlinearity import Nonlinearity, Weight
-from .profiles import assemble_profile, condition15_gap, profile_table, xi_bounds
+from .profiles import assemble_profile, profile_table, xi_bounds
 from .radial import (
     RadialProblem,
     asymptotics_report,
@@ -122,15 +121,6 @@ def _parse_weight(spec, cfg):
     raise ParameterError(f"(b2) unknown weight kind {kind!r} (use constant:C or power:A)")
 
 
-def _bundle(cfg, nl, w, k):
-    """Assemble the profile bundle, honouring explicit constant overrides."""
-    p = assemble_profile(nl, w, k)
-    C_f = cfg.get("cf", float, p.C_f)
-    C_m = cfg.get("cm", float, p.C_m)
-    condition15_gap(C_f, C_m)
-    return dataclasses.replace(p, C_f=C_f, C_m=C_m)
-
-
 def _default_t_grid(cfg):
     tmin = cfg.get("t_min", float, 1e-3)
     tmax = cfg.get("t_max", float, 10.0)
@@ -165,7 +155,7 @@ def cmd_profile(cfg, outdir, base, quiet, runinfo):
     nl = _parse_nonlinearity(cfg.get("f", str, required=True))
     w = _parse_weight(cfg.get("weight", str, "constant:1"), cfg)
     geom = _geometry(cfg, cfg.get("n", int, max(2, k)), k)  # checks k before any profile is built
-    p = _bundle(cfg, nl, w, k)
+    p = assemble_profile(nl, w, k)
     xi = _resolve_xi(cfg, p, geom)
     ts = cfg.floats("t_grid") or _default_t_grid(cfg)
     sup = p.profile.phi_domain_sup()
@@ -259,7 +249,7 @@ def cmd_check_barrier(cfg, outdir, base, quiet, runinfo):
     w = _parse_weight(cfg.get("weight", str, "constant:1"), cfg)
     eps = cfg.get("eps", float, 0.1)
     geom = _geometry(cfg, n, k)  # checks k before any profile is built
-    p = _bundle(cfg, nl, w, k)
+    p = assemble_profile(nl, w, k)
     seed = cfg.get("seed", int, 0)
     nsamples = cfg.get("samples", int, 200)
     bp, rep_s, rep_l = certify_barriers(p, geom, nl, w, eps=eps, nsamples=nsamples, seed=seed)
@@ -287,7 +277,7 @@ def cmd_check_barrier(cfg, outdir, base, quiet, runinfo):
 
 def cmd_verify_asymptotics(cfg, outdir, base, quiet, runinfo):
     prob, nl, w = _radial_problem(cfg)
-    p = _bundle(cfg, nl, w, prob.k)
+    p = assemble_profile(nl, w, prob.k)
     geom = _geometry(cfg, prob.n, prob.k)
     xi = _resolve_xi(cfg, p, geom)
     tol = cfg.get("tol", float, 1e-9)

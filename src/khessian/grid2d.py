@@ -139,24 +139,23 @@ def parse_domain(spec):
 class Field2D:
     """Grid geometry plus one scalar field on the interior nodes.
 
-    ``mask``: 0 exterior, 1 interior, 2 boundary-adjacent interior.
-    ``nbr``: the neighbour's unknown number per direction (E, W, N, S), 0 on
+    Node i sits at (xs[node_ix[i]], ys[node_iy[i]]), at distance ``node_d[i]``
+    from the boundary, and carries the value ``u[i]``; nodes are numbered
+    row-major over (iy, ix).
+    ``nbr``: the neighbour's node number per direction (E, W, N, S), 0 on
     cut arms, which the solver drops when it builds its matrix.
     ``arm``: fractional arm length per direction (1 for uncut arms);
     ``arm_xy`` holds the boundary intersection for cut arms (NaN otherwise).
-    Unknowns are numbered row-major over (iy, ix).
     """
 
     domain: object
     h: float
     xs: np.ndarray
     ys: np.ndarray
-    mask: np.ndarray
-    dist: np.ndarray
-    values: np.ndarray
-    index: np.ndarray
     node_ix: np.ndarray
     node_iy: np.ndarray
+    node_d: np.ndarray
+    u: np.ndarray
     nbr: np.ndarray
     arm: np.ndarray
     arm_xy: np.ndarray
@@ -174,17 +173,11 @@ class Field2D:
     def node_y(self):
         return self.ys[self.node_iy]
 
-    @property
-    def node_d(self):
-        return self.dist[self.node_iy, self.node_ix]
-
     def interior_values(self):
-        return self.values[self.node_iy, self.node_ix]
+        return self.u
 
     def with_values(self, vec, meta=None):
-        vals = np.full_like(self.values, np.nan)
-        vals[self.node_iy, self.node_ix] = vec
-        out = replace(self, values=vals)
+        out = replace(self, u=np.array(vec, dtype=float))
         out.meta = dict(self.meta if meta is None else meta)
         return out
 
@@ -212,7 +205,6 @@ def build_grid(domain, h):
     nbr = np.zeros((m, 4), dtype=np.int32)  # stays 0 on cut arms
     arm = np.ones((m, 4))
     arm_xy = np.full((m, 4, 2), np.nan)
-    mask = inside.astype(np.int8)
 
     at = node_iy * nx + node_ix  # flat places: each neighbour is one take away
     for t, (dx, dy) in enumerate(_DIRS):
@@ -224,18 +216,11 @@ def build_grid(domain, h):
         arm[cut, t] = theta
         arm_xy[cut, t, 0] = x0 + theta * h * dx
         arm_xy[cut, t, 1] = y0 + theta * h * dy
-        mask[node_iy[cut], node_ix[cut]] = 2
 
-    dist = np.full((ny, nx), np.nan)
-    dist[node_iy, node_ix] = np.asarray(
-        domain.distance(xs[node_ix], ys[node_iy]), dtype=float
-    )
-
-    values = np.full((ny, nx), np.nan)
-    values[node_iy, node_ix] = 0.0
     return Field2D(
-        domain=domain, h=h, xs=xs, ys=ys, mask=mask, dist=dist, values=values,
-        index=index, node_ix=node_ix.astype(np.int32), node_iy=node_iy.astype(np.int32),
-        nbr=nbr, arm=arm, arm_xy=arm_xy,
+        domain=domain, h=h, xs=xs, ys=ys,
+        node_ix=node_ix.astype(np.int32), node_iy=node_iy.astype(np.int32),
+        node_d=np.asarray(domain.distance(xs[node_ix], ys[node_iy]), dtype=float),
+        u=np.zeros(m), nbr=nbr, arm=arm, arm_xy=arm_xy,
         meta={"h": h, "domain": domain.describe()},
     )

@@ -16,8 +16,11 @@ from .errors import KellerOssermanViolation, ParameterError
 __all__ = ["Nonlinearity", "Weight"]
 
 
-def _logspace(lo, hi, num):
-    return np.logspace(math.log10(lo), math.log10(hi), num)
+_SAMPLES = 200  # log-spaced points of the sampled (f1) and (b2) checks
+
+
+def _logspace(lo, hi):
+    return np.logspace(math.log10(lo), math.log10(hi), _SAMPLES)
 
 
 @dataclass(frozen=True)
@@ -100,9 +103,9 @@ class Nonlinearity:
             return np.expm1(self.rate * np.asarray(s, float)) / self.rate
         return None
 
-    def check_f1(self, lo=1e-6, hi=1e6, num=200):
+    def check_f1(self):
         """Sampled positivity/monotonicity check of condition (f1)."""
-        grid = _logspace(lo, hi, num)
+        grid = _logspace(1e-6, 1e6)
         with np.errstate(over="ignore"):
             vals = np.asarray(self.f(grid), float)
         finite = np.isfinite(vals)
@@ -209,10 +212,10 @@ class Weight:
             return np.asarray(t, float) ** (self.alpha + 1.0) / (self.alpha + 1.0)
         return None
 
-    def check_b2(self, num=200):
+    def check_b2(self):
         """Sampled positivity/monotonicity check of m on (0, delta0)."""
         hi = min(self.delta0, 1e6) * 0.999
-        grid = _logspace(hi * 1e-8, hi, num)
+        grid = _logspace(hi * 1e-8, hi)
         vals = np.asarray(self.m(grid), float)
         if not np.all(np.isfinite(vals)) or np.any(vals <= 0.0):
             raise ParameterError("(b2) weight m must be positive on (0, delta0)")

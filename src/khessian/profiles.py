@@ -8,8 +8,9 @@ For a nonlinearity f of order k the kit provides
 * ``H(s)``   ((k+1) F(s))**(1/(k+1)),
 * ``Phi(s)`` int_s^inf dtau/H(tau)  (finite iff the blow-up condition holds),
 * ``phi(t)`` the inverse of Phi -- the universal boundary blow-up shape,
-* ``PsiPair`` the analogous pair Psi/psi built from f**(-1/k), for the
-  sublevel subsolution psi(-w) (built on its own, not part of the bundle),
+* ``PsiPair`` the analogous pair Psi/psi built from f**(-1/k), whose
+  psi(-w), with w the torsion function, is the paper's lower barrier
+  (built on its own, not part of the bundle),
 * ``C_f``    lim H'(s) Phi(s), and for a weight m: M = int m and
   ``C_m``     lim (M/m)'(t) as t -> 0+.
 
@@ -57,6 +58,7 @@ __all__ = [
 # must agree to _CF_OSC_TOL relative; C_m: the probes stop once theirs agree to _CM_OSC_TOL
 _CF_TERMS, _CF_OSC_TOL = 40, 1e-3
 _CM_OSC_TOL = 1e-7
+_PSI_CHECK_REL = 5e-5  # relative slack of PsiPair's central-difference self-check
 
 
 class Profile:
@@ -257,7 +259,7 @@ class PsiPair:
     def psi_prime(self, t):
         return scalar_or_array(t, -np.asarray(self._f(self.psi(t)), dtype=float) ** (1.0 / self.k))
 
-    def _self_check(self, rel=1e-6):
+    def _self_check(self):
         # psi'(s) = -f(psi(s))**(1/k), checked by central differences at the
         # probes below half the supremum of Psi (1/(2a) for f = exp(a s), k = 1)
         ts = np.array([0.02, 0.07, 0.2, 0.7, 2.0])
@@ -265,7 +267,7 @@ class PsiPair:
         h = 1e-6 * ts
         fd = (self.psi(ts + h) - self.psi(ts - h)) / (2.0 * h)
         an = self.psi_prime(ts)
-        bad = np.abs(fd - an) > rel * np.maximum(np.abs(an), 1e-300) * 50
+        bad = np.abs(fd - an) > _PSI_CHECK_REL * np.maximum(np.abs(an), 1e-300)
         if bad.any():
             i = int(np.argmax(bad))
             raise KHessianError(

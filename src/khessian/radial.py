@@ -4,14 +4,13 @@ Contains the torsion-type auxiliary solve (right side b, zero boundary
 data: two cumulative Gauss tables on one set of panels, with b evaluated
 once per Gauss node and again only on a few leading panels), forward
 integration of the blow-up initial value problem with singularity
-detection, the monotone boundary-data exhaustion as a two-point boundary
-value scheme, the sublevel subsolution psi(-w) built from the torsion
-solution w and a ``profiles.PsiPair`` of the same (f, k), and
-boundary-asymptotics reports.
+detection, shooting of the blow-up radius, the monotone boundary-data
+exhaustion as a two-point boundary value scheme, and boundary-asymptotics
+reports.
 
 Every solve is single-threaded and deterministic; distinct solves share no
-mutable state.  The root finders (Brent, bisection, and the Illinois search
-for the IVP's cap crossing) and the Hermite interpolant of the reports are
+mutable state.  The root finders (Brent, and the Illinois search for the
+IVP's cap crossing) and the Hermite interpolant of the reports are
 written out here in plain floats and numpy; only the exhaustion scheme loads
 scipy, for its banded solve.
 """
@@ -32,7 +31,7 @@ from ._quad import (
 )
 from .errors import IntegrationFailure, ParameterError, ReportTruncated, SolveFailure
 from .nonlinearity import Nonlinearity, Weight
-from .profiles import ProfileFns, PsiPair, predicted_profile
+from .profiles import ProfileFns, predicted_profile
 
 __all__ = [
     "RadialProblem",
@@ -43,7 +42,6 @@ __all__ = [
     "solve_exhaustion_bvp",
     "AsymptoticsReport",
     "asymptotics_report",
-    "build_radial_subsolution",
 ]
 
 
@@ -540,31 +538,6 @@ def _brent_root(f, xa, xb, fa, fb, xtol, rtol, maxiter):
     raise SolveFailure(f"Brent root finding did not converge in {maxiter} iterations")
 
 
-def _bisect_root(f, xa, xb, xtol, maxiter):
-    """Root of f bracketed by [xa, xb] by bisection: the loop of scipy.optimize.bisect.
-
-    The relative tolerance is scipy's default, 4 eps.
-    """
-    rtol = 4 * np.finfo(float).eps
-    fa, fb = f(xa), f(xb)
-    if fa * fb > 0:
-        raise SolveFailure(f"root not bracketed: f({xa:.6g}) and f({xb:.6g}) share a sign")
-    if fa == 0:
-        return xa
-    if fb == 0:
-        return xb
-    dm = xb - xa
-    for _ in range(maxiter):
-        dm *= 0.5
-        xm = xa + dm
-        fm = f(xm)
-        if fm * fa >= 0:
-            xa = xm
-        if fm == 0 or abs(dm) < xtol + rtol * abs(xm):
-            return xm
-    raise SolveFailure(f"bisection did not converge in {maxiter} iterations")
-
-
 def _scaling_u0(prob: RadialProblem):
     """(u0, l) -> the centre value of the solution from u0 rescaled by l, or None.
 
@@ -854,34 +827,3 @@ def asymptotics_report(sol: RadialSolution, p: ProfileFns, xi, d_values):
             rows=rows,
         )
     return AsymptoticsReport(rows=rows, meta={"xi": xi, "Rstar": Rstar})
-
-
-class RadialSubsolution:
-    """Sublevel subsolution psi(-w) from the torsion solution w and the inverse pair psi."""
-
-    def __init__(self, torsion: RadialSolution, pair: PsiPair):
-        self._w = torsion
-        self._psi = pair.psi
-        self._Psi = pair.Psi
-
-    def __call__(self, r):
-        w = np.asarray(self._w.value(r), float)
-        return scalar_or_array(r, self._psi(np.maximum(-w, 1e-300)))
-
-    def sublevel_radius(self, j):
-        """Radius r_j with value j: the radial realisation of the sublevel set."""
-        target = -float(self._Psi(j))
-        w0 = float(self._w.value(0.0))
-        if target <= w0:
-            raise ParameterError(f"sublevel {j} is below the centre value {self(0.0):.6g}")
-        return float(_bisect_root(lambda r: float(self._w.value(r)) - target,
-                                  0.0, self._w.meta["R"], xtol=1e-14, maxiter=200))
-
-    @property
-    def torsion(self):
-        return self._w
-
-
-def build_radial_subsolution(prob: RadialProblem):
-    """psi(-w) with w the torsion solution and psi the inverse pair of the same problem."""
-    return RadialSubsolution(solve_torsion(prob), PsiPair(prob.f, prob.k))

@@ -131,12 +131,9 @@ def profile_files(base, p, xi, rows):
     write_json(f"{base}.json", {**p.header(), "xi": xi, "rows": len(rows)})
 
 
-def radial_solution_files(base, sol, extra_meta=None):
+def radial_solution_files(base, sol):
     write_csv(f"{base}.csv", ["r", "u", "u1"], zip(sol.r, sol.u, sol.u1))
-    meta = {"Rstar": sol.Rstar, **sol.meta}
-    if extra_meta:
-        meta.update(extra_meta)
-    write_json(f"{base}.json", meta)
+    write_json(f"{base}.json", {"Rstar": sol.Rstar, **sol.meta})
 
 
 def field_files(base, fld, extra_meta=None):

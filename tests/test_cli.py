@@ -219,20 +219,6 @@ class TestBarrierCommand:
         blob = json.loads((out / "check-barrier.json").read_text())
         assert blob["supersolution"]["passed"] and blob["subsolution"]["passed"]
 
-    def test_gap_violation_exits_2(self, tmp_path, capsys):
-        for cf, cm in ((1.0, 0.0), (-1.0, 0.5)):
-            cfg = write_cfg(tmp_path, "bad.cfg", f"""
-                command = check-barrier
-                n = 2
-                k = 1
-                f = exp:2
-                weight = constant:1
-                cf = {cf}
-                cm = {cm}
-            """)
-            assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 2
-            assert "(1.5)" in capsys.readouterr().err
-
 
 class TestValidation:
     def test_gamma_below_k_exits_2(self, tmp_path, capsys):
@@ -355,7 +341,7 @@ VALIDATION = {
     "series-start-above-cap": ("command = radial-ivp\nn = 3\nk = 2\nf = power:5\nu0 = 1e11\n",
                                "start state (u, u') = (1.91287e+11, 1.82574e+19) at r=1e-08 "
                                "must lie below the blow-up caps"),
-    "gap-1.5": (PROFILE + "cf = 1\ncm = 0\n", "(1.5) constant gap violated"),
+    "unknown-key-cf": (PROFILE + "cf = 1\ncm = 0\n", "unknown config key 'cf'"),
     "slack-3.3": (BARRIER + "eps = 0.7\n", "(3.3) barrier slack must satisfy"),
     "ellipse-k3": ("command = profile\nn = 3\nk = 3\nf = power:5\ndomain = ellipse:1.2,1\n",
                    "planar geometry supports k in {1, 2}, got 3"),

@@ -32,13 +32,6 @@ class TestDisk:
         assert len(pts) > 0
         assert np.max(np.abs(np.hypot(pts[:, 0], pts[:, 1]) - 1.0)) < 1e-12
 
-    def test_mask_classification(self):
-        grid = build_grid(Disk(1.0), 1.0 / 8.0)
-        # boundary-adjacent nodes are exactly those with at least one cut arm
-        cut_any = (~np.isnan(grid.arm_xy[:, :, 0])).any(axis=1)
-        mask_vals = grid.mask[grid.node_iy, grid.node_ix]
-        assert np.array_equal(mask_vals == 2, cut_any)
-
     def test_degenerate_grid(self):
         with pytest.raises(ParameterError):
             build_grid(Disk(1.0), -0.1)

@@ -67,7 +67,7 @@ def test_arms_match_per_node_loop(domain, h):
     grid = build_grid(domain, h)
     arm = np.ones_like(grid.arm)
     arm_xy = np.full_like(grid.arm_xy, np.nan)
-    inside = grid.mask > 0
+    inside = domain.inside(*np.meshgrid(grid.xs, grid.ys))
     for t, (dx, dy) in enumerate(_DIRS):
         for i in range(grid.n_interior):
             ix, iy = grid.node_ix[i], grid.node_iy[i]

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.optimize import bisect, brentq
+from scipy.optimize import brentq
 
 from khessian import _quad, radial
 from khessian.errors import ParameterError, ReportTruncated, SolveFailure
@@ -13,14 +13,12 @@ from khessian.profiles import PsiPair, assemble_profile
 from khessian.radial import (
     RadialProblem,
     RadialSolution,
-    RadialSubsolution,
     _brent_root,
     _ck_step,
     _exhaustion_banded,
     _hermite,
     _make_rhs,
     asymptotics_report,
-    build_radial_subsolution,
     integrate_blowup_ivp,
     shoot_blowup_radius,
     solve_exhaustion_bvp,
@@ -534,16 +532,6 @@ class TestRootFinderPorts:
         with pytest.raises(SolveFailure):
             _brent_root(lambda x: x * x + 1.0, -1.0, 1.0, 2.0, 2.0, 1e-12, 8.9e-16, 50)
 
-    def test_sublevel_radius_matches_scipy_bisect(self):
-        prob = RadialProblem(n=3, k=2, R=1.0, f=Nonlinearity.power(5), b=B_ONE)
-        pair = PsiPair(Nonlinearity.power(5), 2)
-        sub = RadialSubsolution(solve_torsion(prob), pair)
-        w = sub.torsion
-        for j in (2.0, 10.0, 1e3):
-            target = -float(pair.Psi(j))
-            ref = bisect(lambda r: float(w.value(r)) - target, 0.0, 1.0, xtol=1e-14, maxiter=200)
-            assert sub.sublevel_radius(j) == ref
-
 
 class TestHermite:
     def test_reproduces_a_cubic(self):
@@ -633,10 +621,16 @@ class TestExhaustionBVP:
             solve_exhaustion_bvp(prob, [4.0, 2.0], grid_h=0.01, tol=1e-8)
 
 
+def psi_of_torsion(prob):
+    """r -> psi(-w(r)), with w the torsion solution and psi the inverse pair of prob."""
+    w, pair = solve_torsion(prob), PsiPair(prob.f, prob.k)
+    return lambda r: pair.psi(np.maximum(-w.value(r), 1e-300))
+
+
 class TestSubsolution:
     def test_closed_form_composition(self):
         prob = RadialProblem(n=2, k=1, R=1.0, f=Nonlinearity.power(3), b=B_ONE)
-        sub = build_radial_subsolution(prob)
+        sub = psi_of_torsion(prob)
         # psi((1-r^2)/4) = sqrt(2) (1-r^2)^{-1/2}
         assert sub(0.0) == pytest.approx(math.sqrt(2.0), rel=1e-8)
         for r in (0.3, 0.6, 0.9):
@@ -644,33 +638,16 @@ class TestSubsolution:
 
     def test_monotone_and_blowup(self):
         prob = RadialProblem(n=2, k=1, R=1.0, f=Nonlinearity.power(3), b=B_ONE)
-        sub = build_radial_subsolution(prob)
+        sub = psi_of_torsion(prob)
         rs = np.linspace(0.0, 0.999, 40)
         vals = np.asarray(sub(rs))
         assert np.all(np.diff(vals) > 0.0)
         assert sub(0.999999) > 1e2
 
-    def test_scalar_and_array_arguments(self):
-        # a scalar gives a float, an array keeps its shape, even with one entry
-        prob = RadialProblem(n=2, k=1, R=1.0, f=Nonlinearity.power(3), b=B_ONE)
-        sub = build_radial_subsolution(prob)
-        one = sub(np.array([0.3]))
-        assert isinstance(one, np.ndarray) and one.shape == (1,)
-        assert type(sub(0.3)) is float and one[0] == sub(0.3)
-        assert sub(np.array([0.3, 0.6])).shape == (2,)
-
-    def test_sublevel_radius(self):
-        prob = RadialProblem(n=2, k=1, R=1.0, f=Nonlinearity.power(3), b=B_ONE)
-        sub = build_radial_subsolution(prob)
-        rj = sub.sublevel_radius(10.0)
-        assert sub(rj) == pytest.approx(10.0, rel=1e-6)
-        with pytest.raises(ParameterError):
-            sub.sublevel_radius(0.5 * sub(0.0))
-
     def test_subsolution_inequality(self):
         # S_k(D^2 psi(-w)) >= b f(psi(-w)), derivatives by central differences
         prob = RadialProblem(n=2, k=1, R=1.0, f=Nonlinearity.power(3), b=B_ONE)
-        sub = build_radial_subsolution(prob)
+        sub = psi_of_torsion(prob)
         for r in np.linspace(0.05, 0.95, 100):
             h = 1e-5 * r
             v = float(sub(r))
