@@ -289,7 +289,10 @@ def scrambled_halton(n, seed=0):
     perm_j(digit j of i) b^-(j+1).  Owen, arXiv:1706.02808 (2017).  The draw
     order and the floating-point sums follow scipy.stats.qmc.Halton(d=2,
     scramble=True, seed=seed), whose points these are, bit for bit.
+    ParameterError unless n >= 1.
     """
+    if not n >= 1:
+        raise ParameterError(f"sample count must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
     index = np.arange(n, dtype=np.int64)
     cols = []

@@ -285,6 +285,11 @@ def cmd_verify_asymptotics(cfg, outdir, base, quiet, runinfo):
     d_hi = cfg.get("d_hi", float, 1e-2)
     band = cfg.floats("ratio_band", default=[0.9, 1.1])
     per_decade = cfg.get("per_decade", int, 8)
+    if not 0.0 < d_lo < d_hi < math.inf:
+        raise ParameterError(f"distance window needs finite 0 < d_lo < d_hi, "
+                             f"got d_lo={d_lo}, d_hi={d_hi}")
+    if per_decade < 1:
+        raise ParameterError(f"per_decade must be >= 1, got {per_decade}")
     u0, sol = shoot_blowup_radius(prob, tol=tol)
     runinfo["shot"] = sol.meta["shot"]
     npts = max(2, int(round(math.log10(d_hi / d_lo) * per_decade)) + 1)

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one positive-and-finite check."""
+
+import math
 
 
 class KHessianError(Exception):
@@ -7,6 +9,12 @@ class KHessianError(Exception):
 
 class ParameterError(KHessianError, ValueError):
     """A precondition on user-supplied parameters is violated."""
+
+
+def require_positive_finite(value, what):
+    """ParameterError naming ``what`` unless value is positive and finite (nan is neither)."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ParameterError(f"{what} must be positive and finite, got {value}")
 
 
 class KellerOssermanViolation(KHessianError):

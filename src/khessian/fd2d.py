@@ -28,7 +28,7 @@ from scipy.sparse.linalg import splu
 
 from ._quad import vectorized
 from .errors import (ConditionViolation, KellerOssermanViolation, ParameterError,
-                     ReportTruncated, SolveFailure)
+                     ReportTruncated, SolveFailure, require_positive_finite)
 from .grid2d import _DIRS, Field2D
 from .nonlinearity import Nonlinearity, Weight
 from .profiles import ProfileFns, assemble_profile, predicted_profile, xi_bounds
@@ -467,8 +467,7 @@ def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol, u0=
     (coarsest-level LUs, one per step), cycles (V-cycles over all steps)
     and start ("profile", "constant" or "given").
     """
-    if tol <= 0:
-        raise ParameterError(f"tolerance must be positive, got {tol}")
+    require_positive_finite(tol, "tolerance")
     A, off, mg = _operators(grid)
     const, gvals = _boundary_terms(grid, off, g)
     abs_diag = np.abs(A.diagonal())

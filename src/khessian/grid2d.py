@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, require_positive_finite
 
 __all__ = ["Disk", "Ellipse", "Field2D", "build_grid", "parse_domain"]
 
@@ -184,8 +184,7 @@ class Field2D:
 
 def build_grid(domain, h):
     """Uniform lattice grid with Shortley-Weller arms and distance field."""
-    if not (math.isfinite(h) and h > 0.0):
-        raise ParameterError(f"grid spacing must be positive and finite, got {h}")
+    require_positive_finite(h, "grid spacing")
     hx, hy = domain.half_extents
     ix = np.arange(-(math.ceil(hx / h) + 1), math.ceil(hx / h) + 2)
     iy = np.arange(-(math.ceil(hy / h) + 1), math.ceil(hy / h) + 2)

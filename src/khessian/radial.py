@@ -29,7 +29,8 @@ from ._quad import (
     scalar_or_array,
     vectorized,
 )
-from .errors import IntegrationFailure, ParameterError, ReportTruncated, SolveFailure
+from .errors import (IntegrationFailure, ParameterError, ReportTruncated, SolveFailure,
+                     require_positive_finite)
 from .nonlinearity import Nonlinearity, Weight
 from .profiles import ProfileFns, predicted_profile
 
@@ -349,8 +350,7 @@ def integrate_blowup_ivp(prob: RadialProblem, u0, tol, u_cap=IVP_CAP, v_cap=IVP_
     if u0 <= 0.0:
         raise ParameterError(f"initial value must be positive, got {u0}")
     check_below_caps(0.0, u0, 0.0)
-    if tol <= 0.0:
-        raise ParameterError(f"tolerance must be positive, got {tol}")
+    require_positive_finite(tol, "tolerance")
     n, k, R = prob.n, prob.k, prob.R
     rhs = _make_rhs(prob)
     combs = [(j, math.comb(n - 1, j), math.comb(n - 1, j - 1)) for j in range(1, k + 1)]
@@ -570,8 +570,9 @@ def shoot_blowup_radius(prob: RadialProblem, tol=1e-9):
 
     Otherwise (path "bracket"), R*(u0) being strictly decreasing in u0
     (comparison principle), the bracket is expanded by factors of 4 from
-    ``_U0_INIT`` at ``_COARSE_TOL``, with every u0 below ``IVP_CAP`` and
-    every series start below the caps, then Brent's method finds the root of
+    ``_U0_INIT`` at ``_COARSE_TOL``, with every u0 below ``IVP_CAP`` (a u0
+    whose series start at r = 1e-8 R already lies past a cap has R* < 1e-8 R
+    and takes the gap log(1e-8)), then Brent's method finds the root of
     log(R*(u0) / R) in x = u0 for exponential f and in x = log u0 for every
     other kind, and one final IVP at ``tol`` is made from that root.
 
@@ -581,6 +582,7 @@ def shoot_blowup_radius(prob: RadialProblem, tol=1e-9):
     when the bracket cannot be closed, or, with the solution in
     ``partial``, when its R* misses R by more than 1e-6 relative.
     """
+    require_positive_finite(tol, "tolerance")  # before any IVP of the shot
     target = prob.R
     shot = {"path": "scaling", "ivps": 0, "steps": 0, "rejected": 0}
 
@@ -614,7 +616,10 @@ def shoot_blowup_radius(prob: RadialProblem, tol=1e-9):
     to_u0, to_x = (float, float) if exponential else (math.exp, math.log)
 
     def gap(u0):
-        return math.log(ivp(u0, _COARSE_TOL).Rstar / target)
+        try:
+            return math.log(ivp(u0, _COARSE_TOL).Rstar / target)
+        except ParameterError:  # the series start at 1e-8 R lies past a cap, so R* < 1e-8 R
+            return math.log(1e-8)
 
     lo = hi = _U0_INIT
     glo = ghi = gap(lo)
@@ -628,11 +633,8 @@ def shoot_blowup_radius(prob: RadialProblem, tol=1e-9):
     for _ in range(_MAX_EXPAND):
         if ghi < 0.0 or not 4.0 * hi < IVP_CAP:
             break
-        try:
-            ghi = gap(4.0 * hi)
-        except ParameterError:  # the series start from 4 hi already lies past a cap
-            break
         hi *= 4.0
+        ghi = gap(hi)
     if not ghi < 0.0:
         raise SolveFailure("could not bracket the target blow-up radius from above", shot=shot)
     xtol = 1e-13 * max(1.0, lo) if exponential else 1e-13
@@ -672,8 +674,8 @@ def solve_exhaustion_bvp(prob: RadialProblem, j_schedule, grid_h, tol):
     """
     from scipy.linalg import solve_banded  # the only scipy use on the radial paths
 
-    if not (math.isfinite(grid_h) and grid_h > 0.0):
-        raise ParameterError(f"grid spacing must be positive and finite, got {grid_h}")
+    require_positive_finite(grid_h, "grid spacing")
+    require_positive_finite(tol, "tolerance")
     js = [float(j) for j in j_schedule]
     if any(b <= a for a, b in zip(js, js[1:])):
         raise ParameterError("boundary-data schedule must be strictly increasing")

@@ -1,5 +1,7 @@
+import ast
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -295,6 +297,7 @@ IVP = "command = radial-ivp\nn = 2\nk = 1\nf = exp:2\nu0 = 0.7\n"
 EXHAUST = "command = radial-exhaust\nn = 2\nk = 1\nf = exp:2\n"
 FD = "command = fd-exhaust\nf = exp:2\nh = 0.125\n"
 BARRIER = "command = check-barrier\nn = 2\nk = 1\nf = exp:2\n"
+VERIFY = "command = verify-asymptotics\nn = 2\nk = 1\nf = exp:2\n"
 F2 = "(f2) power nonlinearity with gamma=2.0 <= k=2: the profile integral diverges"
 
 # (config text, a fragment of the message) for every validation path of the CLI
@@ -332,7 +335,27 @@ VALIDATION = {
               "grid spacing must be positive and finite, got nan"),
     "h-inf": ("command = fd-exhaust\nf = exp:2\ndomain = disk:1\nh = inf\nj_schedule = 2,4\n",
               "grid spacing must be positive and finite, got inf"),
-    "tol-negative": (IVP + "tol = -1\n", "tolerance must be positive, got -1.0"),
+    "tol-negative": (IVP + "tol = -1\n", "tolerance must be positive and finite, got -1.0"),
+    "tol-nan-radial-ivp": (IVP + "tol = nan\n", "tolerance must be positive and finite, got nan"),
+    "tol-nan-fd-exhaust": (FD + "domain = disk:1\nj_schedule = 2,4\ntol = nan\n",
+                           "tolerance must be positive and finite, got nan"),
+    "tol-inf-fd-exhaust": (FD + "domain = disk:1\nj_schedule = 2,4\ntol = inf\n",
+                           "tolerance must be positive and finite, got inf"),
+    "tol-inf-radial-exhaust": (EXHAUST + "j_schedule = 2,4\ntol = inf\n",
+                               "tolerance must be positive and finite, got inf"),
+    "tol-zero-radial-exhaust": (EXHAUST + "j_schedule = 2,4\ntol = 0\n",
+                                "tolerance must be positive and finite, got 0.0"),
+    "samples-zero": (BARRIER + "samples = 0\n", "sample count must be >= 1, got 0"),
+    "samples-negative": (BARRIER + "samples = -3\n", "sample count must be >= 1, got -3"),
+    "d_lo-zero": (VERIFY + "d_lo = 0\n",
+                  "distance window needs finite 0 < d_lo < d_hi, got d_lo=0.0, d_hi=0.01"),
+    "d_lo-nan": (VERIFY + "d_lo = nan\n",
+                 "distance window needs finite 0 < d_lo < d_hi, got d_lo=nan, d_hi=0.01"),
+    "d_lo-above-d_hi": (VERIFY + "d_lo = 0.1\n",
+                        "distance window needs finite 0 < d_lo < d_hi, got d_lo=0.1, d_hi=0.01"),
+    "d_hi-inf": (VERIFY + "d_hi = inf\n",
+                 "distance window needs finite 0 < d_lo < d_hi, got d_lo=0.0001, d_hi=inf"),
+    "per_decade-zero": (VERIFY + "per_decade = 0\n", "per_decade must be >= 1, got 0"),
     "u0-negative": ("command = radial-ivp\nn = 2\nk = 1\nf = exp:2\nu0 = -1\n",
                     "initial value must be positive, got -1.0"),
     "u0-above-cap": ("command = radial-ivp\nn = 3\nk = 2\nf = power:5\nu0 = 1e13\n",
@@ -375,3 +398,20 @@ def test_k_above_n_fails_before_any_profile(command, tmp_path, monkeypatch):
     text = f"command = {command}\nn = 2\nk = 3\nf = power:5\n"
     assert main(["--config", write_cfg(tmp_path, "bad.cfg", text), "--out",
                  str(tmp_path / "out")]) == 2
+
+
+def test_readme_config_table_lists_every_key():
+    # the literal key of every cfg.get and cfg.floats call in cli.py ...
+    calls = [node for node in ast.walk(ast.parse(Path(cli.__file__).read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and isinstance(node.func.value, ast.Name) and node.func.value.id == "cfg"
+             and node.func.attr in ("get", "floats")]
+    assert calls and all(isinstance(c.args[0], ast.Constant) for c in calls)
+    read = {c.args[0].value for c in calls}
+    # ... against the keys in the first column of the README's config table
+    lines = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
+    rows = lines[lines.index("| key | meaning |") + 2:]
+    listed = set()
+    for row in rows[:next(i for i, ln in enumerate(rows) if not ln.startswith("|"))]:
+        listed.update(re.findall(r"`([^`]+)`", row.split("|")[1]))
+    assert read == listed

@@ -474,13 +474,13 @@ class TestShooting:
 
     def test_series_start_past_a_cap_ends_the_expansion(self):
         # power:40 at k = 1: R*(1) = 0.456 > 0.3, and from u0 = 4 the series start at
-        # r = 1e-8 R already has u' = 1.8e15, above the cap, so no IVP is made from it
-        prob = bracketed(RadialProblem.from_weight(2, 1, 0.3, Nonlinearity.power(40.0),
-                                                   Weight.constant(1.0)))
-        with pytest.raises(SolveFailure, match="could not bracket the target blow-up "
-                                               "radius from above") as exc:
-            shoot_blowup_radius(prob, tol=1e-9)
-        assert exc.value.shot["path"] == "bracket" and exc.value.shot["ivps"] == 1
+        # r = 1e-8 R already has u' = 1.8e15, above the cap, so R*(4) < 1e-8 R closes
+        # the bracket; Brent's root agrees with the scaling-law shot
+        prob = RadialProblem.from_weight(2, 1, 0.3, Nonlinearity.power(40.0), Weight.constant(1.0))
+        u0_law, _ = shoot_blowup_radius(prob, tol=1e-9)
+        u0, sol = shoot_blowup_radius(bracketed(prob), tol=1e-9)
+        assert sol.meta["shot"]["path"] == "bracket"
+        assert abs(u0 / u0_law - 1.0) <= 1e-8
 
     def test_shot_that_misses_the_target_fails(self):
         # R*(u0) jumps over the target between u0 = 4.5e10 (1.056) and 4.6e10 (0.525),
