@@ -291,7 +291,7 @@ def scrambled_halton(n, seed=0):
     scramble=True, seed=seed), whose points these are, bit for bit.
     ParameterError unless n >= 1.
     """
-    if not n >= 1:
+    if n < 1:
         raise ParameterError(f"sample count must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
     index = np.arange(n, dtype=np.int64)

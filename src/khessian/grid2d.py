@@ -183,7 +183,7 @@ class Field2D:
 
 
 def build_grid(domain, h):
-    """Uniform lattice grid with Shortley-Weller arms and distance field."""
+    """Interior lattice nodes with Shortley-Weller arms and boundary distances."""
     require_positive_finite(h, "grid spacing")
     hx, hy = domain.half_extents
     ix = np.arange(-(math.ceil(hx / h) + 1), math.ceil(hx / h) + 2)

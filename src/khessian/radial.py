@@ -582,7 +582,6 @@ def shoot_blowup_radius(prob: RadialProblem, tol=1e-9):
     when the bracket cannot be closed, or, with the solution in
     ``partial``, when its R* misses R by more than 1e-6 relative.
     """
-    require_positive_finite(tol, "tolerance")  # before any IVP of the shot
     target = prob.R
     shot = {"path": "scaling", "ivps": 0, "steps": 0, "rejected": 0}
 
