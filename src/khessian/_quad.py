@@ -45,9 +45,9 @@ _GL_PARTIAL = _partial_integration_matrix(_GL_NODES, _GL_WEIGHTS)
 # hard range cap: 10**+-290 keeps every node representable
 _MAX_EXTENT = 290
 
-# Newton steps per inversion; far above the ~4 taken from the segment
-# interpolant, and above the ~56 midpoint fallbacks that would shrink a
-# segment bracket to rounding level
+# Newton steps per inversion, a guard: far above the ~3 taken from the
+# segment's Hermite interpolant, and above the ~56 midpoint fallbacks that
+# would shrink a segment bracket to rounding level
 _NEWTON_CAP = 100
 
 _EPS = np.finfo(float).eps
@@ -291,37 +291,55 @@ class DecayingTailIntegral:
 
         Each target is bracketed by the grid segment whose node values straddle
         it, found by ``searchsorted`` over :meth:`node_values`, and started from
-        the linear interpolant inside that segment.  Safeguarded Newton steps
+        the cubic Hermite interpolant of the inverse on that segment, whose
+        slopes at the two nodes are -1/g there (one ``g`` call over all bracket
+        ends).  A start that is not finite or leaves the bracket falls back to
+        the linear interpolant, then to the midpoint.  Safeguarded Newton steps
         follow, with the exact slope value'(s) = -g(s): a step that leaves its
         bracket, or meets a slope that is not finite and positive, falls back
         to the bracket midpoint, and each residual's sign shrinks the bracket.
-        A target is done once its step is at most 2 eps s; every step is one
-        :meth:`value` call over the targets still running, at most
-        ``_NEWTON_CAP`` of them.  The root is a rounding-level-smooth function
-        of the target, which downstream checks rely on when they difference it
-        numerically.
+        A target is done once its step is at most 2 eps s, or lands on a
+        bracket end that an earlier step evaluated: that is a rounding-level
+        cycle between neighbouring floats.  Every step is one :meth:`value`
+        call over the targets still running, at most ``_NEWTON_CAP`` of them.
+        The root is a rounding-level-smooth function of the target, which
+        downstream checks rely on when they difference it numerically.
         """
         t = _positive(target, self.name, "inverse argument")
         if t.size == 0:
             return t.copy()
         tf = t.ravel()
         lo, hi, va, vb = self._bracket(tf)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            s = lo + (va - tf) / (va - vb) * (hi - lo)
-        s = np.where((s >= lo) & (s <= hi), s, 0.5 * (lo + hi))
-        todo = np.arange(tf.size)
+        n = tf.size
+        g_ends = np.asarray(self.g(np.concatenate([lo, hi])), dtype=float)
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            tau = (va - tf) / (va - vb)
+            linear = lo + tau * (hi - lo)
+            # the cubic s(tau) with s = lo, hi and ds/dtau = da, db at tau = 0, 1
+            da, db = (va - vb) / g_ends[:n], (va - vb) / g_ends[n:]
+            s = lo + tau * tau * (3.0 - 2.0 * tau) * (hi - lo) \
+                + tau * (1.0 - tau) * ((1.0 - tau) * da - tau * db)
+        for cand in (linear, 0.5 * (lo + hi)):
+            s = np.where(np.isfinite(s) & (s >= lo) & (s <= hi), s, cand)
+        lo_seen = np.zeros(n, dtype=bool)  # whether value() was taken at lo, hi
+        hi_seen = np.zeros(n, dtype=bool)
+        todo = np.arange(n)
         for _ in range(_NEWTON_CAP):
             si, ti = s[todo], tf[todo]
             res = self.value(si) - ti  # > 0: the root lies above si
-            lo_i = np.where(res > 0.0, si, lo[todo])
-            hi_i = np.where(res < 0.0, si, hi[todo])
+            up, down = res > 0.0, res < 0.0
+            lo_i = np.where(up, si, lo[todo])
+            hi_i = np.where(down, si, hi[todo])
+            lo_seen[todo] |= up
+            hi_seen[todo] |= down
             slope = self.g(si)
             with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
                 nxt = si + np.where(res == 0.0, 0.0, res / slope)
             newton = np.isfinite(slope) & (slope > 0.0) & (nxt >= lo_i) & (nxt <= hi_i)
             nxt = np.where(newton, nxt, 0.5 * (lo_i + hi_i))
             lo[todo], hi[todo], s[todo] = lo_i, hi_i, nxt
-            todo = todo[np.abs(nxt - si) > 2.0 * _EPS * si]
+            cycle = ((nxt == lo_i) & lo_seen[todo]) | ((nxt == hi_i) & hi_seen[todo])
+            todo = todo[(np.abs(nxt - si) > 2.0 * _EPS * si) & ~cycle]
             if todo.size == 0:
                 break
         return scalar_or_array(target, s.reshape(t.shape))

@@ -16,7 +16,7 @@ batched call, so certification loads no scipy module.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -26,6 +26,7 @@ from .errors import (
     CertificationFailure,
     GeometryError,
     ParameterError,
+    require_positive_finite,
 )
 from .grid2d import Ellipse
 from .nonlinearity import Nonlinearity, Weight
@@ -80,8 +81,7 @@ class CollarGeometry:
 def ball_geometry(n, k, R=1.0):
     if not 1 <= k <= n:
         raise ParameterError(f"order k={k} out of range 1..{n}")
-    if R <= 0:
-        raise ParameterError(f"ball radius must be positive, got {R}")
+    require_positive_finite(R, "ball radius")
     curv = np.full(n - 1, 1.0 / R)
     s = float(sigma_all(curv, k - 1)[k - 1]) if k >= 2 else 1.0
     return CollarGeometry(
@@ -388,6 +388,19 @@ def verify_subsolution(u_lower, p, geom, bp, f, bweight, samples):
     return _verify("sub", u_lower, p, geom, bp, f, bweight, samples)
 
 
+def _joined(head, tail):
+    """One report over the samples of ``head`` then ``tail`` (None: ``tail`` alone)."""
+    if head is None:
+        return tail
+    return replace(
+        head,
+        passed=head.passed and tail.passed,
+        worst_margin=min(head.worst_margin, tail.worst_margin),
+        sup_sigma_k_tilted=max(head.sup_sigma_k_tilted, tail.sup_sigma_k_tilted),
+        samples=head.samples + tail.samples,
+    )
+
+
 def certify_barriers(p: ProfileFns, geom: CollarGeometry, f: Nonlinearity, bweight: Weight,
                      eps=0.1, nsamples=200, seed=0):
     """Find a collar width for which both barrier inequalities certify.
@@ -401,23 +414,26 @@ def certify_barriers(p: ProfileFns, geom: CollarGeometry, f: Nonlinearity, bweig
     infeasible parameter set).  Each width is first
     screened on the first eighth of the points: every sample is checked on
     its own, so a failing prefix means a failing full set, and the width is
-    halved without checking the rest.  The worst margin of a failure is
-    that of the last width's checked points.
+    halved without checking the rest.  A width whose screen passes checks
+    only the remaining points, and each report joins the two parts.  The
+    worst margin of a failure is that of the last width's checked points.
     """
     delta = _WIDTH0_FRAC * geom.focal_radius
     unit = scrambled_halton(nsamples, seed)  # the same points at every width
-    screen = unit[: max(1, nsamples // 8)]
+    n_screen = max(1, nsamples // 8)
+    parts = [pts for pts in (unit[:n_screen], unit[n_screen:]) if len(pts)]
     worst = None
     for _ in range(_MAX_HALVINGS):
         bp = make_barrier_params(p, geom, eps, delta, _SHIFT_FRAC * delta)
         upper, lower = build_barriers(p, geom, bp)
-        for pts in (screen, unit):
-            rep_s = verify_supersolution(
+        rep_s = rep_l = None
+        for pts in parts:
+            rep_s = _joined(rep_s, verify_supersolution(
                 upper, p, geom, bp, f, bweight, _to_collar(bp, "super", pts)
-            )
-            rep_l = None if not rep_s.passed else verify_subsolution(
+            ))
+            rep_l = None if not rep_s.passed else _joined(rep_l, verify_subsolution(
                 lower, p, geom, bp, f, bweight, _to_collar(bp, "sub", pts)
-            )
+            ))
             if rep_l is None or not rep_l.passed:
                 break
         else:

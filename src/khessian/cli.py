@@ -288,6 +288,8 @@ def cmd_verify_asymptotics(cfg, outdir, base, quiet, runinfo):
     if not 0.0 < d_lo < d_hi < math.inf:
         raise ParameterError(f"distance window needs finite 0 < d_lo < d_hi, "
                              f"got d_lo={d_lo}, d_hi={d_hi}")
+    if d_hi >= prob.R:  # the shot's blow-up radius is R
+        raise ParameterError(f"distance window needs d_hi < R, got d_hi={d_hi}, R={prob.R}")
     if per_decade < 1:
         raise ParameterError(f"per_decade must be >= 1, got {per_decade}")
     u0, sol = shoot_blowup_radius(prob, tol=tol)

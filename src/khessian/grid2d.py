@@ -4,8 +4,10 @@ Nodes live on the lattice x = i*h, y = j*h (the origin is always a lattice
 point).  Boundary-adjacent nodes store fractional arm lengths to the exact
 boundary intersection in each cut direction, which is what the
 Shortley-Weller stencil of the solver consumes.  Per-node distances to the
-boundary are closed-form for the disk and a nearest-point Newton, run over
-all nodes at once, for the ellipse.
+boundary are closed-form for the disk.  For the ellipse, run over all nodes
+at once, each node's nearest point comes from one monotone Newton solve of
+Eberly's root equation (closed form on the major axis), polished by Newton
+in the boundary angle.
 """
 
 import math
@@ -25,8 +27,7 @@ class Disk:
     R: float
 
     def __post_init__(self):
-        if self.R <= 0:
-            raise ParameterError(f"disk radius must be positive, got {self.R}")
+        require_positive_finite(self.R, "disk radius")
 
     kind = "disk"
 
@@ -60,6 +61,7 @@ class Ellipse:
     def __post_init__(self):
         if not (self.a >= self.b > 0):
             raise ParameterError(f"ellipse needs a >= b > 0, got a={self.a}, b={self.b}")
+        require_positive_finite(self.a, "ellipse semi-axis a")  # then b in (0, a] is finite too
 
     kind = "ellipse"
 
@@ -81,10 +83,15 @@ class Ellipse:
     def distance(self, x, y):
         """Distance to the nearest boundary point (a cos t, b sin t), elementwise.
 
-        Quadrant symmetry reduces to x, y >= 0 and t in [0, pi/2].  Newton on
-        the stationarity condition runs over all points at once from each of
-        four guarded starts; the distance is the smallest over the converged
-        parameters and the endpoints t = 0 and t = pi/2.
+        Quadrant symmetry reduces to x, y >= 0 and t in [0, pi/2].  Each point
+        gets one start, the nearest point of D. Eberly, "Distance from a Point
+        to an Ellipse, an Ellipsoid, or a Hyperellipsoid" (2013): with
+        z = (x/a, y/b) and r0 = (a/b)^2 it lies at the root of the convex,
+        decreasing F(s) = (r0 z0/(s + r0))^2 + (z1/(s + 1))^2 - 1, which Newton
+        from s = z1 - 1 reaches from below.  On the major axis (y = 0) the
+        nearest point is closed form.  Newton on the angle's stationarity
+        condition then polishes the start; the distance is the smallest over
+        the polished parameter and the endpoints t = 0 and t = pi/2.
         """
         xs = np.abs(np.asarray(x, dtype=float)).ravel()
         ys = np.abs(np.asarray(y, dtype=float)).ravel()
@@ -95,26 +102,43 @@ class Ellipse:
         def dist(t):
             return np.hypot(xs - A * np.cos(t), ys - B * np.sin(t))
 
+        # Newton in u = s + 1, which keeps its digits where the root nears s = -1
+        # (close to the major axis); it rises monotonically while F > 0
+        r0, c = (A / B) ** 2, c2 / (B * B)
+        z0, z1 = xs / A, ys / B
+        u = z1.copy()
+        run = np.flatnonzero(z1 > 0.0)
+        while run.size:
+            ur = u[run]
+            p2 = (r0 * z0[run] / (ur + c)) ** 2
+            q2 = (z1[run] / ur) ** 2
+            F = p2 + q2 - 1.0
+            u_new = ur + 0.5 * F / (p2 / (ur + c) + q2 / ur)
+            step = (F > 0.0) & (u_new != ur)
+            run = run[step]
+            u[run] = u_new[step]
+        # on the major axis: cos t = a x / (a^2 - b^2) inside the evolute, else t = 0
+        cos_axis = np.minimum(A * xs / c2, 1.0) if c2 > 0.0 else np.ones_like(xs)
+        t = np.where(z1 > 0.0, np.arctan2(z1 * (u + c), r0 * z0 * u), np.arccos(cos_axis))
+
         best = np.minimum(dist(np.zeros_like(xs)), dist(np.full_like(xs, half)))
-        for t0 in (np.arctan2(A * ys, B * xs), 0.25 * math.pi, 0.05, half - 0.05):
-            t = np.clip(np.broadcast_to(t0, xs.shape), 0.0, half)
-            ok = np.zeros(xs.shape, dtype=bool)
-            run = np.arange(xs.size)
-            for _ in range(100):
-                tr, xr, yr = t[run], xs[run], ys[run]
-                sin, cos = np.sin(tr), np.cos(tr)
-                g = A * xr * sin - B * yr * cos - c2 * sin * cos
-                gp = A * xr * cos + B * yr * sin - c2 * np.cos(2.0 * tr)
-                live = gp != 0.0  # a zero slope ends that start unconverged
-                run, tr, g, gp = run[live], tr[live], g[live], gp[live]
-                t_new = np.clip(tr - g / gp, 0.0, half)
-                t[run] = t_new
-                done = np.abs(t_new - tr) <= 1e-12 * np.maximum(1.0, np.abs(tr))
-                ok[run[done]] = True
-                run = run[~done]
-                if run.size == 0:
-                    break
-            best = np.where(ok, np.minimum(best, dist(t)), best)
+        ok = np.zeros(xs.shape, dtype=bool)
+        run = np.arange(xs.size)
+        for _ in range(100):
+            tr, xr, yr = t[run], xs[run], ys[run]
+            sin, cos = np.sin(tr), np.cos(tr)
+            g = A * xr * sin - B * yr * cos - c2 * sin * cos
+            gp = A * xr * cos + B * yr * sin - c2 * np.cos(2.0 * tr)
+            live = gp != 0.0  # a zero slope ends the polish unconverged
+            run, tr, g, gp = run[live], tr[live], g[live], gp[live]
+            t_new = np.clip(tr - g / gp, 0.0, half)
+            t[run] = t_new
+            done = np.abs(t_new - tr) <= 1e-12 * np.maximum(1.0, np.abs(tr))
+            ok[run[done]] = True
+            run = run[~done]
+            if run.size == 0:
+                break
+        best = np.where(ok, np.minimum(best, dist(t)), best)
         if np.ndim(x) == 0:
             return float(best[0])
         return best.reshape(np.shape(x))

@@ -18,9 +18,10 @@ For a nonlinearity f of order k the kit provides
 analytic tail above its top node), even when a closed form exists, so that closed forms remain
 available as independent oracles.  ``phi`` inverts the table by safeguarded
 Newton: each target is bracketed by a grid segment and started from the
-segment's linear interpolant, Newton steps use the exact slope
-Phi' = -1/H, and a step that leaves the bracket falls back to its midpoint
-(the slope blows up at small arguments, where plain Newton would be unsafe).
+segment's cubic Hermite interpolant of the inverse (slopes -H at the two
+nodes), Newton steps use the exact slope Phi' = -1/H, and a step that
+leaves the bracket falls back to its midpoint (the slope blows up at small
+arguments, where plain Newton would be unsafe).
 
 ``Phi``, ``phi`` and its derivatives, ``PsiPair.psi``, ``predicted_profile``
 and ``profile_table`` take scalars or arrays: a scalar gives a float, an array

@@ -66,8 +66,7 @@ class RadialProblem:
             raise ParameterError(f"dimension must be >= 2, got {self.n}")
         if not 1 <= self.k <= self.n:
             raise ParameterError(f"order k={self.k} out of range 1..{self.n}")
-        if self.R <= 0:
-            raise ParameterError(f"ball radius must be positive, got {self.R}")
+        require_positive_finite(self.R, "ball radius")
 
     @staticmethod
     def from_weight(n, k, R, f, weight: Weight):
@@ -676,8 +675,9 @@ def solve_exhaustion_bvp(prob: RadialProblem, j_schedule, grid_h, tol):
     require_positive_finite(grid_h, "grid spacing")
     require_positive_finite(tol, "tolerance")
     js = [float(j) for j in j_schedule]
-    if any(b <= a for a, b in zip(js, js[1:])):
-        raise ParameterError("boundary-data schedule must be strictly increasing")
+    if not all(map(math.isfinite, js)) or any(b <= a for a, b in zip(js, js[1:])):
+        raise ParameterError(f"boundary-data schedule must be strictly increasing and finite, "
+                             f"got {js}")
     n, k, R = prob.n, prob.k, prob.R
     N = max(8, int(round(R / grid_h)))
     h = R / N

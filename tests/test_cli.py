@@ -376,6 +376,17 @@ VALIDATION = {
                                   "grid spacing must be positive and finite, got -0.01"),
     "h-nan-radial-exhaust": (EXHAUST + "h = nan\nj_schedule = 2,4\n",
                              "grid spacing must be positive and finite, got nan"),
+    "R-nan-radial-ivp": (IVP + "R = nan\n", "ball radius must be positive and finite, got nan"),
+    "R-inf-radial-ivp": (IVP + "R = inf\n", "ball radius must be positive and finite, got inf"),
+    "disk-nan-fd-exhaust": (FD + "domain = disk:nan\nj_schedule = 2,4\n",
+                            "disk radius must be positive and finite, got nan"),
+    "ellipse-inf-fd-exhaust": (FD + "domain = ellipse:inf,1\nj_schedule = 2,4\n",
+                               "ellipse semi-axis a must be positive and finite, got inf"),
+    "R-inf-check-barrier": (BARRIER + "R = inf\n", "ball radius must be positive and finite, got inf"),
+    "d_hi-above-R": (VERIFY + "d_hi = 2\n", "distance window needs d_hi < R, got d_hi=2.0, R=1.0"),
+    "j-nan-radial-exhaust": (EXHAUST + "j_schedule = 2,nan\n",
+                             "boundary-data schedule must be strictly increasing and finite, "
+                             "got [2.0, nan]"),
 }
 
 

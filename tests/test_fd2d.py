@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import splu
 
-from khessian import fd2d
+from khessian import _quad, fd2d
 from khessian.errors import ParameterError, ReportTruncated, SolveFailure
 from khessian.fd2d import asymptotics_report_2d, assemble_operator, exhaust, solve_dirichlet
 from khessian.grid2d import Disk, Ellipse, build_grid
@@ -103,6 +103,33 @@ class TestNewtonStart:
             u = solve_dirichlet(grid, f, W1, j, tol=1e-9).interior_values()
             below = start(j) <= u + 1e-9
             assert below.all() if j <= 3.0 else below[grid.node_d >= h].all()
+
+    @pytest.mark.parametrize("domain, h", [(Ellipse(1.2, 1.0), 1.0 / 96.0),
+                                           (Disk(0.9), 1.0 / 128.0), (Disk(0.9), 1.0 / 256.0)])
+    def test_profile_start_inverts_phi_in_few_passes(self, monkeypatch, domain, h):
+        # each start is one phi inversion over thousands of targets; started from
+        # the segment's Hermite interpolant, every target ends within 4 value() passes
+        value, invert = _quad.DecayingTailIntegral.value, _quad.DecayingTailIntegral.invert
+        passes = []
+
+        def counting_invert(self, t):
+            calls = []
+
+            def counting_value(table, s):
+                calls.append(1)
+                return value(table, s)
+
+            with monkeypatch.context() as m:
+                m.setattr(_quad.DecayingTailIntegral, "value", counting_value)
+                out = invert(self, t)
+            passes.append(len(calls))
+            return out
+
+        monkeypatch.setattr(_quad.DecayingTailIntegral, "invert", counting_invert)
+        start = fd2d._boundary_profile(build_grid(domain, h), Nonlinearity.exponential(2), W1)
+        for j in (9.0, 12.0):
+            start(j)
+        assert len(passes) == 2 and max(passes) <= 4
 
     def test_constant_source_falls_back(self):
         # f = 1 fails Keller-Osserman: no profile, the constant start as before

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -99,3 +100,51 @@ def test_ellipse_distance_array_matches_scan():
     assert np.max(np.abs(d - scan)) <= 1e-12
     # the scalar call gives the same value as the array call
     assert all(ell.distance(float(a), float(b)) == v for a, b, v in zip(x[:, 0], y[:, 0], d[:, 0]))
+
+
+def mp_distance(a, b, x, y):
+    """Nearest-point distance at 40 digits, from the root of Eberly's F by bisection."""
+    with mp.workdps(40):
+        a, b, x, y = mp.mpf(a), mp.mpf(b), abs(mp.mpf(x)), abs(mp.mpf(y))
+        c2 = a * a - b * b
+        if y == 0:  # the nearest point leaves the axis only inside the evolute
+            if a * x >= c2:
+                return a - x
+            x0 = a * a * x / c2
+            return mp.hypot(x - x0, b * mp.sqrt(1 - (x0 / a) ** 2))
+        r0, z0, z1 = (a / b) ** 2, x / a, y / b
+        lo, hi = z1, mp.mpf(1)  # u = s + 1: F(u) >= 0 at u = z1 and < 0 at u = 1 inside
+        for _ in range(150):  # 2^-150 of the bracket: past 40 digits
+            u = (lo + hi) / 2
+            if (r0 * z0 / (u - 1 + r0)) ** 2 + (z1 / u) ** 2 > 1:
+                lo = u
+            else:
+                hi = u
+        u = (lo + hi) / 2
+        return mp.hypot(x - r0 * x / (u - 1 + r0), y - y / u)
+
+
+@pytest.mark.parametrize("a", [1.0, 1.2, 2.0, 6.0, 20.0])
+def test_ellipse_distance_matches_mpmath(a):
+    ell = Ellipse(a, 1.0)
+    rng = np.random.default_rng(3)
+    theta = rng.uniform(0.0, 2.0 * math.pi, 100)
+    rad = np.sqrt(rng.uniform(0.0, 1.0, 100))
+    x, y = list(a * rad * np.cos(theta)), list(rad * np.sin(theta))
+    # the origin and both axes
+    x += [0.0] + [a * f for f in (0.1, 0.5, 0.9, 1 - 1e-7)] + [0.0] * 4
+    y += [0.0] * 5 + [0.1, 0.5, 0.9, 1 - 1e-7]
+    # just inside the boundary
+    for t in np.linspace(0.0, 0.5 * math.pi, 9):
+        x.append((1 - 1e-7) * a * math.cos(t))
+        y.append((1 - 1e-7) * math.sin(t))
+    # inside the evolute (|x| < (a^2 - b^2)/a), close to the major axis
+    for f in (0.05, 0.5, 0.95, 0.999):
+        for yy in (1e-3, 1e-9, 1e-15):
+            x.append(f * (a * a - 1.0) / a)
+            y.append(yy)
+    x, y = np.array(x), np.array(y)
+    assert np.all(ell.inside(x, y))
+    d = ell.distance(x, y)
+    ref = np.array([float(mp_distance(a, 1.0, xi, yi)) for xi, yi in zip(x, y)])
+    assert np.max(np.abs(d - ref)) <= 2.0 * np.finfo(float).eps * a
