@@ -74,10 +74,8 @@ class Config:
             raise ParameterError(f"config key {key!r}: cannot parse {raw!r} ({exc})")
 
     def floats(self, key, default=None, required=False):
-        raw = self.get(key, str, None, required)
-        if raw is None:
-            return default
-        return [float(v) for v in raw.split(",") if v.strip()]
+        return self.get(key, lambda raw: [float(v) for v in raw.split(",") if v.strip()],
+                        default, required)
 
     def check_all_read(self, command):
         """ParameterError naming a key command never looked up, and a close one it did.
@@ -94,13 +92,21 @@ class Config:
                                  + (f" (closest valid key: {closest[0]!r})" if closest else ""))
 
 
+def _spec_number(spec, rest, what):
+    """float(rest), the number in spec; ParameterError naming spec when it is not one."""
+    try:
+        return float(rest)
+    except ValueError:
+        raise ParameterError(f"{what} {spec!r}: {rest.strip()!r} is not a number") from None
+
+
 def _parse_nonlinearity(spec):
     kind, _, rest = spec.partition(":")
     kind = kind.strip().lower()
     if kind == "power":
-        return Nonlinearity.power(float(rest))
+        return Nonlinearity.power(_spec_number(spec, rest, "nonlinearity"))
     if kind in ("exp", "exponential"):
-        return Nonlinearity.exponential(float(rest))
+        return Nonlinearity.exponential(_spec_number(spec, rest, "nonlinearity"))
     raise ParameterError(f"(f1) unknown nonlinearity kind {kind!r} (use power:G or exp:A)")
 
 
@@ -115,9 +121,9 @@ def _parse_weight(spec, cfg):
     if delta0 is not None:
         kw["delta0"] = delta0
     if kind in ("constant", "const"):
-        return Weight.constant(float(rest) if rest else 1.0, **kw)
+        return Weight.constant(_spec_number(spec, rest, "weight") if rest else 1.0, **kw)
     if kind == "power":
-        return Weight.power(float(rest), **kw)
+        return Weight.power(_spec_number(spec, rest, "weight"), **kw)
     raise ParameterError(f"(b2) unknown weight kind {kind!r} (use constant:C or power:A)")
 
 

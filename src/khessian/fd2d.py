@@ -29,7 +29,7 @@ from scipy.sparse.linalg import splu
 from ._quad import vectorized
 from .errors import (ConditionViolation, KellerOssermanViolation, ParameterError,
                      ReportTruncated, SolveFailure, require_positive_finite)
-from .grid2d import _DIRS, Field2D
+from .grid2d import Field2D
 from .nonlinearity import Nonlinearity, Weight
 from .profiles import ProfileFns, assemble_profile, predicted_profile, xi_bounds
 
@@ -66,7 +66,8 @@ def _csr(vals, cols, n_cols, offset=0):
 
 # stencil tables list a node's neighbours S, W, E, N, in increasing column order in
 # row-major and in colour numbering, and a matrix row stores them S, W, diagonal, E, N;
-# _ARMS picks grid2d's arm directions E, W, N, S out of a table
+# arms are taken E, W, N, S (_DIRS), which _ARMS picks out of a table
+_DIRS = np.array([[1, 0], [-1, 0], [0, 1], [0, -1]])
 _ARMS = [2, 1, 3, 0]
 
 
@@ -85,26 +86,55 @@ def _operator(off, diag, cols):
                 np.insert(cols, 2, np.arange(n, dtype=np.int32), axis=1), n)
 
 
-def _stencil(grid: Field2D):
-    """(A, off): the Shortley-Weller matrix of grid (CSR) and its off-diagonal weights.
+def _lattice(grid: Field2D):
+    """(lx, ly, box): grid's nodes on the lattice of spacing h, and their box with margin 1."""
+    lx = grid.node_ix + round(grid.xs[0] / grid.h)
+    ly = grid.node_iy + round(grid.ys[0] / grid.h)
+    return lx, ly, (lx.min() - 1, ly.min() - 1, lx.max() + 1, ly.max() + 1)
 
-    A acts on the interior unknowns, diagonal included and cut arms dropped;
-    off[:, t] is the weight of the arm to neighbour S, W, E, N, which
-    multiplies the boundary value on a cut arm.
+
+def _stencil(domain, h, lx, ly, order, box):
+    """Shortley-Weller stencil of spacing h at the nodes at lattice (lx, ly), rows in order.
+
+    Returns _table's (table, flat, cols), _weights's (off, diag) and the cut arms
+    (rows, t, theta): row and direction (_DIRS) of each arm whose neighbour is not a
+    node, by row and E, W, N, S within one, and its fraction from domain.arm_fraction.
     """
-    off, diag = _weights(grid.arm, grid.h)
-    nbr = np.where(np.isnan(grid.arm_xy[:, :, 0]), grid.nbr, -1)  # -1 on cut arms
-    return _operator(off, diag, nbr[:, [3, 1, 0, 2]]), off
+    table, flat, cols = _table(lx, ly, order, box)
+    rows, t = np.nonzero(cols[:, _ARMS] < 0)
+    (dx, dy), at = _DIRS[t].T, order[rows]
+    theta = domain.arm_fraction(lx[at] * h, ly[at] * h, dx, dy, h)
+    arm = np.ones((order.size, 4))
+    arm[rows, t] = theta
+    return (table, flat, cols, *_weights(arm, h), (rows, t, theta))
 
 
-def _boundary_terms(grid: Field2D, off, g):
-    """(const, gvals): each row's known boundary contribution, and g on the arms (NaN if uncut)."""
-    cut = np.nonzero(~np.isnan(grid.arm_xy[:, :, 0]))  # (node, arm) pairs, row-major
-    gvals = np.full(grid.arm.shape, np.nan)  # arms E, W, N, S
-    gvals[cut] = np.asarray(g(*grid.arm_xy[cut].T), float) if callable(g) else float(g)
+def _fine_operator(grid: Field2D):
+    """(A, arms): the Shortley-Weller matrix of grid (CSR) and its cut arms.
+
+    A acts on the interior unknowns in row-major order, diagonal included and
+    cut arms dropped; arms = (rows, t, theta, weight) lists the cut arms as
+    _stencil does, with the weight that multiplies the boundary value.
+    """
+    lx, ly, box = _lattice(grid)
+    _, _, cols, off, diag, (rows, t, theta) = _stencil(
+        grid.domain, grid.h, lx, ly, np.arange(lx.size), box)
+    return _operator(off, diag, cols), (rows, t, theta, off[rows, np.take(_ARMS, t)])
+
+
+def _boundary_terms(grid: Field2D, arms, g):
+    """(const, gvals): each row's known boundary contribution, and g on the arms (NaN if uncut).
+
+    g is evaluated at the ends of the cut arms, x0 + theta h (dx, dy).
+    """
+    rows, t, theta, weight = arms
+    if callable(g):
+        (dx, dy), step = _DIRS[t].T, theta * grid.h
+        g = g(grid.xs[grid.node_ix[rows]] + step * dx, grid.ys[grid.node_iy[rows]] + step * dy)
+    gvals = np.full((grid.n_interior, 4), np.nan)  # arms E, W, N, S
+    gvals[rows, t] = np.asarray(g, float)
     const = np.zeros(grid.n_interior)
-    weight = off[cut[0], np.take(_ARMS, cut[1])]
-    np.add.at(const, cut[0], weight * np.nan_to_num(gvals[cut]))  # in arm order, as a row sum
+    np.add.at(const, rows, weight * np.nan_to_num(gvals[rows, t]))  # in arm order, as a row sum
     return const, gvals
 
 
@@ -115,8 +145,8 @@ def assemble_operator(grid: Field2D, g):
     included and cut arms dropped; const carries the known boundary
     contributions, so A u + const approximates Delta u.
     """
-    A, off = _stencil(grid)
-    return (A, *_boundary_terms(grid, off, g))
+    A, arms = _fine_operator(grid)
+    return (A, *_boundary_terms(grid, arms, g))
 
 
 def _source_b(grid: Field2D, bweight: Weight):
@@ -249,33 +279,27 @@ class _Multigrid:
     coarse: sp.csc_matrix  # Shortley-Weller operator of the coarsest level, row-major
 
 
-def _multigrid(grid: Field2D, A):
-    """The hierarchy of grid, with fine operator A, down to <= _COARSE_MAX unknowns.
+def _multigrid(grid: Field2D):
+    """The hierarchy of grid down to <= _COARSE_MAX unknowns.
 
-    Each level is the even sublattice of the one above, halved: its colour blocks, P,
-    restriction and shift map are read off lattice tables (_table) as CSR, rows in colour
-    order.  The finest weights are A's entries, a coarse level's come from its arms, cut
-    only where they leave the domain; no coarse grid, distance or sparse product is formed.
+    Each level is the even sublattice of the one above, halved: its stencil
+    (_stencil), colour blocks, P, restriction and shift map are read off lattice
+    tables as CSR, rows in colour order, with arms cut only where they leave the
+    domain; no coarse grid, distance or sparse product is formed.
     """
-    lx, ly = grid.node_ix + round(grid.xs[0] / grid.h), grid.node_iy + round(grid.ys[0] / grid.h)
-    box = (lx.min() - 1, ly.min() - 1, lx.max() + 1, ly.max() + 1)  # one node of margin
+    domain, h = grid.domain, grid.h
+    lx, ly, box = _lattice(grid)
     order, n_red = _colour_order(lx, ly)
-    table, flat, cols = _table(lx, ly, order, box)
-    at = np.empty(cols.shape, dtype=np.int32)  # where A's rows store S, W, (diag,) E, N
-    at[:, 0] = A.indptr[order]
-    at[:, 1] = at[:, 0] + (cols[:, 0] >= 0)
-    at[:, 2] = at[:, 1] + (cols[:, 1] >= 0) + 1
-    at[:, 3] = at[:, 2] + (cols[:, 2] >= 0)
-    off, diag = A.data.take(at, mode="clip"), A.data[at[:, 2] - 1]  # junk where none
-    del at  # freed before the levels are built
-    h, levels, top = grid.h, [], order
+    table, flat, cols, off, diag, _ = _stencil(domain, h, lx, ly, order, box)
+    levels, top = [], order
     while lx.size > _COARSE_MAX:
         k, width = n_red, box[2] - box[0] + 1
         even = np.flatnonzero(((lx | ly) & 1) == 0)
         cx, cy = lx[even] >> 1, ly[even] >> 1
         c_box = (box[0] >> 1, box[1] >> 1, -(-box[2] >> 1), -(-box[3] >> 1))
         c_order, c_red = _colour_order(cx, cy)
-        c_table, c_flat, c_cols = _table(cx, cy, c_order, c_box)
+        h *= 2.0
+        c_table, c_flat, c_cols, c_off, c_diag, _ = _stencil(domain, h, cx, cy, c_order, c_box)
         steps = np.array([dy * width + dx for dx, dy in _AROUND], dtype=np.int32)
         near = table.take(flat[even[c_order], None] + steps)  # coarse rows, colour order
         weight = np.where(near >= 0, _P_WEIGHT, 0.0) ** 2
@@ -287,14 +311,8 @@ def _multigrid(grid: Field2D, A):
             restrict=_csr(np.broadcast_to(0.25 * _P_WEIGHT[8:3:-1], (cx.size, 5)),
                           near[:, 8:3:-1], k),
             shift=_csr(weight, near, lx.size)))
-        lx, ly, box, order, n_red, table, flat, cols = (
-            cx, cy, c_box, c_order, c_red, c_table, c_flat, c_cols)
-        h *= 2.0
-        x, y, arm = lx[order] * h, ly[order] * h, np.ones((lx.size, 4))
-        for t, (dx, dy) in enumerate(_DIRS):
-            cut = np.flatnonzero(cols[:, _ARMS[t]] < 0)
-            arm[cut, t] = grid.domain.arm_fraction(x[cut], y[cut], dx, dy, h)
-        off, diag = _weights(arm, h)
+        lx, ly, box, order, n_red, table, flat, cols, off, diag = (
+            cx, cy, c_box, c_order, c_red, c_table, c_flat, c_cols, c_off, c_diag)
     return _Multigrid(levels=levels, order=top, coarse=_operator(off, diag, cols).tocsc())
 
 
@@ -418,15 +436,14 @@ _SHARED = ContextVar("fd2d_shared", default=(None, None))  # (grid, operators) o
 
 
 def _operators(grid: Field2D):
-    """(A, off, multigrid) of grid, which depend on neither f, b nor g.
+    """(A, arms, multigrid) of grid (_fine_operator, _multigrid): none depends on f, b or g.
 
     Within _shared_operators(grid), the set built there.
     """
     shared_grid, operators = _SHARED.get()
     if shared_grid is grid:
         return operators
-    A, off = _stencil(grid)
-    return A, off, _multigrid(grid, A)
+    return (*_fine_operator(grid), _multigrid(grid))
 
 
 @contextmanager
@@ -468,8 +485,8 @@ def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol, u0=
     and start ("profile", "constant" or "given").
     """
     require_positive_finite(tol, "tolerance")
-    A, off, mg = _operators(grid)
-    const, gvals = _boundary_terms(grid, off, g)
+    A, arms, mg = _operators(grid)
+    const, gvals = _boundary_terms(grid, arms, g)
     abs_diag = np.abs(A.diagonal())
     b = _source_b(grid, bweight)
     f_raw = vectorized(f.f)
@@ -486,6 +503,7 @@ def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol, u0=
         start = "constant" if u is None else "profile"
         if u is None:
             u = np.full(grid.n_interior, j)
+    del gvals  # dense per arm: not held through the solve
 
     def evaluate(uv):
         """(residual, scaled max-norm, whether it is round-off) at uv; f is evaluated once."""

@@ -1,13 +1,14 @@
 """Cartesian grids on smooth convex 2d domains with curved-boundary stencils.
 
 Nodes live on the lattice x = i*h, y = j*h (the origin is always a lattice
-point).  Boundary-adjacent nodes store fractional arm lengths to the exact
-boundary intersection in each cut direction, which is what the
-Shortley-Weller stencil of the solver consumes.  Per-node distances to the
-boundary are closed-form for the disk.  For the ellipse, run over all nodes
-at once, each node's nearest point comes from one monotone Newton solve of
-Eberly's root equation (closed form on the major axis), polished by Newton
-in the boundary angle.
+point); a grid stores only their lattice indices, boundary distances and
+values.  The solver's Shortley-Weller stencil reads each node's neighbours
+off the lattice and asks the domain's ``arm_fraction`` for the fractional
+arm length to the exact boundary intersection on the arms that leave the
+domain.  Per-node distances to the boundary are closed-form for the disk.
+For the ellipse, run over all nodes at once, each node's nearest point
+comes from one monotone Newton solve of Eberly's root equation (closed
+form on the major axis), polished by Newton in the boundary angle.
 """
 
 import math
@@ -18,9 +19,6 @@ import numpy as np
 from .errors import ParameterError, require_positive_finite
 
 __all__ = ["Disk", "Ellipse", "Field2D", "build_grid", "parse_domain"]
-
-_DIRS = np.array([[1, 0], [-1, 0], [0, 1], [0, -1]], dtype=int)  # E, W, N, S
-
 
 @dataclass(frozen=True)
 class Disk:
@@ -148,15 +146,20 @@ class Ellipse:
 
 
 def parse_domain(spec):
-    """'disk:R' or 'ellipse:a,b' -> domain object."""
+    """'disk:R' or 'ellipse:a,b' -> domain object; ParameterError naming a malformed spec."""
     kind, _, rest = spec.partition(":")
     kind = kind.strip().lower()
-    if kind == "disk":
-        return Disk(R=float(rest))
-    if kind == "ellipse":
-        a, b = (float(v) for v in rest.split(","))
-        return Ellipse(a=a, b=b)
-    raise ParameterError(f"unknown domain kind {kind!r}")
+    forms = {"disk": (Disk, 1, "disk:R"), "ellipse": (Ellipse, 2, "ellipse:a,b")}
+    if kind not in forms:
+        raise ParameterError(f"unknown domain kind {kind!r}")
+    cls, count, form = forms[kind]
+    try:
+        values = [float(v) for v in rest.split(",")]
+    except ValueError:
+        values = []
+    if len(values) != count:
+        raise ParameterError(f"domain {spec!r} is malformed (use {form})")
+    return cls(*values)
 
 
 @dataclass
@@ -165,11 +168,8 @@ class Field2D:
 
     Node i sits at (xs[node_ix[i]], ys[node_iy[i]]), at distance ``node_d[i]``
     from the boundary, and carries the value ``u[i]``; nodes are numbered
-    row-major over (iy, ix).
-    ``nbr``: the neighbour's node number per direction (E, W, N, S), 0 on
-    cut arms, which the solver drops when it builds its matrix.
-    ``arm``: fractional arm length per direction (1 for uncut arms);
-    ``arm_xy`` holds the boundary intersection for cut arms (NaN otherwise).
+    row-major over (iy, ix).  Neighbours and arm fractions are not stored:
+    the solver derives them from the lattice coordinates and the domain.
     """
 
     domain: object
@@ -180,9 +180,6 @@ class Field2D:
     node_iy: np.ndarray
     node_d: np.ndarray
     u: np.ndarray
-    nbr: np.ndarray
-    arm: np.ndarray
-    arm_xy: np.ndarray
     meta: dict = field(default_factory=dict)
 
     @property
@@ -207,43 +204,20 @@ class Field2D:
 
 
 def build_grid(domain, h):
-    """Interior lattice nodes with Shortley-Weller arms and boundary distances."""
+    """Interior lattice nodes, numbered row-major, and their boundary distances."""
     require_positive_finite(h, "grid spacing")
     hx, hy = domain.half_extents
     ix = np.arange(-(math.ceil(hx / h) + 1), math.ceil(hx / h) + 2)
     iy = np.arange(-(math.ceil(hy / h) + 1), math.ceil(hy / h) + 2)
     xs = ix * h
     ys = iy * h
-    X, Y = np.meshgrid(xs, ys)
-    inside = np.asarray(domain.inside(X, Y), dtype=bool)
+    inside = np.asarray(domain.inside(*np.meshgrid(xs, ys)), dtype=bool)
     if not inside.any():
         raise ParameterError("degenerate grid: no interior nodes")
-    ny, nx = inside.shape
-
-    index = np.full((ny, nx), -1, dtype=np.int32)
     node_iy, node_ix = np.nonzero(inside)
-    index[node_iy, node_ix] = np.arange(len(node_ix), dtype=np.int32)
-
-    m = len(node_ix)
-    nbr = np.zeros((m, 4), dtype=np.int32)  # stays 0 on cut arms
-    arm = np.ones((m, 4))
-    arm_xy = np.full((m, 4, 2), np.nan)
-
-    at = node_iy * nx + node_ix  # flat places: each neighbour is one take away
-    for t, (dx, dy) in enumerate(_DIRS):
-        j = index.take(at + (dy * nx + dx))
-        nbr[:, t] = np.maximum(j, 0)
-        cut = np.flatnonzero(j < 0)
-        x0, y0 = xs[node_ix[cut]], ys[node_iy[cut]]
-        theta = domain.arm_fraction(x0, y0, dx, dy, h)
-        arm[cut, t] = theta
-        arm_xy[cut, t, 0] = x0 + theta * h * dx
-        arm_xy[cut, t, 1] = y0 + theta * h * dy
-
     return Field2D(
         domain=domain, h=h, xs=xs, ys=ys,
         node_ix=node_ix.astype(np.int32), node_iy=node_iy.astype(np.int32),
         node_d=np.asarray(domain.distance(xs[node_ix], ys[node_iy]), dtype=float),
-        u=np.zeros(m), nbr=nbr, arm=arm, arm_xy=arm_xy,
-        meta={"h": h, "domain": domain.describe()},
+        u=np.zeros(node_ix.size), meta={"h": h, "domain": domain.describe()},
     )

@@ -387,6 +387,20 @@ VALIDATION = {
     "j-nan-radial-exhaust": (EXHAUST + "j_schedule = 2,nan\n",
                              "boundary-data schedule must be strictly increasing and finite, "
                              "got [2.0, nan]"),
+    "ellipse-one-axis": (FD + "domain = ellipse:1\nj_schedule = 2,4\n",
+                         "domain 'ellipse:1' is malformed (use ellipse:a,b)"),
+    "ellipse-one-axis-check-barrier": (BARRIER + "domain = ellipse:1.2\n",
+                                       "domain 'ellipse:1.2' is malformed (use ellipse:a,b)"),
+    "ellipse-three-axes": (FD + "domain = ellipse:1,2,3\nj_schedule = 2,4\n",
+                           "domain 'ellipse:1,2,3' is malformed (use ellipse:a,b)"),
+    "disk-no-radius": (FD + "domain = disk:\nj_schedule = 2,4\n",
+                       "domain 'disk:' is malformed (use disk:R)"),
+    "f-power-no-exponent": ("command = profile\nk = 1\nf = power:\n",
+                            "nonlinearity 'power:': '' is not a number"),
+    "weight-power-not-a-number": (PROFILE + "weight = power:x\n",
+                                  "weight 'power:x': 'x' is not a number"),
+    "j-not-a-number": (FD + "domain = disk:1\nj_schedule = 3,x\n",
+                       "config key 'j_schedule': cannot parse '3,x'"),
 }
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,25 +24,45 @@ def liouville_g(x, y):
     return np.log(2.0 / (1.0 - r2))
 
 
+def disk_arm(R, x, y, dx, dy, h):
+    """Fraction of the arm (dx, dy) h from (x, y) inside Disk(R), one Python float at a time."""
+    qa = h * h * (dx * dx + dy * dy)
+    qb = 2.0 * h * (x * dx + y * dy)
+    qc = x * x + y * y - R * R
+    theta = (-qb + math.sqrt(qb * qb - 4.0 * qa * qc)) / (2.0 * qa)
+    return min(max(theta, 1e-12), 1.0)
+
+
 class TestOperatorMatrix:
     def test_matvec_matches_stencil(self):
-        # the Shortley-Weller formula written out node by node
+        # the Shortley-Weller formula written out node by node: neighbours looked up by
+        # lattice index, cut arms' fractions solved per node
         grid = build_grid(Disk(1.0), 1.0 / 12.0)
+        h = grid.h
         g = lambda x, y: 1.0 + np.asarray(x, float) - 2.0 * np.asarray(y, float)
         A, const, gvals = assemble_operator(grid, g)
         x = np.cos(np.arange(grid.n_interior, dtype=float))
-        cut = ~np.isnan(grid.arm_xy[:, :, 0])
-        assert cut.any() and np.array_equal(cut, ~np.isnan(gvals))
+        node = {ij: i for i, ij in enumerate(zip(grid.node_ix.tolist(), grid.node_iy.tolist()))}
+        cut = np.zeros((grid.n_interior, 4), dtype=bool)
         Ax = A @ x
-        for i in range(grid.n_interior):
-            aE, aW, aN, aS = grid.arm[i] * grid.h
+        for (ix, iy), i in node.items():
+            x0, y0 = grid.xs[ix], grid.ys[iy]
+            nbr, arm = [], []
+            for t, (dx, dy) in enumerate(((1, 0), (-1, 0), (0, 1), (0, -1))):  # E, W, N, S
+                nbr.append(node.get((ix + dx, iy + dy)))
+                cut[i, t] = nbr[t] is None
+                arm.append(disk_arm(1.0, x0, y0, dx, dy, h) if cut[i, t] else 1.0)
+            ends = [(x0 + arm[0] * h, y0), (x0 - arm[1] * h, y0),
+                    (x0, y0 + arm[2] * h), (x0, y0 - arm[3] * h)]
+            aE, aW, aN, aS = (a * h for a in arm)
             cof = (2.0 / (aE * (aE + aW)), 2.0 / (aW * (aE + aW)),
                    2.0 / (aN * (aN + aS)), 2.0 / (aS * (aN + aS)))
             terms = [-(2.0 / (aE * aW) + 2.0 / (aN * aS)) * x[i]]
-            terms += [cof[t] * x[grid.nbr[i, t]] for t in range(4) if not cut[i, t]]
-            known = sum(cof[t] * g(*grid.arm_xy[i, t]) for t in range(4) if cut[i, t])
+            terms += [cof[t] * x[nbr[t]] for t in range(4) if not cut[i, t]]
+            known = sum(cof[t] * g(*ends[t]) for t in range(4) if cut[i, t])
             assert abs(Ax[i] - sum(terms)) <= 1e-14 * sum(abs(v) for v in terms)
             assert const[i] == pytest.approx(known, rel=1e-13)
+        assert cut.any() and np.array_equal(cut, ~np.isnan(gvals))
         # five entries on a node with no cut arm, fewer where arms are cut
         assert A.nnz == grid.n_interior + int((~cut).sum())
 
@@ -201,6 +222,26 @@ class TestLiouvilleDirichlet:
         u = fld.interior_values()
         exact = liouville_g(grid.node_x, grid.node_y)
         assert np.max(np.abs(u - exact)) <= 1e-3
+
+    def test_memory_per_node(self):
+        # the grid keeps lattice indices, distances and values per node (24 bytes), and
+        # a solve's operators keep the cut arms alone, not dense per-arm arrays; counted
+        # from before the grid, after a smaller solve has filled the first-call caches
+        f = Nonlinearity.exponential(2)
+        solve_dirichlet(build_grid(Disk(0.9), 1.0 / 32.0), f, W1, liouville_g, tol=1e-9)
+        tracemalloc.start()
+        try:
+            grid = build_grid(Disk(0.9), 1.0 / 128.0)
+            held = tracemalloc.get_traced_memory()[0]
+            solve_dirichlet(grid, f, W1, liouville_g, tol=1e-9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert held <= 32 * grid.n_interior
+        assert peak <= 450 * grid.n_interior
+        # besides A and the levels, the operators hold four numbers per cut arm
+        n_cut = np.count_nonzero(~np.isnan(assemble_operator(grid, 0.0)[2]))
+        assert sum(np.size(a) for a in fd2d._operators(grid)[1]) <= 4 * n_cut
 
     def test_grid_convergence_order(self):
         # curved-boundary stencils enter the asymptotic O(h^2) regime slowly

@@ -86,7 +86,7 @@ class TestLevels:
         # coarsen until a level has at most _COARSE_MAX unknowns
         for h, depth in ((1.0 / 8.0, 0), (1.0 / 64.0, 2), (1.0 / 128.0, 3)):
             grid = build_grid(Disk(1.0), h)
-            mg = fd2d._multigrid(grid, assemble_operator(grid, 0.0)[0])
+            mg = fd2d._multigrid(grid)
             assert len(mg.levels) == depth
             sizes = [grid.n_interior] + [lv.P.shape[1] for lv in mg.levels]
             assert all(n > fd2d._COARSE_MAX for n in sizes[:-1])
@@ -102,7 +102,7 @@ class TestLevels:
         # prolongation put every coarse node on the fine node it coincides with
         grid = build_grid(domain, h)
         lx, ly = lattice(grid)
-        mg = fd2d._multigrid(grid, assemble_operator(grid, 0.0)[0])
+        mg = fd2d._multigrid(grid)
         assert mg.levels
         fine = mg.order  # the finest nodes, in the top level's order
         for level, lv in enumerate(mg.levels, start=1):
@@ -174,7 +174,7 @@ class TestLevels:
         grid = build_grid(domain, h)
         u = fd2d._boundary_profile(grid, EXP2, W1)(4.0)
         bfp = 2.0 * np.exp(2.0 * u)
-        mg = fd2d._multigrid(grid, assemble_operator(grid, 4.0)[0])
+        mg = fd2d._multigrid(grid)
         assert len(mg.levels) == 2
         shifts = fd2d._shifts(mg, bfp)
         rng = np.random.default_rng(1)
@@ -204,7 +204,7 @@ class TestVCycle:
         grid = build_grid(domain, h)
         u = solve_dirichlet(grid, EXP2, W1, g, tol=1e-9).interior_values()
         J = jacobian(grid, g, u)
-        mg = fd2d._multigrid(grid, assemble_operator(grid, g)[0])
+        mg = fd2d._multigrid(grid)
         assert mg.levels
         precond = preconditioner(mg, 2.0 * np.exp(2.0 * u))
         rhs = np.random.default_rng(0).standard_normal(grid.n_interior)
@@ -226,7 +226,7 @@ class TestVCycle:
         # the Galerkin diagonal gives each its weighted share
         grid = build_grid(domain, h)
         A = assemble_operator(grid, 0.0)[0]
-        mg = fd2d._multigrid(grid, A)
+        mg = fd2d._multigrid(grid)
         assert mg.levels
         lx, ly = lattice(grid)
         odd = (lx % 2 == 1) if pattern == "stripes" else ((lx + ly) % 2 == 1)
@@ -262,7 +262,7 @@ class TestNewtonKrylov:
     @pytest.mark.parametrize("domain, g", [(Ellipse(2.0, 0.5), 3.0), (Disk(0.9), liouville_g)])
     def test_matches_direct_newton(self, domain, g):
         grid = build_grid(domain, 1.0 / 64.0)
-        assert fd2d._multigrid(grid, assemble_operator(grid, g)[0]).levels
+        assert fd2d._multigrid(grid).levels
         fld = solve_dirichlet(grid, EXP2, W1, g, tol=1e-10)
         assert fld.meta["start"] == "profile"
         u0 = fd2d._boundary_profile(grid, EXP2, W1)(float(np.nanmean(
@@ -280,7 +280,7 @@ class TestNewtonKrylov:
         # f = f0 + f1 u makes the Newton model exact: V-cycles solve the one step to
         # finish, and the field is the direct solve of (A - f1 I) u = f0 - const
         grid = build_grid(Disk(1.0), h)
-        assert len(fd2d._multigrid(grid, assemble_operator(grid, g)[0]).levels) >= 2
+        assert len(fd2d._multigrid(grid).levels) >= 2
         fld = solve_dirichlet(grid, f, W1, g, tol=1e-10)
         assert fld.meta["newton_iters"] == 1
         A, const, _ = assemble_operator(grid, g)
@@ -295,7 +295,7 @@ class TestNewtonKrylov:
         assert fld.meta["cycles"] == fld.meta["newton_iters"]
         u = fld.interior_values()
         A = assemble_operator(grid, 2.0)[0]
-        mg = fd2d._multigrid(grid, A)
+        mg = fd2d._multigrid(grid)
         assert not mg.levels
         rhs = np.sin(np.arange(grid.n_interior, dtype=float))
         x, cycles = newton_direction(A, 2.0 * np.exp(2.0 * u), mg, rhs, 1e-6)
@@ -323,9 +323,9 @@ class TestNewtonKrylov:
         built = []
         multigrid = fd2d._multigrid
 
-        def recording_multigrid(g, A):
+        def recording_multigrid(g):
             built.append(g)
-            return multigrid(g, A)
+            return multigrid(g)
 
         def no_build_grid(domain, h):
             raise AssertionError(f"build_grid called with h = {h}")

@@ -6,7 +6,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from khessian.grid2d import _DIRS, Disk, Ellipse, build_grid
+from khessian.fd2d import assemble_operator
+from khessian.grid2d import Disk, Ellipse, build_grid
+
+DIRS = ((1, 0), (-1, 0), (0, 1), (0, -1))  # E, W, N, S, the arm order of gvals
 
 
 def scalar_arm(domain, x, y, dx, dy, h):
@@ -65,21 +68,32 @@ def test_ellipse_distance_matches_per_node_newton(ell, h):
 
 @pytest.mark.parametrize("domain, h", [(Disk(0.9), 1.0 / 64.0), (Ellipse(1.2, 1.0), 1.0 / 96.0)])
 def test_arms_match_per_node_loop(domain, h):
+    # the solver evaluates g once, at the ends of the cut arms; a g that returns each
+    # point's index shows in gvals which arm of which node ends at that point
     grid = build_grid(domain, h)
-    arm = np.ones_like(grid.arm)
-    arm_xy = np.full_like(grid.arm_xy, np.nan)
-    inside = domain.inside(*np.meshgrid(grid.xs, grid.ys))
-    for t, (dx, dy) in enumerate(_DIRS):
-        for i in range(grid.n_interior):
-            ix, iy = grid.node_ix[i], grid.node_iy[i]
-            if inside[iy + dy, ix + dx]:
+    calls = []
+
+    def g(x, y):
+        calls.append((np.array(x, float), np.array(y, float)))
+        return np.arange(np.size(x), dtype=float)
+
+    gvals = assemble_operator(grid, g)[2]
+    (x_end, y_end), = calls
+    nodes = set(zip(grid.node_ix.tolist(), grid.node_iy.tolist()))
+    want = np.full(gvals.shape + (2,), np.nan)
+    for i, (ix, iy) in enumerate(zip(grid.node_ix.tolist(), grid.node_iy.tolist())):
+        for t, (dx, dy) in enumerate(DIRS):
+            if (ix + dx, iy + dy) in nodes:
                 continue
             x0, y0 = grid.xs[ix], grid.ys[iy]
             theta = scalar_arm(domain, x0, y0, dx, dy, h)
-            arm[i, t] = theta
-            arm_xy[i, t] = (x0 + theta * h * dx, y0 + theta * h * dy)
-    assert np.array_equal(grid.arm, arm)
-    assert np.array_equal(grid.arm_xy, arm_xy, equal_nan=True)
+            want[i, t] = (x0 + theta * h * dx, y0 + theta * h * dy)
+    cut = ~np.isnan(want[:, :, 0])
+    assert cut.any() and np.array_equal(~np.isnan(gvals), cut)
+    at = gvals[cut].astype(int)
+    assert np.array_equal(np.sort(at), np.arange(x_end.size))  # every point on one arm
+    assert np.array_equal(x_end[at], want[cut][:, 0])
+    assert np.array_equal(y_end[at], want[cut][:, 1])
 
 
 def test_ellipse_distance_array_matches_scan():
