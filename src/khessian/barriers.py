@@ -14,7 +14,6 @@ numpy, and the symmetric functions of all samples are evaluated in one
 batched call, so certification loads no scipy module.
 """
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -274,9 +273,6 @@ class MarginReport:
             "extras": self.extras,
             "samples": self.samples,
         }
-
-    def to_json(self):
-        return json.dumps(self.as_dict(), sort_keys=True)
 
 
 def scrambled_halton(n, seed=0):

@@ -28,7 +28,8 @@ from .barriers import (
     certify_upper_barrier_global,
     ellipse_geometry,
 )
-from .errors import ConditionViolation, KellerOssermanViolation, ParameterError
+from .errors import (ConditionViolation, KellerOssermanViolation, ParameterError,
+                     require_positive_finite)
 from .grid2d import build_grid, parse_domain
 from .nonlinearity import Nonlinearity, Weight
 from .profiles import assemble_profile, profile_table, xi_bounds
@@ -131,6 +132,12 @@ def _default_t_grid(cfg):
     tmin = cfg.get("t_min", float, 1e-3)
     tmax = cfg.get("t_max", float, 10.0)
     per_dec = cfg.get("t_per_decade", int, 10)
+    require_positive_finite(tmin, "t_min")
+    require_positive_finite(tmax, "t_max")
+    if tmin > tmax:
+        raise ParameterError(f"profile grid needs t_min <= t_max, got t_min={tmin}, t_max={tmax}")
+    if per_dec < 1:
+        raise ParameterError(f"t_per_decade must be >= 1, got {per_dec}")
     klo = math.ceil(math.log10(tmin) * per_dec - 1e-9)
     khi = math.floor(math.log10(tmax) * per_dec + 1e-9)
     return [10.0 ** (kk / per_dec) for kk in range(klo, khi + 1)]
@@ -161,9 +168,9 @@ def cmd_profile(cfg, outdir, base, quiet, runinfo):
     nl = _parse_nonlinearity(cfg.get("f", str, required=True))
     w = _parse_weight(cfg.get("weight", str, "constant:1"), cfg)
     geom = _geometry(cfg, cfg.get("n", int, max(2, k)), k)  # checks k before any profile is built
+    ts = cfg.floats("t_grid") or _default_t_grid(cfg)
     p = assemble_profile(nl, w, k)
     xi = _resolve_xi(cfg, p, geom)
-    ts = cfg.floats("t_grid") or _default_t_grid(cfg)
     sup = p.profile.phi_domain_sup()
     ts = [t for t in ts if t < 0.95 * sup]
     rows = profile_table(p, xi, ts)
@@ -298,6 +305,8 @@ def cmd_verify_asymptotics(cfg, outdir, base, quiet, runinfo):
         raise ParameterError(f"distance window needs d_hi < R, got d_hi={d_hi}, R={prob.R}")
     if per_decade < 1:
         raise ParameterError(f"per_decade must be >= 1, got {per_decade}")
+    if not (len(band) == 2 and -math.inf < band[0] < band[1] < math.inf):
+        raise ParameterError(f"ratio_band needs two finite numbers lo < hi, got {band}")
     u0, sol = shoot_blowup_radius(prob, tol=tol)
     runinfo["shot"] = sol.meta["shot"]
     npts = max(2, int(round(math.log10(d_hi / d_lo) * per_decade)) + 1)

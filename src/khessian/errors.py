@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and its one positive-and-finite check."""
+"""Exception types shared across the package, and its positive-and-finite and schedule checks."""
 
 import math
 
@@ -15,6 +15,17 @@ def require_positive_finite(value, what):
     """ParameterError naming ``what`` unless value is positive and finite (nan is neither)."""
     if not (math.isfinite(value) and value > 0.0):
         raise ParameterError(f"{what} must be positive and finite, got {value}")
+
+
+def require_schedule(values):
+    """values as floats; ParameterError unless they are non-empty, finite, strictly increasing."""
+    js = [float(j) for j in values]
+    if not js:
+        raise ParameterError("boundary-data schedule must not be empty")
+    if not all(map(math.isfinite, js)) or any(b <= a for a, b in zip(js, js[1:])):
+        raise ParameterError(f"boundary-data schedule must be strictly increasing and finite, "
+                             f"got {js}")
+    return js
 
 
 class KellerOssermanViolation(KHessianError):

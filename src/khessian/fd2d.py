@@ -28,7 +28,7 @@ from scipy.sparse.linalg import splu
 
 from ._quad import vectorized
 from .errors import (ConditionViolation, KellerOssermanViolation, ParameterError,
-                     ReportTruncated, SolveFailure, require_positive_finite)
+                     ReportTruncated, SolveFailure, require_positive_finite, require_schedule)
 from .grid2d import Field2D
 from .nonlinearity import Nonlinearity, Weight
 from .profiles import ProfileFns, assemble_profile, predicted_profile, xi_bounds
@@ -589,9 +589,7 @@ def exhaust(grid: Field2D, f: Nonlinearity, bweight: Weight, j_schedule, tol):
     coarsest-level factorizations and V-cycles.  A SolveFailure
     carries the levels finished before it in ``partial``.
     """
-    js = [float(j) for j in j_schedule]
-    if len(js) < 1 or any(b_ <= a for a, b_ in zip(js, js[1:])):
-        raise ParameterError("boundary-data schedule must be strictly increasing")
+    js = require_schedule(j_schedule)
     diam = 2.0 * max(grid.domain.half_extents)
     core = grid.node_d >= 0.2 * diam
     profile = _boundary_profile(grid, f, bweight)

@@ -11,7 +11,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import KellerOssermanViolation, ParameterError
+from .errors import KellerOssermanViolation, ParameterError, require_positive_finite
 
 __all__ = ["Nonlinearity", "Weight"]
 
@@ -156,10 +156,11 @@ class Weight:
     b_upper: float = 1.0
 
     def __post_init__(self):
-        if self.delta0 <= 0.0:
+        if not self.delta0 > 0.0:  # nan fails too; inf, the default, is no window
             raise ParameterError(f"(b2) validity window delta0 must be positive, got {self.delta0}")
-        if self.b_lower <= 0.0:
-            raise ParameterError(f"(b2) b_lower must be positive, got {self.b_lower}")
+        require_positive_finite(self.b_lower, "(b2) b_lower")
+        if not math.isfinite(self.b_upper):
+            raise ParameterError(f"(b2) b_upper must be finite, got {self.b_upper}")
         if self.b_upper < self.b_lower:
             raise ParameterError("(b2) b_upper must be >= b_lower")
 

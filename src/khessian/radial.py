@@ -30,7 +30,7 @@ from ._quad import (
     vectorized,
 )
 from .errors import (IntegrationFailure, ParameterError, ReportTruncated, SolveFailure,
-                     require_positive_finite)
+                     require_positive_finite, require_schedule)
 from .nonlinearity import Nonlinearity, Weight
 from .profiles import ProfileFns, predicted_profile
 
@@ -674,10 +674,7 @@ def solve_exhaustion_bvp(prob: RadialProblem, j_schedule, grid_h, tol):
 
     require_positive_finite(grid_h, "grid spacing")
     require_positive_finite(tol, "tolerance")
-    js = [float(j) for j in j_schedule]
-    if not all(map(math.isfinite, js)) or any(b <= a for a, b in zip(js, js[1:])):
-        raise ParameterError(f"boundary-data schedule must be strictly increasing and finite, "
-                             f"got {js}")
+    js = require_schedule(j_schedule)
     n, k, R = prob.n, prob.k, prob.R
     N = max(8, int(round(R / grid_h)))
     h = R / N

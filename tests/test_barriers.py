@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import qmc
 
-from khessian import barriers
+from khessian import barriers, reports
 from khessian.barriers import (
     ball_geometry,
     build_barriers,
@@ -351,11 +351,12 @@ class TestVerification:
             verify_supersolution(upper, p, geom, bp, Nonlinearity.power(5), W1,
                                  [(3.0 * bp.delta_eps, 0.5)])
 
-    def test_report_serialises(self):
+    def test_report_serialises(self, tmp_path):
         p = assemble_profile(Nonlinearity.exponential(2), W1, 1)
         geom = ball_geometry(2, 1, 1.0)
         bp, rep_s, rep_l = certify_barriers(p, geom, Nonlinearity.exponential(2), W1, eps=0.1)
-        blob = json.loads(rep_s.to_json())
+        reports.write_json(tmp_path / "rep.json", rep_s.as_dict())
+        blob = json.loads((tmp_path / "rep.json").read_text())
         assert blob["passed"] is True
         assert len(blob["samples"]) == 200
         assert blob == rep_s.as_dict()

@@ -10,6 +10,9 @@ from khessian import cli
 from khessian.cli import main
 
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
 def write_cfg(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -193,15 +196,20 @@ class TestFdCommand:
         assert "levels" not in body and body["newton_iters"] == levels["newton_iters"][-1]
         assert body["cycles"] == levels["cycles"][-1]
 
-    def test_shipped_config_byte_identical_reruns(self, tmp_path):
-        cfg = str(Path(__file__).resolve().parent.parent / "configs" / "fd_disk_exhaust.cfg")
+    @pytest.mark.parametrize("name", sorted(p.stem for p in CONFIGS.glob("*.cfg")))
+    def test_shipped_config_byte_identical_reruns(self, tmp_path, name):
         outs = [tmp_path / sub for sub in ("a", "b")]
         for out in outs:
-            assert main(["--config", cfg, "--out", str(out), "--quiet"]) == 0
-        meta = json.loads((outs[0] / "fd_disk.json").read_text())
-        assert meta["monotone_ok"] is True and meta["start"] == "given"
-        for fname in ("fd_disk.csv", "fd_disk.json"):
+            assert main(["--config", str(CONFIGS / f"{name}.cfg"), "--out", str(out),
+                         "--quiet"]) == 0
+        bodies = sorted(p.name for p in outs[0].iterdir() if not p.name.endswith(".runinfo.json"))
+        assert bodies and bodies == sorted(
+            p.name for p in outs[1].iterdir() if not p.name.endswith(".runinfo.json"))
+        for fname in bodies:
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+        if name == "fd_disk_exhaust":
+            meta = json.loads((outs[0] / "fd_disk.json").read_text())
+            assert meta["monotone_ok"] is True and meta["start"] == "given"
 
 
 class TestBarrierCommand:
@@ -401,6 +409,33 @@ VALIDATION = {
                                   "weight 'power:x': 'x' is not a number"),
     "j-not-a-number": (FD + "domain = disk:1\nj_schedule = 3,x\n",
                        "config key 'j_schedule': cannot parse '3,x'"),
+    "j-nan-fd-exhaust": (FD + "domain = disk:1\nj_schedule = 3,nan\n",
+                         "boundary-data schedule must be strictly increasing and finite, "
+                         "got [3.0, nan]"),
+    "j-inf-fd-exhaust": (FD + "domain = disk:1\nj_schedule = 3,inf\n",
+                         "boundary-data schedule must be strictly increasing and finite, "
+                         "got [3.0, inf]"),
+    "j-only-nan-fd-exhaust": (FD + "domain = disk:1\nj_schedule = nan\n",
+                              "boundary-data schedule must be strictly increasing and finite, "
+                              "got [nan]"),
+    "j-empty-radial-exhaust": (EXHAUST + "j_schedule = ,\n",
+                               "boundary-data schedule must not be empty"),
+    "t_min-zero": (PROFILE + "t_min = 0\n", "t_min must be positive and finite, got 0.0"),
+    "t_max-inf": (PROFILE + "t_max = inf\n", "t_max must be positive and finite, got inf"),
+    "t_min-above-t_max": (PROFILE + "t_min = 10\nt_max = 1\n",
+                          "profile grid needs t_min <= t_max, got t_min=10.0, t_max=1.0"),
+    "t_per_decade-zero": (PROFILE + "t_per_decade = 0\n", "t_per_decade must be >= 1, got 0"),
+    "ratio_band-one-number": (VERIFY + "ratio_band = 0.9\n",
+                              "ratio_band needs two finite numbers lo < hi, got [0.9]"),
+    "delta0-nan": (PROFILE + "delta0 = nan\n",
+                   "(b2) validity window delta0 must be positive, got nan"),
+    "b_lower-nan": (PROFILE + "b_lower = nan\n",
+                    "(b2) b_lower must be positive and finite, got nan"),
+    "b_lower-inf": (PROFILE + "b_lower = inf\n",
+                    "(b2) b_lower must be positive and finite, got inf"),
+    "b_upper-nan": (PROFILE + "b_upper = nan\n", "(b2) b_upper must be finite, got nan"),
+    "b_upper-inf-check-barrier": (BARRIER + "b_upper = inf\n",
+                                  "(b2) b_upper must be finite, got inf"),
 }
 
 

@@ -45,7 +45,7 @@ OBJECTS = st.recursive(st.one_of(SCALARS, NUMPY), _containers, max_leaves=24)
 
 
 def _stdlib(obj):
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, sort_keys=True) + "\n"
 
 
 @settings(max_examples=400)
@@ -81,11 +81,17 @@ class _Real(float):
 @pytest.mark.parametrize("obj", [
     {_Text("b"): 1.0, "a": [_Real(0.5), 2.0]},  # a str subclass key is quoted once
     {1: True, 2.5: None, False: [1.0, True, 3]},  # json's own text for non-str keys
-    [[0.1, -0.0, math.inf, -math.inf, math.nan, 5e-324]],  # one join of a float list
+    [[0.1, -0.0, math.inf, -math.inf, math.nan, 5e-324]],
     {"row": {"x": 1.0, "flag": False, "n": 7, "s": _Text("t"), "v": np.float64(2.0)}},
 ])
 def test_write_json_subclasses_and_keys_match_stdlib(tmp_path, obj):
-    # exact-type fast paths against subclasses, which must take the general path
+    # subclasses and keys that OBJECTS does not draw
     path = tmp_path / "body.json"
     reports.write_json(path, obj)
     assert path.read_text() == _stdlib(obj)
+
+
+@pytest.mark.parametrize("obj", [{"a": object()}, [1.0, {2.0}]])
+def test_write_json_rejects_other_types(tmp_path, obj):
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        reports.write_json(tmp_path / "body.json", obj)
