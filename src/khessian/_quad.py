@@ -91,17 +91,6 @@ def panel_integrals(fn, a, b):
     return panel_sums(np.asarray(fn(pts), dtype=float), half)
 
 
-def vectorized(fn):
-    """Return a callable that accepts numpy arrays, wrapping scalar-only fns."""
-    try:
-        out = fn(np.array([1.0, 2.0]))
-        if np.shape(out) == (2,):
-            return fn
-    except Exception:
-        pass
-    return np.vectorize(fn, otypes=[float])
-
-
 def _checked(x, ok, name, what):
     """``x`` as a float array; ParameterError naming the first entry failing ``ok``."""
     arr = np.asarray(x, dtype=float)

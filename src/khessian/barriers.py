@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._quad import scalar_or_array, vectorized
+from ._quad import scalar_or_array
 from .errors import (
     CertificationFailure,
     GeometryError,
@@ -63,7 +63,8 @@ class CollarGeometry:
     """Principal curvatures along the boundary plus their symmetric-function extremes.
 
     ``rho(param)`` returns the n-1 principal curvatures at the boundary
-    point indexed by param in [0, 1); ``l0``/``L0`` are the extremes of
+    point indexed by param in [0, 1), and for an array of S params their
+    (S, n-1) array, one row per point; ``l0``/``L0`` are the extremes of
     sigma_{k-1} of those curvatures, ``focal_radius`` bounds the collar
     width where 1 - d rho stays positive.
     """
@@ -84,7 +85,7 @@ def ball_geometry(n, k, R=1.0):
     curv = np.full(n - 1, 1.0 / R)
     s = float(sigma_all(curv, k - 1)[k - 1]) if k >= 2 else 1.0
     return CollarGeometry(
-        n=n, k=k, rho=lambda param: curv.copy(), l0=s, L0=s,
+        n=n, k=k, rho=lambda param: np.tile(curv, np.shape(param) + (1,)), l0=s, L0=s,
         focal_radius=R, label=f"ball(n={n}, R={R})",
     )
 
@@ -95,11 +96,9 @@ def ellipse_geometry(a, b, k=1):
     if k not in (1, 2):
         raise ParameterError(f"planar geometry supports k in {{1, 2}}, got {k}")
 
-    def kappa(t):
-        return a * b / (a**2 * np.sin(t) ** 2 + b**2 * np.cos(t) ** 2) ** 1.5
-
-    def rho(param):
-        return np.array([float(kappa(2.0 * math.pi * param))])
+    def rho(param):  # the curvature a b / (a^2 sin^2 t + b^2 cos^2 t)^(3/2), t = 2 pi param
+        t = 2.0 * math.pi * np.asarray(param, dtype=float)
+        return (a * b / (a**2 * np.sin(t) ** 2 + b**2 * np.cos(t) ** 2) ** 1.5)[..., None]
 
     if k == 1:
         l0 = L0 = 1.0  # sigma_0 of the curvatures
@@ -169,10 +168,7 @@ def composite_eigs(g1, g2, d, rho):
 
 
 class ProfileBarrier:
-    """phi(xi M(d + shift)) with analytic first and second distance derivatives.
-
-    Every method takes a distance or an array of distances.
-    """
+    """phi(xi M(d + shift)) and its two distance derivatives, at a distance or an array."""
 
     def __init__(self, p: ProfileFns, xi, shift, window, label):
         self.p = p
@@ -181,7 +177,8 @@ class ProfileBarrier:
         self.window = window
         self.label = label
 
-    def _d1(self, d):
+    def jet(self, d):
+        """(value, first, second) distance derivatives from one phi inversion."""
         lo, hi = self.window
         dd = np.asarray(d, dtype=float)
         inside = (lo < dd) & (dd < hi)
@@ -190,27 +187,13 @@ class ProfileBarrier:
                 f"{self.label}: distance {dd[~inside].flat[0]:.6g} outside the validity "
                 f"window ({lo:.6g}, {hi:.6g})"
             )
-        return dd + self.shift
-
-    def jet(self, d):
-        """(value, first, second) distance derivatives from one phi inversion."""
-        d1 = self._d1(d)
+        d1 = dd + self.shift
         p, xi = self.p, self.xi
-        m = np.asarray(p.m(d1), dtype=float)
+        m = np.asarray(p.weight.m(d1), dtype=float)
         val, g1, g2 = p.phi_jet(xi * np.asarray(p.M(d1), dtype=float))
         deriv1 = xi * m * g1
-        deriv2 = xi * np.asarray(p.m_prime(d1), dtype=float) * g1 + xi**2 * m**2 * g2
+        deriv2 = xi * np.asarray(p.weight.m_prime(d1), dtype=float) * g1 + xi**2 * m**2 * g2
         return val, scalar_or_array(d, deriv1), scalar_or_array(d, deriv2)
-
-    def value(self, d):
-        d1 = self._d1(d)
-        return self.p.phi(self.xi * np.asarray(self.p.M(d1), dtype=float))
-
-    def deriv1(self, d):
-        return self.jet(d)[1]
-
-    def deriv2(self, d):
-        return self.jet(d)[2]
 
 
 def build_barriers(p: ProfileFns, geom: CollarGeometry, bp: BarrierParams):
@@ -235,14 +218,14 @@ def collar_ratios(p: ProfileFns, xi, d, phi_value=None):
     in to save the second inversion; the result is the same.
     """
     M = np.asarray(p.M(d), dtype=float)
-    m = np.asarray(p.m(d), dtype=float)
+    m = np.asarray(p.weight.m(d), dtype=float)
     t = xi * M
     s = p.phi(t) if phi_value is None else phi_value
     P = ((p.k + 1.0) * np.asarray(p.F(s), dtype=float)) ** (p.k / (p.k + 1.0)) / (
-        t * np.asarray(p.f(s), dtype=float)
+        t * np.asarray(p.nonlinearity.f(s), dtype=float)
     )
     A = (M / m) * P
-    B = 1.0 - (M * np.asarray(p.m_prime(d), dtype=float) / m**2) * P
+    B = 1.0 - (M * np.asarray(p.weight.m_prime(d), dtype=float) / m**2) * P
     return scalar_or_array(d, A), scalar_or_array(d, B)
 
 
@@ -332,18 +315,16 @@ def collar_samples(bp: BarrierParams, kind, nsamples=200, seed=0):
 
 
 def _verify(kind, barrier, p, geom, bp, f, bweight, samples):
-    fv = vectorized(f.f)
-    m = vectorized(bweight.m)
     kp1 = p.k + 1
     base = bweight.b_lower if kind == "super" else bweight.b_upper
     samples = np.asarray(samples, dtype=float).reshape(-1, 2)
     ds = samples[:, 0]
     uval, g1, g2 = barrier.jet(ds)
-    scale = base * np.asarray(m(ds), dtype=float) ** kp1 * np.asarray(fv(uval), dtype=float)
+    scale = base * np.asarray(bweight.m(ds), dtype=float) ** kp1 * np.asarray(f.f(uval), float)
     # the barrier's own shift and xi: the jet's uval is phi(xi M(d_shift))
     d_shift = ds + barrier.shift
     ratio_A, ratio_B = collar_ratios(p, barrier.xi, d_shift, uval)
-    rho = np.array([geom.rho(param) for param in samples[:, 1]])
+    rho = geom.rho(samples[:, 1])
     sigs = sigma_all(composite_eigs(g1, g2, ds, rho), p.k)[:, 1:]
     tilt_k = sigma_all(rho / (1.0 - ds[:, None] * rho), p.k)[:, p.k]
     sk = sigs[:, p.k - 1]
@@ -456,13 +437,11 @@ def certify_upper_barrier_global(p: ProfileFns, w_sol: RadialSolution, f: Nonlin
     n, k, R = w_sol.meta["n"], w_sol.meta["k"], w_sol.meta["R"]
     if w_sol.value is None or w_sol.deriv1 is None or w_sol.deriv2 is None:
         raise ParameterError("torsion solution must carry value/deriv callables")
-    fv = vectorized(f.f)
-    bv = vectorized(b)
     r_all = _GLOBAL_RADII * R
     w_all = np.asarray(w_sol.value(r_all), dtype=float)
     w1_all = np.asarray(w_sol.deriv1(r_all), dtype=float)
     w2_all = np.asarray(w_sol.deriv2(r_all), dtype=float)
-    b_all = np.asarray(bv(r_all), dtype=float)
+    b_all = np.asarray(b(r_all), dtype=float)
     worst_overall = -math.inf
     last_rows = None
     ff_decay = check_limit_Ff(p.profile)
@@ -477,7 +456,7 @@ def certify_upper_barrier_global(p: ProfileFns, w_sol: RadialSolution, f: Nonlin
         h1 = -eps * w1 * g1
         h2 = -eps * w2 * g1 + eps**2 * w1**2 * g2
         lhs = sk_radial(h1, h2, r, n, k)
-        rhs = b_all[:n_ok] * np.asarray(fv(u), dtype=float)
+        rhs = b_all[:n_ok] * np.asarray(f.f(u), dtype=float)
         lam = np.column_stack([h2, np.repeat((h1 / r)[:, None], n - 1, axis=1)])
         admissible = np.all(sigma_all(lam, k)[:, 1:] > 0.0, axis=1)
         margin = rhs - lhs

@@ -156,11 +156,11 @@ def _geometry(cfg, n, k):
 
 
 def _resolve_xi(cfg, p, geom):
-    raw = cfg.get("xi", str, "auto")
-    if raw != "auto":
-        return float(raw)
-    lo, _ = xi_bounds(p.weight, geom.L0, geom.l0, p.C_f, p.C_m, p.k)
-    return lo
+    if cfg.get("xi", str, "auto") == "auto":
+        return xi_bounds(p.weight, geom.L0, geom.l0, p.C_f, p.C_m, p.k)[0]
+    xi = cfg.get("xi", float)
+    require_positive_finite(xi, "xi")
+    return xi
 
 
 def cmd_profile(cfg, outdir, base, quiet, runinfo):
@@ -168,7 +168,11 @@ def cmd_profile(cfg, outdir, base, quiet, runinfo):
     nl = _parse_nonlinearity(cfg.get("f", str, required=True))
     w = _parse_weight(cfg.get("weight", str, "constant:1"), cfg)
     geom = _geometry(cfg, cfg.get("n", int, max(2, k)), k)  # checks k before any profile is built
-    ts = cfg.floats("t_grid") or _default_t_grid(cfg)
+    ts = cfg.floats("t_grid")
+    if ts is None:
+        ts = _default_t_grid(cfg)
+    elif not (ts and all(math.isfinite(t) and t > 0.0 for t in ts)):
+        raise ParameterError(f"t_grid must list positive finite values, got {ts}")
     p = assemble_profile(nl, w, k)
     xi = _resolve_xi(cfg, p, geom)
     sup = p.profile.phi_domain_sup()

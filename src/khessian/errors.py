@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and its positive-and-finite and schedule checks."""
+"""Exception types shared across the package, and its parameter checks."""
 
 import math
 
@@ -26,6 +26,16 @@ def require_schedule(values):
         raise ParameterError(f"boundary-data schedule must be strictly increasing and finite, "
                              f"got {js}")
     return js
+
+
+def require_array_callable(fn, probe, what):
+    """ParameterError naming ``what`` unless fn maps the array ``probe`` to one of its shape."""
+    try:
+        ok = getattr(fn(probe), "shape", None) == probe.shape
+    except (TypeError, ValueError):  # what a scalar-only callable raises on an array
+        ok = False
+    if not ok:
+        raise ParameterError(f"{what} must take an array and return an array of its shape")
 
 
 class KellerOssermanViolation(KHessianError):
@@ -61,11 +71,12 @@ class ConditionViolation(KHessianError):
 
 
 class IntegrationFailure(KHessianError):
-    """Adaptive integration stopped; ``solution`` holds the last good state."""
+    """Integration stopped; ``solution`` holds the last good state, ``shot`` a shot's counts."""
 
-    def __init__(self, message, solution=None):
+    def __init__(self, message, solution=None, shot=None):
         super().__init__(message)
         self.solution = solution
+        self.shot = shot
 
 
 class SolveFailure(KHessianError):

@@ -26,7 +26,6 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from ._quad import vectorized
 from .errors import (ConditionViolation, KellerOssermanViolation, ParameterError,
                      ReportTruncated, SolveFailure, require_positive_finite, require_schedule)
 from .grid2d import Field2D
@@ -151,8 +150,7 @@ def assemble_operator(grid: Field2D, g):
 
 def _source_b(grid: Field2D, bweight: Weight):
     """Source b_lower m(d)^2 at the interior nodes; ParameterError unless finite and >= 0 (b2)."""
-    m = vectorized(bweight.m)
-    b = bweight.b_lower * np.asarray(m(grid.node_d), dtype=float) ** (_K_ORDER + 1)
+    b = bweight.b_lower * np.asarray(bweight.m(grid.node_d), dtype=float) ** (_K_ORDER + 1)
     bad = ~(np.isfinite(b) & (b >= 0.0))
     if bad.any():
         raise ParameterError(
@@ -489,10 +487,8 @@ def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol, u0=
     const, gvals = _boundary_terms(grid, arms, g)
     abs_diag = np.abs(A.diagonal())
     b = _source_b(grid, bweight)
-    f_raw = vectorized(f.f)
-    fp_raw = vectorized(f.f_prime)
-    fv = lambda u: np.asarray(f_raw(np.maximum(u, 1e-12)), float)
-    fpv = lambda u: np.asarray(fp_raw(np.maximum(u, 1e-12)), float)
+    fv = lambda u: np.asarray(f.f(np.maximum(u, 1e-12)), float)
+    fpv = lambda u: np.asarray(f.f_prime(np.maximum(u, 1e-12)), float)
 
     if u0 is not None:
         u, start = np.array(u0, dtype=float, copy=True), "given"

@@ -1,8 +1,8 @@
 """Nonlinearity and boundary-weight specifications.
 
-Both types are thin immutable descriptions: the built-in kinds carry closed
-forms for their antiderivatives, custom kinds carry user callables that are
-validated by sampling (positivity, monotonicity) when a profile is built.
+Both types are immutable: built-in kinds carry closed forms for their
+antiderivatives, custom kinds user callables that map arrays to arrays (checked
+when made), sampled for positivity and monotonicity when a profile is built.
 """
 
 import math
@@ -11,7 +11,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import KellerOssermanViolation, ParameterError, require_positive_finite
+from .errors import (KellerOssermanViolation, ParameterError, require_array_callable,
+                     require_positive_finite)
 
 __all__ = ["Nonlinearity", "Weight"]
 
@@ -39,6 +40,11 @@ class Nonlinearity:
     fn_prime: Optional[Callable] = None
     tail_exponent_hint: Optional[float] = None
 
+    def __post_init__(self):
+        if self.kind == "custom":  # the array contract, checked once on two points
+            for fun, name in ((self.fn, "f"), (self.fn_prime, "f'")):
+                require_array_callable(fun, np.array([1.0, 2.0]), f"(f1) custom {name}")
+
     @staticmethod
     def power(gamma):
         gamma = float(gamma)
@@ -55,6 +61,7 @@ class Nonlinearity:
 
     @staticmethod
     def custom(fn, fn_prime, tail_exponent_hint=None):
+        """f and f' take an array of s > 0 and return one of its shape (checked, (f1))."""
         return Nonlinearity(
             kind="custom", fn=fn, fn_prime=fn_prime, tail_exponent_hint=tail_exponent_hint
         )
@@ -163,6 +170,10 @@ class Weight:
             raise ParameterError(f"(b2) b_upper must be finite, got {self.b_upper}")
         if self.b_upper < self.b_lower:
             raise ParameterError("(b2) b_upper must be >= b_lower")
+        if self.kind == "custom":  # the array contract, checked once on two points
+            for fun, name in ((self.m_fn, "m"), (self.m_prime_fn, "m'")):
+                require_array_callable(fun, min(self.delta0, 1.0) * np.array([0.25, 0.5]),
+                                       f"(b2) custom weight {name}")
 
     @staticmethod
     def constant(c=1.0, *, delta0=math.inf, b_lower=1.0, b_upper=1.0):
@@ -180,6 +191,7 @@ class Weight:
 
     @staticmethod
     def custom(m, m_prime, delta0, *, b_lower=1.0, b_upper=1.0):
+        """m and m' take an array in (0, delta0) and return one of its shape (checked, (b2))."""
         return Weight(
             kind="custom", m_fn=m, m_prime_fn=m_prime, delta0=float(delta0),
             b_lower=b_lower, b_upper=b_upper,

@@ -7,7 +7,8 @@ For a nonlinearity f of order k the kit provides
   else the tail table of the reflected integrand f(1/u)/u^2 at u = 1/s),
 * ``H(s)``   ((k+1) F(s))**(1/(k+1)),
 * ``Phi(s)`` int_s^inf dtau/H(tau)  (finite iff the blow-up condition holds),
-* ``phi(t)`` the inverse of Phi -- the universal boundary blow-up shape,
+* ``phi(t)`` the inverse of Phi -- the universal boundary blow-up shape --
+  and ``phi_jet(t)``, which gives phi, phi' and phi'' from one inversion,
 * ``PsiPair`` the analogous pair Psi/psi built from f**(-1/k), whose
   psi(-w), with w the torsion function, is the paper's lower barrier
   (built on its own, not part of the bundle),
@@ -23,9 +24,10 @@ nodes), Newton steps use the exact slope Phi' = -1/H, and a step that
 leaves the bracket falls back to its midpoint (the slope blows up at small
 arguments, where plain Newton would be unsafe).
 
-``Phi``, ``phi`` and its derivatives, ``PsiPair.psi``, ``predicted_profile``
-and ``profile_table`` take scalars or arrays: a scalar gives a float, an array
-an array of the same shape, and a whole array costs one vectorised inversion.
+``Phi``, ``phi``, ``phi_jet``, ``PsiPair.psi``, ``predicted_profile`` and
+``profile_table`` take scalars or arrays: a scalar gives a float, an array an
+array of the same shape, and a whole array costs one vectorised inversion.
+f, the weight m and the limit probes are evaluated on whole arrays too.
 """
 
 import math
@@ -34,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._quad import DecayingTailIntegral, cumulative_from_zero, scalar_or_array, vectorized
+from ._quad import DecayingTailIntegral, cumulative_from_zero, scalar_or_array
 from .errors import ConditionViolation, KHessianError, LimitNotDetected, ParameterError
 from .nonlinearity import Nonlinearity, Weight
 
@@ -55,10 +57,10 @@ __all__ = [
     "profile_table",
 ]
 
-# C_f: probes H'(s) Phi(s) at s = 2**i, i < _CF_TERMS, whose last three Aitken values
-# must agree to _CF_OSC_TOL relative; C_m: the probes stop once theirs agree to _CM_OSC_TOL
+# C_f: probes H'(s) Phi(s) at s = 2**i, i < _CF_TERMS, whose last three Aitken values must agree
+# to _CF_OSC_TOL relative; C_m: probes (M/m)' at t0 2**-i, i < _CM_TERMS, up to _CM_OSC_TOL
 _CF_TERMS, _CF_OSC_TOL = 40, 1e-3
-_CM_OSC_TOL = 1e-7
+_CM_TERMS, _CM_OSC_TOL = 40, 1e-7
 _PSI_CHECK_REL = 5e-5  # relative slack of PsiPair's central-difference self-check
 
 
@@ -73,12 +75,10 @@ class Profile:
         nl.check_f1()
         nl.check_f2(self.k)
 
-        self._f = vectorized(nl.f)
-        self._fp = vectorized(nl.f_prime)
         if nl.F_closed(1.0) is not None:
             self._F = nl.F_closed
         else:
-            self._F = cumulative_from_zero(self._f, name="F")
+            self._F = cumulative_from_zero(nl.f, name="F")
 
         kp1 = self.k + 1.0
 
@@ -99,23 +99,14 @@ class Profile:
     # -- basic functions ----------------------------------------------------
 
     def f(self, s):
-        return self._f(s)
-
-    def f_prime(self, s):
-        return self._fp(s)
+        return self.nl.f(s)
 
     def F(self, s):
         return self._F(s)
 
-    def H(self, s):
-        return ((self.k + 1.0) * self._F(s)) ** (1.0 / (self.k + 1.0))
-
-    def H_prime(self, s):
-        return ((self.k + 1.0) * self._F(s)) ** (-self.k / (self.k + 1.0)) * self._f(s)
-
     def Ff_ratio(self, s):
         """F(s)**(k/(k+1)) / f(s); tends to 0 under the blow-up condition."""
-        return np.asarray(self._F(s), float) ** (self.k / (self.k + 1.0)) / self._f(s)
+        return np.asarray(self._F(s), float) ** (self.k / (self.k + 1.0)) / self.nl.f(s)
 
     # -- the integral and its inverse ----------------------------------------
 
@@ -139,14 +130,8 @@ class Profile:
         kp1 = self.k + 1.0
         F = kp1 * np.asarray(self._F(s), dtype=float)
         d1 = -(F ** (1.0 / kp1))
-        d2 = F ** ((1.0 - self.k) / kp1) * np.asarray(self._f(s), dtype=float)
+        d2 = F ** ((1.0 - self.k) / kp1) * np.asarray(self.nl.f(s), dtype=float)
         return s, scalar_or_array(t, d1), scalar_or_array(t, d2)
-
-    def phi_prime(self, t):
-        return self.phi_jet(t)[1]
-
-    def phi_second(self, t):
-        return self.phi_jet(t)[2]
 
 
 def build_profile(nl, k):
@@ -182,10 +167,10 @@ def _detect_limit(seq, osc_tol, what):
 
 
 def compute_Cf(p: Profile):
-    """Limit constant of H'(s) Phi(s) along s = 2**i, Aitken-accelerated."""
+    """Limit of H'(s) Phi(s) along s = 2**i, Aitken-accelerated; H' = ((k+1) F)**(-k/(k+1)) f."""
     s = 2.0 ** np.arange(_CF_TERMS)
     with np.errstate(over="ignore", invalid="ignore"):
-        hp = np.asarray(p.H_prime(s), dtype=float)
+        hp = np.asarray(((p.k + 1.0) * p.F(s)) ** (-p.k / (p.k + 1.0)) * p.f(s), dtype=float)
         s = s[: _finite_prefix(hp)]  # Phi only where H' is finite
         v = hp[: s.size] * p.Phi(s)
     return _detect_limit(v[: _finite_prefix(v)].tolist(), _CF_OSC_TOL, "C_f probe sequence")
@@ -208,23 +193,20 @@ def build_weight(w: Weight):
     if w.M_closed(1.0) is not None:
         M = w.M_closed
     else:
-        M = cumulative_from_zero(vectorized(w.m), seed=min(1.0, w.delta0 / 4), name="M")
+        M = cumulative_from_zero(w.m, seed=min(1.0, w.delta0 / 4), name="M")
 
-    g = lambda t: float(M(t)) / float(w.m(t))
-    t0 = min(0.25, w.delta0 / 8.0)
+    t = min(0.25, w.delta0 / 8.0) * 2.0 ** -np.arange(_CM_TERMS)
     eta = 1.0 / 64.0
-    seq = []
-    for i in range(40):
-        t = t0 * 2.0**-i
-        d = (g(t * (1.0 + eta)) - g(t * (1.0 - eta))) / (2.0 * t * eta)
-        if not math.isfinite(d):
-            break
-        seq.append(d)
-        if len(seq) >= 6:
-            acc = _aitken(seq)
-            tail = acc[-3:]
-            if max(tail) - min(tail) <= _CM_OSC_TOL * max(abs(tail[-1]), 1e-300):
-                return M, float(tail[-1])
+    x = np.concatenate([t * (1.0 + eta), t * (1.0 - eta)])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        g = np.asarray(M(x), dtype=float) / np.asarray(w.m(x), dtype=float)
+        d = (g[: t.size] - g[t.size :]) / (2.0 * t * eta)
+    seq = d[: _finite_prefix(d)].tolist()
+    acc = _aitken(seq)
+    for n in range(6, len(seq) + 1):  # the shortest prefix of >= 6 probes that settles
+        tail = acc[n - 5 : n - 2]
+        if max(tail) - min(tail) <= _CM_OSC_TOL * max(abs(tail[-1]), 1e-300):
+            return M, float(tail[-1])
     return M, float(_detect_limit(seq, 1e-4, "C_m probe sequence"))
 
 
@@ -233,17 +215,16 @@ class PsiPair:
 
     def __init__(self, nl: Nonlinearity, k: int):
         self.k = int(k)
-        f = vectorized(nl.f)
+        self._f = nl.f
 
         def integrand(s):
             with np.errstate(over="ignore", divide="ignore"):
-                v = np.asarray(f(s), dtype=float)
+                v = np.asarray(nl.f(s), dtype=float)
                 return np.where(np.isfinite(v), v, np.inf) ** (-1.0 / k)
 
         tail_hint = nl.gamma / k if nl.kind == "power" else None
         self._table = DecayingTailIntegral(integrand, tail_hint=tail_hint,
                                            name="subsolution integral")
-        self._f = f
         self._self_check()
 
     def Psi(self, s):
@@ -292,15 +273,9 @@ class ProfileFns:
     C_f: float
     C_m: float
 
-    # callables forwarded from the backing profile
-    def f(self, s):
-        return self.profile.f(s)
-
+    # callables forwarded from the backing profile (f and m: call nonlinearity and weight)
     def F(self, s):
         return self.profile.F(s)
-
-    def H(self, s):
-        return self.profile.H(s)
 
     def Phi(self, s):
         return self.profile.Phi(s)
@@ -308,20 +283,8 @@ class ProfileFns:
     def phi(self, t):
         return self.profile.phi(t)
 
-    def phi_prime(self, t):
-        return self.profile.phi_prime(t)
-
-    def phi_second(self, t):
-        return self.profile.phi_second(t)
-
     def phi_jet(self, t):
         return self.profile.phi_jet(t)
-
-    def m(self, t):
-        return self.weight.m(t)
-
-    def m_prime(self, t):
-        return self.weight.m_prime(t)
 
     def header(self):
         try:
@@ -418,20 +381,15 @@ def power_law_asymptote(k, gamma, l0, L0, alpha=None):
 
 
 def check_limit_Ff(p: Profile):
-    """Probe F(s)**(k/(k+1))/f(s) on s = 2**i, i = 5..30, and return the last finite value.
+    """F(s)**(k/(k+1))/f(s) at the last s = 2**i, i = 5..30, before the first non-finite one.
 
-    The ratio must tend to 0 for the blow-up machinery to work; the returned
-    value is the estimate at the largest finite probe (a sanity diagnostic,
-    not a certified bound).
+    The ratio must tend to 0 for the blow-up machinery to work: a sanity
+    diagnostic, not a certified bound (inf when no probe is finite).
     """
-    last = math.inf
-    for i in range(5, 31):
-        with np.errstate(over="ignore", invalid="ignore"):
-            r = float(p.Ff_ratio(2.0**i))
-        if not math.isfinite(r):
-            break
-        last = r
-    return last
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = np.asarray(p.Ff_ratio(2.0 ** np.arange(5, 31)), dtype=float)
+    n = _finite_prefix(r)
+    return float(r[n - 1]) if n else math.inf
 
 
 def predicted_profile(p: ProfileFns, xi, d):

@@ -27,10 +27,9 @@ from ._quad import (
     panel_points,
     panel_sums,
     scalar_or_array,
-    vectorized,
 )
 from .errors import (IntegrationFailure, ParameterError, ReportTruncated, SolveFailure,
-                     require_positive_finite, require_schedule)
+                     require_array_callable, require_positive_finite, require_schedule)
 from .nonlinearity import Nonlinearity, Weight
 from .profiles import ProfileFns, predicted_profile
 
@@ -50,8 +49,9 @@ __all__ = [
 class RadialProblem:
     """S_k(D^2 u) = b(|x|) f(u) on the ball of radius R in R^n.
 
-    ``b_const``, when given, is the value of ``b`` at every r; the IVP's
-    right-hand side then takes it without calling ``b``.
+    ``b`` maps an array of radii to one of its shape (checked here), and the
+    IVP calls it with one float.  ``b_const``, when given, is the value of
+    ``b`` at every r; the IVP's right-hand side then takes it instead.
     """
 
     n: int
@@ -67,12 +67,12 @@ class RadialProblem:
         if not 1 <= self.k <= self.n:
             raise ParameterError(f"order k={self.k} out of range 1..{self.n}")
         require_positive_finite(self.R, "ball radius")
+        require_array_callable(self.b, self.R * np.array([0.25, 0.5]), "source b")
 
     @staticmethod
     def from_weight(n, k, R, f, weight: Weight):
         """Compose b(r) = b_lower * m(R - r)**(k+1) from a boundary weight."""
         base = weight.b_lower
-        m = vectorized(weight.m)
         # a constant weight gives one number, computed here rather than per IVP stage
         b_const = base * float(weight.const) ** (k + 1.0) if weight.kind == "constant" else None
 
@@ -80,7 +80,7 @@ class RadialProblem:
             if isinstance(r, float):  # the IVP's right-hand side: stay in floats
                 return base * float(weight.m(max(R - r, 1e-300))) ** (k + 1.0)
             d = np.clip(R - np.asarray(r, float), 1e-300, None)
-            return base * np.asarray(m(d), float) ** (k + 1.0)
+            return base * np.asarray(weight.m(d), float) ** (k + 1.0)
 
         return RadialProblem(n=n, k=k, R=R, f=f, b=b, b_const=b_const)
 
@@ -170,8 +170,8 @@ def solve_torsion(prob: RadialProblem):
     """
     n, k, R = prob.n, prob.k, prob.R
     c = math.comb(n - 1, k - 1)
-    bfn = vectorized(prob.b)
-    moment = _CumulativeUniform(lambda s: np.asarray(s, float) ** (n - 1) * np.asarray(bfn(s), float), R)
+    moment = _CumulativeUniform(
+        lambda s: np.asarray(s, float) ** (n - 1) * np.asarray(prob.b(s), float), R)
 
     def slope(r, G):
         """w' at r from the moment G(r)."""
@@ -192,7 +192,7 @@ def solve_torsion(prob: RadialProblem):
     def wpp(r):
         r = np.asarray(r, dtype=float)
         G = (k / c) * np.asarray(moment.value(r), float)
-        Gp = (k / c) * r ** (n - 1) * np.asarray(bfn(r), float)
+        Gp = (k / c) * r ** (n - 1) * np.asarray(prob.b(r), float)
         with np.errstate(divide="ignore", invalid="ignore"):
             t1 = (1.0 / k) * G ** (1.0 / k - 1.0) * Gp * r ** ((k - n) / k)
             t2 = G ** (1.0 / k) * ((k - n) / k) * r ** ((k - n) / k - 1.0)
@@ -443,7 +443,7 @@ def integrate_blowup_ivp(prob: RadialProblem, u0, tol, u_cap=IVP_CAP, v_cap=IVP_
         if not (t_new > 0.0) or not math.isfinite(upp_new) or not _admissible(upp_new, t_new, combs):
             sol = RadialSolution(
                 r=np.array(rs), u=np.array(us), u1=np.array(vs), Rstar=None,
-                meta={"termination": "admissibility", "steps": steps},
+                meta={"termination": "admissibility", "steps": steps, "rejected": rejected},
             )
             raise IntegrationFailure(
                 f"admissibility lost at r={r_new:.6g} (u={y_new[0]:.6g})", solution=sol
@@ -468,7 +468,7 @@ def integrate_blowup_ivp(prob: RadialProblem, u0, tol, u_cap=IVP_CAP, v_cap=IVP_
             f"no blow-up detected in {_MAX_STEPS} steps",
             solution=RadialSolution(
                 r=np.array(rs), u=np.array(us), u1=np.array(vs), Rstar=None,
-                meta={"termination": "max_steps", "steps": steps},
+                meta={"termination": "max_steps", "steps": steps, "rejected": rejected},
             ),
         )
 
@@ -579,16 +579,24 @@ def shoot_blowup_radius(prob: RadialProblem, tol=1e-9):
     path and counts every IVP of the shot, with their total steps and
     rejections.  Raises SolveFailure, carrying those counts in ``shot``,
     when the bracket cannot be closed, or, with the solution in
-    ``partial``, when its R* misses R by more than 1e-6 relative.
+    ``partial``, when its R* misses R by more than 1e-6 relative.  An
+    IntegrationFailure of any IVP escapes with the counts, that IVP
+    included, in its ``shot``.
     """
     target = prob.R
     shot = {"path": "scaling", "ivps": 0, "steps": 0, "rejected": 0}
 
     def ivp(u0, ivp_tol):
-        sol = integrate_blowup_ivp(prob, u0, ivp_tol)
+        failure = None
+        try:
+            sol = integrate_blowup_ivp(prob, u0, ivp_tol)
+        except IntegrationFailure as exc:  # the failed IVP counts, and the failure carries the shot
+            failure, sol, exc.shot = exc, exc.solution, shot
         shot["ivps"] += 1
         shot["steps"] += sol.meta["steps"]
         shot["rejected"] += sol.meta["rejected"]
+        if failure is not None:
+            raise failure
         return sol
 
     def done(u0, sol):
@@ -684,12 +692,10 @@ def solve_exhaustion_bvp(prob: RadialProblem, j_schedule, grid_h, tol):
     c_full = math.comb(n, k)
     alpha = c_lo / (k * h * r[1:N] ** (n - 1))
     rmid_pow = rmid ** (n - k)
-    b_nodes = np.asarray(vectorized(prob.b)(r[:N]), float)
+    b_nodes = np.asarray(prob.b(r[:N]), float)
     # domain guard: transient Newton iterates may dip below f's domain (0, inf)
-    f_raw = vectorized(prob.f.f)
-    fp_raw = vectorized(prob.f.f_prime)
-    fv = lambda u: f_raw(np.maximum(u, 1e-12))
-    fpv = lambda u: fp_raw(np.maximum(u, 1e-12))
+    fv = lambda u: prob.f.f(np.maximum(u, 1e-12))
+    fpv = lambda u: prob.f.f_prime(np.maximum(u, 1e-12))
 
     def residual(U, j):
         full = np.concatenate([U, [j]])

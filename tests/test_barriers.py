@@ -78,7 +78,8 @@ class TestCompositeEigs:
             d = float(rng.uniform(bp.sigma_shift * 1.1, 2.0 * bp.delta_eps * 0.95))
             rho = geom.rho(rng.random())
             d1 = d - bp.sigma_shift
-            lam = composite_eigs(upper.deriv1(d), upper.deriv2(d), d, rho)
+            _, g1, g2 = upper.jet(d)
+            lam = composite_eigs(g1, g2, d, rho)
             sig = sigma_all(lam, p.k)[1:]
             tilt = rho / (1.0 - d * rho)
             A, B = collar_ratios(p, xi, d1)
@@ -87,8 +88,8 @@ class TestCompositeEigs:
             for j in range(1, p.k + 1):
                 pref = (
                     xi ** (j + 1)
-                    * float(p.m(d1)) ** (j + 1)
-                    * float(p.f(s))
+                    * float(p.weight.m(d1)) ** (j + 1)
+                    * float(p.nonlinearity.f(s))
                     * float(((p.k + 1.0) * p.F(s)) ** ((j - p.k) / (p.k + 1.0)))
                 )
                 bracket = (
@@ -96,6 +97,25 @@ class TestCompositeEigs:
                     + A * float(sigma_all(tilt, j)[j])
                 )
                 assert sig[j - 1] == pytest.approx(pref * bracket, rel=1e-8)
+
+
+class TestCollarGeometry:
+    PARAMS = scrambled_halton(97, 4)[:, 1]
+
+    @pytest.mark.parametrize("n, k, R", [(2, 1, 1.0), (3, 2, 1.0), (5, 3, 2.0)])
+    def test_ball_rho_on_an_array_stacks_the_scalar_calls(self, n, k, R):
+        geom = ball_geometry(n, k, R)
+        rows = geom.rho(self.PARAMS)
+        assert rows.shape == (self.PARAMS.size, n - 1)
+        assert np.array_equal(rows, np.stack([geom.rho(t) for t in self.PARAMS]))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_ellipse_rho_on_an_array_within_2_ulp_of_the_scalar_calls(self, k):
+        geom = ellipse_geometry(1.2, 1.0, k)
+        rows = geom.rho(self.PARAMS)
+        ref = np.stack([geom.rho(t) for t in self.PARAMS])
+        assert rows.shape == ref.shape == (self.PARAMS.size, 1)
+        assert np.all(np.abs(rows - ref) <= 2.0 * np.spacing(ref))
 
 
 class TestHalton:
@@ -160,7 +180,7 @@ class TestBarrierShapes:
         upper, lower = build_barriers(p, geom, bp)
         for d in (0.01, 0.03, 0.08):
             d1 = d - bp.sigma_shift
-            assert upper.value(d) == pytest.approx(
+            assert upper.jet(d)[0] == pytest.approx(
                 math.sqrt(2.0) / (bp.xi_eps_lower * d1), rel=1e-6
             )
 
@@ -169,9 +189,9 @@ class TestBarrierShapes:
         geom = ball_geometry(2, 1, 1.0)
         bp = make_barrier_params(p, geom, eps=0.1, delta_eps=0.05, sigma_shift=0.005)
         upper, _ = build_barriers(p, geom, bp)
-        assert upper.value(bp.sigma_shift * 1.0001) > 1e4
+        assert upper.jet(bp.sigma_shift * 1.0001)[0] > 1e4
         with pytest.raises(ParameterError):
-            upper.value(bp.sigma_shift * 0.5)
+            upper.jet(bp.sigma_shift * 0.5)
 
     def test_upper_dominates_lower_on_overlap(self):
         p = assemble_profile(Nonlinearity.power(3), W1, 1)
@@ -179,7 +199,7 @@ class TestBarrierShapes:
         bp = make_barrier_params(p, geom, eps=0.1, delta_eps=0.05, sigma_shift=0.005)
         upper, lower = build_barriers(p, geom, bp)
         for d in np.linspace(0.006, 0.09, 25):
-            assert upper.value(d) > lower.value(d)
+            assert upper.jet(d)[0] > lower.jet(d)[0]
 
 
 class TestCollarRatios:

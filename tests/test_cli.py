@@ -158,6 +158,21 @@ class TestRadialCommands:
         assert err["shot"]["path"] == "bracket" and err["shot"]["ivps"] >= 1
 
 
+    def test_verify_asymptotics_integration_failure_keeps_the_shot(self, tmp_path):
+        # a weight that vanishes on the boundary takes the bracket path, and its
+        # first IVP loses admissibility past R
+        text = (CONFIGS / "verify_power_ball.cfg").read_text()
+        cfg = write_cfg(tmp_path, "va.cfg", text.replace("weight = constant:1", "weight = power:1"))
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "--quiet"]) == 1
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "IntegrationFailure"
+        assert err["message"].startswith("admissibility lost at r=")
+        assert set(err["shot"]) == {"path", "ivps", "steps", "rejected"}
+        assert err["shot"]["path"] == "bracket" and err["shot"]["ivps"] >= 1
+        assert err["shot"]["steps"] > 0
+
+
 class TestFdCommand:
     def test_fd_exhaust(self, tmp_path):
         cfg = write_cfg(tmp_path, "fd.cfg", """
@@ -436,6 +451,19 @@ VALIDATION = {
     "b_upper-nan": (PROFILE + "b_upper = nan\n", "(b2) b_upper must be finite, got nan"),
     "b_upper-inf-check-barrier": (BARRIER + "b_upper = inf\n",
                                   "(b2) b_upper must be finite, got inf"),
+    "xi-nan-profile": (PROFILE + "xi = nan\n", "xi must be positive and finite, got nan"),
+    "xi-negative-profile": (PROFILE + "xi = -1\n", "xi must be positive and finite, got -1.0"),
+    "xi-inf-profile": (PROFILE + "xi = inf\n", "xi must be positive and finite, got inf"),
+    "xi-nan-verify": (VERIFY + "xi = nan\n", "xi must be positive and finite, got nan"),
+    "xi-negative-verify": (VERIFY + "xi = -1\n", "xi must be positive and finite, got -1.0"),
+    "xi-inf-verify": (VERIFY + "xi = inf\n", "xi must be positive and finite, got inf"),
+    "t_grid-nan": (PROFILE + "t_grid = nan\n",
+                   "t_grid must list positive finite values, got [nan]"),
+    "t_grid-nonpositive": (PROFILE + "t_grid = 0,-1\n",
+                           "t_grid must list positive finite values, got [0.0, -1.0]"),
+    "t_grid-inf": (PROFILE + "t_grid = 1,inf\n",
+                   "t_grid must list positive finite values, got [1.0, inf]"),
+    "t_grid-empty": (PROFILE + "t_grid = ,\n", "t_grid must list positive finite values, got []"),
 }
 
 
@@ -456,6 +484,19 @@ def test_k_above_n_fails_before_any_profile(command, tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "assemble_profile", no_profile)
     text = f"command = {command}\nn = 2\nk = 3\nf = power:5\n"
+    assert main(["--config", write_cfg(tmp_path, "bad.cfg", text), "--out",
+                 str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("text, stage", [
+    (PROFILE + "t_grid = 0,-1\n", "assemble_profile"),
+    (VERIFY + "xi = -1\n", "shoot_blowup_radius"),
+], ids=["t_grid-before-profile", "xi-before-shot"])
+def test_bad_t_grid_and_xi_fail_before_the_work(text, stage, tmp_path, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{stage} ran")
+
+    monkeypatch.setattr(cli, stage, no_work)
     assert main(["--config", write_cfg(tmp_path, "bad.cfg", text), "--out",
                  str(tmp_path / "out")]) == 2
 

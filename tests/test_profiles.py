@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from khessian import profiles
 from khessian.errors import (
     ConditionViolation,
     KellerOssermanViolation,
@@ -85,7 +86,7 @@ class TestProfileIntegral:
             for t in (1e-2, 0.1, 0.5):
                 h = 1e-6 * t
                 fd = (p.phi(t + h) - p.phi(t - h)) / (2 * h)
-                assert p.phi_prime(t) == pytest.approx(fd, rel=1e-5)
+                assert p.phi_jet(t)[1] == pytest.approx(fd, rel=1e-5)
 
     def test_phi_monotone_decreasing(self):
         p = build_profile(Nonlinearity.power(5), 2)
@@ -424,7 +425,9 @@ class TestArrayInverse:
     def test_shape_contract(self):
         p = build_profile(Nonlinearity.power(5), 2)
         ts = np.array([[0.1, 0.2, 0.5], [1.0, 2.0, 5.0]])
-        for fn in (p.phi, p.phi_prime, p.phi_second, p.Phi):
+        phi_prime = lambda t: p.phi_jet(t)[1]
+        phi_second = lambda t: p.phi_jet(t)[2]
+        for fn in (p.phi, phi_prime, phi_second, p.Phi):
             assert type(fn(0.5)) is float
             assert type(fn(np.float64(0.5))) is float
             out = fn(ts)
@@ -448,3 +451,89 @@ class TestArrayInverse:
             pair.psi(ts)
         with pytest.raises(ParameterError):
             p.Phi(ts)
+
+
+# callables that break the array contract: scalar-only ones raise on an array, and
+# the others return a scalar or an array of another shape
+NOT_ARRAY_NATIVE = {
+    "math-exp": lambda s: math.exp(s),
+    "max": lambda s: max(s, 1e-300),
+    "float": lambda s: 1.0,
+    "sum": lambda s: np.sum(np.asarray(s, float)),
+    "three": lambda s: np.ones(3),
+}
+GOOD = lambda s: np.asarray(s, float) ** 2 + 1.0
+
+
+class TestArrayContract:
+    @pytest.mark.parametrize("bad", NOT_ARRAY_NATIVE.values(), ids=NOT_ARRAY_NATIVE)
+    @pytest.mark.parametrize("slot", [0, 1], ids=["f", "f_prime"])
+    def test_custom_nonlinearity_rejected(self, bad, slot):
+        fns = [GOOD, GOOD]
+        fns[slot] = bad
+        with pytest.raises(ParameterError, match=r"\(f1\) custom f'? must take an array"):
+            Nonlinearity.custom(*fns)
+
+    @pytest.mark.parametrize("bad", NOT_ARRAY_NATIVE.values(), ids=NOT_ARRAY_NATIVE)
+    @pytest.mark.parametrize("slot", [0, 1], ids=["m", "m_prime"])
+    def test_custom_weight_rejected(self, bad, slot):
+        fns = [GOOD, GOOD]
+        fns[slot] = bad
+        with pytest.raises(ParameterError, match=r"\(b2\) custom weight m'? must take an array"):
+            Weight.custom(*fns, delta0=0.5)
+
+    def test_direct_construction_and_replace_checked(self):
+        with pytest.raises(ParameterError, match=r"\(f1\) custom f must take an array"):
+            Nonlinearity(kind="custom", fn=NOT_ARRAY_NATIVE["math-exp"], fn_prime=GOOD)
+        w = Weight.custom(GOOD, GOOD, delta0=0.5)
+        with pytest.raises(ParameterError, match=r"\(b2\) custom weight m must take an array"):
+            dataclasses.replace(w, m_fn=NOT_ARRAY_NATIVE["float"])
+
+    def test_custom_weight_window_checked_first(self):
+        with pytest.raises(ParameterError, match="delta0 must be positive"):
+            Weight.custom(GOOD, GOOD, delta0=math.nan)
+
+
+def _cm_scalar_loop(w):
+    """C_m as the probe ladder computed it one scalar probe at a time."""
+    M = w.M_closed
+    g = lambda t: float(M(t)) / float(w.m(t))
+    t0 = min(0.25, w.delta0 / 8.0)
+    eta = 1.0 / 64.0
+    seq = []
+    for i in range(40):
+        t = t0 * 2.0**-i
+        d = (g(t * (1.0 + eta)) - g(t * (1.0 - eta))) / (2.0 * t * eta)
+        if not math.isfinite(d):
+            break
+        seq.append(d)
+        if len(seq) >= 6:
+            acc = profiles._aitken(seq)
+            tail = acc[-3:]
+            if max(tail) - min(tail) <= profiles._CM_OSC_TOL * max(abs(tail[-1]), 1e-300):
+                return float(tail[-1])
+    return float(profiles._detect_limit(seq, 1e-4, "C_m probe sequence"))
+
+
+def _ff_scalar_loop(p):
+    """check_limit_Ff as one scalar probe at a time."""
+    last = math.inf
+    for i in range(5, 31):
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = float(p.Ff_ratio(2.0**i))
+        if not math.isfinite(r):
+            break
+        last = r
+    return last
+
+
+@pytest.mark.parametrize("w", [Weight.constant(1.0)] + [Weight.power(a) for a in (0.5, 1, 2, 3)],
+                         ids=["constant1", "power0.5", "power1", "power2", "power3"])
+def test_cm_ladder_matches_scalar_loop_bit_for_bit(w):
+    assert build_weight(w)[1] == _cm_scalar_loop(w)
+
+
+@pytest.mark.parametrize("nl,k", ARRAY_CASES, ids=CASE_IDS)
+def test_check_limit_Ff_matches_scalar_loop(nl, k):
+    # each side on a fresh profile: the custom kind's F table extends as it is probed
+    assert check_limit_Ff(build_profile(nl, k)) == _ff_scalar_loop(build_profile(nl, k))

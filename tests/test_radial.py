@@ -33,6 +33,15 @@ def liouville(r):
     return np.log(2.0 / (1.0 - np.asarray(r, float) ** 2))
 
 
+@pytest.mark.parametrize("bad", [
+    lambda r: math.exp(r), lambda r: max(1.0 - r, 1e-300), lambda r: 1.0,
+    lambda r: np.sum(np.asarray(r, float)), lambda r: np.ones(3),
+], ids=["math-exp", "max", "float", "sum", "three"])
+def test_source_b_must_take_and_return_arrays(bad):
+    with pytest.raises(ParameterError, match="source b must take an array"):
+        RadialProblem(n=2, k=1, R=1.0, f=Nonlinearity.power(3), b=bad)
+
+
 class TestTorsion:
     def test_laplace_2d(self):
         prob = RadialProblem(n=2, k=1, R=1.0, f=Nonlinearity.power(3), b=B_ONE)
@@ -267,6 +276,7 @@ class TestIVPWork:
     def test_pinned_counts(self, n, k, f, u0, tol, steps, rejected, Rstar):
         calls = []
         prob = RadialProblem(n=n, k=k, R=1.0, f=f, b=lambda r: calls.append(1) or B_ONE(r))
+        calls.clear()  # the construction's one array check of b
         sol = integrate_blowup_ivp(prob, u0, tol)
         assert sol.meta["termination"] == "cap"
         assert (sol.meta["steps"], sol.meta["rejected"]) == (steps, rejected)
@@ -322,9 +332,9 @@ class TestIVPWork:
         scale = weight.b_lower
         calls = []
 
-        def b_each_call(r):
+        def b_each_call(r):  # an array in, an array out, as a problem's b must
             calls.append(1)
-            return scale * float(weight.m(max(1.0 - r, 1e-300))) ** 3.0
+            return scale * np.asarray(weight.m(np.maximum(1.0 - r, 1e-300)), float) ** 3.0
 
         slow = RadialProblem(n=3, k=2, R=1.0, f=nl, b=b_each_call)
         fast, ref = (integrate_blowup_ivp(p, 5.0, 1e-8) for p in (prob, slow))
@@ -339,6 +349,7 @@ class TestIVPWork:
         assert prob.b_const == 1.5 * 2.0**3
         calls = []
         counted = dataclasses.replace(prob, b=lambda r: calls.append(1) or prob.b(r))
+        calls.clear()  # the construction's one array check of b
         sol = integrate_blowup_ivp(counted, 5.0, 1e-8)
         assert len(calls) == 1  # b(0) of the start-up series; the right-hand side takes b_const
         assert sol.Rstar == integrate_blowup_ivp(prob, 5.0, 1e-8).Rstar
