@@ -75,8 +75,20 @@ class Config:
             raise ParameterError(f"config key {key!r}: cannot parse {raw!r} ({exc})")
 
     def floats(self, key, default=None, required=False):
-        return self.get(key, lambda raw: [float(v) for v in raw.split(",") if v.strip()],
-                        default, required)
+        """The comma-separated floats under key, [] if it lists none.
+
+        An empty entry beside others, as in ``1,,2`` or ``1,2,``, is a ParameterError
+        naming key.
+        """
+        def parse(raw):
+            entries = [v.strip() for v in raw.split(",")]
+            if not any(entries):
+                return []
+            if not all(entries):
+                raise ValueError(f"entry {entries.index('') + 1} of {len(entries)} is empty")
+            return [float(v) for v in entries]
+
+        return self.get(key, parse, default, required)
 
     def check_all_read(self, command):
         """ParameterError naming a key command never looked up, and a close one it did.

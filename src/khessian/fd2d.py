@@ -3,9 +3,12 @@
 Damped Newton on the Shortley-Weller 5-point discretisation of
 Delta u = b(d(x)) f(u), started from the paper's boundary profile
 phi(xi M(d) + Phi(j)) shifted to equal the mean boundary value j on the
-boundary, or from the constant j where that profile is not defined.  Each
-Newton step is solved by multigrid defect correction in the red-black
-order of the fine nodes, only as far as the Newton residual needs
+boundary, or from the constant j where that profile is not defined.  The
+whole Newton iteration runs in the red-black order of the fine nodes, on
+the finest multigrid level's colour blocks, which are the only copy of the
+fine operator a solve holds (assemble_operator gives the row-major matrix
+as a reference).  Each Newton step is solved by multigrid defect
+correction, only as far as the Newton residual needs
 (inexact Newton, Dembo, Eisenstat & Steihaug 1982): the forcing tolerance
 is proportional to the residual, tightened to 1e-6 when a loose direction
 fails to descend.  Level l holds the fine nodes whose lattice
@@ -96,8 +99,9 @@ def _stencil(domain, h, lx, ly, order, box):
     """Shortley-Weller stencil of spacing h at the nodes at lattice (lx, ly), rows in order.
 
     Returns _table's (table, flat, cols), _weights's (off, diag) and the cut arms
-    (rows, t, theta): row and direction (_DIRS) of each arm whose neighbour is not a
-    node, by row and E, W, N, S within one, and its fraction from domain.arm_fraction.
+    (rows, t, theta, weight): row and direction (_DIRS) of each arm whose neighbour is not
+    a node, by row and E, W, N, S within one, its fraction from domain.arm_fraction and
+    the weight that multiplies the boundary value at its end.
     """
     table, flat, cols = _table(lx, ly, order, box)
     rows, t = np.nonzero(cols[:, _ARMS] < 0)
@@ -105,20 +109,8 @@ def _stencil(domain, h, lx, ly, order, box):
     theta = domain.arm_fraction(lx[at] * h, ly[at] * h, dx, dy, h)
     arm = np.ones((order.size, 4))
     arm[rows, t] = theta
-    return (table, flat, cols, *_weights(arm, h), (rows, t, theta))
-
-
-def _fine_operator(grid: Field2D):
-    """(A, arms): the Shortley-Weller matrix of grid (CSR) and its cut arms.
-
-    A acts on the interior unknowns in row-major order, diagonal included and
-    cut arms dropped; arms = (rows, t, theta, weight) lists the cut arms as
-    _stencil does, with the weight that multiplies the boundary value.
-    """
-    lx, ly, box = _lattice(grid)
-    _, _, cols, off, diag, (rows, t, theta) = _stencil(
-        grid.domain, grid.h, lx, ly, np.arange(lx.size), box)
-    return _operator(off, diag, cols), (rows, t, theta, off[rows, np.take(_ARMS, t)])
+    off, diag = _weights(arm, h)
+    return table, flat, cols, off, diag, (rows, t, theta, off[rows, np.take(_ARMS, t)])
 
 
 def _boundary_terms(grid: Field2D, arms, g):
@@ -138,14 +130,17 @@ def _boundary_terms(grid: Field2D, arms, g):
 
 
 def assemble_operator(grid: Field2D, g):
-    """Shortley-Weller Laplacian: (A, const, gvals).
+    """Shortley-Weller Laplacian: (A, const, gvals), all in row-major order.
 
     A is the stencil on the interior unknowns as one CSR matrix, diagonal
     included and cut arms dropped; const carries the known boundary
-    contributions, so A u + const approximates Delta u.
+    contributions, so A u + const approximates Delta u.  solve_dirichlet
+    never builds A: it applies the same stencil from the finest multigrid
+    level's colour blocks (_multigrid).  A is the row-major reference form.
     """
-    A, arms = _fine_operator(grid)
-    return (A, *_boundary_terms(grid, arms, g))
+    lx, ly, box = _lattice(grid)
+    _, _, cols, off, diag, arms = _stencil(grid.domain, grid.h, lx, ly, np.arange(lx.size), box)
+    return (_operator(off, diag, cols), *_boundary_terms(grid, arms, g))
 
 
 def _source_b(grid: Field2D, bweight: Weight):
@@ -278,17 +273,20 @@ class _Multigrid:
 
 
 def _multigrid(grid: Field2D):
-    """The hierarchy of grid down to <= _COARSE_MAX unknowns.
+    """(arms, multigrid): the cut arms of grid and its hierarchy down to <= _COARSE_MAX unknowns.
 
     Each level is the even sublattice of the one above, halved: its stencil
     (_stencil), colour blocks, P, restriction and shift map are read off lattice
     tables as CSR, rows in colour order, with arms cut only where they leave the
-    domain; no coarse grid, distance or sparse product is formed.
+    domain; no coarse grid, distance or sparse product is formed.  arms are the
+    finest stencil's (rows, t, theta, weight), rows numbered row-major, in
+    colour order of their rows and E, W, N, S within one.
     """
     domain, h = grid.domain, grid.h
     lx, ly, box = _lattice(grid)
     order, n_red = _colour_order(lx, ly)
-    table, flat, cols, off, diag, _ = _stencil(domain, h, lx, ly, order, box)
+    table, flat, cols, off, diag, (rows, *cut) = _stencil(domain, h, lx, ly, order, box)
+    arms = (order[rows], *cut)
     levels, top = [], order
     while lx.size > _COARSE_MAX:
         k, width = n_red, box[2] - box[0] + 1
@@ -311,12 +309,33 @@ def _multigrid(grid: Field2D):
             shift=_csr(weight, near, lx.size)))
         lx, ly, box, order, n_red, table, flat, cols, off, diag = (
             cx, cy, c_box, c_order, c_red, c_table, c_flat, c_cols, c_off, c_diag)
-    return _Multigrid(levels=levels, order=top, coarse=_operator(off, diag, cols).tocsc())
+    return arms, _Multigrid(levels=levels, order=top, coarse=_operator(off, diag, cols).tocsc())
+
+
+def _apply(mg: _Multigrid, x):
+    """A x for the fine Shortley-Weller operator A, x and A x in the finest colour order."""
+    if not mg.levels:  # the grid is the coarsest level, in row-major order
+        return mg.coarse @ x
+    lv = mg.levels[0]
+    k, out = lv.n_red, np.empty_like(x)
+    out[:k] = lv.diag_red * x[:k] + lv.A_rb @ x[k:]
+    out[k:] = lv.diag_black * x[k:] + lv.A_br @ x[:k]
+    return out
+
+
+def _diagonal(mg: _Multigrid):
+    """The diagonal of the fine Shortley-Weller operator, in the finest colour order."""
+    if not mg.levels:
+        return mg.coarse.diagonal()
+    return np.concatenate([mg.levels[0].diag_red, mg.levels[0].diag_black])
 
 
 def _shifts(mg: _Multigrid, bfp):
-    """b f'(u) on every level, finest first: bfp in its colour order, then each shifted down."""
-    shifts = [bfp[mg.order]]
+    """b f'(u) on every level, finest first: bfp, in the finest colour order, shifted down.
+
+    Each shift is in its own level's colour order.
+    """
+    shifts = [bfp]
     for lv in mg.levels:
         shifts.append(lv.shift @ shifts[-1])
     return shifts
@@ -372,13 +391,13 @@ def _row_major(mg: _Multigrid, x):
     return out
 
 
-def _defect_correction(A, bfp, mg: _Multigrid, rhs):
+def _defect_correction(bfp, mg: _Multigrid, rhs):
     """Defect correction for (A - diag(bfp)) x = rhs, one V-cycle M per iteration.
 
     Returns solve(rtol) -> (x, cycles).  From x = 0, or from the x the last call returned,
     x += M r with r = rhs - (A x - bfp x), the true residual, until ||r||_2 <= rtol ||rhs||_2,
-    at least one cycle in all; cycles counts every cycle so far.  rhs and x are row-major;
-    the iteration runs in the finest colour order, r from its colour blocks.  Every call
+    at least one cycle in all; cycles counts every cycle so far.  bfp, rhs and x are in the
+    finest colour order, and A x is taken from its colour blocks (_apply).  Every call
     uses the coarsest LU of the first; between calls only that LU and the returned x are
     kept, the smoothers and r are rebuilt, so a caller holding the solve holds no extra
     fine-grid array.  Raises SolveFailure when the factorization fails, a residual is not
@@ -391,26 +410,22 @@ def _defect_correction(A, bfp, mg: _Multigrid, rhs):
         shifts = _shifts(mg, bfp)
         if coarse_lu is None:
             coarse_lu = _coarse_lu(mg, shifts)
-        cycle, b, s = _cycle(mg, shifts, coarse_lu), rhs[mg.order], shifts[0]
-        lv = mg.levels[0] if mg.levels else None
-        del shifts  # only shifts[0] is used from here on
+        cycle = _cycle(mg, shifts, coarse_lu)
+        del shifts  # the coarse shifts: not held through the cycles
 
         def residual(x):
-            if lv is None:  # the grid is the coarsest level, in row-major order
-                return b - (A @ x - s * x)
-            k, r = lv.n_red, s * x
-            r[:k] -= lv.diag_red * x[:k] + lv.A_rb @ x[k:]
-            r[k:] -= lv.diag_black * x[k:] + lv.A_br @ x[:k]
-            r += b
+            r = bfp * x
+            r -= _apply(mg, x)
+            r += rhs
             return r
 
         # 2-norms by einsum: BLAS's threaded dot can stall for milliseconds on a busy host
         norm2 = lambda v: math.sqrt(np.einsum("i,i->", v, v))
         scale = norm2(rhs)
         if last is None:
-            x, r, cycles = np.zeros_like(b), b, 0
+            x, r, cycles = np.zeros_like(rhs), rhs, 0
         else:  # the same iterate as at the end of the last call, bit for bit
-            x, cycles = last[0][mg.order], last[1]
+            x, cycles = last[0].copy(), last[1]  # the caller may still hold last[0]
             r = residual(x)
             norm = norm2(r)
         while cycles == 0 or norm > rtol * scale:
@@ -424,7 +439,7 @@ def _defect_correction(A, bfp, mg: _Multigrid, rhs):
             if not math.isfinite(norm):
                 raise SolveFailure(
                     f"V-cycle iteration gave a non-finite residual in cycle {cycles}")
-        last = (_row_major(mg, x), cycles)
+        last = (x, cycles)
         return last
 
     return solve
@@ -434,14 +449,15 @@ _SHARED = ContextVar("fd2d_shared", default=(None, None))  # (grid, operators) o
 
 
 def _operators(grid: Field2D):
-    """(A, arms, multigrid) of grid (_fine_operator, _multigrid): none depends on f, b or g.
+    """(arms, multigrid) of grid (_multigrid): neither depends on f, b or g.
 
-    Within _shared_operators(grid), the set built there.
+    arms number their rows row-major; the multigrid works in the finest colour order.
+    Within _shared_operators(grid), the pair built there.
     """
     shared_grid, operators = _SHARED.get()
     if shared_grid is grid:
         return operators
-    return (*_fine_operator(grid), _multigrid(grid))
+    return _multigrid(grid)
 
 
 @contextmanager
@@ -464,7 +480,11 @@ def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol, u0=
     the profile does not exist or j <= 0.  Each step solves the Jacobian
     A - diag(b f'(u)) by multigrid defect correction (_defect_correction) on
     levels sliced from the fine lattice (_multigrid), built once per call or
-    once per exhaust; f(u) is evaluated once per trial point.  At scaled
+    once per exhaust; f(u) is evaluated once per trial point.  The iteration
+    runs in the finest level's red-black order: b, the boundary terms and the
+    start are permuted into it once, A u is applied from that level's colour
+    blocks (no row-major matrix is built), and the field returns to the grid's
+    row-major order once, at the end.  At scaled
     residual r the step is solved to relative residual min(0.1, max(_FORCING,
     c r, 10 c tol / r)), c = _FORCING_SLOPE (inexact Newton: the forcing
     term is O(r), which keeps quadratic convergence); where f is affine, to
@@ -483,28 +503,29 @@ def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol, u0=
     and start ("profile", "constant" or "given").
     """
     require_positive_finite(tol, "tolerance")
-    A, arms, mg = _operators(grid)
+    arms, mg = _operators(grid)
     const, gvals = _boundary_terms(grid, arms, g)
-    abs_diag = np.abs(A.diagonal())
-    b = _source_b(grid, bweight)
+    order = mg.order  # every fine vector below is in this order
+    const = const[order]
+    abs_diag = np.abs(_diagonal(mg))
+    b = _source_b(grid, bweight)[order]
     fv = lambda u: np.asarray(f.f(np.maximum(u, 1e-12)), float)
     fpv = lambda u: np.asarray(f.f_prime(np.maximum(u, 1e-12)), float)
 
     if u0 is not None:
-        u, start = np.array(u0, dtype=float, copy=True), "given"
+        u, start = np.asarray(u0, dtype=float)[order], "given"
     else:
         j = float(np.nanmean(gvals))
         profile = _boundary_profile(grid, f, bweight)
         u = None if profile is None else profile(j)
         start = "constant" if u is None else "profile"
-        if u is None:
-            u = np.full(grid.n_interior, j)
+        u = np.full(grid.n_interior, j) if u is None else u[order]
     del gvals  # dense per arm: not held through the solve
 
     def evaluate(uv):
         """(residual, scaled max-norm, whether it is round-off) at uv; f is evaluated once."""
         bf = b * fv(uv)
-        res_vec = A @ uv + const - bf
+        res_vec = _apply(mg, uv) + const - bf
         floor = 64.0 * np.finfo(float).eps * (abs_diag * np.abs(uv) + np.abs(const) + bf)
         return (res_vec, float(np.max(np.abs(res_vec) / (1.0 + bf))),
                 bool(np.all(np.abs(res_vec) <= floor)))
@@ -526,7 +547,7 @@ def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol, u0=
         else:  # inexact Newton: the forcing term falls with the residual
             rtol = min(0.1, max(_FORCING, _FORCING_SLOPE * max(norm, 10.0 * tol / norm)))
         try:
-            solve = _defect_correction(A, bfp, mg, -res)
+            solve = _defect_correction(bfp, mg, -res)
             del res  # solve holds -res in its place
             delta, step_cycles = solve(rtol)
         except SolveFailure as exc:
@@ -566,7 +587,7 @@ def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol, u0=
     else:
         raise SolveFailure(f"Newton did not converge in {_MAX_NEWTON} steps", residuals=history)
 
-    return grid.with_values(u, meta={
+    return grid.with_values(_row_major(mg, u), meta={
         **grid.meta, "tol": tol, "newton_iters": len(history) - 1,
         "factorizations": factorizations, "cycles": cycles, "start": start,
         "residual_history": history})
@@ -578,8 +599,9 @@ def exhaust(grid: Field2D, f: Nonlinearity, bweight: Weight, j_schedule, tol):
     Each level starts from the boundary profile for its j, raised to the
     previous level where that is higher (both are subsolutions of the
     level's continuous problem), or from the previous level alone when
-    there is no profile.  Every j shares one Shortley-Weller operator and
-    one multigrid hierarchy, built here once for the grid.
+    there is no profile.  Every j shares one set of cut arms and one
+    multigrid hierarchy, whose finest level is the Shortley-Weller operator,
+    built here once for the grid.
     Diagnostics track per-step increment bounds, the interior Cauchy ratio
     on the core region d >= 0.2 * diam, and per level the Newton steps,
     coarsest-level factorizations and V-cycles.  A SolveFailure

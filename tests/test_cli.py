@@ -464,6 +464,13 @@ VALIDATION = {
     "t_grid-inf": (PROFILE + "t_grid = 1,inf\n",
                    "t_grid must list positive finite values, got [1.0, inf]"),
     "t_grid-empty": (PROFILE + "t_grid = ,\n", "t_grid must list positive finite values, got []"),
+    "t_grid-empty-entry": (PROFILE + "t_grid = 1,,2\n",
+                           "config key 't_grid': cannot parse '1,,2' (entry 2 of 3 is empty)"),
+    "t_grid-trailing-comma": (PROFILE + "t_grid = 1,2,\n",
+                              "config key 't_grid': cannot parse '1,2,' (entry 3 of 3 is empty)"),
+    "j-empty-entry-radial-exhaust": (EXHAUST + "j_schedule = 2,,4\n",
+                                     "config key 'j_schedule': cannot parse '2,,4' "
+                                     "(entry 2 of 3 is empty)"),
 }
 
 

@@ -3,7 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import splu
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu, spsolve
 
 from khessian import _quad, fd2d
 from khessian.errors import ParameterError, ReportTruncated, SolveFailure
@@ -93,6 +94,46 @@ class TestOperatorMatrix:
 
 def constant_start(grid, g):
     return np.full(grid.n_interior, np.nanmean(assemble_operator(grid, g)[2]))
+
+
+class TestDirectNewtonOracle:
+    # solve_dirichlet works in the finest level's colour order on its colour blocks; the
+    # oracle is Newton on the row-major matrix with a direct solve of every step.  The
+    # weight m(d) = d gives the source b = d^2, which varies from node to node
+    @pytest.mark.parametrize("domain, h, g, weight", [
+        (Disk(0.9), 1.0 / 32.0, liouville_g, W1),
+        (Ellipse(1.2, 1.0), 1.0 / 24.0, 6.0, Weight.power(1.0)),
+    ], ids=["disk-liouville", "ellipse-power-weight"])
+    def test_matches_row_major_direct_newton(self, domain, h, g, weight):
+        grid = build_grid(domain, h)
+        assert grid.n_interior > fd2d._COARSE_MAX  # multigrid levels: not row-major order
+        fld = solve_dirichlet(grid, Nonlinearity.exponential(2), weight, g, tol=1e-10)
+        A, const, gvals = assemble_operator(grid, g)
+        b = np.ones(grid.n_interior) if weight is W1 else grid.node_d**2
+
+        def scaled(v):  # max |A v + const - b f(v)| / (1 + b f(v)), f = e^{2v}
+            bf = b * np.exp(2.0 * v)
+            return np.max(np.abs(A @ v + const - bf) / (1.0 + bf))
+
+        u = np.full(grid.n_interior, np.nanmean(gvals))
+        for _ in range(50):
+            norm = scaled(u)
+            if norm <= 1e-10:
+                break
+            jac = (A - sp.diags(2.0 * b * np.exp(2.0 * u))).tocsc()
+            step = spsolve(jac, -(A @ u + const - b * np.exp(2.0 * u)))
+            t = 1.0
+            while not scaled(u + t * step) < norm:
+                t *= 0.5
+                assert t >= 2.0**-30, "direct Newton stalled"
+            u = u + t * step
+        else:
+            raise AssertionError("direct Newton did not converge")
+        v = fld.interior_values()
+        assert np.max(np.abs(v - u)) <= 1e-9
+        # the solver's last scaled residual is the row-major one of its field; the two sum
+        # A v in different orders, so they agree to rounding, far below tol
+        assert abs(fld.meta["residual_history"][-1] - scaled(v)) <= 1e-12
 
 
 class TestNewtonStart:
@@ -238,10 +279,15 @@ class TestLiouvilleDirichlet:
         finally:
             tracemalloc.stop()
         assert held <= 32 * grid.n_interior
-        assert peak <= 450 * grid.n_interior
-        # besides A and the levels, the operators hold four numbers per cut arm
+        assert peak <= 340 * grid.n_interior
+        # besides the levels, the operators hold four numbers per cut arm, and no
+        # matrix over the fine nodes: the finest level's colour blocks are the only
+        # copy of the fine operator
         n_cut = np.count_nonzero(~np.isnan(assemble_operator(grid, 0.0)[2]))
-        assert sum(np.size(a) for a in fd2d._operators(grid)[1]) <= 4 * n_cut
+        arms, mg = fd2d._operators(grid)
+        assert sum(np.size(a) for a in arms) <= 4 * n_cut
+        assert not any(np.ndim(a) == 2 and a.shape[0] == grid.n_interior
+                       for a in (*arms, mg.order, mg.coarse))
 
     def test_grid_convergence_order(self):
         # curved-boundary stencils enter the asymptotic O(h^2) regime slowly
