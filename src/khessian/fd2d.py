@@ -98,19 +98,19 @@ def _lattice(grid: Field2D):
 def _stencil(domain, h, lx, ly, order, box):
     """Shortley-Weller stencil of spacing h at the nodes at lattice (lx, ly), rows in order.
 
-    Returns _table's (table, flat, cols), _weights's (off, diag) and the cut arms
+    Returns _table's (table, cols), _weights's (off, diag) and the cut arms
     (rows, t, theta, weight): row and direction (_DIRS) of each arm whose neighbour is not
     a node, by row and E, W, N, S within one, its fraction from domain.arm_fraction and
     the weight that multiplies the boundary value at its end.
     """
-    table, flat, cols = _table(lx, ly, order, box)
+    table, cols = _table(lx, ly, order, box)
     rows, t = np.nonzero(cols[:, _ARMS] < 0)
     (dx, dy), at = _DIRS[t].T, order[rows]
     theta = domain.arm_fraction(lx[at] * h, ly[at] * h, dx, dy, h)
     arm = np.ones((order.size, 4))
     arm[rows, t] = theta
     off, diag = _weights(arm, h)
-    return table, flat, cols, off, diag, (rows, t, theta, off[rows, np.take(_ARMS, t)])
+    return table, cols, off, diag, (rows, t, theta, off[rows, np.take(_ARMS, t)])
 
 
 def _boundary_terms(grid: Field2D, arms, g):
@@ -139,7 +139,7 @@ def assemble_operator(grid: Field2D, g):
     level's colour blocks (_multigrid).  A is the row-major reference form.
     """
     lx, ly, box = _lattice(grid)
-    _, _, cols, off, diag, arms = _stencil(grid.domain, grid.h, lx, ly, np.arange(lx.size), box)
+    _, cols, off, diag, arms = _stencil(grid.domain, grid.h, lx, ly, np.arange(lx.size), box)
     return (_operator(off, diag, cols), *_boundary_terms(grid, arms, g))
 
 
@@ -190,20 +190,20 @@ def _boundary_profile(grid: Field2D, f: Nonlinearity, bweight: Weight):
 
 
 def _table(lx, ly, order, box):
-    """(table, flat, cols) of the nodes at lattice (lx, ly) on the box (x0, y0, x1, y1).
+    """(table, cols) of the nodes at lattice (lx, ly) on the box (x0, y0, x1, y1).
 
-    table, the box flattened row-major, holds i at node order[i] and -1 elsewhere; flat[j]
-    is node j's place in it; cols[i] numbers node order[i]'s neighbours S, W, E, N.
+    table, the box flattened row-major, holds i at node order[i] and -1 elsewhere;
+    cols[i] numbers node order[i]'s neighbours S, W, E, N.
     """
     x0, y0, x1, y1 = box
     width = x1 - x0 + 1
-    flat = (ly - y0) * width + (lx - x0)
+    at = ((ly - y0) * width + (lx - x0))[order]  # node order[i]'s place in table
     table = np.full((y1 - y0 + 1) * width, -1, dtype=np.int32)
-    table[flat[order]] = np.arange(order.size, dtype=np.int32)
+    table[at] = np.arange(order.size, dtype=np.int32)
     cols = np.empty((order.size, 4), dtype=np.int32)
     for t, step in enumerate((-width, -1, 1, width)):
-        cols[:, t] = table.take(flat[order] + step)
-    return table, flat, cols
+        cols[:, t] = table.take(at + step)
+    return table, cols
 
 
 def _bilinear(fx, fy, table, box, n):
@@ -232,20 +232,15 @@ def _colour_order(lx, ly):
     return np.concatenate([np.flatnonzero(~odd), np.flatnonzero(odd)]), int(odd.size - odd.sum())
 
 
-# a coarse node's 3 x 3 fine neighbourhood in decreasing colour order (black N, E, W,
-# S, then red NE, NW, centre, SE, SW) and the full-weighting weights, P's entries
-_AROUND = ((0, 1), (1, 0), (-1, 0), (0, -1), (1, 1), (-1, 1), (0, 0), (1, -1), (-1, -1))
-_P_WEIGHT = np.array([0.5] * 4 + [0.25, 0.25, 1.0, 0.25, 0.25])
-
-
 @dataclass(frozen=True)
 class _Level:
-    """One smoothed multigrid level: its Shortley-Weller operator split by colour.
+    """One smoothed multigrid level: its Shortley-Weller operator split by colour, and P.
 
     Vectors hold the n_red red nodes, then the black ones (_colour_order).
     P is the bilinear prolongation from the next coarser level, in both
-    levels' orders; ``shift`` maps a diagonal shift s down to it as the
-    diagonal of P^T diag(s) P over that of P^T P.
+    levels' orders, and the only transfer matrix held: the V-cycle restricts
+    by 0.25 P[:n_red]^T (_restrict) and _shifts maps a shift down by
+    (P o P)^T, both applied on P's own arrays (_transpose).
     """
 
     n_red: int
@@ -254,8 +249,6 @@ class _Level:
     A_rb: sp.csr_matrix  # red rows, black columns
     A_br: sp.csr_matrix  # black rows, red columns
     P: sp.csr_matrix
-    restrict: sp.csr_matrix  # 0.25 P[:n_red]^T
-    shift: sp.csr_matrix  # (P o P)^T, rows scaled to sum to 1
 
 
 @dataclass(frozen=True)
@@ -276,40 +269,38 @@ def _multigrid(grid: Field2D):
     """(arms, multigrid): the cut arms of grid and its hierarchy down to <= _COARSE_MAX unknowns.
 
     Each level is the even sublattice of the one above, halved: its stencil
-    (_stencil), colour blocks, P, restriction and shift map are read off lattice
-    tables as CSR, rows in colour order, with arms cut only where they leave the
-    domain; no coarse grid, distance or sparse product is formed.  arms are the
-    finest stencil's (rows, t, theta, weight), rows numbered row-major, in
-    colour order of their rows and E, W, N, S within one.
+    (_stencil), colour blocks and P are read off lattice tables as CSR, rows in
+    colour order, with arms cut only where they leave the domain; no coarse grid,
+    distance or sparse product is formed.  arms are the finest stencil's (rows, t,
+    theta, weight), rows numbered row-major, in colour order of their rows and
+    E, W, N, S within one.
     """
     domain, h = grid.domain, grid.h
     lx, ly, box = _lattice(grid)
     order, n_red = _colour_order(lx, ly)
-    table, flat, cols, off, diag, (rows, *cut) = _stencil(domain, h, lx, ly, order, box)
+    _, cols, off, diag, (rows, *cut) = _stencil(domain, h, lx, ly, order, box)
     arms = (order[rows], *cut)
     levels, top = [], order
     while lx.size > _COARSE_MAX:
-        k, width = n_red, box[2] - box[0] + 1
-        even = np.flatnonzero(((lx | ly) & 1) == 0)
+        k = n_red
+        even = ((lx | ly) & 1) == 0
         cx, cy = lx[even] >> 1, ly[even] >> 1
         c_box = (box[0] >> 1, box[1] >> 1, -(-box[2] >> 1), -(-box[3] >> 1))
         c_order, c_red = _colour_order(cx, cy)
         h *= 2.0
-        c_table, c_flat, c_cols, c_off, c_diag, _ = _stencil(domain, h, cx, cy, c_order, c_box)
-        steps = np.array([dy * width + dx for dx, dy in _AROUND], dtype=np.int32)
-        near = table.take(flat[even[c_order], None] + steps)  # coarse rows, colour order
-        weight = np.where(near >= 0, _P_WEIGHT, 0.0) ** 2
-        weight *= (1.0 / weight.sum(axis=1))[:, None]  # exact sums of multiples of 1/16
+        c_table, c_cols, c_off, c_diag, _ = _stencil(domain, h, cx, cy, c_order, c_box)
         levels.append(_Level(
             n_red=k, diag_red=diag[:k], diag_black=diag[k:],
             A_rb=_csr(off[:k], cols[:k], lx.size - k, k), A_br=_csr(off[k:], cols[k:], k),
-            P=_bilinear(lx[order], ly[order], c_table, c_box, cx.size),
-            restrict=_csr(np.broadcast_to(0.25 * _P_WEIGHT[8:3:-1], (cx.size, 5)),
-                          near[:, 8:3:-1], k),
-            shift=_csr(weight, near, lx.size)))
-        lx, ly, box, order, n_red, table, flat, cols, off, diag = (
-            cx, cy, c_box, c_order, c_red, c_table, c_flat, c_cols, c_off, c_diag)
+            P=_bilinear(lx[order], ly[order], c_table, c_box, cx.size)))
+        lx, ly, box, order, n_red, cols, off, diag = (
+            cx, cy, c_box, c_order, c_red, c_cols, c_off, c_diag)
     return arms, _Multigrid(levels=levels, order=top, coarse=_operator(off, diag, cols).tocsc())
+
+
+def _transpose(P, data, rows):
+    """Q[:rows]^T as CSC, Q with P's pattern and entries data, on P's index arrays (no copy)."""
+    return sp.csc_matrix((data, P.indices, P.indptr[:rows + 1]), shape=(P.shape[1], rows))
 
 
 def _apply(mg: _Multigrid, x):
@@ -333,11 +324,13 @@ def _diagonal(mg: _Multigrid):
 def _shifts(mg: _Multigrid, bfp):
     """b f'(u) on every level, finest first: bfp, in the finest colour order, shifted down.
 
-    Each shift is in its own level's colour order.
+    Each shift is in its own level's colour order.  s maps down to the diagonal of
+    P^T diag(s) P over that of P^T P: (P o P)^T s over P o P's exact column sums.
     """
     shifts = [bfp]
     for lv in mg.levels:
-        shifts.append(lv.shift @ shifts[-1])
+        squares = _transpose(lv.P, lv.P.data ** 2, lv.P.shape[0])  # (P o P)^T
+        shifts.append(squares @ shifts[-1] / (squares @ np.ones(lv.P.shape[0])))
     return shifts
 
 
@@ -347,14 +340,19 @@ def _smoothers(mg: _Multigrid, shifts):
             for lv, s in zip(mg.levels, shifts)]
 
 
+def _restrict(lv: _Level, r_red):
+    """Full weighting 0.25 P[:n_red]^T r_red, each sum SW, SE, C, NW, NE (red rows: row-major)."""
+    return 0.25 * (_transpose(lv.P, lv.P.data, lv.n_red) @ r_red)
+
+
 def _vcycle(levels, inverses, coarse_lu, r):
     """One V-cycle for J x = r from x = 0, r and x in the colour order of the top level.
 
     One red-black Gauss-Seidel sweep (``inverses``: inverted diagonals)
     before and after the coarse correction on every level, and the SuperLU
     solve ``coarse_lu`` on the coarsest.  After the pre-sweep the black
-    residual is zero, so only the red one, -A_rb x_b, is restricted.  A
-    fixed linear map of r, exact when there are no levels.
+    residual is zero, so only the red one, -A_rb x_b, is restricted
+    (_restrict).  A fixed linear map of r, exact when there are no levels.
     """
     if not levels:
         return coarse_lu.solve(r)
@@ -363,7 +361,7 @@ def _vcycle(levels, inverses, coarse_lu, r):
     x = np.empty_like(r)
     x[:k] = r[:k] * dr
     x[k:] = (r[k:] - lv.A_br @ x[:k]) * db
-    x += lv.P @ _vcycle(levels[1:], inverses[1:], coarse_lu, -(lv.restrict @ (lv.A_rb @ x[k:])))
+    x += lv.P @ _vcycle(levels[1:], inverses[1:], coarse_lu, -_restrict(lv, lv.A_rb @ x[k:]))
     x[:k] = (r[:k] - lv.A_rb @ x[k:]) * dr
     x[k:] = (r[k:] - lv.A_br @ x[:k]) * db
     return x

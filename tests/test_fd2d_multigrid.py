@@ -127,8 +127,10 @@ class TestLevels:
     def test_sliced_levels_match_rebuilt_grids(self, domain, h, monkeypatch):
         # oracle: every level sliced from the fine lattice equals the one built from
         # build_grid(domain, 2^l h) and the sparse constructions written out here: the
-        # colour blocks of its operator, P as prolongation() permuted to both colour orders,
-        # 0.25 P^T on the red rows and (P o P)^T with rows scaled to sum to 1
+        # colour blocks of its operator and P as prolongation() permuted to both colour
+        # orders; the maps the solver takes from P agree with the written-out matrices,
+        # the restriction bit for bit with 0.25 P^T on the red rows and the shift to
+        # 1e-15 with (P o P)^T with rows scaled to sum to 1
         points = []
         distance = type(domain).distance
 
@@ -148,6 +150,8 @@ class TestLevels:
             scale = max(abs(want).max(), 1.0)
             return abs(sp.csr_matrix(got) - want).max() <= 1e-14 * scale
 
+        rng = np.random.default_rng(7)
+        shifts = fd2d._shifts(mg, rng.uniform(0.0, 1e4, grid.n_interior))
         for level, lv in enumerate(mg.levels):
             coarse = build_grid(domain, 2**level * h)
             order, k = fd2d._colour_order(*lattice(coarse))
@@ -162,8 +166,11 @@ class TestLevels:
             c_order = fd2d._colour_order(cx, cy)[0]
             P = P[order][:, c_order].tocsr()
             P2 = P.multiply(P).T.tocsr()
-            assert close(lv.P, P) and close(lv.restrict, 0.25 * P[:k].T)
-            assert close(lv.shift, sp.diags(1.0 / np.asarray(P2.sum(axis=1)).ravel()) @ P2)
+            assert close(lv.P, P)
+            v = rng.standard_normal(k)
+            assert np.array_equal(fd2d._restrict(lv, v), 0.25 * P[:k].T @ v)
+            want = sp.diags(1.0 / np.asarray(P2.sum(axis=1)).ravel()) @ P2 @ shifts[level]
+            assert np.max(np.abs(shifts[level + 1] - want)) <= 1e-15 * np.max(want)
         coarse = build_grid(domain, 2 ** len(mg.levels) * h)
         assert close(mg.coarse, assemble_operator(coarse, 0.0)[0])
 
