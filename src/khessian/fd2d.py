@@ -15,7 +15,12 @@ fails to descend.  Level l holds the fine nodes whose lattice
 coordinates 2^l divides, with the stencil of spacing 2^l h; it is sliced
 from the fine lattice, no coarse grid built, shifted by the Galerkin
 diagonal of b f'(u) and smoothed by red-black Gauss-Seidel; only the
-coarsest level, at most a thousand unknowns, is factored by SuperLU.  The
+coarsest level, at most a thousand unknowns, is factored by SuperLU.  A
+level holds its diagonal by colour, one pair of index arrays for both
+off-diagonal colour blocks (the black rows' CSR block and the red rows' CSC
+block on it), the prolongation P and the column sums of P o P; a solve
+holds besides them the cut arms, the boundary terms of the rows they cut,
+and its Newton and V-cycle vectors.  The
 odd orders k >= 2 are handled radially elsewhere.  Node ordering, levels
 and the coarse fill-reducing ordering are fixed, so identical inputs give
 bit-identical fields on one machine.
@@ -50,8 +55,8 @@ _MAX_CYCLES = 100  # V-cycles before a Newton step fails
 _MAX_NEWTON = 100  # Newton steps before a solve fails
 
 
-def _csr(vals, cols, n_cols, offset=0):
-    """CSR matrix whose row i holds vals[i, t] (vals[i] if 1-d) at column cols[i, t] - offset.
+def _csr(vals, cols, n_cols):
+    """CSR matrix whose row i holds vals[i, t] (vals[i] if 1-d) at column cols[i, t].
 
     Entries are stored in t order; those with cols[i, t] < 0 are left out.
     """
@@ -62,7 +67,6 @@ def _csr(vals, cols, n_cols, offset=0):
     indptr = np.zeros(len(cols) + 1, dtype=np.int32)
     np.cumsum(counts, out=indptr[1:])
     data, indices = (np.repeat(vals, counts) if vals.ndim == 1 else vals[keep]), cols[keep]
-    indices -= offset
     return sp.csr_matrix((data, indices, indptr), shape=(len(cols), n_cols))
 
 
@@ -98,35 +102,45 @@ def _lattice(grid: Field2D):
 def _stencil(domain, h, lx, ly, order, box):
     """Shortley-Weller stencil of spacing h at the nodes at lattice (lx, ly), rows in order.
 
-    Returns _table's (table, cols), _weights's (off, diag) and the cut arms
-    (rows, t, theta, weight): row and direction (_DIRS) of each arm whose neighbour is not
-    a node, by row and E, W, N, S within one, its fraction from domain.arm_fraction and
-    the weight that multiplies the boundary value at its end.
+    Returns _table's (table, cols), the weights (off, diag) and the cut arms (rows, t,
+    theta, weight): row and direction (_DIRS) of each arm whose neighbour is not a node,
+    by row and E, W, N, S within one, its fraction from domain.arm_fraction and the
+    weight that multiplies the boundary value at its end.  Rows with four unit arms take
+    1/h^2 and -4/h^2, which _weights gives exactly for them; it runs on the cut rows only.
+    The tables hold four entries per row: _multigrid keeps them only until the level's
+    colour blocks are built.
     """
     table, cols = _table(lx, ly, order, box)
     rows, t = np.nonzero(cols[:, _ARMS] < 0)
     (dx, dy), at = _DIRS[t].T, order[rows]
     theta = domain.arm_fraction(lx[at] * h, ly[at] * h, dx, dy, h)
-    arm = np.ones((order.size, 4))
-    arm[rows, t] = theta
-    off, diag = _weights(arm, h)
+    inv = 1.0 / (h * h)
+    off, diag = np.full((order.size, 4), inv), np.full(order.size, -4.0 * inv)
+    cut, row_of = np.unique(rows, return_inverse=True)
+    arm = np.ones((cut.size, 4))
+    arm[row_of, t] = theta
+    off[cut], diag[cut] = _weights(arm, h)
     return table, cols, off, diag, (rows, t, theta, off[rows, np.take(_ARMS, t)])
 
 
-def _boundary_terms(grid: Field2D, arms, g):
-    """(const, gvals): each row's known boundary contribution, and g on the arms (NaN if uncut).
+def _boundary_terms(grid: Field2D, order, arms, g):
+    """(cut, const, gcut): the boundary terms on the cut arms alone, none per node and arm.
 
-    g is evaluated at the ends of the cut arms, x0 + theta h (dx, dy).
+    cut are the rows with a cut arm, ascending; const their known boundary contributions,
+    weight * g summed over a row's arms in arm order; gcut g at each cut arm, a 1-d array
+    in arm order.  Rows are numbered as the stencil's that gave arms: row i is node
+    order[i].  g is evaluated once, at the arms' ends x0 + theta h (dx, dy).  A solve
+    holds cut and const through its iteration, and gcut only to take the mean j.
     """
     rows, t, theta, weight = arms
     if callable(g):
-        (dx, dy), step = _DIRS[t].T, theta * grid.h
-        g = g(grid.xs[grid.node_ix[rows]] + step * dx, grid.ys[grid.node_iy[rows]] + step * dy)
-    gvals = np.full((grid.n_interior, 4), np.nan)  # arms E, W, N, S
-    gvals[rows, t] = np.asarray(g, float)
-    const = np.zeros(grid.n_interior)
-    np.add.at(const, rows, weight * np.nan_to_num(gvals[rows, t]))  # in arm order, as a row sum
-    return const, gvals
+        (dx, dy), step, nodes = _DIRS[t].T, theta * grid.h, order[rows]
+        g = g(grid.xs[grid.node_ix[nodes]] + step * dx, grid.ys[grid.node_iy[nodes]] + step * dy)
+    gcut = np.broadcast_to(np.asarray(g, float), rows.shape)
+    cut, row_of = np.unique(rows, return_inverse=True)
+    const = np.zeros(cut.size)
+    np.add.at(const, row_of, weight * np.nan_to_num(gcut))  # in arm order, as a row sum
+    return cut, const, gcut
 
 
 def assemble_operator(grid: Field2D, g):
@@ -134,25 +148,39 @@ def assemble_operator(grid: Field2D, g):
 
     A is the stencil on the interior unknowns as one CSR matrix, diagonal
     included and cut arms dropped; const carries the known boundary
-    contributions, so A u + const approximates Delta u.  solve_dirichlet
-    never builds A: it applies the same stencil from the finest multigrid
-    level's colour blocks (_multigrid).  A is the row-major reference form.
+    contributions, so A u + const approximates Delta u; gvals[i, t] is g at the
+    end of node i's arm t (E, W, N, S), NaN where the arm is not cut.  solve_dirichlet
+    never builds these: it applies the same stencil from the finest multigrid level's
+    colour blocks (_multigrid) and keeps the boundary terms on the cut arms
+    (_boundary_terms).  They are the row-major reference forms.
     """
     lx, ly, box = _lattice(grid)
-    _, cols, off, diag, arms = _stencil(grid.domain, grid.h, lx, ly, np.arange(lx.size), box)
-    return (_operator(off, diag, cols), *_boundary_terms(grid, arms, g))
+    order = np.arange(lx.size)
+    _, cols, off, diag, arms = _stencil(grid.domain, grid.h, lx, ly, order, box)
+    cut, const_cut, gcut = _boundary_terms(grid, order, arms, g)
+    const = np.zeros(grid.n_interior)
+    const[cut] = const_cut
+    gvals = np.full((grid.n_interior, 4), np.nan)
+    gvals[arms[0], arms[1]] = gcut
+    return _operator(off, diag, cols), const, gvals
 
 
 def _source_b(grid: Field2D, bweight: Weight):
-    """Source b_lower m(d)^2 at the interior nodes; ParameterError unless finite and >= 0 (b2)."""
-    b = bweight.b_lower * np.asarray(bweight.m(grid.node_d), dtype=float) ** (_K_ORDER + 1)
+    """Source b_lower m(d)^2 at the interior nodes; ParameterError unless finite and >= 0 (b2).
+
+    A constant weight gives one float, computed as at one node, so it equals each entry
+    of the per-node array bit for bit.
+    """
+    constant = bweight.kind == "constant"
+    d = grid.node_d[:1] if constant else grid.node_d
+    b = bweight.b_lower * np.asarray(bweight.m(d), dtype=float) ** (_K_ORDER + 1)
     bad = ~(np.isfinite(b) & (b >= 0.0))
     if bad.any():
         raise ParameterError(
             f"(b2) source b must be finite and nonnegative, got {b[bad].flat[0]} "
             f"at node {int(np.flatnonzero(bad)[0])}"
         )
-    return b
+    return float(b[0]) if constant else b
 
 
 def _boundary_profile(grid: Field2D, f: Nonlinearity, bweight: Weight):
@@ -177,6 +205,7 @@ def _boundary_profile(grid: Field2D, f: Nonlinearity, bweight: Weight):
     # symmetric domains repeat distances: invert phi once per distinct value
     t, node_t = np.unique(xi * np.asarray(p.M(grid.node_d), dtype=float),
                           return_inverse=True)
+    node_t = node_t.astype(np.int32)
 
     def start(j):
         if not j > 0.0:
@@ -227,9 +256,30 @@ def _colour_order(lx, ly):
     The coarsest level, which is only factored, keeps row-major order (n_red = 0).
     """
     if lx.size <= _COARSE_MAX:
-        return np.arange(lx.size), 0
+        return np.arange(lx.size, dtype=np.int32), 0
     odd = ((lx + ly) & 1) == 1
-    return np.concatenate([np.flatnonzero(~odd), np.flatnonzero(odd)]), int(odd.size - odd.sum())
+    return (np.concatenate([np.flatnonzero(~odd), np.flatnonzero(odd)], dtype=np.int32),
+            int(odd.size - odd.sum()))
+
+
+# a black node's arm t meets its red neighbour's arm 3 - t: S <-> N, W <-> E
+_BACK = [3, 2, 1, 0]
+
+
+def _colour_blocks(off, cols, k):
+    """(A_rb, A_br): the stencil (off, cols) in colour order with k red rows, split by colour.
+
+    A_br is CSR over the black rows; A_rb is CSC on A_br's own indices and indptr,
+    with its own data: where black j's arm t reaches red i, red i's weight on its arm
+    3 - t back to j.  Red i's black neighbours S, W, E, N come in that column order, so
+    A_rb @ x sums a red row in the same order as the CSR row sum would, bit for bit.
+    """
+    black = cols[k:]
+    A_br = _csr(off[k:], black, k)
+    back = off[black, _BACK]  # rows of absent neighbours (-1) are read, then dropped
+    A_rb = sp.csc_matrix((back[black >= 0], A_br.indices, A_br.indptr),
+                         shape=(k, black.shape[0]))
+    return A_rb, A_br
 
 
 @dataclass(frozen=True)
@@ -237,18 +287,21 @@ class _Level:
     """One smoothed multigrid level: its Shortley-Weller operator split by colour, and P.
 
     Vectors hold the n_red red nodes, then the black ones (_colour_order).
+    The off-diagonal blocks share one pair of index arrays (_colour_blocks):
+    A_br is CSR, A_rb CSC on A_br's indices and indptr with its own data.
     P is the bilinear prolongation from the next coarser level, in both
     levels' orders, and the only transfer matrix held: the V-cycle restricts
     by 0.25 P[:n_red]^T (_restrict) and _shifts maps a shift down by
-    (P o P)^T, both applied on P's own arrays (_transpose).
+    (P o P)^T (_squares) over P2_sums, both applied on P's own arrays.
     """
 
     n_red: int
     diag_red: np.ndarray
     diag_black: np.ndarray
-    A_rb: sp.csr_matrix  # red rows, black columns
+    A_rb: sp.csc_matrix  # red rows, black columns, on A_br's index arrays
     A_br: sp.csr_matrix  # black rows, red columns
     P: sp.csr_matrix
+    P2_sums: np.ndarray  # column sums of P o P: exact multiples of 1/16, fixed per grid
 
 
 @dataclass(frozen=True)
@@ -261,7 +314,7 @@ class _Multigrid:
     """
 
     levels: list
-    order: np.ndarray  # the finest level's colour order
+    order: np.ndarray  # the finest level's colour order, int32
     coarse: sp.csc_matrix  # Shortley-Weller operator of the coarsest level, row-major
 
 
@@ -269,38 +322,43 @@ def _multigrid(grid: Field2D):
     """(arms, multigrid): the cut arms of grid and its hierarchy down to <= _COARSE_MAX unknowns.
 
     Each level is the even sublattice of the one above, halved: its stencil
-    (_stencil), colour blocks and P are read off lattice tables as CSR, rows in
-    colour order, with arms cut only where they leave the domain; no coarse grid,
-    distance or sparse product is formed.  arms are the finest stencil's (rows, t,
-    theta, weight), rows numbered row-major, in colour order of their rows and
-    E, W, N, S within one.
+    (_stencil), colour blocks (_colour_blocks) and P are read off lattice tables,
+    rows in colour order, with arms cut only where they leave the domain; no coarse
+    grid, distance or sparse product is formed.  A level's stencil tables are freed
+    once its colour blocks are built, before the coarser stencil and P.  arms are the
+    finest stencil's (rows, t, theta, weight), rows numbered in the finest colour
+    order (mg.order), E, W, N, S within one.
     """
     domain, h = grid.domain, grid.h
     lx, ly, box = _lattice(grid)
     order, n_red = _colour_order(lx, ly)
-    _, cols, off, diag, (rows, *cut) = _stencil(domain, h, lx, ly, order, box)
-    arms = (order[rows], *cut)
+    _, cols, off, diag, arms = _stencil(domain, h, lx, ly, order, box)
     levels, top = [], order
     while lx.size > _COARSE_MAX:
         k = n_red
+        A_rb, A_br = _colour_blocks(off, cols, k)
+        del off, cols  # not held while the coarser stencil is built
         even = ((lx | ly) & 1) == 0
         cx, cy = lx[even] >> 1, ly[even] >> 1
         c_box = (box[0] >> 1, box[1] >> 1, -(-box[2] >> 1), -(-box[3] >> 1))
         c_order, c_red = _colour_order(cx, cy)
         h *= 2.0
-        c_table, c_cols, c_off, c_diag, _ = _stencil(domain, h, cx, cy, c_order, c_box)
-        levels.append(_Level(
-            n_red=k, diag_red=diag[:k], diag_black=diag[k:],
-            A_rb=_csr(off[:k], cols[:k], lx.size - k, k), A_br=_csr(off[k:], cols[k:], k),
-            P=_bilinear(lx[order], ly[order], c_table, c_box, cx.size)))
-        lx, ly, box, order, n_red, cols, off, diag = (
-            cx, cy, c_box, c_order, c_red, c_cols, c_off, c_diag)
+        c_table, cols, off, c_diag, _ = _stencil(domain, h, cx, cy, c_order, c_box)
+        P = _bilinear(lx[order], ly[order], c_table, c_box, cx.size)
+        levels.append(_Level(n_red=k, diag_red=diag[:k], diag_black=diag[k:], A_rb=A_rb,
+                             A_br=A_br, P=P, P2_sums=_squares(P) @ np.ones(P.shape[0])))
+        lx, ly, box, order, n_red, diag = cx, cy, c_box, c_order, c_red, c_diag
     return arms, _Multigrid(levels=levels, order=top, coarse=_operator(off, diag, cols).tocsc())
 
 
 def _transpose(P, data, rows):
     """Q[:rows]^T as CSC, Q with P's pattern and entries data, on P's index arrays (no copy)."""
     return sp.csc_matrix((data, P.indices, P.indptr[:rows + 1]), shape=(P.shape[1], rows))
+
+
+def _squares(P):
+    """(P o P)^T, the map that takes a shift down a level, on P's index arrays (_transpose)."""
+    return _transpose(P, P.data ** 2, P.shape[0])
 
 
 def _apply(mg: _Multigrid, x):
@@ -314,23 +372,27 @@ def _apply(mg: _Multigrid, x):
     return out
 
 
-def _diagonal(mg: _Multigrid):
-    """The diagonal of the fine Shortley-Weller operator, in the finest colour order."""
+def _abs_diag_times(mg: _Multigrid, x):
+    """|diag A| |x| for the fine Shortley-Weller operator A, x in the finest colour order."""
     if not mg.levels:
-        return mg.coarse.diagonal()
-    return np.concatenate([mg.levels[0].diag_red, mg.levels[0].diag_black])
+        return np.abs(mg.coarse.diagonal() * x)
+    lv = mg.levels[0]
+    k, out = lv.n_red, np.empty_like(x)
+    np.multiply(lv.diag_red, x[:k], out=out[:k])
+    np.multiply(lv.diag_black, x[k:], out=out[k:])
+    return np.abs(out, out=out)
 
 
 def _shifts(mg: _Multigrid, bfp):
     """b f'(u) on every level, finest first: bfp, in the finest colour order, shifted down.
 
     Each shift is in its own level's colour order.  s maps down to the diagonal of
-    P^T diag(s) P over that of P^T P: (P o P)^T s over P o P's exact column sums.
+    P^T diag(s) P over that of P^T P: (P o P)^T s over P o P's exact column sums,
+    which the level holds (P2_sums).
     """
     shifts = [bfp]
     for lv in mg.levels:
-        squares = _transpose(lv.P, lv.P.data ** 2, lv.P.shape[0])  # (P o P)^T
-        shifts.append(squares @ shifts[-1] / (squares @ np.ones(lv.P.shape[0])))
+        shifts.append(_squares(lv.P) @ shifts[-1] / lv.P2_sums)
     return shifts
 
 
@@ -449,7 +511,7 @@ _SHARED = ContextVar("fd2d_shared", default=(None, None))  # (grid, operators) o
 def _operators(grid: Field2D):
     """(arms, multigrid) of grid (_multigrid): neither depends on f, b or g.
 
-    arms number their rows row-major; the multigrid works in the finest colour order.
+    arms number their rows, and the multigrid its vectors, in the finest colour order.
     Within _shared_operators(grid), the pair built there.
     """
     shared_grid, operators = _SHARED.get()
@@ -468,6 +530,18 @@ def _shared_operators(grid: Field2D):
         _SHARED.reset(token)
 
 
+_BLOCK = 4096  # nodes per block of _affine's comparison
+
+
+def _affine(fpv, b, u, bfp):
+    """Whether b f'(u + 1) equals bfp = b f'(u) at every node, compared block by block."""
+    for lo in range(0, u.size, _BLOCK):
+        part = slice(lo, lo + _BLOCK)
+        if not np.array_equal(bfp[part], (b if np.ndim(b) == 0 else b[part]) * fpv(u[part] + 1.0)):
+            return False
+    return True
+
+
 def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol, u0=None):
     """Solve Delta u = b f(u) with Dirichlet data g; returns a new Field2D.
 
@@ -479,10 +553,13 @@ def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol, u0=
     A - diag(b f'(u)) by multigrid defect correction (_defect_correction) on
     levels sliced from the fine lattice (_multigrid), built once per call or
     once per exhaust; f(u) is evaluated once per trial point.  The iteration
-    runs in the finest level's red-black order: b, the boundary terms and the
-    start are permuted into it once, A u is applied from that level's colour
-    blocks (no row-major matrix is built), and the field returns to the grid's
-    row-major order once, at the end.  At scaled
+    runs in the finest level's red-black order: b and the start are permuted
+    into it once, A u is applied from that level's colour blocks (no row-major
+    matrix is built), and the field returns to the grid's row-major order once,
+    at the end.  Besides the levels and the cut arms, a solve holds b (one float
+    for a constant weight), the boundary terms on the rows with a cut arm only,
+    and its iterates; the start's distinct profile values are found before the
+    levels are built, and nothing per node and arm is held.  At scaled
     residual r the step is solved to relative residual min(0.1, max(_FORCING,
     c r, 10 c tol / r)), c = _FORCING_SLOPE (inexact Newton: the forcing
     term is O(r), which keeps quadratic convergence); where f is affine, to
@@ -501,32 +578,41 @@ def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol, u0=
     and start ("profile", "constant" or "given").
     """
     require_positive_finite(tol, "tolerance")
+    profile = None if u0 is not None else _boundary_profile(grid, f, bweight)
     arms, mg = _operators(grid)
-    const, gvals = _boundary_terms(grid, arms, g)
     order = mg.order  # every fine vector below is in this order
-    const = const[order]
-    abs_diag = np.abs(_diagonal(mg))
-    b = _source_b(grid, bweight)[order]
+    cut, const, gcut = _boundary_terms(grid, order, arms, g)  # const: rows cut only
+    b = _source_b(grid, bweight)
+    if np.ndim(b):
+        b = b[order]
     fv = lambda u: np.asarray(f.f(np.maximum(u, 1e-12)), float)
     fpv = lambda u: np.asarray(f.f_prime(np.maximum(u, 1e-12)), float)
 
     if u0 is not None:
         u, start = np.asarray(u0, dtype=float)[order], "given"
     else:
-        j = float(np.nanmean(gvals))
-        profile = _boundary_profile(grid, f, bweight)
+        j = float(np.nanmean(gcut))
         u = None if profile is None else profile(j)
         start = "constant" if u is None else "profile"
         u = np.full(grid.n_interior, j) if u is None else u[order]
-    del gvals  # dense per arm: not held through the solve
+    del profile, gcut  # not held through the solve
+    eps64 = 64.0 * np.finfo(float).eps
 
     def evaluate(uv):
         """(residual, scaled max-norm, whether it is round-off) at uv; f is evaluated once."""
         bf = b * fv(uv)
-        res_vec = _apply(mg, uv) + const - bf
-        floor = 64.0 * np.finfo(float).eps * (abs_diag * np.abs(uv) + np.abs(const) + bf)
-        return (res_vec, float(np.max(np.abs(res_vec) / (1.0 + bf))),
-                bool(np.all(np.abs(res_vec) <= floor)))
+        res_vec = _apply(mg, uv)
+        res_vec[cut] += const
+        res_vec -= bf
+        floor = _abs_diag_times(mg, uv)
+        floor[cut] += np.abs(const)
+        floor += bf
+        floor *= eps64
+        scaled = np.abs(res_vec)
+        at_floor = bool(np.all(scaled <= floor))
+        bf += 1.0
+        scaled /= bf
+        return res_vec, float(np.max(scaled)), at_floor
 
     res, norm, at_floor = evaluate(u)
     history = [norm]
@@ -536,7 +622,7 @@ def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol, u0=
         if norm <= tol or at_floor:
             break
         bfp = b * fpv(u)
-        if np.array_equal(bfp, b * fpv(u + 1.0)):
+        if _affine(fpv, b, u, bfp):
             # f is affine here, so the Newton model is exact: solve the step far
             # enough to finish, as a linear problem should in one step
             rtol = min(_FORCING, max(0.1 * tol / norm, _RTOL_FLOOR))
@@ -557,7 +643,8 @@ def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol, u0=
         cycles += step_cycles
         step = 1.0
         while step >= 2.0**-30:
-            u_try = u + step * delta
+            u_try = delta * step
+            u_try += u
             res_try, norm_try, floor_try = evaluate(u_try)
             if math.isfinite(norm_try) and norm_try < norm:
                 break

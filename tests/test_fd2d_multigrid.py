@@ -174,6 +174,29 @@ class TestLevels:
         coarse = build_grid(domain, 2 ** len(mg.levels) * h)
         assert close(mg.coarse, assemble_operator(coarse, 0.0)[0])
 
+    @pytest.mark.parametrize("domain, h, h_one_level", [
+        (Disk(0.9), 1.0 / 256.0, 1.0 / 32.0), (Ellipse(1.2, 1.0), 1.0 / 96.0, 1.0 / 24.0),
+    ])
+    def test_red_rows_are_held_on_the_black_index_arrays(self, domain, h, h_one_level):
+        # A_rb is CSC on A_br's indices and indptr with its own weights: its product
+        # equals the CSR row sum bit for bit, and with one level it is exactly the
+        # red-black block of the row-major reference operator
+        rng = np.random.default_rng(3)
+        mg = fd2d._multigrid(build_grid(domain, h))[1]
+        assert len(mg.levels) >= 3
+        for lv in mg.levels:
+            assert np.shares_memory(lv.A_rb.indices, lv.A_br.indices)
+            assert np.shares_memory(lv.A_rb.indptr, lv.A_br.indptr)
+            v = rng.standard_normal(lv.A_rb.shape[1])
+            assert np.array_equal(lv.A_rb @ v, lv.A_rb.tocsr() @ v)
+        grid = build_grid(domain, h_one_level)
+        (lv,) = fd2d._multigrid(grid)[1].levels
+        order, k = fd2d._colour_order(*lattice(grid))
+        A = assemble_operator(grid, 0.0)[0][order][:, order]
+        assert k == lv.n_red
+        assert np.array_equal(lv.A_rb.toarray(), A[:k, k:].toarray())
+        assert np.array_equal(lv.A_br.toarray(), A[k:, :k].toarray())
+
     def test_coarse_operators_are_rediscretised(self):
         # level l applies assemble_operator(build_grid(domain, 2^l h)) - diag(s_l): s_0 is
         # b f'(u), and s_{l+1} the diagonal of the Galerkin product P^T diag(s_l) P over
