@@ -90,16 +90,17 @@ class Config:
 
         return self.get(key, parse, default, required)
 
-    def check_all_read(self, command):
-        """ParameterError naming a key command never looked up, and a close one it did.
+    def check_all_read(self):
+        """ParameterError naming a key the command never looked up, and a close one it did.
 
-        ``seed`` is exempt: ``--seed`` sets it for every command.
+        Each command calls it once it has read all its keys, before any solve or file
+        write.  ``seed`` is exempt: ``--seed`` sets it for every command.
         """
         unread = sorted(set(self.pairs) - self.looked_up - {"seed"})
         if unread:
             import difflib  # only on this error path: the import is not paid by every run
 
-            key = unread[0]
+            key, command = unread[0], self.pairs["command"]
             closest = difflib.get_close_matches(key, sorted(self.looked_up), n=1)
             raise ParameterError(f"unknown config key {key!r} for command {command!r}"
                                  + (f" (closest valid key: {closest[0]!r})" if closest else ""))
@@ -167,12 +168,18 @@ def _geometry(cfg, n, k):
     return ball_geometry(n, k, R)
 
 
-def _resolve_xi(cfg, p, geom):
+def _xi_key(cfg):
+    """The config's xi, checked, or None for "auto" (the default), which _resolve_xi bounds."""
     if cfg.get("xi", str, "auto") == "auto":
-        return xi_bounds(p.weight, geom.L0, geom.l0, p.C_f, p.C_m, p.k)[0]
+        return None
     xi = cfg.get("xi", float)
     require_positive_finite(xi, "xi")
     return xi
+
+
+def _resolve_xi(xi, p, geom):
+    """xi, or the xi_bounds value for p on geom when xi is None."""
+    return xi_bounds(p.weight, geom.L0, geom.l0, p.C_f, p.C_m, p.k)[0] if xi is None else xi
 
 
 def cmd_profile(cfg, outdir, base, quiet, runinfo):
@@ -185,8 +192,10 @@ def cmd_profile(cfg, outdir, base, quiet, runinfo):
         ts = _default_t_grid(cfg)
     elif not (ts and all(math.isfinite(t) and t > 0.0 for t in ts)):
         raise ParameterError(f"t_grid must list positive finite values, got {ts}")
+    xi = _xi_key(cfg)
+    cfg.check_all_read()
     p = assemble_profile(nl, w, k)
-    xi = _resolve_xi(cfg, p, geom)
+    xi = _resolve_xi(xi, p, geom)
     sup = p.profile.phi_domain_sup()
     ts = [t for t in ts if t < 0.95 * sup]
     rows = profile_table(p, xi, ts)
@@ -211,6 +220,7 @@ def cmd_radial_ivp(cfg, outdir, base, quiet, runinfo):
     prob, nl, w = _radial_problem(cfg)
     u0 = cfg.get("u0", float, required=True)
     tol = cfg.get("tol", float, 1e-9)
+    cfg.check_all_read()
     sol = integrate_blowup_ivp(prob, u0, tol)
     reports.radial_solution_files(outdir / base, sol)
     if not quiet:
@@ -223,6 +233,7 @@ def cmd_radial_exhaust(cfg, outdir, base, quiet, runinfo):
     js = cfg.floats("j_schedule", required=True)
     h = cfg.get("h", float, 1.0 / 256.0)
     tol = cfg.get("tol", float, 1e-9)
+    cfg.check_all_read()
     sols = solve_exhaustion_bvp(prob, js, h, tol)
     rows = []
     for sol in sols:
@@ -256,6 +267,7 @@ def cmd_fd_exhaust(cfg, outdir, base, quiet, runinfo):
     h = cfg.get("h", float, 1.0 / 64.0)
     tol = cfg.get("tol", float, 1e-8)
     js = cfg.floats("j_schedule", required=True)
+    cfg.check_all_read()
     grid = build_grid(dom, h)
     limit, diags = exhaust(grid, nl, w, js, tol)
     reports.field_files(outdir / base, limit, extra_meta={
@@ -278,9 +290,12 @@ def cmd_check_barrier(cfg, outdir, base, quiet, runinfo):
     w = _parse_weight(cfg.get("weight", str, "constant:1"), cfg)
     eps = cfg.get("eps", float, 0.1)
     geom = _geometry(cfg, n, k)  # checks k before any profile is built
-    p = assemble_profile(nl, w, k)
     seed = cfg.get("seed", int, 0)
     nsamples = cfg.get("samples", int, 200)
+    global_check = cfg.get("global_check", str, "false").lower() in ("true", "1", "yes")
+    R = cfg.get("R", float, 1.0) if global_check else None
+    cfg.check_all_read()
+    p = assemble_profile(nl, w, k)
     bp, rep_s, rep_l = certify_barriers(p, geom, nl, w, eps=eps, nsamples=nsamples, seed=seed)
     out = {
         "geometry": geom.label,
@@ -290,8 +305,7 @@ def cmd_check_barrier(cfg, outdir, base, quiet, runinfo):
         "subsolution": rep_l.as_dict(),
     }
     passed = rep_s.passed and rep_l.passed
-    if cfg.get("global_check", str, "false").lower() in ("true", "1", "yes"):
-        R = cfg.get("R", float, 1.0)
+    if global_check:
         prob = RadialProblem.from_weight(n, k, R, nl, w)
         eps_g, rep_g = certify_upper_barrier_global(p, solve_torsion(prob), nl, prob.b)
         out["global_upper_barrier"] = {
@@ -306,9 +320,8 @@ def cmd_check_barrier(cfg, outdir, base, quiet, runinfo):
 
 def cmd_verify_asymptotics(cfg, outdir, base, quiet, runinfo):
     prob, nl, w = _radial_problem(cfg)
-    p = assemble_profile(nl, w, prob.k)
     geom = _geometry(cfg, prob.n, prob.k)
-    xi = _resolve_xi(cfg, p, geom)
+    xi = _xi_key(cfg)
     tol = cfg.get("tol", float, 1e-9)
     d_lo = cfg.get("d_lo", float, 1e-4)
     d_hi = cfg.get("d_hi", float, 1e-2)
@@ -323,6 +336,9 @@ def cmd_verify_asymptotics(cfg, outdir, base, quiet, runinfo):
         raise ParameterError(f"per_decade must be >= 1, got {per_decade}")
     if not (len(band) == 2 and -math.inf < band[0] < band[1] < math.inf):
         raise ParameterError(f"ratio_band needs two finite numbers lo < hi, got {band}")
+    cfg.check_all_read()
+    p = assemble_profile(nl, w, prob.k)
+    xi = _resolve_xi(xi, p, geom)
     u0, sol = shoot_blowup_radius(prob, tol=tol)
     runinfo["shot"] = sol.meta["shot"]
     npts = max(2, int(round(math.log10(d_hi / d_lo) * per_decade)) + 1)
@@ -363,8 +379,6 @@ def run(cfg: Config, outdir: Path, seed=None, quiet=False):
     base = cfg.get("out", str, command)
     runinfo = {}  # entries a command adds to the sidecar, never to its report body
     status = _DISPATCH[command](cfg, outdir, base, quiet, runinfo)
-    # a command's reads can depend on other keys, so unread keys are known only now
-    cfg.check_all_read(command)
     reports.write_json(outdir / f"{base}.runinfo.json", {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "command": command,

@@ -1,35 +1,27 @@
 """2d finite-difference solver for the Laplacian case (order k = 1).
 
-Damped Newton on the Shortley-Weller 5-point discretisation of
-Delta u = b(d(x)) f(u), started from the paper's boundary profile
-phi(xi M(d) + Phi(j)) shifted to equal the mean boundary value j on the
-boundary, or from the constant j where that profile is not defined.  The
-whole Newton iteration runs in the red-black order of the fine nodes, on
-the finest multigrid level's colour blocks, which are the only copy of the
-fine operator a solve holds (assemble_operator gives the row-major matrix
-as a reference).  Each Newton step is solved by multigrid defect
-correction, only as far as the Newton residual needs
-(inexact Newton, Dembo, Eisenstat & Steihaug 1982): the forcing tolerance
-is proportional to the residual, tightened to 1e-6 when a loose direction
-fails to descend.  Level l holds the fine nodes whose lattice
-coordinates 2^l divides, with the stencil of spacing 2^l h; it is sliced
-from the fine lattice, no coarse grid built, shifted by the Galerkin
-diagonal of b f'(u) and smoothed by red-black Gauss-Seidel; only the
-coarsest level, at most a thousand unknowns, is factored by SuperLU.  A
-level holds its diagonal by colour, one pair of index arrays for both
-off-diagonal colour blocks (the black rows' CSR block and the red rows' CSC
-block on it), the prolongation P and the column sums of P o P; a solve
-holds besides them the cut arms, the boundary terms of the rows they cut,
-and its Newton and V-cycle vectors.  The
-odd orders k >= 2 are handled radially elsewhere.  Node ordering, levels
-and the coarse fill-reducing ordering are fixed, so identical inputs give
-bit-identical fields on one machine.
+Damped Newton on the Shortley-Weller 5-point discretisation of Delta u = b(d(x)) f(u),
+started from the paper's boundary profile phi(xi M(d) + Phi(j)) shifted to equal the mean
+boundary value j on the boundary, or from the constant j where that profile is not
+defined.  Each Newton step is solved by multigrid defect correction, only as far as the
+Newton residual needs (inexact Newton, Dembo, Eisenstat & Steihaug 1982): the forcing
+tolerance is proportional to the residual, tightened to 1e-6 when a loose direction fails
+to descend.  The multigrid is matrix-free: level l holds the fine nodes whose lattice
+coordinates 2^l divides, on a lattice box stored as its four parity sublattices, applies
+the uniform stencil of spacing 2^l h by array slices and recomputes the rows with a cut
+arm, which with its node mask is all it holds.  Levels are shifted by the Galerkin
+diagonal of b f'(u), smoothed by red-black Gauss-Seidel and linked by full weighting and
+bilinear prolongation; only the coarsest, at most a thousand unknowns, is a matrix,
+factored by SuperLU.  The orders k >= 2 are handled radially elsewhere.  Levels and the
+coarse fill-reducing ordering are fixed, so identical inputs give bit-identical fields on
+one machine.
 """
 
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
+from functools import partial
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
@@ -55,24 +47,9 @@ _MAX_CYCLES = 100  # V-cycles before a Newton step fails
 _MAX_NEWTON = 100  # Newton steps before a solve fails
 
 
-def _csr(vals, cols, n_cols):
-    """CSR matrix whose row i holds vals[i, t] (vals[i] if 1-d) at column cols[i, t].
-
-    Entries are stored in t order; those with cols[i, t] < 0 are left out.
-    """
-    keep = cols >= 0
-    counts = keep[:, 0].astype(np.int32)
-    for t in range(1, keep.shape[1]):  # cheaper than count_nonzero(axis=1)
-        counts += keep[:, t]
-    indptr = np.zeros(len(cols) + 1, dtype=np.int32)
-    np.cumsum(counts, out=indptr[1:])
-    data, indices = (np.repeat(vals, counts) if vals.ndim == 1 else vals[keep]), cols[keep]
-    return sp.csr_matrix((data, indices, indptr), shape=(len(cols), n_cols))
-
-
-# stencil tables list a node's neighbours S, W, E, N, in increasing column order in
-# row-major and in colour numbering, and a matrix row stores them S, W, diagonal, E, N;
-# arms are taken E, W, N, S (_DIRS), which _ARMS picks out of a table
+# stencil tables list a node's neighbours S, W, E, N, in increasing column order, and a
+# matrix row stores them S, W, diagonal, E, N; arms are taken E, W, N, S (_DIRS), which
+# _ARMS picks out of a table
 _DIRS = np.array([[1, 0], [-1, 0], [0, 1], [0, -1]])
 _ARMS = [2, 1, 3, 0]
 
@@ -85,57 +62,63 @@ def _weights(arm, h):
             -(2.0 / (aE * aW) + 2.0 / (aN * aS)))
 
 
-def _operator(off, diag, cols):
-    """The matrix of the stencil tables (off, diag) with neighbour numbers cols (-1: none)."""
-    n = len(diag)
-    return _csr(np.insert(off, 2, diag, axis=1),
-                np.insert(cols, 2, np.arange(n, dtype=np.int32), axis=1), n)
+def _operator(cols, cut, off, diag, h):
+    """CSR matrix of _stencil's (cols, cut, off, diag), its rows stored S, W, diagonal, E, N.
+
+    Rows not in cut take 1/h^2 and -4/h^2; entries of absent neighbours are left out.
+    """
+    n, inv = len(cols), 1.0 / (h * h)
+    vals = np.full((n, 5), inv)
+    vals[:, 2] = -4.0 * inv
+    vals[cut] = np.insert(off, 2, diag, axis=1)
+    cols = np.insert(cols, 2, np.arange(n, dtype=np.int32), axis=1)
+    keep = cols >= 0
+    indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(keep, axis=1))])
+    return sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(n, n))
 
 
 def _lattice(grid: Field2D):
-    """(lx, ly, box): grid's nodes on the lattice of spacing h, and their box with margin 1."""
-    lx = grid.node_ix + round(grid.xs[0] / grid.h)
-    ly = grid.node_iy + round(grid.ys[0] / grid.h)
-    return lx, ly, (lx.min() - 1, ly.min() - 1, lx.max() + 1, ly.max() + 1)
+    """(lx, ly): grid's nodes on the lattice of spacing h, row-major."""
+    return (grid.node_ix + round(grid.xs[0] / grid.h),
+            grid.node_iy + round(grid.ys[0] / grid.h))
 
 
-def _stencil(domain, h, lx, ly, order, box):
-    """Shortley-Weller stencil of spacing h at the nodes at lattice (lx, ly), rows in order.
+def _stencil(domain, h, lx, ly):
+    """Shortley-Weller stencil of spacing h at the nodes at lattice (lx, ly), row-major.
 
-    Returns _table's (table, cols), the weights (off, diag) and the cut arms (rows, t,
-    theta, weight): row and direction (_DIRS) of each arm whose neighbour is not a node,
-    by row and E, W, N, S within one, its fraction from domain.arm_fraction and the
-    weight that multiplies the boundary value at its end.  Rows with four unit arms take
-    1/h^2 and -4/h^2, which _weights gives exactly for them; it runs on the cut rows only.
-    The tables hold four entries per row: _multigrid keeps them only until the level's
-    colour blocks are built.
+    Returns (cols, cut, off, diag, arms): cols[i] numbers node i's neighbours S, W, E, N
+    (-1: none); cut, the rows with a cut arm, ascending, and their weights S, W, E, N and
+    diagonal, the only rows not at 1/h^2 and -4/h^2 (which _weights gives for four unit
+    arms); and the cut arms (rows, t, theta, weight): row and direction (_DIRS) of each
+    arm whose neighbour is not a node, E, W, N, S within a row, its fraction from
+    domain.arm_fraction and the weight that multiplies the boundary value at its end.
     """
-    table, cols = _table(lx, ly, order, box)
+    x0, y0 = lx.min() - 1, ly.min() - 1
+    width = lx.max() + 2 - x0
+    at = (ly - y0) * width + (lx - x0)  # node i's place in table, a box with margin 1
+    table = np.full((ly.max() + 2 - y0) * width, -1, dtype=np.int32)
+    table[at] = np.arange(lx.size, dtype=np.int32)
+    cols = np.column_stack([table.take(at + step) for step in (-width, -1, 1, width)])
     rows, t = np.nonzero(cols[:, _ARMS] < 0)
-    (dx, dy), at = _DIRS[t].T, order[rows]
-    theta = domain.arm_fraction(lx[at] * h, ly[at] * h, dx, dy, h)
-    inv = 1.0 / (h * h)
-    off, diag = np.full((order.size, 4), inv), np.full(order.size, -4.0 * inv)
+    theta = domain.arm_fraction(lx[rows] * h, ly[rows] * h, *_DIRS[t].T, h)
     cut, row_of = np.unique(rows, return_inverse=True)
     arm = np.ones((cut.size, 4))
     arm[row_of, t] = theta
-    off[cut], diag[cut] = _weights(arm, h)
-    return table, cols, off, diag, (rows, t, theta, off[rows, np.take(_ARMS, t)])
+    off, diag = _weights(arm, h)
+    return cols, cut, off, diag, (rows, t, theta, off[row_of, np.take(_ARMS, t)])
 
 
-def _boundary_terms(grid: Field2D, order, arms, g):
+def _boundary_terms(grid: Field2D, arms, g):
     """(cut, const, gcut): the boundary terms on the cut arms alone, none per node and arm.
 
     cut are the rows with a cut arm, ascending; const their known boundary contributions,
-    weight * g summed over a row's arms in arm order; gcut g at each cut arm, a 1-d array
-    in arm order.  Rows are numbered as the stencil's that gave arms: row i is node
-    order[i].  g is evaluated once, at the arms' ends x0 + theta h (dx, dy).  A solve
-    holds cut and const through its iteration, and gcut only to take the mean j.
+    weight * g summed over a row's arms in arm order; gcut g at each cut arm, in arm
+    order, evaluated once at the arms' ends x0 + theta h (dx, dy).
     """
     rows, t, theta, weight = arms
     if callable(g):
-        (dx, dy), step, nodes = _DIRS[t].T, theta * grid.h, order[rows]
-        g = g(grid.xs[grid.node_ix[nodes]] + step * dx, grid.ys[grid.node_iy[nodes]] + step * dy)
+        (dx, dy), step = _DIRS[t].T, theta * grid.h
+        g = g(grid.xs[grid.node_ix[rows]] + step * dx, grid.ys[grid.node_iy[rows]] + step * dy)
     gcut = np.broadcast_to(np.asarray(g, float), rows.shape)
     cut, row_of = np.unique(rows, return_inverse=True)
     const = np.zeros(cut.size)
@@ -144,25 +127,21 @@ def _boundary_terms(grid: Field2D, order, arms, g):
 
 
 def assemble_operator(grid: Field2D, g):
-    """Shortley-Weller Laplacian: (A, const, gvals), all in row-major order.
+    """Shortley-Weller Laplacian: (A, const, gvals), all in row-major order: the reference.
 
-    A is the stencil on the interior unknowns as one CSR matrix, diagonal
-    included and cut arms dropped; const carries the known boundary
-    contributions, so A u + const approximates Delta u; gvals[i, t] is g at the
-    end of node i's arm t (E, W, N, S), NaN where the arm is not cut.  solve_dirichlet
-    never builds these: it applies the same stencil from the finest multigrid level's
-    colour blocks (_multigrid) and keeps the boundary terms on the cut arms
-    (_boundary_terms).  They are the row-major reference forms.
+    A is the stencil on the interior unknowns as one CSR matrix, diagonal included and
+    cut arms dropped; const carries the known boundary contributions, so A u + const
+    approximates Delta u; gvals[i, t] is g at the end of node i's arm t (E, W, N, S), NaN
+    where the arm is not cut.  solve_dirichlet applies the same stencil by array slices
+    (_Level) and keeps the boundary terms on the cut arms (_boundary_terms).
     """
-    lx, ly, box = _lattice(grid)
-    order = np.arange(lx.size)
-    _, cols, off, diag, arms = _stencil(grid.domain, grid.h, lx, ly, order, box)
-    cut, const_cut, gcut = _boundary_terms(grid, order, arms, g)
+    cols, _, off, diag, arms = _stencil(grid.domain, grid.h, *_lattice(grid))
+    cut, const_cut, gcut = _boundary_terms(grid, arms, g)
     const = np.zeros(grid.n_interior)
     const[cut] = const_cut
     gvals = np.full((grid.n_interior, 4), np.nan)
     gvals[arms[0], arms[1]] = gcut
-    return _operator(off, diag, cols), const, gvals
+    return _operator(cols, cut, off, diag, grid.h), const, gvals
 
 
 def _source_b(grid: Field2D, bweight: Weight):
@@ -218,90 +197,52 @@ def _boundary_profile(grid: Field2D, f: Nonlinearity, bweight: Weight):
     return start
 
 
-def _table(lx, ly, order, box):
-    """(table, cols) of the nodes at lattice (lx, ly) on the box (x0, y0, x1, y1).
-
-    table, the box flattened row-major, holds i at node order[i] and -1 elsewhere;
-    cols[i] numbers node order[i]'s neighbours S, W, E, N.
-    """
-    x0, y0, x1, y1 = box
-    width = x1 - x0 + 1
-    at = ((ly - y0) * width + (lx - x0))[order]  # node order[i]'s place in table
-    table = np.full((y1 - y0 + 1) * width, -1, dtype=np.int32)
-    table[at] = np.arange(order.size, dtype=np.int32)
-    cols = np.empty((order.size, 4), dtype=np.int32)
-    for t, step in enumerate((-width, -1, 1, width)):
-        cols[:, t] = table.take(at + step)
-    return table, cols
+# a level's vectors live on a lattice box held as its parity sublattices, red (x + y even)
+# first: _SUB[k] is sublattice k's parity (y, x), _SUB_X[k], _SUB_Y[k] its E-W, N-S neighbours
+_SUB = ((0, 0), (1, 1), (0, 1), (1, 0))
+_SUB_X, _SUB_Y = (2, 3, 0, 1), (3, 2, 1, 0)
+_OF_PARITY = np.array([[0, 2], [3, 1]])  # the sublattice of parity (y, x)
 
 
-def _bilinear(fx, fy, table, box, n):
-    """Prolongation rows of the fine nodes at lattice (fx, fy) from the n nodes of table.
-
-    Row i holds the distinct coarse nodes at floor and ceil of (fx, fy) / 2, stored SW, SE,
-    NW, NE, weighted 1/2 per odd coordinate; a repeated corner reads place 0 of the table,
-    which is margin, so it is dropped like an absent node.
-    """
-    width = box[2] - box[0] + 1
-    at = ((fy >> 1) - box[1]) * width + ((fx >> 1) - box[0])
-    ox, oy = fx & 1, fy & 1
-    corners = (at, (at + 1) * ox, (at + width) * oy, (at + width + 1) * (ox & oy))
-    cols = np.column_stack([table.take(c) for c in corners])
-    return _csr(np.where(ox, 0.5, 1.0) * np.where(oy, 0.5, 1.0), cols, n)
+def _parity(box):
+    """The natural box (2 my, 2 mx), row-major on the lattice, as its sublattices (4, my, mx)."""
+    return np.stack([box[p::2, q::2] for p, q in _SUB])
 
 
-def _colour_order(lx, ly):
-    """(order, n_red): red nodes (lx + ly even), then black, each in row-major order.
-
-    The coarsest level, which is only factored, keeps row-major order (n_red = 0).
-    """
-    if lx.size <= _COARSE_MAX:
-        return np.arange(lx.size, dtype=np.int32), 0
-    odd = ((lx + ly) & 1) == 1
-    return (np.concatenate([np.flatnonzero(~odd), np.flatnonzero(odd)], dtype=np.int32),
-            int(odd.size - odd.sum()))
+def _natural(V):
+    """The natural box of the sublattices V: the inverse of _parity."""
+    box = np.empty((2 * V.shape[1], 2 * V.shape[2]), V.dtype)
+    for (p, q), v in zip(_SUB, V):
+        box[p::2, q::2] = v
+    return box
 
 
-# a black node's arm t meets its red neighbour's arm 3 - t: S <-> N, W <-> E
-_BACK = [3, 2, 1, 0]
-
-
-def _colour_blocks(off, cols, k):
-    """(A_rb, A_br): the stencil (off, cols) in colour order with k red rows, split by colour.
-
-    A_br is CSR over the black rows; A_rb is CSC on A_br's own indices and indptr,
-    with its own data: where black j's arm t reaches red i, red i's weight on its arm
-    3 - t back to j.  Red i's black neighbours S, W, E, N come in that column order, so
-    A_rb @ x sums a red row in the same order as the CSR row sum would, bit for bit.
-    """
-    black = cols[k:]
-    A_br = _csr(off[k:], black, k)
-    back = off[black, _BACK]  # rows of absent neighbours (-1) are read, then dropped
-    A_rb = sp.csc_matrix((back[black >= 0], A_br.indices, A_br.indptr),
-                         shape=(k, black.shape[0]))
-    return A_rb, A_br
+def _to_box(mask, x):
+    """The sublattices holding x on the nodes of the natural box mask, row-major, 0 elsewhere."""
+    box = np.zeros(mask.shape)
+    box[mask] = x
+    return _parity(box)
 
 
 @dataclass(frozen=True)
 class _Level:
-    """One smoothed multigrid level: its Shortley-Weller operator split by colour, and P.
+    """One smoothed level: its nodes on a lattice box at spacing 2^l h, and its cut rows.
 
-    Vectors hold the n_red red nodes, then the black ones (_colour_order).
-    The off-diagonal blocks share one pair of index arrays (_colour_blocks):
-    A_br is CSR, A_rb CSC on A_br's indices and indptr with its own data.
-    P is the bilinear prolongation from the next coarser level, in both
-    levels' orders, and the only transfer matrix held: the V-cycle restricts
-    by 0.25 P[:n_red]^T (_restrict) and _shifts maps a shift down by
-    (P o P)^T (_squares) over P2_sums, both applied on P's own arrays.
+    Vectors are 0 off the nodes.  Rows take the uniform weights 1/(2^l h)^2 and
+    -4/(2^l h)^2 but the cut rows: their cells (flat in the sublattices, ascending, so the
+    n_red red ones first), neighbours' cells S, W, E, N (their own across a cut arm),
+    weights (0 across a cut arm) and diagonal.  The next level's nodes are sublattice
+    EE's, from (oy, ox) on its natural box (ny, nx).
     """
 
+    mask: np.ndarray  # (4, my, mx) bool: the nodes
+    inv_h2: float
+    cells: np.ndarray
+    nbrs: np.ndarray
+    off: np.ndarray
+    diag: np.ndarray
     n_red: int
-    diag_red: np.ndarray
-    diag_black: np.ndarray
-    A_rb: sp.csc_matrix  # red rows, black columns, on A_br's index arrays
-    A_br: sp.csr_matrix  # black rows, red columns
-    P: sp.csr_matrix
-    P2_sums: np.ndarray  # column sums of P o P: exact multiples of 1/16, fixed per grid
+    coarse_box: tuple  # (oy, ox, ny, nx)
 
 
 @dataclass(frozen=True)
@@ -309,123 +250,206 @@ class _Multigrid:
     """Levels of one grid, fine to coarse, and the coarsest operator, fixed per grid.
 
     Level l holds the fine nodes whose lattice coordinates 2^l divides, as
-    build_grid(domain, 2^l h) would, since (2^l i) h and i (2^l h) round
-    alike.  Only the diagonal b f'(u) changes from one Newton step to the next.
+    build_grid(domain, 2^l h) would, since (2^l i) h and i (2^l h) round alike.  mask and
+    coarse_mask are the finest and coarsest nodes on natural boxes, row-major like the
+    grid and coarse.
     """
 
     levels: list
-    order: np.ndarray  # the finest level's colour order, int32
-    coarse: sp.csc_matrix  # Shortley-Weller operator of the coarsest level, row-major
+    mask: np.ndarray
+    coarse: sp.csc_matrix
+    coarse_mask: np.ndarray
+
+
+def _level(mask, ix, iy, stencil, h, coarse_box):
+    """The _Level of the nodes at places (ix, iy) of the natural box mask, with their stencil."""
+    cols, cut, off, diag = stencil
+    my, mx = mask.shape[0] // 2, mask.shape[1] // 2
+    cells = (_OF_PARITY[iy & 1, ix & 1] * my + (iy >> 1)) * mx + (ix >> 1)  # flat, per node
+    cols, own = cols[cut], cells[cut]
+    present, order = cols >= 0, np.argsort(own)
+    nbrs = np.where(present, cells[cols], own[:, None])
+    return _Level(mask=_parity(mask), inv_h2=1.0 / (h * h), cells=own[order],
+                  nbrs=nbrs[order], off=np.where(present, off, 0.0)[order], diag=diag[order],
+                  n_red=int(np.count_nonzero(own < 2 * my * mx)), coarse_box=coarse_box)
 
 
 def _multigrid(grid: Field2D):
     """(arms, multigrid): the cut arms of grid and its hierarchy down to <= _COARSE_MAX unknowns.
 
-    Each level is the even sublattice of the one above, halved: its stencil
-    (_stencil), colour blocks (_colour_blocks) and P are read off lattice tables,
-    rows in colour order, with arms cut only where they leave the domain; no coarse
-    grid, distance or sparse product is formed.  A level's stencil tables are freed
-    once its colour blocks are built, before the coarser stencil and P.  arms are the
-    finest stencil's (rows, t, theta, weight), rows numbered in the finest colour
-    order (mg.order), E, W, N, S within one.
+    Each level is the even sublattice of the one above, halved, on a natural box holding
+    the finer box's EE sublattice from even coordinates on, with the cut rows of its
+    stencil (_stencil).  No coarse grid or distance is formed, and no matrix but the
+    coarsest.  arms are the finest stencil's.
     """
     domain, h = grid.domain, grid.h
-    lx, ly, box = _lattice(grid)
-    order, n_red = _colour_order(lx, ly)
-    _, cols, off, diag, arms = _stencil(domain, h, lx, ly, order, box)
-    levels, top = [], order
+    lx, ly = _lattice(grid)
+    x0, y0 = lx.min() & ~1, ly.min() & ~1  # natural boxes start on even coordinates
+    mask = np.zeros((2 * ((ly.max() - y0) // 2 + 1), 2 * ((lx.max() - x0) // 2 + 1)), bool)
+    mask[ly - y0, lx - x0] = True
+    *stencil, arms = _stencil(domain, h, lx, ly)
+    levels, top = [], mask
     while lx.size > _COARSE_MAX:
-        k = n_red
-        A_rb, A_br = _colour_blocks(off, cols, k)
-        del off, cols  # not held while the coarser stencil is built
+        oy, ox = (y0 >> 1) & 1, (x0 >> 1) & 1
+        my, mx = mask.shape[0] // 2, mask.shape[1] // 2
+        box = (oy, ox, 2 * ((oy + my + 1) // 2), 2 * ((ox + mx + 1) // 2))
+        levels.append(_level(mask, lx - x0, ly - y0, stencil, h, box))
+        del stencil  # not held while the coarser stencil is built
+        mask = np.pad(mask[::2, ::2], ((oy, box[2] - oy - my), (ox, box[3] - ox - mx)))
         even = ((lx | ly) & 1) == 0
-        cx, cy = lx[even] >> 1, ly[even] >> 1
-        c_box = (box[0] >> 1, box[1] >> 1, -(-box[2] >> 1), -(-box[3] >> 1))
-        c_order, c_red = _colour_order(cx, cy)
-        h *= 2.0
-        c_table, cols, off, c_diag, _ = _stencil(domain, h, cx, cy, c_order, c_box)
-        P = _bilinear(lx[order], ly[order], c_table, c_box, cx.size)
-        levels.append(_Level(n_red=k, diag_red=diag[:k], diag_black=diag[k:], A_rb=A_rb,
-                             A_br=A_br, P=P, P2_sums=_squares(P) @ np.ones(P.shape[0])))
-        lx, ly, box, order, n_red, diag = cx, cy, c_box, c_order, c_red, c_diag
-    return arms, _Multigrid(levels=levels, order=top, coarse=_operator(off, diag, cols).tocsc())
+        lx, ly, x0, y0, h = lx[even] >> 1, ly[even] >> 1, (x0 >> 1) - ox, (y0 >> 1) - oy, 2 * h
+        *stencil, _ = _stencil(domain, h, lx, ly)
+    return arms, _Multigrid(levels=levels, mask=top, coarse=_operator(*stencil, h).tocsc(),
+                            coarse_mask=mask)
 
 
-def _transpose(P, data, rows):
-    """Q[:rows]^T as CSC, Q with P's pattern and entries data, on P's index arrays (no copy)."""
-    return sp.csc_matrix((data, P.indices, P.indptr[:rows + 1]), shape=(P.shape[1], rows))
-
-
-def _squares(P):
-    """(P o P)^T, the map that takes a shift down a level, on P's index arrays (_transpose)."""
-    return _transpose(P, P.data ** 2, P.shape[0])
-
-
-def _apply(mg: _Multigrid, x):
-    """A x for the fine Shortley-Weller operator A, x and A x in the finest colour order."""
-    if not mg.levels:  # the grid is the coarsest level, in row-major order
-        return mg.coarse @ x
-    lv = mg.levels[0]
-    k, out = lv.n_red, np.empty_like(x)
-    out[:k] = lv.diag_red * x[:k] + lv.A_rb @ x[k:]
-    out[k:] = lv.diag_black * x[k:] + lv.A_br @ x[:k]
+def _nsum(V, k, out):
+    """out = the sum of the four neighbours of each cell of sublattice k of V, 0 beyond the box."""
+    (p, q), X, Y = _SUB[k], V[_SUB_X[k]], V[_SUB_Y[k]]
+    np.add(X, Y, out=out)  # X[i, j] is E of an even x and W of an odd one; Y likewise N, S
+    if q:
+        out[:, :-1] += X[:, 1:]
+    else:
+        out[:, 1:] += X[:, :-1]
+    if p:
+        out[:-1] += Y[1:]
+    else:
+        out[1:] += Y[:-1]
     return out
 
 
-def _abs_diag_times(mg: _Multigrid, x):
-    """|diag A| |x| for the fine Shortley-Weller operator A, x in the finest colour order."""
-    if not mg.levels:
-        return np.abs(mg.coarse.diagonal() * x)
-    lv = mg.levels[0]
-    k, out = lv.n_red, np.empty_like(x)
-    np.multiply(lv.diag_red, x[:k], out=out[:k])
-    np.multiply(lv.diag_black, x[k:], out=out[k:])
-    return np.abs(out, out=out)
+def _corners(Y):
+    """Y summed at (i, j), (i, j-1), (i-1, j), (i-1, j-1): on OO, EE's diagonal neighbours."""
+    out = Y + 0.0
+    out[:, 1:] += Y[:, :-1]
+    out[1:] += out[:-1].copy()
+    return out
+
+
+def _product(lv: _Level, V, colour, out):
+    """out = (A - D) V on one colour's cells (0 red, 1 black), D = diag A; not 0 off the nodes.
+
+    Reads the other colour only: the uniform weight, then the cut rows exactly.
+    """
+    for i in (0, 1):
+        _nsum(V, 2 * colour + i, out[i])
+    out *= lv.inv_h2
+    rows = slice(None, lv.n_red) if colour == 0 else slice(lv.n_red, None)
+    out.reshape(-1)[lv.cells[rows] - colour * out.size] = np.einsum(
+        "ij,ij->i", lv.off[rows], V.reshape(-1)[lv.nbrs[rows]])
+    return out
+
+
+def _level_apply(lv: _Level, X):
+    """A_l X for the level's Shortley-Weller operator A_l, X in its box, 0 off the nodes."""
+    out = np.empty_like(X)
+    _product(lv, X, 0, out[:2])
+    _product(lv, X, 1, out[2:])
+    out += _times_diagonal(lv, X)
+    out *= lv.mask
+    return out
+
+
+def _times_diagonal(lv: _Level, X):
+    """D X for the diagonal D of the level's Shortley-Weller operator, X on its box."""
+    out = X * (-4.0 * lv.inv_h2)
+    out.reshape(-1)[lv.cells] = lv.diag * X.reshape(-1)[lv.cells]
+    return out
+
+
+def _coarse_apply(mask, apply, X):
+    """apply, which maps the nodes of the natural box mask row-major, on a box X."""
+    return _to_box(mask, apply(_natural(X)[mask]))
+
+
+def _apply(mg: _Multigrid, x):
+    """(A x, |diag A| |x|) for the fine Shortley-Weller operator A, all row-major."""
+    if not mg.levels:  # the grid is the coarsest level
+        return mg.coarse @ x, np.abs(mg.coarse.diagonal() * x)
+    lv, X = mg.levels[0], _to_box(mg.mask, x)
+    ax = _natural(_level_apply(lv, X))[mg.mask]
+    return ax, np.abs(_natural(_times_diagonal(lv, X))[mg.mask])
+
+
+def _down(lv: _Level, v):
+    """The next level's box holding v, given on lv's EE cells, and 0 elsewhere."""
+    oy, ox, ny, nx = lv.coarse_box
+    box = np.zeros((ny, nx))
+    box[oy:oy + v.shape[0], ox:ox + v.shape[1]] = v
+    return _parity(box)
+
+
+def _restrict(lv: _Level, red):
+    """Full weighting 0.25 P^T r of a red residual r = (EE, OO) = red to the next level."""
+    return _down(lv, 0.25 * (red[0] + 0.25 * _corners(red[1])))
+
+
+def _prolong(lv: _Level, E, x):
+    """x += P e on the black cells, e on the next level's box E; the post-sweep sets red."""
+    oy, ox, _, _ = lv.coarse_box
+    e = 0.5 * _natural(E)[oy:oy + x.shape[1], ox:ox + x.shape[2]]  # halved, on EE's cells
+    x[2] += e  # OE lies between EE (i, j) and (i, j + 1), EO between (i, j) and (i + 1, j)
+    x[2][:, :-1] += e[:, 1:]
+    x[3] += e
+    x[3][:-1] += e[1:]
+
+
+def _squared(V):
+    """diag(P^T diag(V) P): V on each EE cell, its axis neighbours / 4, diagonal ones / 16."""
+    out = _nsum(V, 0, np.empty(V.shape[1:]))
+    out *= 0.25
+    out += V[0]
+    out += 0.0625 * _corners(V[1])
+    return out
 
 
 def _shifts(mg: _Multigrid, bfp):
-    """b f'(u) on every level, finest first: bfp, in the finest colour order, shifted down.
+    """b f'(u) on every level, finest first: bfp, on the finest box, shifted down.
 
-    Each shift is in its own level's colour order.  s maps down to the diagonal of
-    P^T diag(s) P over that of P^T P: (P o P)^T s over P o P's exact column sums,
-    which the level holds (P2_sums).
+    Shifts are on their levels' boxes, the coarsest's row-major.  s maps down to diag(P^T
+    diag(s) P) / diag(P^T P): its squared-weight restriction over that of the nodes.
     """
     shifts = [bfp]
     for lv in mg.levels:
-        shifts.append(_squares(lv.P) @ shifts[-1] / lv.P2_sums)
+        num, den = _squared(shifts[-1]), _squared(lv.mask.view(np.uint8))
+        shifts.append(_down(lv, np.divide(num, den, out=np.zeros_like(num), where=lv.mask[0])))
+    shifts[-1] = _natural(shifts[-1])[mg.coarse_mask]
     return shifts
 
 
 def _smoothers(mg: _Multigrid, shifts):
-    """Per level, 1 / diagonal of A_l - diag(s_l) on the red and on the black nodes."""
-    return [(1.0 / (lv.diag_red - s[:lv.n_red]), 1.0 / (lv.diag_black - s[lv.n_red:]))
+    """Per smoothed level, 1 / diagonal of A_l - diag(s_l) on its nodes, and 0 off them."""
+    return [np.divide(lv.mask, _times_diagonal(lv, np.ones(s.shape)) - s)
             for lv, s in zip(mg.levels, shifts)]
 
 
-def _restrict(lv: _Level, r_red):
-    """Full weighting 0.25 P[:n_red]^T r_red, each sum SW, SE, C, NW, NE (red rows: row-major)."""
-    return 0.25 * (_transpose(lv.P, lv.P.data, lv.n_red) @ r_red)
+def _sweep(lv: _Level, x, r, inverse, colour):
+    """Gauss-Seidel on one colour's cells: x = (r - (A - D) x) / (D - s) there."""
+    half = slice(2 * colour, 2 * colour + 2)
+    out = _product(lv, x, colour, x[half])  # reads the other colour only
+    np.subtract(r[half], out, out=out)
+    out *= inverse[half]
 
 
-def _vcycle(levels, inverses, coarse_lu, r):
-    """One V-cycle for J x = r from x = 0, r and x in the colour order of the top level.
+def _vcycle(levels, inverses, coarse, r):
+    """One V-cycle for J x = r from x = 0, r and x on the top level's box.
 
-    One red-black Gauss-Seidel sweep (``inverses``: inverted diagonals)
-    before and after the coarse correction on every level, and the SuperLU
-    solve ``coarse_lu`` on the coarsest.  After the pre-sweep the black
-    residual is zero, so only the red one, -A_rb x_b, is restricted
-    (_restrict).  A fixed linear map of r, exact when there are no levels.
+    One red-black Gauss-Seidel sweep (``inverses``: inverted diagonals) before and after
+    the coarse correction on every level, and the coarsest level's solve ``coarse``; after
+    the pre-sweep the black residual is zero, so only the red one is restricted.  A fixed
+    linear map of r, exact when there are no levels.
     """
     if not levels:
-        return coarse_lu.solve(r)
-    lv, (dr, db) = levels[0], inverses[0]
-    k = lv.n_red
-    x = np.empty_like(r)
-    x[:k] = r[:k] * dr
-    x[k:] = (r[k:] - lv.A_br @ x[:k]) * db
-    x += lv.P @ _vcycle(levels[1:], inverses[1:], coarse_lu, -_restrict(lv, lv.A_rb @ x[k:]))
-    x[:k] = (r[:k] - lv.A_rb @ x[k:]) * dr
-    x[k:] = (r[k:] - lv.A_br @ x[:k]) * db
+        return coarse(r)
+    lv, inverse = levels[0], inverses[0]
+    x = r * inverse  # the red sweep from x = 0; the black cells are overwritten
+    _sweep(lv, x, r, inverse, 1)
+    red = _product(lv, x, 0, np.empty_like(x[:2]))  # A_rb x_b
+    red *= lv.mask[:2]
+    e = _vcycle(levels[1:], inverses[1:], coarse, _restrict(lv, red))
+    _prolong(lv, -e, x)  # the correction for the red residual -A_rb x_b
+    _sweep(lv, x, r, inverse, 0)
+    _sweep(lv, x, r, inverse, 1)
     return x
 
 
@@ -439,16 +463,10 @@ def _coarse_lu(mg: _Multigrid, shifts):
 
 
 def _cycle(mg: _Multigrid, shifts, coarse_lu):
-    """One V-cycle for A - diag(shifts[0]) as a function of a residual in colour order."""
+    """One V-cycle for A - diag(shifts[0]) as a function of a residual on the finest box."""
     inverses = _smoothers(mg, shifts)
-    return lambda r: _vcycle(mg.levels, inverses, coarse_lu, r)
-
-
-def _row_major(mg: _Multigrid, x):
-    """x, given in the finest colour order, in row-major order."""
-    out = np.empty_like(x)
-    out[mg.order] = x
-    return out
+    coarse = lambda r: _coarse_apply(mg.coarse_mask, coarse_lu.solve, r)
+    return lambda r: _vcycle(mg.levels, inverses, coarse, r)
 
 
 def _defect_correction(bfp, mg: _Multigrid, rhs):
@@ -456,14 +474,15 @@ def _defect_correction(bfp, mg: _Multigrid, rhs):
 
     Returns solve(rtol) -> (x, cycles).  From x = 0, or from the x the last call returned,
     x += M r with r = rhs - (A x - bfp x), the true residual, until ||r||_2 <= rtol ||rhs||_2,
-    at least one cycle in all; cycles counts every cycle so far.  bfp, rhs and x are in the
-    finest colour order, and A x is taken from its colour blocks (_apply).  Every call
-    uses the coarsest LU of the first; between calls only that LU and the returned x are
-    kept, the smoothers and r are rebuilt, so a caller holding the solve holds no extra
-    fine-grid array.  Raises SolveFailure when the factorization fails, a residual is not
-    finite or _MAX_CYCLES cycles in all miss rtol.
+    at least one cycle in all; cycles counts every cycle so far.  bfp, rhs and x are
+    row-major; the iteration runs on the finest box, every call on the first's coarsest
+    LU.  Raises SolveFailure when the factorization fails, a residual is not finite or
+    _MAX_CYCLES cycles in all miss rtol.
     """
-    coarse_lu = last = None  # last: the (x, cycles) returned
+    bfp, rhs = _to_box(mg.mask, bfp), _to_box(mg.mask, rhs)
+    apply = (partial(_level_apply, mg.levels[0]) if mg.levels
+             else partial(_coarse_apply, mg.mask, mg.coarse.dot))
+    coarse_lu = last = None  # last: the (x, cycles) of the last call, x on the box
 
     def solve(rtol):
         nonlocal coarse_lu, last
@@ -475,17 +494,17 @@ def _defect_correction(bfp, mg: _Multigrid, rhs):
 
         def residual(x):
             r = bfp * x
-            r -= _apply(mg, x)
+            r -= apply(x)
             r += rhs
             return r
 
         # 2-norms by einsum: BLAS's threaded dot can stall for milliseconds on a busy host
-        norm2 = lambda v: math.sqrt(np.einsum("i,i->", v, v))
+        norm2 = lambda v: math.sqrt(np.einsum("i,i->", v.ravel(), v.ravel()))
         scale = norm2(rhs)
         if last is None:
             x, r, cycles = np.zeros_like(rhs), rhs, 0
         else:  # the same iterate as at the end of the last call, bit for bit
-            x, cycles = last[0].copy(), last[1]  # the caller may still hold last[0]
+            x, cycles = last
             r = residual(x)
             norm = norm2(r)
         while cycles == 0 or norm > rtol * scale:
@@ -500,7 +519,7 @@ def _defect_correction(bfp, mg: _Multigrid, rhs):
                 raise SolveFailure(
                     f"V-cycle iteration gave a non-finite residual in cycle {cycles}")
         last = (x, cycles)
-        return last
+        return _natural(x)[mg.mask], cycles
 
     return solve
 
@@ -511,7 +530,6 @@ _SHARED = ContextVar("fd2d_shared", default=(None, None))  # (grid, operators) o
 def _operators(grid: Field2D):
     """(arms, multigrid) of grid (_multigrid): neither depends on f, b or g.
 
-    arms number their rows, and the multigrid its vectors, in the finest colour order.
     Within _shared_operators(grid), the pair built there.
     """
     shared_grid, operators = _SHARED.get()
@@ -545,66 +563,51 @@ def _affine(fpv, b, u, bfp):
 def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol, u0=None):
     """Solve Delta u = b f(u) with Dirichlet data g; returns a new Field2D.
 
-    The source is b = b_lower m(d)^2 from the weight (_source_b).  Damped
-    Newton to residual max-norm <= tol, in at most _MAX_NEWTON steps.
-    Without u0 the start is the boundary profile phi(xi M(d) + Phi(j)) with
-    j the mean boundary value (_boundary_profile), or the constant j when
-    the profile does not exist or j <= 0.  Each step solves the Jacobian
-    A - diag(b f'(u)) by multigrid defect correction (_defect_correction) on
-    levels sliced from the fine lattice (_multigrid), built once per call or
-    once per exhaust; f(u) is evaluated once per trial point.  The iteration
-    runs in the finest level's red-black order: b and the start are permuted
-    into it once, A u is applied from that level's colour blocks (no row-major
-    matrix is built), and the field returns to the grid's row-major order once,
-    at the end.  Besides the levels and the cut arms, a solve holds b (one float
-    for a constant weight), the boundary terms on the rows with a cut arm only,
-    and its iterates; the start's distinct profile values are found before the
-    levels are built, and nothing per node and arm is held.  At scaled
-    residual r the step is solved to relative residual min(0.1, max(_FORCING,
-    c r, 10 c tol / r)), c = _FORCING_SLOPE (inexact Newton: the forcing
-    term is O(r), which keeps quadratic convergence); where f is affine, to
-    min(_FORCING, max(0.1 tol / r, _RTOL_FLOOR)) instead.  A loose direction need not lower the
-    max-norm residual: when its full step does not, the same iteration, with
-    the same coarsest LU, continues to _FORCING and the line search restarts
-    at the full step, and later steps are solved to _FORCING until a full
-    step is taken.  A failed coarsest factorization, a non-finite cycle
-    residual or _MAX_CYCLES cycles short of the step's tolerance raise
-    SolveFailure with the Newton residual history so far.
-    Residuals are measured against the per-node source scale 1 + b f(u): with
-    exponential sources the raw residual sits at eps * b f(u) near the
-    boundary, so an unscaled max-norm target below that rounding floor
-    would never be reached.  meta records newton_iters, factorizations
-    (coarsest-level LUs, one per step), cycles (V-cycles over all steps)
-    and start ("profile", "constant" or "given").
+    The source is b = b_lower m(d)^2 from the weight (_source_b).  Damped Newton to
+    residual max-norm <= tol, in at most _MAX_NEWTON steps, from u0, or else from the
+    boundary profile phi(xi M(d) + Phi(j)) with j the mean boundary value
+    (_boundary_profile), or the constant j when the profile does not exist or j <= 0.
+    Each step solves the Jacobian A - diag(b f'(u)) by multigrid defect correction
+    (_defect_correction) on the levels of _multigrid, built once per call or per exhaust.
+    Besides them a solve holds the cut arms, b (one float for a constant weight), the
+    boundary terms of the cut rows and its iterates.  At scaled residual r a step is
+    solved to relative residual min(0.1, max(_FORCING, c r, 10 c tol / r)),
+    c = _FORCING_SLOPE (inexact Newton: the forcing term is O(r), which keeps quadratic
+    convergence); where f is affine, to min(_FORCING, max(0.1 tol / r, _RTOL_FLOOR)).
+    When a loose direction's full step does not lower the max-norm residual, its
+    iteration continues to _FORCING on the same coarsest LU and the line search restarts,
+    and later steps are solved to _FORCING until a full step is taken.  A failed coarsest
+    factorization, a non-finite cycle residual or _MAX_CYCLES cycles short of the step's
+    tolerance raise SolveFailure with the Newton residual history so far.  Residuals are
+    scaled by 1 + b f(u) per node: with exponential sources the raw residual sits at
+    eps * b f(u) near the boundary.  meta records newton_iters, factorizations
+    (coarsest-level LUs, one per step), cycles (V-cycles over all steps) and start
+    ("profile", "constant" or "given").
     """
     require_positive_finite(tol, "tolerance")
     profile = None if u0 is not None else _boundary_profile(grid, f, bweight)
     arms, mg = _operators(grid)
-    order = mg.order  # every fine vector below is in this order
-    cut, const, gcut = _boundary_terms(grid, order, arms, g)  # const: rows cut only
+    cut, const, gcut = _boundary_terms(grid, arms, g)  # const: rows cut only
     b = _source_b(grid, bweight)
-    if np.ndim(b):
-        b = b[order]
     fv = lambda u: np.asarray(f.f(np.maximum(u, 1e-12)), float)
     fpv = lambda u: np.asarray(f.f_prime(np.maximum(u, 1e-12)), float)
 
     if u0 is not None:
-        u, start = np.asarray(u0, dtype=float)[order], "given"
+        u, start = np.asarray(u0, dtype=float), "given"
     else:
         j = float(np.nanmean(gcut))
         u = None if profile is None else profile(j)
         start = "constant" if u is None else "profile"
-        u = np.full(grid.n_interior, j) if u is None else u[order]
+        u = np.full(grid.n_interior, j) if u is None else u
     del profile, gcut  # not held through the solve
     eps64 = 64.0 * np.finfo(float).eps
 
     def evaluate(uv):
         """(residual, scaled max-norm, whether it is round-off) at uv; f is evaluated once."""
         bf = b * fv(uv)
-        res_vec = _apply(mg, uv)
+        res_vec, floor = _apply(mg, uv)
         res_vec[cut] += const
         res_vec -= bf
-        floor = _abs_diag_times(mg, uv)
         floor[cut] += np.abs(const)
         floor += bf
         floor *= eps64
@@ -632,7 +635,7 @@ def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol, u0=
             rtol = min(0.1, max(_FORCING, _FORCING_SLOPE * max(norm, 10.0 * tol / norm)))
         try:
             solve = _defect_correction(bfp, mg, -res)
-            del res  # solve holds -res in its place
+            del res, bfp  # solve holds both on its box
             delta, step_cycles = solve(rtol)
         except SolveFailure as exc:
             exc.residuals = list(history)
@@ -672,7 +675,7 @@ def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol, u0=
     else:
         raise SolveFailure(f"Newton did not converge in {_MAX_NEWTON} steps", residuals=history)
 
-    return grid.with_values(_row_major(mg, u), meta={
+    return grid.with_values(u, meta={
         **grid.meta, "tol": tol, "newton_iters": len(history) - 1,
         "factorizations": factorizations, "cycles": cycles, "start": start,
         "residual_history": history})
@@ -681,16 +684,13 @@ def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol, u0=
 def exhaust(grid: Field2D, f: Nonlinearity, bweight: Weight, j_schedule, tol):
     """Increasing boundary-data sweep with continuation; returns (limit, diagnostics).
 
-    Each level starts from the boundary profile for its j, raised to the
-    previous level where that is higher (both are subsolutions of the
-    level's continuous problem), or from the previous level alone when
-    there is no profile.  Every j shares one set of cut arms and one
-    multigrid hierarchy, whose finest level is the Shortley-Weller operator,
-    built here once for the grid.
-    Diagnostics track per-step increment bounds, the interior Cauchy ratio
-    on the core region d >= 0.2 * diam, and per level the Newton steps,
-    coarsest-level factorizations and V-cycles.  A SolveFailure
-    carries the levels finished before it in ``partial``.
+    Each level starts from the boundary profile for its j, raised to the previous level
+    where that is higher (both are subsolutions of the level's continuous problem), or
+    from the previous level alone when there is no profile.  Every j shares one set of
+    cut arms and one multigrid hierarchy, built here once for the grid.  Diagnostics
+    track per-step increment bounds, the interior Cauchy ratio on the core region
+    d >= 0.2 * diam, and per level the Newton steps, coarsest-level factorizations and
+    V-cycles.  A SolveFailure carries the levels finished before it in ``partial``.
     """
     js = require_schedule(j_schedule)
     diam = 2.0 * max(grid.domain.half_extents)

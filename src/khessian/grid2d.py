@@ -7,8 +7,9 @@ off the lattice and asks the domain's ``arm_fraction`` for the fractional
 arm length to the exact boundary intersection on the arms that leave the
 domain.  Per-node distances to the boundary are closed-form for the disk.
 For the ellipse, run over all nodes at once, each node's nearest point
-comes from one monotone Newton solve of Eberly's root equation (closed
-form on the major axis), polished by Newton in the boundary angle.
+comes from one monotone Newton solve of Eberly's root equation, started
+from the larger of his two lower bounds (closed form on the major axis),
+polished by Newton in the boundary angle.
 """
 
 import math
@@ -78,6 +79,29 @@ class Ellipse:
         theta = (-qb + np.sqrt(qb * qb - 4.0 * qa * qc)) / (2.0 * qa)
         return np.minimum(np.maximum(theta, 1e-12), 1.0)
 
+    def _root(self, z0, z1):
+        """u = s + 1 at the root of Eberly's F (see distance) for z = (x/a, y/b), z1 > 0.
+
+        Newton in u, which keeps its digits where the root nears s = -1 (close to the
+        major axis), rises monotonically while F > 0.  It starts from the larger of
+        Eberly's two lower bounds s = z1 - 1 and s = r0 z0 - r0, where F >= 0 too.
+        Entries with z1 = 0 are left at that start.
+        """
+        A, B = self.a, self.b
+        r0, c = (A / B) ** 2, (A * A - B * B) / (B * B)
+        u = np.maximum(z1, 1.0 - r0 * (1.0 - z0))
+        run = np.flatnonzero(z1 > 0.0)
+        while run.size:
+            ur = u[run]
+            p2 = (r0 * z0[run] / (ur + c)) ** 2
+            q2 = (z1[run] / ur) ** 2
+            F = p2 + q2 - 1.0
+            u_new = ur + 0.5 * F / (p2 / (ur + c) + q2 / ur)
+            step = (F > 0.0) & (u_new != ur)
+            run = run[step]
+            u[run] = u_new[step]
+        return u
+
     def distance(self, x, y):
         """Distance to the nearest boundary point (a cos t, b sin t), elementwise.
 
@@ -86,7 +110,7 @@ class Ellipse:
         to an Ellipse, an Ellipsoid, or a Hyperellipsoid" (2013): with
         z = (x/a, y/b) and r0 = (a/b)^2 it lies at the root of the convex,
         decreasing F(s) = (r0 z0/(s + r0))^2 + (z1/(s + 1))^2 - 1, which Newton
-        from s = z1 - 1 reaches from below.  On the major axis (y = 0) the
+        reaches from below (_root).  On the major axis (y = 0) the
         nearest point is closed form.  Newton on the angle's stationarity
         condition then polishes the start; the distance is the smallest over
         the polished parameter and the endpoints t = 0 and t = pi/2.
@@ -100,21 +124,9 @@ class Ellipse:
         def dist(t):
             return np.hypot(xs - A * np.cos(t), ys - B * np.sin(t))
 
-        # Newton in u = s + 1, which keeps its digits where the root nears s = -1
-        # (close to the major axis); it rises monotonically while F > 0
         r0, c = (A / B) ** 2, c2 / (B * B)
         z0, z1 = xs / A, ys / B
-        u = z1.copy()
-        run = np.flatnonzero(z1 > 0.0)
-        while run.size:
-            ur = u[run]
-            p2 = (r0 * z0[run] / (ur + c)) ** 2
-            q2 = (z1[run] / ur) ** 2
-            F = p2 + q2 - 1.0
-            u_new = ur + 0.5 * F / (p2 / (ur + c) + q2 / ur)
-            step = (F > 0.0) & (u_new != ur)
-            run = run[step]
-            u[run] = u_new[step]
+        u = self._root(z0, z1)
         # on the major axis: cos t = a x / (a^2 - b^2) inside the evolute, else t = 0
         cos_axis = np.minimum(A * xs / c2, 1.0) if c2 > 0.0 else np.ones_like(xs)
         t = np.where(z1 > 0.0, np.arctan2(z1 * (u + c), r0 * z0 * u), np.arccos(cos_axis))

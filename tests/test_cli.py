@@ -508,6 +508,34 @@ def test_bad_t_grid_and_xi_fail_before_the_work(text, stage, tmp_path, monkeypat
                  str(tmp_path / "out")]) == 2
 
 
+# a config of every command with one misspelt key, and the first work the command does
+MISSPELT = {
+    "profile": (PROFILE + "t_mxa = 5\n", "assemble_profile"),
+    "radial-ivp": (IVP + "toll = 1e-9\n", "integrate_blowup_ivp"),
+    "radial-exhaust": (EXHAUST + "j_schedule = 2,4\nhh = 0.01\n", "solve_exhaustion_bvp"),
+    "fd-exhaust": (FD + "domain = disk:1\nj_schedule = 2,4\ntoll = 1e-8\n", "build_grid"),
+    "check-barrier": (BARRIER + "global_check = true\nsampels = 5\n", "assemble_profile"),
+    "verify-asymptotics": (VERIFY + "d_hii = 0.01\n", "assemble_profile"),
+}
+
+
+@pytest.mark.parametrize("command", MISSPELT)
+def test_misspelt_key_fails_before_any_work(command, tmp_path, monkeypatch, capsys):
+    # every key is read, and the unknown one rejected, before the first solve or file
+    # write: the command's work never starts and no report file is written
+    text, stage = MISSPELT[command]
+
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{stage} ran")
+
+    monkeypatch.setattr(cli, stage, no_work)
+    out = tmp_path / "out"
+    assert main(["--config", write_cfg(tmp_path, "bad.cfg", text), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: unknown config key") and "closest" in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_readme_config_table_lists_every_key():
     # the literal key of every cfg.get and cfg.floats call in cli.py ...
     calls = [node for node in ast.walk(ast.parse(Path(cli.__file__).read_text()))

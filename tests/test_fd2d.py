@@ -279,21 +279,20 @@ class TestLiouvilleDirichlet:
         finally:
             tracemalloc.stop()
         assert held <= 32 * grid.n_interior
-        assert peak <= 240 * grid.n_interior
-        # besides the levels, the operators hold four numbers per cut arm, and no
-        # matrix over the fine nodes: the finest level's colour blocks are the only
-        # copy of the fine operator
+        assert peak <= 156 * grid.n_interior
+        # besides the levels, the operators hold four numbers per cut arm, and no matrix
+        # with more than _COARSE_MAX rows: the coarsest level's is the only one, and a
+        # level holds its node mask (a byte per cell of its box) and its cut rows alone
         n_cut = np.count_nonzero(~np.isnan(assemble_operator(grid, 0.0)[2]))
         arms, mg = fd2d._operators(grid)
         assert sum(np.size(a) for a in arms) <= 4 * n_cut
-        assert not any(np.ndim(a) == 2 and a.shape[0] == grid.n_interior
-                       for a in (*arms, mg.order, mg.coarse))
-        # each level holds its two off-diagonal colour blocks and P, no other sparse
-        # matrix: restriction and shift are taken from P's arrays
+        assert mg.coarse.shape[0] <= fd2d._COARSE_MAX
         assert mg.levels
         for lv in mg.levels:
-            assert [name for name, value in vars(lv).items() if sp.issparse(value)] == \
-                ["A_rb", "A_br", "P"]
+            assert not any(sp.issparse(value) for value in vars(lv).values())
+            assert lv.mask.dtype == bool
+            assert all(np.size(value) <= 4 * n_cut for name, value in vars(lv).items()
+                       if name != "mask")
 
     def test_grid_convergence_order(self):
         # curved-boundary stencils enter the asymptotic O(h^2) regime slowly

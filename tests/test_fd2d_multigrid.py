@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
 
 from khessian import fd2d, grid2d
@@ -30,36 +32,93 @@ def jacobian(grid, g, u):
     return (A - sp.diags(2.0 * np.exp(2.0 * u))).tocsr()
 
 
-# reference helpers made of the solver's own parts, which the solver does not call in this
-# form: it slices P level by level from the fine lattice and iterates in colour order
-
-
 def prolongation(lx, ly):
     """(P, cx, cy): bilinear prolongation from the even sublattice of the nodes at (lx, ly).
 
     P maps the nodes with even coordinates, at coarse lattice (cx, cy) = (lx, ly) / 2, to all
-    nodes, both row-major; an absent coarse node gives zero, as on the boundary.
+    nodes, both row-major; an absent coarse node gives zero, as on the boundary.  Written
+    out here: each node looks its coarse corners up among the sorted coarse keys.
     """
     even = ((lx | ly) & 1) == 0
     cx, cy = lx[even] >> 1, ly[even] >> 1
-    x0, y0, x1, y1 = lx.min() - 1, ly.min() - 1, lx.max() + 1, ly.max() + 1
-    box = (x0 >> 1, y0 >> 1, -(-x1 >> 1), -(-y1 >> 1))  # as in fd2d._multigrid
-    table = fd2d._table(cx, cy, np.arange(cx.size), box)[0]
-    return fd2d._bilinear(lx, ly, table, box, cx.size), cx, cy
+    key = lambda x, y: (y + 2**20) * 2**21 + (x + 2**20)  # ascending in row-major order
+    keys = key(cx, cy)
+    rows, cols, vals = [], [], []
+    for ex, wx in ((lx >> 1, np.where(lx & 1, 0.5, 1.0)), ((lx + 1) >> 1, 0.5 * (lx & 1))):
+        for ey, wy in ((ly >> 1, np.where(ly & 1, 0.5, 1.0)), ((ly + 1) >> 1, 0.5 * (ly & 1))):
+            at = np.minimum(np.searchsorted(keys, key(ex, ey)), keys.size - 1)
+            hit = (keys[at] == key(ex, ey)) & (wx * wy > 0.0)
+            rows.append(np.flatnonzero(hit))
+            cols.append(at[hit])
+            vals.append((wx * wy)[hit])
+    P = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(lx.size, cx.size))
+    return P, cx, cy
+
+
+def row_major(mask, X):
+    """X, on the sublattices of the natural box mask, at the nodes of mask, row-major."""
+    return fd2d._natural(X)[mask]
+
+
+def natural_masks(mg):
+    """The natural node masks of every level of mg, finest first, the coarsest's last."""
+    return [fd2d._natural(lv.mask) for lv in mg.levels] + [mg.coarse_mask]
 
 
 def preconditioner(mg, bfp):
     """One V-cycle for A - diag(bfp) as a function of the residual, both row-major."""
-    shifts = fd2d._shifts(mg, bfp[mg.order])
+    shifts = fd2d._shifts(mg, fd2d._to_box(mg.mask, bfp))
     cycle = fd2d._cycle(mg, shifts, fd2d._coarse_lu(mg, shifts))
-    return lambda r: fd2d._row_major(mg, cycle(r[mg.order]))
+    return lambda r: row_major(mg.mask, cycle(fd2d._to_box(mg.mask, r)))
 
 
 def newton_direction(bfp, mg, rhs, rtol):
     """(x, cycles) solving (A - diag(bfp)) x = rhs to relative residual rtol, as one Newton
-    step does: one call of fd2d._defect_correction's solve.  bfp, rhs and x are row-major."""
-    x, cycles = fd2d._defect_correction(bfp[mg.order], mg, rhs[mg.order])(rtol)
-    return fd2d._row_major(mg, x), cycles
+    step does: one call of fd2d._defect_correction's solve."""
+    return fd2d._defect_correction(bfp, mg, rhs)(rtol)
+
+
+def check_levels(domain, h, seed):
+    """Every level of grid(domain, h) against build_grid(domain, 2^l h) and written-out matrices.
+
+    The level's stencil on a random vector equals the CSR product of assemble_operator;
+    the prolongation equals P (prolongation()) on the black rows, the only ones the
+    V-cycle adds to; the restriction of a red residual equals 0.25 P[red]^T; the shifts
+    equal diag(P^T diag(s) P) / diag(P^T P).  All to 1e-13 relative; the coarsest
+    operator equals assemble_operator's exactly.  Returns the number of levels.
+    """
+    mg = fd2d._multigrid(build_grid(domain, h))[1]
+    masks = natural_masks(mg)
+    rng = np.random.default_rng(seed)
+    close = lambda got, want: np.max(np.abs(got - want)) <= 1e-13 * max(np.max(np.abs(want)),
+                                                                         1e-300)
+    s = rng.uniform(0.0, 1e4, int(masks[0].sum()))
+    shifts = fd2d._shifts(mg, fd2d._to_box(masks[0], s))
+    for level, lv in enumerate(mg.levels):
+        grid = build_grid(domain, 2**level * h)
+        lx, ly = lattice(grid)
+        mask, coarse_mask = masks[level], masks[level + 1]
+        v = rng.standard_normal(grid.n_interior)
+        got = row_major(mask, fd2d._level_apply(lv, fd2d._to_box(mask, v)))
+        assert close(got, assemble_operator(grid, 0.0)[0] @ v)
+        P, cx, cy = prolongation(lx, ly)
+        black = ((lx + ly) & 1) == 1
+        e = rng.standard_normal(cx.size)
+        x = np.zeros(lv.mask.shape)
+        fd2d._prolong(lv, fd2d._to_box(coarse_mask, e), x)
+        assert close(row_major(mask, x)[black], (P @ e)[black])
+        assert not np.any(row_major(mask, x)[~black])
+        r = np.where(black, 0.0, v)
+        got = fd2d._restrict(lv, fd2d._to_box(mask, r)[:2])
+        assert close(row_major(coarse_mask, got), 0.25 * (P.T @ r))
+        want = (P.T @ sp.diags(s) @ P).diagonal() / (P.T @ P).diagonal()
+        s = shifts[level + 1] if level + 1 == len(mg.levels) else row_major(
+            coarse_mask, shifts[level + 1])
+        assert close(s, want)
+    coarse = build_grid(domain, 2 ** len(mg.levels) * h)
+    assert (mg.coarse != assemble_operator(coarse, 0.0)[0]).nnz == 0
+    return len(mg.levels)
 
 
 class TestLevels:
@@ -89,7 +148,8 @@ class TestLevels:
             grid = build_grid(Disk(1.0), h)
             mg = fd2d._multigrid(grid)[1]
             assert len(mg.levels) == depth
-            sizes = [grid.n_interior] + [lv.P.shape[1] for lv in mg.levels]
+            sizes = [int(mask.sum()) for mask in natural_masks(mg)]
+            assert sizes[0] == grid.n_interior
             assert all(n > fd2d._COARSE_MAX for n in sizes[:-1])
             assert sizes[-1] == mg.coarse.shape[0] <= fd2d._COARSE_MAX
 
@@ -98,39 +158,36 @@ class TestLevels:
         (Ellipse(2.0, 0.5), 1.0 / 64.0), (Disk(6.0), 0.1),  # 0.1: not a power of two
     ])
     def test_coarse_nodes_are_even_sublattice(self, domain, h):
-        # the grid at 2^l h has exactly the fine nodes whose lattice coordinates
-        # 2^l divides, in the same row-major order, and the identity rows of each
-        # prolongation put every coarse node on the fine node it coincides with
+        # the grid at 2^l h has exactly the fine nodes whose lattice coordinates 2^l
+        # divides, in the same row-major order: each level's natural box holds them
+        # shifted by an even offset (so its red cells are the lattice's red nodes), and
+        # the next level's box holds the EE sublattice at coarse_box's place
         grid = build_grid(domain, h)
-        lx, ly = lattice(grid)
         mg = fd2d._multigrid(grid)[1]
         assert mg.levels
-        fine = mg.order  # the finest nodes, in the top level's order
-        for level, lv in enumerate(mg.levels, start=1):
-            rows, cols = (lv.P == 1.0).nonzero()
-            assert np.array_equal(np.sort(cols), np.arange(lv.P.shape[1]))
-            nodes = np.empty(lv.P.shape[1], dtype=np.int64)
-            nodes[cols] = fine[rows]
-            s = 2**level
-            sel = np.flatnonzero((lx % s == 0) & (ly % s == 0))
-            cx, cy = lattice(build_grid(domain, s * h))
-            assert np.array_equal(cx, lx[sel] // s) and np.array_equal(cy, ly[sel] // s)
-            assert np.array_equal(np.sort(nodes), sel)
-            fine = nodes
-        assert np.array_equal(fine, sel)  # the coarsest keeps row-major order
-        assert mg.coarse.shape[0] == sel.size
+        masks = natural_masks(mg)
+        for level, mask in enumerate(masks):
+            iy, ix = np.nonzero(mask)
+            cx, cy = lattice(build_grid(domain, 2**level * h))
+            x0, y0 = set((cx - ix).tolist()), set((cy - iy).tolist())
+            assert len(x0) == len(y0) == 1 and x0.pop() % 2 == 0 and y0.pop() % 2 == 0
+        for lv, mask, coarse in zip(mg.levels, masks, masks[1:]):
+            assert np.array_equal(fd2d._natural(lv.mask), mask)
+            oy, ox, ny, nx = lv.coarse_box
+            my, mx = lv.mask.shape[1:]
+            assert coarse.shape == (ny, nx) and ny % 2 == nx % 2 == 0
+            assert np.array_equal(coarse[oy:oy + my, ox:ox + mx], mask[::2, ::2])
+            assert coarse.sum() == mask[::2, ::2].sum()
 
     @pytest.mark.parametrize("domain, h", [
         (Disk(0.9), 1.0 / 256.0), (Ellipse(1.2, 1.0), 1.0 / 96.0),
         (Ellipse(2.0, 0.5), 1.0 / 64.0), (Disk(6.0), 0.1),
     ])
     def test_sliced_levels_match_rebuilt_grids(self, domain, h, monkeypatch):
-        # oracle: every level sliced from the fine lattice equals the one built from
-        # build_grid(domain, 2^l h) and the sparse constructions written out here: the
-        # colour blocks of its operator and P as prolongation() permuted to both colour
-        # orders; the maps the solver takes from P agree with the written-out matrices,
-        # the restriction bit for bit with 0.25 P^T on the red rows and the shift to
-        # 1e-15 with (P o P)^T with rows scaled to sum to 1
+        # oracle: every level sliced from the fine lattice applies the operator of
+        # build_grid(domain, 2^l h), and its transfers and shifts are those of the
+        # written-out prolongation (check_levels); distances are found for the fine
+        # nodes only
         points = []
         distance = type(domain).distance
 
@@ -140,86 +197,48 @@ class TestLevels:
 
         monkeypatch.setattr(type(domain), "distance", counting_distance)
         grid = build_grid(domain, h)
-        mg = fd2d._operators(grid)[1]
+        fd2d._operators(grid)
         assert sum(points) == grid.n_interior  # the fine nodes only
         monkeypatch.undo()
-        assert mg.levels
+        assert check_levels(domain, h, seed=7) >= 1
 
-        def close(got, want):
-            want = sp.csr_matrix(want)
-            scale = max(abs(want).max(), 1.0)
-            return abs(sp.csr_matrix(got) - want).max() <= 1e-14 * scale
-
-        rng = np.random.default_rng(7)
-        shifts = fd2d._shifts(mg, rng.uniform(0.0, 1e4, grid.n_interior))
-        for level, lv in enumerate(mg.levels):
-            coarse = build_grid(domain, 2**level * h)
-            order, k = fd2d._colour_order(*lattice(coarse))
-            op = assemble_operator(coarse, 0.0)[0][order][:, order]
-            want_diag = op.diagonal()
-            assert k == lv.n_red
-            assert np.max(np.abs(np.concatenate([lv.diag_red, lv.diag_black]) - want_diag)) \
-                <= 1e-14 * np.max(np.abs(want_diag))
-            assert close(lv.A_rb, op[:k, k:]) and close(lv.A_br, op[k:, :k])
-            assert close(op[:k, :k], sp.diags(want_diag[:k]))  # no red-red coupling
-            P, cx, cy = prolongation(*lattice(coarse))
-            c_order = fd2d._colour_order(cx, cy)[0]
-            P = P[order][:, c_order].tocsr()
-            P2 = P.multiply(P).T.tocsr()
-            assert close(lv.P, P)
-            v = rng.standard_normal(k)
-            assert np.array_equal(fd2d._restrict(lv, v), 0.25 * P[:k].T @ v)
-            want = sp.diags(1.0 / np.asarray(P2.sum(axis=1)).ravel()) @ P2 @ shifts[level]
-            assert np.max(np.abs(shifts[level + 1] - want)) <= 1e-15 * np.max(want)
-        coarse = build_grid(domain, 2 ** len(mg.levels) * h)
-        assert close(mg.coarse, assemble_operator(coarse, 0.0)[0])
-
-    @pytest.mark.parametrize("domain, h, h_one_level", [
-        (Disk(0.9), 1.0 / 256.0, 1.0 / 32.0), (Ellipse(1.2, 1.0), 1.0 / 96.0, 1.0 / 24.0),
-    ])
-    def test_red_rows_are_held_on_the_black_index_arrays(self, domain, h, h_one_level):
-        # A_rb is CSC on A_br's indices and indptr with its own weights: its product
-        # equals the CSR row sum bit for bit, and with one level it is exactly the
-        # red-black block of the row-major reference operator
-        rng = np.random.default_rng(3)
-        mg = fd2d._multigrid(build_grid(domain, h))[1]
-        assert len(mg.levels) >= 3
-        for lv in mg.levels:
-            assert np.shares_memory(lv.A_rb.indices, lv.A_br.indices)
-            assert np.shares_memory(lv.A_rb.indptr, lv.A_br.indptr)
-            v = rng.standard_normal(lv.A_rb.shape[1])
-            assert np.array_equal(lv.A_rb @ v, lv.A_rb.tocsr() @ v)
-        grid = build_grid(domain, h_one_level)
-        (lv,) = fd2d._multigrid(grid)[1].levels
-        order, k = fd2d._colour_order(*lattice(grid))
-        A = assemble_operator(grid, 0.0)[0][order][:, order]
-        assert k == lv.n_red
-        assert np.array_equal(lv.A_rb.toarray(), A[:k, k:].toarray())
-        assert np.array_equal(lv.A_br.toarray(), A[k:, :k].toarray())
+    @settings(max_examples=30)
+    @given(st.one_of(st.tuples(st.just("disk"), st.floats(1.1, 2.5), st.just(0.0)),
+                     st.tuples(st.just("ellipse"), st.floats(1.1, 2.5), st.floats(0.5, 1.0))),
+           st.floats(0.02, 0.05), st.integers(0, 2**16))
+    def test_levels_match_rebuilt_operators(self, shape, h, seed):
+        # property: on random disks, ellipses and spacings with at least one level,
+        # every level matches the rebuilt grid and the written-out transfers
+        kind, a, ratio = shape
+        domain = Disk(a) if kind == "disk" else Ellipse(a, max(ratio * a, 0.5))
+        assume(build_grid(domain, h).n_interior > fd2d._COARSE_MAX)
+        assert check_levels(domain, h, seed) >= 1
 
     def test_coarse_operators_are_rediscretised(self):
         # level l applies assemble_operator(build_grid(domain, 2^l h)) - diag(s_l): s_0 is
         # b f'(u), and s_{l+1} the diagonal of the Galerkin product P^T diag(s_l) P over
-        # that of P^T P; the coarsest is factored as such
+        # that of P^T P; the smoothers invert its diagonal, and the coarsest is factored
         domain, h = Disk(1.0), 1.0 / 64.0
         grid = build_grid(domain, h)
         u = fd2d._boundary_profile(grid, EXP2, W1)(4.0)
         bfp = 2.0 * np.exp(2.0 * u)
         mg = fd2d._multigrid(grid)[1]
         assert len(mg.levels) == 2
-        shifts = fd2d._shifts(mg, bfp[mg.order])
+        shifts = fd2d._shifts(mg, fd2d._to_box(mg.mask, bfp))
         rng = np.random.default_rng(1)
         s = bfp
-        for level, (lv, (dr, db)) in enumerate(zip(mg.levels, fd2d._smoothers(mg, shifts))):
+        for level, (lv, inverse, mask) in enumerate(zip(mg.levels, fd2d._smoothers(mg, shifts),
+                                                        natural_masks(mg))):
             coarse = build_grid(domain, 2**level * h)
             want_op = assemble_operator(coarse, 0.0)[0] - sp.diags(s)
-            order, k = fd2d._colour_order(*lattice(coarse))
-            assert k == lv.n_red
             v = rng.standard_normal(coarse.n_interior)
-            want = (want_op @ v)[order]
-            vr, vb = v[order[:k]], v[order[k:]]
-            got = np.concatenate([vr / dr + lv.A_rb @ vb, vb / db + lv.A_br @ vr])
+            V = fd2d._to_box(mask, v)
+            off = np.concatenate([fd2d._product(lv, V, colour, np.empty_like(V[:2]))
+                                  for colour in (0, 1)])
+            got = row_major(mask, off) + v / row_major(mask, inverse)
+            want = want_op @ v
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            assert not np.any(inverse[~lv.mask])  # 0 off the nodes
             P = prolongation(*lattice(coarse))[0]
             s = (P.T @ sp.diags(s) @ P).diagonal() / (P.T @ P).diagonal()
         coarse = build_grid(domain, 4.0 * h)

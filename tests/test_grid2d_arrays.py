@@ -116,8 +116,23 @@ def test_ellipse_distance_array_matches_scan():
     assert all(ell.distance(float(a), float(b)) == v for a, b, v in zip(x[:, 0], y[:, 0], d[:, 0]))
 
 
+def mp_root(a, b, x, y):
+    """u = s + 1 at the root of Eberly's F at 40 digits, by bisection; y != 0 inside."""
+    with mp.workdps(40):
+        a, b, x, y = mp.mpf(a), mp.mpf(b), abs(mp.mpf(x)), abs(mp.mpf(y))
+        r0, z0, z1 = (a / b) ** 2, x / a, y / b
+        lo, hi = z1, mp.mpf(1)  # F(u) >= 0 at u = z1 and < 0 at u = 1 inside
+        for _ in range(150):  # 2^-150 of the bracket: past 40 digits
+            u = (lo + hi) / 2
+            if (r0 * z0 / (u - 1 + r0)) ** 2 + (z1 / u) ** 2 > 1:
+                lo = u
+            else:
+                hi = u
+        return (lo + hi) / 2
+
+
 def mp_distance(a, b, x, y):
-    """Nearest-point distance at 40 digits, from the root of Eberly's F by bisection."""
+    """Nearest-point distance at 40 digits, from the root of Eberly's F (mp_root)."""
     with mp.workdps(40):
         a, b, x, y = mp.mpf(a), mp.mpf(b), abs(mp.mpf(x)), abs(mp.mpf(y))
         c2 = a * a - b * b
@@ -126,16 +141,24 @@ def mp_distance(a, b, x, y):
                 return a - x
             x0 = a * a * x / c2
             return mp.hypot(x - x0, b * mp.sqrt(1 - (x0 / a) ** 2))
-        r0, z0, z1 = (a / b) ** 2, x / a, y / b
-        lo, hi = z1, mp.mpf(1)  # u = s + 1: F(u) >= 0 at u = z1 and < 0 at u = 1 inside
-        for _ in range(150):  # 2^-150 of the bracket: past 40 digits
-            u = (lo + hi) / 2
-            if (r0 * z0 / (u - 1 + r0)) ** 2 + (z1 / u) ** 2 > 1:
-                lo = u
-            else:
-                hi = u
-        u = (lo + hi) / 2
+        r0, u = (a / b) ** 2, mp_root(a, b, x, y)
         return mp.hypot(x - r0 * x / (u - 1 + r0), y - y / u)
+
+
+def test_ellipse_root_matches_mpmath():
+    # the root Newton alone, whose early stop the angle polish would hide from the
+    # distance: on a sample of the fd2d_ellipse grid's nodes and at y = 1e-15 b near the
+    # major axis, inside and outside the evolute, the root is within a few ulp
+    a, b = 1.2, 1.0
+    ell = Ellipse(a, b)
+    grid = build_grid(ell, 1.0 / 96.0)
+    pick = np.random.default_rng(5).choice(np.flatnonzero(grid.node_y != 0.0), 150,
+                                           replace=False)
+    x = np.concatenate([np.abs(grid.node_x[pick]), np.linspace(0.01, 0.99, 12) * a])
+    y = np.concatenate([np.abs(grid.node_y[pick]), np.full(12, 1e-15 * b)])
+    u = ell._root(x / a, y / b)
+    ref = np.array([float(mp_root(a, b, xi, yi)) for xi, yi in zip(x, y)])
+    assert np.all(np.abs(u - ref) <= 4.0 * np.finfo(float).eps * ref)
 
 
 @pytest.mark.parametrize("a", [1.0, 1.2, 2.0, 6.0, 20.0])
