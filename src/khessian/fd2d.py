@@ -9,12 +9,12 @@ tolerance is proportional to the residual, tightened to 1e-6 when a loose direct
 to descend.  The multigrid is matrix-free: level l holds the fine nodes whose lattice
 coordinates 2^l divides, on a lattice box stored as its four parity sublattices, applies
 the uniform stencil of spacing 2^l h by array slices and recomputes the rows with a cut
-arm, which with its node mask is all it holds.  Levels are shifted by the Galerkin
-diagonal of b f'(u), smoothed by red-black Gauss-Seidel and linked by full weighting and
-bilinear prolongation; only the coarsest, at most a thousand unknowns, is a matrix,
-factored by SuperLU.  The orders k >= 2 are handled radially elsewhere.  Levels and the
-coarse fill-reducing ordering are fixed, so identical inputs give bit-identical fields on
-one machine.
+arm, which with its node mask is all it holds.  The Newton loop runs on the finest box.
+Levels are shifted by the Galerkin diagonal of b f'(u), smoothed by red-black Gauss-Seidel
+and linked by full weighting and bilinear prolongation; only the coarsest, at most a
+thousand unknowns, is a matrix, factored by SuperLU.  The orders k >= 2 are handled
+radially elsewhere.  Levels and the coarse fill-reducing ordering are fixed, so identical
+inputs give bit-identical fields on one machine.
 """
 
 import math
@@ -204,9 +204,9 @@ _SUB_X, _SUB_Y = (2, 3, 0, 1), (3, 2, 1, 0)
 _OF_PARITY = np.array([[0, 2], [3, 1]])  # the sublattice of parity (y, x)
 
 
-def _parity(box):
+def _parity(box, out=None):
     """The natural box (2 my, 2 mx), row-major on the lattice, as its sublattices (4, my, mx)."""
-    return np.stack([box[p::2, q::2] for p, q in _SUB])
+    return np.stack([box[p::2, q::2] for p, q in _SUB], out=out)
 
 
 def _natural(V):
@@ -217,11 +217,11 @@ def _natural(V):
     return box
 
 
-def _to_box(mask, x):
+def _to_box(mask, x, out=None):
     """The sublattices holding x on the nodes of the natural box mask, row-major, 0 elsewhere."""
     box = np.zeros(mask.shape)
     box[mask] = x
-    return _parity(box)
+    return _parity(box, out)
 
 
 @dataclass(frozen=True)
@@ -261,17 +261,22 @@ class _Multigrid:
     coarse_mask: np.ndarray
 
 
+def _cells(shape, iy, ix):
+    """The flat places in the sublattices of places (iy, ix) of a natural box of this shape."""
+    my, mx = shape[0] // 2, shape[1] // 2
+    return (_OF_PARITY[iy & 1, ix & 1] * my + (iy >> 1)) * mx + (ix >> 1)
+
+
 def _level(mask, ix, iy, stencil, h, coarse_box):
     """The _Level of the nodes at places (ix, iy) of the natural box mask, with their stencil."""
     cols, cut, off, diag = stencil
-    my, mx = mask.shape[0] // 2, mask.shape[1] // 2
-    cells = (_OF_PARITY[iy & 1, ix & 1] * my + (iy >> 1)) * mx + (ix >> 1)  # flat, per node
+    cells = _cells(mask.shape, iy, ix)  # per node
     cols, own = cols[cut], cells[cut]
     present, order = cols >= 0, np.argsort(own)
     nbrs = np.where(present, cells[cols], own[:, None])
     return _Level(mask=_parity(mask), inv_h2=1.0 / (h * h), cells=own[order],
                   nbrs=nbrs[order], off=np.where(present, off, 0.0)[order], diag=diag[order],
-                  n_red=int(np.count_nonzero(own < 2 * my * mx)), coarse_box=coarse_box)
+                  n_red=int(np.count_nonzero(own < mask.size // 2)), coarse_box=coarse_box)
 
 
 def _multigrid(grid: Field2D):
@@ -319,11 +324,10 @@ def _nsum(V, k, out):
 
 
 def _corners(Y):
-    """Y summed at (i, j), (i, j-1), (i-1, j), (i-1, j-1): on OO, EE's diagonal neighbours."""
-    out = Y + 0.0
-    out[:, 1:] += Y[:, :-1]
-    out[1:] += out[:-1].copy()
-    return out
+    """Y summed at (i, j), (i, j-1), (i-1, j), (i-1, j-1), in place: on OO, EE's diagonals."""
+    Y[:, 1:] += Y[:, :-1]
+    Y[1:] += Y[:-1]
+    return Y
 
 
 def _product(lv: _Level, V, colour, out):
@@ -340,35 +344,35 @@ def _product(lv: _Level, V, colour, out):
     return out
 
 
-def _level_apply(lv: _Level, X):
-    """A_l X for the level's Shortley-Weller operator A_l, X in its box, 0 off the nodes."""
-    out = np.empty_like(X)
-    _product(lv, X, 0, out[:2])
-    _product(lv, X, 1, out[2:])
-    out += _times_diagonal(lv, X)
+def _level_apply(lv: _Level, X, out):
+    """out = A_l X for the level's Shortley-Weller operator A_l, X in its box, 0 off the nodes."""
+    _times_diagonal(lv, X, out)
+    for colour, half in enumerate((out[:2], out[2:])):
+        half += _product(lv, X, colour, np.empty_like(half))
     out *= lv.mask
     return out
 
 
-def _times_diagonal(lv: _Level, X):
-    """D X for the diagonal D of the level's Shortley-Weller operator, X on its box."""
-    out = X * (-4.0 * lv.inv_h2)
+def _times_diagonal(lv: _Level, X, out):
+    """out = D X for the diagonal D of the level's Shortley-Weller operator, X on its box."""
+    np.multiply(X, -4.0 * lv.inv_h2, out=out)
     out.reshape(-1)[lv.cells] = lv.diag * X.reshape(-1)[lv.cells]
     return out
 
 
-def _coarse_apply(mask, apply, X):
+def _coarse_apply(mask, apply, X, out=None):
     """apply, which maps the nodes of the natural box mask row-major, on a box X."""
-    return _to_box(mask, apply(_natural(X)[mask]))
+    return _to_box(mask, apply(_natural(X)[mask]), out)
 
 
-def _apply(mg: _Multigrid, x):
-    """(A x, |diag A| |x|) for the fine Shortley-Weller operator A, all row-major."""
-    if not mg.levels:  # the grid is the coarsest level
-        return mg.coarse @ x, np.abs(mg.coarse.diagonal() * x)
-    lv, X = mg.levels[0], _to_box(mg.mask, x)
-    ax = _natural(_level_apply(lv, X))[mg.mask]
-    return ax, np.abs(_natural(_times_diagonal(lv, X))[mg.mask])
+def _fine(mg: _Multigrid):
+    """(nodes, apply, diagonal) of the finest box: its node mask, X, out -> A X and D X."""
+    if mg.levels:
+        lv = mg.levels[0]
+        return lv.mask, partial(_level_apply, lv), partial(_times_diagonal, lv)
+    d = _to_box(mg.mask, mg.coarse.diagonal())  # the grid is the coarsest level
+    return (_parity(mg.mask), partial(_coarse_apply, mg.mask, mg.coarse.dot),
+            lambda X, out: np.multiply(d, X, out=out))
 
 
 def _down(lv: _Level, v):
@@ -380,14 +384,16 @@ def _down(lv: _Level, v):
 
 
 def _restrict(lv: _Level, red):
-    """Full weighting 0.25 P^T r of a red residual r = (EE, OO) = red to the next level."""
-    return _down(lv, 0.25 * (red[0] + 0.25 * _corners(red[1])))
+    """Full weighting 0.25 P^T r of a red residual r = (EE, OO) = red; overwrites red."""
+    red[0] += np.multiply(_corners(red[1]), 0.25, out=red[1])
+    return _down(lv, np.multiply(red[0], 0.25, out=red[0]))
 
 
 def _prolong(lv: _Level, E, x):
     """x += P e on the black cells, e on the next level's box E; the post-sweep sets red."""
     oy, ox, _, _ = lv.coarse_box
-    e = 0.5 * _natural(E)[oy:oy + x.shape[1], ox:ox + x.shape[2]]  # halved, on EE's cells
+    e = _natural(E)[oy:oy + x.shape[1], ox:ox + x.shape[2]]  # on EE's cells
+    e *= 0.5
     x[2] += e  # OE lies between EE (i, j) and (i, j + 1), EO between (i, j) and (i + 1, j)
     x[2][:, :-1] += e[:, 1:]
     x[3] += e
@@ -399,7 +405,7 @@ def _squared(V):
     out = _nsum(V, 0, np.empty(V.shape[1:]))
     out *= 0.25
     out += V[0]
-    out += 0.0625 * _corners(V[1])
+    out += 0.0625 * _corners(V[1] + 0.0)
     return out
 
 
@@ -417,39 +423,44 @@ def _shifts(mg: _Multigrid, bfp):
     return shifts
 
 
-def _smoothers(mg: _Multigrid, shifts):
-    """Per smoothed level, 1 / diagonal of A_l - diag(s_l) on its nodes, and 0 off them."""
-    return [np.divide(lv.mask, _times_diagonal(lv, np.ones(s.shape)) - s)
-            for lv, s in zip(mg.levels, shifts)]
+def _inverse(lv: _Level, s, colour):
+    """1 / diagonal of A_l - diag(s) on one colour's cells (0 red, 1 black), 0 off the nodes."""
+    half = slice(2 * colour, 2 * colour + 2)
+    d = np.subtract(-4.0 * lv.inv_h2, s[half])
+    rows = slice(None, lv.n_red) if colour == 0 else slice(lv.n_red, None)
+    cells = lv.cells[rows] - colour * d.size
+    d.reshape(-1)[cells] = lv.diag[rows] - s[half].reshape(-1)[cells]
+    return np.divide(lv.mask[half], d, out=d)
 
 
-def _sweep(lv: _Level, x, r, inverse, colour):
-    """Gauss-Seidel on one colour's cells: x = (r - (A - D) x) / (D - s) there."""
+def _sweep(lv: _Level, x, r, s, colour):
+    """Gauss-Seidel on one colour's cells: x = (r - (A - D) x) / (D - s) there, D - s made anew."""
     half = slice(2 * colour, 2 * colour + 2)
     out = _product(lv, x, colour, x[half])  # reads the other colour only
     np.subtract(r[half], out, out=out)
-    out *= inverse[half]
+    out *= _inverse(lv, s, colour)
 
 
-def _vcycle(levels, inverses, coarse, r):
+def _vcycle(levels, shifts, coarse, r):
     """One V-cycle for J x = r from x = 0, r and x on the top level's box.
 
-    One red-black Gauss-Seidel sweep (``inverses``: inverted diagonals) before and after
-    the coarse correction on every level, and the coarsest level's solve ``coarse``; after
+    One red-black Gauss-Seidel sweep (``shifts``: the levels' s) before and after the
+    coarse correction on every level, and the coarsest level's solve ``coarse``; after
     the pre-sweep the black residual is zero, so only the red one is restricted.  A fixed
     linear map of r, exact when there are no levels.
     """
     if not levels:
         return coarse(r)
-    lv, inverse = levels[0], inverses[0]
-    x = r * inverse  # the red sweep from x = 0; the black cells are overwritten
-    _sweep(lv, x, r, inverse, 1)
-    red = _product(lv, x, 0, np.empty_like(x[:2]))  # A_rb x_b
+    lv, s = levels[0], shifts[0]
+    x = np.empty_like(r)  # the red sweep from x = 0; the black sweep sets the black cells
+    np.multiply(r[:2], _inverse(lv, s, 0), out=x[:2])
+    _sweep(lv, x, r, s, 1)
+    red = _product(lv, x, 0, x[:2])  # A_rb x_b, on the red cells the post-sweep sets
     red *= lv.mask[:2]
-    e = _vcycle(levels[1:], inverses[1:], coarse, _restrict(lv, red))
-    _prolong(lv, -e, x)  # the correction for the red residual -A_rb x_b
-    _sweep(lv, x, r, inverse, 0)
-    _sweep(lv, x, r, inverse, 1)
+    # the correction for the red residual -A_rb x_b, not held through the post-sweeps
+    _prolong(lv, -_vcycle(levels[1:], shifts[1:], coarse, _restrict(lv, red)), x)
+    _sweep(lv, x, r, s, 0)
+    _sweep(lv, x, r, s, 1)
     return x
 
 
@@ -464,37 +475,35 @@ def _coarse_lu(mg: _Multigrid, shifts):
 
 def _cycle(mg: _Multigrid, shifts, coarse_lu):
     """One V-cycle for A - diag(shifts[0]) as a function of a residual on the finest box."""
-    inverses = _smoothers(mg, shifts)
     coarse = lambda r: _coarse_apply(mg.coarse_mask, coarse_lu.solve, r)
-    return lambda r: _vcycle(mg.levels, inverses, coarse, r)
+    return lambda r: _vcycle(mg.levels, shifts, coarse, r)
 
 
-def _defect_correction(bfp, mg: _Multigrid, rhs):
+def _defect_correction(mg: _Multigrid):
     """Defect correction for (A - diag(bfp)) x = rhs, one V-cycle M per iteration.
 
-    Returns solve(rtol) -> (x, cycles).  From x = 0, or from the x the last call returned,
-    x += M r with r = rhs - (A x - bfp x), the true residual, until ||r||_2 <= rtol ||rhs||_2,
-    at least one cycle in all; cycles counts every cycle so far.  bfp, rhs and x are
-    row-major; the iteration runs on the finest box, every call on the first's coarsest
-    LU.  Raises SolveFailure when the factorization fails, a residual is not finite or
-    _MAX_CYCLES cycles in all miss rtol.
+    Returns solve(bfp, rhs, rtol) -> (x, cycles), on the finest box; x is the iterate, which
+    the next call continues.  From x = 0, or from the last x, x += M r with r = rhs -
+    (A x - bfp x), the true residual, until ||r||_2 <= rtol ||rhs||_2, at least one cycle
+    in all; cycles counts every cycle so far.  Every call takes the same bfp and rhs, holds
+    neither once it returns and runs on the first's coarsest LU.  Raises SolveFailure when
+    the factorization fails, a residual is not finite or _MAX_CYCLES cycles in all miss rtol.
     """
-    bfp, rhs = _to_box(mg.mask, bfp), _to_box(mg.mask, rhs)
-    apply = (partial(_level_apply, mg.levels[0]) if mg.levels
-             else partial(_coarse_apply, mg.mask, mg.coarse.dot))
-    coarse_lu = last = None  # last: the (x, cycles) of the last call, x on the box
+    apply = _fine(mg)[1]
+    coarse_lu = last = None  # last: the (x, cycles) of the last call
 
-    def solve(rtol):
+    def solve(bfp, rhs, rtol):
         nonlocal coarse_lu, last
         shifts = _shifts(mg, bfp)
         if coarse_lu is None:
             coarse_lu = _coarse_lu(mg, shifts)
         cycle = _cycle(mg, shifts, coarse_lu)
-        del shifts  # the coarse shifts: not held through the cycles
 
-        def residual(x):
-            r = bfp * x
-            r -= apply(x)
+        def residual(x, r):
+            """r = (bfp x - A x) + rhs, built in r."""
+            apply(x, r)
+            for rk, bk, xk in zip(r, bfp, x):  # a sublattice at a time
+                np.subtract(bk * xk, rk, out=rk)
             r += rhs
             return r
 
@@ -502,24 +511,23 @@ def _defect_correction(bfp, mg: _Multigrid, rhs):
         norm2 = lambda v: math.sqrt(np.einsum("i,i->", v.ravel(), v.ravel()))
         scale = norm2(rhs)
         if last is None:
-            x, r, cycles = np.zeros_like(rhs), rhs, 0
+            x, r, cycles = np.zeros_like(rhs), rhs.copy(), 0
         else:  # the same iterate as at the end of the last call, bit for bit
             x, cycles = last
-            r = residual(x)
+            r = residual(x, np.empty_like(rhs))
             norm = norm2(r)
         while cycles == 0 or norm > rtol * scale:
             if cycles == _MAX_CYCLES:
                 raise SolveFailure(f"V-cycle iteration missed rtol {rtol:.1e} in {_MAX_CYCLES} "
                                    f"cycles (relative residual {norm / scale:.2e})")
             x += cycle(r)
-            r = residual(x)
-            norm = norm2(r)
+            norm = norm2(residual(x, r))
             cycles += 1
             if not math.isfinite(norm):
                 raise SolveFailure(
                     f"V-cycle iteration gave a non-finite residual in cycle {cycles}")
         last = (x, cycles)
-        return _natural(x)[mg.mask], cycles
+        return x, cycles
 
     return solve
 
@@ -548,16 +556,17 @@ def _shared_operators(grid: Field2D):
         _SHARED.reset(token)
 
 
-_BLOCK = 4096  # nodes per block of _affine's comparison
+def _times_b(fun, b, U, nodes):
+    """b fun(max(U, 1e-12)) on nodes, 0 off them: U, nodes and b (or a float) alike shaped."""
+    out = b * np.asarray(fun(np.maximum(U, 1e-12)), float)
+    np.copyto(out, 0.0, where=~nodes)
+    return out
 
 
-def _affine(fpv, b, u, bfp):
-    """Whether b f'(u + 1) equals bfp = b f'(u) at every node, compared block by block."""
-    for lo in range(0, u.size, _BLOCK):
-        part = slice(lo, lo + _BLOCK)
-        if not np.array_equal(bfp[part], (b if np.ndim(b) == 0 else b[part]) * fpv(u[part] + 1.0)):
-            return False
-    return True
+def _affine(fun, b, U, bfp, nodes):
+    """Whether b f'(u + 1) equals bfp = b f'(u) at every node, fun = f', a sublattice at a time."""
+    return all(np.array_equal(bfp[k], _times_b(fun, b if np.ndim(b) == 0 else b[k], U[k] + 1.0,
+                                               nodes[k])) for k in range(4))
 
 
 def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol, u0=None):
@@ -569,11 +578,12 @@ def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol, u0=
     (_boundary_profile), or the constant j when the profile does not exist or j <= 0.
     Each step solves the Jacobian A - diag(b f'(u)) by multigrid defect correction
     (_defect_correction) on the levels of _multigrid, built once per call or per exhaust.
-    Besides them a solve holds the cut arms, b (one float for a constant weight), the
-    boundary terms of the cut rows and its iterates.  At scaled residual r a step is
-    solved to relative residual min(0.1, max(_FORCING, c r, 10 c tol / r)),
-    c = _FORCING_SLOPE (inexact Newton: the forcing term is O(r), which keeps quadratic
-    convergence); where f is affine, to min(_FORCING, max(0.1 tol / r, _RTOL_FLOOR)).
+    The Newton loop runs on the finest box (_fine), 0 off the nodes; besides the levels a
+    solve holds the cut arms, b (one float for a constant weight), the boundary terms of
+    the cut rows and its iterates.  At scaled residual r a step is solved to relative
+    residual min(0.1, max(_FORCING, c r, 10 c tol / r)), c = _FORCING_SLOPE (inexact
+    Newton: the forcing term is O(r), which keeps quadratic convergence); where f is
+    affine, to min(_FORCING, max(0.1 tol / r, _RTOL_FLOOR)).
     When a loose direction's full step does not lower the max-norm residual, its
     iteration continues to _FORCING on the same coarsest LU and the line search restarts,
     and later steps are solved to _FORCING until a full step is taken.  A failed coarsest
@@ -589,93 +599,91 @@ def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol, u0=
     arms, mg = _operators(grid)
     cut, const, gcut = _boundary_terms(grid, arms, g)  # const: rows cut only
     b = _source_b(grid, bweight)
-    fv = lambda u: np.asarray(f.f(np.maximum(u, 1e-12)), float)
-    fpv = lambda u: np.asarray(f.f_prime(np.maximum(u, 1e-12)), float)
-
-    if u0 is not None:
-        u, start = np.asarray(u0, dtype=float), "given"
-    else:
+    start = "given"
+    if u0 is None:
         j = float(np.nanmean(gcut))
-        u = None if profile is None else profile(j)
-        start = "constant" if u is None else "profile"
-        u = np.full(grid.n_interior, j) if u is None else u
-    del profile, gcut  # not held through the solve
+        u0 = None if profile is None else profile(j)
+        start, u0 = ("constant", j) if u0 is None else ("profile", u0)
+    u = _to_box(mg.mask, u0)  # the start goes into the box once
+    b = b if np.ndim(b) == 0 else _to_box(mg.mask, b)
+    cut = _cells(mg.mask.shape, *np.divmod(np.flatnonzero(mg.mask)[cut], mg.mask.shape[1]))
+    del profile, gcut, u0  # not held through the solve
+    nodes, apply, times_diagonal = _fine(mg)
     eps64 = 64.0 * np.finfo(float).eps
 
-    def evaluate(uv):
-        """(residual, scaled max-norm, whether it is round-off) at uv; f is evaluated once."""
-        bf = b * fv(uv)
-        res_vec, floor = _apply(mg, uv)
-        res_vec[cut] += const
-        res_vec -= bf
-        floor[cut] += np.abs(const)
+    def evaluate(U):
+        """(residual, scaled max-norm, whether it is round-off) at U; f is evaluated once."""
+        bf = _times_b(f.f, b, U, nodes)
+        res = apply(U, np.empty_like(U))
+        res.reshape(-1)[cut] += const
+        res -= bf
+        floor = times_diagonal(U, np.empty_like(U))
+        np.abs(floor, out=floor)
+        floor.reshape(-1)[cut] += np.abs(const)
         floor += bf
         floor *= eps64
-        scaled = np.abs(res_vec)
-        at_floor = bool(np.all(scaled <= floor))
+        at_floor = all(bool(np.all(np.abs(r) <= fl)) for r, fl in zip(res, floor))  # by sublattice
         bf += 1.0
-        scaled /= bf
-        return res_vec, float(np.max(scaled)), at_floor
+        scaled = np.abs(np.divide(res, bf, out=bf), out=bf)  # |res| / (1 + b f(u)), exactly
+        return res, float(np.max(scaled)), at_floor
 
     res, norm, at_floor = evaluate(u)
     history = [norm]
     factorizations = cycles = 0
     tight = False  # a loose step was refined and no full step has been taken since
-    for _ in range(_MAX_NEWTON):
-        if norm <= tol or at_floor:
-            break
-        bfp = b * fpv(u)
-        if _affine(fpv, b, u, bfp):
-            # f is affine here, so the Newton model is exact: solve the step far
-            # enough to finish, as a linear problem should in one step
-            rtol = min(_FORCING, max(0.1 * tol / norm, _RTOL_FLOOR))
-        elif tight:
-            rtol = _FORCING
-        else:  # inexact Newton: the forcing term falls with the residual
-            rtol = min(0.1, max(_FORCING, _FORCING_SLOPE * max(norm, 10.0 * tol / norm)))
-        try:
-            solve = _defect_correction(bfp, mg, -res)
-            del res, bfp  # solve holds both on its box
-            delta, step_cycles = solve(rtol)
-        except SolveFailure as exc:
-            exc.residuals = list(history)
-            raise
-        if rtol <= _FORCING:
-            solve = None  # nothing to refine: not held through the line search
-        factorizations += 1  # one coarsest-level LU per step
-        cycles += step_cycles
-        step = 1.0
-        while step >= 2.0**-30:
-            u_try = delta * step
-            u_try += u
-            res_try, norm_try, floor_try = evaluate(u_try)
-            if math.isfinite(norm_try) and norm_try < norm:
+    try:
+        for _ in range(_MAX_NEWTON):
+            if norm <= tol or at_floor:
                 break
-            if solve is not None:
-                # a loose direction need not descend: continue its iteration, on the
-                # same coarsest LU, to _FORCING and search again from the full step
-                try:
-                    delta, total = solve(_FORCING)
-                except SolveFailure as exc:
-                    exc.residuals = list(history)
-                    raise
-                cycles += total - step_cycles
-                solve, tight = None, True
-                continue
-            step *= 0.5
+            bfp = _times_b(f.f_prime, b, u, nodes)
+            if _affine(f.f_prime, b, u, bfp, nodes):
+                # f is affine here, so the Newton model is exact: solve the step far
+                # enough to finish, as a linear problem should in one step
+                rtol = min(_FORCING, max(0.1 * tol / norm, _RTOL_FLOOR))
+            elif tight:
+                rtol = _FORCING
+            else:  # inexact Newton: the forcing term falls with the residual
+                rtol = min(0.1, max(_FORCING, _FORCING_SLOPE * max(norm, 10.0 * tol / norm)))
+            solve = _defect_correction(mg)
+            delta, step_cycles = solve(bfp, np.negative(res, out=res), rtol)
+            del res, bfp  # not held through the line search
+            if rtol <= _FORCING:
+                solve = None  # nothing to refine
+            factorizations += 1  # one coarsest-level LU per step
+            cycles += step_cycles
+            step = 1.0
+            while step >= 2.0**-30:
+                u_try = delta * step
+                u_try += u
+                res_try, norm_try, floor_try = evaluate(u_try)
+                if math.isfinite(norm_try) and norm_try < norm:
+                    break
+                if solve is not None:
+                    # a loose direction need not descend: continue its iteration, on the
+                    # same coarsest LU, to _FORCING and search again from the full step;
+                    # its bfp and rhs are recomputed from u, bit for bit
+                    del u_try, res_try
+                    delta, total = solve(_times_b(f.f_prime, b, u, nodes), -evaluate(u)[0],
+                                         _FORCING)
+                    cycles += total - step_cycles
+                    solve, tight = None, True
+                    continue
+                step *= 0.5
+            else:
+                if at_floor:
+                    break  # residual is pure round-off; nothing left to gain
+                raise SolveFailure(f"Newton damping floor reached (residual {norm:.3g})")
+            tight = tight and step < 1.0
+            u, res, norm, at_floor = u_try, res_try, norm_try, floor_try
+            del delta, solve, u_try, res_try  # not held through the next step's solve
+            history.append(norm)
         else:
-            if at_floor:
-                break  # residual is pure round-off; nothing left to gain
-            raise SolveFailure(f"Newton damping floor reached (residual {norm:.3g})",
-                               residuals=history)
-        tight = tight and step < 1.0
-        u, res, norm, at_floor = u_try, res_try, norm_try, floor_try
-        del delta, solve, res_try  # not held through the next step's solve
-        history.append(norm)
-    else:
-        raise SolveFailure(f"Newton did not converge in {_MAX_NEWTON} steps", residuals=history)
+            raise SolveFailure(f"Newton did not converge in {_MAX_NEWTON} steps")
+    except SolveFailure as exc:
+        exc.residuals = list(history)
+        raise
 
-    return grid.with_values(u, meta={
+    return grid.with_values(_natural(u)[mg.mask], meta={  # row-major once, at the end
         **grid.meta, "tol": tol, "newton_iters": len(history) - 1,
         "factorizations": factorizations, "cycles": cycles, "start": start,
         "residual_history": history})
@@ -701,34 +709,33 @@ def exhaust(grid: Field2D, f: Nonlinearity, bweight: Weight, j_schedule, tol):
              "cauchy_ratio": [], "center_value": [], "newton_iters": [],
              "factorizations": [], "cycles": []}
     center = int(np.argmax(grid.node_d))
+
+    def start(j):  # the level's Newton start, made in the call so that only the solve holds it
+        u0 = None if profile is None else profile(j)
+        return u_prev if u0 is None else u0 if u_prev is None else np.maximum(u_prev, u0)
+
     with _shared_operators(grid):  # one operator and level set for every j
         for j in js:
-            u0 = None if profile is None else profile(j)
-            if u0 is None:
-                u0 = u_prev
-            elif u_prev is not None:
-                u0 = np.maximum(u_prev, u0)
             try:
-                fld = solve_dirichlet(grid, f, bweight, j, tol, u0=u0)
+                fld = solve_dirichlet(grid, f, bweight, j, tol, u0=start(j))
             except SolveFailure as exc:
                 exc.partial = fields  # completed levels so far
                 raise
             u = fld.interior_values()
             diags["j"].append(j)
             diags["center_value"].append(float(u[center]))
-            diags["newton_iters"].append(fld.meta["newton_iters"])
-            diags["factorizations"].append(fld.meta["factorizations"])
-            diags["cycles"].append(fld.meta["cycles"])
+            for key in ("newton_iters", "factorizations", "cycles"):
+                diags[key].append(fld.meta[key])
             if u_prev is not None:
                 inc = u - u_prev
                 diags["increment_min"].append(float(inc.min()))
                 diags["increment_max"].append(float(inc.max()))
                 diags["core_increment"].append(
                     float(np.max(np.abs(inc[core]))) if core.any() else math.nan)
-                if len(diags["core_increment"]) >= 2 and diags["core_increment"][-2] > 0:
-                    diags["cauchy_ratio"].append(
-                        diags["core_increment"][-1] / diags["core_increment"][-2]
-                    )
+                del inc  # not held through the next level's solve
+                steps = diags["core_increment"]
+                if len(steps) >= 2 and steps[-2] > 0:
+                    diags["cauchy_ratio"].append(steps[-1] / steps[-2])
             fields.append(fld)
             u_prev = u
     limit = fields[-1]
@@ -752,12 +759,9 @@ def asymptotics_report_2d(fld: Field2D, p: ProfileFns, xi, bin_edges, prev_value
     ratio still moves by more than 1% are flagged as truncation-dominated.
     Raises ReportTruncated, with the rows so far, at the first empty bin.
     """
-    d = fld.node_d
-    u = fld.interior_values()
+    d, u = fld.node_d, fld.interior_values()
     bin_edges = np.asarray(bin_edges, dtype=float)
-
-    rows = []
-    flags = []
+    rows, flags = [], []
     for lo, hi in zip(bin_edges[:-1], bin_edges[1:]):
         sel = (d >= lo) & (d < hi)
         if not sel.any():
@@ -767,13 +771,9 @@ def asymptotics_report_2d(fld: Field2D, p: ProfileFns, xi, bin_edges, prev_value
             )
         pred = predicted_profile(p, xi, d[sel])
         ratio = u[sel] / pred
-        rows.append((lo, hi, int(sel.sum()), float(ratio.min()),
-                     float(np.median(ratio)), float(ratio.max())))
-        if prev_values is not None:
-            prev_ratio = prev_values[sel] / pred
-            moved = abs(np.median(ratio) - np.median(prev_ratio))
-            flags.append(bool(moved > 0.01 * abs(np.median(ratio))))
-        else:
-            flags.append(False)
+        median = np.median(ratio)
+        rows.append((lo, hi, int(sel.sum()), float(ratio.min()), float(median), float(ratio.max())))
+        flags.append(prev_values is not None and bool(
+            abs(median - np.median(prev_values[sel] / pred)) > 0.01 * abs(median)))
     return Report2D(bins=np.array(rows), flagged=np.array(flags),
                     meta={"xi": xi, "bin_edges": bin_edges.tolist()})

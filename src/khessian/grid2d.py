@@ -6,7 +6,7 @@ values.  The solver's Shortley-Weller stencil reads each node's neighbours
 off the lattice and asks the domain's ``arm_fraction`` for the fractional
 arm length to the exact boundary intersection on the arms that leave the
 domain.  Per-node distances to the boundary are closed-form for the disk.
-For the ellipse, run over all nodes at once, each node's nearest point
+For the ellipse, run over fixed blocks of nodes, each node's nearest point
 comes from one monotone Newton solve of Eberly's root equation, started
 from the larger of his two lower bounds (closed form on the major axis),
 polished by Newton in the boundary angle.
@@ -20,6 +20,8 @@ import numpy as np
 from .errors import ParameterError, require_positive_finite
 
 __all__ = ["Disk", "Ellipse", "Field2D", "build_grid", "parse_domain"]
+
+_BLOCK = 4096  # points per block of Ellipse.distance, which bounds its temporaries
 
 @dataclass(frozen=True)
 class Disk:
@@ -113,10 +115,20 @@ class Ellipse:
         reaches from below (_root).  On the major axis (y = 0) the
         nearest point is closed form.  Newton on the angle's stationarity
         condition then polishes the start; the distance is the smallest over
-        the polished parameter and the endpoints t = 0 and t = pi/2.
+        the polished parameter and the endpoints t = 0 and t = pi/2.  x and y are
+        alike shaped; points are taken _BLOCK at a time, each on its own.
         """
-        xs = np.abs(np.asarray(x, dtype=float)).ravel()
-        ys = np.abs(np.asarray(y, dtype=float)).ravel()
+        xs, ys = np.asarray(x, dtype=float).ravel(), np.asarray(y, dtype=float).ravel()
+        best = np.empty(xs.size)
+        for lo in range(0, xs.size, _BLOCK):
+            part = slice(lo, lo + _BLOCK)
+            best[part] = self._nearest(np.abs(xs[part]), np.abs(ys[part]))
+        if np.ndim(x) == 0:
+            return float(best[0])
+        return best.reshape(np.shape(x))
+
+    def _nearest(self, xs, ys):
+        """The distance of each point (xs, ys), flat arrays in the first quadrant."""
         A, B = self.a, self.b
         c2 = A * A - B * B
         half = 0.5 * math.pi
@@ -148,10 +160,7 @@ class Ellipse:
             run = run[~done]
             if run.size == 0:
                 break
-        best = np.where(ok, np.minimum(best, dist(t)), best)
-        if np.ndim(x) == 0:
-            return float(best[0])
-        return best.reshape(np.shape(x))
+        return np.where(ok, np.minimum(best, dist(t)), best)
 
     def describe(self):
         return {"kind": "ellipse", "a": self.a, "b": self.b}

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -264,22 +263,15 @@ class TestLiouvilleDirichlet:
         exact = liouville_g(grid.node_x, grid.node_y)
         assert np.max(np.abs(u - exact)) <= 1e-3
 
-    def test_memory_per_node(self):
+    def test_memory_per_node(self, traced_peak):
         # the grid keeps lattice indices, distances and values per node (24 bytes), and
-        # a solve's operators keep the cut arms alone, not dense per-arm arrays; counted
-        # from before the grid, after a smaller solve has filled the first-call caches
+        # a solve's operators keep the cut arms alone, not dense per-arm arrays; the
+        # Newton loop holds its vectors on the finest box alone
         f = Nonlinearity.exponential(2)
-        solve_dirichlet(build_grid(Disk(0.9), 1.0 / 32.0), f, W1, liouville_g, tol=1e-9)
-        tracemalloc.start()
-        try:
-            grid = build_grid(Disk(0.9), 1.0 / 128.0)
-            held = tracemalloc.get_traced_memory()[0]
-            solve_dirichlet(grid, f, W1, liouville_g, tol=1e-9)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        grid, held, peak = traced_peak(Disk(0.9), 1.0 / 128.0, lambda grid: solve_dirichlet(
+            grid, f, W1, liouville_g, tol=1e-9))
         assert held <= 32 * grid.n_interior
-        assert peak <= 156 * grid.n_interior
+        assert peak <= 128 * grid.n_interior
         # besides the levels, the operators hold four numbers per cut arm, and no matrix
         # with more than _COARSE_MAX rows: the coarsest level's is the only one, and a
         # level holds its node mask (a byte per cell of its box) and its cut rows alone
@@ -348,6 +340,14 @@ class TestExhaust:
                                [4.0, 6.0, 8.0, 10.0, 12.0], tol=1e-8)
         i0 = int(np.argmax(grid.node_d))
         assert abs(limit.interior_values()[i0] - math.log(2.0)) <= 5e-3
+
+    def test_exhaust_memory_per_node(self, traced_peak):
+        # the ellipse grid's distances are found block by block, and an exhaust holds
+        # neither a level's start nor its increment through the next level's solve
+        grid, held, peak = traced_peak(Ellipse(1.2, 1.0), 1.0 / 96.0, lambda grid: exhaust(
+            grid, Nonlinearity.exponential(2), W1, [6.0, 9.0, 12.0], tol=1e-8))
+        assert held <= 32 * grid.n_interior
+        assert peak <= 200 * grid.n_interior
 
 
 class TestSolveFailure:

@@ -67,16 +67,20 @@ def natural_masks(mg):
 
 
 def preconditioner(mg, bfp):
-    """One V-cycle for A - diag(bfp) as a function of the residual, both row-major."""
+    """One V-cycle for A - diag(bfp) as a function of the residual, both row-major; the
+    cycle itself runs on the finest box, as in a solve."""
     shifts = fd2d._shifts(mg, fd2d._to_box(mg.mask, bfp))
     cycle = fd2d._cycle(mg, shifts, fd2d._coarse_lu(mg, shifts))
     return lambda r: row_major(mg.mask, cycle(fd2d._to_box(mg.mask, r)))
 
 
 def newton_direction(bfp, mg, rhs, rtol):
-    """(x, cycles) solving (A - diag(bfp)) x = rhs to relative residual rtol, as one Newton
-    step does: one call of fd2d._defect_correction's solve."""
-    return fd2d._defect_correction(bfp, mg, rhs)(rtol)
+    """(x, cycles) solving (A - diag(bfp)) x = rhs to relative residual rtol, bfp, rhs and x
+    row-major, as one Newton step does: one call of fd2d._defect_correction's solve, which
+    takes and returns boxes."""
+    x, cycles = fd2d._defect_correction(mg)(fd2d._to_box(mg.mask, bfp),
+                                            fd2d._to_box(mg.mask, rhs), rtol)
+    return row_major(mg.mask, x), cycles
 
 
 def check_levels(domain, h, seed):
@@ -100,7 +104,8 @@ def check_levels(domain, h, seed):
         lx, ly = lattice(grid)
         mask, coarse_mask = masks[level], masks[level + 1]
         v = rng.standard_normal(grid.n_interior)
-        got = row_major(mask, fd2d._level_apply(lv, fd2d._to_box(mask, v)))
+        V = fd2d._to_box(mask, v)
+        got = row_major(mask, fd2d._level_apply(lv, V, np.empty_like(V)))
         assert close(got, assemble_operator(grid, 0.0)[0] @ v)
         P, cx, cy = prolongation(lx, ly)
         black = ((lx + ly) & 1) == 1
@@ -227,8 +232,8 @@ class TestLevels:
         shifts = fd2d._shifts(mg, fd2d._to_box(mg.mask, bfp))
         rng = np.random.default_rng(1)
         s = bfp
-        for level, (lv, inverse, mask) in enumerate(zip(mg.levels, fd2d._smoothers(mg, shifts),
-                                                        natural_masks(mg))):
+        for level, (lv, shift, mask) in enumerate(zip(mg.levels, shifts, natural_masks(mg))):
+            inverse = np.concatenate([fd2d._inverse(lv, shift, colour) for colour in (0, 1)])
             coarse = build_grid(domain, 2**level * h)
             want_op = assemble_operator(coarse, 0.0)[0] - sp.diags(s)
             v = rng.standard_normal(coarse.n_interior)
@@ -397,13 +402,13 @@ def recording_forcing(monkeypatch, distort=None):
     steps = []
     defect_correction = fd2d._defect_correction
 
-    def recording(bfp, mg, rhs):
-        solve, calls = defect_correction(bfp, mg, rhs), []
+    def recording(mg):
+        solve, calls = defect_correction(mg), []
         steps.append(calls)
 
-        def recorded(rtol):
+        def recorded(bfp, rhs, rtol):
             calls.append(rtol)
-            x, cycles = solve(rtol)
+            x, cycles = solve(bfp, rhs, rtol)
             return (x if distort is None else distort(rtol, x, len(steps))), cycles
 
         return recorded
