@@ -77,12 +77,6 @@ def _operator(cols, cut, off, diag, h):
     return sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(n, n))
 
 
-def _lattice(grid: Field2D):
-    """(lx, ly): grid's nodes on the lattice of spacing h, row-major."""
-    return (grid.node_ix + round(grid.xs[0] / grid.h),
-            grid.node_iy + round(grid.ys[0] / grid.h))
-
-
 def _stencil(domain, h, lx, ly):
     """Shortley-Weller stencil of spacing h at the nodes at lattice (lx, ly), row-major.
 
@@ -118,7 +112,7 @@ def _boundary_terms(grid: Field2D, arms, g):
     rows, t, theta, weight = arms
     if callable(g):
         (dx, dy), step = _DIRS[t].T, theta * grid.h
-        g = g(grid.xs[grid.node_ix[rows]] + step * dx, grid.ys[grid.node_iy[rows]] + step * dy)
+        g = g(grid.lx[rows] * grid.h + step * dx, grid.ly[rows] * grid.h + step * dy)
     gcut = np.broadcast_to(np.asarray(g, float), rows.shape)
     cut, row_of = np.unique(rows, return_inverse=True)
     const = np.zeros(cut.size)
@@ -135,7 +129,7 @@ def assemble_operator(grid: Field2D, g):
     where the arm is not cut.  solve_dirichlet applies the same stencil by array slices
     (_Level) and keeps the boundary terms on the cut arms (_boundary_terms).
     """
-    cols, _, off, diag, arms = _stencil(grid.domain, grid.h, *_lattice(grid))
+    cols, _, off, diag, arms = _stencil(grid.domain, grid.h, grid.lx, grid.ly)
     cut, const_cut, gcut = _boundary_terms(grid, arms, g)
     const = np.zeros(grid.n_interior)
     const[cut] = const_cut
@@ -283,12 +277,11 @@ def _multigrid(grid: Field2D):
     """(arms, multigrid): the cut arms of grid and its hierarchy down to <= _COARSE_MAX unknowns.
 
     Each level is the even sublattice of the one above, halved, on a natural box holding
-    the finer box's EE sublattice from even coordinates on, with the cut rows of its
-    stencil (_stencil).  No coarse grid or distance is formed, and no matrix but the
-    coarsest.  arms are the finest stencil's.
+    the finer box's EE sublattice, moved by at most one cell to start on even coordinates,
+    with the cut rows of its stencil (_stencil).  No coarse grid or distance is formed,
+    and no matrix but the coarsest.  arms are the finest stencil's.
     """
-    domain, h = grid.domain, grid.h
-    lx, ly = _lattice(grid)
+    domain, h, lx, ly = grid.domain, grid.h, grid.lx, grid.ly
     x0, y0 = lx.min() & ~1, ly.min() & ~1  # natural boxes start on even coordinates
     mask = np.zeros((2 * ((ly.max() - y0) // 2 + 1), 2 * ((lx.max() - x0) // 2 + 1)), bool)
     mask[ly - y0, lx - x0] = True
@@ -576,14 +569,17 @@ def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol, u0=
     residual max-norm <= tol, in at most _MAX_NEWTON steps, from u0, or else from the
     boundary profile phi(xi M(d) + Phi(j)) with j the mean boundary value
     (_boundary_profile), or the constant j when the profile does not exist or j <= 0.
-    Each step solves the Jacobian A - diag(b f'(u)) by multigrid defect correction
-    (_defect_correction) on the levels of _multigrid, built once per call or per exhaust.
-    The Newton loop runs on the finest box (_fine), 0 off the nodes; besides the levels a
-    solve holds the cut arms, b (one float for a constant weight), the boundary terms of
-    the cut rows and its iterates.  At scaled residual r a step is solved to relative
-    residual min(0.1, max(_FORCING, c r, 10 c tol / r)), c = _FORCING_SLOPE (inexact
-    Newton: the forcing term is O(r), which keeps quadratic convergence); where f is
-    affine, to min(_FORCING, max(0.1 tol / r, _RTOL_FLOOR)).
+    Each step solves with the Jacobian A - diag(b f'(u)), never assembled, by multigrid
+    defect correction (_defect_correction) on the levels of _multigrid, built once per
+    call or per exhaust; a step changes only their shifts.  The Newton loop runs on the
+    finest box (_fine), 0 off the nodes: the start goes in and the field comes out
+    row-major once each, and the residual, its round-off floor and the scaled norm are
+    built in place.  Besides the levels a solve holds the cut arms, b (one float for a
+    constant weight), the boundary terms of the cut rows and its iterates; the line search
+    holds neither a step's b f'(u) nor its right-hand side.  At scaled residual r a step
+    is solved to relative residual min(0.1, max(_FORCING, c r, 10 c tol / r)),
+    c = _FORCING_SLOPE (inexact Newton: the forcing term is O(r), which keeps quadratic
+    convergence); where f is affine, to min(_FORCING, max(0.1 tol / r, _RTOL_FLOOR)).
     When a loose direction's full step does not lower the max-norm residual, its
     iteration continues to _FORCING on the same coarsest LU and the line search restarts,
     and later steps are solved to _FORCING until a full step is taken.  A failed coarsest
@@ -696,7 +692,7 @@ def exhaust(grid: Field2D, f: Nonlinearity, bweight: Weight, j_schedule, tol):
     where that is higher (both are subsolutions of the level's continuous problem), or
     from the previous level alone when there is no profile.  Every j shares one set of
     cut arms and one multigrid hierarchy, built here once for the grid.  Diagnostics
-    track per-step increment bounds, the interior Cauchy ratio on the core region
+    track the smallest increment per step, the interior Cauchy ratio on the core region
     d >= 0.2 * diam, and per level the Newton steps, coarsest-level factorizations and
     V-cycles.  A SolveFailure carries the levels finished before it in ``partial``.
     """
@@ -705,9 +701,8 @@ def exhaust(grid: Field2D, f: Nonlinearity, bweight: Weight, j_schedule, tol):
     core = grid.node_d >= 0.2 * diam
     profile = _boundary_profile(grid, f, bweight)
     fields, u_prev = [], None
-    diags = {"j": [], "increment_min": [], "increment_max": [], "core_increment": [],
-             "cauchy_ratio": [], "center_value": [], "newton_iters": [],
-             "factorizations": [], "cycles": []}
+    diags = {"j": [], "increment_min": [], "core_increment": [], "cauchy_ratio": [],
+             "center_value": [], "newton_iters": [], "factorizations": [], "cycles": []}
     center = int(np.argmax(grid.node_d))
 
     def start(j):  # the level's Newton start, made in the call so that only the solve holds it
@@ -729,7 +724,6 @@ def exhaust(grid: Field2D, f: Nonlinearity, bweight: Weight, j_schedule, tol):
             if u_prev is not None:
                 inc = u - u_prev
                 diags["increment_min"].append(float(inc.min()))
-                diags["increment_max"].append(float(inc.max()))
                 diags["core_increment"].append(
                     float(np.max(np.abs(inc[core]))) if core.any() else math.nan)
                 del inc  # not held through the next level's solve

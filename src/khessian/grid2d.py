@@ -1,15 +1,15 @@
 """Cartesian grids on smooth convex 2d domains with curved-boundary stencils.
 
 Nodes live on the lattice x = i*h, y = j*h (the origin is always a lattice
-point); a grid stores only their lattice indices, boundary distances and
-values.  The solver's Shortley-Weller stencil reads each node's neighbours
-off the lattice and asks the domain's ``arm_fraction`` for the fractional
-arm length to the exact boundary intersection on the arms that leave the
-domain.  Per-node distances to the boundary are closed-form for the disk.
-For the ellipse, run over fixed blocks of nodes, each node's nearest point
-comes from one monotone Newton solve of Eberly's root equation, started
-from the larger of his two lower bounds (closed form on the major axis),
-polished by Newton in the boundary angle.
+point); a grid stores only their integer lattice coordinates and boundary
+distances.  The solver's Shortley-Weller stencil reads each node's
+neighbours off the lattice and asks the domain's ``arm_fraction`` for the
+fractional arm length to the exact boundary intersection on the arms that
+leave the domain.  Per-node distances to the boundary are closed-form for
+the disk.  For the ellipse, run over fixed blocks of nodes, each node's
+nearest point comes from one monotone Newton solve of Eberly's root
+equation, started from the larger of his two lower bounds (closed form on
+the major axis); the distance is read straight off that root.
 """
 
 import math
@@ -22,6 +22,9 @@ from .errors import ParameterError, require_positive_finite
 __all__ = ["Disk", "Ellipse", "Field2D", "build_grid", "parse_domain"]
 
 _BLOCK = 4096  # points per block of Ellipse.distance, which bounds its temporaries
+# y/b at or below which Ellipse.distance takes the major axis's closed form; the distance
+# is 1-Lipschitz, so that moves it by at most y, and Eberly's root stays clear of overflow
+_AXIS = 1e-150
 
 @dataclass(frozen=True)
 class Disk:
@@ -87,12 +90,12 @@ class Ellipse:
         Newton in u, which keeps its digits where the root nears s = -1 (close to the
         major axis), rises monotonically while F > 0.  It starts from the larger of
         Eberly's two lower bounds s = z1 - 1 and s = r0 z0 - r0, where F >= 0 too.
-        Entries with z1 = 0 are left at that start.
+        Entries with z1 <= _AXIS are left at that start.
         """
         A, B = self.a, self.b
         r0, c = (A / B) ** 2, (A * A - B * B) / (B * B)
         u = np.maximum(z1, 1.0 - r0 * (1.0 - z0))
-        run = np.flatnonzero(z1 > 0.0)
+        run = np.flatnonzero(z1 > _AXIS)
         while run.size:
             ur = u[run]
             p2 = (r0 * z0[run] / (ur + c)) ** 2
@@ -107,16 +110,16 @@ class Ellipse:
     def distance(self, x, y):
         """Distance to the nearest boundary point (a cos t, b sin t), elementwise.
 
-        Quadrant symmetry reduces to x, y >= 0 and t in [0, pi/2].  Each point
-        gets one start, the nearest point of D. Eberly, "Distance from a Point
-        to an Ellipse, an Ellipsoid, or a Hyperellipsoid" (2013): with
-        z = (x/a, y/b) and r0 = (a/b)^2 it lies at the root of the convex,
-        decreasing F(s) = (r0 z0/(s + r0))^2 + (z1/(s + 1))^2 - 1, which Newton
-        reaches from below (_root).  On the major axis (y = 0) the
-        nearest point is closed form.  Newton on the angle's stationarity
-        condition then polishes the start; the distance is the smallest over
-        the polished parameter and the endpoints t = 0 and t = pi/2.  x and y are
-        alike shaped; points are taken _BLOCK at a time, each on its own.
+        Quadrant symmetry reduces to x, y >= 0 and t in [0, pi/2].  The nearest
+        point is that of D. Eberly, "Distance from a Point to an Ellipse, an
+        Ellipsoid, or a Hyperellipsoid" (2013): with z = (x/a, y/b) and
+        r0 = (a/b)^2 it lies at the root of the convex, decreasing
+        F(s) = (r0 z0/(s + r0))^2 + (z1/(s + 1))^2 - 1, which Newton reaches
+        from below (_root); on the major axis (y <= _AXIS b) it is closed form.  The
+        distance is taken at that point's parameter t as it stands, with no
+        polish: it is stationary in t there, so a root within a few ulp gives
+        it to rounding.  x and y are alike shaped; points are taken _BLOCK at
+        a time, each on its own.
         """
         xs, ys = np.asarray(x, dtype=float).ravel(), np.asarray(y, dtype=float).ravel()
         best = np.empty(xs.size)
@@ -131,36 +134,13 @@ class Ellipse:
         """The distance of each point (xs, ys), flat arrays in the first quadrant."""
         A, B = self.a, self.b
         c2 = A * A - B * B
-        half = 0.5 * math.pi
-
-        def dist(t):
-            return np.hypot(xs - A * np.cos(t), ys - B * np.sin(t))
-
         r0, c = (A / B) ** 2, c2 / (B * B)
         z0, z1 = xs / A, ys / B
         u = self._root(z0, z1)
         # on the major axis: cos t = a x / (a^2 - b^2) inside the evolute, else t = 0
         cos_axis = np.minimum(A * xs / c2, 1.0) if c2 > 0.0 else np.ones_like(xs)
-        t = np.where(z1 > 0.0, np.arctan2(z1 * (u + c), r0 * z0 * u), np.arccos(cos_axis))
-
-        best = np.minimum(dist(np.zeros_like(xs)), dist(np.full_like(xs, half)))
-        ok = np.zeros(xs.shape, dtype=bool)
-        run = np.arange(xs.size)
-        for _ in range(100):
-            tr, xr, yr = t[run], xs[run], ys[run]
-            sin, cos = np.sin(tr), np.cos(tr)
-            g = A * xr * sin - B * yr * cos - c2 * sin * cos
-            gp = A * xr * cos + B * yr * sin - c2 * np.cos(2.0 * tr)
-            live = gp != 0.0  # a zero slope ends the polish unconverged
-            run, tr, g, gp = run[live], tr[live], g[live], gp[live]
-            t_new = np.clip(tr - g / gp, 0.0, half)
-            t[run] = t_new
-            done = np.abs(t_new - tr) <= 1e-12 * np.maximum(1.0, np.abs(tr))
-            ok[run[done]] = True
-            run = run[~done]
-            if run.size == 0:
-                break
-        return np.where(ok, np.minimum(best, dist(t)), best)
+        t = np.where(z1 > _AXIS, np.arctan2(z1 * (u + c), r0 * z0 * u), np.arccos(cos_axis))
+        return np.hypot(xs - A * np.cos(t), ys - B * np.sin(t))
 
     def describe(self):
         return {"kind": "ellipse", "a": self.a, "b": self.b}
@@ -185,41 +165,41 @@ def parse_domain(spec):
 
 @dataclass
 class Field2D:
-    """Grid geometry plus one scalar field on the interior nodes.
+    """Grid geometry, plus one scalar field on the interior nodes once a solve sets it.
 
-    Node i sits at (xs[node_ix[i]], ys[node_iy[i]]), at distance ``node_d[i]``
-    from the boundary, and carries the value ``u[i]``; nodes are numbered
-    row-major over (iy, ix).  Neighbours and arm fractions are not stored:
-    the solver derives them from the lattice coordinates and the domain.
+    Node i sits on the lattice at (lx[i] h, ly[i] h), int32 coordinates numbered
+    row-major over (ly, lx), at distance ``node_d[i]`` from the boundary.  A grid
+    from build_grid carries no values (u is None); with_values gives a solve's
+    field.  Neighbours and arm fractions are not stored: the solver derives them
+    from the lattice coordinates and the domain.
     """
 
     domain: object
     h: float
-    xs: np.ndarray
-    ys: np.ndarray
-    node_ix: np.ndarray
-    node_iy: np.ndarray
+    lx: np.ndarray
+    ly: np.ndarray
     node_d: np.ndarray
-    u: np.ndarray
+    u: np.ndarray = None
     meta: dict = field(default_factory=dict)
 
     @property
     def n_interior(self):
-        return len(self.node_ix)
+        return len(self.lx)
 
     @property
     def node_x(self):
-        return self.xs[self.node_ix]
+        return self.lx * self.h
 
     @property
     def node_y(self):
-        return self.ys[self.node_iy]
+        return self.ly * self.h
 
     def interior_values(self):
         return self.u
 
     def with_values(self, vec, meta=None):
-        out = replace(self, u=np.array(vec, dtype=float))
+        """This grid with the values vec, taken as they are (not copied) when a float array."""
+        out = replace(self, u=np.asarray(vec, dtype=float))
         out.meta = dict(self.meta if meta is None else meta)
         return out
 
@@ -228,17 +208,13 @@ def build_grid(domain, h):
     """Interior lattice nodes, numbered row-major, and their boundary distances."""
     require_positive_finite(h, "grid spacing")
     hx, hy = domain.half_extents
-    ix = np.arange(-(math.ceil(hx / h) + 1), math.ceil(hx / h) + 2)
-    iy = np.arange(-(math.ceil(hy / h) + 1), math.ceil(hy / h) + 2)
-    xs = ix * h
-    ys = iy * h
-    inside = np.asarray(domain.inside(*np.meshgrid(xs, ys)), dtype=bool)
+    mx, my = math.ceil(hx / h) + 1, math.ceil(hy / h) + 1
+    ix, iy = np.arange(-mx, mx + 1), np.arange(-my, my + 1)
+    inside = np.asarray(domain.inside(*np.meshgrid(ix * h, iy * h)), dtype=bool)
     if not inside.any():
         raise ParameterError("degenerate grid: no interior nodes")
-    node_iy, node_ix = np.nonzero(inside)
-    return Field2D(
-        domain=domain, h=h, xs=xs, ys=ys,
-        node_ix=node_ix.astype(np.int32), node_iy=node_iy.astype(np.int32),
-        node_d=np.asarray(domain.distance(xs[node_ix], ys[node_iy]), dtype=float),
-        u=np.zeros(node_ix.size), meta={"h": h, "domain": domain.describe()},
-    )
+    ly, lx = np.nonzero(inside)
+    lx, ly = (lx - mx).astype(np.int32), (ly - my).astype(np.int32)
+    return Field2D(domain=domain, h=h, lx=lx, ly=ly,
+                   node_d=np.asarray(domain.distance(lx * h, ly * h), dtype=float),
+                   meta={"h": h, "domain": domain.describe()})

@@ -83,11 +83,9 @@ class Profile:
         kp1 = self.k + 1.0
 
         def inv_H(s):
-            s = np.asarray(s, dtype=float)
-            with np.errstate(over="ignore"):
-                F = np.asarray(self._F(s), dtype=float)
-            out = np.where(np.isfinite(F), (kp1 * np.where(F > 0, F, 1.0)) ** (-1.0 / kp1), 0.0)
-            return np.where(F > 0, out, np.inf)
+            # 1 / ((k+1) F)^(1/(k+1)): inf where F = 0, 0 where F or (k+1) F overflows
+            with np.errstate(over="ignore", divide="ignore"):
+                return (kp1 * np.asarray(self._F(s), dtype=float)) ** (-1.0 / kp1)
 
         tail_hint = None
         if nl.kind == "power":

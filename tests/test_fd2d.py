@@ -42,11 +42,11 @@ class TestOperatorMatrix:
         g = lambda x, y: 1.0 + np.asarray(x, float) - 2.0 * np.asarray(y, float)
         A, const, gvals = assemble_operator(grid, g)
         x = np.cos(np.arange(grid.n_interior, dtype=float))
-        node = {ij: i for i, ij in enumerate(zip(grid.node_ix.tolist(), grid.node_iy.tolist()))}
+        node = {ij: i for i, ij in enumerate(zip(grid.lx.tolist(), grid.ly.tolist()))}
         cut = np.zeros((grid.n_interior, 4), dtype=bool)
         Ax = A @ x
         for (ix, iy), i in node.items():
-            x0, y0 = grid.xs[ix], grid.ys[iy]
+            x0, y0 = ix * h, iy * h
             nbr, arm = [], []
             for t, (dx, dy) in enumerate(((1, 0), (-1, 0), (0, 1), (0, -1))):  # E, W, N, S
                 nbr.append(node.get((ix + dx, iy + dy)))
@@ -264,14 +264,14 @@ class TestLiouvilleDirichlet:
         assert np.max(np.abs(u - exact)) <= 1e-3
 
     def test_memory_per_node(self, traced_peak):
-        # the grid keeps lattice indices, distances and values per node (24 bytes), and
-        # a solve's operators keep the cut arms alone, not dense per-arm arrays; the
-        # Newton loop holds its vectors on the finest box alone
+        # the grid keeps two int32 lattice coordinates and a distance per node (16 bytes),
+        # and no values; a solve's operators keep the cut arms alone, not dense per-arm
+        # arrays; the Newton loop holds its vectors on the finest box alone
         f = Nonlinearity.exponential(2)
         grid, held, peak = traced_peak(Disk(0.9), 1.0 / 128.0, lambda grid: solve_dirichlet(
             grid, f, W1, liouville_g, tol=1e-9))
-        assert held <= 32 * grid.n_interior
-        assert peak <= 128 * grid.n_interior
+        assert held <= 20 * grid.n_interior
+        assert peak <= 112 * grid.n_interior
         # besides the levels, the operators hold four numbers per cut arm, and no matrix
         # with more than _COARSE_MAX rows: the coarsest level's is the only one, and a
         # level holds its node mask (a byte per cell of its box) and its cut rows alone
@@ -342,12 +342,14 @@ class TestExhaust:
         assert abs(limit.interior_values()[i0] - math.log(2.0)) <= 5e-3
 
     def test_exhaust_memory_per_node(self, traced_peak):
-        # the ellipse grid's distances are found block by block, and an exhaust holds
-        # neither a level's start nor its increment through the next level's solve
+        # the ellipse grid's distances are found block by block, an exhaust holds
+        # neither a level's start nor its increment through the next level's solve, and
+        # the profile inversion of a level's start makes no per-point temporaries beyond
+        # F and its power
         grid, held, peak = traced_peak(Ellipse(1.2, 1.0), 1.0 / 96.0, lambda grid: exhaust(
             grid, Nonlinearity.exponential(2), W1, [6.0, 9.0, 12.0], tol=1e-8))
-        assert held <= 32 * grid.n_interior
-        assert peak <= 200 * grid.n_interior
+        assert held <= 20 * grid.n_interior
+        assert peak <= 170 * grid.n_interior
 
 
 class TestSolveFailure:

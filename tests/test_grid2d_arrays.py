@@ -5,6 +5,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from khessian.fd2d import assemble_operator
 from khessian.grid2d import Disk, Ellipse, build_grid
@@ -62,7 +64,8 @@ def test_ellipse_distance_matches_per_node_newton(ell, h):
     grid = build_grid(ell, h)
     ref = np.array([scalar_distance(ell, float(x), float(y))
                     for x, y in zip(grid.node_x, grid.node_y)])
-    # same iteration; numpy's sin and cos may round differently from math's
+    # an angle Newton per node against Eberly's root: both reach the nearest point, and
+    # the distance, stationary there, agrees to rounding
     assert np.max(np.abs(grid.node_d - ref)) <= 4.0 * np.finfo(float).eps
 
 
@@ -79,13 +82,13 @@ def test_arms_match_per_node_loop(domain, h):
 
     gvals = assemble_operator(grid, g)[2]
     (x_end, y_end), = calls
-    nodes = set(zip(grid.node_ix.tolist(), grid.node_iy.tolist()))
+    nodes = set(zip(grid.lx.tolist(), grid.ly.tolist()))
     want = np.full(gvals.shape + (2,), np.nan)
-    for i, (ix, iy) in enumerate(zip(grid.node_ix.tolist(), grid.node_iy.tolist())):
+    for i, (ix, iy) in enumerate(zip(grid.lx.tolist(), grid.ly.tolist())):
         for t, (dx, dy) in enumerate(DIRS):
             if (ix + dx, iy + dy) in nodes:
                 continue
-            x0, y0 = grid.xs[ix], grid.ys[iy]
+            x0, y0 = ix * h, iy * h
             theta = scalar_arm(domain, x0, y0, dx, dy, h)
             want[i, t] = (x0 + theta * h * dx, y0 + theta * h * dy)
     cut = ~np.isnan(want[:, :, 0])
@@ -122,13 +125,15 @@ def mp_root(a, b, x, y):
         a, b, x, y = mp.mpf(a), mp.mpf(b), abs(mp.mpf(x)), abs(mp.mpf(y))
         r0, z0, z1 = (a / b) ** 2, x / a, y / b
         lo, hi = z1, mp.mpf(1)  # F(u) >= 0 at u = z1 and < 0 at u = 1 inside
-        for _ in range(150):  # 2^-150 of the bracket: past 40 digits
-            u = (lo + hi) / 2
-            if (r0 * z0 / (u - 1 + r0)) ** 2 + (z1 / u) ** 2 > 1:
+        # geometric halving, 2^-150 of the bracket's log-width: past 40 digits however
+        # small the root, which tends to 0 with y
+        for _ in range(150):
+            u = mp.sqrt(lo * hi)
+            if (r0 * z0 / (u + (r0 - 1))) ** 2 + (z1 / u) ** 2 > 1:
                 lo = u
             else:
                 hi = u
-        return (lo + hi) / 2
+        return mp.sqrt(lo * hi)
 
 
 def mp_distance(a, b, x, y):
@@ -142,13 +147,13 @@ def mp_distance(a, b, x, y):
             x0 = a * a * x / c2
             return mp.hypot(x - x0, b * mp.sqrt(1 - (x0 / a) ** 2))
         r0, u = (a / b) ** 2, mp_root(a, b, x, y)
-        return mp.hypot(x - r0 * x / (u - 1 + r0), y - y / u)
+        return mp.hypot(x - r0 * x / (u + (r0 - 1)), y - y / u)
 
 
 def test_ellipse_root_matches_mpmath():
-    # the root Newton alone, whose early stop the angle polish would hide from the
-    # distance: on a sample of the fd2d_ellipse grid's nodes and at y = 1e-15 b near the
-    # major axis, inside and outside the evolute, the root is within a few ulp
+    # the root Newton alone, which sets the distance with no polish after it: on a
+    # sample of the fd2d_ellipse grid's nodes and at y = 1e-15 b near the major axis,
+    # inside and outside the evolute, the root is within a few ulp
     a, b = 1.2, 1.0
     ell = Ellipse(a, b)
     grid = build_grid(ell, 1.0 / 96.0)
@@ -185,3 +190,21 @@ def test_ellipse_distance_matches_mpmath(a):
     d = ell.distance(x, y)
     ref = np.array([float(mp_distance(a, 1.0, xi, yi)) for xi, yi in zip(x, y)])
     assert np.max(np.abs(d - ref)) <= 2.0 * np.finfo(float).eps * a
+
+
+@settings(max_examples=150)
+@given(st.one_of(st.floats(1.0, 50.0), st.floats(1e-15, 1e-6).map(lambda e: 1.0 + e)),
+       st.floats(0.0, 2.0 * math.pi), st.floats(0.0, 1.0, exclude_max=True),
+       st.floats(0.0, 1.0, exclude_max=True), st.floats(-320.0, -1.0), st.floats(-12.0, -2.0))
+def test_ellipse_distance_matches_mpmath_property(a, t, rad, f, ey, eb):
+    # property: on ellipses from near-circular to a/b = 50, at an interior point, a point
+    # inside the evolute at 10^ey b from the major axis (down to subnormal) and one just
+    # inside the boundary, the distance read off Eberly's root is within 2 eps a of the
+    # 40-digit one
+    ell = Ellipse(a, 1.0)
+    x = [a * rad * math.cos(t), f * (a * a - 1.0) / a, (1.0 - 10.0**eb) * a * math.cos(t)]
+    y = [rad * math.sin(t), 10.0**ey, (1.0 - 10.0**eb) * math.sin(t)]
+    x, y = np.array(x), np.array(y)
+    assume(np.all(ell.inside(x, y)))
+    ref = np.array([float(mp_distance(a, 1.0, xi, yi)) for xi, yi in zip(x, y)])
+    assert np.max(np.abs(ell.distance(x, y) - ref)) <= 2.0 * np.finfo(float).eps * a
