@@ -64,6 +64,7 @@ _EXACT_POWER = 1e-12
 _EXTRA_DECADES = 8  # decades added above a table whose tail exponent stays <= 1.01
 _SUP_DECADES, _SUP_REL = 40, 1e-9  # sup_value: decades added below, relative change to stop
 _CUMULATIVE_PER_DECADE = 128  # nodes per decade of cumulative_from_zero's tables
+_PANEL_BLOCK = 2048  # panels per evaluation of panel_integrals' integrand
 
 
 def panel_points(a, b):
@@ -86,7 +87,21 @@ def panel_partials(vals, half):
 
 
 def panel_integrals(fn, a, b):
-    """Fixed 10-point Gauss-Legendre quadrature of ``fn`` over each [a, b] (broadcast)."""
+    """Fixed 10-point Gauss-Legendre quadrature of ``fn`` over each [a, b] (broadcast).
+
+    ``fn`` acts elementwise.  More than ``_PANEL_BLOCK`` panels are taken that many at a
+    time, so the (block, 10) temporaries stay bounded however many panels there are; a
+    panel's value does not depend on the block it falls in.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    shape = np.broadcast(a, b).shape
+    if math.prod(shape) > _PANEL_BLOCK:
+        a, b = (v.reshape(-1) for v in np.broadcast_arrays(a, b))
+        out = np.empty(a.size)
+        for i in range(0, out.size, _PANEL_BLOCK):
+            block = slice(i, i + _PANEL_BLOCK)
+            out[block] = panel_integrals(fn, a[block], b[block])
+        return out.reshape(shape)
     pts, half = panel_points(a, b)
     return panel_sums(np.asarray(fn(pts), dtype=float), half)
 

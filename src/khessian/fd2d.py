@@ -3,25 +3,30 @@
 Damped Newton on the Shortley-Weller 5-point discretisation of Delta u = b(d(x)) f(u),
 started from the paper's boundary profile phi(xi M(d) + Phi(j)) shifted to equal the mean
 boundary value j on the boundary, or from the constant j where that profile is not
-defined.  Each Newton step is solved by multigrid defect correction, only as far as the
-Newton residual needs (inexact Newton, Dembo, Eisenstat & Steihaug 1982): the forcing
-tolerance is proportional to the residual, tightened to 1e-6 when a loose direction fails
-to descend.  The multigrid is matrix-free: level l holds the fine nodes whose lattice
-coordinates 2^l divides, on a lattice box stored as its four parity sublattices, applies
-the uniform stencil of spacing 2^l h by array slices and recomputes the rows with a cut
-arm, which with its node mask is all it holds.  The Newton loop runs on the finest box.
-Levels are shifted by the Galerkin diagonal of b f'(u), smoothed by red-black Gauss-Seidel
-and linked by full weighting and bilinear prolongation; only the coarsest, at most a
-thousand unknowns, is a matrix, factored by SuperLU.  The orders k >= 2 are handled
-radially elsewhere.  Levels and the coarse fill-reducing ordering are fixed, so identical
-inputs give bit-identical fields on one machine.
+defined.  Each Newton step is solved by multigrid iteration, only as far as the Newton
+residual needs (inexact Newton, Dembo, Eisenstat & Steihaug 1982): the forcing tolerance
+is proportional to the residual, tightened to 1e-6 when a loose direction fails to
+descend.  Multigrid is a stationary iteration, x <- x + M (b - J x), and a V-cycle run on
+the iterate itself gives that update (Trottenberg, Oosterlee & Schueller, Multigrid,
+2001): each cycle works in place on the step's iterate, its red residual built in the
+iterate's red half, which the post-sweep sets anew, and the residual's norm is built a
+sublattice at a time.  So a solve holds four fine vectors: the Newton iterate u, b f'(u),
+the step's right-hand side and its iterate.  The multigrid is matrix-free: level l holds
+the fine nodes whose lattice coordinates 2^l divides, on a lattice box stored as its four
+parity sublattices, applies the uniform stencil of spacing 2^l h by array slices and
+recomputes the rows with a cut arm, which with its node mask is all it holds.  The Newton
+loop runs on the finest box.  Levels are shifted by the Galerkin diagonal of b f'(u),
+smoothed by red-black Gauss-Seidel and linked by full weighting and bilinear
+prolongation; only the coarsest, at most a thousand unknowns, is a matrix, factored by
+SuperLU.  The orders k >= 2 are handled radially elsewhere.  Levels and the coarse
+fill-reducing ordering are fixed, so identical inputs give bit-identical fields on one
+machine.
 """
 
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from functools import partial
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
@@ -196,11 +201,12 @@ def _boundary_profile(grid: Field2D, f: Nonlinearity, bweight: Weight):
 _SUB = ((0, 0), (1, 1), (0, 1), (1, 0))
 _SUB_X, _SUB_Y = (2, 3, 0, 1), (3, 2, 1, 0)
 _OF_PARITY = np.array([[0, 2], [3, 1]])  # the sublattice of parity (y, x)
+_COLOURS = (slice(0, 2), slice(2, 4))  # the sublattices of the red and of the black cells
 
 
-def _parity(box, out=None):
+def _parity(box):
     """The natural box (2 my, 2 mx), row-major on the lattice, as its sublattices (4, my, mx)."""
-    return np.stack([box[p::2, q::2] for p, q in _SUB], out=out)
+    return np.stack([box[p::2, q::2] for p, q in _SUB])
 
 
 def _natural(V):
@@ -211,22 +217,32 @@ def _natural(V):
     return box
 
 
-def _to_box(mask, x, out=None):
+def _window(V, oy, ox, my, mx):
+    """The natural box of the sublattices V from its place (oy, ox) on, my by mx, read off V."""
+    out = np.empty((my, mx))
+    for (p, q), v in zip(_SUB, V):
+        a, c = (p - oy) & 1, (q - ox) & 1  # out's rows a::2 and columns c::2 have parity (p, q)
+        out[a::2, c::2] = v[(oy + a) >> 1:, (ox + c) >> 1:][:(my - a + 1) // 2, :(mx - c + 1) // 2]
+    return out
+
+
+def _to_box(mask, x):
     """The sublattices holding x on the nodes of the natural box mask, row-major, 0 elsewhere."""
     box = np.zeros(mask.shape)
     box[mask] = x
-    return _parity(box, out)
+    return _parity(box)
 
 
 @dataclass(frozen=True)
 class _Level:
-    """One smoothed level: its nodes on a lattice box at spacing 2^l h, and its cut rows.
+    """One level: its nodes on a lattice box at spacing 2^l h, and its cut rows.
 
     Vectors are 0 off the nodes.  Rows take the uniform weights 1/(2^l h)^2 and
-    -4/(2^l h)^2 but the cut rows: their cells (flat in the sublattices, ascending, so the
-    n_red red ones first), neighbours' cells S, W, E, N (their own across a cut arm),
-    weights (0 across a cut arm) and diagonal.  The next level's nodes are sublattice
-    EE's, from (oy, ox) on its natural box (ny, nx).
+    -4/(2^l h)^2 but the cut rows: their cells (flat in the sublattices, ascending; those
+    of sublattice k from starts[k] to starts[k + 1]), neighbours' cells S, W, E, N (their
+    own across a cut arm), weights (0 across a cut arm) and diagonal.  The next level's
+    nodes are sublattice EE's, from (oy, ox) on its natural box (ny, nx); a grid that is
+    its own coarsest level has no coarse_box.
     """
 
     mask: np.ndarray  # (4, my, mx) bool: the nodes
@@ -235,8 +251,8 @@ class _Level:
     nbrs: np.ndarray
     off: np.ndarray
     diag: np.ndarray
-    n_red: int
-    coarse_box: tuple  # (oy, ox, ny, nx)
+    starts: tuple
+    coarse_box: tuple  # (oy, ox, ny, nx), or None
 
 
 @dataclass(frozen=True)
@@ -244,12 +260,14 @@ class _Multigrid:
     """Levels of one grid, fine to coarse, and the coarsest operator, fixed per grid.
 
     Level l holds the fine nodes whose lattice coordinates 2^l divides, as
-    build_grid(domain, 2^l h) would, since (2^l i) h and i (2^l h) round alike.  mask and
-    coarse_mask are the finest and coarsest nodes on natural boxes, row-major like the
-    grid and coarse.
+    build_grid(domain, 2^l h) would, since (2^l i) h and i (2^l h) round alike.  levels
+    are the smoothed ones; fine is the first, or the grid's own _Level when the grid is
+    the coarsest level.  mask and coarse_mask are the finest and coarsest nodes on natural
+    boxes, row-major like the grid and coarse.
     """
 
     levels: list
+    fine: _Level
     mask: np.ndarray
     coarse: sp.csc_matrix
     coarse_mask: np.ndarray
@@ -267,10 +285,11 @@ def _level(mask, ix, iy, stencil, h, coarse_box):
     cells = _cells(mask.shape, iy, ix)  # per node
     cols, own = cols[cut], cells[cut]
     present, order = cols >= 0, np.argsort(own)
-    nbrs = np.where(present, cells[cols], own[:, None])
-    return _Level(mask=_parity(mask), inv_h2=1.0 / (h * h), cells=own[order],
-                  nbrs=nbrs[order], off=np.where(present, off, 0.0)[order], diag=diag[order],
-                  n_red=int(np.count_nonzero(own < mask.size // 2)), coarse_box=coarse_box)
+    nbrs, own = np.where(present, cells[cols], own[:, None]), own[order]
+    return _Level(mask=_parity(mask), inv_h2=1.0 / (h * h), cells=own, nbrs=nbrs[order],
+                  off=np.where(present, off, 0.0)[order], diag=diag[order],
+                  starts=tuple(np.searchsorted(own, np.arange(5) * (mask.size // 4)).tolist()),
+                  coarse_box=coarse_box)
 
 
 def _multigrid(grid: Field2D):
@@ -297,8 +316,9 @@ def _multigrid(grid: Field2D):
         even = ((lx | ly) & 1) == 0
         lx, ly, x0, y0, h = lx[even] >> 1, ly[even] >> 1, (x0 >> 1) - ox, (y0 >> 1) - oy, 2 * h
         *stencil, _ = _stencil(domain, h, lx, ly)
-    return arms, _Multigrid(levels=levels, mask=top, coarse=_operator(*stencil, h).tocsc(),
-                            coarse_mask=mask)
+    fine = levels[0] if levels else _level(mask, lx - x0, ly - y0, stencil, h, None)
+    return arms, _Multigrid(levels=levels, fine=fine, mask=top,
+                            coarse=_operator(*stencil, h).tocsc(), coarse_mask=mask)
 
 
 def _nsum(V, k, out):
@@ -323,49 +343,47 @@ def _corners(Y):
     return Y
 
 
-def _product(lv: _Level, V, colour, out):
-    """out = (A - D) V on one colour's cells (0 red, 1 black), D = diag A; not 0 off the nodes.
+def _rows(lv: _Level, part):
+    """(rows, cells): the cut rows of the sublattices part (a slice), and their flat places
+    in part's sublattices."""
+    rows = slice(lv.starts[part.start], lv.starts[part.stop])
+    return rows, lv.cells[rows] - part.start * lv.mask[0].size
+
+
+def _product(lv: _Level, V, part, out):
+    """out = (A - D) V on the sublattices part (a slice), D = diag A; not 0 off the nodes.
 
     Reads the other colour only: the uniform weight, then the cut rows exactly.
     """
-    for i in (0, 1):
-        _nsum(V, 2 * colour + i, out[i])
+    for i, k in enumerate(range(part.start, part.stop)):
+        _nsum(V, k, out[i])
     out *= lv.inv_h2
-    rows = slice(None, lv.n_red) if colour == 0 else slice(lv.n_red, None)
-    out.reshape(-1)[lv.cells[rows] - colour * out.size] = np.einsum(
-        "ij,ij->i", lv.off[rows], V.reshape(-1)[lv.nbrs[rows]])
+    rows, cells = _rows(lv, part)
+    out.reshape(-1)[cells] = np.einsum("ij,ij->i", lv.off[rows], V.reshape(-1)[lv.nbrs[rows]])
     return out
 
 
-def _level_apply(lv: _Level, X, out):
-    """out = A_l X for the level's Shortley-Weller operator A_l, X in its box, 0 off the nodes."""
-    _times_diagonal(lv, X, out)
-    for colour, half in enumerate((out[:2], out[2:])):
-        half += _product(lv, X, colour, np.empty_like(half))
-    out *= lv.mask
+def _diagonal(lv: _Level, part, s=None):
+    """The diagonal of A - diag(s) on the sublattices part (a slice); of A without a box s."""
+    rows, cells = _rows(lv, part)
+    if s is None:
+        d = np.full(lv.mask[part].shape, -4.0 * lv.inv_h2)
+        d.reshape(-1)[cells] = lv.diag[rows]
+    else:
+        d = np.subtract(-4.0 * lv.inv_h2, s[part])
+        d.reshape(-1)[cells] = lv.diag[rows] - s[part].reshape(-1)[cells]
+    return d
+
+
+def _apply(lv: _Level, X, part, out, s=None):
+    """out = (A - diag(s)) X on the sublattices part of one colour, 0 off the nodes; out may
+    be X[part], which is read first."""
+    d = _diagonal(lv, part, s)
+    d *= X[part]
+    _product(lv, X, part, out)
+    out += d
+    out *= lv.mask[part]
     return out
-
-
-def _times_diagonal(lv: _Level, X, out):
-    """out = D X for the diagonal D of the level's Shortley-Weller operator, X on its box."""
-    np.multiply(X, -4.0 * lv.inv_h2, out=out)
-    out.reshape(-1)[lv.cells] = lv.diag * X.reshape(-1)[lv.cells]
-    return out
-
-
-def _coarse_apply(mask, apply, X, out=None):
-    """apply, which maps the nodes of the natural box mask row-major, on a box X."""
-    return _to_box(mask, apply(_natural(X)[mask]), out)
-
-
-def _fine(mg: _Multigrid):
-    """(nodes, apply, diagonal) of the finest box: its node mask, X, out -> A X and D X."""
-    if mg.levels:
-        lv = mg.levels[0]
-        return lv.mask, partial(_level_apply, lv), partial(_times_diagonal, lv)
-    d = _to_box(mg.mask, mg.coarse.diagonal())  # the grid is the coarsest level
-    return (_parity(mg.mask), partial(_coarse_apply, mg.mask, mg.coarse.dot),
-            lambda X, out: np.multiply(d, X, out=out))
 
 
 def _down(lv: _Level, v):
@@ -385,7 +403,7 @@ def _restrict(lv: _Level, red):
 def _prolong(lv: _Level, E, x):
     """x += P e on the black cells, e on the next level's box E; the post-sweep sets red."""
     oy, ox, _, _ = lv.coarse_box
-    e = _natural(E)[oy:oy + x.shape[1], ox:ox + x.shape[2]]  # on EE's cells
+    e = _window(E, oy, ox, *x.shape[1:])  # on EE's cells
     e *= 0.5
     x[2] += e  # OE lies between EE (i, j) and (i, j + 1), EO between (i, j) and (i + 1, j)
     x[2][:, :-1] += e[:, 1:]
@@ -418,40 +436,44 @@ def _shifts(mg: _Multigrid, bfp):
 
 def _inverse(lv: _Level, s, colour):
     """1 / diagonal of A_l - diag(s) on one colour's cells (0 red, 1 black), 0 off the nodes."""
-    half = slice(2 * colour, 2 * colour + 2)
-    d = np.subtract(-4.0 * lv.inv_h2, s[half])
-    rows = slice(None, lv.n_red) if colour == 0 else slice(lv.n_red, None)
-    cells = lv.cells[rows] - colour * d.size
-    d.reshape(-1)[cells] = lv.diag[rows] - s[half].reshape(-1)[cells]
-    return np.divide(lv.mask[half], d, out=d)
+    part = _COLOURS[colour]
+    d = _diagonal(lv, part, s)
+    return np.divide(lv.mask[part], d, out=d)
 
 
 def _sweep(lv: _Level, x, r, s, colour):
     """Gauss-Seidel on one colour's cells: x = (r - (A - D) x) / (D - s) there, D - s made anew."""
-    half = slice(2 * colour, 2 * colour + 2)
-    out = _product(lv, x, colour, x[half])  # reads the other colour only
-    np.subtract(r[half], out, out=out)
+    part = _COLOURS[colour]
+    out = _product(lv, x, part, x[part])  # reads the other colour only
+    np.subtract(r[part], out, out=out)
     out *= _inverse(lv, s, colour)
 
 
-def _vcycle(levels, shifts, coarse, r):
-    """One V-cycle for J x = r from x = 0, r and x on the top level's box.
+def _vcycle(levels, shifts, coarse, r, x=None):
+    """One V-cycle for J x = r on the top level's box: x + M (r - J x) in place, or M r.
 
-    One red-black Gauss-Seidel sweep (``shifts``: the levels' s) before and after the
-    coarse correction on every level, and the coarsest level's solve ``coarse``; after
-    the pre-sweep the black residual is zero, so only the red one is restricted.  A fixed
-    linear map of r, exact when there are no levels.
+    x is None for a cycle from x = 0, which returns a new x.  One red-black Gauss-Seidel
+    sweep (``shifts``: the levels' s) before and after the coarse correction on every
+    level, and the coarsest level's solve ``coarse``, whose new vector is returned when
+    there are no levels.  After the pre-sweep the black residual is zero, so only the red
+    one is restricted: it is built in x's red half, which the post-sweep sets anew.  From
+    x = 0 it is -A_rb x_b, and coarser levels start from 0.  M is a fixed linear map,
+    exact when there are no levels.
     """
     if not levels:
         return coarse(r)
     lv, s = levels[0], shifts[0]
-    x = np.empty_like(r)  # the red sweep from x = 0; the black sweep sets the black cells
-    np.multiply(r[:2], _inverse(lv, s, 0), out=x[:2])
-    _sweep(lv, x, r, s, 1)
-    red = _product(lv, x, 0, x[:2])  # A_rb x_b, on the red cells the post-sweep sets
-    red *= lv.mask[:2]
-    # the correction for the red residual -A_rb x_b, not held through the post-sweeps
-    _prolong(lv, -_vcycle(levels[1:], shifts[1:], coarse, _restrict(lv, red)), x)
+    if x is None:  # the red sweep from x = 0; the black sweep sets the black cells
+        x = np.empty_like(r)
+        np.multiply(r[:2], _inverse(lv, s, 0), out=x[:2])
+        _sweep(lv, x, r, s, 1)
+        red = np.negative(_product(lv, x, _COLOURS[0], x[:2]), out=x[:2])
+        red *= lv.mask[:2]
+    else:
+        _sweep(lv, x, r, s, 0)
+        _sweep(lv, x, r, s, 1)
+        red = np.subtract(r[:2], _apply(lv, x, _COLOURS[0], x[:2], s), out=x[:2])
+    _prolong(lv, _vcycle(levels[1:], shifts[1:], coarse, _restrict(lv, red)), x)
     _sweep(lv, x, r, s, 0)
     _sweep(lv, x, r, s, 1)
     return x
@@ -467,22 +489,23 @@ def _coarse_lu(mg: _Multigrid, shifts):
 
 
 def _cycle(mg: _Multigrid, shifts, coarse_lu):
-    """One V-cycle for A - diag(shifts[0]) as a function of a residual on the finest box."""
-    coarse = lambda r: _coarse_apply(mg.coarse_mask, coarse_lu.solve, r)
-    return lambda r: _vcycle(mg.levels, shifts, coarse, r)
+    """One V-cycle for A - diag(shifts[0]) on the finest box: (r, x=None) -> _vcycle's x."""
+    coarse = lambda r: _to_box(mg.coarse_mask, coarse_lu.solve(_natural(r)[mg.coarse_mask]))
+    return lambda r, x=None: _vcycle(mg.levels, shifts, coarse, r, x)
 
 
 def _defect_correction(mg: _Multigrid):
-    """Defect correction for (A - diag(bfp)) x = rhs, one V-cycle M per iteration.
+    """Multigrid iteration for (A - diag(bfp)) x = rhs: one V-cycle on x per iteration.
 
     Returns solve(bfp, rhs, rtol) -> (x, cycles), on the finest box; x is the iterate, which
-    the next call continues.  From x = 0, or from the last x, x += M r with r = rhs -
-    (A x - bfp x), the true residual, until ||r||_2 <= rtol ||rhs||_2, at least one cycle
-    in all; cycles counts every cycle so far.  Every call takes the same bfp and rhs, holds
-    neither once it returns and runs on the first's coarsest LU.  Raises SolveFailure when
-    the factorization fails, a residual is not finite or _MAX_CYCLES cycles in all miss rtol.
+    the next call continues.  From x = 0, or from the last x, the V-cycle takes x to
+    x + M (rhs - J x) in place (_vcycle) until ||rhs - J x||_2 <= rtol ||rhs||_2, at least
+    one cycle in all; cycles counts every cycle so far.  The residual is built a
+    sublattice at a time for its norm alone, so the iteration holds x beside bfp and rhs
+    and no other fine box.  Every call takes the same bfp and rhs, holds neither once it
+    returns and runs on the first's coarsest LU.  Raises SolveFailure when the
+    factorization fails, a residual is not finite or _MAX_CYCLES cycles in all miss rtol.
     """
-    apply = _fine(mg)[1]
     coarse_lu = last = None  # last: the (x, cycles) of the last call
 
     def solve(bfp, rhs, rtol):
@@ -491,30 +514,27 @@ def _defect_correction(mg: _Multigrid):
         if coarse_lu is None:
             coarse_lu = _coarse_lu(mg, shifts)
         cycle = _cycle(mg, shifts, coarse_lu)
+        r = np.empty_like(rhs[:1])
 
-        def residual(x, r):
-            """r = (bfp x - A x) + rhs, built in r."""
-            apply(x, r)
-            for rk, bk, xk in zip(r, bfp, x):  # a sublattice at a time
-                np.subtract(bk * xk, rk, out=rk)
-            r += rhs
-            return r
+        def residual_norm(x):
+            """||rhs - J x||_2, built a sublattice at a time in r."""
+            total = 0.0
+            for k in range(4):
+                np.subtract(rhs[k], _apply(mg.fine, x, slice(k, k + 1), r, bfp), out=r)
+                total += np.einsum("ijk,ijk->", r, r)
+            return math.sqrt(total)
 
         # 2-norms by einsum: BLAS's threaded dot can stall for milliseconds on a busy host
-        norm2 = lambda v: math.sqrt(np.einsum("i,i->", v.ravel(), v.ravel()))
-        scale = norm2(rhs)
-        if last is None:
-            x, r, cycles = np.zeros_like(rhs), rhs.copy(), 0
-        else:  # the same iterate as at the end of the last call, bit for bit
-            x, cycles = last
-            r = residual(x, np.empty_like(rhs))
-            norm = norm2(r)
+        scale = math.sqrt(np.einsum("i,i->", rhs.ravel(), rhs.ravel()))
+        x, cycles = (None, 0) if last is None else last
+        if cycles:  # the same iterate as at the end of the last call, bit for bit
+            norm = residual_norm(x)
         while cycles == 0 or norm > rtol * scale:
             if cycles == _MAX_CYCLES:
                 raise SolveFailure(f"V-cycle iteration missed rtol {rtol:.1e} in {_MAX_CYCLES} "
                                    f"cycles (relative residual {norm / scale:.2e})")
-            x += cycle(r)
-            norm = norm2(residual(x, r))
+            x = cycle(rhs, x)
+            norm = residual_norm(x)
             cycles += 1
             if not math.isfinite(norm):
                 raise SolveFailure(
@@ -570,19 +590,22 @@ def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol, u0=
     boundary profile phi(xi M(d) + Phi(j)) with j the mean boundary value
     (_boundary_profile), or the constant j when the profile does not exist or j <= 0.
     Each step solves with the Jacobian A - diag(b f'(u)), never assembled, by multigrid
-    defect correction (_defect_correction) on the levels of _multigrid, built once per
-    call or per exhaust; a step changes only their shifts.  The Newton loop runs on the
-    finest box (_fine), 0 off the nodes: the start goes in and the field comes out
-    row-major once each, and the residual, its round-off floor and the scaled norm are
-    built in place.  Besides the levels a solve holds the cut arms, b (one float for a
-    constant weight), the boundary terms of the cut rows and its iterates; the line search
-    holds neither a step's b f'(u) nor its right-hand side.  At scaled residual r a step
-    is solved to relative residual min(0.1, max(_FORCING, c r, 10 c tol / r)),
-    c = _FORCING_SLOPE (inexact Newton: the forcing term is O(r), which keeps quadratic
-    convergence); where f is affine, to min(_FORCING, max(0.1 tol / r, _RTOL_FLOOR)).
-    When a loose direction's full step does not lower the max-norm residual, its
-    iteration continues to _FORCING on the same coarsest LU and the line search restarts,
-    and later steps are solved to _FORCING until a full step is taken.  A failed coarsest
+    iteration (_defect_correction: V-cycles in place on the step's iterate) on the levels
+    of _multigrid, built once per call or per exhaust; a step changes only their shifts.
+    The Newton loop runs on the finest box (mg.fine), 0 off the nodes: the start goes in
+    and the field comes out row-major once each.  The residual is built in place, a
+    sublattice at a time with its round-off floor and scaled norm, and is the next step's
+    right-hand side.  Besides the levels a solve holds the cut arms, b (one float for a
+    constant weight), the boundary terms of the cut rows and four fine boxes: u, b f'(u),
+    the right-hand side and the step's iterate in the V-cycles; u, the step, the trial
+    point and its residual in the line search, which holds neither a step's b f'(u) nor
+    its right-hand side.  At scaled residual r a step is solved to relative residual
+    min(0.1, max(_FORCING, c r, 10 c tol / r)), c = _FORCING_SLOPE (inexact Newton: the
+    forcing term is O(r), which keeps quadratic convergence); where f is affine, to
+    min(_FORCING, max(0.1 tol / r, _RTOL_FLOOR)).  When a loose direction's full step
+    does not lower the max-norm residual, its iteration continues to _FORCING on the same
+    coarsest LU and the line search restarts, and later steps are solved to _FORCING
+    until a full step is taken.  A failed coarsest
     factorization, a non-finite cycle residual or _MAX_CYCLES cycles short of the step's
     tolerance raise SolveFailure with the Newton residual history so far.  Residuals are
     scaled by 1 + b f(u) per node: with exponential sources the raw residual sits at
@@ -603,24 +626,34 @@ def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol, u0=
     u = _to_box(mg.mask, u0)  # the start goes into the box once
     b = b if np.ndim(b) == 0 else _to_box(mg.mask, b)
     cut = _cells(mg.mask.shape, *np.divmod(np.flatnonzero(mg.mask)[cut], mg.mask.shape[1]))
-    del profile, gcut, u0  # not held through the solve
-    nodes, apply, times_diagonal = _fine(mg)
-    eps64 = 64.0 * np.finfo(float).eps
+    const = const[np.argsort(cut)]  # in the finest level's order of its cut rows
+    del profile, gcut, u0, cut  # not held through the solve
+    fine = mg.fine
+    nodes, eps64 = fine.mask, 64.0 * np.finfo(float).eps
 
     def evaluate(U):
-        """(residual, scaled max-norm, whether it is round-off) at U; f is evaluated once."""
-        bf = _times_b(f.f, b, U, nodes)
-        res = apply(U, np.empty_like(U))
-        res.reshape(-1)[cut] += const
-        res -= bf
-        floor = times_diagonal(U, np.empty_like(U))
-        np.abs(floor, out=floor)
-        floor.reshape(-1)[cut] += np.abs(const)
-        floor += bf
-        floor *= eps64
-        at_floor = all(bool(np.all(np.abs(r) <= fl)) for r, fl in zip(res, floor))  # by sublattice
-        bf += 1.0
-        scaled = np.abs(np.divide(res, bf, out=bf), out=bf)  # |res| / (1 + b f(u)), exactly
+        """(residual, scaled max-norm, whether it is round-off) at U, a sublattice at a time.
+
+        f is evaluated once; the round-off floor is 64 eps (|D u| + |const| + b f(u)).
+        """
+        res, scaled, at_floor = np.empty_like(U), [], True
+        for k in range(4):
+            part = slice(k, k + 1)
+            rows, cells = _rows(fine, part)
+            r = _apply(fine, U, part, res[part])[0]
+            r.reshape(-1)[cells] += const[rows]
+            bf = _times_b(f.f, b if np.ndim(b) == 0 else b[k], U[k], nodes[k])
+            r -= bf
+            if at_floor:  # until a cell is above its floor
+                floor = _diagonal(fine, part)[0]
+                floor *= U[k]
+                np.abs(floor, out=floor)
+                floor.reshape(-1)[cells] += np.abs(const[rows])
+                floor += bf
+                floor *= eps64
+                at_floor = bool(np.all(np.abs(r) <= floor))
+            bf += 1.0
+            scaled.append(np.max(np.abs(np.divide(r, bf, out=bf), out=bf)))  # |r| / (1 + b f(u))
         return res, float(np.max(scaled)), at_floor
 
     res, norm, at_floor = evaluate(u)
@@ -659,8 +692,10 @@ def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol, u0=
                     # same coarsest LU, to _FORCING and search again from the full step;
                     # its bfp and rhs are recomputed from u, bit for bit
                     del u_try, res_try
-                    delta, total = solve(_times_b(f.f_prime, b, u, nodes), -evaluate(u)[0],
-                                         _FORCING)
+                    rhs = evaluate(u)[0]
+                    delta, total = solve(_times_b(f.f_prime, b, u, nodes),
+                                         np.negative(rhs, out=rhs), _FORCING)
+                    del rhs
                     cycles += total - step_cycles
                     solve, tight = None, True
                     continue

@@ -66,6 +66,14 @@ def natural_masks(mg):
     return [fd2d._natural(lv.mask) for lv in mg.levels] + [mg.coarse_mask]
 
 
+def level_apply(lv, X):
+    """A_l X on the level's box, a sublattice at a time, as a solve builds its residuals."""
+    out = np.empty_like(X)
+    for k in range(4):
+        fd2d._apply(lv, X, slice(k, k + 1), out[k:k + 1])
+    return out
+
+
 def preconditioner(mg, bfp):
     """One V-cycle for A - diag(bfp) as a function of the residual, both row-major; the
     cycle itself runs on the finest box, as in a solve."""
@@ -105,7 +113,7 @@ def check_levels(domain, h, seed):
         mask, coarse_mask = masks[level], masks[level + 1]
         v = rng.standard_normal(grid.n_interior)
         V = fd2d._to_box(mask, v)
-        got = row_major(mask, fd2d._level_apply(lv, V, np.empty_like(V)))
+        got = row_major(mask, level_apply(lv, V))
         assert close(got, assemble_operator(grid, 0.0)[0] @ v)
         P, cx, cy = prolongation(lx, ly)
         black = ((lx + ly) & 1) == 1
@@ -238,8 +246,8 @@ class TestLevels:
             want_op = assemble_operator(coarse, 0.0)[0] - sp.diags(s)
             v = rng.standard_normal(coarse.n_interior)
             V = fd2d._to_box(mask, v)
-            off = np.concatenate([fd2d._product(lv, V, colour, np.empty_like(V[:2]))
-                                  for colour in (0, 1)])
+            off = np.concatenate([fd2d._product(lv, V, part, np.empty_like(V[:2]))
+                                  for part in fd2d._COLOURS])
             got = row_major(mask, off) + v / row_major(mask, inverse)
             want = want_op @ v
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -271,6 +279,26 @@ class TestVCycle:
         worst = max(b / a for a, b in zip(norms, norms[1:]))
         assert worst <= 0.5
         assert worst <= 0.2  # red-black Gauss-Seidel on rediscretised levels
+
+    @pytest.mark.parametrize("domain, h", [(Disk(0.9), 1.0 / 64.0),
+                                           (Ellipse(1.2, 1.0), 1.0 / 48.0)])
+    def test_in_place_cycle_is_the_stationary_update(self, domain, h):
+        # a cycle run on an arbitrary iterate x gives x + M (rhs - J x), M the V-cycle
+        # from x = 0: the multigrid iteration needs no residual box and no second iterate
+        grid = build_grid(domain, h)
+        mg = fd2d._multigrid(grid)[1]
+        assert len(mg.levels) >= 2
+        u = fd2d._boundary_profile(grid, EXP2, W1)(4.0)
+        bfp = 2.0 * np.exp(2.0 * u)
+        shifts = fd2d._shifts(mg, fd2d._to_box(mg.mask, bfp))
+        cycle = fd2d._cycle(mg, shifts, fd2d._coarse_lu(mg, shifts))
+        rng = np.random.default_rng(3)
+        rhs, x = rng.standard_normal((2, grid.n_interior))
+        want = x + preconditioner(mg, bfp)(rhs - jacobian(grid, 0.0, u) @ x)
+        X = fd2d._to_box(mg.mask, x)
+        assert cycle(fd2d._to_box(mg.mask, rhs), X) is X
+        assert np.max(np.abs(row_major(mg.mask, X) - want)) <= 1e-13 * np.max(np.abs(want))
+        assert not np.any(fd2d._natural(X)[~mg.mask])  # 0 off the nodes
 
     @pytest.mark.parametrize("domain, h", [(Disk(1.0), 1.0 / 64.0), (Disk(1.0), 1.0 / 128.0),
                                            (Ellipse(2.0, 0.5), 1.0 / 64.0)])

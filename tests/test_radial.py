@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from khessian import _quad, radial
@@ -83,6 +85,19 @@ class TestTorsionTable:
         for d in range(10):
             want = (x ** (d + 1) - (-1.0) ** (d + 1)) / (d + 1)
             assert np.max(np.abs(_quad._GL_PARTIAL @ x**d - want)) <= 1e-15
+
+    @settings(max_examples=20)
+    @given(st.integers(0, 2), st.integers(-2, 2), st.booleans(), st.integers(0, 2**16))
+    def test_blocked_panels_equal_row_at_a_time(self, blocks, extra, scalar_end, seed):
+        # panel_integrals takes _PANEL_BLOCK panels at a time; at sizes straddling the
+        # block, each panel's value is bitwise the one it has when integrated alone
+        n = max(1, blocks * _quad._PANEL_BLOCK + extra)
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(1e-3, 5.0, n)
+        b = 6.0 if scalar_end else a + rng.uniform(1e-6, 2.0, n)
+        fn = lambda s: np.exp(-s) * np.sqrt(s)
+        want = [_quad.panel_integrals(fn, a[i], np.broadcast_to(b, n)[i]) for i in range(n)]
+        assert np.array_equal(_quad.panel_integrals(fn, a, b), want)
 
     @pytest.mark.parametrize("n_seg, table", [(512, True), (1536, True), (2048, True)])
     def test_b_evaluations_stay_linear_in_the_panels(self, monkeypatch, n_seg, table):
