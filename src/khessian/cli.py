@@ -157,15 +157,26 @@ def _default_t_grid(cfg):
 
 
 def _geometry(cfg, n, k):
-    dom = cfg.get("domain", str, None)
-    if dom is not None and dom.startswith("ellipse"):
-        d = parse_domain(dom)
-        geom = ellipse_geometry(d.a, d.b, k=k)  # its k message comes first
-        if n != 2:
-            raise ParameterError(f"an ellipse domain is planar: n must be 2, got n={n}")
-        return geom
-    R = cfg.get("R", float, 1.0)
-    return ball_geometry(n, k, R)
+    """(geom, R): the collar geometry of the config's domain and the radius of its ball.
+
+    With no domain, the ball of radius R (default 1) in R^n; else the planar domain
+    (parse_domain), which needs n = 2: disk:R is the ball of that radius, and an ellipse
+    has no radius (R is None).  A config gives R or domain, not both.
+    """
+    spec, R = cfg.get("domain", str, None), cfg.get("R", float, None)
+    if spec is None:
+        R = 1.0 if R is None else R
+        return ball_geometry(n, k, R), R
+    if R is not None:
+        raise ParameterError("give the ball radius R or a domain, not both")
+    dom = parse_domain(spec)
+    if dom.kind == "disk":
+        geom, R, article = ball_geometry(2, k, dom.R), dom.R, "a"
+    else:
+        geom, article = ellipse_geometry(dom.a, dom.b, k=k), "an"
+    if n != 2:  # after the geometry's k message
+        raise ParameterError(f"{article} {dom.kind} domain is planar: n must be 2, got n={n}")
+    return geom, R
 
 
 def _xi_key(cfg):
@@ -186,7 +197,7 @@ def cmd_profile(cfg, outdir, base, quiet, runinfo):
     k = cfg.get("k", int, required=True)
     nl = _parse_nonlinearity(cfg.get("f", str, required=True))
     w = _parse_weight(cfg.get("weight", str, "constant:1"), cfg)
-    geom = _geometry(cfg, cfg.get("n", int, max(2, k)), k)  # checks k before any profile is built
+    geom, _ = _geometry(cfg, cfg.get("n", int, max(2, k)), k)  # checks k before any profile
     ts = cfg.floats("t_grid")
     if ts is None:
         ts = _default_t_grid(cfg)
@@ -289,11 +300,13 @@ def cmd_check_barrier(cfg, outdir, base, quiet, runinfo):
     nl = _parse_nonlinearity(cfg.get("f", str, required=True))
     w = _parse_weight(cfg.get("weight", str, "constant:1"), cfg)
     eps = cfg.get("eps", float, 0.1)
-    geom = _geometry(cfg, n, k)  # checks k before any profile is built
+    geom, R = _geometry(cfg, n, k)  # checks k before any profile is built
     seed = cfg.get("seed", int, 0)
     nsamples = cfg.get("samples", int, 200)
     global_check = cfg.get("global_check", str, "false").lower() in ("true", "1", "yes")
-    R = cfg.get("R", float, 1.0) if global_check else None
+    if global_check and R is None:
+        raise ParameterError(f"global_check certifies the global upper barrier on a ball "
+                             f"only, got {geom.label}")
     cfg.check_all_read()
     p = assemble_profile(nl, w, k)
     bp, rep_s, rep_l = certify_barriers(p, geom, nl, w, eps=eps, nsamples=nsamples, seed=seed)
@@ -313,14 +326,15 @@ def cmd_check_barrier(cfg, outdir, base, quiet, runinfo):
             "worst_relative_margin": rep_g["worst_relative_margin"],
         }
     reports.write_json(outdir / f"{base}.json", out)
-    print(f"check-barrier: {'PASS' if passed else 'FAIL'} "
-          f"(delta_eps={bp.delta_eps:.4g}, eps={bp.eps})")
+    if not quiet:
+        print(f"check-barrier: {'PASS' if passed else 'FAIL'} "
+              f"(delta_eps={bp.delta_eps:.4g}, eps={bp.eps})")
     return 0 if passed else 1
 
 
 def cmd_verify_asymptotics(cfg, outdir, base, quiet, runinfo):
     prob, nl, w = _radial_problem(cfg)
-    geom = _geometry(cfg, prob.n, prob.k)
+    geom = ball_geometry(prob.n, prob.k, prob.R)  # the shot's domain
     xi = _xi_key(cfg)
     tol = cfg.get("tol", float, 1e-9)
     d_lo = cfg.get("d_lo", float, 1e-4)
@@ -353,8 +367,9 @@ def cmd_verify_asymptotics(cfg, outdir, base, quiet, runinfo):
         "xi": xi, "u0": u0, "Rstar": sol.Rstar, "band": band,
         "in_band": in_band, "trend_improves": trend, "passed": passed,
     })
-    print(f"verify-asymptotics: {'PASS' if passed else 'FAIL'} "
-          f"(Rstar={sol.Rstar:.6f}, ratio[{rows[0, 0]:.1e}]={rows[0, 3]:.4f})")
+    if not quiet:
+        print(f"verify-asymptotics: {'PASS' if passed else 'FAIL'} "
+              f"(Rstar={sol.Rstar:.6f}, ratio[{rows[0, 0]:.1e}]={rows[0, 3]:.4f})")
     return 0 if passed else 1
 
 

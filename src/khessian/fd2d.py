@@ -18,14 +18,14 @@ recomputes the rows with a cut arm, which with its node mask is all it holds.  T
 loop runs on the finest box.  Levels are shifted by the Galerkin diagonal of b f'(u),
 smoothed by red-black Gauss-Seidel and linked by full weighting and bilinear
 prolongation; only the coarsest, at most a thousand unknowns, is a matrix, factored by
-SuperLU.  The orders k >= 2 are handled radially elsewhere.  Levels and the coarse
-fill-reducing ordering are fixed, so identical inputs give bit-identical fields on one
-machine.
+SuperLU.  The hierarchy (_multigrid), with the grid's cut arms grouped by the finest
+level's cut rows, depends on the grid alone: solve_dirichlet takes it as an argument or
+builds it, and exhaust builds it once for all its boundary values.  The orders k >= 2 are
+handled radially elsewhere.  Levels and the coarse fill-reducing ordering are fixed, so
+identical inputs give bit-identical fields on one machine.
 """
 
 import math
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
@@ -88,9 +88,10 @@ def _stencil(domain, h, lx, ly):
     Returns (cols, cut, off, diag, arms): cols[i] numbers node i's neighbours S, W, E, N
     (-1: none); cut, the rows with a cut arm, ascending, and their weights S, W, E, N and
     diagonal, the only rows not at 1/h^2 and -4/h^2 (which _weights gives for four unit
-    arms); and the cut arms (rows, t, theta, weight): row and direction (_DIRS) of each
-    arm whose neighbour is not a node, E, W, N, S within a row, its fraction from
-    domain.arm_fraction and the weight that multiplies the boundary value at its end.
+    arms); and the cut arms (row_of, t, theta, weight): row, as a place in cut, and
+    direction (_DIRS) of each arm whose neighbour is not a node, E, W, N, S within a row,
+    its fraction from domain.arm_fraction and the weight that multiplies the boundary
+    value at its end.
     """
     x0, y0 = lx.min() - 1, ly.min() - 1
     width = lx.max() + 2 - x0
@@ -104,25 +105,25 @@ def _stencil(domain, h, lx, ly):
     arm = np.ones((cut.size, 4))
     arm[row_of, t] = theta
     off, diag = _weights(arm, h)
-    return cols, cut, off, diag, (rows, t, theta, off[row_of, np.take(_ARMS, t)])
+    return cols, cut, off, diag, (row_of, t, theta, off[row_of, np.take(_ARMS, t)])
 
 
-def _boundary_terms(grid: Field2D, arms, g):
-    """(cut, const, gcut): the boundary terms on the cut arms alone, none per node and arm.
+def _boundary_terms(grid: Field2D, cut, arms, g):
+    """(const, gcut): the boundary terms on the cut arms alone, none per node and arm.
 
-    cut are the rows with a cut arm, ascending; const their known boundary contributions,
-    weight * g summed over a row's arms in arm order; gcut g at each cut arm, in arm
-    order, evaluated once at the arms' ends x0 + theta h (dx, dy).
+    cut are the rows with a cut arm, as node numbers, and arms their cut arms as _stencil
+    gives them, each row a place in cut; const are the rows' known boundary contributions,
+    in cut's order, weight * g summed over a row's arms in arm order; gcut g at each cut
+    arm, in arm order, evaluated once at the arms' ends x0 + theta h (dx, dy).
     """
-    rows, t, theta, weight = arms
+    row_of, t, theta, weight = arms
     if callable(g):
-        (dx, dy), step = _DIRS[t].T, theta * grid.h
+        rows, (dx, dy), step = cut[row_of], _DIRS[t].T, theta * grid.h
         g = g(grid.lx[rows] * grid.h + step * dx, grid.ly[rows] * grid.h + step * dy)
-    gcut = np.broadcast_to(np.asarray(g, float), rows.shape)
-    cut, row_of = np.unique(rows, return_inverse=True)
+    gcut = np.broadcast_to(np.asarray(g, float), row_of.shape)
     const = np.zeros(cut.size)
     np.add.at(const, row_of, weight * np.nan_to_num(gcut))  # in arm order, as a row sum
-    return cut, const, gcut
+    return const, gcut
 
 
 def assemble_operator(grid: Field2D, g):
@@ -134,12 +135,12 @@ def assemble_operator(grid: Field2D, g):
     where the arm is not cut.  solve_dirichlet applies the same stencil by array slices
     (_Level) and keeps the boundary terms on the cut arms (_boundary_terms).
     """
-    cols, _, off, diag, arms = _stencil(grid.domain, grid.h, grid.lx, grid.ly)
-    cut, const_cut, gcut = _boundary_terms(grid, arms, g)
+    cols, cut, off, diag, arms = _stencil(grid.domain, grid.h, grid.lx, grid.ly)
+    const_cut, gcut = _boundary_terms(grid, cut, arms, g)
     const = np.zeros(grid.n_interior)
     const[cut] = const_cut
     gvals = np.full((grid.n_interior, 4), np.nan)
-    gvals[arms[0], arms[1]] = gcut
+    gvals[cut[arms[0]], arms[1]] = gcut
     return _operator(cols, cut, off, diag, grid.h), const, gvals
 
 
@@ -257,13 +258,15 @@ class _Level:
 
 @dataclass(frozen=True)
 class _Multigrid:
-    """Levels of one grid, fine to coarse, and the coarsest operator, fixed per grid.
+    """Levels of one grid, fine to coarse, the coarsest operator and the grid's cut arms.
 
     Level l holds the fine nodes whose lattice coordinates 2^l divides, as
     build_grid(domain, 2^l h) would, since (2^l i) h and i (2^l h) round alike.  levels
     are the smoothed ones; fine is the first, or the grid's own _Level when the grid is
     the coarsest level.  mask and coarse_mask are the finest and coarsest nodes on natural
-    boxes, row-major like the grid and coarse.
+    boxes, row-major like the grid and coarse.  cut are fine's cut rows, in its order, as
+    node numbers of the grid, and arms their cut arms (_stencil), each row a place in cut:
+    what _boundary_terms needs.  None of it depends on f, b or g.
     """
 
     levels: list
@@ -271,6 +274,8 @@ class _Multigrid:
     mask: np.ndarray
     coarse: sp.csc_matrix
     coarse_mask: np.ndarray
+    cut: np.ndarray
+    arms: tuple
 
 
 def _cells(shape, iy, ix):
@@ -293,18 +298,22 @@ def _level(mask, ix, iy, stencil, h, coarse_box):
 
 
 def _multigrid(grid: Field2D):
-    """(arms, multigrid): the cut arms of grid and its hierarchy down to <= _COARSE_MAX unknowns.
+    """The _Multigrid of grid: its hierarchy down to <= _COARSE_MAX unknowns, built once.
 
     Each level is the even sublattice of the one above, halved, on a natural box holding
     the finer box's EE sublattice, moved by at most one cell to start on even coordinates,
     with the cut rows of its stencil (_stencil).  No coarse grid or distance is formed,
-    and no matrix but the coarsest.  arms are the finest stencil's.
+    and no matrix but the coarsest.  The cut arms are the finest stencil's, their rows
+    renumbered from row-major to the finest level's order (_level's argsort).
     """
     domain, h, lx, ly = grid.domain, grid.h, grid.lx, grid.ly
     x0, y0 = lx.min() & ~1, ly.min() & ~1  # natural boxes start on even coordinates
     mask = np.zeros((2 * ((ly.max() - y0) // 2 + 1), 2 * ((lx.max() - x0) // 2 + 1)), bool)
     mask[ly - y0, lx - x0] = True
-    *stencil, arms = _stencil(domain, h, lx, ly)
+    *stencil, (row_of, *arms) = _stencil(domain, h, lx, ly)
+    cut = stencil[1]
+    order = np.argsort(_cells(mask.shape, ly[cut] - y0, lx[cut] - x0))
+    cut, arms = cut[order], (np.argsort(order)[row_of], *arms)
     levels, top = [], mask
     while lx.size > _COARSE_MAX:
         oy, ox = (y0 >> 1) & 1, (x0 >> 1) & 1
@@ -317,8 +326,8 @@ def _multigrid(grid: Field2D):
         lx, ly, x0, y0, h = lx[even] >> 1, ly[even] >> 1, (x0 >> 1) - ox, (y0 >> 1) - oy, 2 * h
         *stencil, _ = _stencil(domain, h, lx, ly)
     fine = levels[0] if levels else _level(mask, lx - x0, ly - y0, stencil, h, None)
-    return arms, _Multigrid(levels=levels, fine=fine, mask=top,
-                            coarse=_operator(*stencil, h).tocsc(), coarse_mask=mask)
+    return _Multigrid(levels=levels, fine=fine, mask=top, coarse=_operator(*stencil, h).tocsc(),
+                      coarse_mask=mask, cut=cut, arms=arms)
 
 
 def _nsum(V, k, out):
@@ -545,30 +554,6 @@ def _defect_correction(mg: _Multigrid):
     return solve
 
 
-_SHARED = ContextVar("fd2d_shared", default=(None, None))  # (grid, operators) of an exhaust
-
-
-def _operators(grid: Field2D):
-    """(arms, multigrid) of grid (_multigrid): neither depends on f, b or g.
-
-    Within _shared_operators(grid), the pair built there.
-    """
-    shared_grid, operators = _SHARED.get()
-    if shared_grid is grid:
-        return operators
-    return _multigrid(grid)
-
-
-@contextmanager
-def _shared_operators(grid: Field2D):
-    """Let every solve on grid inside the block share one set of operators."""
-    token = _SHARED.set((grid, _operators(grid)))
-    try:
-        yield
-    finally:
-        _SHARED.reset(token)
-
-
 def _times_b(fun, b, U, nodes):
     """b fun(max(U, 1e-12)) on nodes, 0 off them: U, nodes and b (or a float) alike shaped."""
     out = b * np.asarray(fun(np.maximum(U, 1e-12)), float)
@@ -582,7 +567,8 @@ def _affine(fun, b, U, bfp, nodes):
                                                nodes[k])) for k in range(4))
 
 
-def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol, u0=None):
+def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol, u0=None, *,
+                    multigrid=None):
     """Solve Delta u = b f(u) with Dirichlet data g; returns a new Field2D.
 
     The source is b = b_lower m(d)^2 from the weight (_source_b).  Damped Newton to
@@ -591,15 +577,16 @@ def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol, u0=
     (_boundary_profile), or the constant j when the profile does not exist or j <= 0.
     Each step solves with the Jacobian A - diag(b f'(u)), never assembled, by multigrid
     iteration (_defect_correction: V-cycles in place on the step's iterate) on the levels
-    of _multigrid, built once per call or per exhaust; a step changes only their shifts.
-    The Newton loop runs on the finest box (mg.fine), 0 off the nodes: the start goes in
-    and the field comes out row-major once each.  The residual is built in place, a
-    sublattice at a time with its round-off floor and scaled norm, and is the next step's
-    right-hand side.  Besides the levels a solve holds the cut arms, b (one float for a
-    constant weight), the boundary terms of the cut rows and four fine boxes: u, b f'(u),
-    the right-hand side and the step's iterate in the V-cycles; u, the step, the trial
-    point and its residual in the line search, which holds neither a step's b f'(u) nor
-    its right-hand side.  At scaled residual r a step is solved to relative residual
+    of multigrid, the grid's hierarchy _multigrid(grid), which a caller with several
+    solves on one grid builds once and passes (exhaust does), and which is built here
+    when it is None; a step changes only their shifts.  The Newton loop runs on the
+    finest box (mg.fine), 0 off the nodes: the start goes in and the field comes out
+    row-major once each.  The residual is built in place, a sublattice at a time with its
+    round-off floor and scaled norm, and is the next step's right-hand side.  Besides the
+    hierarchy a solve holds b (one float for a constant weight), the boundary terms of
+    the cut rows and four fine boxes: u, b f'(u), the right-hand side and the step's
+    iterate in the V-cycles; u, the step, the trial point and its residual in the line
+    search, which holds neither a step's b f'(u) nor its right-hand side.  At scaled residual r a step is solved to relative residual
     min(0.1, max(_FORCING, c r, 10 c tol / r)), c = _FORCING_SLOPE (inexact Newton: the
     forcing term is O(r), which keeps quadratic convergence); where f is affine, to
     min(_FORCING, max(0.1 tol / r, _RTOL_FLOOR)).  When a loose direction's full step
@@ -615,8 +602,8 @@ def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol, u0=
     """
     require_positive_finite(tol, "tolerance")
     profile = None if u0 is not None else _boundary_profile(grid, f, bweight)
-    arms, mg = _operators(grid)
-    cut, const, gcut = _boundary_terms(grid, arms, g)  # const: rows cut only
+    mg = _multigrid(grid) if multigrid is None else multigrid
+    const, gcut = _boundary_terms(grid, mg.cut, mg.arms, g)  # the fine level's cut rows only
     b = _source_b(grid, bweight)
     start = "given"
     if u0 is None:
@@ -625,9 +612,7 @@ def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol, u0=
         start, u0 = ("constant", j) if u0 is None else ("profile", u0)
     u = _to_box(mg.mask, u0)  # the start goes into the box once
     b = b if np.ndim(b) == 0 else _to_box(mg.mask, b)
-    cut = _cells(mg.mask.shape, *np.divmod(np.flatnonzero(mg.mask)[cut], mg.mask.shape[1]))
-    const = const[np.argsort(cut)]  # in the finest level's order of its cut rows
-    del profile, gcut, u0, cut  # not held through the solve
+    del profile, gcut, u0  # not held through the solve
     fine = mg.fine
     nodes, eps64 = fine.mask, 64.0 * np.finfo(float).eps
 
@@ -725,11 +710,11 @@ def exhaust(grid: Field2D, f: Nonlinearity, bweight: Weight, j_schedule, tol):
 
     Each level starts from the boundary profile for its j, raised to the previous level
     where that is higher (both are subsolutions of the level's continuous problem), or
-    from the previous level alone when there is no profile.  Every j shares one set of
-    cut arms and one multigrid hierarchy, built here once for the grid.  Diagnostics
-    track the smallest increment per step, the interior Cauchy ratio on the core region
-    d >= 0.2 * diam, and per level the Newton steps, coarsest-level factorizations and
-    V-cycles.  A SolveFailure carries the levels finished before it in ``partial``.
+    from the previous level alone when there is no profile.  The grid's multigrid
+    hierarchy and cut arms (_multigrid) are built here once and passed to the solve of
+    every j.  Diagnostics track the smallest increment per step, the interior Cauchy
+    ratio on the core region d >= 0.2 * diam, and per level the Newton steps,
+    coarsest-level factorizations and V-cycles.  A SolveFailure carries the levels finished before it in ``partial``.
     """
     js = require_schedule(j_schedule)
     diam = 2.0 * max(grid.domain.half_extents)
@@ -744,29 +729,29 @@ def exhaust(grid: Field2D, f: Nonlinearity, bweight: Weight, j_schedule, tol):
         u0 = None if profile is None else profile(j)
         return u_prev if u0 is None else u0 if u_prev is None else np.maximum(u_prev, u0)
 
-    with _shared_operators(grid):  # one operator and level set for every j
-        for j in js:
-            try:
-                fld = solve_dirichlet(grid, f, bweight, j, tol, u0=start(j))
-            except SolveFailure as exc:
-                exc.partial = fields  # completed levels so far
-                raise
-            u = fld.interior_values()
-            diags["j"].append(j)
-            diags["center_value"].append(float(u[center]))
-            for key in ("newton_iters", "factorizations", "cycles"):
-                diags[key].append(fld.meta[key])
-            if u_prev is not None:
-                inc = u - u_prev
-                diags["increment_min"].append(float(inc.min()))
-                diags["core_increment"].append(
-                    float(np.max(np.abs(inc[core]))) if core.any() else math.nan)
-                del inc  # not held through the next level's solve
-                steps = diags["core_increment"]
-                if len(steps) >= 2 and steps[-2] > 0:
-                    diags["cauchy_ratio"].append(steps[-1] / steps[-2])
-            fields.append(fld)
-            u_prev = u
+    mg = _multigrid(grid)  # one hierarchy for every j
+    for j in js:
+        try:
+            fld = solve_dirichlet(grid, f, bweight, j, tol, u0=start(j), multigrid=mg)
+        except SolveFailure as exc:
+            exc.partial = fields  # completed levels so far
+            raise
+        u = fld.interior_values()
+        diags["j"].append(j)
+        diags["center_value"].append(float(u[center]))
+        for key in ("newton_iters", "factorizations", "cycles"):
+            diags[key].append(fld.meta[key])
+        if u_prev is not None:
+            inc = u - u_prev
+            diags["increment_min"].append(float(inc.min()))
+            diags["core_increment"].append(
+                float(np.max(np.abs(inc[core]))) if core.any() else math.nan)
+            del inc  # not held through the next level's solve
+            steps = diags["core_increment"]
+            if len(steps) >= 2 and steps[-2] > 0:
+                diags["cauchy_ratio"].append(steps[-1] / steps[-2])
+        fields.append(fld)
+        u_prev = u
     limit = fields[-1]
     diags["prev_values"] = fields[-2].interior_values() if len(fields) > 1 else None
     return limit, diags

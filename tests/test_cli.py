@@ -244,6 +244,17 @@ class TestBarrierCommand:
         blob = json.loads((out / "check-barrier.json").read_text())
         assert blob["supersolution"]["passed"] and blob["subsolution"]["passed"]
 
+    def test_disk_domain_is_the_planar_ball(self, tmp_path):
+        # domain = disk:R certifies, with the global barrier, what n = 2 and that R do
+        bodies = []
+        for name, key in (("disk", "domain = disk:0.5"), ("ball", "R = 0.5")):
+            cfg = write_cfg(tmp_path, f"{name}.cfg",
+                            BARRIER + f"samples = 20\nglobal_check = true\n{key}\n")
+            out = tmp_path / name
+            assert main(["--config", cfg, "--out", str(out), "--quiet"]) == 0
+            bodies.append((out / "check-barrier.json").read_bytes())
+        assert bodies[0] == bodies[1] and b'"geometry": "ball(n=2, R=0.5)"' in bodies[0]
+
 
 class TestValidation:
     def test_gamma_below_k_exits_2(self, tmp_path, capsys):
@@ -393,6 +404,20 @@ VALIDATION = {
                    "planar geometry supports k in {1, 2}, got 3"),
     "ellipse-n5": ("command = check-barrier\nn = 5\nk = 2\nf = power:5\n"
                    "domain = ellipse:1.2,1\n", "an ellipse domain is planar: n must be 2, got n=5"),
+    "disk-n3": ("command = check-barrier\nn = 3\nk = 2\nf = power:5\ndomain = disk:0.5\n",
+                "a disk domain is planar: n must be 2, got n=3"),
+    "disk-not-a-number-check-barrier": (BARRIER + "domain = disk:abc\n",
+                                        "domain 'disk:abc' is malformed (use disk:R)"),
+    "domain-kind-profile": (PROFILE + "domain = square:1\n", "unknown domain kind 'square'"),
+    "domain-and-R-check-barrier": (BARRIER + "domain = disk:0.5\nR = 1\n",
+                                   "give the ball radius R or a domain, not both"),
+    "domain-and-R-profile": (PROFILE + "domain = ellipse:1.2,1\nR = 1\n",
+                             "give the ball radius R or a domain, not both"),
+    "domain-verify": (VERIFY + "domain = ellipse:1.5,1\n",
+                      "unknown config key 'domain' for command 'verify-asymptotics'"),
+    "global-check-ellipse": (BARRIER + "domain = ellipse:1.5,1\nglobal_check = true\n",
+                             "global_check certifies the global upper barrier on a ball only, "
+                             "got ellipse(a=1.5, b=1.0)"),
     "h-zero-radial-exhaust": (EXHAUST + "h = 0\nj_schedule = 2,4\n",
                               "grid spacing must be positive and finite, got 0.0"),
     "h-negative-radial-exhaust": (EXHAUST + "h = -0.01\nj_schedule = 2,4\n",
@@ -506,6 +531,28 @@ def test_bad_t_grid_and_xi_fail_before_the_work(text, stage, tmp_path, monkeypat
     monkeypatch.setattr(cli, stage, no_work)
     assert main(["--config", write_cfg(tmp_path, "bad.cfg", text), "--out",
                  str(tmp_path / "out")]) == 2
+
+
+# a small config of every command
+QUIET = {
+    "profile": PROFILE,
+    "radial-ivp": IVP,
+    "radial-exhaust": EXHAUST + "j_schedule = 2,4\nh = 0.0625\n",
+    "fd-exhaust": FD + "domain = disk:1\nj_schedule = 2,4\n",
+    "check-barrier": BARRIER + "samples = 20\n",
+    "verify-asymptotics": VERIFY,
+}
+
+
+@pytest.mark.parametrize("command", QUIET)
+def test_quiet_prints_nothing(command, tmp_path, capsys):
+    # --quiet silences every command: the exit code and the report body carry the verdict
+    assert set(QUIET) == set(cli.COMMANDS)
+    out = tmp_path / "out"
+    assert main(["--config", write_cfg(tmp_path, "q.cfg", QUIET[command]), "--out", str(out),
+                 "--quiet"]) == 0
+    assert capsys.readouterr().out == ""
+    assert any(not p.name.endswith(".runinfo.json") for p in out.iterdir())
 
 
 # a config of every command with one misspelt key, and the first work the command does

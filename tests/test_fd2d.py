@@ -276,12 +276,14 @@ class TestLiouvilleDirichlet:
             grid, f, W1, liouville_g, tol=1e-9))
         assert held <= 20 * grid.n_interior
         assert peak <= 90 * grid.n_interior
-        # besides the levels, the operators hold four numbers per cut arm, and no matrix
-        # with more than _COARSE_MAX rows: the coarsest level's is the only one, and a
-        # level holds its node mask (a byte per cell of its box) and its cut rows alone
+        # besides the levels, the hierarchy holds four numbers per cut arm and one per cut
+        # row, and no matrix with more than _COARSE_MAX rows: the coarsest level's is the
+        # only one, and a level holds its node mask (a byte per cell of its box) and its
+        # cut rows alone
         n_cut = np.count_nonzero(~np.isnan(assemble_operator(grid, 0.0)[2]))
-        arms, mg = fd2d._operators(grid)
-        assert sum(np.size(a) for a in arms) <= 4 * n_cut
+        mg = fd2d._multigrid(grid)
+        assert sum(np.size(a) for a in mg.arms) <= 4 * n_cut
+        assert mg.cut.size <= n_cut
         assert mg.coarse.shape[0] <= fd2d._COARSE_MAX
         assert mg.levels
         for lv in mg.levels:

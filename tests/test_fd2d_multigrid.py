@@ -100,7 +100,7 @@ def check_levels(domain, h, seed):
     equal diag(P^T diag(s) P) / diag(P^T P).  All to 1e-13 relative; the coarsest
     operator equals assemble_operator's exactly.  Returns the number of levels.
     """
-    mg = fd2d._multigrid(build_grid(domain, h))[1]
+    mg = fd2d._multigrid(build_grid(domain, h))
     masks = natural_masks(mg)
     rng = np.random.default_rng(seed)
     close = lambda got, want: np.max(np.abs(got - want)) <= 1e-13 * max(np.max(np.abs(want)),
@@ -159,7 +159,7 @@ class TestLevels:
         # coarsen until a level has at most _COARSE_MAX unknowns
         for h, depth in ((1.0 / 8.0, 0), (1.0 / 64.0, 2), (1.0 / 128.0, 3)):
             grid = build_grid(Disk(1.0), h)
-            mg = fd2d._multigrid(grid)[1]
+            mg = fd2d._multigrid(grid)
             assert len(mg.levels) == depth
             sizes = [int(mask.sum()) for mask in natural_masks(mg)]
             assert sizes[0] == grid.n_interior
@@ -176,7 +176,7 @@ class TestLevels:
         # shifted by an even offset (so its red cells are the lattice's red nodes), and
         # the next level's box holds the EE sublattice at coarse_box's place
         grid = build_grid(domain, h)
-        mg = fd2d._multigrid(grid)[1]
+        mg = fd2d._multigrid(grid)
         assert mg.levels
         masks = natural_masks(mg)
         for level, mask in enumerate(masks):
@@ -210,7 +210,7 @@ class TestLevels:
 
         monkeypatch.setattr(type(domain), "distance", counting_distance)
         grid = build_grid(domain, h)
-        fd2d._operators(grid)
+        fd2d._multigrid(grid)
         assert sum(points) == grid.n_interior  # the fine nodes only
         monkeypatch.undo()
         assert check_levels(domain, h, seed=7) >= 1
@@ -235,7 +235,7 @@ class TestLevels:
         grid = build_grid(domain, h)
         u = fd2d._boundary_profile(grid, EXP2, W1)(4.0)
         bfp = 2.0 * np.exp(2.0 * u)
-        mg = fd2d._multigrid(grid)[1]
+        mg = fd2d._multigrid(grid)
         assert len(mg.levels) == 2
         shifts = fd2d._shifts(mg, fd2d._to_box(mg.mask, bfp))
         rng = np.random.default_rng(1)
@@ -267,7 +267,7 @@ class TestVCycle:
         grid = build_grid(domain, h)
         u = solve_dirichlet(grid, EXP2, W1, g, tol=1e-9).interior_values()
         J = jacobian(grid, g, u)
-        mg = fd2d._multigrid(grid)[1]
+        mg = fd2d._multigrid(grid)
         assert mg.levels
         precond = preconditioner(mg, 2.0 * np.exp(2.0 * u))
         rhs = np.random.default_rng(0).standard_normal(grid.n_interior)
@@ -286,7 +286,7 @@ class TestVCycle:
         # a cycle run on an arbitrary iterate x gives x + M (rhs - J x), M the V-cycle
         # from x = 0: the multigrid iteration needs no residual box and no second iterate
         grid = build_grid(domain, h)
-        mg = fd2d._multigrid(grid)[1]
+        mg = fd2d._multigrid(grid)
         assert len(mg.levels) >= 2
         u = fd2d._boundary_profile(grid, EXP2, W1)(4.0)
         bfp = 2.0 * np.exp(2.0 * u)
@@ -309,7 +309,7 @@ class TestVCycle:
         # the Galerkin diagonal gives each its weighted share
         grid = build_grid(domain, h)
         A = assemble_operator(grid, 0.0)[0]
-        mg = fd2d._multigrid(grid)[1]
+        mg = fd2d._multigrid(grid)
         assert mg.levels
         lx, ly = lattice(grid)
         odd = (lx % 2 == 1) if pattern == "stripes" else ((lx + ly) % 2 == 1)
@@ -345,7 +345,7 @@ class TestNewtonKrylov:
     @pytest.mark.parametrize("domain, g", [(Ellipse(2.0, 0.5), 3.0), (Disk(0.9), liouville_g)])
     def test_matches_direct_newton(self, domain, g):
         grid = build_grid(domain, 1.0 / 64.0)
-        assert fd2d._multigrid(grid)[1].levels
+        assert fd2d._multigrid(grid).levels
         fld = solve_dirichlet(grid, EXP2, W1, g, tol=1e-10)
         assert fld.meta["start"] == "profile"
         u0 = fd2d._boundary_profile(grid, EXP2, W1)(float(np.nanmean(
@@ -363,7 +363,7 @@ class TestNewtonKrylov:
         # f = f0 + f1 u makes the Newton model exact: V-cycles solve the one step to
         # finish, and the field is the direct solve of (A - f1 I) u = f0 - const
         grid = build_grid(Disk(1.0), h)
-        assert len(fd2d._multigrid(grid)[1].levels) >= 2
+        assert len(fd2d._multigrid(grid).levels) >= 2
         fld = solve_dirichlet(grid, f, W1, g, tol=1e-10)
         assert fld.meta["newton_iters"] == 1
         A, const, _ = assemble_operator(grid, g)
@@ -377,7 +377,7 @@ class TestNewtonKrylov:
         assert fld.meta["newton_iters"] >= 2
         assert fld.meta["cycles"] == fld.meta["newton_iters"]
         u = fld.interior_values()
-        mg = fd2d._multigrid(grid)[1]
+        mg = fd2d._multigrid(grid)
         assert not mg.levels
         rhs = np.sin(np.arange(grid.n_interior, dtype=float))
         x, cycles = newton_direction(2.0 * np.exp(2.0 * u), mg, rhs, 1e-6)
@@ -420,6 +420,21 @@ class TestNewtonKrylov:
         assert len(built) == 1 and built[0] is grid
         solve_dirichlet(grid, EXP2, W1, 2.0, tol=1e-9)
         assert len(built) == 2 and built[1] is grid
+
+    @pytest.mark.parametrize("domain, h, g", [(Disk(0.9), 1.0 / 64.0, liouville_g),
+                                              (Ellipse(1.2, 1.0), 1.0 / 48.0, 3.0)])
+    def test_given_hierarchy_is_bit_identical(self, domain, h, g):
+        # a solve given _multigrid(grid)'s hierarchy, twice over, returns the default
+        # call's field, counts and residual history bit for bit: it leaves the hierarchy
+        # as it found it
+        grid = build_grid(domain, h)
+        mg = fd2d._multigrid(grid)
+        assert mg.levels
+        want = solve_dirichlet(grid, EXP2, W1, g, tol=1e-9)
+        for _ in range(2):
+            got = solve_dirichlet(grid, EXP2, W1, g, tol=1e-9, multigrid=mg)
+            assert np.array_equal(got.interior_values(), want.interior_values())
+            assert got.meta == want.meta
 
 
 def recording_forcing(monkeypatch, distort=None):
