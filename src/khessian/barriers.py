@@ -7,7 +7,7 @@ differential inequalities and cone admissibility on quasi-random collar
 samples.  The collar width is found by automated halving (the analysis only
 asserts existence of a small enough width).  A second, global certificate
 checks phi(-eps w) against the torsion solution w on the whole ball for a
-dyadic ladder of eps.
+dyadic ladder of eps.  One check, ``_judge``, decides both certificates.
 
 The quasi-random samples are Owen-scrambled Halton points generated here in
 numpy, and the symmetric functions of all samples are evaluated in one
@@ -25,13 +25,14 @@ from .errors import (
     CertificationFailure,
     GeometryError,
     ParameterError,
+    require_dimension_order,
     require_positive_finite,
 )
 from .grid2d import Ellipse
 from .nonlinearity import Nonlinearity, Weight
 from .profiles import ProfileFns, check_limit_Ff, condition15_gap
 from .radial import RadialSolution
-from .symfunc import sigma_all, sk_radial
+from .symfunc import sigma_all
 
 __all__ = [
     "CollarGeometry",
@@ -79,8 +80,7 @@ class CollarGeometry:
 
 
 def ball_geometry(n, k, R=1.0):
-    if not 1 <= k <= n:
-        raise ParameterError(f"order k={k} out of range 1..{n}")
+    require_dimension_order(n, k)
     require_positive_finite(R, "ball radius")
     curv = np.full(n - 1, 1.0 / R)
     s = float(sigma_all(curv, k - 1)[k - 1]) if k >= 2 else 1.0
@@ -128,8 +128,7 @@ def make_barrier_params(p: ProfileFns, geom: CollarGeometry, eps, delta_eps, sig
             f"(3.3) barrier slack must satisfy 0 < eps < b_lower/2, got eps={eps}"
         )
     gap = condition15_gap(p.C_f, p.C_m)
-    if delta_eps <= 0.0:
-        raise ParameterError(f"collar width must be positive, got {delta_eps}")
+    require_positive_finite(delta_eps, "collar width")
     sigma_shift = float(sigma_shift)
     if not 0.0 < sigma_shift < delta_eps:
         raise ParameterError(
@@ -167,6 +166,12 @@ def composite_eigs(g1, g2, d, rho):
     return np.concatenate([g2, -g1 * rho / den], axis=-1)
 
 
+def _phi_chain(p: ProfileFns, T, T1, T2):
+    """(phi(T), phi' T1, phi' T2 + phi'' T1^2): the jet of phi(T) given T' = T1, T'' = T2."""
+    val, g1, g2 = p.phi_jet(T)
+    return val, g1 * T1, g1 * T2 + g2 * T1**2
+
+
 class ProfileBarrier:
     """phi(xi M(d + shift)) and its two distance derivatives, at a distance or an array."""
 
@@ -189,10 +194,9 @@ class ProfileBarrier:
             )
         d1 = dd + self.shift
         p, xi = self.p, self.xi
-        m = np.asarray(p.weight.m(d1), dtype=float)
-        val, g1, g2 = p.phi_jet(xi * np.asarray(p.M(d1), dtype=float))
-        deriv1 = xi * m * g1
-        deriv2 = xi * np.asarray(p.weight.m_prime(d1), dtype=float) * g1 + xi**2 * m**2 * g2
+        val, deriv1, deriv2 = _phi_chain(p, xi * np.asarray(p.M(d1), dtype=float),
+                                         xi * np.asarray(p.weight.m(d1), dtype=float),
+                                         xi * np.asarray(p.weight.m_prime(d1), dtype=float))
         return val, scalar_or_array(d, deriv1), scalar_or_array(d, deriv2)
 
 
@@ -241,21 +245,10 @@ class MarginReport:
     worst_margin: float
     sup_sigma_k_tilted: float
     samples: list = field(default_factory=list)
-    extras: dict = field(default_factory=dict)
 
     def as_dict(self):
         """The report as a dict of plain Python values (the samples list is shared)."""
-        return {
-            "kind": self.kind,
-            "eps": self.eps,
-            "delta_eps": self.delta_eps,
-            "sigma_shift": self.sigma_shift,
-            "passed": self.passed,
-            "worst_margin": self.worst_margin,
-            "sup_sigma_k_tilted": self.sup_sigma_k_tilted,
-            "extras": self.extras,
-            "samples": self.samples,
-        }
+        return dict(vars(self))
 
 
 def scrambled_halton(n, seed=0):
@@ -314,6 +307,25 @@ def collar_samples(bp: BarrierParams, kind, nsamples=200, seed=0):
     return _to_collar(bp, kind, scrambled_halton(nsamples, seed))
 
 
+def _judge(lam, k, rhs, kind):
+    """(sigma_1..sigma_k, margin, admissible, passed, worst) of a barrier inequality.
+
+    Per row of spectra ``lam``: "super" asks sigma_k <= rhs, "sub" sigma_k >= rhs, so the
+    margin is >= 0 where it holds.  A row passes if admissible (sigma_1..sigma_k > 0) with
+    margin >= -_TOL_SCALE * rhs, a nan margin failing; ``worst`` is the least margin / rhs
+    (the margin itself where rhs <= 0).
+    """
+    sigs = sigma_all(lam, k)[:, 1:]
+    sk = sigs[:, k - 1]
+    margin = rhs - sk if kind == "super" else sk - rhs
+    admissible = np.all(sigs > 0.0, axis=1)
+    passed = bool(np.all(admissible & (margin >= -_TOL_SCALE * rhs)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.where(rhs > 0.0, margin / rhs, margin)
+    # fmin skips nan: a row whose values left the reals fails but does not set the worst
+    return sigs, margin, admissible, passed, float(np.fmin.reduce(rel, initial=math.inf))
+
+
 def _verify(kind, barrier, p, geom, bp, f, bweight, samples):
     kp1 = p.k + 1
     base = bweight.b_lower if kind == "super" else bweight.b_upper
@@ -325,16 +337,10 @@ def _verify(kind, barrier, p, geom, bp, f, bweight, samples):
     d_shift = ds + barrier.shift
     ratio_A, ratio_B = collar_ratios(p, barrier.xi, d_shift, uval)
     rho = geom.rho(samples[:, 1])
-    sigs = sigma_all(composite_eigs(g1, g2, ds, rho), p.k)[:, 1:]
+    sigs, margin, admissible, passed, worst = _judge(
+        composite_eigs(g1, g2, ds, rho), p.k, scale, kind)
     tilt_k = sigma_all(rho / (1.0 - ds[:, None] * rho), p.k)[:, p.k]
-    sk = sigs[:, p.k - 1]
-    margin = scale - sk if kind == "super" else sk - scale
-    admissible = np.all(sigs > 0.0, axis=1)
-    passed = admissible & (margin >= -_TOL_SCALE * scale)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rel = np.where(scale > 0.0, margin / scale, margin)
-    # fmin / fmax skip nan: a sample whose values left the reals sets neither extreme
-    worst = float(np.fmin.reduce(rel, initial=math.inf))
+    # fmax skips nan, as the worst margin's fmin does
     sup_tilt = float(np.fmax.reduce(tilt_k, initial=0.0))
     cols = (samples[:, 0], samples[:, 1], margin, scale, sigs, admissible,
             np.asarray(ratio_A, dtype=float), np.asarray(ratio_B, dtype=float))
@@ -348,7 +354,7 @@ def _verify(kind, barrier, p, geom, bp, f, bweight, samples):
         eps=bp.eps,
         delta_eps=bp.delta_eps,
         sigma_shift=bp.sigma_shift,
-        passed=bool(np.all(passed)),
+        passed=passed,
         worst_margin=worst,
         sup_sigma_k_tilted=sup_tilt,
         samples=rows,
@@ -430,9 +436,11 @@ def certify_upper_barrier_global(p: ProfileFns, w_sol: RadialSolution, f: Nonlin
 
     Descends the dyadic eps ladder until S_k(D^2 phi(-eps w)) <= b f(...)
     holds at every radius of ``_GLOBAL_RADII`` times R (with cone
-    admissibility); returns the largest working eps and its report.  Also
-    records the decay diagnostic of F**(k/(k+1))/f that drives the
-    smallness of the barrier multiplier.
+    admissibility); returns the largest working eps and its report.
+    ``_judge``, the collar certificates' check, decides each eps on the
+    spectrum (h'', h'/r, ..., h'/r) of h = phi(-eps w).  Also records the
+    decay diagnostic of F**(k/(k+1))/f that drives the smallness of the
+    barrier multiplier.
     """
     n, k, R = w_sol.meta["n"], w_sol.meta["k"], w_sol.meta["R"]
     if w_sol.value is None or w_sol.deriv1 is None or w_sol.deriv2 is None:
@@ -449,33 +457,18 @@ def certify_upper_barrier_global(p: ProfileFns, w_sol: RadialSolution, f: Nonlin
         t = -eps * w_all
         # radii up to the first with t <= 0, where phi(-eps w) is undefined
         nonpos = np.flatnonzero(t <= 0.0)
-        ok = nonpos.size == 0
-        n_ok = len(t) if ok else int(nonpos[0])
-        r, w1, w2, t = r_all[:n_ok], w1_all[:n_ok], w2_all[:n_ok], t[:n_ok]
-        u, g1, g2 = p.phi_jet(t)
-        h1 = -eps * w1 * g1
-        h2 = -eps * w2 * g1 + eps**2 * w1**2 * g2
-        lhs = sk_radial(h1, h2, r, n, k)
+        n_ok = len(t) if nonpos.size == 0 else int(nonpos[0])
+        r = r_all[:n_ok]
+        u, h1, h2 = _phi_chain(p, t[:n_ok], -eps * w1_all[:n_ok], -eps * w2_all[:n_ok])
         rhs = b_all[:n_ok] * np.asarray(f.f(u), dtype=float)
         lam = np.column_stack([h2, np.repeat((h1 / r)[:, None], n - 1, axis=1)])
-        admissible = np.all(sigma_all(lam, k)[:, 1:] > 0.0, axis=1)
-        margin = rhs - lhs
-        ok = ok and bool(np.all(admissible & ~(margin < -_TOL_SCALE * rhs)))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rel = np.where(rhs > 0.0, margin / rhs, margin)
-        # fmin skips nan: a radius whose values left the reals does not set the worst
-        worst = float(np.fmin.reduce(rel, initial=math.inf))
+        _, margin, admissible, ok, worst = _judge(lam, k, rhs, "super")
         rows = [{"r": r_i, "margin": mg, "rhs": rhs_i, "admissible": adm}
                 for r_i, mg, rhs_i, adm in zip(r.tolist(), margin.tolist(), rhs.tolist(),
                                                admissible.tolist())]
-        if ok:
-            report = {
-                "eps": eps,
-                "worst_relative_margin": worst,
-                "Ff_decay_probe": ff_decay,
-                "samples": rows,
-            }
-            return eps, report
+        if ok and nonpos.size == 0:
+            return eps, {"eps": eps, "worst_relative_margin": worst, "Ff_decay_probe": ff_decay,
+                         "samples": rows}
         worst_overall = max(worst_overall, worst)
         last_rows = rows
     raise CertificationFailure(

@@ -17,6 +17,14 @@ def require_positive_finite(value, what):
         raise ParameterError(f"{what} must be positive and finite, got {value}")
 
 
+def require_dimension_order(n, k):
+    """ParameterError unless the dimension n is >= 2 and the order k lies in 1..n."""
+    if n < 2:
+        raise ParameterError(f"dimension must be >= 2, got {n}")
+    if not 1 <= k <= n:
+        raise ParameterError(f"order k={k} out of range 1..{n}")
+
+
 def require_schedule(values):
     """values as floats; ParameterError unless they are non-empty, finite, strictly increasing."""
     js = [float(j) for j in values]

@@ -29,7 +29,8 @@ from ._quad import (
     scalar_or_array,
 )
 from .errors import (IntegrationFailure, ParameterError, ReportTruncated, SolveFailure,
-                     require_array_callable, require_positive_finite, require_schedule)
+                     require_array_callable, require_dimension_order, require_positive_finite,
+                     require_schedule)
 from .nonlinearity import Nonlinearity, Weight
 from .profiles import ProfileFns, predicted_profile
 
@@ -62,10 +63,7 @@ class RadialProblem:
     b_const: Optional[float] = None
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ParameterError(f"dimension must be >= 2, got {self.n}")
-        if not 1 <= self.k <= self.n:
-            raise ParameterError(f"order k={self.k} out of range 1..{self.n}")
+        require_dimension_order(self.n, self.k)
         require_positive_finite(self.R, "ball radius")
         require_array_callable(self.b, self.R * np.array([0.25, 0.5]), "source b")
 
@@ -207,9 +205,9 @@ def solve_torsion(prob: RadialProblem):
         u1=slope(rs, moment.prefix[::stride]),
         Rstar=R,
         meta={"kind": "torsion", "n": n, "k": k, "R": R},
-        value=lambda r: w(r),
-        deriv1=lambda r: wp(r),
-        deriv2=lambda r: wpp(r),
+        value=w,
+        deriv1=wp,
+        deriv2=wpp,
     )
 
 

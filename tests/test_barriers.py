@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import qmc
 
 from khessian import barriers, reports
@@ -26,7 +28,7 @@ from khessian.errors import (CertificationFailure, ConditionViolation, GeometryE
 from khessian.nonlinearity import Nonlinearity, Weight
 from khessian.profiles import assemble_profile, xi_bounds
 from khessian.radial import RadialProblem, solve_torsion
-from khessian.symfunc import sigma_all
+from khessian.symfunc import sigma_all, sk_radial
 
 B_ONE = lambda r: np.ones_like(np.asarray(r, float))
 W1 = Weight.constant(1.0)
@@ -145,6 +147,14 @@ class TestBarrierParams:
             make_barrier_params(p, geom, eps=0.6, delta_eps=0.05, sigma_shift=0.1 * 0.05)
         with pytest.raises(ParameterError):
             make_barrier_params(p, geom, eps=0.1, delta_eps=0.05, sigma_shift=0.06)
+
+    @pytest.mark.parametrize("width", [math.inf, math.nan])
+    def test_collar_width_positive_and_finite(self, width):
+        p = assemble_profile(Nonlinearity.power(5), W1, 2)
+        with pytest.raises(ParameterError, match=f"collar width must be positive and finite, "
+                                                 f"got {width}"):
+            make_barrier_params(p, ball_geometry(3, 2, 1.0), eps=0.1, delta_eps=width,
+                                sigma_shift=0.005)
 
     def test_gap_violation_label(self):
         # force the degenerate constant pairs via a doctored copy of the bundle
@@ -335,6 +345,22 @@ class TestVerification:
         assert (rep.passed, rep.worst_margin, rep.sup_sigma_k_tilted) == (ok, worst, sup_tilt)
         assert rep.passed == (width < 0.1 or kind == "sub")
 
+    def test_nan_weight_fails(self):
+        # the collar twin of the global barrier's nan right-hand side
+        nl = Nonlinearity.power(5)
+        p = assemble_profile(nl, W1, 2)
+        geom = ball_geometry(3, 2, 1.0)
+        bp = make_barrier_params(p, geom, 0.1, 0.0125, 0.1 * 0.0125)
+        upper, _ = build_barriers(p, geom, bp)
+        pts = collar_samples(bp, "super", 60, seed=3)
+        cut = float(np.median(pts[:, 0]))
+        zeros = lambda d: np.zeros_like(np.asarray(d, float))
+        nan_m = Weight.custom(lambda d: np.where(d > cut, np.nan, 1.0), zeros, 1.0)
+        assert verify_supersolution(upper, p, geom, bp, nl, W1, pts).passed
+        rep = verify_supersolution(upper, p, geom, bp, nl, nan_m, pts)
+        assert not rep.passed
+        assert sum(math.isnan(s["margin"]) for s in rep.samples) == 30
+
     def test_oversized_collar_shrinks_not_fails(self, monkeypatch):
         # a too-large initial width (0.5 here) may fail its report; the search shrinks
         monkeypatch.setattr(barriers, "_WIDTH0_FRAC", 0.5)
@@ -410,7 +436,7 @@ class TestGlobalUpperBarrier:
                 assert type(row["admissible"]) is bool
                 rhs = row["rhs"]
                 worst = min(worst, row["margin"] / rhs if rhs > 0 else row["margin"])
-                ok = ok and row["admissible"] and not row["margin"] < -1e-9 * rhs
+                ok = ok and row["admissible"] and row["margin"] >= -1e-9 * rhs
             return worst, ok
 
         monkeypatch.setattr(barriers, "_EPS_LADDER", (4.0, 2.0, 1.0))
@@ -423,6 +449,40 @@ class TestGlobalUpperBarrier:
         worst, ok = loop(info.value.report)
         assert not ok and len(info.value.report) == 97
         assert worst < info.value.worst_margin < 0.0  # eps = 2 was the better of the two
+
+    def test_nan_rhs_fails(self):
+        # b is nan on half the radii: those margins are nan, and a nan margin fails every eps
+        nl = Nonlinearity.power(5)
+        w = solve_torsion(RadialProblem(n=3, k=2, R=1.0, f=nl, b=B_ONE))
+        p = assemble_profile(nl, W1, 2)
+        with pytest.raises(CertificationFailure) as info:
+            certify_upper_barrier_global(p, w, nl, lambda r: np.where(r > 0.5, np.nan, 1.0))
+        margins = [row["margin"] for row in info.value.report]
+        assert sum(map(math.isnan, margins)) == 48 and len(margins) == 97
+
+    @settings(max_examples=25)
+    @given(n=st.integers(2, 6), data=st.data())
+    def test_margin_matches_sk_radial(self, n, data):
+        # sk_radial's closed form, an oracle independent of the report's sigma recurrence
+        k = data.draw(st.integers(1, n), label="k")
+        gamma = k + data.draw(st.floats(0.05, 5.0), label="gamma - k")
+        nl = Nonlinearity.power(gamma)
+        w = solve_torsion(RadialProblem(n=n, k=k, R=1.0, f=nl, b=B_ONE))
+        p = assemble_profile(nl, W1, k)
+        try:
+            eps, report = certify_upper_barrier_global(p, w, nl, B_ONE)
+            rows = report["samples"]
+        except CertificationFailure as exc:  # its rows are the last eps's
+            eps, rows = barriers._EPS_LADDER[-1], exc.report
+        r = np.array([row["r"] for row in rows])
+        u, g1, g2 = p.phi_jet(-eps * w.value(r))
+        h1 = -eps * w.deriv1(r) * g1
+        h2 = -eps * w.deriv2(r) * g1 + eps**2 * w.deriv1(r) ** 2 * g2
+        lhs = sk_radial(h1, h2, r, n, k)
+        rhs = np.array([row["rhs"] for row in rows])
+        margin = np.array([row["margin"] for row in rows])
+        assert np.array_equal(rhs, nl.f(u))
+        assert np.all(np.abs(margin - (rhs - lhs)) <= 1e-13 * np.maximum(abs(rhs), abs(lhs)))
 
     def test_eps_one_recorded_even_if_it_fails(self):
         # the largest ladder value may or may not certify; the search must

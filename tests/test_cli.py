@@ -350,6 +350,10 @@ VALIDATION = {
                           "order k=3 out of range 1..2"),
     "k-above-n-radial-ivp": ("command = radial-ivp\nn = 2\nk = 3\nf = power:5\nu0 = 1\n",
                              "order k=3 out of range 1..2"),
+    "n-one-profile": ("command = profile\nn = 1\nk = 1\nf = power:5\n",
+                      "dimension must be >= 2, got 1"),
+    "n-one-check-barrier": ("command = check-barrier\nn = 1\nk = 1\nf = power:5\n",
+                            "dimension must be >= 2, got 1"),
     "f2-radial-ivp": ("command = radial-ivp\nn = 3\nk = 2\nf = power:2\nu0 = 1\n", F2),
     "f2-radial-exhaust": ("command = radial-exhaust\nn = 3\nk = 2\nf = power:2\n"
                           "j_schedule = 2,4\n", F2),
