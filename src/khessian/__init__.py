@@ -47,7 +47,7 @@ from .symfunc import (
 
 __version__ = "0.1.0"
 
-# the 2-d solver loads scipy.sparse, so its module is imported on first use
+# the 2-d solver loads scipy's LAPACK, so its module is imported on first use
 _FD2D = ("asymptotics_report_2d", "exhaust", "solve_dirichlet")
 
 

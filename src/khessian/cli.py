@@ -269,7 +269,7 @@ def cmd_radial_exhaust(cfg, outdir, base, quiet, runinfo):
 
 
 def cmd_fd_exhaust(cfg, outdir, base, quiet, runinfo):
-    from .fd2d import exhaust  # loads scipy.sparse, which no other command needs
+    from .fd2d import exhaust  # loads scipy's LAPACK, which no other command needs
 
     nl = _parse_nonlinearity(cfg.get("f", str, required=True))
     w = _parse_weight(cfg.get("weight", str, "constant:1"), cfg)

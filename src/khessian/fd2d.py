@@ -17,19 +17,22 @@ parity sublattices, applies the uniform stencil of spacing 2^l h by array slices
 recomputes the rows with a cut arm, which with its node mask is all it holds.  The Newton
 loop runs on the finest box.  Levels are shifted by the Galerkin diagonal of b f'(u),
 smoothed by red-black Gauss-Seidel and linked by full weighting and bilinear
-prolongation; only the coarsest, at most a thousand unknowns, is a matrix, factored by
-SuperLU.  The hierarchy (_multigrid), with the grid's cut arms grouped by the finest
-level's cut rows, depends on the grid alone: solve_dirichlet takes it as an argument or
-builds it, and exhaust builds it once for all its boundary values.  The orders k >= 2 are
-handled radially elsewhere.  Levels and the coarse fill-reducing ordering are fixed, so
+prolongation.  Each step overwrites every level's shift, b f'(u) itself on the finest,
+with its inverse diagonal 1 / (D - s), which the sweeps multiply by.  Only the coarsest
+level, at most 600 unknowns, is a matrix: a band in LAPACK's storage, row-major with
+half-bandwidth about its width in nodes, factored once per step by the banded LU dgbtrf
+and solved once per V-cycle by dgbtrs.  scipy.sparse serves the reference
+assemble_operator alone.  The hierarchy (_multigrid), with the grid's cut arms grouped
+by the finest level's cut rows, depends on the grid alone: solve_dirichlet takes it as an
+argument or builds it, and exhaust builds it once for all its boundary values.  The
+orders k >= 2 are handled radially elsewhere.  Levels and the band's order are fixed, so
 identical inputs give bit-identical fields on one machine.
 """
 
 import math
 from dataclasses import dataclass, field
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import (ConditionViolation, KellerOssermanViolation, ParameterError,
                      ReportTruncated, SolveFailure, require_positive_finite, require_schedule)
@@ -40,7 +43,10 @@ from .profiles import ProfileFns, assemble_profile, predicted_profile, xi_bounds
 __all__ = ["assemble_operator", "solve_dirichlet", "exhaust", "Report2D", "asymptotics_report_2d"]
 
 _K_ORDER = 1  # this module is the k = 1 lane
-_COARSE_MAX = 1000  # unknowns on the coarsest multigrid level, the one SuperLU factors
+# unknowns on the coarsest multigrid level, the one factored: its band, about 3 sqrt(n) by
+# n, is factored in about a millisecond.  A cap below 535 would coarsen Ellipse(1.2, 1) at
+# h = 1/48 down to spacing 1/6, where a V-cycle contracts at 0.21 instead of 0.16
+_COARSE_MAX = 600
 _FORCING = 1e-6  # tightest relative residual a Newton step is solved to
 # c: a step is solved to c times the larger of the scaled Newton residual r and 10 tol / r,
 # between _FORCING and 0.1; c = 0 solves every step to _FORCING
@@ -67,19 +73,39 @@ def _weights(arm, h):
             -(2.0 / (aE * aW) + 2.0 / (aN * aS)))
 
 
-def _operator(cols, cut, off, diag, h):
-    """CSR matrix of _stencil's (cols, cut, off, diag), its rows stored S, W, diagonal, E, N.
-
-    Rows not in cut take 1/h^2 and -4/h^2; entries of absent neighbours are left out.
-    """
+def _entries(cols, cut, off, diag, h):
+    """(vals, cols): _stencil's rows as matrix entries S, W, diagonal, E, N, and their
+    columns, -1 for an absent neighbour.  Rows not in cut take 1/h^2 and -4/h^2."""
     n, inv = len(cols), 1.0 / (h * h)
     vals = np.full((n, 5), inv)
     vals[:, 2] = -4.0 * inv
     vals[cut] = np.insert(off, 2, diag, axis=1)
-    cols = np.insert(cols, 2, np.arange(n, dtype=np.int32), axis=1)
+    return vals, np.insert(cols, 2, np.arange(n, dtype=np.int32), axis=1)
+
+
+def _operator(cols, cut, off, diag, h):
+    """CSR matrix of _stencil's (cols, cut, off, diag), its rows stored S, W, diagonal, E, N;
+    entries of absent neighbours are left out."""
+    import scipy.sparse as sp  # the reference matrix alone: a solve never loads it
+
+    vals, cols = _entries(cols, cut, off, diag, h)
     keep = cols >= 0
     indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(keep, axis=1))])
-    return sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(n, n))
+    return sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(len(cols), len(cols)))
+
+
+def _band(cols, cut, off, diag, h, s):
+    """_operator's matrix minus diag(s) in LAPACK's band storage, as dgbtrf takes it:
+    (3 kl + 1, n) in Fortran order, kl the half-bandwidth, A[i, j] at [2 kl + i - j, j];
+    the first kl rows are left 0 for the factor's fill."""
+    vals, cols = _entries(cols, cut, off, diag, h)
+    row, t = np.nonzero(cols >= 0)
+    col = cols[row, t]
+    kl = int(np.max(np.abs(row - col)))
+    band = np.zeros((3 * kl + 1, len(cols)), order="F")
+    band[2 * kl + row - col, col] = vals[row, t]
+    band[2 * kl] -= s
+    return band
 
 
 def _stencil(domain, h, lx, ly):
@@ -258,13 +284,15 @@ class _Level:
 
 @dataclass(frozen=True)
 class _Multigrid:
-    """Levels of one grid, fine to coarse, the coarsest operator and the grid's cut arms.
+    """Levels of one grid, fine to coarse, the coarsest level's stencil and the cut arms.
 
     Level l holds the fine nodes whose lattice coordinates 2^l divides, as
     build_grid(domain, 2^l h) would, since (2^l i) h and i (2^l h) round alike.  levels
     are the smoothed ones; fine is the first, or the grid's own _Level when the grid is
     the coarsest level.  mask and coarse_mask are the finest and coarsest nodes on natural
-    boxes, row-major like the grid and coarse.  cut are fine's cut rows, in its order, as
+    boxes, row-major like the grid and coarse, the coarsest level's stencil (_stencil's
+    cols, cut, off and diag) and spacing, from which each step writes its band (_band).
+    cut are fine's cut rows, in its order, as
     node numbers of the grid, and arms their cut arms (_stencil), each row a place in cut:
     what _boundary_terms needs.  None of it depends on f, b or g.
     """
@@ -272,7 +300,7 @@ class _Multigrid:
     levels: list
     fine: _Level
     mask: np.ndarray
-    coarse: sp.csc_matrix
+    coarse: tuple
     coarse_mask: np.ndarray
     cut: np.ndarray
     arms: tuple
@@ -303,8 +331,9 @@ def _multigrid(grid: Field2D):
     Each level is the even sublattice of the one above, halved, on a natural box holding
     the finer box's EE sublattice, moved by at most one cell to start on even coordinates,
     with the cut rows of its stencil (_stencil).  No coarse grid or distance is formed,
-    and no matrix but the coarsest.  The cut arms are the finest stencil's, their rows
-    renumbered from row-major to the finest level's order (_level's argsort).
+    and no matrix: the coarsest level keeps its stencil.  The cut arms are the finest
+    stencil's, their rows renumbered from row-major to the finest level's order (_level's
+    argsort).
     """
     domain, h, lx, ly = grid.domain, grid.h, grid.lx, grid.ly
     x0, y0 = lx.min() & ~1, ly.min() & ~1  # natural boxes start on even coordinates
@@ -326,7 +355,7 @@ def _multigrid(grid: Field2D):
         lx, ly, x0, y0, h = lx[even] >> 1, ly[even] >> 1, (x0 >> 1) - ox, (y0 >> 1) - oy, 2 * h
         *stencil, _ = _stencil(domain, h, lx, ly)
     fine = levels[0] if levels else _level(mask, lx - x0, ly - y0, stencil, h, None)
-    return _Multigrid(levels=levels, fine=fine, mask=top, coarse=_operator(*stencil, h).tocsc(),
+    return _Multigrid(levels=levels, fine=fine, mask=top, coarse=(*stencil, h),
                       coarse_mask=mask, cut=cut, arms=arms)
 
 
@@ -384,11 +413,15 @@ def _diagonal(lv: _Level, part, s=None):
     return d
 
 
-def _apply(lv: _Level, X, part, out, s=None):
-    """out = (A - diag(s)) X on the sublattices part of one colour, 0 off the nodes; out may
-    be X[part], which is read first."""
-    d = _diagonal(lv, part, s)
-    d *= X[part]
+def _apply(lv: _Level, X, part, out, inverse=None):
+    """out = (A - diag(s)) X on the sublattices part of one colour, 0 off the nodes, given
+    s's inverse diagonal box 1 / (D - s) (_invert), or s = 0 without it; out may be X[part],
+    which is read first."""
+    if inverse is None:
+        d = _diagonal(lv, part)
+        d *= X[part]
+    else:
+        d = np.divide(X[part], inverse[part], out=np.zeros_like(X[part]), where=lv.mask[part])
     _product(lv, X, part, out)
     out += d
     out *= lv.mask[part]
@@ -443,27 +476,29 @@ def _shifts(mg: _Multigrid, bfp):
     return shifts
 
 
-def _inverse(lv: _Level, s, colour):
-    """1 / diagonal of A_l - diag(s) on one colour's cells (0 red, 1 black), 0 off the nodes."""
-    part = _COLOURS[colour]
-    d = _diagonal(lv, part, s)
-    return np.divide(lv.mask[part], d, out=d)
+def _invert(mg: _Multigrid, bfp, shifts):
+    """Overwrite each level's shift box of _shifts, bfp the finest's, with its inverse
+    diagonal 1 / (D - s) on the level's nodes, 0 elsewhere, one colour at a time."""
+    for lv, s in zip([mg.fine, *mg.levels[1:]], [bfp, *shifts[1:-1]]):
+        for part in _COLOURS:
+            np.divide(lv.mask[part], _diagonal(lv, part, s), out=s[part])
 
 
-def _sweep(lv: _Level, x, r, s, colour):
-    """Gauss-Seidel on one colour's cells: x = (r - (A - D) x) / (D - s) there, D - s made anew."""
+def _sweep(lv: _Level, x, r, inverse, colour):
+    """Gauss-Seidel on one colour's cells: x = (r - (A - D) x) / (D - s) there, the level's
+    inverse diagonal box 1 / (D - s) given (_invert)."""
     part = _COLOURS[colour]
     out = _product(lv, x, part, x[part])  # reads the other colour only
     np.subtract(r[part], out, out=out)
-    out *= _inverse(lv, s, colour)
+    out *= inverse[part]
 
 
-def _vcycle(levels, shifts, coarse, r, x=None):
+def _vcycle(levels, inverses, coarse, r, x=None):
     """One V-cycle for J x = r on the top level's box: x + M (r - J x) in place, or M r.
 
     x is None for a cycle from x = 0, which returns a new x.  One red-black Gauss-Seidel
-    sweep (``shifts``: the levels' s) before and after the coarse correction on every
-    level, and the coarsest level's solve ``coarse``, whose new vector is returned when
+    sweep (``inverses``: the levels' 1 / (D - s)) before and after the coarse correction on
+    every level, and the coarsest level's solve ``coarse``, whose new vector is returned when
     there are no levels.  After the pre-sweep the black residual is zero, so only the red
     one is restricted: it is built in x's red half, which the post-sweep sets anew.  From
     x = 0 it is -A_rb x_b, and coarser levels start from 0.  M is a fixed linear map,
@@ -471,36 +506,55 @@ def _vcycle(levels, shifts, coarse, r, x=None):
     """
     if not levels:
         return coarse(r)
-    lv, s = levels[0], shifts[0]
+    lv, inv = levels[0], inverses[0]
     if x is None:  # the red sweep from x = 0; the black sweep sets the black cells
         x = np.empty_like(r)
-        np.multiply(r[:2], _inverse(lv, s, 0), out=x[:2])
-        _sweep(lv, x, r, s, 1)
+        np.multiply(r[:2], inv[:2], out=x[:2])
+        _sweep(lv, x, r, inv, 1)
         red = np.negative(_product(lv, x, _COLOURS[0], x[:2]), out=x[:2])
         red *= lv.mask[:2]
     else:
-        _sweep(lv, x, r, s, 0)
-        _sweep(lv, x, r, s, 1)
-        red = np.subtract(r[:2], _apply(lv, x, _COLOURS[0], x[:2], s), out=x[:2])
-    _prolong(lv, _vcycle(levels[1:], shifts[1:], coarse, _restrict(lv, red)), x)
-    _sweep(lv, x, r, s, 0)
-    _sweep(lv, x, r, s, 1)
+        _sweep(lv, x, r, inv, 0)
+        _sweep(lv, x, r, inv, 1)
+        red = np.subtract(r[:2], _apply(lv, x, _COLOURS[0], x[:2], inv), out=x[:2])
+    _prolong(lv, _vcycle(levels[1:], inverses[1:], coarse, _restrict(lv, red)), x)
+    _sweep(lv, x, r, inv, 0)
+    _sweep(lv, x, r, inv, 1)
     return x
 
 
+def splu(band):
+    """(lu, piv): the banded LU of LAPACK's dgbtrf of band (_band), which it overwrites;
+    SolveFailure if a pivot is exactly zero.
+
+    The coarsest level's factorization, made once per Newton step.  It keeps the name
+    that perfbench/tracer.py wraps to time and count the factorizations (fd2d.factor_s,
+    fd2d.factorizations); the rename waits for the run trace of ROADMAP item 3.
+    """
+    kl = band.shape[0] // 3
+    lu, piv, info = dgbtrf(band, kl, kl, overwrite_ab=1)
+    if info != 0:
+        raise SolveFailure(f"coarsest-level Jacobian factorization failed (dgbtrf info {info})")
+    return lu, piv
+
+
 def _coarse_lu(mg: _Multigrid, shifts):
-    """SuperLU factor of the coarsest level shifted by shifts[-1]; SolveFailure if it fails."""
-    coarse = mg.coarse - sp.diags(shifts[-1], format="csc")
-    try:
-        return splu(coarse, permc_spec="MMD_AT_PLUS_A")
-    except RuntimeError as exc:  # SuperLU: singular or out of memory
-        raise SolveFailure(f"coarsest-level Jacobian factorization failed: {exc}") from exc
+    """splu of the coarsest level's band shifted by shifts[-1]; SolveFailure if it fails."""
+    return splu(_band(*mg.coarse, shifts[-1]))
 
 
-def _cycle(mg: _Multigrid, shifts, coarse_lu):
-    """One V-cycle for A - diag(shifts[0]) on the finest box: (r, x=None) -> _vcycle's x."""
-    coarse = lambda r: _to_box(mg.coarse_mask, coarse_lu.solve(_natural(r)[mg.coarse_mask]))
-    return lambda r, x=None: _vcycle(mg.levels, shifts, coarse, r, x)
+def _cycle(mg: _Multigrid, inverses, coarse_lu):
+    """One V-cycle for A - diag(s) on the finest box, inverses its levels' 1 / (D - s)
+    (_invert): (r, x=None) -> _vcycle's x; the coarsest level's solve is dgbtrs on
+    coarse_lu."""
+    lu, piv = coarse_lu
+    kl = lu.shape[0] // 3
+
+    def coarse(r):
+        x = dgbtrs(lu, kl, kl, _natural(r)[mg.coarse_mask], piv, overwrite_b=1)[0]
+        return _to_box(mg.coarse_mask, x)
+
+    return lambda r, x=None: _vcycle(mg.levels, inverses, coarse, r, x)
 
 
 def _defect_correction(mg: _Multigrid):
@@ -511,9 +565,10 @@ def _defect_correction(mg: _Multigrid):
     x + M (rhs - J x) in place (_vcycle) until ||rhs - J x||_2 <= rtol ||rhs||_2, at least
     one cycle in all; cycles counts every cycle so far.  The residual is built a
     sublattice at a time for its norm alone, so the iteration holds x beside bfp and rhs
-    and no other fine box.  Every call takes the same bfp and rhs, holds neither once it
-    returns and runs on the first's coarsest LU.  Raises SolveFailure when the
-    factorization fails, a residual is not finite or _MAX_CYCLES cycles in all miss rtol.
+    and no other fine box.  Every call takes the same bfp and rhs, overwrites bfp with
+    the finest level's inverse diagonal (_invert), holds neither once it returns and runs
+    on the first's coarsest LU.  Raises SolveFailure when the factorization fails, a
+    residual is not finite or _MAX_CYCLES cycles in all miss rtol.
     """
     coarse_lu = last = None  # last: the (x, cycles) of the last call
 
@@ -522,12 +577,12 @@ def _defect_correction(mg: _Multigrid):
         shifts = _shifts(mg, bfp)
         if coarse_lu is None:
             coarse_lu = _coarse_lu(mg, shifts)
+        _invert(mg, bfp, shifts)  # bfp is the finest level's 1 / (D - b f'(u)) from here
         cycle = _cycle(mg, shifts, coarse_lu)
-        r = np.empty_like(rhs[:1])
 
         def residual_norm(x):
-            """||rhs - J x||_2, built a sublattice at a time in r."""
-            total = 0.0
+            """||rhs - J x||_2, built a sublattice at a time in a buffer of its own."""
+            r, total = np.empty_like(rhs[:1]), 0.0
             for k in range(4):
                 np.subtract(rhs[k], _apply(mg.fine, x, slice(k, k + 1), r, bfp), out=r)
                 total += np.einsum("ijk,ijk->", r, r)

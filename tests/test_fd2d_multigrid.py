@@ -5,7 +5,8 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dgbtrs
+from scipy.sparse.linalg import splu, spsolve
 
 from khessian import fd2d, grid2d
 from khessian.fd2d import assemble_operator, exhaust, solve_dirichlet
@@ -66,6 +67,33 @@ def natural_masks(mg):
     return [fd2d._natural(lv.mask) for lv in mg.levels] + [mg.coarse_mask]
 
 
+def unband(band):
+    """The dense matrix of a band in dgbtrf's storage: A[i, j] at [2 kl + i - j, j]."""
+    kl, n = band.shape[0] // 3, band.shape[1]
+    i, j = np.indices((n, n))
+    inside = np.abs(i - j) <= kl
+    A = np.zeros((n, n))
+    A[inside] = band[2 * kl + (i - j)[inside], j[inside]]
+    return A
+
+
+def check_band(band, A):
+    """band stores exactly the sparse matrix A, in Fortran order, with its first kl rows 0."""
+    kl = band.shape[0] // 3
+    assert band.shape == (3 * kl + 1, A.shape[0]) and band.flags.f_contiguous
+    assert not np.any(band[:kl])
+    assert np.array_equal(unband(band), A.toarray())
+
+
+def inverted(mg, bfp):
+    """The levels' inverse diagonal boxes (fd2d._invert) for A - diag(bfp), bfp row-major,
+    with the shifts' coarsest vector last, as a solve hands them to its V-cycles."""
+    box = fd2d._to_box(mg.mask, bfp)
+    shifts = fd2d._shifts(mg, box)
+    fd2d._invert(mg, box, shifts)
+    return shifts
+
+
 def level_apply(lv, X):
     """A_l X on the level's box, a sublattice at a time, as a solve builds its residuals."""
     out = np.empty_like(X)
@@ -77,7 +105,7 @@ def level_apply(lv, X):
 def preconditioner(mg, bfp):
     """One V-cycle for A - diag(bfp) as a function of the residual, both row-major; the
     cycle itself runs on the finest box, as in a solve."""
-    shifts = fd2d._shifts(mg, fd2d._to_box(mg.mask, bfp))
+    shifts = inverted(mg, bfp)
     cycle = fd2d._cycle(mg, shifts, fd2d._coarse_lu(mg, shifts))
     return lambda r: row_major(mg.mask, cycle(fd2d._to_box(mg.mask, r)))
 
@@ -98,7 +126,7 @@ def check_levels(domain, h, seed):
     the prolongation equals P (prolongation()) on the black rows, the only ones the
     V-cycle adds to; the restriction of a red residual equals 0.25 P[red]^T; the shifts
     equal diag(P^T diag(s) P) / diag(P^T P).  All to 1e-13 relative; the coarsest
-    operator equals assemble_operator's exactly.  Returns the number of levels.
+    level's band holds assemble_operator's matrix exactly.  Returns the number of levels.
     """
     mg = fd2d._multigrid(build_grid(domain, h))
     masks = natural_masks(mg)
@@ -130,7 +158,7 @@ def check_levels(domain, h, seed):
             coarse_mask, shifts[level + 1])
         assert close(s, want)
     coarse = build_grid(domain, 2 ** len(mg.levels) * h)
-    assert (mg.coarse != assemble_operator(coarse, 0.0)[0]).nnz == 0
+    check_band(fd2d._band(*mg.coarse, 0.0), assemble_operator(coarse, 0.0)[0])
     return len(mg.levels)
 
 
@@ -157,14 +185,14 @@ class TestLevels:
 
     def test_hierarchy_depth(self):
         # coarsen until a level has at most _COARSE_MAX unknowns
-        for h, depth in ((1.0 / 8.0, 0), (1.0 / 64.0, 2), (1.0 / 128.0, 3)):
+        for h, depth in ((1.0 / 8.0, 0), (1.0 / 64.0, 3), (1.0 / 128.0, 4)):
             grid = build_grid(Disk(1.0), h)
             mg = fd2d._multigrid(grid)
             assert len(mg.levels) == depth
             sizes = [int(mask.sum()) for mask in natural_masks(mg)]
             assert sizes[0] == grid.n_interior
             assert all(n > fd2d._COARSE_MAX for n in sizes[:-1])
-            assert sizes[-1] == mg.coarse.shape[0] <= fd2d._COARSE_MAX
+            assert sizes[-1] == len(mg.coarse[0]) <= fd2d._COARSE_MAX
 
     @pytest.mark.parametrize("domain, h", [
         (Disk(0.9), 1.0 / 256.0), (Ellipse(1.2, 1.0), 1.0 / 96.0),
@@ -227,21 +255,25 @@ class TestLevels:
         assume(build_grid(domain, h).n_interior > fd2d._COARSE_MAX)
         assert check_levels(domain, h, seed) >= 1
 
-    def test_coarse_operators_are_rediscretised(self):
+    def test_coarse_operators_are_rediscretised(self, monkeypatch):
         # level l applies assemble_operator(build_grid(domain, 2^l h)) - diag(s_l): s_0 is
         # b f'(u), and s_{l+1} the diagonal of the Galerkin product P^T diag(s_l) P over
-        # that of P^T P; the smoothers invert its diagonal, and the coarsest is factored
+        # that of P^T P; the smoothers multiply by its inverse diagonal, and the coarsest
+        # is factored from its band, which holds the same matrix
         domain, h = Disk(1.0), 1.0 / 64.0
         grid = build_grid(domain, h)
         u = fd2d._boundary_profile(grid, EXP2, W1)(4.0)
         bfp = 2.0 * np.exp(2.0 * u)
         mg = fd2d._multigrid(grid)
-        assert len(mg.levels) == 2
-        shifts = fd2d._shifts(mg, fd2d._to_box(mg.mask, bfp))
+        assert len(mg.levels) == 3
+        bands, factor = [], fd2d.splu
+        monkeypatch.setattr(fd2d, "splu",
+                            lambda band: bands.append(band.copy(order="A")) or factor(band))
+        shifts = inverted(mg, bfp)
+        fd2d._coarse_lu(mg, shifts)
         rng = np.random.default_rng(1)
         s = bfp
-        for level, (lv, shift, mask) in enumerate(zip(mg.levels, shifts, natural_masks(mg))):
-            inverse = np.concatenate([fd2d._inverse(lv, shift, colour) for colour in (0, 1)])
+        for level, (lv, inverse, mask) in enumerate(zip(mg.levels, shifts, natural_masks(mg))):
             coarse = build_grid(domain, 2**level * h)
             want_op = assemble_operator(coarse, 0.0)[0] - sp.diags(s)
             v = rng.standard_normal(coarse.n_interior)
@@ -254,9 +286,68 @@ class TestLevels:
             assert not np.any(inverse[~lv.mask])  # 0 off the nodes
             P = prolongation(*lattice(coarse))[0]
             s = (P.T @ sp.diags(s) @ P).diagonal() / (P.T @ P).diagonal()
-        coarse = build_grid(domain, 4.0 * h)
-        assert (mg.coarse != assemble_operator(coarse, 0.0)[0]).nnz == 0
         assert np.max(np.abs(shifts[-1] - s)) <= 1e-12 * np.max(s)
+        coarse = build_grid(domain, 8.0 * h)
+        [band] = bands
+        check_band(band, assemble_operator(coarse, 0.0)[0] - sp.diags(shifts[-1]))
+
+    @pytest.mark.parametrize("domain, h", [(Disk(0.9), 1.0 / 64.0), (Ellipse(1.2, 1.0), 1.0 / 48.0),
+                                           (Disk(1.0), 1.0 / 8.0)])
+    def test_inverse_diagonal_in_place(self, domain, h):
+        # each level's shift box, b f'(u) itself on the finest, becomes mask / (D - s) per
+        # colour, bit for bit, and _apply given it is A - diag(s); the coarsest shift stays
+        grid = build_grid(domain, h)
+        mg = fd2d._multigrid(grid)
+        bfp = np.random.default_rng(2).uniform(0.0, 1e4, grid.n_interior)
+        box = fd2d._to_box(mg.mask, bfp)
+        shifts = fd2d._shifts(mg, box)
+        levels = [mg.fine, *mg.levels[1:]]
+        boxes = [box, *shifts[1:-1]]
+        want = [[lv.mask[part] / fd2d._diagonal(lv, part, s) for part in fd2d._COLOURS]
+                for lv, s in zip(levels, boxes)]
+        saved = [s.copy() for s in boxes]
+        coarsest = shifts[-1].copy()
+        fd2d._invert(mg, box, shifts)
+        assert boxes[0] is box and (shifts[0] is box) == bool(mg.levels)
+        assert np.array_equal(shifts[-1], coarsest)
+        for lv, inverse, parts, s in zip(levels, boxes, want, saved):
+            for part, w in zip(fd2d._COLOURS, parts):
+                assert np.array_equal(inverse[part], w)
+            assert not np.any(inverse[~lv.mask])
+            X = np.where(lv.mask, np.random.default_rng(4).standard_normal(lv.mask.shape), 0.0)
+            for k in range(4):
+                part = slice(k, k + 1)
+                got = fd2d._apply(lv, X, part, np.empty_like(X[part]), inverse)
+                want_k = fd2d._apply(lv, X, part, np.empty_like(X[part])) - s[part] * X[part]
+                assert np.max(np.abs(got - want_k)) <= 1e-13 * np.max(np.abs(want_k))
+
+
+class TestCoarseBand:
+    @pytest.mark.parametrize("domain, h", [(Disk(0.9), 1.0 / 256.0),
+                                           (Ellipse(1.2, 1.0), 1.0 / 96.0),
+                                           (Disk(1.0), 1.0 / 8.0)])  # the last: no levels
+    def test_band_factor_matches_spsolve(self, domain, h):
+        # the coarsest system A - diag(s), random s >= 0, factored by dgbtrf and solved by
+        # dgbtrs, against a sparse direct solve of the assembled matrix
+        mg = fd2d._multigrid(build_grid(domain, h))
+        coarse = build_grid(domain, 2 ** len(mg.levels) * h)
+        assert coarse.n_interior == len(mg.coarse[0]) <= fd2d._COARSE_MAX
+        rng = np.random.default_rng(11)
+        s = rng.uniform(0.0, 1e3, coarse.n_interior)
+        rhs = rng.standard_normal(coarse.n_interior)
+        lu, piv = fd2d._coarse_lu(mg, [s])
+        kl = lu.shape[0] // 3
+        x = dgbtrs(lu, kl, kl, rhs, piv)[0]
+        want = spsolve((assemble_operator(coarse, 0.0)[0] - sp.diags(s)).tocsc(), rhs)
+        assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_failed_factorization_raises(self, monkeypatch):
+        # a zero pivot (dgbtrf info > 0) fails the solve with its residual history so far
+        grid = build_grid(Disk(0.9), 1.0 / 64.0)
+        monkeypatch.setattr(fd2d, "dgbtrf", lambda ab, kl, ku, **kw: (ab, None, 1))
+        with pytest.raises(fd2d.SolveFailure, match="factorization failed") as info:
+            solve_dirichlet(grid, EXP2, W1, liouville_g, tol=1e-9)
+        assert len(info.value.residuals) == 1 and info.value.residuals[0] > 1e-9
 
 
 class TestVCycle:
@@ -290,7 +381,7 @@ class TestVCycle:
         assert len(mg.levels) >= 2
         u = fd2d._boundary_profile(grid, EXP2, W1)(4.0)
         bfp = 2.0 * np.exp(2.0 * u)
-        shifts = fd2d._shifts(mg, fd2d._to_box(mg.mask, bfp))
+        shifts = inverted(mg, bfp)
         cycle = fd2d._cycle(mg, shifts, fd2d._coarse_lu(mg, shifts))
         rng = np.random.default_rng(3)
         rhs, x = rng.standard_normal((2, grid.n_interior))
@@ -389,9 +480,11 @@ class TestNewtonKrylov:
         grid = build_grid(Disk(0.9), 1.0 / 64.0)
         sizes = []
 
-        def recording_splu(M, **kw):
-            sizes.append(M.shape[0])
-            return splu(M, **kw)
+        factor = fd2d.splu
+
+        def recording_splu(band):
+            sizes.append(band.shape[1])
+            return factor(band)
 
         monkeypatch.setattr(fd2d, "splu", recording_splu)
         fld = solve_dirichlet(grid, EXP2, W1, liouville_g, tol=1e-9)
@@ -462,12 +555,12 @@ def recording_forcing(monkeypatch, distort=None):
 
 class TestInexactNewton:
     def test_profile_start_cycles(self):
-        # the forcing term follows the residual: 14 V-cycles where a fixed 1e-6 takes 24
+        # the forcing term follows the residual: 15 V-cycles where a fixed 1e-6 takes 27
         grid = build_grid(Disk(0.9), 1.0 / 64.0)
         fld = solve_dirichlet(grid, EXP2, W1, liouville_g, tol=1e-9)
         assert fld.meta["start"] == "profile"
         assert fld.meta["newton_iters"] == fld.meta["factorizations"] == 4
-        assert fld.meta["cycles"] == 14
+        assert fld.meta["cycles"] == 15
 
     def test_forcing_rule(self, monkeypatch):
         steps = recording_forcing(monkeypatch)

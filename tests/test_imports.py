@@ -1,8 +1,9 @@
 """Import boundary: the radial and barrier commands run on numpy alone.
 
-scipy is loaded only by the 2-d solver (``khessian.fd2d``, sparse matrices
-and the coarsest-level LU) and by the radial exhaustion scheme (a banded solve).  Each check
-runs in a fresh interpreter, since this test process has scipy loaded.
+scipy is loaded only by the 2-d solver (``khessian.fd2d``, the coarsest level's banded
+LU) and by the radial exhaustion scheme (a banded solve); scipy.sparse only by the
+reference ``assemble_operator``.  Each check runs in a fresh interpreter, since this test
+process has scipy loaded.
 """
 
 import json
@@ -100,7 +101,7 @@ def test_radial_and_barrier_commands_load_no_scipy(tmp_path):
         assert modules == [], f"{stage} loaded {modules[:5]}"
     assert res["lazy"] == {"exhaust": True, "solve_dirichlet": True,
                            "asymptotics_report_2d": True}
-    assert res["sparse_after_fd"] is True
+    assert res["sparse_after_fd"] is False  # fd-exhaust: banded LAPACK, no sparse matrix
     assert (tmp_path / "fd-exhaust.csv").is_file()
 
 
