@@ -51,7 +51,9 @@ class Config:
 
     @staticmethod
     def parse(text):
-        pairs = {}
+        """The Config of text; ParameterError for a line that is not ``key = value`` and for
+        a key given twice, naming both its lines."""
+        pairs, lines = {}, {}
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -59,7 +61,11 @@ class Config:
             if "=" not in line:
                 raise ParameterError(f"config line {lineno}: expected 'key = value', got {raw!r}")
             key, _, value = line.partition("=")
-            pairs[key.strip()] = value.strip()
+            key = key.strip()
+            if key in lines:
+                raise ParameterError(f"config key {key!r} is given twice, on lines "
+                                     f"{lines[key]} and {lineno}")
+            pairs[key], lines[key] = value.strip(), lineno
         return Config(pairs)
 
     def get(self, key, cast=str, default=None, required=False):
@@ -104,6 +110,14 @@ class Config:
             closest = difflib.get_close_matches(key, sorted(self.looked_up), n=1)
             raise ParameterError(f"unknown config key {key!r} for command {command!r}"
                                  + (f" (closest valid key: {closest[0]!r})" if closest else ""))
+
+
+def _flag(raw):
+    """True for true, 1 or yes, False for false, 0 or no, in any case; else ValueError."""
+    flag = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+    if raw.lower() not in flag:
+        raise ValueError("use true/1/yes or false/0/no")
+    return flag[raw.lower()]
 
 
 def _spec_number(spec, rest, what):
@@ -252,8 +266,7 @@ def cmd_radial_exhaust(cfg, outdir, base, quiet, runinfo):
         rows.extend((j, r, u, u1) for r, u, u1 in zip(sol.r, sol.u, sol.u1))
     reports.write_csv(outdir / f"{base}.csv", ["j", "r", "u", "u1"], rows)
     mono = [float(np.min(b.u - a.u)) for a, b in zip(sols, sols[1:])]
-    mid = len(sols[0].r) // 2
-    incs = [abs(b.u[mid] - a.u[mid]) for a, b in zip(sols, sols[1:])]
+    incs = [abs(b.u[0] - a.u[0]) for a, b in zip(sols, sols[1:])]  # at the centre, r = 0
     meta = {
         "j_schedule": js,
         "h": h,
@@ -303,7 +316,7 @@ def cmd_check_barrier(cfg, outdir, base, quiet, runinfo):
     geom, R = _geometry(cfg, n, k)  # checks k before any profile is built
     seed = cfg.get("seed", int, 0)
     nsamples = cfg.get("samples", int, 200)
-    global_check = cfg.get("global_check", str, "false").lower() in ("true", "1", "yes")
+    global_check = cfg.get("global_check", _flag, False)
     if global_check and R is None:
         raise ParameterError(f"global_check certifies the global upper barrier on a ball "
                              f"only, got {geom.label}")

@@ -3,10 +3,12 @@
 Damped Newton on the Shortley-Weller 5-point discretisation of Delta u = b(d(x)) f(u),
 started from the paper's boundary profile phi(xi M(d) + Phi(j)) shifted to equal the mean
 boundary value j on the boundary, or from the constant j where that profile is not
-defined.  Each Newton step is solved by multigrid iteration, only as far as the Newton
-residual needs (inexact Newton, Dembo, Eisenstat & Steihaug 1982): the forcing tolerance
-is proportional to the residual, tightened to 1e-6 when a loose direction fails to
-descend.  Multigrid is a stationary iteration, x <- x + M (b - J x), and a V-cycle run on
+defined.  f and f' are evaluated at u as it is.  Each Newton step is solved by multigrid
+iteration, only as far as the Newton residual needs (inexact Newton, Dembo, Eisenstat &
+Steihaug 1982): the forcing tolerance is proportional to the residual, and a loose
+direction whose full step fails to descend is discarded and the step solved again, from
+zero as every step is, to 1e-6; no state is carried from one multigrid solve to the
+next.  Multigrid is a stationary iteration, x <- x + M (b - J x), and a V-cycle run on
 the iterate itself gives that update (Trottenberg, Oosterlee & Schueller, Multigrid,
 2001): each cycle works in place on the step's iterate, its red residual built in the
 iterate's red half, which the post-sweep sets anew, and the residual's norm is built a
@@ -20,7 +22,7 @@ smoothed by red-black Gauss-Seidel and linked by full weighting and bilinear
 prolongation.  Each step overwrites every level's shift, b f'(u) itself on the finest,
 with its inverse diagonal 1 / (D - s), which the sweeps multiply by.  Only the coarsest
 level, at most 600 unknowns, is a matrix: a band in LAPACK's storage, row-major with
-half-bandwidth about its width in nodes, factored once per step by the banded LU dgbtrf
+half-bandwidth about its width in nodes, factored once per attempt by the banded LU dgbtrf
 and solved once per V-cycle by dgbtrs.  scipy.sparse serves the reference
 assemble_operator alone.  The hierarchy (_multigrid), with the grid's cut arms grouped
 by the finest level's cut rows, depends on the grid alone: solve_dirichlet takes it as an
@@ -55,7 +57,7 @@ _FORCING_SLOPE = 0.01
 # sides at h = 1/256 the highest): stay above
 _RTOL_FLOOR = 1e-11
 _MAX_CYCLES = 100  # V-cycles before a Newton step fails
-_MAX_NEWTON = 100  # Newton steps before a solve fails
+_MAX_NEWTON = 100  # Newton attempts, accepted or retried, before a solve fails
 
 
 # stencil tables list a node's neighbours S, W, E, N, in increasing column order, and a
@@ -199,8 +201,8 @@ def _boundary_profile(grid: Field2D, f: Nonlinearity, bweight: Weight):
     below it at nodes closer to the boundary than h, where the grid does
     not resolve the boundary layer (about e^-j wide).  None when f fails
     the Keller-Osserman condition or the weight the constant gap (1.5);
-    the returned callable gives None for j <= 0 and where xi M(d) + Phi(j)
-    exceeds the range of Phi.
+    the returned callable gives None for j <= 0, and clips xi M(d) + Phi(j)
+    just below the supremum of Phi where it exceeds it (phi near 0 there).
     """
     try:
         p = assemble_profile(f, bweight, _K_ORDER)
@@ -215,10 +217,12 @@ def _boundary_profile(grid: Field2D, f: Nonlinearity, bweight: Weight):
     def start(j):
         if not j > 0.0:
             return None
+        s = t + p.Phi(j)
         try:
-            return np.asarray(p.phi(t + p.Phi(j)), dtype=float)[node_t]
-        except ParameterError:  # beyond the supremum of Phi
-            return None
+            return np.asarray(p.phi(s), dtype=float)[node_t]
+        except ParameterError:  # beyond the supremum of Phi: clipped just below it
+            s = np.minimum(s, np.nextafter(p.profile.phi_domain_sup(), 0.0))
+            return np.asarray(p.phi(s), dtype=float)[node_t]
 
     return start
 
@@ -557,61 +561,48 @@ def _cycle(mg: _Multigrid, inverses, coarse_lu):
     return lambda r, x=None: _vcycle(mg.levels, inverses, coarse, r, x)
 
 
-def _defect_correction(mg: _Multigrid):
-    """Multigrid iteration for (A - diag(bfp)) x = rhs: one V-cycle on x per iteration.
+def _defect_correction(mg: _Multigrid, bfp, rhs, rtol):
+    """Multigrid iteration for (A - diag(bfp)) x = rhs from x = 0; returns (x, cycles).
 
-    Returns solve(bfp, rhs, rtol) -> (x, cycles), on the finest box; x is the iterate, which
-    the next call continues.  From x = 0, or from the last x, the V-cycle takes x to
-    x + M (rhs - J x) in place (_vcycle) until ||rhs - J x||_2 <= rtol ||rhs||_2, at least
-    one cycle in all; cycles counts every cycle so far.  The residual is built a
-    sublattice at a time for its norm alone, so the iteration holds x beside bfp and rhs
-    and no other fine box.  Every call takes the same bfp and rhs, overwrites bfp with
-    the finest level's inverse diagonal (_invert), holds neither once it returns and runs
-    on the first's coarsest LU.  Raises SolveFailure when the factorization fails, a
-    residual is not finite or _MAX_CYCLES cycles in all miss rtol.
+    Factors the coarsest level (_coarse_lu), overwrites bfp with the finest level's
+    inverse diagonal (_invert) and takes x, on the finest box, to x + M (rhs - J x) in
+    place (_vcycle) until ||rhs - J x||_2 <= rtol ||rhs||_2, at least one cycle.  The
+    residual is built a sublattice at a time for its norm alone, so the iteration holds x
+    beside bfp and rhs and no other fine box.  Nothing is kept between calls.  Raises
+    SolveFailure when the factorization fails, a residual is not finite or _MAX_CYCLES
+    cycles miss rtol.
     """
-    coarse_lu = last = None  # last: the (x, cycles) of the last call
+    shifts = _shifts(mg, bfp)
+    coarse_lu = _coarse_lu(mg, shifts)
+    _invert(mg, bfp, shifts)  # bfp is the finest level's 1 / (D - b f'(u)) from here
+    cycle = _cycle(mg, shifts, coarse_lu)
 
-    def solve(bfp, rhs, rtol):
-        nonlocal coarse_lu, last
-        shifts = _shifts(mg, bfp)
-        if coarse_lu is None:
-            coarse_lu = _coarse_lu(mg, shifts)
-        _invert(mg, bfp, shifts)  # bfp is the finest level's 1 / (D - b f'(u)) from here
-        cycle = _cycle(mg, shifts, coarse_lu)
+    def residual_norm(x):
+        """||rhs - J x||_2, built a sublattice at a time in a buffer of its own."""
+        r, total = np.empty_like(rhs[:1]), 0.0
+        for k in range(4):
+            np.subtract(rhs[k], _apply(mg.fine, x, slice(k, k + 1), r, bfp), out=r)
+            total += np.einsum("ijk,ijk->", r, r)
+        return math.sqrt(total)
 
-        def residual_norm(x):
-            """||rhs - J x||_2, built a sublattice at a time in a buffer of its own."""
-            r, total = np.empty_like(rhs[:1]), 0.0
-            for k in range(4):
-                np.subtract(rhs[k], _apply(mg.fine, x, slice(k, k + 1), r, bfp), out=r)
-                total += np.einsum("ijk,ijk->", r, r)
-            return math.sqrt(total)
-
-        # 2-norms by einsum: BLAS's threaded dot can stall for milliseconds on a busy host
-        scale = math.sqrt(np.einsum("i,i->", rhs.ravel(), rhs.ravel()))
-        x, cycles = (None, 0) if last is None else last
-        if cycles:  # the same iterate as at the end of the last call, bit for bit
-            norm = residual_norm(x)
-        while cycles == 0 or norm > rtol * scale:
-            if cycles == _MAX_CYCLES:
-                raise SolveFailure(f"V-cycle iteration missed rtol {rtol:.1e} in {_MAX_CYCLES} "
-                                   f"cycles (relative residual {norm / scale:.2e})")
-            x = cycle(rhs, x)
-            norm = residual_norm(x)
-            cycles += 1
-            if not math.isfinite(norm):
-                raise SolveFailure(
-                    f"V-cycle iteration gave a non-finite residual in cycle {cycles}")
-        last = (x, cycles)
-        return x, cycles
-
-    return solve
+    # 2-norms by einsum: BLAS's threaded dot can stall for milliseconds on a busy host
+    scale = math.sqrt(np.einsum("i,i->", rhs.ravel(), rhs.ravel()))
+    x, cycles = None, 0
+    while cycles == 0 or norm > rtol * scale:
+        if cycles == _MAX_CYCLES:
+            raise SolveFailure(f"V-cycle iteration missed rtol {rtol:.1e} in {_MAX_CYCLES} "
+                               f"cycles (relative residual {norm / scale:.2e})")
+        x = cycle(rhs, x)
+        norm = residual_norm(x)
+        cycles += 1
+        if not math.isfinite(norm):
+            raise SolveFailure(f"V-cycle iteration gave a non-finite residual in cycle {cycles}")
+    return x, cycles
 
 
 def _times_b(fun, b, U, nodes):
-    """b fun(max(U, 1e-12)) on nodes, 0 off them: U, nodes and b (or a float) alike shaped."""
-    out = b * np.asarray(fun(np.maximum(U, 1e-12)), float)
+    """b fun(U) on nodes, 0 off them: U, nodes and b (or a float) alike shaped."""
+    out = b * np.asarray(fun(U), float)
     np.copyto(out, 0.0, where=~nodes)
     return out
 
@@ -627,33 +618,36 @@ def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol, u0=
     """Solve Delta u = b f(u) with Dirichlet data g; returns a new Field2D.
 
     The source is b = b_lower m(d)^2 from the weight (_source_b).  Damped Newton to
-    residual max-norm <= tol, in at most _MAX_NEWTON steps, from u0, or else from the
+    residual max-norm <= tol, in at most _MAX_NEWTON attempts, from u0, or else from the
     boundary profile phi(xi M(d) + Phi(j)) with j the mean boundary value
     (_boundary_profile), or the constant j when the profile does not exist or j <= 0.
     Each step solves with the Jacobian A - diag(b f'(u)), never assembled, by multigrid
-    iteration (_defect_correction: V-cycles in place on the step's iterate) on the levels
-    of multigrid, the grid's hierarchy _multigrid(grid), which a caller with several
-    solves on one grid builds once and passes (exhaust does), and which is built here
-    when it is None; a step changes only their shifts.  The Newton loop runs on the
+    iteration from zero (_defect_correction: V-cycles in place on the step's iterate) on
+    the levels of multigrid, the grid's hierarchy _multigrid(grid), which a caller with
+    several solves on one grid builds once and passes (exhaust does), and which is built
+    here when it is None; a step changes only their shifts.  The Newton loop runs on the
     finest box (mg.fine), 0 off the nodes: the start goes in and the field comes out
     row-major once each.  The residual is built in place, a sublattice at a time with its
     round-off floor and scaled norm, and is the next step's right-hand side.  Besides the
     hierarchy a solve holds b (one float for a constant weight), the boundary terms of
     the cut rows and four fine boxes: u, b f'(u), the right-hand side and the step's
     iterate in the V-cycles; u, the step, the trial point and its residual in the line
-    search, which holds neither a step's b f'(u) nor its right-hand side.  At scaled residual r a step is solved to relative residual
-    min(0.1, max(_FORCING, c r, 10 c tol / r)), c = _FORCING_SLOPE (inexact Newton: the
-    forcing term is O(r), which keeps quadratic convergence); where f is affine, to
-    min(_FORCING, max(0.1 tol / r, _RTOL_FLOOR)).  When a loose direction's full step
-    does not lower the max-norm residual, its iteration continues to _FORCING on the same
-    coarsest LU and the line search restarts, and later steps are solved to _FORCING
-    until a full step is taken.  A failed coarsest
-    factorization, a non-finite cycle residual or _MAX_CYCLES cycles short of the step's
-    tolerance raise SolveFailure with the Newton residual history so far.  Residuals are
-    scaled by 1 + b f(u) per node: with exponential sources the raw residual sits at
-    eps * b f(u) near the boundary.  meta records newton_iters, factorizations
-    (coarsest-level LUs, one per step), cycles (V-cycles over all steps) and start
-    ("profile", "constant" or "given").
+    search, which holds neither a step's b f'(u) nor its right-hand side.  f and f' are
+    evaluated at u as it is: a trial point where f is not finite fails the line search,
+    and a start where the residual is nan raises SolveFailure.  At scaled residual r a
+    step is solved to relative residual min(0.1, max(_FORCING, c r, 10 c tol / r)),
+    c = _FORCING_SLOPE (inexact Newton: the forcing term is O(r), which keeps quadratic
+    convergence); where f is affine, to min(_FORCING, max(0.1 tol / r, _RTOL_FLOOR)).  A
+    direction solved looser than _FORCING is tried at its full step alone: when that does
+    not lower the max-norm residual, the direction is discarded and the step solved again
+    to _FORCING (a retry), and later steps are solved to _FORCING until a full step is
+    taken.  Each attempt, accepted step or retry, factors the coarsest level once.  A
+    failed coarsest factorization, a non-finite cycle residual or _MAX_CYCLES cycles
+    short of the step's tolerance raise SolveFailure with the Newton residual history so
+    far.  Residuals are scaled by 1 + b f(u) per node: with exponential sources the raw
+    residual sits at eps * b f(u) near the boundary.  meta records newton_iters (accepted
+    steps), factorizations (coarsest-level LUs, one per attempt), cycles (V-cycles over
+    all attempts) and start ("profile", "constant" or "given").
     """
     require_positive_finite(tol, "tolerance")
     profile = None if u0 is not None else _boundary_profile(grid, f, bweight)
@@ -699,9 +693,11 @@ def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol, u0=
     res, norm, at_floor = evaluate(u)
     history = [norm]
     factorizations = cycles = 0
-    tight = False  # a loose step was refined and no full step has been taken since
+    tight = False  # a loose direction was retried and no full step has been taken since
     try:
-        for _ in range(_MAX_NEWTON):
+        if math.isnan(norm):  # f is not finite at the start (trial points are checked)
+            raise SolveFailure("Newton start has a nan residual")
+        for _ in range(_MAX_NEWTON):  # attempts: accepted steps and retries
             if norm <= tol or at_floor:
                 break
             bfp = _times_b(f.f_prime, b, u, nodes)
@@ -713,40 +709,29 @@ def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol, u0=
                 rtol = _FORCING
             else:  # inexact Newton: the forcing term falls with the residual
                 rtol = min(0.1, max(_FORCING, _FORCING_SLOPE * max(norm, 10.0 * tol / norm)))
-            solve = _defect_correction(mg)
-            delta, step_cycles = solve(bfp, np.negative(res, out=res), rtol)
+            delta, step_cycles = _defect_correction(mg, bfp, np.negative(res, out=res), rtol)
             del res, bfp  # not held through the line search
-            if rtol <= _FORCING:
-                solve = None  # nothing to refine
-            factorizations += 1  # one coarsest-level LU per step
+            factorizations += 1  # one coarsest-level LU per attempt
             cycles += step_cycles
-            step = 1.0
-            while step >= 2.0**-30:
+            # a loose direction need not descend: only its full step is tried
+            step, least = 1.0, (1.0 if rtol > _FORCING else 2.0**-30)
+            while step >= least:
                 u_try = delta * step
                 u_try += u
                 res_try, norm_try, floor_try = evaluate(u_try)
                 if math.isfinite(norm_try) and norm_try < norm:
                     break
-                if solve is not None:
-                    # a loose direction need not descend: continue its iteration, on the
-                    # same coarsest LU, to _FORCING and search again from the full step;
-                    # its bfp and rhs are recomputed from u, bit for bit
-                    del u_try, res_try
-                    rhs = evaluate(u)[0]
-                    delta, total = solve(_times_b(f.f_prime, b, u, nodes),
-                                         np.negative(rhs, out=rhs), _FORCING)
-                    del rhs
-                    cycles += total - step_cycles
-                    solve, tight = None, True
-                    continue
                 step *= 0.5
             else:
-                if at_floor:
-                    break  # residual is pure round-off; nothing left to gain
-                raise SolveFailure(f"Newton damping floor reached (residual {norm:.3g})")
+                if least < 1.0:
+                    raise SolveFailure(f"Newton damping floor reached (residual {norm:.3g})")
+                # retry the step from zero, solved to _FORCING, with res recomputed at u
+                del delta, u_try, res_try
+                tight, res = True, evaluate(u)[0]
+                continue
             tight = tight and step < 1.0
             u, res, norm, at_floor = u_try, res_try, norm_try, floor_try
-            del delta, solve, u_try, res_try  # not held through the next step's solve
+            del delta, u_try, res_try  # not held through the next step's solve
             history.append(norm)
         else:
             raise SolveFailure(f"Newton did not converge in {_MAX_NEWTON} steps")

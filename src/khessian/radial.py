@@ -344,7 +344,7 @@ def integrate_blowup_ivp(prob: RadialProblem, u0, tol, u_cap=IVP_CAP, v_cap=IVP_
             raise ParameterError(f"start state (u, u') = ({u:.6g}, {v:.6g}) at r={r:g} must lie "
                                  f"below the blow-up caps u_cap={u_cap:g}, v_cap={v_cap:g}")
 
-    if u0 <= 0.0:
+    if not u0 > 0.0:
         raise ParameterError(f"initial value must be positive, got {u0}")
     check_below_caps(0.0, u0, 0.0)
     require_positive_finite(tol, "tolerance")
@@ -691,9 +691,7 @@ def solve_exhaustion_bvp(prob: RadialProblem, j_schedule, grid_h, tol):
     alpha = c_lo / (k * h * r[1:N] ** (n - 1))
     rmid_pow = rmid ** (n - k)
     b_nodes = np.asarray(prob.b(r[:N]), float)
-    # domain guard: transient Newton iterates may dip below f's domain (0, inf)
-    fv = lambda u: prob.f.f(np.maximum(u, 1e-12))
-    fpv = lambda u: prob.f.f_prime(np.maximum(u, 1e-12))
+    fv, fpv = prob.f.f, prob.f.f_prime  # at u as it is: a non-finite trial fails the search
 
     def residual(U, j):
         full = np.concatenate([U, [j]])
@@ -726,6 +724,8 @@ def solve_exhaustion_bvp(prob: RadialProblem, j_schedule, grid_h, tol):
         res, g = residual(U, j)
         norm = scaled_norm(res, U)
         history = [norm]
+        if math.isnan(norm):  # f is not finite at the start (trial points are checked)
+            raise SolveFailure(f"Newton start has a nan residual at j={j}", residuals=history)
         for it in range(_MAX_NEWTON):
             if norm <= tol:
                 break

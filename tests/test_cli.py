@@ -101,6 +101,17 @@ class TestRadialCommands:
         meta = json.loads((out / "radial-exhaust.json").read_text())
         assert meta["monotone_ok"] is True
 
+    def test_radial_exhaust_center_increments(self, tmp_path):
+        # center_increments are read at r = 0 (they were read at r = R/2: 0.181, 0.0285)
+        cfg = write_cfg(tmp_path, "ex.cfg", EXHAUST + "h = 0.0078125\nj_schedule = 2,4,6\n")
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "--quiet"]) == 0
+        meta = json.loads((out / "radial-exhaust.json").read_text())
+        _, rows = read_rows(out / "radial-exhaust.csv")
+        centre = [u for j, r, u, _ in rows if r == 0.0]
+        assert meta["center_increments"] == [b - a for a, b in zip(centre, centre[1:])]
+        assert meta["center_increments"] == pytest.approx([0.117, 0.0173], rel=1e-2)
+
     def test_verify_asymptotics_pass(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "va.cfg", """
             command = verify-asymptotics
@@ -337,6 +348,8 @@ F2 = "(f2) power nonlinearity with gamma=2.0 <= k=2: the profile integral diverg
 # (config text, a fragment of the message) for every validation path of the CLI
 VALIDATION = {
     "config-line": ("command = profile\nk 1\n", "config line 2: expected 'key = value'"),
+    "key-given-twice": ("command = profile\nk = 1\nf = power:3\n# again\nk = 2\n",
+                        "config key 'k' is given twice, on lines 2 and 5"),
     "unparsable-value": ("command = profile\nk = two\nf = power:3\n",
                          "config key 'k': cannot parse 'two'"),
     "missing-key": ("command = radial-ivp\nn = 2\nk = 1\n",
@@ -396,6 +409,8 @@ VALIDATION = {
     "per_decade-zero": (VERIFY + "per_decade = 0\n", "per_decade must be >= 1, got 0"),
     "u0-negative": ("command = radial-ivp\nn = 2\nk = 1\nf = exp:2\nu0 = -1\n",
                     "initial value must be positive, got -1.0"),
+    "u0-nan": ("command = radial-ivp\nn = 2\nk = 1\nf = exp:2\nu0 = nan\n",
+               "initial value must be positive, got nan"),
     "u0-above-cap": ("command = radial-ivp\nn = 3\nk = 2\nf = power:5\nu0 = 1e13\n",
                      "must lie below the blow-up caps u_cap=1e+12"),
     # u0 is below the caps, but u' of the series start at r = 1e-8 R is 1.8e19
@@ -419,6 +434,9 @@ VALIDATION = {
                              "give the ball radius R or a domain, not both"),
     "domain-verify": (VERIFY + "domain = ellipse:1.5,1\n",
                       "unknown config key 'domain' for command 'verify-asymptotics'"),
+    "global-check-misspelt": (BARRIER + "global_check = ture\n",
+                              "config key 'global_check': cannot parse 'ture' "
+                              "(use true/1/yes or false/0/no)"),
     "global-check-ellipse": (BARRIER + "domain = ellipse:1.5,1\nglobal_check = true\n",
                              "global_check certifies the global upper barrier on a ball only, "
                              "got ellipse(a=1.5, b=1.0)"),
@@ -501,6 +519,12 @@ VALIDATION = {
                                      "config key 'j_schedule': cannot parse '2,,4' "
                                      "(entry 2 of 3 is empty)"),
 }
+
+
+@pytest.mark.parametrize("raw, flag", [("true", True), ("1", True), ("YES", True),
+                                       ("False", False), ("0", False), ("no", False)])
+def test_global_check_spellings(raw, flag):
+    assert cli._flag(raw) is flag
 
 
 @pytest.mark.parametrize("case", VALIDATION)

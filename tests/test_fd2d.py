@@ -196,6 +196,29 @@ class TestNewtonStart:
             start(j)
         assert len(passes) == 2 and max(passes) <= 4
 
+    def test_scaling_identity(self):
+        # b = 4: u + log 2 solves Delta v = e^{2v} with data j + log 2, exactly on the
+        # grid too.  f and f' are evaluated at u as it is, so F and J agree where u < 0
+        # (a clamp at u = 1e-12 made the solve converge linearly to another equation)
+        grid = build_grid(Ellipse(1.2, 1.0), 1.0 / 24.0)
+        f, j = Nonlinearity.exponential(2), 6.0
+        four = solve_dirichlet(grid, f, Weight.constant(2.0), j, tol=1e-10)
+        one = solve_dirichlet(grid, f, W1, j + math.log(2.0), tol=1e-10)
+        assert four.meta["newton_iters"] <= 8
+        err = np.max(np.abs(four.interior_values() - (one.interior_values() - math.log(2.0))))
+        assert err <= 1e-10
+
+    def test_profile_start_clipped_below_sup_phi(self):
+        # for exp f, Phi is bounded: where xi M(d) + Phi(j) exceeds its supremum the start
+        # is phi just below it, about 0, and still the profile elsewhere
+        grid = build_grid(Ellipse(2.0, 1.0), 1.0 / 48.0)
+        f, weight = Nonlinearity.exponential(2), Weight.constant(3.0)
+        fld = solve_dirichlet(grid, f, weight, 8.0, tol=1e-10)
+        assert fld.meta["start"] == "profile" and fld.meta["newton_iters"] <= 8
+        start = fd2d._boundary_profile(grid, f, weight)(8.0)
+        assert np.all(np.isfinite(start)) and start.min() >= 0.0
+        assert np.any(start < 1e-6) and start.max() > 6.0
+
     def test_constant_source_falls_back(self):
         # f = 1 fails Keller-Osserman: no profile, the constant start as before
         grid = build_grid(Disk(1.0), 1.0 / 32.0)
@@ -402,6 +425,12 @@ class TestSolveFailure:
             exhaust(grid, bad_slope, four, [0.1, 0.2], tol=1e-9)
         assert info.value.partial == []
 
+    def test_start_outside_the_domain_of_f_fails(self):
+        # the constant start u = j < 0: (-1)^2.5 is nan, and Newton stops there loudly
+        grid = build_grid(Disk(1.0), 1.0 / 16.0)
+        with np.errstate(invalid="ignore"), pytest.raises(SolveFailure, match="nan residual"):
+            solve_dirichlet(grid, Nonlinearity.power(2.5), W1, -1.0, tol=1e-9)
+
     def test_partial_field(self):
         assert SolveFailure("no").partial == []
         levels = ["level 1", "level 2"]
@@ -440,15 +469,16 @@ class TestSourceValidation:
 
     def test_constant_weight_matches_per_node_source(self):
         # a constant weight's source is one float, a custom weight's one per node; with
-        # m = 2 both give b = 4 at every node, and the solves agree bit for bit
+        # m = 2 both give b = 4 at every node, and the solves agree bit for bit.  Only the
+        # constant weight has a profile start, so both are given the constant start
         grid = build_grid(Ellipse(1.2, 1.0), 1.0 / 24.0)
         assert grid.n_interior > fd2d._COARSE_MAX
         per_node = self.weight_of(2.0)
         assert isinstance(fd2d._source_b(grid, Weight.constant(2.0)), float)
         assert np.shape(fd2d._source_b(grid, per_node)) == (grid.n_interior,)
-        f = Nonlinearity.exponential(2)
-        scalar = solve_dirichlet(grid, f, Weight.constant(2.0), 6.0, tol=1e-10)
-        vector = solve_dirichlet(grid, f, per_node, 6.0, tol=1e-10)
+        f, u0 = Nonlinearity.exponential(2), np.full(grid.n_interior, 6.0)
+        scalar = solve_dirichlet(grid, f, Weight.constant(2.0), 6.0, tol=1e-10, u0=u0)
+        vector = solve_dirichlet(grid, f, per_node, 6.0, tol=1e-10, u0=u0)
         assert np.array_equal(scalar.interior_values(), vector.interior_values())
         assert scalar.meta == vector.meta
 

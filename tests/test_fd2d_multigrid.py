@@ -112,10 +112,10 @@ def preconditioner(mg, bfp):
 
 def newton_direction(bfp, mg, rhs, rtol):
     """(x, cycles) solving (A - diag(bfp)) x = rhs to relative residual rtol, bfp, rhs and x
-    row-major, as one Newton step does: one call of fd2d._defect_correction's solve, which
-    takes and returns boxes."""
-    x, cycles = fd2d._defect_correction(mg)(fd2d._to_box(mg.mask, bfp),
-                                            fd2d._to_box(mg.mask, rhs), rtol)
+    row-major, as one Newton step does: one call of fd2d._defect_correction, which takes
+    and returns boxes."""
+    x, cycles = fd2d._defect_correction(mg, fd2d._to_box(mg.mask, bfp),
+                                        fd2d._to_box(mg.mask, rhs), rtol)
     return row_major(mg.mask, x), cycles
 
 
@@ -531,26 +531,20 @@ class TestNewtonKrylov:
 
 
 def recording_forcing(monkeypatch, distort=None):
-    """Record, per Newton step, the rtol of every solve call on its defect correction.
+    """Record the rtol of every Newton attempt's defect correction, in order.
 
-    distort(rtol, x, step), step counting from 1, replaces each returned direction x.
+    distort(rtol, x, attempt), attempt counting from 1, replaces each returned direction x.
     """
-    steps = []
+    attempts = []
     defect_correction = fd2d._defect_correction
 
-    def recording(mg):
-        solve, calls = defect_correction(mg), []
-        steps.append(calls)
-
-        def recorded(bfp, rhs, rtol):
-            calls.append(rtol)
-            x, cycles = solve(bfp, rhs, rtol)
-            return (x if distort is None else distort(rtol, x, len(steps))), cycles
-
-        return recorded
+    def recording(mg, bfp, rhs, rtol):
+        attempts.append(rtol)
+        x, cycles = defect_correction(mg, bfp, rhs, rtol)
+        return (x if distort is None else distort(rtol, x, len(attempts))), cycles
 
     monkeypatch.setattr(fd2d, "_defect_correction", recording)
-    return steps
+    return attempts
 
 
 class TestInexactNewton:
@@ -563,59 +557,63 @@ class TestInexactNewton:
         assert fld.meta["cycles"] == 15
 
     def test_forcing_rule(self, monkeypatch):
-        steps = recording_forcing(monkeypatch)
+        attempts = recording_forcing(monkeypatch)
         tol = 1e-9
         fld = solve_dirichlet(build_grid(Disk(0.9), 1.0 / 64.0), EXP2, W1, liouville_g, tol=tol)
         history = fld.meta["residual_history"]
-        assert len(steps) == len(history) - 1 == 4
-        for calls, r in zip(steps, history):
-            # every full step descends here, so no step is refined
+        assert len(attempts) == len(history) - 1 == 4
+        for rtol, r in zip(attempts, history):
+            # every full step descends here, so no direction is retried
             want = min(0.1, max(fd2d._FORCING, 0.01 * r, 0.1 * tol / r))
-            assert calls == [pytest.approx(want, rel=1e-15)]
-        assert steps[0] == [0.1] and steps[-1][0] > fd2d._FORCING
+            assert rtol == pytest.approx(want, rel=1e-15)
+        assert attempts[0] == 0.1 and attempts[-1] > fd2d._FORCING
 
     @pytest.mark.parametrize("domain, g, bound", [(Disk(0.9), liouville_g, 1e-12),
                                                   (Ellipse(1.2, 1.0), 9.0, 1e-10)])
     def test_fixed_forcing_gives_the_same_field(self, monkeypatch, domain, g, bound):
         grid = build_grid(domain, 1.0 / 64.0)
         loose = solve_dirichlet(grid, EXP2, W1, g, tol=1e-9)
-        steps = recording_forcing(monkeypatch)
+        attempts = recording_forcing(monkeypatch)
         monkeypatch.setattr(fd2d, "_FORCING_SLOPE", 0.0)
         tight = solve_dirichlet(grid, EXP2, W1, g, tol=1e-9)
-        assert steps and all(calls == [fd2d._FORCING] for calls in steps)
+        assert attempts and all(rtol == fd2d._FORCING for rtol in attempts)
         assert tight.meta["cycles"] > loose.meta["cycles"]
         u, v = loose.interior_values(), tight.interior_values()
         assert np.max(np.abs(u - v) / np.abs(v)) <= bound
 
-    def test_loose_direction_is_refined(self, monkeypatch):
+    def test_loose_direction_is_retried(self, monkeypatch):
         # with c = 10 the first step from the constant start is solved to 0.1, and its
-        # full step raises the max-norm residual: the safeguard refines it to _FORCING
-        # with the same coarsest LU (without it this solve stops at the damping floor)
+        # full step raises the max-norm residual: the direction is discarded and the step
+        # solved again from zero to _FORCING (without it this solve stops at the damping
+        # floor).  A loose attempt followed by a tight one is a retry: loose rtols are
+        # >= 1e-3 here, and only a retry tightens the next attempt
         grid = build_grid(Disk(0.9), 1.0 / 32.0)
         u0 = np.full(grid.n_interior, float(np.nanmean(assemble_operator(grid, liouville_g)[2])))
         ref = solve_dirichlet(grid, EXP2, W1, liouville_g, tol=1e-9, u0=u0)
         monkeypatch.setattr(fd2d, "_FORCING_SLOPE", 10.0)
-        steps = recording_forcing(monkeypatch)
+        attempts = recording_forcing(monkeypatch)
         fld = solve_dirichlet(grid, EXP2, W1, liouville_g, tol=1e-9, u0=u0)
+        F = fd2d._FORCING
+        retries = sum(a > F == b for a, b in zip(attempts, attempts[1:]))
         assert fld.meta["residual_history"][-1] <= 1e-9
-        assert fld.meta["factorizations"] == fld.meta["newton_iters"] == len(steps)
-        assert steps[0] == [0.1, fd2d._FORCING]
+        assert attempts[:2] == [0.1, F] and retries >= 1
+        assert fld.meta["factorizations"] == len(attempts) == fld.meta["newton_iters"] + retries
         assert np.max(np.abs(fld.interior_values() - ref.interior_values())) <= 1e-9
 
     def test_stays_tight_until_a_full_step(self, monkeypatch):
-        # every loose direction is made zero, so its full step is rejected and refined;
-        # directions solved to _FORCING in the first two steps overshoot threefold.  The
-        # first full step still lowers the residual, the second is damped: the third
-        # step starts at _FORCING, and after its full step the rule loosens again
-        def distort(rtol, x, step):
-            return 0.0 * x if rtol > fd2d._FORCING else 3.0 * x if step <= 2 else x
+        # every loose direction is made zero, so its full step is rejected and the step
+        # retried; directions solved to _FORCING in the first four attempts (the first
+        # two steps) overshoot threefold.  The first full step still lowers the residual,
+        # the second is damped: the third step starts at _FORCING, and after its full step
+        # the rule loosens again
+        def distort(rtol, x, attempt):
+            return 0.0 * x if rtol > fd2d._FORCING else 3.0 * x if attempt <= 4 else x
 
-        steps = recording_forcing(monkeypatch, distort)
+        attempts = recording_forcing(monkeypatch, distort)
         fld = solve_dirichlet(build_grid(Disk(0.9), 1.0 / 64.0), EXP2, W1, liouville_g, tol=1e-9)
-        assert fld.meta["residual_history"][-1] <= 1e-9
-        assert fld.meta["factorizations"] == fld.meta["newton_iters"] == len(steps)
         F = fd2d._FORCING
-        assert steps[0] == [0.1, F] and steps[1][1:] == [F] and steps[2] == [F]
-        assert steps[1][0] > F
-        assert len(steps) > 3
-        assert all(len(calls) == 2 and calls[0] > F == calls[1] for calls in steps[3:])
+        loose = [rtol > F for rtol in attempts]
+        assert fld.meta["residual_history"][-1] <= 1e-9
+        assert fld.meta["factorizations"] == len(attempts) == fld.meta["newton_iters"] + sum(loose)
+        assert attempts[:2] == [0.1, F] and loose[2] and attempts[3:5] == [F, F]
+        assert len(attempts) > 5 and loose[5:] == [True, False] * ((len(attempts) - 5) // 2)

@@ -584,6 +584,24 @@ class TestHermite:
 
 
 class TestExhaustionBVP:
+    def test_scaling_identity(self):
+        # b = 4: u + log 2 solves the b = 1 problem with data j + log 2, exactly on the
+        # grid too; f and f' are evaluated at u as it is, where a clamp at u = 1e-12 made
+        # Newton converge to another equation wherever an iterate dipped below 0
+        f, js = Nonlinearity.exponential(2), [2.0, 4.0, 6.0]
+        four = solve_exhaustion_bvp(RadialProblem.from_weight(2, 1, 1.0, f, Weight.constant(2.0)),
+                                    js, grid_h=1.0 / 512.0, tol=1e-9)
+        one = solve_exhaustion_bvp(RadialProblem.from_weight(2, 1, 1.0, f, Weight.constant(1.0)),
+                                   [j + math.log(2.0) for j in js], grid_h=1.0 / 512.0, tol=1e-9)
+        for a, b in zip(four, one):
+            assert np.max(np.abs(a.u - (b.u - math.log(2.0)))) <= 1e-10
+
+    def test_start_outside_the_domain_of_f_fails(self):
+        # u = j < 0 at the start: (-1)^2.5 is nan, and Newton stops there loudly
+        prob = RadialProblem(n=3, k=2, R=1.0, f=Nonlinearity.power(2.5), b=B_ONE)
+        with np.errstate(invalid="ignore"), pytest.raises(SolveFailure, match="nan residual"):
+            solve_exhaustion_bvp(prob, [-1.0, 2.0], grid_h=1.0 / 128.0, tol=1e-9)
+
     def test_matches_truncated_liouville(self):
         prob = RadialProblem(n=2, k=1, R=0.9, f=Nonlinearity.exponential(2), b=B_ONE)
         jb = float(liouville(0.9))
