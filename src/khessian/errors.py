@@ -25,13 +25,17 @@ def require_dimension_order(n, k):
         raise ParameterError(f"order k={k} out of range 1..{n}")
 
 
-def require_schedule(values):
-    """values as floats; ParameterError unless they are non-empty, finite, strictly increasing."""
+def require_schedule(values, f):
+    """values as floats; ParameterError unless they are non-empty, finite, strictly increasing,
+    and, for a power nonlinearity f (defined on (0, inf)), positive."""
     js = [float(j) for j in values]
     if not js:
         raise ParameterError("boundary-data schedule must not be empty")
     if not all(map(math.isfinite, js)) or any(b <= a for a, b in zip(js, js[1:])):
         raise ParameterError(f"boundary-data schedule must be strictly increasing and finite, "
+                             f"got {js}")
+    if f.kind == "power" and js[0] <= 0.0:
+        raise ParameterError(f"boundary-data schedule of a power nonlinearity must be positive, "
                              f"got {js}")
     return js
 

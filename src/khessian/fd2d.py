@@ -644,7 +644,7 @@ def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol, u0=
     taken.  Each attempt, accepted step or retry, factors the coarsest level once.  A
     failed coarsest factorization, a non-finite cycle residual or _MAX_CYCLES cycles
     short of the step's tolerance raise SolveFailure with the Newton residual history so
-    far.  Residuals are scaled by 1 + b f(u) per node: with exponential sources the raw
+    far.  Residuals are scaled by 1 + |b f(u)| per node: with exponential sources the raw
     residual sits at eps * b f(u) near the boundary.  meta records newton_iters (accepted
     steps), factorizations (coarsest-level LUs, one per attempt), cycles (V-cycles over
     all attempts) and start ("profile", "constant" or "given").
@@ -668,7 +668,7 @@ def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol, u0=
     def evaluate(U):
         """(residual, scaled max-norm, whether it is round-off) at U, a sublattice at a time.
 
-        f is evaluated once; the round-off floor is 64 eps (|D u| + |const| + b f(u)).
+        f is evaluated once; the round-off floor is 64 eps (|D u| + |const| + |b f(u)|).
         """
         res, scaled, at_floor = np.empty_like(U), [], True
         for k in range(4):
@@ -678,6 +678,7 @@ def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol, u0=
             r.reshape(-1)[cells] += const[rows]
             bf = _times_b(f.f, b if np.ndim(b) == 0 else b[k], U[k], nodes[k])
             r -= bf
+            np.abs(bf, out=bf)
             if at_floor:  # until a cell is above its floor
                 floor = _diagonal(fine, part)[0]
                 floor *= U[k]
@@ -687,7 +688,7 @@ def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol, u0=
                 floor *= eps64
                 at_floor = bool(np.all(np.abs(r) <= floor))
             bf += 1.0
-            scaled.append(np.max(np.abs(np.divide(r, bf, out=bf), out=bf)))  # |r| / (1 + b f(u))
+            scaled.append(np.max(np.abs(np.divide(r, bf, out=bf), out=bf)))  # |r| / (1 + |b f(u)|)
         return res, float(np.max(scaled)), at_floor
 
     res, norm, at_floor = evaluate(u)
@@ -756,7 +757,7 @@ def exhaust(grid: Field2D, f: Nonlinearity, bweight: Weight, j_schedule, tol):
     ratio on the core region d >= 0.2 * diam, and per level the Newton steps,
     coarsest-level factorizations and V-cycles.  A SolveFailure carries the levels finished before it in ``partial``.
     """
-    js = require_schedule(j_schedule)
+    js = require_schedule(j_schedule, f)
     diam = 2.0 * max(grid.domain.half_extents)
     core = grid.node_d >= 0.2 * diam
     profile = _boundary_profile(grid, f, bweight)

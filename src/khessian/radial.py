@@ -9,8 +9,8 @@ exhaustion as a two-point boundary value scheme, and boundary-asymptotics
 reports.
 
 Every solve is single-threaded and deterministic; distinct solves share no
-mutable state.  The root finders (Brent, and the Illinois search for the
-IVP's cap crossing) and the Hermite interpolant of the reports are
+mutable state.  The one root finder (Brent's method, for the shot and for
+the IVP's cap crossing) and the Hermite interpolant of the reports are
 written out here in plain floats and numpy; only the exhaustion scheme loads
 scipy, for its banded solve.
 """
@@ -226,15 +226,15 @@ _E5 = -277 / 14336
 _E6 = _B6 - 1 / 4
 
 
-def _ck_step(rhs, r, y, h, k1=None):
+def _ck_step(rhs, r, y, h, k1):
     """One Cash-Karp step of the 2-component state ``y = (u, v)`` in floats.
 
-    ``k1``, if given, is ``rhs(r, y)``, the first stage, already known to
-    the caller.  Returns the fifth-order state and the embedded error
-    estimate, both as tuples.
+    ``k1`` is ``rhs(r, y)``, the first stage, already known to the caller.
+    Returns the fifth-order state and the embedded error estimate, both as
+    tuples.
     """
     u, v = y
-    p1, q1 = rhs(r, y) if k1 is None else k1
+    p1, q1 = k1
     p2, q2 = rhs(r + _C2 * h, (u + h * (_A21 * p1), v + h * (_A21 * q1)))
     p3, q3 = rhs(r + _C3 * h, (u + h * (_A31 * p1 + _A32 * p2),
                                v + h * (_A31 * q1 + _A32 * q2)))
@@ -297,16 +297,18 @@ def _admissible(upp, t, combs):
     return True
 
 
-def _blowup_remainder(u, v, upp):
-    """Distance to the singularity from the local blow-up model.
+def _blowup_remainder(r, u, v, upp):
+    """Distance to the singularity from the local blow-up model at radius r.
 
     Exact for pure power blow-up C d^-q and for logarithmic blow-up
-    -q log d (up to O(d) relative); returns 0 when the model is invalid.
+    -q log d (up to O(d) relative); returns 0 when the model is invalid
+    or its distance is not below r.
     """
     den = u * upp - v * v
     if den <= 0.0 or v <= 0.0 or u <= 0.0:
         return 0.0
-    return u * v / den
+    rem = u * v / den
+    return rem if 0.0 < rem < r else 0.0
 
 
 # default cap on u and u' at which the blow-up IVP stops and locates the crossing
@@ -330,14 +332,13 @@ def integrate_blowup_ivp(prob: RadialProblem, u0, tol, u_cap=IVP_CAP, v_cap=IVP_
 
     Terminates on u or u' crossing the cap, or when the step size stalls at
     rounding level near the singularity.  The cap crossing inside the last
-    step is found twice, with one full step and with two half steps from the
-    last accepted state, each by Illinois regula falsi on the step fraction
-    (Dowell & Jarratt, BIT 11 (1971) 168) that keeps the bracket, takes the
-    midpoint when the interpolate leaves it and stops at adjacent floats.
-    Rstar combines the Richardson-extrapolated crossing location of the two
-    and the local blow-up model remainder.  The start state (u0, 0) must lie
-    below both caps, and so must the series state at r = 1e-8 R from which
-    the integration starts, when it is finite (ParameterError otherwise).
+    step is the root, by Brent's method (``_brent_root``), of the overshoot
+    max(u / u_cap, u' / v_cap) - 1 of one Cash-Karp trial step over the
+    fraction theta of that step from the last accepted state.  Rstar is the
+    crossing radius plus the local blow-up model remainder there.  The start
+    state (u0, 0) must lie below both caps, and so must the series state at
+    r = 1e-8 R from which the integration starts, when it is finite
+    (ParameterError otherwise).
     """
     def check_below_caps(r, u, v):
         if not (u < u_cap and v < v_cap):
@@ -370,57 +371,10 @@ def integrate_blowup_ivp(prob: RadialProblem, u0, tol, u_cap=IVP_CAP, v_cap=IVP_
     steps = rejected = 0
     termination = None
 
-    def locate_crossing(r0, y0, k0, h_acc, y_full):
-        """Cap crossing inside the step h_acc from (r0, y0), whose full step gave y_full."""
-        def overshoot(yy):
-            return max(yy[0] / u_cap, yy[1] / v_cap) - 1.0
-
-        def trial(theta, halve):
-            if halve:
-                ym, _ = _ck_step(rhs, r0, y0, 0.5 * theta * h_acc, k0)
-                yy, _ = _ck_step(rhs, r0 + 0.5 * theta * h_acc, ym, 0.5 * theta * h_acc)
-            else:
-                yy, _ = _ck_step(rhs, r0, y0, theta * h_acc, k0)
-            return yy
-
-        def solve(halve, y_hi):
-            # smallest fraction theta whose trial step overshoots: g(lo) < 0 <= g(hi)
-            lo, hi = 0.0, 1.0
-            g_lo, g_hi = overshoot(y0), overshoot(y_hi)
-            if not g_hi >= 0.0:
-                return r0 + h_acc, y_hi  # no crossing inside the step
-            kept = 0  # +1 after hi moved, -1 after lo moved
-            while True:
-                mid = 0.5 * (lo + hi)
-                if mid == lo or mid == hi:
-                    break  # lo and hi are adjacent floats
-                theta = hi - g_hi * (hi - lo) / (g_hi - g_lo)
-                if not lo < theta < hi:
-                    theta = mid
-                yy = trial(theta, halve)
-                g = overshoot(yy)
-                if g >= 0.0:
-                    hi, g_hi, y_hi = theta, g, yy
-                    if kept > 0:
-                        g_lo *= 0.5  # Illinois: lo kept twice in a row
-                    kept = 1
-                else:
-                    lo, g_lo = theta, g
-                    if kept < 0:
-                        g_hi *= 0.5
-                    kept = -1
-            return r0 + hi * h_acc, y_hi
-
-        rc0, _ = solve(False, y_full)
-        rc1, yc1 = solve(True, trial(1.0, True))
-        r_star = rc1 + (rc1 - rc0) / 31.0
-        return r_star, yc1
-
     while steps < _MAX_STEPS:
         steps += 1
         if h < 32.0 * eps * r:
-            rem = _blowup_remainder(y[0], y[1], k1[1])
-            Rstar = r + (rem if 0.0 < rem < r else 0.0)
+            Rstar = r + _blowup_remainder(r, *y, k1[1])
             termination = "stall"
             break
         y_new, err = _ck_step(rhs, r, y, h, k1)
@@ -447,10 +401,21 @@ def integrate_blowup_ivp(prob: RadialProblem, u0, tol, u_cap=IVP_CAP, v_cap=IVP_
                 f"admissibility lost at r={r_new:.6g} (u={y_new[0]:.6g})", solution=sol
             )
         if y_new[0] > u_cap or y_new[1] > v_cap:
-            r_cross, y_cross = locate_crossing(r, y, k1, h, y_new)
-            upp = rhs(r_cross, y_cross)[1]
-            rem = _blowup_remainder(y_cross[0], y_cross[1], upp)
-            Rstar = r_cross + (rem if 0.0 < rem < r_cross else 0.0)
+            # the step fraction whose trial step reaches the cap: y lies on or below
+            # both caps and y_new above one, so [0, 1] brackets it
+            trials = {0.0: y, 1.0: y_new}
+
+            def past_cap(yy):
+                return max(yy[0] / u_cap, yy[1] / v_cap) - 1.0
+
+            def overshoot(theta):
+                trials[theta] = _ck_step(rhs, r, y, theta * h, k1)[0]
+                return past_cap(trials[theta])
+
+            theta = _brent_root(overshoot, 0.0, 1.0, past_cap(y), past_cap(y_new),
+                                xtol=1e-300, rtol=8.9e-16, maxiter=200)
+            r_cross, y_cross = r + theta * h, trials[theta]
+            Rstar = r_cross + _blowup_remainder(r_cross, *y_cross, rhs(r_cross, y_cross)[1])
             rs.append(r_cross)
             us.append(y_cross[0])
             vs.append(y_cross[1])
@@ -680,7 +645,7 @@ def solve_exhaustion_bvp(prob: RadialProblem, j_schedule, grid_h, tol):
 
     require_positive_finite(grid_h, "grid spacing")
     require_positive_finite(tol, "tolerance")
-    js = require_schedule(j_schedule)
+    js = require_schedule(j_schedule, prob.f)
     n, k, R = prob.n, prob.k, prob.R
     N = max(8, int(round(R / grid_h)))
     h = R / N

@@ -482,6 +482,14 @@ VALIDATION = {
                               "got [nan]"),
     "j-empty-radial-exhaust": (EXHAUST + "j_schedule = ,\n",
                                "boundary-data schedule must not be empty"),
+    "j-nonpositive-power-radial-exhaust": ("command = radial-exhaust\nn = 3\nk = 2\nf = power:5\n"
+                                           "j_schedule = -1,2\n",
+                                           "boundary-data schedule of a power nonlinearity must "
+                                           "be positive, got [-1.0, 2.0]"),
+    "j-nonpositive-power-fd-exhaust": ("command = fd-exhaust\nf = power:3\nh = 0.0625\n"
+                                       "domain = disk:1\nj_schedule = -1,2\n",
+                                       "boundary-data schedule of a power nonlinearity must "
+                                       "be positive, got [-1.0, 2.0]"),
     "t_min-zero": (PROFILE + "t_min = 0\n", "t_min must be positive and finite, got 0.0"),
     "t_max-inf": (PROFILE + "t_max = inf\n", "t_max must be positive and finite, got inf"),
     "t_min-above-t_max": (PROFILE + "t_min = 10\nt_max = 1\n",

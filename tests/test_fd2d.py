@@ -431,6 +431,22 @@ class TestSolveFailure:
         with np.errstate(invalid="ignore"), pytest.raises(SolveFailure, match="nan residual"):
             solve_dirichlet(grid, Nonlinearity.power(2.5), W1, -1.0, tol=1e-9)
 
+    def test_negative_source_scales_by_its_magnitude(self):
+        # f(u) = u from the constant start u = -1: b f(u) = -1 at every node, where a
+        # scale of 1 + b f(u) divided by zero and read an infinite first residual
+        grid = build_grid(Disk(1.0), 1.0 / 8.0)
+        linear = Nonlinearity.custom(lambda s: np.asarray(s, float),
+                                     lambda s: np.ones_like(np.asarray(s, float)))
+        hist = solve_dirichlet(grid, linear, W1, -1.0, tol=1e-10).meta["residual_history"]
+        assert len(hist) == 2 and hist[0] == pytest.approx(0.5, rel=1e-12) and hist[1] <= 1e-10
+
+    def test_power_schedule_must_be_positive(self, monkeypatch):
+        # a power f is defined on (0, inf): j <= 0 fails before any level is solved
+        monkeypatch.setattr(fd2d, "solve_dirichlet", None)
+        with pytest.raises(ParameterError, match="power nonlinearity must be positive"):
+            exhaust(build_grid(Disk(1.0), 1.0 / 16.0), Nonlinearity.power(3), W1, [-1.0, 2.0],
+                    tol=1e-9)
+
     def test_partial_field(self):
         assert SolveFailure("no").partial == []
         levels = ["level 1", "level 2"]

@@ -273,7 +273,7 @@ class TestCashKarpStep:
     def test_matches_butcher_tableau(self, r, y, h):
         prob = RadialProblem(n=3, k=2, R=1.0, f=Nonlinearity.power(5), b=B_ONE)
         rhs = _make_rhs(prob)
-        y5, err = _ck_step(rhs, r, y, h)
+        y5, err = _ck_step(rhs, r, y, h, rhs(r, y))
         y5_ref, err_ref, ks = self.reference_step(rhs, r, y, h)
         assert isinstance(y5, tuple) and isinstance(err, tuple)
         np.testing.assert_allclose(y5, y5_ref, rtol=1e-14, atol=0.0)
@@ -299,8 +299,8 @@ class TestIVPWork:
         assert sol.Rstar == pytest.approx(Rstar, rel=1e-13, abs=0.0)
 
     # b evaluations of those integrations: each accepted state's right-hand side is
-    # the next step's first stage, and the cap crossing is found by Illinois regula falsi
-    B_CALLS = {(3, 2): 1896, (2, 1): 3994, (4, 3): 3874}
+    # the next step's first stage, and the cap crossing is found by Brent's method
+    B_CALLS = {(3, 2): 1684, (2, 1): 3736, (4, 3): 3707}
 
     def test_overflow_rejects_without_warnings(self):
         # f(u0) = 1e350 overflows: every step is rejected until the step size stalls
@@ -400,12 +400,12 @@ class TestShooting:
         assert abs(got - u0) <= 1e-13 * u0
         assert sol.Rstar == pytest.approx(Rstar, rel=1e-12, abs=0.0)
 
-    SHOTS = {(3, 2): (2.6604497912819443, 1.0000000000609213),
+    SHOTS = {(3, 2): (2.6604497912819425, 1.000000000060921),
              (2, 1): (0.6931471800972899, 0.9999999998970095),
-             (4, 3): (2.7301608566193836, 1.0000000000265246)}
-    BRACKET_SHOTS = {(3, 2): (2.660449794287001, 0.9999999992137736),
+             (4, 3): (2.730160856619382, 1.0000000000265254)}
+    BRACKET_SHOTS = {(3, 2): (2.660449794286999, 0.9999999992137744),
                      (2, 1): (0.6931471762450053, 1.000000003749293),
-                     (4, 3): (2.730160857920078, 0.9999999997089144)}
+                     (4, 3): (2.7301608579200356, 0.9999999997089236)}
 
     @staticmethod
     def counted_shot(monkeypatch, prob):
@@ -458,6 +458,19 @@ class TestShooting:
         assert sol.meta["shot"]["path"] == "scaling"
         assert abs(u0 - u0_ref) <= 1e-8 * u0_ref
 
+    # n <= 4, every k <= n, f = u^(k + 1/2), u^(k + 1), u^(2k + 1) and e^(2u), constant weight
+    SWEEP = [(n, k, nl) for n in range(2, 5) for k in range(1, n + 1)
+             for nl in (Nonlinearity.power(k + 0.5), Nonlinearity.power(k + 1.0),
+                        Nonlinearity.power(2.0 * k + 1.0), Nonlinearity.exponential(2))]
+
+    @pytest.mark.parametrize("n, k, nl", SWEEP)
+    def test_shots_hit_the_target_across_n_k_f(self, n, k, nl):
+        # R*(u0) must be continuous for Brent to close in on R: a crossing taken from
+        # the first state past the cap, with no search, missed 8 of these
+        prob = RadialProblem.from_weight(n, k, 1.0, nl, Weight.constant(1.0))
+        _, sol = shoot_blowup_radius(prob, tol=1e-9)
+        assert abs(sol.Rstar - 1.0) <= 1e-6
+
     def test_unverified_prediction_falls_back_to_the_bracket(self, monkeypatch):
         # u0 = R*0^4 here, and the first IVP's R*0 = 5.04 is not exact: the prediction
         # blows up at 1 - 5.2e-6; the bracketed shot that follows is the one of b as a
@@ -466,7 +479,7 @@ class TestShooting:
         u0, sol, _ = self.counted_shot(monkeypatch, prob)
         ref, ref_sol = shoot_blowup_radius(bracketed(prob), tol=1e-9)
         assert sol.meta["shot"]["path"] == "bracket"
-        assert (u0, sol.Rstar) == (ref, ref_sol.Rstar) == (643.447787733826, 0.9999999993938108)
+        assert (u0, sol.Rstar) == (ref, ref_sol.Rstar) == (643.4477875819742, 0.9999999994528085)
         assert sol.meta["shot"]["ivps"] == ref_sol.meta["shot"]["ivps"] + 2
 
     def test_negative_prediction_falls_back_to_the_bracket(self, monkeypatch):
@@ -598,9 +611,19 @@ class TestExhaustionBVP:
 
     def test_start_outside_the_domain_of_f_fails(self):
         # u = j < 0 at the start: (-1)^2.5 is nan, and Newton stops there loudly
-        prob = RadialProblem(n=3, k=2, R=1.0, f=Nonlinearity.power(2.5), b=B_ONE)
+        f = Nonlinearity.custom(lambda s: np.asarray(s, float) ** 2.5,
+                                lambda s: 2.5 * np.asarray(s, float) ** 1.5)
+        prob = RadialProblem(n=3, k=2, R=1.0, f=f, b=B_ONE)
         with np.errstate(invalid="ignore"), pytest.raises(SolveFailure, match="nan residual"):
             solve_exhaustion_bvp(prob, [-1.0, 2.0], grid_h=1.0 / 128.0, tol=1e-9)
+
+    @pytest.mark.parametrize("js", [[-1.0, 2.0], [0.0, 2.0]])
+    def test_power_schedule_must_be_positive(self, js):
+        # a power f is defined on (0, inf): with gamma = 5, j = -1 solved numpy's odd
+        # extension of u^5 and returned u(0) = -0.802
+        prob = RadialProblem(n=3, k=2, R=1.0, f=Nonlinearity.power(5), b=B_ONE)
+        with pytest.raises(ParameterError, match="power nonlinearity must be positive"):
+            solve_exhaustion_bvp(prob, js, grid_h=1.0 / 128.0, tol=1e-9)
 
     def test_matches_truncated_liouville(self):
         prob = RadialProblem(n=2, k=1, R=0.9, f=Nonlinearity.exponential(2), b=B_ONE)
