@@ -330,7 +330,6 @@ def cmd_check_barrier(cfg, outdir, base, quiet, runinfo):
         "supersolution": rep_s.as_dict(),
         "subsolution": rep_l.as_dict(),
     }
-    passed = rep_s.passed and rep_l.passed
     if global_check:
         prob = RadialProblem.from_weight(n, k, R, nl, w)
         eps_g, rep_g = certify_upper_barrier_global(p, solve_torsion(prob), nl, prob.b)
@@ -340,9 +339,8 @@ def cmd_check_barrier(cfg, outdir, base, quiet, runinfo):
         }
     reports.write_json(outdir / f"{base}.json", out)
     if not quiet:
-        print(f"check-barrier: {'PASS' if passed else 'FAIL'} "
-              f"(delta_eps={bp.delta_eps:.4g}, eps={bp.eps})")
-    return 0 if passed else 1
+        print(f"check-barrier: PASS (delta_eps={bp.delta_eps:.4g}, eps={bp.eps})")
+    return 0  # certify_barriers returns passing reports only: a failure raises
 
 
 def cmd_verify_asymptotics(cfg, outdir, base, quiet, runinfo):

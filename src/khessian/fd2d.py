@@ -53,9 +53,6 @@ _FORCING = 1e-6  # tightest relative residual a Newton step is solved to
 # c: a step is solved to c times the larger of the scaled Newton residual r and 10 tol / r,
 # between _FORCING and 0.1; c = 0 solves every step to _FORCING
 _FORCING_SLOPE = 0.01
-# V-cycle iteration stalls at 1e-15 to 7e-13 relative on these grids (smooth right-hand
-# sides at h = 1/256 the highest): stay above
-_RTOL_FLOOR = 1e-11
 _MAX_CYCLES = 100  # V-cycles before a Newton step fails
 _MAX_NEWTON = 100  # Newton attempts, accepted or retried, before a solve fails
 
@@ -607,12 +604,6 @@ def _times_b(fun, b, U, nodes):
     return out
 
 
-def _affine(fun, b, U, bfp, nodes):
-    """Whether b f'(u + 1) equals bfp = b f'(u) at every node, fun = f', a sublattice at a time."""
-    return all(np.array_equal(bfp[k], _times_b(fun, b if np.ndim(b) == 0 else b[k], U[k] + 1.0,
-                                               nodes[k])) for k in range(4))
-
-
 def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol, u0=None, *,
                     multigrid=None):
     """Solve Delta u = b f(u) with Dirichlet data g; returns a new Field2D.
@@ -636,18 +627,18 @@ def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol, u0=
     evaluated at u as it is: a trial point where f is not finite fails the line search,
     and a start where the residual is nan raises SolveFailure.  At scaled residual r a
     step is solved to relative residual min(0.1, max(_FORCING, c r, 10 c tol / r)),
-    c = _FORCING_SLOPE (inexact Newton: the forcing term is O(r), which keeps quadratic
-    convergence); where f is affine, to min(_FORCING, max(0.1 tol / r, _RTOL_FLOOR)).  A
-    direction solved looser than _FORCING is tried at its full step alone: when that does
-    not lower the max-norm residual, the direction is discarded and the step solved again
-    to _FORCING (a retry), and later steps are solved to _FORCING until a full step is
-    taken.  Each attempt, accepted step or retry, factors the coarsest level once.  A
-    failed coarsest factorization, a non-finite cycle residual or _MAX_CYCLES cycles
-    short of the step's tolerance raise SolveFailure with the Newton residual history so
-    far.  Residuals are scaled by 1 + |b f(u)| per node: with exponential sources the raw
-    residual sits at eps * b f(u) near the boundary.  meta records newton_iters (accepted
-    steps), factorizations (coarsest-level LUs, one per attempt), cycles (V-cycles over
-    all attempts) and start ("profile", "constant" or "given").
+    c = _FORCING_SLOPE, for every f (inexact Newton: the forcing term is O(r), which keeps
+    quadratic convergence; a linear f takes a few steps, not one).  A direction solved
+    looser than _FORCING is tried at its full step alone: when that does not lower the
+    max-norm residual, the direction is discarded and the step solved again to _FORCING
+    (a retry), and later steps are solved to _FORCING until a full step is taken.  Each
+    attempt, accepted step or retry, factors the coarsest level once.  A failed coarsest
+    factorization, a non-finite cycle residual or _MAX_CYCLES cycles short of the step's
+    tolerance raise SolveFailure with the Newton residual history so far.  Residuals are
+    scaled by 1 + |b f(u)| per node: with exponential sources the raw residual sits at
+    eps * b f(u) near the boundary.  meta records newton_iters (accepted steps),
+    factorizations (coarsest-level LUs, one per attempt), cycles (V-cycles over all
+    attempts) and start ("profile", "constant" or "given").
     """
     require_positive_finite(tol, "tolerance")
     profile = None if u0 is not None else _boundary_profile(grid, f, bweight)
@@ -702,11 +693,7 @@ def solve_dirichlet(grid: Field2D, f: Nonlinearity, bweight: Weight, g, tol, u0=
             if norm <= tol or at_floor:
                 break
             bfp = _times_b(f.f_prime, b, u, nodes)
-            if _affine(f.f_prime, b, u, bfp, nodes):
-                # f is affine here, so the Newton model is exact: solve the step far
-                # enough to finish, as a linear problem should in one step
-                rtol = min(_FORCING, max(0.1 * tol / norm, _RTOL_FLOOR))
-            elif tight:
+            if tight:
                 rtol = _FORCING
             else:  # inexact Newton: the forcing term falls with the residual
                 rtol = min(0.1, max(_FORCING, _FORCING_SLOPE * max(norm, 10.0 * tol / norm)))

@@ -48,15 +48,13 @@ class Nonlinearity:
     @staticmethod
     def power(gamma):
         gamma = float(gamma)
-        if gamma <= 0.0:
-            raise ParameterError(f"(f1) power nonlinearity needs gamma > 0, got {gamma}")
+        require_positive_finite(gamma, "(f1) power nonlinearity exponent gamma")
         return Nonlinearity(kind="power", gamma=gamma)
 
     @staticmethod
     def exponential(rate):
         rate = float(rate)
-        if rate <= 0.0:
-            raise ParameterError(f"(f1) exponential nonlinearity needs a > 0, got {rate}")
+        require_positive_finite(rate, "(f1) exponential nonlinearity rate a")
         return Nonlinearity(kind="exponential", rate=rate)
 
     @staticmethod
@@ -178,15 +176,13 @@ class Weight:
     @staticmethod
     def constant(c=1.0, *, delta0=math.inf, b_lower=1.0, b_upper=1.0):
         c = float(c)
-        if c <= 0.0:
-            raise ParameterError(f"(b2) constant weight must be positive, got {c}")
+        require_positive_finite(c, "(b2) constant weight c")
         return Weight(kind="constant", const=c, delta0=delta0, b_lower=b_lower, b_upper=b_upper)
 
     @staticmethod
     def power(alpha, *, delta0=math.inf, b_lower=1.0, b_upper=1.0):
         alpha = float(alpha)
-        if alpha <= 0.0:
-            raise ParameterError(f"(b2) power weight needs alpha > 0, got {alpha}")
+        require_positive_finite(alpha, "(b2) power weight exponent alpha")
         return Weight(kind="power", alpha=alpha, delta0=delta0, b_lower=b_lower, b_upper=b_upper)
 
     @staticmethod

@@ -369,6 +369,15 @@ class TestVerification:
         bp, rep_s, rep_l = certify_barriers(p, geom, Nonlinearity.power(5), W1, eps=0.1)
         assert rep_s.passed and rep_l.passed
 
+    def test_wrong_nonlinearity_runs_out_of_widths(self):
+        # barriers built from the power:5 profile are no barriers for f = power:7: every
+        # width of the ladder fails, and the failure carries the last width's worst margin
+        p = assemble_profile(Nonlinearity.power(5), W1, 2)
+        with pytest.raises(CertificationFailure, match="no collar width certified after "
+                           f"{barriers._MAX_HALVINGS} halvings") as info:
+            certify_barriers(p, ball_geometry(3, 2, 1.0), Nonlinearity.power(7), W1, eps=0.1)
+        assert info.value.worst_margin == -1.0
+
     def test_curvature_scaling_raises_amplitude(self):
         # shrinking all curvatures 10x lowers l0 and raises xi_upper; the
         # certification keeps passing with margins no worse than marginally

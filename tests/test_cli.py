@@ -4,10 +4,13 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from khessian import cli
 from khessian.cli import main
+from khessian.nonlinearity import Nonlinearity, Weight
+from khessian.profiles import assemble_profile, predicted_profile
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -45,6 +48,17 @@ class TestProfileCommand:
         assert header["C_f"] == pytest.approx(2.0, abs=1e-3)
         assert header["C_m"] == pytest.approx(1.0, abs=1e-6)
         assert header["ko_ok"] is True
+
+    def test_explicit_xi_is_used(self, tmp_path):
+        # a number for xi, not "auto": the body carries it and the predicted column follows it
+        cfg = write_cfg(tmp_path, "p.cfg", PROFILE + "xi = 0.75\nt_grid = 0.1,0.5\n")
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "--quiet"]) == 0
+        assert json.loads((out / "profile.json").read_text())["xi"] == 0.75
+        _, rows = read_rows(out / "profile.csv")
+        p = assemble_profile(Nonlinearity.power(3), Weight.constant(1.0), 1)
+        want = predicted_profile(p, 0.75, np.array([0.1, 0.5]))
+        assert [r[4] for r in rows] == pytest.approx(want, rel=1e-15)
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_cfg(tmp_path, "p.cfg", """
@@ -497,6 +511,18 @@ VALIDATION = {
     "t_per_decade-zero": (PROFILE + "t_per_decade = 0\n", "t_per_decade must be >= 1, got 0"),
     "ratio_band-one-number": (VERIFY + "ratio_band = 0.9\n",
                               "ratio_band needs two finite numbers lo < hi, got [0.9]"),
+    "f-power-nan-radial-ivp": ("command = radial-ivp\nn = 2\nk = 1\nf = power:nan\nu0 = 0.7\n",
+                               "(f1) power nonlinearity exponent gamma must be positive and "
+                               "finite, got nan"),
+    "f-exp-inf-radial-ivp": ("command = radial-ivp\nn = 2\nk = 1\nf = exp:inf\nu0 = 0.7\n",
+                             "(f1) exponential nonlinearity rate a must be positive and finite, "
+                             "got inf"),
+    "weight-constant-nan-radial-ivp": (IVP + "weight = constant:nan\n",
+                                       "(b2) constant weight c must be positive and finite, "
+                                       "got nan"),
+    "weight-power-inf-radial-ivp": (IVP + "weight = power:inf\n",
+                                    "(b2) power weight exponent alpha must be positive and "
+                                    "finite, got inf"),
     "delta0-nan": (PROFILE + "delta0 = nan\n",
                    "(b2) validity window delta0 must be positive, got nan"),
     "b_lower-nan": (PROFILE + "b_lower = nan\n",

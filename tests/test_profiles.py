@@ -33,6 +33,10 @@ def phi_power_exact(k, gamma, t):
     return coeff * t ** (-(k + 1.0) / (gamma - k))
 
 
+def _arr(s):
+    return np.asarray(s, float)
+
+
 class TestProfileIntegral:
     def test_power_phi_closed_form(self):
         # Phi(s) for f = s**gamma has an elementary antiderivative
@@ -106,6 +110,14 @@ class TestProfileIntegral:
                                    lambda s: np.ones_like(np.asarray(s, float)))
         with pytest.raises(KellerOssermanViolation):
             build_profile(slow, 1)
+        # f = s + s^0.9 is no exact power: the top decade's two slopes disagree, so the fit
+        # is not trusted, and the grid is pushed up until the fitted exponent stays <= 1.01
+        mixed = Nonlinearity.custom(lambda s: _arr(s) + _arr(s) ** 0.9,
+                                    lambda s: 1.0 + 0.9 * _arr(s) ** -0.1)
+        with pytest.raises(KellerOssermanViolation,
+                           match="fitted tail exponent .* after extension") as ei:
+            build_profile(mixed, 1)
+        assert 0.99 < ei.value.tail_exponent <= 1.01
 
     def test_phi_domain_error_for_exponential(self):
         # Phi(0+) is finite for exponential kinds; beyond it phi is undefined
@@ -114,6 +126,28 @@ class TestProfileIntegral:
         assert sup == pytest.approx(math.pi / 2.0, rel=1e-4)
         with pytest.raises(ParameterError):
             p.phi(2.0)
+
+
+class TestConditionChecks:
+    # (f1) and (b2) are sampled when a profile is assembled; each failure names its label
+    @pytest.mark.parametrize("fn, message", [
+        (lambda s: np.full_like(_arr(s), np.nan), "not evaluable on the sample grid"),
+        (lambda s: _arr(s) - 1.0, "must be positive on (0, inf)"),
+        (lambda s: 1.0 + 1.0 / _arr(s), "must be nondecreasing"),
+    ], ids=["not-evaluable", "not-positive", "decreasing"])
+    def test_f1_failures(self, fn, message):
+        with pytest.raises(ParameterError) as ei:
+            assemble_profile(Nonlinearity.custom(fn, fn), Weight.constant(1.0), 1)
+        assert str(ei.value) == "(f1) nonlinearity " + message
+
+    @pytest.mark.parametrize("m, message", [
+        (lambda t: _arr(t) - 0.5, "must be positive on (0, delta0)"),
+        (lambda t: 2.0 - _arr(t), "must be nondecreasing on (0, delta0)"),
+    ], ids=["not-positive", "decreasing"])
+    def test_b2_failures(self, m, message):
+        with pytest.raises(ParameterError) as ei:
+            assemble_profile(Nonlinearity.power(3), Weight.custom(m, m, 1.0), 1)
+        assert str(ei.value) == "(b2) weight m " + message
 
 
 class TestLimitRatio:
