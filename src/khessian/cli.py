@@ -1,10 +1,13 @@
 """Configuration-driven experiment runner.
 
 Configs are flat ``key = value`` text files (``#`` starts a comment); the
-schema is documented in the README.  Each invocation runs one experiment
-and writes CSV data plus JSON metadata into the output directory; report
-bodies are byte-identical across reruns, timestamps live in a
-``*.runinfo.json`` sidecar.
+schema is documented in the README.  Each invocation runs one experiment.
+A command is a function of its config alone: it returns a ``Report`` (the
+CSV table or None, the JSON body, a one-line summary, the exit status and
+its sidecar entries), and ``run`` alone writes it to ``NAME.csv``,
+``NAME.json`` and ``NAME.runinfo.json`` in the output directory and prints
+the summary unless ``--quiet``.  Report bodies are byte-identical across
+reruns; timestamps and run counts live in the ``*.runinfo.json`` sidecar.
 
 Exit codes: 0 success (and all checks passed), 1 computational failure
 (diagnostic written to ``error.json``), 2 config/parameter validation
@@ -18,6 +21,7 @@ import sys
 import time
 import traceback
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,6 +45,21 @@ from .radial import (
     solve_exhaustion_bvp,
     solve_torsion,
 )
+
+
+class Report(NamedTuple):
+    """What a command returns, for ``run`` to write and print: ``body`` is
+    ``NAME.json``; ``summary`` the line printed unless quiet; ``table`` the
+    (columns, rows of floats) of ``NAME.csv``, or None for no CSV; ``status``
+    the exit code; ``runinfo`` the sidecar entries beside the timestamp,
+    command and version, or None."""
+
+    body: dict
+    summary: str
+    table: tuple | None = None
+    status: int = 0
+    runinfo: dict | None = None
+
 
 class Config:
     """Flat key-value config with typed accessors that record every key looked up."""
@@ -207,7 +226,7 @@ def _resolve_xi(xi, p, geom):
     return xi_bounds(p.weight, geom.L0, geom.l0, p.C_f, p.C_m, p.k)[0] if xi is None else xi
 
 
-def cmd_profile(cfg, outdir, base, quiet, runinfo):
+def cmd_profile(cfg):
     k = cfg.get("k", int, required=True)
     nl = _parse_nonlinearity(cfg.get("f", str, required=True))
     w = _parse_weight(cfg.get("weight", str, "constant:1"), cfg)
@@ -221,13 +240,15 @@ def cmd_profile(cfg, outdir, base, quiet, runinfo):
     cfg.check_all_read()
     p = assemble_profile(nl, w, k)
     xi = _resolve_xi(xi, p, geom)
-    sup = p.profile.phi_domain_sup()
-    ts = [t for t in ts if t < 0.95 * sup]
-    rows = profile_table(p, xi, ts)
-    reports.profile_files(outdir / base, p, xi, rows)
-    if not quiet:
-        print(f"profile: C_f={p.C_f:.6f} C_m={p.C_m:.6f} xi={xi:.6f} rows={len(rows)}")
-    return 0
+    cut = 0.95 * p.profile.phi_domain_sup()  # rows stop short of sup Phi = Phi(0), where phi = 0
+    if not any(t < cut for t in ts):
+        raise ParameterError(f"profile table is empty: t must lie below 0.95 sup Phi = "
+                             f"{cut:.6g}, and the smallest t is {min(ts):g}")
+    rows = profile_table(p, xi, [t for t in ts if t < cut])
+    return Report(table=(["t", "phi", "phi_prime", "M", "predicted"], rows),
+                  body={**p.header(), "xi": xi, "rows": len(rows)},
+                  summary=f"profile: C_f={p.C_f:.6f} C_m={p.C_m:.6f} xi={xi:.6f} "
+                          f"rows={len(rows)}")
 
 
 def _radial_problem(cfg):
@@ -241,19 +262,18 @@ def _radial_problem(cfg):
     return prob, nl, w
 
 
-def cmd_radial_ivp(cfg, outdir, base, quiet, runinfo):
+def cmd_radial_ivp(cfg):
     prob, nl, w = _radial_problem(cfg)
     u0 = cfg.get("u0", float, required=True)
     tol = cfg.get("tol", float, 1e-9)
     cfg.check_all_read()
     sol = integrate_blowup_ivp(prob, u0, tol)
-    reports.radial_solution_files(outdir / base, sol)
-    if not quiet:
-        print(f"radial-ivp: Rstar={sol.Rstar:.8f} steps={sol.meta['steps']}")
-    return 0
+    return Report(table=(["r", "u", "u1"], list(zip(sol.r, sol.u, sol.u1))),
+                  body={"Rstar": sol.Rstar, **sol.meta},
+                  summary=f"radial-ivp: Rstar={sol.Rstar:.8f} steps={sol.meta['steps']}")
 
 
-def cmd_radial_exhaust(cfg, outdir, base, quiet, runinfo):
+def cmd_radial_exhaust(cfg):
     prob, nl, w = _radial_problem(cfg)
     js = cfg.floats("j_schedule", required=True)
     h = cfg.get("h", float, 1.0 / 256.0)
@@ -264,24 +284,16 @@ def cmd_radial_exhaust(cfg, outdir, base, quiet, runinfo):
     for sol in sols:
         j = sol.meta["j"]
         rows.extend((j, r, u, u1) for r, u, u1 in zip(sol.r, sol.u, sol.u1))
-    reports.write_csv(outdir / f"{base}.csv", ["j", "r", "u", "u1"], rows)
     mono = [float(np.min(b.u - a.u)) for a, b in zip(sols, sols[1:])]
     incs = [abs(b.u[0] - a.u[0]) for a, b in zip(sols, sols[1:])]  # at the centre, r = 0
-    meta = {
-        "j_schedule": js,
-        "h": h,
-        "tol": tol,
-        "monotone_min_increment": mono,
-        "center_increments": incs,
-        "monotone_ok": bool(all(v >= -1e-8 for v in mono)),
-    }
-    reports.write_json(outdir / f"{base}.json", meta)
-    if not quiet:
-        print(f"radial-exhaust: {len(sols)} levels, monotone_ok={meta['monotone_ok']}")
-    return 0
+    monotone_ok = bool(all(v >= -1e-8 for v in mono))
+    return Report(table=(["j", "r", "u", "u1"], rows),
+                  body={"j_schedule": js, "h": h, "tol": tol, "monotone_min_increment": mono,
+                        "center_increments": incs, "monotone_ok": monotone_ok},
+                  summary=f"radial-exhaust: {len(sols)} levels, monotone_ok={monotone_ok}")
 
 
-def cmd_fd_exhaust(cfg, outdir, base, quiet, runinfo):
+def cmd_fd_exhaust(cfg):
     from .fd2d import exhaust  # loads scipy's LAPACK, which no other command needs
 
     nl = _parse_nonlinearity(cfg.get("f", str, required=True))
@@ -294,20 +306,16 @@ def cmd_fd_exhaust(cfg, outdir, base, quiet, runinfo):
     cfg.check_all_read()
     grid = build_grid(dom, h)
     limit, diags = exhaust(grid, nl, w, js, tol)
-    reports.field_files(outdir / base, limit, extra_meta={
-        "j_schedule": js,
-        "increment_min": diags["increment_min"],
-        "cauchy_ratio": diags["cauchy_ratio"],
-        "monotone_ok": bool(all(v >= -1e-8 for v in diags["increment_min"])),
-    })
-    runinfo["levels"] = {key: diags[key] for key in ("j", "newton_iters", "cycles")}
-    if not quiet:
-        print(f"fd-exhaust: nodes={grid.n_interior} monotone_ok="
-              f"{all(v >= -1e-8 for v in diags['increment_min'])}")
-    return 0
+    monotone_ok = bool(all(v >= -1e-8 for v in diags["increment_min"]))
+    rows = list(zip(limit.node_x, limit.node_y, limit.node_d, limit.interior_values()))
+    return Report(table=(["x", "y", "d", "u"], rows),
+                  body={**limit.meta, "j_schedule": js, "increment_min": diags["increment_min"],
+                        "cauchy_ratio": diags["cauchy_ratio"], "monotone_ok": monotone_ok},
+                  summary=f"fd-exhaust: nodes={grid.n_interior} monotone_ok={monotone_ok}",
+                  runinfo={"levels": {key: diags[key] for key in ("j", "newton_iters", "cycles")}})
 
 
-def cmd_check_barrier(cfg, outdir, base, quiet, runinfo):
+def cmd_check_barrier(cfg):
     n = cfg.get("n", int, required=True)
     k = cfg.get("k", int, required=True)
     nl = _parse_nonlinearity(cfg.get("f", str, required=True))
@@ -323,7 +331,7 @@ def cmd_check_barrier(cfg, outdir, base, quiet, runinfo):
     cfg.check_all_read()
     p = assemble_profile(nl, w, k)
     bp, rep_s, rep_l = certify_barriers(p, geom, nl, w, eps=eps, nsamples=nsamples, seed=seed)
-    out = {
+    body = {
         "geometry": geom.label,
         "delta_eps": bp.delta_eps,
         "eps": bp.eps,
@@ -333,17 +341,16 @@ def cmd_check_barrier(cfg, outdir, base, quiet, runinfo):
     if global_check:
         prob = RadialProblem.from_weight(n, k, R, nl, w)
         eps_g, rep_g = certify_upper_barrier_global(p, solve_torsion(prob), nl, prob.b)
-        out["global_upper_barrier"] = {
+        body["global_upper_barrier"] = {
             "eps": eps_g,
             "worst_relative_margin": rep_g["worst_relative_margin"],
         }
-    reports.write_json(outdir / f"{base}.json", out)
-    if not quiet:
-        print(f"check-barrier: PASS (delta_eps={bp.delta_eps:.4g}, eps={bp.eps})")
-    return 0  # certify_barriers returns passing reports only: a failure raises
+    # certify_barriers returns passing reports only: a failure raises
+    return Report(body=body, summary=f"check-barrier: PASS (delta_eps={bp.delta_eps:.4g}, "
+                                     f"eps={bp.eps})")
 
 
-def cmd_verify_asymptotics(cfg, outdir, base, quiet, runinfo):
+def cmd_verify_asymptotics(cfg):
     prob, nl, w = _radial_problem(cfg)
     geom = ball_geometry(prob.n, prob.k, prob.R)  # the shot's domain
     xi = _xi_key(cfg)
@@ -365,7 +372,6 @@ def cmd_verify_asymptotics(cfg, outdir, base, quiet, runinfo):
     p = assemble_profile(nl, w, prob.k)
     xi = _resolve_xi(xi, p, geom)
     u0, sol = shoot_blowup_radius(prob, tol=tol)
-    runinfo["shot"] = sol.meta["shot"]
     npts = max(2, int(round(math.log10(d_hi / d_lo) * per_decade)) + 1)
     ladder = np.geomspace(d_lo, d_hi, npts)
     rep = asymptotics_report(sol, p, xi, d_values=ladder)
@@ -373,15 +379,12 @@ def cmd_verify_asymptotics(cfg, outdir, base, quiet, runinfo):
     in_band = bool(np.all((rows[:, 3] >= band[0]) & (rows[:, 3] <= band[1])))
     trend = bool(abs(rows[-1, 3] - 1.0) <= abs(rows[0, 3] - 1.0) + 1e-12)
     passed = in_band and trend
-    reports.write_csv(outdir / f"{base}.csv", ["d", "u", "predicted", "ratio"], rows)
-    reports.write_json(outdir / f"{base}.json", {
-        "xi": xi, "u0": u0, "Rstar": sol.Rstar, "band": band,
-        "in_band": in_band, "trend_improves": trend, "passed": passed,
-    })
-    if not quiet:
-        print(f"verify-asymptotics: {'PASS' if passed else 'FAIL'} "
-              f"(Rstar={sol.Rstar:.6f}, ratio[{rows[0, 0]:.1e}]={rows[0, 3]:.4f})")
-    return 0 if passed else 1
+    return Report(table=(["d", "u", "predicted", "ratio"], rows),
+                  body={"xi": xi, "u0": u0, "Rstar": sol.Rstar, "band": band,
+                        "in_band": in_band, "trend_improves": trend, "passed": passed},
+                  summary=f"verify-asymptotics: {'PASS' if passed else 'FAIL'} "
+                          f"(Rstar={sol.Rstar:.6f}, ratio[{rows[0, 0]:.1e}]={rows[0, 3]:.4f})",
+                  status=0 if passed else 1, runinfo={"shot": sol.meta["shot"]})
 
 
 _DISPATCH = {
@@ -396,22 +399,28 @@ COMMANDS = tuple(_DISPATCH)
 
 
 def run(cfg: Config, outdir: Path, seed=None, quiet=False):
+    """Run the config's command and write its Report: the only writer of NAME.csv, NAME.json
+    and NAME.runinfo.json, and the only printer of a summary; returns the exit status."""
     command = cfg.get("command", str, required=True)
     if command not in COMMANDS:
         raise ParameterError(f"unknown command {command!r}; expected one of {COMMANDS}")
     if seed is not None:
         cfg.pairs["seed"] = str(seed)
+    base = outdir / cfg.get("out", str, command)
+    report = _DISPATCH[command](cfg)
     outdir.mkdir(parents=True, exist_ok=True)
-    base = cfg.get("out", str, command)
-    runinfo = {}  # entries a command adds to the sidecar, never to its report body
-    status = _DISPATCH[command](cfg, outdir, base, quiet, runinfo)
-    reports.write_json(outdir / f"{base}.runinfo.json", {
+    if report.table is not None:
+        reports.write_csv(f"{base}.csv", *report.table)
+    reports.write_json(f"{base}.json", report.body)
+    reports.write_json(f"{base}.runinfo.json", {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "command": command,
         "version": __version__,
-        **runinfo,
+        **(report.runinfo or {}),
     })
-    return status
+    if not quiet:
+        print(report.summary)
+    return report.status
 
 
 def main(argv=None):

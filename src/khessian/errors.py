@@ -25,18 +25,28 @@ def require_dimension_order(n, k):
         raise ParameterError(f"order k={k} out of range 1..{n}")
 
 
+def domain_of(f):
+    """(inside, words): the test of a value x against the domain of the nonlinearity f, and
+    that domain in words.  An exponential f is defined on all of R, so any finite x; a power
+    or custom f on (0, inf), so x > 0."""
+    if f.kind == "exponential":
+        return math.isfinite, "finite"
+    return (lambda x: x > 0.0), "positive"
+
+
 def require_schedule(values, f):
     """values as floats; ParameterError unless they are non-empty, finite, strictly increasing,
-    and, for a power nonlinearity f (defined on (0, inf)), positive."""
+    and, unless f is custom, in the domain of f (``domain_of``): positive for a power f."""
     js = [float(j) for j in values]
     if not js:
         raise ParameterError("boundary-data schedule must not be empty")
     if not all(map(math.isfinite, js)) or any(b <= a for a, b in zip(js, js[1:])):
         raise ParameterError(f"boundary-data schedule must be strictly increasing and finite, "
                              f"got {js}")
-    if f.kind == "power" and js[0] <= 0.0:
-        raise ParameterError(f"boundary-data schedule of a power nonlinearity must be positive, "
-                             f"got {js}")
+    inside, words = domain_of(f)
+    if f.kind != "custom" and not inside(js[0]):  # a custom f's start is left to its solve
+        raise ParameterError(f"boundary-data schedule of a {f.kind} nonlinearity must be "
+                             f"{words}, got {js}")
     return js
 
 

@@ -29,8 +29,8 @@ from ._quad import (
     scalar_or_array,
 )
 from .errors import (IntegrationFailure, ParameterError, ReportTruncated, SolveFailure,
-                     require_array_callable, require_dimension_order, require_positive_finite,
-                     require_schedule)
+                     domain_of, require_array_callable, require_dimension_order,
+                     require_positive_finite, require_schedule)
 from .nonlinearity import Nonlinearity, Weight
 from .profiles import ProfileFns, predicted_profile
 
@@ -314,7 +314,7 @@ def _blowup_remainder(r, u, v, upp):
 # default cap on u and u' at which the blow-up IVP stops and locates the crossing
 IVP_CAP = 1e12
 _MAX_STEPS = 3_000_000  # steps before an IVP that has neither crossed a cap nor stalled fails
-# the shot's first u0, the tolerance of its bracket IVPs and its most factors of 4 either way
+# the shot's first u0, the tolerance of its bracket IVPs and its most bracket steps either way
 _U0_INIT, _COARSE_TOL, _MAX_EXPAND = 1.0, 1e-8, 60
 
 
@@ -337,16 +337,18 @@ def integrate_blowup_ivp(prob: RadialProblem, u0, tol, u_cap=IVP_CAP, v_cap=IVP_
     fraction theta of that step from the last accepted state.  Rstar is the
     crossing radius plus the local blow-up model remainder there.  The start
     state (u0, 0) must lie below both caps, and so must the series state at
-    r = 1e-8 R from which the integration starts, when it is finite
-    (ParameterError otherwise).
+    r = 1e-8 R from which the integration starts, when it is finite, and u0
+    must lie in the domain of f (``domain_of``: any finite u0 for an
+    exponential f, u0 > 0 otherwise); ParameterError otherwise.
     """
     def check_below_caps(r, u, v):
         if not (u < u_cap and v < v_cap):
             raise ParameterError(f"start state (u, u') = ({u:.6g}, {v:.6g}) at r={r:g} must lie "
                                  f"below the blow-up caps u_cap={u_cap:g}, v_cap={v_cap:g}")
 
-    if not u0 > 0.0:
-        raise ParameterError(f"initial value must be positive, got {u0}")
+    inside, words = domain_of(prob.f)
+    if not inside(u0):
+        raise ParameterError(f"initial value must be {words}, got {u0}")
     check_below_caps(0.0, u0, 0.0)
     require_positive_finite(tol, "tolerance")
     n, k, R = prob.n, prob.k, prob.R
@@ -526,17 +528,20 @@ def shoot_blowup_radius(prob: RadialProblem, tol=1e-9):
     With a constant weight and f = e^(a u) or u^gamma (gamma > k) the
     equation's scaling gives u0 in closed form: u0 + (2k/a) log R*, or
     u0 R*^(2k/(gamma-k)), is the same for every solution.  The shot then
-    integrates at ``tol`` from ``_U0_INIT``, predicts u0 from its R*, and
-    integrates at ``tol`` again from that u0; it returns this second
-    solution when its |log(R* / R)| <= tol (path "scaling").
+    integrates at ``tol`` from ``_U0_INIT``, predicts u0 from its R*, and,
+    when that u0 lies in the domain of f (``domain_of``) below ``IVP_CAP``,
+    integrates at ``tol`` again from it; it returns this second solution
+    when its |log(R* / R)| <= tol (path "scaling").
 
     Otherwise (path "bracket"), R*(u0) being strictly decreasing in u0
-    (comparison principle), the bracket is expanded by factors of 4 from
-    ``_U0_INIT`` at ``_COARSE_TOL``, with every u0 below ``IVP_CAP`` (a u0
-    whose series start at r = 1e-8 R already lies past a cap has R* < 1e-8 R
-    and takes the gap log(1e-8)), then Brent's method finds the root of
-    log(R*(u0) / R) in x = u0 for exponential f and in x = log u0 for every
-    other kind, and one final IVP at ``tol`` is made from that root.
+    (comparison principle), the bracket is expanded from ``_U0_INIT`` at
+    ``_COARSE_TOL`` by factors of 4, or downward by steps of log 4 in u0
+    for exponential f, which so reaches u0 <= 0, with every u0 below
+    ``IVP_CAP`` (a u0 whose series start at r = 1e-8 R already lies past a
+    cap has R* < 1e-8 R and takes the gap log(1e-8)), then Brent's method
+    finds the root of log(R*(u0) / R) in x = u0 for exponential f and in
+    x = log u0 for every other kind, and one final IVP at ``tol`` is made
+    from that root.
 
     Returns (u0, solution-at-tol); the solution's meta["shot"] holds the
     path and counts every IVP of the shot, with their total steps and
@@ -569,13 +574,13 @@ def shoot_blowup_radius(prob: RadialProblem, tol=1e-9):
                                f"for target {target:.9g} at u0={u0:.9g}", partial=[sol], shot=shot)
         return u0, sol
 
-    rescale = _scaling_u0(prob)
+    rescale, (inside, _) = _scaling_u0(prob), domain_of(prob.f)
     if rescale is not None:
         try:
             u0 = rescale(_U0_INIT, ivp(_U0_INIT, tol).Rstar / target)
         except OverflowError:
             u0 = math.inf
-        if 0.0 < u0 < IVP_CAP:
+        if inside(u0) and u0 < IVP_CAP:
             sol = ivp(u0, tol)
             if abs(math.log(sol.Rstar / target)) <= tol:
                 return done(u0, sol)
@@ -595,7 +600,7 @@ def shoot_blowup_radius(prob: RadialProblem, tol=1e-9):
     for _ in range(_MAX_EXPAND):
         if glo > 0.0:
             break
-        lo /= 4.0
+        lo = lo - math.log(4.0) if exponential else lo / 4.0
         glo = gap(lo)
     else:
         raise SolveFailure("could not bracket the target blow-up radius from below", shot=shot)
@@ -606,7 +611,7 @@ def shoot_blowup_radius(prob: RadialProblem, tol=1e-9):
         ghi = gap(hi)
     if not ghi < 0.0:
         raise SolveFailure("could not bracket the target blow-up radius from above", shot=shot)
-    xtol = 1e-13 * max(1.0, lo) if exponential else 1e-13
+    xtol = 1e-13 * max(1.0, abs(lo)) if exponential else 1e-13
     x = _brent_root(lambda x: gap(to_u0(x)), to_x(lo), to_x(hi), glo, ghi, xtol=xtol,
                     rtol=8.9e-16, maxiter=200)
     u0 = to_u0(x)

@@ -421,10 +421,10 @@ VALIDATION = {
     "d_hi-inf": (VERIFY + "d_hi = inf\n",
                  "distance window needs finite 0 < d_lo < d_hi, got d_lo=0.0001, d_hi=inf"),
     "per_decade-zero": (VERIFY + "per_decade = 0\n", "per_decade must be >= 1, got 0"),
-    "u0-negative": ("command = radial-ivp\nn = 2\nk = 1\nf = exp:2\nu0 = -1\n",
+    "u0-negative": ("command = radial-ivp\nn = 2\nk = 1\nf = power:5\nu0 = -1\n",
                     "initial value must be positive, got -1.0"),
     "u0-nan": ("command = radial-ivp\nn = 2\nk = 1\nf = exp:2\nu0 = nan\n",
-               "initial value must be positive, got nan"),
+               "initial value must be finite, got nan"),
     "u0-above-cap": ("command = radial-ivp\nn = 3\nk = 2\nf = power:5\nu0 = 1e13\n",
                      "must lie below the blow-up caps u_cap=1e+12"),
     # u0 is below the caps, but u' of the series start at r = 1e-8 R is 1.8e19
@@ -545,6 +545,11 @@ VALIDATION = {
     "t_grid-inf": (PROFILE + "t_grid = 1,inf\n",
                    "t_grid must list positive finite values, got [1.0, inf]"),
     "t_grid-empty": (PROFILE + "t_grid = ,\n", "t_grid must list positive finite values, got []"),
+    # sup Phi = pi/2 for exp:2 at k = 1: every t lies past the table's cut, and the
+    # command wrote a header-only CSV and exited 0
+    "t_grid-past-sup-Phi": ("command = profile\nk = 1\nf = exp:2\nt_grid = 5,6\n",
+                            "profile table is empty: t must lie below 0.95 sup Phi = 1.49226, "
+                            "and the smallest t is 5"),
     "t_grid-empty-entry": (PROFILE + "t_grid = 1,,2\n",
                            "config key 't_grid': cannot parse '1,,2' (entry 2 of 3 is empty)"),
     "t_grid-trailing-comma": (PROFILE + "t_grid = 1,2,\n",
@@ -615,6 +620,57 @@ def test_quiet_prints_nothing(command, tmp_path, capsys):
                  "--quiet"]) == 0
     assert capsys.readouterr().out == ""
     assert any(not p.name.endswith(".runinfo.json") for p in out.iterdir())
+
+
+@pytest.mark.parametrize("command", QUIET)
+def test_each_command_writes_its_reports_and_one_summary_line(command, tmp_path, capsys):
+    # NAME is the command's name when the config has no out key; check-barrier has no table
+    out = tmp_path / "out"
+    assert main(["--config", write_cfg(tmp_path, "c.cfg", QUIET[command]), "--out",
+                 str(out)]) == 0
+    files = {f"{command}.json", f"{command}.runinfo.json"}
+    if command != "check-barrier":
+        files.add(f"{command}.csv")
+    assert {p.name for p in out.iterdir()} == files
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"{command}: ")
+
+
+@pytest.mark.parametrize("command", QUIET)
+def test_command_returns_its_report_and_writes_nothing(command, tmp_path, monkeypatch, capsys):
+    # a command is a function of its config: run alone writes its report and prints it
+    monkeypatch.chdir(tmp_path)
+    cfg = cli.Config.parse(QUIET[command])
+    cfg.get("command")  # read by run, before the command
+    report = cli._DISPATCH[command](cfg)
+    assert isinstance(report, cli.Report) and report.status == 0
+    assert (report.table is None) == (command == "check-barrier")
+    assert not any(tmp_path.iterdir()) and capsys.readouterr().out == ""
+
+
+def test_failed_verification_writes_its_reports_and_exits_1(tmp_path, capsys):
+    # the ratios at d = 1e-2 and 1e-4 leave the band 0.99..1.001: the verdict is FAIL
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, "va.cfg", VERIFY + "ratio_band = 0.99,1.001\nout = va\n")
+    assert main(["--config", cfg, "--out", str(out)]) == 1
+    assert {p.name for p in out.iterdir()} == {"va.csv", "va.json", "va.runinfo.json"}
+    assert json.loads((out / "va.json").read_text())["passed"] is False
+    assert capsys.readouterr().out.startswith("verify-asymptotics: FAIL (")
+
+
+@pytest.mark.parametrize("n, k, f, R", [(2, 1, "exp:2", 2.0), (2, 1, "exp:2", 3.0),
+                                        (3, 1, "exp:1", 5.0)])
+def test_verify_exponential_shot_below_zero(n, k, f, R, tmp_path):
+    # the shot's u0 is below 0 (log(2 / R) for exp:2 at n = 2); these exited 1, unable to
+    # bracket R from below
+    cfg = write_cfg(tmp_path, "va.cfg", f"command = verify-asymptotics\nn = {n}\nk = {k}\n"
+                                        f"f = {f}\nR = {R}\n")
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "--quiet"]) == 0
+    body = json.loads((out / "verify-asymptotics.json").read_text())
+    assert body["passed"] is True and body["u0"] < 0.0
+    if f == "exp:2":
+        assert abs(body["u0"] - math.log(2.0 / R)) <= 1e-9
 
 
 # a config of every command with one misspelt key, and the first work the command does

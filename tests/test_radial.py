@@ -234,6 +234,21 @@ class TestManufacturedIVP:
         with pytest.raises(ParameterError):
             integrate_blowup_ivp(prob, 1.0, tol=-1e-8)
 
+    def test_start_value_in_the_domain_of_f(self):
+        # e^(2u) is defined on all of R: from u0 = -1, u = log(2R / (R^2 - r^2)) blows up
+        # at R = 2e; u^3 and a custom f are defined on (0, inf), and e^(2u) needs a finite u0
+        prob = RadialProblem(n=2, k=1, R=1.0, f=Nonlinearity.exponential(2), b=B_ONE)
+        assert integrate_blowup_ivp(prob, -1.0, tol=1e-10).Rstar == pytest.approx(
+            2.0 * math.e, rel=1e-7)
+        with pytest.raises(ParameterError, match="initial value must be finite, got -inf"):
+            integrate_blowup_ivp(prob, -math.inf, tol=1e-8)
+        cube = Nonlinearity.custom(lambda s: np.asarray(s, float) ** 3,
+                                   lambda s: 3.0 * np.asarray(s, float) ** 2)
+        for f in (Nonlinearity.power(3), cube):
+            prob = RadialProblem(n=2, k=1, R=1.0, f=f, b=B_ONE)
+            with pytest.raises(ParameterError, match="initial value must be positive, got 0.0"):
+                integrate_blowup_ivp(prob, 0.0, tol=1e-8)
+
     @pytest.mark.parametrize("u0, caps", [(radial.IVP_CAP, {}), (1e13, {}),
                                           (2.0, {"u_cap": 2.0}), (1.0, {"v_cap": 0.0})])
     def test_start_at_or_above_a_cap_rejected(self, u0, caps):
@@ -404,7 +419,7 @@ class TestShooting:
              (2, 1): (0.6931471800972899, 0.9999999998970095),
              (4, 3): (2.730160856619382, 1.0000000000265254)}
     BRACKET_SHOTS = {(3, 2): (2.660449794286999, 0.9999999992137744),
-                     (2, 1): (0.6931471762450053, 1.000000003749293),
+                     (2, 1): (0.6931471762450051, 1.0000000037492933),
                      (4, 3): (2.7301608579200356, 0.9999999997089236)}
 
     @staticmethod
@@ -482,22 +497,18 @@ class TestShooting:
         assert (u0, sol.Rstar) == (ref, ref_sol.Rstar) == (643.4477875819742, 0.9999999994528085)
         assert sol.meta["shot"]["ivps"] == ref_sol.meta["shot"]["ivps"] + 2
 
-    def test_negative_prediction_falls_back_to_the_bracket(self, monkeypatch):
-        # for exp:2 every u0 > 0 blows up inside r = 2: the prediction is below 0, so
-        # no second IVP is made, and the bracket cannot be closed from below
-        prob = RadialProblem.from_weight(2, 1, 2.5, Nonlinearity.exponential(2), Weight.constant(1.0))
-        ivp = radial.integrate_blowup_ivp
-        calls = []
-        monkeypatch.setattr(radial, "integrate_blowup_ivp",
-                            lambda *a, **kw: calls.append(1) or ivp(*a, **kw))
-        ivps = []
-        for p in (prob, bracketed(prob)):
-            calls.clear()
-            with pytest.raises(SolveFailure, match="could not bracket the target blow-up "
-                                                   "radius from below"):
-                shoot_blowup_radius(p, tol=1e-9)
-            ivps.append(len(calls))
-        assert ivps[0] == ivps[1] + 1
+    @pytest.mark.parametrize("R", [2.0, 2.5, 3.0, 10.0])
+    def test_exponential_shot_reaches_nonpositive_u0(self, R):
+        # for exp:2 the shot is u0 = log(2 / R) <= 0: the scaling law predicts it, and the
+        # bracket steps down by log 4 in u0 past 0 (from 1, it stopped at 0 + 4^-60 and
+        # failed to bracket R from below)
+        prob = RadialProblem.from_weight(2, 1, R, Nonlinearity.exponential(2), Weight.constant(1.0))
+        u0, sol = shoot_blowup_radius(prob, tol=1e-9)
+        assert sol.meta["shot"]["path"] == "scaling" and sol.meta["shot"]["ivps"] == 2
+        assert abs(u0 - math.log(2.0 / R)) <= 1e-9
+        u0, sol = shoot_blowup_radius(bracketed(prob), tol=1e-9)
+        assert sol.meta["shot"]["path"] == "bracket" and sol.meta["shot"]["ivps"] <= 7
+        assert abs(u0 - math.log(2.0 / R)) <= 2e-8
 
     def test_expansion_stays_below_the_cap(self, monkeypatch):
         # for power:2.05 at k = 2, R*(u0) > 1 for every u0 below the cap
