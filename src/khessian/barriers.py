@@ -45,7 +45,6 @@ __all__ = [
     "collar_ratios",
     "MarginReport",
     "scrambled_halton",
-    "collar_samples",
     "verify_supersolution",
     "verify_subsolution",
     "certify_barriers",
@@ -295,16 +294,6 @@ def _to_collar(bp: BarrierParams, kind, unit):
         raise ParameterError(f"unknown sample kind {kind!r}")
     d = lo * (hi / lo) ** unit[:, 0]
     return np.column_stack([d, unit[:, 1]])
-
-
-def collar_samples(bp: BarrierParams, kind, nsamples=200, seed=0):
-    """Quasi-random (distance, boundary-param) pairs in the barrier window.
-
-    Distances are log-uniform (the inequalities are hardest near the inner
-    edge); the boundary parameter is uniform.  Deterministic for a fixed
-    seed.
-    """
-    return _to_collar(bp, kind, scrambled_halton(nsamples, seed))
 
 
 def _judge(lam, k, rhs, kind):

@@ -17,6 +17,7 @@ the command never read, with the closest key it did when one is close.
 
 import argparse
 import math
+import os
 import sys
 import time
 import traceback
@@ -186,6 +187,9 @@ def _default_t_grid(cfg):
         raise ParameterError(f"t_per_decade must be >= 1, got {per_dec}")
     klo = math.ceil(math.log10(tmin) * per_dec - 1e-9)
     khi = math.floor(math.log10(tmax) * per_dec + 1e-9)
+    if klo > khi:
+        raise ParameterError(f"profile grid has no point between t_min={tmin} and "
+                             f"t_max={tmax} at t_per_decade={per_dec}")
     return [10.0 ** (kk / per_dec) for kk in range(klo, khi + 1)]
 
 
@@ -245,10 +249,12 @@ def cmd_profile(cfg):
         raise ParameterError(f"profile table is empty: t must lie below 0.95 sup Phi = "
                              f"{cut:.6g}, and the smallest t is {min(ts):g}")
     rows = profile_table(p, xi, [t for t in ts if t < cut])
+    dropped = len(ts) - len(rows)
     return Report(table=(["t", "phi", "phi_prime", "M", "predicted"], rows),
                   body={**p.header(), "xi": xi, "rows": len(rows)},
                   summary=f"profile: C_f={p.C_f:.6f} C_m={p.C_m:.6f} xi={xi:.6f} "
-                          f"rows={len(rows)}")
+                          f"rows={len(rows)} t_dropped={dropped}",
+                  runinfo={"t_dropped": dropped})
 
 
 def _radial_problem(cfg):
@@ -406,7 +412,11 @@ def run(cfg: Config, outdir: Path, seed=None, quiet=False):
         raise ParameterError(f"unknown command {command!r}; expected one of {COMMANDS}")
     if seed is not None:
         cfg.pairs["seed"] = str(seed)
-    base = outdir / cfg.get("out", str, command)
+    name = cfg.get("out", str, command)
+    if name in ("", ".", "..") or any(sep and sep in name for sep in (os.sep, os.altsep)):
+        raise ParameterError(f"out must be a plain file name, without a path separator, "
+                             f"got {name!r}")
+    base = outdir / name
     report = _DISPATCH[command](cfg)
     outdir.mkdir(parents=True, exist_ok=True)
     if report.table is not None:

@@ -23,12 +23,12 @@ prolongation.  Each step overwrites every level's shift, b f'(u) itself on the f
 with its inverse diagonal 1 / (D - s), which the sweeps multiply by.  Only the coarsest
 level, at most 600 unknowns, is a matrix: a band in LAPACK's storage, row-major with
 half-bandwidth about its width in nodes, factored once per attempt by the banded LU dgbtrf
-and solved once per V-cycle by dgbtrs.  scipy.sparse serves the reference
-assemble_operator alone.  The hierarchy (_multigrid), with the grid's cut arms grouped
-by the finest level's cut rows, depends on the grid alone: solve_dirichlet takes it as an
-argument or builds it, and exhaust builds it once for all its boundary values.  The
-orders k >= 2 are handled radially elsewhere.  Levels and the band's order are fixed, so
-identical inputs give bit-identical fields on one machine.
+and solved once per V-cycle by dgbtrs; no sparse matrix is formed.  The hierarchy
+(_multigrid), with the grid's cut arms grouped by the finest level's cut rows, depends on
+the grid alone: solve_dirichlet takes it as an argument or builds it, and exhaust builds
+it once for all its boundary values.  The orders k >= 2 are handled radially elsewhere.
+Levels and the band's order are fixed, so identical inputs give bit-identical fields on
+one machine.
 """
 
 import math
@@ -42,7 +42,7 @@ from .grid2d import Field2D
 from .nonlinearity import Nonlinearity, Weight
 from .profiles import ProfileFns, assemble_profile, predicted_profile, xi_bounds
 
-__all__ = ["assemble_operator", "solve_dirichlet", "exhaust", "Report2D", "asymptotics_report_2d"]
+__all__ = ["solve_dirichlet", "exhaust", "Report2D", "asymptotics_report_2d"]
 
 _K_ORDER = 1  # this module is the k = 1 lane
 # unknowns on the coarsest multigrid level, the one factored: its band, about 3 sqrt(n) by
@@ -82,19 +82,8 @@ def _entries(cols, cut, off, diag, h):
     return vals, np.insert(cols, 2, np.arange(n, dtype=np.int32), axis=1)
 
 
-def _operator(cols, cut, off, diag, h):
-    """CSR matrix of _stencil's (cols, cut, off, diag), its rows stored S, W, diagonal, E, N;
-    entries of absent neighbours are left out."""
-    import scipy.sparse as sp  # the reference matrix alone: a solve never loads it
-
-    vals, cols = _entries(cols, cut, off, diag, h)
-    keep = cols >= 0
-    indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(keep, axis=1))])
-    return sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(len(cols), len(cols)))
-
-
 def _band(cols, cut, off, diag, h, s):
-    """_operator's matrix minus diag(s) in LAPACK's band storage, as dgbtrf takes it:
+    """_entries' matrix minus diag(s) in LAPACK's band storage, as dgbtrf takes it:
     (3 kl + 1, n) in Fortran order, kl the half-bandwidth, A[i, j] at [2 kl + i - j, j];
     the first kl rows are left 0 for the factor's fill."""
     vals, cols = _entries(cols, cut, off, diag, h)
@@ -149,24 +138,6 @@ def _boundary_terms(grid: Field2D, cut, arms, g):
     const = np.zeros(cut.size)
     np.add.at(const, row_of, weight * np.nan_to_num(gcut))  # in arm order, as a row sum
     return const, gcut
-
-
-def assemble_operator(grid: Field2D, g):
-    """Shortley-Weller Laplacian: (A, const, gvals), all in row-major order: the reference.
-
-    A is the stencil on the interior unknowns as one CSR matrix, diagonal included and
-    cut arms dropped; const carries the known boundary contributions, so A u + const
-    approximates Delta u; gvals[i, t] is g at the end of node i's arm t (E, W, N, S), NaN
-    where the arm is not cut.  solve_dirichlet applies the same stencil by array slices
-    (_Level) and keeps the boundary terms on the cut arms (_boundary_terms).
-    """
-    cols, cut, off, diag, arms = _stencil(grid.domain, grid.h, grid.lx, grid.ly)
-    const_cut, gcut = _boundary_terms(grid, cut, arms, g)
-    const = np.zeros(grid.n_interior)
-    const[cut] = const_cut
-    gvals = np.full((grid.n_interior, 4), np.nan)
-    gvals[cut[arms[0]], arms[1]] = gcut
-    return _operator(cols, cut, off, diag, grid.h), const, gvals
 
 
 def _source_b(grid: Field2D, bweight: Weight):

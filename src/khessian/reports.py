@@ -15,8 +15,6 @@ JSON bodies are compact, on one line with sorted keys: without an indent,
 import json
 from pathlib import Path
 
-import numpy as np
-
 __all__ = ["write_csv", "write_json"]
 
 
@@ -28,12 +26,5 @@ def write_csv(path, columns, rows):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _plain(obj):
-    """The Python value of a numpy scalar or array, for json.dumps."""
-    if isinstance(obj, (np.generic, np.ndarray)):
-        return obj.tolist()
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
 def write_json(path, obj):
-    Path(path).write_text(json.dumps(obj, sort_keys=True, default=_plain) + "\n")
+    Path(path).write_text(json.dumps(obj, sort_keys=True) + "\n")

@@ -15,7 +15,6 @@ from khessian.barriers import (
     certify_barriers,
     certify_upper_barrier_global,
     collar_ratios,
-    collar_samples,
     composite_eigs,
     ellipse_geometry,
     make_barrier_params,
@@ -32,6 +31,12 @@ from khessian.symfunc import sigma_all, sk_radial
 
 B_ONE = lambda r: np.ones_like(np.asarray(r, float))
 W1 = Weight.constant(1.0)
+
+
+def collar_samples(bp, kind, nsamples, seed):
+    """(distance, boundary-param) pairs in the barrier window: the points certify_barriers
+    samples at one width, distances log-uniform and the parameter uniform."""
+    return barriers._to_collar(bp, kind, scrambled_halton(nsamples, seed))
 
 
 class TestCompositeEigs:

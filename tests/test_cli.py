@@ -550,6 +550,11 @@ VALIDATION = {
     "t_grid-past-sup-Phi": ("command = profile\nk = 1\nf = exp:2\nt_grid = 5,6\n",
                             "profile table is empty: t must lie below 0.95 sup Phi = 1.49226, "
                             "and the smallest t is 5"),
+    # 10 per decade puts no point between 2 and 2.5: the profile was built, and then the
+    # empty grid exited 1 with "min() arg is an empty sequence"
+    "t-window-between-grid-points": (PROFILE + "t_min = 2\nt_max = 2.5\n",
+                                     "profile grid has no point between t_min=2.0 and "
+                                     "t_max=2.5 at t_per_decade=10"),
     "t_grid-empty-entry": (PROFILE + "t_grid = 1,,2\n",
                            "config key 't_grid': cannot parse '1,,2' (entry 2 of 3 is empty)"),
     "t_grid-trailing-comma": (PROFILE + "t_grid = 1,2,\n",
@@ -590,7 +595,8 @@ def test_k_above_n_fails_before_any_profile(command, tmp_path, monkeypatch):
 @pytest.mark.parametrize("text, stage", [
     (PROFILE + "t_grid = 0,-1\n", "assemble_profile"),
     (VERIFY + "xi = -1\n", "shoot_blowup_radius"),
-], ids=["t_grid-before-profile", "xi-before-shot"])
+    (PROFILE + "t_min = 2\nt_max = 2.5\n", "assemble_profile"),
+], ids=["t_grid-before-profile", "xi-before-shot", "empty-t-window-before-profile"])
 def test_bad_t_grid_and_xi_fail_before_the_work(text, stage, tmp_path, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError(f"{stage} ran")
@@ -598,6 +604,39 @@ def test_bad_t_grid_and_xi_fail_before_the_work(text, stage, tmp_path, monkeypat
     monkeypatch.setattr(cli, stage, no_work)
     assert main(["--config", write_cfg(tmp_path, "bad.cfg", text), "--out",
                  str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("name", ["ABSOLUTE", "../x", "sub/x", ".", ".."])
+def test_out_must_be_a_plain_file_name(name, tmp_path, monkeypatch, capsys):
+    # out names the reports in --out: at a path it wrote outside --out (an absolute path
+    # or ../x) or failed with exit 1 (sub/x, unless sub existed)
+    def no_profile(*args):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(cli, "assemble_profile", no_profile)
+    out = tmp_path / "out"
+    (out / "sub").mkdir(parents=True)
+    (tmp_path / "elsewhere").mkdir()
+    if name == "ABSOLUTE":
+        name = str(tmp_path / "elsewhere" / "x")
+    cfg = write_cfg(tmp_path, "bad.cfg", PROFILE + f"out = {name}\n")
+    assert main(["--config", cfg, "--out", str(out)]) == 2
+    assert (f"validation error: out must be a plain file name, without a path separator, "
+            f"got {name!r}") in capsys.readouterr().err
+    assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")) == [
+        "bad.cfg", "elsewhere", "out", "out/sub"]
+
+
+def test_profile_counts_the_t_it_drops(tmp_path, capsys):
+    # sup Phi = pi/2 for exp:2 at k = 1, so t = 5 is cut: the summary and the sidecar say
+    # so, and the body is as before
+    cfg = write_cfg(tmp_path, "p.cfg", "command = profile\nk = 1\nf = exp:2\nt_grid = 1,5\n")
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().out.rstrip().endswith("rows=1 t_dropped=1")
+    assert json.loads((out / "profile.runinfo.json").read_text())["t_dropped"] == 1
+    assert json.loads((out / "profile.json").read_text())["rows"] == 1
+    assert [row[0] for row in read_rows(out / "profile.csv")[1]] == [1.0]
 
 
 # a small config of every command

@@ -8,11 +8,13 @@ from scipy.sparse.linalg import splu, spsolve
 
 from khessian import _quad, fd2d
 from khessian.errors import ParameterError, ReportTruncated, SolveFailure
-from khessian.fd2d import asymptotics_report_2d, assemble_operator, exhaust, solve_dirichlet
+from khessian.fd2d import asymptotics_report_2d, exhaust, solve_dirichlet
 from khessian.grid2d import Disk, Ellipse, build_grid
 from khessian.nonlinearity import Nonlinearity, Weight
 from khessian.profiles import assemble_profile
 from khessian.radial import RadialProblem, solve_exhaustion_bvp
+
+from _fd2d_reference import assemble_operator
 
 CONST_ONE = Nonlinearity.custom(
     lambda s: np.ones_like(np.asarray(s, float)),
@@ -206,6 +208,21 @@ class TestNewtonStart:
         one = solve_dirichlet(grid, f, W1, j + math.log(2.0), tol=1e-10)
         assert four.meta["newton_iters"] <= 8
         err = np.max(np.abs(four.interior_values() - (one.interior_values() - math.log(2.0))))
+        assert err <= 1e-10
+
+    @pytest.mark.parametrize("j", [3.0, 6.0])
+    def test_dilation_identity(self, j):
+        # x -> 2 x: v(x) = u(x / 2) - log 2 solves Delta v = e^{2v} on the doubled domain
+        # with data j - log 2.  At twice the spacing the lattice and arm fractions are the
+        # same and every stencil weight a quarter, so the discrete fields agree too
+        small = build_grid(Ellipse(1.2, 1.0), 1.0 / 48.0)
+        big = build_grid(Ellipse(2.4, 2.0), 1.0 / 24.0)
+        assert np.array_equal(big.lx, small.lx) and np.array_equal(big.ly, small.ly)
+        assert np.array_equal(big.node_d, 2.0 * small.node_d)
+        f = Nonlinearity.exponential(2)
+        u = solve_dirichlet(small, f, W1, j, tol=1e-10)
+        v = solve_dirichlet(big, f, W1, j - math.log(2.0), tol=1e-10)
+        err = np.max(np.abs(v.interior_values() - (u.interior_values() - math.log(2.0))))
         assert err <= 1e-10
 
     def test_profile_start_clipped_below_sup_phi(self):

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from khessian import cli, reports
 
@@ -20,15 +19,7 @@ SCALARS = st.one_of(
     st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, math.inf, -math.inf, math.nan,
                      "\x00\x1f\x7fé \U0001f600"]),
 ).map(_same)
-NUMPY = st.one_of(
-    FLOATS.map(lambda v: (np.float64(v), v)),
-    st.floats(width=32).map(lambda v: (np.float32(v), float(np.float32(v)))),
-    st.integers(-2**63, 2**63 - 1).map(lambda v: (np.int64(v), v)),
-    st.booleans().map(lambda v: (np.bool_(v), v)),
-    hnp.arrays(st.sampled_from([np.float64, np.int32, np.bool_]),
-               hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=3))
-    .map(lambda a: (a, a.tolist())),
-)
+NUMPY = FLOATS.map(lambda v: (np.float64(v), v))  # a float subclass, as bodies carry
 
 
 def _containers(children):
@@ -91,7 +82,8 @@ def test_write_json_subclasses_and_keys_match_stdlib(tmp_path, obj):
     assert path.read_text() == _stdlib(obj)
 
 
-@pytest.mark.parametrize("obj", [{"a": object()}, [1.0, {2.0}]])
+@pytest.mark.parametrize("obj", [{"a": object()}, [1.0, {2.0}], {"n": np.int64(1)},
+                                 [np.zeros(2)]])
 def test_write_json_rejects_other_types(tmp_path, obj):
     with pytest.raises(TypeError, match="is not JSON serializable"):
         reports.write_json(tmp_path / "body.json", obj)
