@@ -15,7 +15,7 @@ batched call, so certification loads no scipy module.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -360,19 +360,6 @@ def verify_subsolution(u_lower, p, geom, bp, f, bweight, samples):
     return _verify("sub", u_lower, p, geom, bp, f, bweight, samples)
 
 
-def _joined(head, tail):
-    """One report over the samples of ``head`` then ``tail`` (None: ``tail`` alone)."""
-    if head is None:
-        return tail
-    return replace(
-        head,
-        passed=head.passed and tail.passed,
-        worst_margin=min(head.worst_margin, tail.worst_margin),
-        sup_sigma_k_tilted=max(head.sup_sigma_k_tilted, tail.sup_sigma_k_tilted),
-        samples=head.samples + tail.samples,
-    )
-
-
 def certify_barriers(p: ProfileFns, geom: CollarGeometry, f: Nonlinearity, bweight: Weight,
                      eps=0.1, nsamples=200, seed=0):
     """Find a collar width for which both barrier inequalities certify.
@@ -383,34 +370,23 @@ def certify_barriers(p: ProfileFns, geom: CollarGeometry, f: Nonlinearity, bweig
     quasi-random samples (one set of Halton points, mapped into each
     width's windows); the analysis guarantees success for small enough
     widths, so exhaustion of the ladder signals a genuine violation (or an
-    infeasible parameter set).  Each width is first
-    screened on the first eighth of the points: every sample is checked on
-    its own, so a failing prefix means a failing full set, and the width is
-    halved without checking the rest.  A width whose screen passes checks
-    only the remaining points, and each report joins the two parts.  The
-    worst margin of a failure is that of the last width's checked points.
+    infeasible parameter set).  Each width checks the supersolution on all
+    the points, and the subsolution on all of them only where the
+    supersolution passed.  The worst margin of a failure is that of the
+    last width's checked sides.
     """
     delta = _WIDTH0_FRAC * geom.focal_radius
     unit = scrambled_halton(nsamples, seed)  # the same points at every width
-    n_screen = max(1, nsamples // 8)
-    parts = [pts for pts in (unit[:n_screen], unit[n_screen:]) if len(pts)]
-    worst = None
     for _ in range(_MAX_HALVINGS):
         bp = make_barrier_params(p, geom, eps, delta, _SHIFT_FRAC * delta)
         upper, lower = build_barriers(p, geom, bp)
-        rep_s = rep_l = None
-        for pts in parts:
-            rep_s = _joined(rep_s, verify_supersolution(
-                upper, p, geom, bp, f, bweight, _to_collar(bp, "super", pts)
-            ))
-            rep_l = None if not rep_s.passed else _joined(rep_l, verify_subsolution(
-                lower, p, geom, bp, f, bweight, _to_collar(bp, "sub", pts)
-            ))
-            if rep_l is None or not rep_l.passed:
-                break
-        else:
-            return bp, rep_s, rep_l
-        worst = min(rep.worst_margin for rep in (rep_s, rep_l) if rep is not None)
+        rep_s = verify_supersolution(upper, p, geom, bp, f, bweight, _to_collar(bp, "super", unit))
+        worst = rep_s.worst_margin
+        if rep_s.passed:
+            rep_l = verify_subsolution(lower, p, geom, bp, f, bweight, _to_collar(bp, "sub", unit))
+            if rep_l.passed:
+                return bp, rep_s, rep_l
+            worst = min(worst, rep_l.worst_margin)
         delta *= 0.5
     raise CertificationFailure(
         f"no collar width certified after {_MAX_HALVINGS} halvings "

@@ -75,17 +75,21 @@ class Profile:
         nl.check_f1()
         nl.check_f2(self.k)
 
-        if nl.F_closed(1.0) is not None:
-            self._F = nl.F_closed
-        else:
-            self._F = cumulative_from_zero(nl.f, name="F")
+        tabulated = nl.F_closed(1.0) is None
+        self._F = cumulative_from_zero(nl.f, name="F") if tabulated else nl.F_closed
 
         kp1 = self.k + 1.0
 
         def inv_H(s):
-            # 1 / ((k+1) F)^(1/(k+1)): inf where F = 0, 0 where F or (k+1) F overflows
+            # 1 / ((k+1) F)^(1/(k+1)): inf where F = 0, 0 where a closed-form F or (k+1) F
+            # overflows; a tabulated F that leaves the floats would read as a zero tail
             with np.errstate(over="ignore", divide="ignore"):
-                return (kp1 * np.asarray(self._F(s), dtype=float)) ** (-1.0 / kp1)
+                F = np.asarray(self._F(s), dtype=float)
+                if tabulated and not np.all(np.isfinite(F)):
+                    bad = np.ravel(s)[~np.isfinite(F).ravel()][0]
+                    raise KHessianError(f"profile integral: F = int_0^s f leaves the float "
+                                        f"range at s={bad:.2g}")
+                return (kp1 * F) ** (-1.0 / kp1)
 
         tail_hint = None
         if nl.kind == "power":

@@ -290,15 +290,15 @@ class TestVerification:
         for rep in (rep_s, rep_l):
             assert all(s["admissible"] for s in rep.samples)
 
-    @pytest.mark.parametrize("nl, k, n, weight, seed", [
-        (Nonlinearity.exponential(2), 1, 2, W1, 0),
-        (Nonlinearity.power(5), 2, 3, W1, 7),
-        (Nonlinearity.power(5), 2, 3, Weight.power(1.0), 123),
+    @pytest.mark.parametrize("nl, k, geom, weight, seed", [
+        (Nonlinearity.exponential(2), 1, ball_geometry(2, 1, 1.0), W1, 0),
+        (Nonlinearity.power(5), 2, ball_geometry(3, 2, 1.0), W1, 7),
+        (Nonlinearity.power(5), 2, ball_geometry(3, 2, 1.0), Weight.power(1.0), 123),
+        (Nonlinearity.exponential(2), 1, ellipse_geometry(1.2, 1.0, k=1), W1, 7),
     ])
-    def test_prefix_screen_keeps_the_result(self, monkeypatch, nl, k, n, weight, seed):
+    def test_certificate_is_the_full_sample_check(self, monkeypatch, nl, k, geom, weight, seed):
         # the result of checking every sample at every width, written out here
         p = assemble_profile(nl, weight, k)
-        geom = ball_geometry(n, k, 1.0)
         delta = 0.2 * geom.focal_radius
         while True:
             bp = make_barrier_params(p, geom, 0.1, delta, 0.1 * delta)
@@ -311,20 +311,25 @@ class TestVerification:
                 break
             delta *= 0.5
         assert delta < 0.2 * geom.focal_radius  # the first width fails here
-        checked = []
+        calls = []  # (side, samples checked, passed) per verify_* call
 
-        def counting(real):
+        def recording(real, side):
             def verify(*args):
-                checked.append(len(args[6]))
-                return real(*args)
+                rep = real(*args)
+                calls.append((side, len(args[6]), rep.passed))
+                return rep
             return verify
 
-        for name in ("verify_supersolution", "verify_subsolution"):
-            monkeypatch.setattr(barriers, name, counting(getattr(barriers, name)))
+        for side in ("super", "sub"):
+            name = f"verify_{side}solution"
+            monkeypatch.setattr(barriers, name, recording(getattr(barriers, name), side))
         got = certify_barriers(p, geom, nl, weight, eps=0.1, seed=seed)
         assert got == (bp, want_s, want_l)
-        # a failing width costs one 25-point screen of the supersolution
-        assert checked[0] == 25 and sum(checked) < 2 * 200 * 2
+        # one pass per side: every call checks all 200 points, and a subsolution call
+        # follows each passing supersolution call and no other
+        assert all(n == 200 for _, n, _ in calls) and calls[-1] == ("sub", 200, True)
+        nxt = ["sub" if side == "super" and passed else "super" for side, _, passed in calls]
+        assert [side for side, _, _ in calls] == ["super"] + nxt[:-1]
 
     @pytest.mark.parametrize("kind", ["super", "sub"])
     @pytest.mark.parametrize("width", [0.2, 0.0125])  # the supersolution fails at 0.2

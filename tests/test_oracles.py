@@ -116,6 +116,21 @@ def test_custom_kind_to_50_digits():
             assert abs((oracle.Phi(s) - t) * oracle.H(s) / s) <= 1e-13
 
 
+def test_custom_F_past_the_floats_raises():
+    # f = s log(e + s), k = 1: Phi diverges like 2 sqrt(log s), so the table climbs
+    # until F overflows; an inf F must not read as a zero, trusted tail
+    def f(s):
+        s = np.asarray(s, float)
+        return s * np.log(np.e + s)
+
+    def f_prime(s):
+        s = np.asarray(s, float)
+        return np.log(np.e + s) + s / (np.e + s)
+
+    with pytest.raises(KHessianError, match=r"profile integral: F .* float range at s=7\.3e\+101"):
+        build_profile(Nonlinearity.custom(f, f_prime), 1).Phi(1e3)
+
+
 def _weight_M(m, dm):
     return build_weight(Weight.custom(m, dm, delta0=1.0))[0]
 
