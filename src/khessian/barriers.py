@@ -373,24 +373,28 @@ def certify_barriers(p: ProfileFns, geom: CollarGeometry, f: Nonlinearity, bweig
     infeasible parameter set).  Each width checks the supersolution on all
     the points, and the subsolution on all of them only where the
     supersolution passed.  The worst margin of a failure is that of the
-    last width's checked sides.
+    last width's checked sides; its message also counts the inadmissible
+    samples of the last width's failing report.
     """
     delta = _WIDTH0_FRAC * geom.focal_radius
     unit = scrambled_halton(nsamples, seed)  # the same points at every width
     for _ in range(_MAX_HALVINGS):
         bp = make_barrier_params(p, geom, eps, delta, _SHIFT_FRAC * delta)
         upper, lower = build_barriers(p, geom, bp)
-        rep_s = verify_supersolution(upper, p, geom, bp, f, bweight, _to_collar(bp, "super", unit))
+        rep = rep_s = verify_supersolution(upper, p, geom, bp, f, bweight,
+                                           _to_collar(bp, "super", unit))
         worst = rep_s.worst_margin
         if rep_s.passed:
-            rep_l = verify_subsolution(lower, p, geom, bp, f, bweight, _to_collar(bp, "sub", unit))
-            if rep_l.passed:
-                return bp, rep_s, rep_l
-            worst = min(worst, rep_l.worst_margin)
+            rep = verify_subsolution(lower, p, geom, bp, f, bweight, _to_collar(bp, "sub", unit))
+            if rep.passed:
+                return bp, rep_s, rep
+            worst = min(worst, rep.worst_margin)
         delta *= 0.5
+    inadmissible = sum(not row["admissible"] for row in rep.samples)
     raise CertificationFailure(
         f"no collar width certified after {_MAX_HALVINGS} halvings "
-        f"(worst relative margin {worst:.3g})",
+        f"(worst relative margin {worst:.3g}; {inadmissible} of {len(rep.samples)} "
+        f"{rep.kind}solution samples inadmissible)",
         worst_margin=worst,
     )
 

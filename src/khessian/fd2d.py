@@ -11,9 +11,11 @@ zero as every step is, to 1e-6; no state is carried from one multigrid solve to 
 next.  Multigrid is a stationary iteration, x <- x + M (b - J x), and a V-cycle run on
 the iterate itself gives that update (Trottenberg, Oosterlee & Schueller, Multigrid,
 2001): each cycle works in place on the step's iterate, its red residual built in the
-iterate's red half, which the post-sweep sets anew, and the residual's norm is built a
-sublattice at a time.  So a solve holds four fine vectors: the Newton iterate u, b f'(u),
-the step's right-hand side and its iterate.  The multigrid is matrix-free: level l holds
+iterate's red half, which the post-sweep sets anew.  The residual's norm is taken on the
+red cells alone, the black residual being zero to rounding after the black post-sweep, and
+keeps t = rhs - (A - D) x there, from which the next cycle's red pre-sweep is t / (D - s).
+So a solve holds four fine vectors: the Newton iterate u, b f'(u), the step's right-hand
+side and its iterate, and the red half t.  The multigrid is matrix-free: level l holds
 the fine nodes whose lattice coordinates 2^l divides, on a lattice box stored as its four
 parity sublattices, applies the uniform stencil of spacing 2^l h by array slices and
 recomputes the rows with a cut arm, which with its node mask is all it holds.  The Newton
@@ -335,10 +337,18 @@ def _nsum(V, k, out):
     """out = the sum of the four neighbours of each cell of sublattice k of V, 0 beyond the box."""
     (p, q), X, Y = _SUB[k], V[_SUB_X[k]], V[_SUB_Y[k]]
     np.add(X, Y, out=out)  # X[i, j] is E of an even x and W of an odd one; Y likewise N, S
+    # the E-W add is one flat shifted add, which wraps round onto out's edge column once
+    # per row: that column is kept and put back.  Assigning .shape raises on an array that
+    # a flat view would have to copy
+    flat_out, flat_x = out.view(), X.view()
+    flat_out.shape = flat_x.shape = -1
+    edge = -1 if q else 0
+    kept = out[:, edge].copy()
     if q:
-        out[:, :-1] += X[:, 1:]
+        flat_out[:-1] += flat_x[1:]
     else:
-        out[:, 1:] += X[:, :-1]
+        flat_out[1:] += flat_x[:-1]
+    out[:, edge] = kept
     if p:
         out[:-1] += Y[1:]
     else:
@@ -465,16 +475,18 @@ def _sweep(lv: _Level, x, r, inverse, colour):
     out *= inverse[part]
 
 
-def _vcycle(levels, inverses, coarse, r, x=None):
+def _vcycle(levels, inverses, coarse, r, x=None, t=None):
     """One V-cycle for J x = r on the top level's box: x + M (r - J x) in place, or M r.
 
     x is None for a cycle from x = 0, which returns a new x.  One red-black Gauss-Seidel
     sweep (``inverses``: the levels' 1 / (D - s)) before and after the coarse correction on
     every level, and the coarsest level's solve ``coarse``, whose new vector is returned when
-    there are no levels.  After the pre-sweep the black residual is zero, so only the red
-    one is restricted: it is built in x's red half, which the post-sweep sets anew.  From
-    x = 0 it is -A_rb x_b, and coarser levels start from 0.  M is a fixed linear map,
-    exact when there are no levels.
+    there are no levels.  The red pre-sweep of a given x is t / (D - s), t = r - (A - D) x
+    on the red cells, which _sweep builds unless t is given, read off x as it is (the
+    residual norm of _defect_correction keeps it).  After the pre-sweep the black residual
+    is zero, so only the red one is restricted: it is built in x's red half, which the
+    post-sweep sets anew.  From x = 0 it is -A_rb x_b, and coarser levels start from 0.  M
+    is a fixed linear map, exact when there are no levels.
     """
     if not levels:
         return coarse(r)
@@ -486,7 +498,10 @@ def _vcycle(levels, inverses, coarse, r, x=None):
         red = np.negative(_product(lv, x, _COLOURS[0], x[:2]), out=x[:2])
         red *= lv.mask[:2]
     else:
-        _sweep(lv, x, r, inv, 0)
+        if t is None:
+            _sweep(lv, x, r, inv, 0)
+        else:  # the red sweep as _sweep computes it, its t given
+            np.multiply(t, inv[:2], out=x[:2])
         _sweep(lv, x, r, inv, 1)
         red = np.subtract(r[:2], _apply(lv, x, _COLOURS[0], x[:2], inv), out=x[:2])
     _prolong(lv, _vcycle(levels[1:], inverses[1:], coarse, _restrict(lv, red)), x)
@@ -517,7 +532,7 @@ def _coarse_lu(mg: _Multigrid, shifts):
 
 def _cycle(mg: _Multigrid, inverses, coarse_lu):
     """One V-cycle for A - diag(s) on the finest box, inverses its levels' 1 / (D - s)
-    (_invert): (r, x=None) -> _vcycle's x; the coarsest level's solve is dgbtrs on
+    (_invert): (r, x=None, t=None) -> _vcycle's x; the coarsest level's solve is dgbtrs on
     coarse_lu."""
     lu, piv = coarse_lu
     kl = lu.shape[0] // 3
@@ -526,7 +541,7 @@ def _cycle(mg: _Multigrid, inverses, coarse_lu):
         x = dgbtrs(lu, kl, kl, _natural(r)[mg.coarse_mask], piv, overwrite_b=1)[0]
         return _to_box(mg.coarse_mask, x)
 
-    return lambda r, x=None: _vcycle(mg.levels, inverses, coarse, r, x)
+    return lambda r, x=None, t=None: _vcycle(mg.levels, inverses, coarse, r, x, t)
 
 
 def _defect_correction(mg: _Multigrid, bfp, rhs, rtol):
@@ -535,23 +550,25 @@ def _defect_correction(mg: _Multigrid, bfp, rhs, rtol):
     Factors the coarsest level (_coarse_lu), overwrites bfp with the finest level's
     inverse diagonal (_invert) and takes x, on the finest box, to x + M (rhs - J x) in
     place (_vcycle) until ||rhs - J x||_2 <= rtol ||rhs||_2, at least one cycle.  The
-    residual is built a sublattice at a time for its norm alone, so the iteration holds x
-    beside bfp and rhs and no other fine box.  Nothing is kept between calls.  Raises
-    SolveFailure when the factorization fails, a residual is not finite or _MAX_CYCLES
-    cycles miss rtol.
+    norm is taken over the red cells alone: each cycle ends with the black sweep, after
+    which the black residual is zero to rounding.  On the way it keeps t = rhs - (A - D) x
+    on the red cells, from which the next cycle's red pre-sweep is t / (D - s), so the
+    iteration holds x beside bfp and rhs, and t, half a fine box.  Nothing is kept between
+    calls.  Raises SolveFailure when the factorization fails, a residual is not finite or
+    _MAX_CYCLES cycles miss rtol.
     """
     shifts = _shifts(mg, bfp)
     coarse_lu = _coarse_lu(mg, shifts)
     _invert(mg, bfp, shifts)  # bfp is the finest level's 1 / (D - b f'(u)) from here
     cycle = _cycle(mg, shifts, coarse_lu)
+    red, t = mg.fine.mask[:2], np.empty_like(rhs[:2])
 
     def residual_norm(x):
-        """||rhs - J x||_2, built a sublattice at a time in a buffer of its own."""
-        r, total = np.empty_like(rhs[:1]), 0.0
-        for k in range(4):
-            np.subtract(rhs[k], _apply(mg.fine, x, slice(k, k + 1), r, bfp), out=r)
-            total += np.einsum("ijk,ijk->", r, r)
-        return math.sqrt(total)
+        """||rhs - J x||_2 over the red cells, t = rhs - (A - D) x there built on the way."""
+        np.subtract(rhs[:2], _product(mg.fine, x, _COLOURS[0], t), out=t)
+        r = np.divide(x[:2], bfp[:2], out=np.zeros_like(t), where=red)  # (D - s) x
+        np.subtract(t, r, out=r, where=red)
+        return math.sqrt(np.einsum("ijk,ijk->", r, r))
 
     # 2-norms by einsum: BLAS's threaded dot can stall for milliseconds on a busy host
     scale = math.sqrt(np.einsum("i,i->", rhs.ravel(), rhs.ravel()))
@@ -560,7 +577,7 @@ def _defect_correction(mg: _Multigrid, bfp, rhs, rtol):
         if cycles == _MAX_CYCLES:
             raise SolveFailure(f"V-cycle iteration missed rtol {rtol:.1e} in {_MAX_CYCLES} "
                                f"cycles (relative residual {norm / scale:.2e})")
-        x = cycle(rhs, x)
+        x = cycle(rhs, x, t)
         norm = residual_norm(x)
         cycles += 1
         if not math.isfinite(norm):

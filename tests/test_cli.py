@@ -280,6 +280,27 @@ class TestBarrierCommand:
             bodies.append((out / "check-barrier.json").read_bytes())
         assert bodies[0] == bodies[1] and b'"geometry": "ball(n=2, R=0.5)"' in bodies[0]
 
+    def test_inadmissible_failure_names_its_count(self, tmp_path):
+        # every width fails on cone admissibility, sigma_1..sigma_4 of its overflowed
+        # spectra far below 0, while the worst relative margin is large and positive:
+        # the message, and so error.json, counts the inadmissible samples of the last
+        # width's failing report
+        cfg = write_cfg(tmp_path, "cb.cfg", """
+            command = check-barrier
+            n = 4
+            k = 4
+            f = power:4.5
+            weight = power:1
+            eps = 0.1
+            samples = 200
+        """)
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "--seed", "7", "--quiet"]) == 1
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "CertificationFailure"
+        assert err["message"].startswith("no collar width certified after ")
+        assert err["message"].endswith("; 200 of 200 supersolution samples inadmissible)")
+
 
 class TestValidation:
     def test_gamma_below_k_exits_2(self, tmp_path, capsys):

@@ -215,15 +215,16 @@ class TestNewtonStart:
         # x -> 2 x: v(x) = u(x / 2) - log 2 solves Delta v = e^{2v} on the doubled domain
         # with data j - log 2.  At twice the spacing the lattice and arm fractions are the
         # same and every stencil weight a quarter, so the discrete fields agree too
-        small = build_grid(Ellipse(1.2, 1.0), 1.0 / 48.0)
-        big = build_grid(Ellipse(2.4, 2.0), 1.0 / 24.0)
-        assert np.array_equal(big.lx, small.lx) and np.array_equal(big.ly, small.ly)
-        assert np.array_equal(big.node_d, 2.0 * small.node_d)
         f = Nonlinearity.exponential(2)
-        u = solve_dirichlet(small, f, W1, j, tol=1e-10)
-        v = solve_dirichlet(big, f, W1, j - math.log(2.0), tol=1e-10)
-        err = np.max(np.abs(v.interior_values() - (u.interior_values() - math.log(2.0))))
-        assert err <= 1e-10
+        for small, big in ((Ellipse(1.2, 1.0), Ellipse(2.4, 2.0)),
+                           (Ellipse(0.75, 0.5), Ellipse(1.5, 1.0)), (Disk(1.5), Disk(3.0))):
+            small, big = build_grid(small, 1.0 / 48.0), build_grid(big, 1.0 / 24.0)
+            assert np.array_equal(big.lx, small.lx) and np.array_equal(big.ly, small.ly)
+            assert np.array_equal(big.node_d, 2.0 * small.node_d)
+            u = solve_dirichlet(small, f, W1, j, tol=1e-10)
+            v = solve_dirichlet(big, f, W1, j - math.log(2.0), tol=1e-10)
+            err = np.max(np.abs(v.interior_values() - (u.interior_values() - math.log(2.0))))
+            assert err <= 1e-10
 
     def test_profile_start_clipped_below_sup_phi(self):
         # for exp f, Phi is bounded: where xi M(d) + Phi(j) exceeds its supremum the start
@@ -257,7 +258,7 @@ class TestNewtonStart:
         f = Nonlinearity.exponential(2)
         real, calls = fd2d._vcycle, []
 
-        def failing(levels, shifts, coarse, r, x=None):
+        def failing(levels, shifts, coarse, r, x=None, t=None):
             # zeros never reduce the residual, so the cycle cap is reached
             return np.zeros_like(r) if outcome == "cap" else np.full_like(r, np.nan)
 

@@ -1,5 +1,7 @@
 """The multigrid layer of the 2d solver: levels, V-cycle and the Newton-multigrid solve."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -324,6 +326,42 @@ class TestLevels:
                 assert np.max(np.abs(got - want_k)) <= 1e-13 * np.max(np.abs(want_k))
 
 
+def slice_nsum(V, k):
+    """The neighbour sum of sublattice k of V by 2-d slices, in _nsum's order of adds: its
+    east-west neighbours, then its north-south ones, each a shifted slice."""
+    (p, q), X, Y = fd2d._SUB[k], V[fd2d._SUB_X[k]], V[fd2d._SUB_Y[k]]
+    out = X + Y
+    if q:
+        out[:, :-1] += X[:, 1:]
+    else:
+        out[:, 1:] += X[:, :-1]
+    if p:
+        out[:-1] += Y[1:]
+    else:
+        out[1:] += Y[:-1]
+    return out
+
+
+class TestNeighbourSum:
+    @pytest.mark.parametrize("shape", [(6, 8), (5, 7), (1, 9), (9, 1), (1, 1)])
+    def test_flat_shift_matches_slices(self, shape):
+        # the flat east-west add and its restored edge column give the slice formula's
+        # sums bit for bit, on every sublattice, even and odd boxes and single rows and
+        # columns
+        V = np.random.default_rng(8).standard_normal((4, *shape))
+        for k in range(4):
+            out = np.full(shape, np.nan)
+            assert fd2d._nsum(V, k, out) is out
+            assert np.array_equal(out, slice_nsum(V, k))
+
+    def test_non_contiguous_out_raises(self):
+        # a flat view of a column slice would be a copy: assigning its shape raises
+        V = np.random.default_rng(9).standard_normal((4, 5, 7))
+        out = np.empty((5, 8))[:, :7]
+        with pytest.raises(AttributeError):
+            fd2d._nsum(V, 0, out)
+
+
 class TestCoarseBand:
     @pytest.mark.parametrize("domain, h", [(Disk(0.9), 1.0 / 256.0),
                                            (Ellipse(1.2, 1.0), 1.0 / 96.0),
@@ -412,6 +450,55 @@ class TestVCycle:
             x, cycles = newton_direction(bfp, mg, rhs, 1e-6)
             assert cycles <= 25
             assert np.linalg.norm(A @ x - bfp * x - rhs) <= 1e-6 * np.linalg.norm(rhs)
+
+    @pytest.mark.parametrize("domain, h", [(Disk(0.9), 1.0 / 64.0),
+                                           (Ellipse(1.2, 1.0), 1.0 / 48.0)])
+    @pytest.mark.parametrize("pattern", ["stripes", "checkerboard"])
+    def test_red_norm_replays_the_four_sublattice_norm(self, domain, h, pattern):
+        # the black residual is zero to rounding after each cycle's black post-sweep, so
+        # the norm over the red cells stops where the norm over all four did, and the red
+        # t it keeps gives the red pre-sweep of _sweep: the same x bit for bit, on
+        # test_rough_shifts' shifts
+        grid = build_grid(domain, h)
+        mg = fd2d._multigrid(grid)
+        assert mg.levels
+        lx, ly = lattice(grid)
+        odd = (lx % 2 == 1) if pattern == "stripes" else ((lx + ly) % 2 == 1)
+        rhs = fd2d._to_box(mg.mask, np.random.default_rng(5).standard_normal(grid.n_interior))
+        size = np.linalg.norm(rhs)
+        for scale in (1e2, 1e4, 1e6, 1e8):
+            bfp = np.where(odd, scale, 0.0)
+            x, cycles = fd2d._defect_correction(mg, fd2d._to_box(mg.mask, bfp), rhs, 1e-6)
+            want, want_cycles, black = replayed_defect_correction(
+                mg, fd2d._to_box(mg.mask, bfp), rhs, 1e-6)
+            assert cycles == want_cycles and np.array_equal(x, want)
+            assert max(black) <= 1e-13 * size
+
+
+def replayed_defect_correction(mg, bfp, rhs, rtol):
+    """(x, cycles, black): fd2d._defect_correction with the residual norm over all four
+    sublattices and a red pre-sweep by _sweep, and the black residual's norm after each
+    cycle; bfp is overwritten by its inverse diagonal."""
+    shifts = fd2d._shifts(mg, bfp)
+    coarse_lu = fd2d._coarse_lu(mg, shifts)
+    fd2d._invert(mg, bfp, shifts)
+    cycle = fd2d._cycle(mg, shifts, coarse_lu)
+
+    def norms(x):
+        parts, r = [], np.empty_like(rhs[:1])
+        for k in range(4):
+            np.subtract(rhs[k], fd2d._apply(mg.fine, x, slice(k, k + 1), r, bfp), out=r)
+            parts.append(np.einsum("ijk,ijk->", r, r))
+        return math.sqrt(sum(parts)), math.sqrt(parts[2] + parts[3])
+
+    scale = math.sqrt(np.einsum("i,i->", rhs.ravel(), rhs.ravel()))
+    x, cycles, black = None, 0, []
+    while cycles == 0 or norm > rtol * scale:
+        x = cycle(rhs, x)  # no t: the red pre-sweep is _sweep's
+        norm, black_norm = norms(x)
+        black.append(black_norm)
+        cycles += 1
+    return x, cycles, black
 
 
 def reference_newton(grid, g, u, tol):
