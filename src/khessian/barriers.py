@@ -29,9 +29,8 @@ from .errors import (
     require_positive_finite,
 )
 from .grid2d import Ellipse
-from .nonlinearity import Nonlinearity, Weight
 from .profiles import ProfileFns, check_limit_Ff, condition15_gap
-from .radial import RadialSolution
+from .radial import Torsion
 from .symfunc import sigma_all
 
 __all__ = [
@@ -69,8 +68,6 @@ class CollarGeometry:
     width where 1 - d rho stays positive.
     """
 
-    n: int
-    k: int
     rho: Callable
     l0: float
     L0: float
@@ -84,7 +81,7 @@ def ball_geometry(n, k, R=1.0):
     curv = np.full(n - 1, 1.0 / R)
     s = float(sigma_all(curv, k - 1)[k - 1]) if k >= 2 else 1.0
     return CollarGeometry(
-        n=n, k=k, rho=lambda param: np.tile(curv, np.shape(param) + (1,)), l0=s, L0=s,
+        rho=lambda param: np.tile(curv, np.shape(param) + (1,)), l0=s, L0=s,
         focal_radius=R, label=f"ball(n={n}, R={R})",
     )
 
@@ -104,8 +101,7 @@ def ellipse_geometry(a, b, k=1):
     else:
         l0, L0 = b / a**2, a / b**2
     return CollarGeometry(
-        n=2, k=k, rho=rho, l0=l0, L0=L0, focal_radius=b**2 / a,
-        label=f"ellipse(a={a}, b={b})",
+        rho=rho, l0=l0, L0=L0, focal_radius=b**2 / a, label=f"ellipse(a={a}, b={b})",
     )
 
 
@@ -120,7 +116,8 @@ class BarrierParams:
     xi_eps_upper: float
 
 
-def make_barrier_params(p: ProfileFns, geom: CollarGeometry, eps, delta_eps, sigma_shift):
+def make_barrier_params(p: ProfileFns, geom: CollarGeometry, eps, delta_eps):
+    """The parameters for slack eps and collar width delta_eps, shift ``_SHIFT_FRAC`` * width."""
     w = p.weight
     if not 0.0 < eps < w.b_lower / 2.0:
         raise ParameterError(
@@ -128,16 +125,12 @@ def make_barrier_params(p: ProfileFns, geom: CollarGeometry, eps, delta_eps, sig
         )
     gap = condition15_gap(p.C_f, p.C_m)
     require_positive_finite(delta_eps, "collar width")
-    sigma_shift = float(sigma_shift)
-    if not 0.0 < sigma_shift < delta_eps:
-        raise ParameterError(
-            f"shift must lie in (0, delta_eps), got {sigma_shift} vs {delta_eps}"
-        )
+    delta_eps = float(delta_eps)
     kp1 = p.k + 1.0
     return BarrierParams(
         eps=float(eps),
-        sigma_shift=sigma_shift,
-        delta_eps=float(delta_eps),
+        sigma_shift=_SHIFT_FRAC * delta_eps,
+        delta_eps=delta_eps,
         xi_eps_lower=((w.b_lower - 2.0 * eps) / ((1.0 + eps) * geom.L0 * gap)) ** (1.0 / kp1),
         xi_eps_upper=((w.b_upper + 2.0 * eps) / ((1.0 - eps) * geom.l0 * gap)) ** (1.0 / kp1),
     )
@@ -199,7 +192,7 @@ class ProfileBarrier:
         return val, scalar_or_array(d, deriv1), scalar_or_array(d, deriv2)
 
 
-def build_barriers(p: ProfileFns, geom: CollarGeometry, bp: BarrierParams):
+def build_barriers(p: ProfileFns, bp: BarrierParams):
     """(upper, lower) barrier pair on their respective collar windows."""
     upper = ProfileBarrier(
         p, bp.xi_eps_lower, -bp.sigma_shift,
@@ -260,10 +253,12 @@ def scrambled_halton(n, seed=0):
     perm_j(digit j of i) b^-(j+1).  Owen, arXiv:1706.02808 (2017).  The draw
     order and the floating-point sums follow scipy.stats.qmc.Halton(d=2,
     scramble=True, seed=seed), whose points these are, bit for bit.
-    ParameterError unless n >= 1.
+    ParameterError unless n >= 1 and seed >= 0.
     """
     if n < 1:
         raise ParameterError(f"sample count must be >= 1, got {n}")
+    if seed < 0:
+        raise ParameterError(f"sampling seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     index = np.arange(n, dtype=np.int64)
     cols = []
@@ -283,15 +278,10 @@ def scrambled_halton(n, seed=0):
     return np.column_stack(cols)
 
 
-def _to_collar(bp: BarrierParams, kind, unit):
-    """Map unit-square points to (distance, boundary-param) pairs in the window."""
-    if kind == "super":
-        lo, hi = bp.sigma_shift * 1.02, 2.0 * bp.delta_eps * 0.98
-    elif kind == "sub":
-        top = 2.0 * bp.delta_eps - bp.sigma_shift
-        lo, hi = top * 1e-3, top * 0.98
-    else:
-        raise ParameterError(f"unknown sample kind {kind!r}")
+def _to_collar(barrier: ProfileBarrier, unit):
+    """Map unit-square points to (distance, boundary-param) pairs inside the barrier's window."""
+    lo, hi = barrier.window
+    lo, hi = max(1.02 * lo, 1e-3 * hi), 0.98 * hi
     d = lo * (hi / lo) ** unit[:, 0]
     return np.column_stack([d, unit[:, 1]])
 
@@ -360,15 +350,14 @@ def verify_subsolution(u_lower, p, geom, bp, f, bweight, samples):
     return _verify("sub", u_lower, p, geom, bp, f, bweight, samples)
 
 
-def certify_barriers(p: ProfileFns, geom: CollarGeometry, f: Nonlinearity, bweight: Weight,
-                     eps=0.1, nsamples=200, seed=0):
+def certify_barriers(p: ProfileFns, geom: CollarGeometry, eps=0.1, nsamples=200, seed=0):
     """Find a collar width for which both barrier inequalities certify.
 
-    Halves the width from ``_WIDTH0_FRAC`` times the focal radius, at most
-    ``_MAX_HALVINGS`` times, with the shift ``_SHIFT_FRAC`` times the width,
-    until both the supersolution and subsolution reports pass on
-    quasi-random samples (one set of Halton points, mapped into each
-    width's windows); the analysis guarantees success for small enough
+    The right-hand side b f(u) takes f and the weight from ``p``.  Halves the
+    width from ``_WIDTH0_FRAC`` times the focal radius, at most
+    ``_MAX_HALVINGS`` times, until both the supersolution and subsolution
+    reports pass on quasi-random samples (one set of Halton points, mapped
+    into each barrier's window); the analysis guarantees success for small enough
     widths, so exhaustion of the ladder signals a genuine violation (or an
     infeasible parameter set).  Each width checks the supersolution on all
     the points, and the subsolution on all of them only where the
@@ -376,16 +365,17 @@ def certify_barriers(p: ProfileFns, geom: CollarGeometry, f: Nonlinearity, bweig
     last width's checked sides; its message also counts the inadmissible
     samples of the last width's failing report.
     """
+    f, bweight = p.nonlinearity, p.weight
     delta = _WIDTH0_FRAC * geom.focal_radius
     unit = scrambled_halton(nsamples, seed)  # the same points at every width
     for _ in range(_MAX_HALVINGS):
-        bp = make_barrier_params(p, geom, eps, delta, _SHIFT_FRAC * delta)
-        upper, lower = build_barriers(p, geom, bp)
+        bp = make_barrier_params(p, geom, eps, delta)
+        upper, lower = build_barriers(p, bp)
         rep = rep_s = verify_supersolution(upper, p, geom, bp, f, bweight,
-                                           _to_collar(bp, "super", unit))
+                                           _to_collar(upper, unit))
         worst = rep_s.worst_margin
         if rep_s.passed:
-            rep = verify_subsolution(lower, p, geom, bp, f, bweight, _to_collar(bp, "sub", unit))
+            rep = verify_subsolution(lower, p, geom, bp, f, bweight, _to_collar(lower, unit))
             if rep.passed:
                 return bp, rep_s, rep
             worst = min(worst, rep.worst_margin)
@@ -399,26 +389,27 @@ def certify_barriers(p: ProfileFns, geom: CollarGeometry, f: Nonlinearity, bweig
     )
 
 
-def certify_upper_barrier_global(p: ProfileFns, w_sol: RadialSolution, f: Nonlinearity,
-                                 b: Callable):
+def certify_upper_barrier_global(p: ProfileFns, torsion: Torsion):
     """Certify phi(-eps w) as a global upper barrier for some eps of ``_EPS_LADDER``.
 
-    Descends the dyadic eps ladder until S_k(D^2 phi(-eps w)) <= b f(...)
-    holds at every radius of ``_GLOBAL_RADII`` times R (with cone
+    w is the torsion function, whose problem gives n, k, R and the source b;
+    f is the profile's.  ParameterError unless the torsion's order is the
+    profile's.  Descends the dyadic eps ladder until S_k(D^2 phi(-eps w)) <=
+    b f(...) holds at every radius of ``_GLOBAL_RADII`` times R (with cone
     admissibility); returns the largest working eps and its report.
     ``_judge``, the collar certificates' check, decides each eps on the
     spectrum (h'', h'/r, ..., h'/r) of h = phi(-eps w).  Also records the
     decay diagnostic of F**(k/(k+1))/f that drives the smallness of the
     barrier multiplier.
     """
-    n, k, R = w_sol.meta["n"], w_sol.meta["k"], w_sol.meta["R"]
-    if w_sol.value is None or w_sol.deriv1 is None or w_sol.deriv2 is None:
-        raise ParameterError("torsion solution must carry value/deriv callables")
+    prob = torsion.prob
+    if prob.k != p.k:
+        raise ParameterError(f"torsion of order k={prob.k} given for a profile of order "
+                             f"k={p.k}")
+    n, k, R = prob.n, prob.k, prob.R
     r_all = _GLOBAL_RADII * R
-    w_all = np.asarray(w_sol.value(r_all), dtype=float)
-    w1_all = np.asarray(w_sol.deriv1(r_all), dtype=float)
-    w2_all = np.asarray(w_sol.deriv2(r_all), dtype=float)
-    b_all = np.asarray(b(r_all), dtype=float)
+    w_all, w1_all, w2_all = torsion.jet(r_all)
+    b_all = np.asarray(prob.b(r_all), dtype=float)
     worst_overall = -math.inf
     last_rows = None
     ff_decay = check_limit_Ff(p.profile)
@@ -429,7 +420,7 @@ def certify_upper_barrier_global(p: ProfileFns, w_sol: RadialSolution, f: Nonlin
         n_ok = len(t) if nonpos.size == 0 else int(nonpos[0])
         r = r_all[:n_ok]
         u, h1, h2 = _phi_chain(p, t[:n_ok], -eps * w1_all[:n_ok], -eps * w2_all[:n_ok])
-        rhs = b_all[:n_ok] * np.asarray(f.f(u), dtype=float)
+        rhs = b_all[:n_ok] * np.asarray(p.nonlinearity.f(u), dtype=float)
         lam = np.column_stack([h2, np.repeat((h1 / r)[:, None], n - 1, axis=1)])
         _, margin, admissible, ok, worst = _judge(lam, k, rhs, "super")
         rows = [{"r": r_i, "margin": mg, "rhs": rhs_i, "admissible": adm}

@@ -336,7 +336,7 @@ def cmd_check_barrier(cfg):
                              f"only, got {geom.label}")
     cfg.check_all_read()
     p = assemble_profile(nl, w, k)
-    bp, rep_s, rep_l = certify_barriers(p, geom, nl, w, eps=eps, nsamples=nsamples, seed=seed)
+    bp, rep_s, rep_l = certify_barriers(p, geom, eps=eps, nsamples=nsamples, seed=seed)
     body = {
         "geometry": geom.label,
         "delta_eps": bp.delta_eps,
@@ -346,7 +346,7 @@ def cmd_check_barrier(cfg):
     }
     if global_check:
         prob = RadialProblem.from_weight(n, k, R, nl, w)
-        eps_g, rep_g = certify_upper_barrier_global(p, solve_torsion(prob), nl, prob.b)
+        eps_g, rep_g = certify_upper_barrier_global(p, solve_torsion(prob))
         body["global_upper_barrier"] = {
             "eps": eps_g,
             "worst_relative_margin": rep_g["worst_relative_margin"],

@@ -37,6 +37,7 @@ from .profiles import ProfileFns, predicted_profile
 __all__ = [
     "RadialProblem",
     "RadialSolution",
+    "Torsion",
     "solve_torsion",
     "integrate_blowup_ivp",
     "shoot_blowup_radius",
@@ -92,9 +93,17 @@ class RadialSolution:
     u1: np.ndarray
     Rstar: Optional[float]
     meta: dict = field(default_factory=dict)
-    value: Optional[Callable] = None
-    deriv1: Optional[Callable] = None
-    deriv2: Optional[Callable] = None
+
+
+@dataclass(frozen=True)
+class Torsion:
+    """The torsion function w of ``prob``: S_k(D^2 w) = b on the ball, w = 0 on its boundary.
+
+    ``jet(r)`` gives (w, w', w'') at a radius or an array of radii; w'' is nan at r = 0.
+    """
+
+    prob: RadialProblem
+    jet: Callable
 
 
 # relative agreement of the spectral and the fresh Gauss partial panels at
@@ -102,10 +111,7 @@ class RadialSolution:
 # alone keeps the two within about 4e-15 up to n = 30
 _PARTIAL_AGREE = 1e-14
 
-# uniform panels of the torsion tables on [0, R]; 512 times a power of two, so
-# that every (_TORSION_PANELS / 512)-th node is bitwise linspace(0, R, 513), the
-# radii of the 513 torsion samples
-_TORSION_PANELS = 2048
+_TORSION_PANELS = 2048  # uniform panels of the torsion tables on [0, R]
 
 
 class _CumulativeUniform:
@@ -160,11 +166,9 @@ def solve_torsion(prob: RadialProblem):
     nodes, and so the w' that the outer table integrates, comes from the
     panel values by spectral integration, except on the leading panels
     where G is still small against that integration's error (see
-    ``_CumulativeUniform.at_points``).  The 513 samples of w and w' at
-    linspace(0, R, 513) are read off every (_TORSION_PANELS / 512)-th table
-    node.
-    Returns a RadialSolution with attached analytic-grade callables for w,
-    w', w'' at any r, which take G and w from one more Gauss panel each.
+    ``_CumulativeUniform.at_points``).
+    Returns the ``Torsion`` of prob, whose jet takes G and w at any r from
+    one more Gauss panel each.
     """
     n, k, R = prob.n, prob.k, prob.R
     c = math.comb(n - 1, k - 1)
@@ -178,37 +182,21 @@ def solve_torsion(prob: RadialProblem):
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(r > 0.0, G ** (1.0 / k) * r ** ((k - n) / k), 0.0)
 
-    def wp(r):
-        return slope(r, moment.value(r))
-
-    accum = _CumulativeUniform(wp, R, vals=slope(moment.points, moment.at_points()))
+    accum = _CumulativeUniform(lambda r: slope(r, moment.value(r)), R,
+                               vals=slope(moment.points, moment.at_points()))
     WR = float(accum.value(R))
 
-    def w(r):
-        return np.asarray(accum.value(r), float) - WR
-
-    def wpp(r):
+    def jet(r):
         r = np.asarray(r, dtype=float)
-        G = (k / c) * np.asarray(moment.value(r), float)
+        moment_r = moment.value(r)
+        G = (k / c) * np.asarray(moment_r, float)
         Gp = (k / c) * r ** (n - 1) * np.asarray(prob.b(r), float)
         with np.errstate(divide="ignore", invalid="ignore"):
             t1 = (1.0 / k) * G ** (1.0 / k - 1.0) * Gp * r ** ((k - n) / k)
             t2 = G ** (1.0 / k) * ((k - n) / k) * r ** ((k - n) / k - 1.0)
-        out = t1 + t2
-        return np.where(r > 0.0, out, np.nan)
+        return accum.value(r) - WR, slope(r, moment_r), np.where(r > 0.0, t1 + t2, np.nan)
 
-    stride = _TORSION_PANELS // 512
-    rs = accum.nodes[::stride]
-    return RadialSolution(
-        r=rs,
-        u=accum.prefix[::stride] - WR,
-        u1=slope(rs, moment.prefix[::stride]),
-        Rstar=R,
-        meta={"kind": "torsion", "n": n, "k": k, "R": R},
-        value=w,
-        deriv1=wp,
-        deriv2=wpp,
-    )
+    return Torsion(prob, jet)
 
 
 # Cash-Karp 5(4) embedded pair (Cash & Karp, ACM TOMS 16 (1990) 201)

@@ -220,7 +220,7 @@ def test_criterion_8_barrier_certification():
         for nl, k, n in matrix:
             p = assemble_profile(nl, W1, k)
             geom = ball_geometry(n, k, 1.0)
-            bp, rep_s, rep_l = certify_barriers(p, geom, nl, W1, eps=0.1)
+            bp, rep_s, rep_l = certify_barriers(p, geom, eps=0.1)
             assert rep_s.passed and rep_l.passed
             assert all(s["admissible"] for s in rep_s.samples + rep_l.samples)
             deltas[(k, n)] = bp.delta_eps
@@ -230,7 +230,7 @@ def test_criterion_8_barrier_certification():
             nl = Nonlinearity.power(gamma)
             prob = RadialProblem(n=2, k=k, R=1.0, f=nl, b=B_ONE)
             p = assemble_profile(nl, W1, k)
-            eps, _ = certify_upper_barrier_global(p, solve_torsion(prob), nl, B_ONE)
+            eps, _ = certify_upper_barrier_global(p, solve_torsion(prob))
             eps_found[(k, gamma)] = eps
         assert all(e > 0 for e in eps_found.values())
     tm.check()

@@ -26,17 +26,17 @@ from khessian.errors import (CertificationFailure, ConditionViolation, GeometryE
                              ParameterError)
 from khessian.nonlinearity import Nonlinearity, Weight
 from khessian.profiles import assemble_profile, xi_bounds
-from khessian.radial import RadialProblem, solve_torsion
+from khessian.radial import RadialProblem, Torsion, solve_torsion
 from khessian.symfunc import sigma_all, sk_radial
 
 B_ONE = lambda r: np.ones_like(np.asarray(r, float))
 W1 = Weight.constant(1.0)
 
 
-def collar_samples(bp, kind, nsamples, seed):
-    """(distance, boundary-param) pairs in the barrier window: the points certify_barriers
+def collar_samples(barrier, nsamples, seed):
+    """(distance, boundary-param) pairs in the barrier's window: the points certify_barriers
     samples at one width, distances log-uniform and the parameter uniform."""
-    return barriers._to_collar(bp, kind, scrambled_halton(nsamples, seed))
+    return barriers._to_collar(barrier, scrambled_halton(nsamples, seed))
 
 
 class TestCompositeEigs:
@@ -77,8 +77,8 @@ class TestCompositeEigs:
         # prefactor times [B sigma_{j-1}(tilted) + A sigma_j(tilted)]
         p = assemble_profile(Nonlinearity.power(5), W1, 2)
         geom = ball_geometry(3, 2, 1.0)
-        bp = make_barrier_params(p, geom, eps=0.1, delta_eps=0.05, sigma_shift=0.1 * 0.05)
-        upper, _ = build_barriers(p, geom, bp)
+        bp = make_barrier_params(p, geom, eps=0.1, delta_eps=0.05)
+        upper, _ = build_barriers(p, bp)
         xi = bp.xi_eps_lower
         rng = np.random.default_rng(17)
         for _ in range(25):
@@ -134,14 +134,36 @@ class TestHalton:
 
     def test_collar_samples_use_the_points(self):
         p = assemble_profile(Nonlinearity.power(5), W1, 2)
-        bp = make_barrier_params(p, ball_geometry(3, 2, 1.0), eps=0.1, delta_eps=0.05,
-                                 sigma_shift=0.1 * 0.05)
+        bp = make_barrier_params(p, ball_geometry(3, 2, 1.0), eps=0.1, delta_eps=0.05)
         unit = scrambled_halton(64, 3)
-        for kind in ("super", "sub"):
-            pts = collar_samples(bp, kind, 64, seed=3)
+        for barrier in build_barriers(p, bp):
+            pts = collar_samples(barrier, 64, seed=3)
             assert np.array_equal(pts[:, 1], unit[:, 1])
             lo, hi = pts[:, 0].min(), pts[:, 0].max()
             assert 0.0 < lo < hi < 2.0 * bp.delta_eps
+
+
+class TestCollarWindows:
+    @pytest.mark.parametrize("geom, nl, k", [
+        (ball_geometry(3, 2), Nonlinearity.power(5), 2),
+        (ellipse_geometry(1.2, 1.0), Nonlinearity.exponential(2), 1),
+    ])
+    def test_one_rule_sets_both_windows(self, geom, nl, k):
+        # the samples of each barrier equal those of the two per-kind formulas written out
+        # here, and lie inside the window its jet accepts
+        p = assemble_profile(nl, W1, k)
+        unit = scrambled_halton(200, 5)
+        for i in range(6):
+            bp = make_barrier_params(p, geom, 0.1, 0.2 * 2**-i)
+            top = 2.0 * bp.delta_eps - bp.sigma_shift
+            bounds = ((bp.sigma_shift * 1.02, 2.0 * bp.delta_eps * 0.98),  # upper barrier
+                      (top * 1e-3, top * 0.98))  # lower barrier
+            for barrier, (lo, hi) in zip(build_barriers(p, bp), bounds):
+                got = barriers._to_collar(barrier, unit)
+                want = np.column_stack([lo * (hi / lo) ** unit[:, 0], unit[:, 1]])
+                assert np.array_equal(got, want)
+                w_lo, w_hi = barrier.window
+                assert np.all((w_lo < got[:, 0]) & (got[:, 0] < w_hi))
 
 
 class TestBarrierParams:
@@ -149,17 +171,14 @@ class TestBarrierParams:
         p = assemble_profile(Nonlinearity.power(5), W1, 2)
         geom = ball_geometry(3, 2, 1.0)
         with pytest.raises(ParameterError):
-            make_barrier_params(p, geom, eps=0.6, delta_eps=0.05, sigma_shift=0.1 * 0.05)
-        with pytest.raises(ParameterError):
-            make_barrier_params(p, geom, eps=0.1, delta_eps=0.05, sigma_shift=0.06)
+            make_barrier_params(p, geom, eps=0.6, delta_eps=0.05)
 
     @pytest.mark.parametrize("width", [math.inf, math.nan])
     def test_collar_width_positive_and_finite(self, width):
         p = assemble_profile(Nonlinearity.power(5), W1, 2)
         with pytest.raises(ParameterError, match=f"collar width must be positive and finite, "
                                                  f"got {width}"):
-            make_barrier_params(p, ball_geometry(3, 2, 1.0), eps=0.1, delta_eps=width,
-                                sigma_shift=0.005)
+            make_barrier_params(p, ball_geometry(3, 2, 1.0), eps=0.1, delta_eps=width)
 
     def test_gap_violation_label(self):
         # force the degenerate constant pairs via a doctored copy of the bundle
@@ -167,8 +186,7 @@ class TestBarrierParams:
         for C_f, C_m in ((1.0, 0.0), (-1.0, 0.5)):
             bad = dataclasses.replace(p, C_f=C_f, C_m=C_m)
             with pytest.raises(ConditionViolation) as ei:
-                make_barrier_params(bad, ball_geometry(2, 1, 1.0), eps=0.1, delta_eps=0.05,
-                                    sigma_shift=0.1 * 0.05)
+                make_barrier_params(bad, ball_geometry(2, 1, 1.0), eps=0.1, delta_eps=0.05)
             assert ei.value.label == "(1.5)"
 
     def test_xi_eps_first_order_in_eps(self):
@@ -177,7 +195,7 @@ class TestBarrierParams:
         lo, hi = xi_bounds(p.weight, geom.L0, geom.l0, p.C_f, p.C_m, p.k)
         errs_lo, errs_hi = [], []
         for eps in (0.1, 0.01, 0.001):
-            bp = make_barrier_params(p, geom, eps=eps, delta_eps=0.05, sigma_shift=0.1 * 0.05)
+            bp = make_barrier_params(p, geom, eps=eps, delta_eps=0.05)
             errs_lo.append(abs(bp.xi_eps_lower - lo))
             errs_hi.append(abs(bp.xi_eps_upper - hi))
         for errs in (errs_lo, errs_hi):
@@ -191,8 +209,8 @@ class TestBarrierShapes:
         # sqrt(2)/(xi (d - sigma)) for k=1, gamma=3
         p = assemble_profile(Nonlinearity.power(3), W1, 1)
         geom = ball_geometry(2, 1, 1.0)
-        bp = make_barrier_params(p, geom, eps=0.1, delta_eps=0.05, sigma_shift=0.005)
-        upper, lower = build_barriers(p, geom, bp)
+        bp = make_barrier_params(p, geom, eps=0.1, delta_eps=0.05)
+        upper, lower = build_barriers(p, bp)
         for d in (0.01, 0.03, 0.08):
             d1 = d - bp.sigma_shift
             assert upper.jet(d)[0] == pytest.approx(
@@ -202,8 +220,8 @@ class TestBarrierShapes:
     def test_upper_blows_up_at_inner_edge(self):
         p = assemble_profile(Nonlinearity.power(3), W1, 1)
         geom = ball_geometry(2, 1, 1.0)
-        bp = make_barrier_params(p, geom, eps=0.1, delta_eps=0.05, sigma_shift=0.005)
-        upper, _ = build_barriers(p, geom, bp)
+        bp = make_barrier_params(p, geom, eps=0.1, delta_eps=0.05)
+        upper, _ = build_barriers(p, bp)
         assert upper.jet(bp.sigma_shift * 1.0001)[0] > 1e4
         with pytest.raises(ParameterError):
             upper.jet(bp.sigma_shift * 0.5)
@@ -211,8 +229,8 @@ class TestBarrierShapes:
     def test_upper_dominates_lower_on_overlap(self):
         p = assemble_profile(Nonlinearity.power(3), W1, 1)
         geom = ball_geometry(2, 1, 1.0)
-        bp = make_barrier_params(p, geom, eps=0.1, delta_eps=0.05, sigma_shift=0.005)
-        upper, lower = build_barriers(p, geom, bp)
+        bp = make_barrier_params(p, geom, eps=0.1, delta_eps=0.05)
+        upper, lower = build_barriers(p, bp)
         for d in np.linspace(0.006, 0.09, 25):
             assert upper.jet(d)[0] > lower.jet(d)[0]
 
@@ -240,9 +258,9 @@ class TestCollarRatios:
         # the jet's phi at the barrier's own distances is the phi that collar_ratios inverts
         p = assemble_profile(nl, w, k)
         geom = ball_geometry(n, k, 1.0)
-        bp = make_barrier_params(p, geom, 0.1, 0.05, 0.1 * 0.05)
-        for barrier, kind in zip(build_barriers(p, geom, bp), ("super", "sub")):
-            ds = collar_samples(bp, kind, 64, seed=2)[:, 0]
+        bp = make_barrier_params(p, geom, 0.1, 0.05)
+        for barrier, kind in zip(build_barriers(p, bp), ("super", "sub")):
+            ds = collar_samples(barrier, 64, seed=2)[:, 0]
             d_shift = ds + barrier.shift
             uval = barrier.jet(ds)[0]
             want = collar_ratios(p, barrier.xi, d_shift)
@@ -256,8 +274,8 @@ class TestCollarRatios:
     def test_one_phi_inversion_per_verify(self, monkeypatch, kind):
         p = assemble_profile(Nonlinearity.power(5), W1, 2)
         geom = ball_geometry(3, 2, 1.0)
-        bp = make_barrier_params(p, geom, 0.1, 0.05, 0.1 * 0.05)
-        upper, lower = build_barriers(p, geom, bp)
+        bp = make_barrier_params(p, geom, 0.1, 0.05)
+        upper, lower = build_barriers(p, bp)
         calls = []
         real = type(p.profile).phi
 
@@ -267,8 +285,9 @@ class TestCollarRatios:
 
         monkeypatch.setattr(type(p.profile), "phi", counting)
         verify = verify_supersolution if kind == "super" else verify_subsolution
-        verify(upper if kind == "super" else lower, p, geom, bp, Nonlinearity.power(5), W1,
-               collar_samples(bp, kind, 40, seed=1))
+        barrier = upper if kind == "super" else lower
+        verify(barrier, p, geom, bp, Nonlinearity.power(5), W1,
+               collar_samples(barrier, 40, seed=1))
         assert calls == [40]
 
 
@@ -284,7 +303,7 @@ class TestVerification:
     def test_certify_matrix_on_unit_ball(self, nl, k, n):
         p = assemble_profile(nl, W1, k)
         geom = ball_geometry(n, k, 1.0)
-        bp, rep_s, rep_l = certify_barriers(p, geom, nl, W1, eps=0.1)
+        bp, rep_s, rep_l = certify_barriers(p, geom, eps=0.1)
         assert rep_s.passed and rep_l.passed
         assert bp.delta_eps > 1e-6
         for rep in (rep_s, rep_l):
@@ -301,12 +320,12 @@ class TestVerification:
         p = assemble_profile(nl, weight, k)
         delta = 0.2 * geom.focal_radius
         while True:
-            bp = make_barrier_params(p, geom, 0.1, delta, 0.1 * delta)
-            upper, lower = build_barriers(p, geom, bp)
+            bp = make_barrier_params(p, geom, 0.1, delta)
+            upper, lower = build_barriers(p, bp)
             want_s = verify_supersolution(upper, p, geom, bp, nl, weight,
-                                          collar_samples(bp, "super", 200, seed))
+                                          collar_samples(upper, 200, seed))
             want_l = verify_subsolution(lower, p, geom, bp, nl, weight,
-                                        collar_samples(bp, "sub", 200, seed))
+                                        collar_samples(lower, 200, seed))
             if want_s.passed and want_l.passed:
                 break
             delta *= 0.5
@@ -323,7 +342,7 @@ class TestVerification:
         for side in ("super", "sub"):
             name = f"verify_{side}solution"
             monkeypatch.setattr(barriers, name, recording(getattr(barriers, name), side))
-        got = certify_barriers(p, geom, nl, weight, eps=0.1, seed=seed)
+        got = certify_barriers(p, geom, eps=0.1, seed=seed)
         assert got == (bp, want_s, want_l)
         # one pass per side: every call checks all 200 points, and a subsolution call
         # follows each passing supersolution call and no other
@@ -338,11 +357,11 @@ class TestVerification:
         nl = Nonlinearity.power(5)
         p = assemble_profile(nl, W1, 2)
         geom = ball_geometry(3, 2, 1.0)
-        bp = make_barrier_params(p, geom, 0.1, width, 0.1 * width)
-        upper, lower = build_barriers(p, geom, bp)
+        bp = make_barrier_params(p, geom, 0.1, width)
+        upper, lower = build_barriers(p, bp)
         verify = verify_supersolution if kind == "super" else verify_subsolution
-        rep = verify(upper if kind == "super" else lower, p, geom, bp, nl, W1,
-                     collar_samples(bp, kind, 60, seed=3))
+        barrier = upper if kind == "super" else lower
+        rep = verify(barrier, p, geom, bp, nl, W1, collar_samples(barrier, 60, seed=3))
         worst, sup_tilt, ok = math.inf, 0.0, True
         for s in rep.samples:
             sk, sc = s["sigma_j"][p.k - 1], s["scale"]
@@ -360,9 +379,9 @@ class TestVerification:
         nl = Nonlinearity.power(5)
         p = assemble_profile(nl, W1, 2)
         geom = ball_geometry(3, 2, 1.0)
-        bp = make_barrier_params(p, geom, 0.1, 0.0125, 0.1 * 0.0125)
-        upper, _ = build_barriers(p, geom, bp)
-        pts = collar_samples(bp, "super", 60, seed=3)
+        bp = make_barrier_params(p, geom, 0.1, 0.0125)
+        upper, _ = build_barriers(p, bp)
+        pts = collar_samples(upper, 60, seed=3)
         cut = float(np.median(pts[:, 0]))
         zeros = lambda d: np.zeros_like(np.asarray(d, float))
         nan_m = Weight.custom(lambda d: np.where(d > cut, np.nan, 1.0), zeros, 1.0)
@@ -376,16 +395,17 @@ class TestVerification:
         monkeypatch.setattr(barriers, "_WIDTH0_FRAC", 0.5)
         p = assemble_profile(Nonlinearity.power(5), W1, 2)
         geom = ball_geometry(3, 2, 1.0)
-        bp, rep_s, rep_l = certify_barriers(p, geom, Nonlinearity.power(5), W1, eps=0.1)
+        bp, rep_s, rep_l = certify_barriers(p, geom, eps=0.1)
         assert rep_s.passed and rep_l.passed
 
     def test_wrong_nonlinearity_runs_out_of_widths(self):
         # barriers built from the power:5 profile are no barriers for f = power:7: every
         # width of the ladder fails, and the failure carries the last width's worst margin
         p = assemble_profile(Nonlinearity.power(5), W1, 2)
+        wrong = dataclasses.replace(p, nonlinearity=Nonlinearity.power(7))
         with pytest.raises(CertificationFailure, match="no collar width certified after "
                            f"{barriers._MAX_HALVINGS} halvings") as info:
-            certify_barriers(p, ball_geometry(3, 2, 1.0), Nonlinearity.power(7), W1, eps=0.1)
+            certify_barriers(wrong, ball_geometry(3, 2, 1.0), eps=0.1)
         assert info.value.worst_margin == -1.0
 
     def test_curvature_scaling_raises_amplitude(self):
@@ -397,10 +417,10 @@ class TestVerification:
         res = {}
         for R in (1.0, 10.0):
             geom = ball_geometry(3, 2, R)
-            bp = make_barrier_params(p, geom, eps=0.1, delta_eps=0.02, sigma_shift=0.002)
-            _, lower = build_barriers(p, geom, bp)
+            bp = make_barrier_params(p, geom, eps=0.1, delta_eps=0.02)
+            _, lower = build_barriers(p, bp)
             rep = verify_subsolution(
-                lower, p, geom, bp, nl, W1, collar_samples(bp, "sub", 100, seed=1)
+                lower, p, geom, bp, nl, W1, collar_samples(lower, 100, seed=1)
             )
             res[R] = (bp, rep)
         assert res[10.0][0].xi_eps_upper > res[1.0][0].xi_eps_upper
@@ -410,8 +430,8 @@ class TestVerification:
     def test_sample_outside_collar_rejected(self):
         p = assemble_profile(Nonlinearity.power(5), W1, 2)
         geom = ball_geometry(3, 2, 1.0)
-        bp = make_barrier_params(p, geom, eps=0.1, delta_eps=0.02, sigma_shift=0.1 * 0.02)
-        upper, _ = build_barriers(p, geom, bp)
+        bp = make_barrier_params(p, geom, eps=0.1, delta_eps=0.02)
+        upper, _ = build_barriers(p, bp)
         with pytest.raises(ParameterError):
             verify_supersolution(upper, p, geom, bp, Nonlinearity.power(5), W1,
                                  [(3.0 * bp.delta_eps, 0.5)])
@@ -419,7 +439,7 @@ class TestVerification:
     def test_report_serialises(self, tmp_path):
         p = assemble_profile(Nonlinearity.exponential(2), W1, 1)
         geom = ball_geometry(2, 1, 1.0)
-        bp, rep_s, rep_l = certify_barriers(p, geom, Nonlinearity.exponential(2), W1, eps=0.1)
+        bp, rep_s, rep_l = certify_barriers(p, geom, eps=0.1)
         reports.write_json(tmp_path / "rep.json", rep_s.as_dict())
         blob = json.loads((tmp_path / "rep.json").read_text())
         assert blob["passed"] is True
@@ -434,7 +454,7 @@ class TestGlobalUpperBarrier:
         prob = RadialProblem(n=2, k=k, R=1.0, f=nl, b=B_ONE)
         w = solve_torsion(prob)
         p = assemble_profile(nl, W1, k)
-        eps, report = certify_upper_barrier_global(p, w, nl, B_ONE)
+        eps, report = certify_upper_barrier_global(p, w)
         assert 0 < eps <= 1.0
         assert report["worst_relative_margin"] >= -1e-9
         # decay probe ~ s**(-(gamma-k)/(k+1)) at s = 2**30
@@ -459,12 +479,12 @@ class TestGlobalUpperBarrier:
             return worst, ok
 
         monkeypatch.setattr(barriers, "_EPS_LADDER", (4.0, 2.0, 1.0))
-        eps, report = certify_upper_barrier_global(p, w, nl, B_ONE)
+        eps, report = certify_upper_barrier_global(p, w)
         assert eps == 1.0 and len(report["samples"]) == 97
         assert loop(report["samples"]) == (report["worst_relative_margin"], True)
         monkeypatch.setattr(barriers, "_EPS_LADDER", (2.0, 4.0))
         with pytest.raises(CertificationFailure) as info:
-            certify_upper_barrier_global(p, w, nl, B_ONE)
+            certify_upper_barrier_global(p, w)
         worst, ok = loop(info.value.report)
         assert not ok and len(info.value.report) == 97
         assert worst < info.value.worst_margin < 0.0  # eps = 2 was the better of the two
@@ -472,12 +492,22 @@ class TestGlobalUpperBarrier:
     def test_nan_rhs_fails(self):
         # b is nan on half the radii: those margins are nan, and a nan margin fails every eps
         nl = Nonlinearity.power(5)
-        w = solve_torsion(RadialProblem(n=3, k=2, R=1.0, f=nl, b=B_ONE))
-        p = assemble_profile(nl, W1, 2)
+        prob = RadialProblem(n=3, k=2, R=1.0, f=nl, b=B_ONE)
+        w, p = solve_torsion(prob), assemble_profile(nl, W1, 2)
+        nan_b = lambda r: np.where(r > 0.5, np.nan, 1.0)
         with pytest.raises(CertificationFailure) as info:
-            certify_upper_barrier_global(p, w, nl, lambda r: np.where(r > 0.5, np.nan, 1.0))
+            certify_upper_barrier_global(p, Torsion(dataclasses.replace(prob, b=nan_b), w.jet))
         margins = [row["margin"] for row in info.value.report]
         assert sum(map(math.isnan, margins)) == 48 and len(margins) == 97
+
+    @pytest.mark.parametrize("k_profile, k_torsion", [(1, 2), (2, 1)])
+    def test_torsion_of_another_order_rejected(self, k_profile, k_torsion):
+        # each pair certified an eps (0.03125 and 1.0) for no barrier of the paper
+        nl = Nonlinearity.power(5)
+        w = solve_torsion(RadialProblem(n=2, k=k_torsion, R=1.0, f=nl, b=B_ONE))
+        with pytest.raises(ParameterError, match=f"torsion of order k={k_torsion} given for "
+                                                 f"a profile of order k={k_profile}"):
+            certify_upper_barrier_global(assemble_profile(nl, W1, k_profile), w)
 
     @settings(max_examples=25)
     @given(n=st.integers(2, 6), data=st.data())
@@ -489,14 +519,15 @@ class TestGlobalUpperBarrier:
         w = solve_torsion(RadialProblem(n=n, k=k, R=1.0, f=nl, b=B_ONE))
         p = assemble_profile(nl, W1, k)
         try:
-            eps, report = certify_upper_barrier_global(p, w, nl, B_ONE)
+            eps, report = certify_upper_barrier_global(p, w)
             rows = report["samples"]
         except CertificationFailure as exc:  # its rows are the last eps's
             eps, rows = barriers._EPS_LADDER[-1], exc.report
         r = np.array([row["r"] for row in rows])
-        u, g1, g2 = p.phi_jet(-eps * w.value(r))
-        h1 = -eps * w.deriv1(r) * g1
-        h2 = -eps * w.deriv2(r) * g1 + eps**2 * w.deriv1(r) ** 2 * g2
+        w0, w1, w2 = w.jet(r)
+        u, g1, g2 = p.phi_jet(-eps * w0)
+        h1 = -eps * w1 * g1
+        h2 = -eps * w2 * g1 + eps**2 * w1**2 * g2
         lhs = sk_radial(h1, h2, r, n, k)
         rhs = np.array([row["rhs"] for row in rows])
         margin = np.array([row["margin"] for row in rows])
@@ -510,7 +541,7 @@ class TestGlobalUpperBarrier:
         prob = RadialProblem(n=2, k=1, R=1.0, f=nl, b=B_ONE)
         w = solve_torsion(prob)
         p = assemble_profile(nl, W1, 1)
-        eps, _ = certify_upper_barrier_global(p, w, nl, B_ONE)
+        eps, _ = certify_upper_barrier_global(p, w)
         assert eps in [2.0**-i for i in range(21)]
 
 

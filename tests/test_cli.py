@@ -280,6 +280,15 @@ class TestBarrierCommand:
             bodies.append((out / "check-barrier.json").read_bytes())
         assert bodies[0] == bodies[1] and b'"geometry": "ball(n=2, R=0.5)"' in bodies[0]
 
+    def test_global_check_byte_identical_reruns(self, tmp_path):
+        cfg = write_cfg(tmp_path, "cb.cfg", "command = check-barrier\nn = 3\nk = 2\n"
+                                            "f = power:5\nsamples = 20\nglobal_check = true\n")
+        bodies = []
+        for sub in ("a", "b"):
+            assert main(["--config", cfg, "--out", str(tmp_path / sub), "--quiet"]) == 0
+            bodies.append((tmp_path / sub / "check-barrier.json").read_bytes())
+        assert bodies[0] == bodies[1] and b'"global_upper_barrier"' in bodies[0]
+
     def test_inadmissible_failure_names_its_count(self, tmp_path):
         # every width fails on cone admissibility, sigma_1..sigma_4 of its overflowed
         # spectra far below 0, while the worst relative margin is large and positive:
@@ -600,6 +609,16 @@ def test_validation_exits_2_with_its_message(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("validation error: ") and fragment in err
     assert not (out / "error.json").exists()
+
+
+@pytest.mark.parametrize("given", ["config", "flag"])
+def test_negative_seed_exits_2(given, tmp_path, capsys):
+    # numpy rejected it once the profile was built, and the command exited 1
+    text = BARRIER + ("seed = -1\n" if given == "config" else "")
+    argv = ["--config", write_cfg(tmp_path, "cb.cfg", text), "--out", str(tmp_path / "out")]
+    assert main(argv + (["--seed", "-1"] if given == "flag" else [])) == 2
+    assert "sampling seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "error.json").exists()
 
 
 @pytest.mark.parametrize("command", ["profile", "check-barrier"])

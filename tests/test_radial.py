@@ -49,24 +49,26 @@ class TestTorsion:
         prob = RadialProblem(n=2, k=1, R=1.0, f=Nonlinearity.power(3), b=B_ONE)
         sol = solve_torsion(prob)
         rs = np.linspace(0.0, 1.0, 101)
-        assert np.max(np.abs(sol.value(rs) - (rs**2 - 1.0) / 4.0)) < 1e-12
-        assert abs(float(sol.value(1.0))) < 1e-12
-        assert np.all(np.asarray(sol.value(rs)) <= 1e-12)
+        w = sol.jet(rs)[0]
+        assert np.max(np.abs(w - (rs**2 - 1.0) / 4.0)) < 1e-12
+        assert abs(float(sol.jet(1.0)[0])) < 1e-12
+        assert np.all(w <= 1e-12)
 
     def test_monge_ampere_2d(self):
         prob = RadialProblem(n=2, k=2, R=1.0, f=Nonlinearity.power(3), b=B_ONE)
         sol = solve_torsion(prob)
         rs = np.linspace(0.0, 1.0, 101)
-        assert np.max(np.abs(sol.value(rs) - (rs**2 - 1.0) / 2.0)) < 1e-12
-        # derivative callables agree with the closed form
-        assert np.max(np.abs(sol.deriv1(rs) - rs)) < 1e-12
-        assert np.max(np.abs(np.asarray(sol.deriv2(rs[1:])) - 1.0)) < 1e-10
+        w, w1, w2 = sol.jet(rs)
+        assert np.max(np.abs(w - (rs**2 - 1.0) / 2.0)) < 1e-12
+        # the jet's derivatives agree with the closed form
+        assert np.max(np.abs(w1 - rs)) < 1e-12
+        assert np.max(np.abs(w2[1:] - 1.0)) < 1e-10
 
     def test_laplace_3d(self):
         prob = RadialProblem(n=3, k=1, R=1.0, f=Nonlinearity.power(3), b=B_ONE)
         sol = solve_torsion(prob)
         rs = np.linspace(0.0, 1.0, 101)
-        assert np.max(np.abs(sol.value(rs) - (rs**2 - 1.0) / 6.0)) < 1e-12
+        assert np.max(np.abs(sol.jet(rs)[0] - (rs**2 - 1.0) / 6.0)) < 1e-12
 
     def test_satisfies_equation(self):
         # S_k(D^2 w) = b for a non-constant weight, via the closed radial form
@@ -74,7 +76,8 @@ class TestTorsion:
         prob = RadialProblem(n=3, k=2, R=1.0, f=Nonlinearity.power(5), b=b)
         sol = solve_torsion(prob)
         for r in (0.2, 0.5, 0.9):
-            val = sk_radial(float(sol.deriv1(r)), float(sol.deriv2(r)), r, 3, 2)
+            _, w1, w2 = sol.jet(r)
+            val = sk_radial(float(w1), float(w2), r, 3, 2)
             assert val == pytest.approx(1.0 + r * r, rel=1e-9)
 
 
@@ -101,8 +104,8 @@ class TestTorsionTable:
 
     @pytest.mark.parametrize("n_seg, table", [(512, True), (1536, True), (2048, True)])
     def test_b_evaluations_stay_linear_in_the_panels(self, monkeypatch, n_seg, table):
-        # n_seg panels, a multiple of 512: the samples are read off the table, so b is
-        # evaluated about twice per Gauss node (per-sample panels took ~56,000 more)
+        # n_seg panels: b is evaluated about twice per Gauss node (per-sample panels
+        # took ~56,000 more)
         monkeypatch.setattr(radial, "_TORSION_PANELS", n_seg)
         count = [0]
 
@@ -113,27 +116,6 @@ class TestTorsionTable:
         solve_torsion(RadialProblem(n=3, k=2, R=1.0, f=Nonlinearity.power(5), b=b))
         assert 10 * n_seg <= count[0]
         assert (count[0] <= 2 * 10 * n_seg + 10_000) == table
-
-    @pytest.mark.parametrize("n_seg", [2048, 1536])
-    @pytest.mark.parametrize("n, k, weight", [(2, 1, None), (3, 2, 1.0), (4, 3, None)])
-    def test_samples_equal_the_callables(self, monkeypatch, n_seg, n, k, weight):
-        monkeypatch.setattr(radial, "_TORSION_PANELS", n_seg)
-        f = Nonlinearity.power(7)
-        prob = (RadialProblem(n=n, k=k, R=1.0, f=f, b=B_ONE) if weight is None
-                else RadialProblem.from_weight(n, k, 1.0, f, Weight.power(weight)))
-        sol = solve_torsion(prob)
-        assert np.max(np.abs(sol.r - np.linspace(0.0, 1.0, 513))) <= 2.3e-16
-        assert np.max(np.abs(sol.u - sol.value(sol.r))) <= 1e-15
-        assert np.max(np.abs(sol.u1 - sol.deriv1(sol.r))) <= 1e-15
-        assert sol.u1[0] == 0.0 and abs(sol.u[-1]) <= 1e-15
-
-    @pytest.mark.parametrize("R", [1.0, 0.7, 3.3])
-    @pytest.mark.parametrize("n_seg", [512, 2048])
-    def test_sample_radii_are_the_uniform_grid(self, monkeypatch, n_seg, R):
-        # every (n_seg / 512)-th node of a power-of-two table is bitwise the 513-point grid
-        monkeypatch.setattr(radial, "_TORSION_PANELS", n_seg)
-        prob = RadialProblem(n=2, k=1, R=R, f=Nonlinearity.power(3), b=B_ONE)
-        assert np.array_equal(solve_torsion(prob).r, np.linspace(0.0, R, 513))
 
     @pytest.mark.parametrize("n, weight", [(9, 1.0), (10, None), (12, None), (20, None), (30, None)])
     def test_moment_at_nodes_matches_fresh_panels(self, n, weight):
@@ -150,18 +132,18 @@ class TestTorsionTable:
     def test_high_dimension_closed_form(self, n, k):
         # b = 1: w = (r^2 - R^2) / (2 C(n, k)^(1/k))
         sol = solve_torsion(RadialProblem(n=n, k=k, R=1.0, f=Nonlinearity.power(7), b=B_ONE))
-        exact = (sol.r**2 - 1.0) / (2.0 * math.comb(n, k) ** (1.0 / k))
-        assert np.max(np.abs(sol.u - exact)) <= 1e-15
-        assert np.max(np.abs(sol.u1 - sol.r / math.comb(n, k) ** (1.0 / k))) <= 1e-15
+        r = np.linspace(0.0, 1.0, 513)
+        w, w1, _ = sol.jet(r)
+        assert np.max(np.abs(w - (r**2 - 1.0) / (2.0 * math.comb(n, k) ** (1.0 / k)))) <= 1e-15
+        assert np.max(np.abs(w1 - r / math.comb(n, k) ** (1.0 / k))) <= 1e-15
 
     def test_power_weight_in_nine_dimensions(self):
         # b = (R - r)^3, n = 9: the spectral moment at the first Gauss node
         # alone would be negative and every later sample nan
         prob = RadialProblem.from_weight(9, 2, 1.0, Nonlinearity.power(5), Weight.power(1.0))
-        sol = solve_torsion(prob)
-        assert np.all(np.isfinite(sol.u)) and np.all(np.isfinite(sol.u1))
-        assert np.all(np.diff(sol.u) > 0.0) and abs(sol.u[-1]) <= 1e-15
-        assert np.max(np.abs(sol.u - sol.value(sol.r))) <= 1e-15
+        w, w1, _ = solve_torsion(prob).jet(np.linspace(0.0, 1.0, 513))
+        assert np.all(np.isfinite(w)) and np.all(np.isfinite(w1))
+        assert np.all(np.diff(w) > 0.0) and abs(w[-1]) <= 1e-15
 
 
 class TestManufacturedIVP:
@@ -702,7 +684,7 @@ class TestExhaustionBVP:
 def psi_of_torsion(prob):
     """r -> psi(-w(r)), with w the torsion solution and psi the inverse pair of prob."""
     w, pair = solve_torsion(prob), PsiPair(prob.f, prob.k)
-    return lambda r: pair.psi(np.maximum(-w.value(r), 1e-300))
+    return lambda r: pair.psi(np.maximum(-w.jet(r)[0], 1e-300))
 
 
 class TestSubsolution:
